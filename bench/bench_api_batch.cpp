@@ -18,11 +18,18 @@
 // byte-compared against its cold counterpart in every output format, and
 // the warm batch is additionally compared across thread counts — a
 // mismatch is a hard failure (exit 1), because the caches must never be
-// observable in the output bytes.  `--out=FILE` writes the point-query
-// results as JSON (the committed BENCH_warm.json).
+// observable in the output bytes.
+//
+// A third section times a whole `analyze` report on the same scenario,
+// cold (fresh engine) vs warm (base runtime, curve, bands, λ_G and the
+// Algorithm-2 scan all served by anchor replay and the entry memos), and
+// byte-verifies every warm report against the cold one.  `--out=FILE`
+// writes the point-query and analyze results as JSON (the committed
+// BENCH_warm.json).
 //
 //   $ ./bench_api_batch [--rounds=8] [--quick] [--out=BENCH_warm.json]
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -85,6 +92,22 @@ llamp::api::SweepRequest point_query(double dl_us) {
   req.grid = {dl_us, 2};
   req.threads = 1;
   return req;
+}
+
+// The warm-analyze scenario: the ROADMAP's hpcg-64 report at 3 points.
+llamp::api::AnalyzeRequest analyze_query() {
+  llamp::api::AnalyzeRequest req;
+  req.app.app = "hpcg";
+  req.app.ranks = 64;
+  req.app.scale = 0.05;
+  req.grid = {20.0, 3};
+  req.threads = 1;
+  return req;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v.empty() ? 0.0 : v[v.size() / 2];
 }
 
 // Every byte surface of a response, concatenated: the three render
@@ -228,6 +251,59 @@ int main(int argc, char** argv) {
               "serial==parallel)\n", speedup,
               warm_engine.solver_cache_stats_string().c_str());
 
+  // --- warm analyze: the whole report from the solver cache, hpcg-64 ----
+  const api::Request analyze_req(analyze_query());
+  const int cold_reps = cli.get_bool("quick", false) ? 1 : 3;
+  const int warm_reps = cli.get_bool("quick", false) ? 20 : 200;
+  std::printf("\nwarm analyze: hpcg ranks=64 scale=0.05 dl_max_us=20 "
+              "points=3\n");
+  std::vector<double> cold_analyze_ns;
+  std::string cold_analyze_bytes;
+  for (int r = 0; r < cold_reps; ++r) {
+    api::Engine engine(api::Engine::Options{.threads = 1});
+    const auto t0 = Clock::now();
+    const api::Response res = engine.run(analyze_req);
+    cold_analyze_ns.push_back(
+        std::chrono::duration<double, std::nano>(Clock::now() - t0).count());
+    cold_analyze_bytes = response_bytes(res);
+  }
+  api::Engine analyze_engine(api::Engine::Options{.threads = 1});
+  (void)analyze_engine.run(analyze_req);  // untimed: builds, solves, memos
+  const auto analyze_before = analyze_engine.solver_cache_stats();
+  std::vector<double> warm_analyze_ns;
+  std::vector<api::Response> warm_analyses;
+  warm_analyses.reserve(static_cast<std::size_t>(warm_reps));
+  for (int r = 0; r < warm_reps; ++r) {
+    const auto t0 = Clock::now();
+    warm_analyses.push_back(analyze_engine.run(analyze_req));
+    warm_analyze_ns.push_back(
+        std::chrono::duration<double, std::nano>(Clock::now() - t0).count());
+  }
+  const auto analyze_after = analyze_engine.solver_cache_stats();
+  for (std::size_t i = 0; i < warm_analyses.size(); ++i) {
+    if (response_bytes(warm_analyses[i]) != cold_analyze_bytes) {
+      std::fprintf(stderr,
+                   "bench_api_batch: warm/cold analyze byte mismatch on "
+                   "repeat %zu\n", i);
+      return 1;
+    }
+  }
+  const double cold_analyze = median(cold_analyze_ns);
+  const double warm_analyze = median(warm_analyze_ns);
+  const double analyze_speedup =
+      warm_analyze > 0.0 ? cold_analyze / warm_analyze : 0.0;
+  const std::size_t warm_solves =
+      analyze_after.anchor_solves - analyze_before.anchor_solves;
+  const std::size_t warm_misses =
+      analyze_after.memo_misses - analyze_before.memo_misses;
+  std::printf("  cold (fresh engine):  %11.1f ns/analyze (median of %d)\n",
+              cold_analyze, cold_reps);
+  std::printf("  warm (steady-state):  %11.1f ns/analyze (median of %d)\n",
+              warm_analyze, warm_reps);
+  std::printf("  speedup: %.1fx   (warm repeats: %zu anchor solves, %zu memo "
+              "misses; bytes verified warm==cold)\n",
+              analyze_speedup, warm_solves, warm_misses);
+
   const std::string out_path = cli.get("out", "");
   if (!out_path.empty()) {
     std::ofstream out(out_path);
@@ -261,7 +337,24 @@ int main(int argc, char** argv) {
         << "  },\n"
         << "  \"speedup\": " << std::llround(speedup) << ",\n"
         << "  \"bytes_verified\": \"warm == cold on every output format and "
-           "the JSONL line, serial and parallel\"\n"
+           "the JSONL line, serial and parallel\",\n"
+        << "  \"analyze\": {\n"
+        << "    \"config\": {\"app\": \"hpcg\", \"ranks\": 64, "
+           "\"scale\": 0.05, \"dl_max_us\": 20, \"points\": 3, "
+           "\"threads\": 1},\n"
+        << "    \"cold\": {\"description\": \"fresh engine: graph build + "
+           "lowering + sweep, tolerance, lambda_G and Algorithm-2 solves\", "
+           "\"ns_per_analyze_median\": " << std::llround(cold_analyze)
+        << ", \"repeats\": " << cold_reps << "},\n"
+        << "    \"warm\": {\"description\": \"steady-state session: anchor "
+           "replays + solver-cache memo hits\", \"ns_per_analyze_median\": "
+        << std::llround(warm_analyze) << ", \"repeats\": " << warm_reps
+        << ", \"anchor_solves\": " << warm_solves
+        << ", \"memo_misses\": " << warm_misses << "},\n"
+        << "    \"speedup\": " << std::llround(analyze_speedup) << ",\n"
+        << "    \"bytes_verified\": \"every warm report == the cold report "
+           "in every output format and the JSONL line\"\n"
+        << "  }\n"
         << "}\n";
     std::printf("  wrote %s\n", out_path.c_str());
   }

@@ -838,6 +838,8 @@ obs::Snapshot Engine::metrics_snapshot() const {
   snap.set_counter("solver_cache.hits", sc.hits);
   snap.set_counter("solver_cache.anchor_solves", sc.anchor_solves);
   snap.set_counter("solver_cache.replays", sc.replays);
+  snap.set_counter("solver_cache.memo_hits", sc.memo_hits);
+  snap.set_counter("solver_cache.memo_misses", sc.memo_misses);
   snap.set_counter("pool.jobs", ps.jobs);
   snap.set_counter("pool.tasks", ps.tasks);
   // Scrape bookkeeping: the sequence number orders snapshots of one
@@ -848,6 +850,8 @@ obs::Snapshot Engine::metrics_snapshot() const {
   snap.set_gauge("graph_cache.bytes", static_cast<double>(gc.bytes));
   snap.set_gauge("solver_cache.anchor_bytes",
                  static_cast<double>(sc.anchor_bytes));
+  snap.set_gauge("solver_cache.memo_bytes",
+                 static_cast<double>(sc.memo_bytes));
   snap.set_gauge("pool.busy_ns", static_cast<double>(ps.busy_ns));
   snap.set_gauge("pool.size", static_cast<double>(pool_.size()));
   snap.set_gauge("pool.slices", static_cast<double>(ps.slices));

@@ -1,10 +1,9 @@
 #include "core/analyzer.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <span>
+#include <utility>
 
+#include "lp/param_space.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
@@ -12,58 +11,55 @@
 namespace llamp::core {
 
 LatencyAnalyzer::LatencyAnalyzer(const graph::Graph& g, loggops::Params p)
-    : g_(g),
-      params_(p),
-      space_(std::make_shared<lp::LatencyParamSpace>(p)),
-      solver_(g, space_) {
-  base_runtime_ = solver_.solve(0, params_.L).value;
-}
+    : LatencyAnalyzer(g, p, std::make_unique<SolverCache>(), nullptr,
+                      GraphKey{}) {}
 
 LatencyAnalyzer::LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
                                  SolverCache& cache, const GraphKey& key)
+    : LatencyAnalyzer(g, p, nullptr, &cache, key) {}
+
+LatencyAnalyzer::LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
+                                 std::unique_ptr<SolverCache> own_cache,
+                                 SolverCache* cache, GraphKey key)
     : g_(g),
       params_(p),
-      cache_(&cache),
-      key_(key),
-      warm_(cache.latency(key, g, p)),
-      space_(warm_->problem()->space_ptr()),
-      solver_(warm_->problem()) {
-  lp::ParametricSolver::Workspace ws;
-  base_runtime_ = warm_->eval(0, params_.L, ws).value;
+      own_cache_(std::move(own_cache)),
+      cache_(cache != nullptr ? cache : own_cache_.get()),
+      key_(std::move(key)),
+      entry_(cache_->latency(key_, g_, params_)),
+      solver_(entry_->problem()),
+      base_runtime_(eval(params_.L).value) {}
+
+lp::LoweredProblem::SweepEval LatencyAnalyzer::eval(double x) const {
+  lp::LoweredProblem::Cursor cur;
+  return entry_->eval(0, x, cur);
 }
 
 TimeNs LatencyAnalyzer::predict_runtime(TimeNs delta_L) const {
-  if (warm_) {
-    lp::ParametricSolver::Workspace ws;
-    return warm_->eval(0, params_.L + delta_L, ws).value;
-  }
-  return solver_.solve(0, params_.L + delta_L).value;
+  return eval(params_.L + delta_L).value;
 }
 
 double LatencyAnalyzer::lambda_L(TimeNs delta_L) const {
-  if (warm_) {
-    lp::ParametricSolver::Workspace ws;
-    return warm_->eval(0, params_.L + delta_L, ws).slope;
-  }
-  return solver_.solve(0, params_.L + delta_L).gradient[0];
+  return eval(params_.L + delta_L).slope;
 }
 
 double LatencyAnalyzer::rho_L(TimeNs delta_L) const {
-  if (warm_) {
-    lp::ParametricSolver::Workspace ws;
-    const auto ev = warm_->eval(0, params_.L + delta_L, ws);
-    if (ev.value <= 0.0) return 0.0;
-    return (params_.L + delta_L) * ev.slope / ev.value;
-  }
-  const auto sol = solver_.solve(0, params_.L + delta_L);
-  if (sol.value <= 0.0) return 0.0;
-  return (params_.L + delta_L) * sol.gradient[0] / sol.value;
+  const double x = params_.L + delta_L;
+  const auto ev = eval(x);
+  if (ev.value <= 0.0) return 0.0;
+  return x * ev.slope / ev.value;
 }
 
 TimeNs LatencyAnalyzer::tolerance(double percent) const {
-  if (percent < 0.0) throw Error("tolerance: negative percentage");
+  // Checked before the memo is consulted: NaN would otherwise run the
+  // whole bounded search before failing to converge.
+  if (!(percent >= 0.0) || !std::isfinite(percent)) {
+    throw Error(strformat(
+        "tolerance: percentage must be finite and >= 0 (got %g)", percent));
+  }
   const double budget = base_runtime_ * (1.0 + percent / 100.0);
-  return solver_.max_param_for_budget(0, budget);
+  lp::LoweredProblem::Cursor cur;
+  return entry_->max_param_for_budget_from(0, params_.L, budget, cur);
 }
 
 TimeNs LatencyAnalyzer::tolerance_delta(double percent) const {
@@ -77,24 +73,23 @@ std::vector<TimeNs> LatencyAnalyzer::critical_latencies(TimeNs lo,
   return solver_.critical_values(0, lo, hi);
 }
 
+std::vector<TimeNs> LatencyAnalyzer::critical_latencies_algorithm2(
+    TimeNs lo, TimeNs hi, double step) const {
+  return entry_->critical_values_algorithm2(0, lo, hi, step);
+}
+
 std::vector<lp::ParametricSolver::Segment> LatencyAnalyzer::runtime_curve(
     TimeNs lo, TimeNs hi) const {
   return solver_.piecewise(0, lo, hi);
 }
 
 double LatencyAnalyzer::lambda_G() const {
-  if (cache_) {
-    // The two-parameter lowering is the expensive part (it falls back to
-    // the CSR walk); share it across requests even though every eval is a
-    // dense solve.
-    const auto entry = cache_->latency_bandwidth(key_, g_, params_);
-    lp::ParametricSolver::Workspace ws;
-    return entry->eval(1, params_.G, ws).slope;
-  }
-  const auto space =
-      std::make_shared<lp::LatencyBandwidthParamSpace>(params_);
-  lp::ParametricSolver s(g_, space);
-  return s.solve(1, params_.G).gradient[1];
+  // The two-parameter lowering falls back to the CSR walk; its entry
+  // memoizes the eval, so a repeated read is one lookup.
+  lp::LoweredProblem::Cursor cur;
+  return cache_->latency_bandwidth(key_, g_, params_)
+      ->eval(1, params_.G, cur)
+      .slope;
 }
 
 std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(
@@ -102,78 +97,30 @@ std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(
   // Validate the whole grid before any worker thread exists, so bad input
   // raises a clean Error on the calling thread instead of depending on
   // exception propagation out of the pool.
-  bool ascending = true;
-  for (std::size_t i = 0; i < delta_Ls.size(); ++i) {
-    const TimeNs d = delta_Ls[i];
+  for (const TimeNs d : delta_Ls) {
     if (d < 0.0) throw Error("sweep: negative latency injection");
     if (!std::isfinite(d)) {
       throw Error(
           strformat("sweep: latency injection must be finite (got %g)", d));
     }
-    if (i > 0 && delta_Ls[i - 1] > d) ascending = false;
   }
   const std::size_t n = delta_Ls.size();
   std::vector<SweepPoint> out(n);
   if (n == 0) return out;
-  std::vector<double> xs(n);
-  for (std::size_t i = 0; i < n; ++i) xs[i] = params_.L + delta_Ls[i];
-  const auto fill = [&](std::size_t i, double value, double lambda) {
-    out[i] = {delta_Ls[i], value, lambda,
-              value > 0.0 ? xs[i] * lambda / value : 0.0};
-  };
-
-  if (warm_) {
-    // Warm path: every point is served through the session cache — anchor
-    // replay when a published stability zone covers it, dense solve (which
-    // publishes its anchor) otherwise.  Replay is bitwise identical to a
-    // dense solve, so these bytes match the cold paths below exactly,
-    // whatever the cache held beforehand and whatever the thread count.
-    // Works for ascending and unordered grids alike.
-    const int nworkers = effective_threads(n, threads);
-    std::vector<lp::ParametricSolver::Workspace> wss(
-        static_cast<std::size_t>(nworkers));
-    parallel_for_workers(n, threads, [&](int w, std::size_t i) {
-      const auto ev =
-          warm_->eval(0, xs[i], wss[static_cast<std::size_t>(w)]);
-      fill(i, ev.value, ev.slope);
-    });
-    return out;
-  }
-  if (ascending) {
-    // Segment walk over contiguous chunks, one workspace per chunk.  Every
-    // point's value is bitwise identical to a dense solve at that point, so
-    // the chunk boundaries (and therefore the thread count) cannot change
-    // the bytes of the result.
-    const std::size_t nchunks =
-        static_cast<std::size_t>(effective_threads(n, threads));
-    std::vector<lp::ParametricSolver::Workspace> wss(nchunks);
-    std::vector<lp::ParametricSolver::SweepEval> evals(n);
-    parallel_for(nchunks, threads, [&](std::size_t c) {
-      const std::size_t begin = n * c / nchunks;
-      const std::size_t end = n * (c + 1) / nchunks;
-      solver_.sweep(0, std::span(xs).subspan(begin, end - begin), wss[c],
-                    evals.data() + begin);
-    });
-    for (std::size_t i = 0; i < n; ++i) fill(i, evals[i].value, evals[i].slope);
-  } else {
-    // Unordered grids take the batched dense fallback: lane groups of
-    // kBatchWidth points per forward pass, one batch cursor per worker,
-    // still allocation-free in steady state and still bitwise identical to
-    // per-point dense solves (the batch kernel's contract).
-    const std::size_t groups =
-        (n + lp::kBatchWidth - 1) / lp::kBatchWidth;
-    const int nworkers = effective_threads(groups, threads);
-    std::vector<lp::ParametricSolver::BatchCursor> bcs(
-        static_cast<std::size_t>(nworkers));
-    std::vector<lp::ParametricSolver::BatchPoint> pts(n);
-    parallel_for_workers(groups, threads, [&](int w, std::size_t gi) {
-      const std::size_t lo = gi * lp::kBatchWidth;
-      const std::size_t lanes = std::min(lp::kBatchWidth, n - lo);
-      solver_.solve_batch(0, xs.data() + lo, lanes,
-                          bcs[static_cast<std::size_t>(w)], pts.data() + lo);
-    });
-    for (std::size_t i = 0; i < n; ++i) fill(i, pts[i].value, pts[i].slope);
-  }
+  // Every point is served through the entry: anchor replay when a
+  // published stability zone covers it, a dense solve (which publishes its
+  // anchor) otherwise.  Replay is bitwise identical to a dense solve, so
+  // the bytes cannot depend on what the cache held beforehand, on the
+  // grid's order, or on the thread count.
+  const int nworkers = effective_threads(n, threads);
+  std::vector<lp::LoweredProblem::Cursor> curs(
+      static_cast<std::size_t>(nworkers));
+  parallel_for_workers(n, threads, [&](int w, std::size_t i) {
+    const double x = params_.L + delta_Ls[i];
+    const auto ev = entry_->eval(0, x, curs[static_cast<std::size_t>(w)]);
+    out[i] = {delta_Ls[i], ev.value, ev.slope,
+              ev.value > 0.0 ? x * ev.slope / ev.value : 0.0};
+  });
   return out;
 }
 

@@ -19,14 +19,16 @@ namespace llamp::core {
 /// says otherwise.
 class LatencyAnalyzer {
  public:
+  /// Standalone form: the analyzer owns a private SolverCache, so it runs
+  /// the very code path of the warm form below with a cache that starts
+  /// empty and dies with the analyzer.
   LatencyAnalyzer(const graph::Graph& g, loggops::Params p);
-  /// Warm-starting form (the api::Engine path): the latency lowering is
-  /// fetched from `cache` under (key, p) instead of being rebuilt, and the
-  /// point evaluations (base runtime, forecasts, sweeps) are served through
-  /// the entry's anchor store, so repeated and nearby requests replay
-  /// instead of re-solving.  `g` MUST be the graph cached under `key`, and
-  /// `cache` must outlive the analyzer.  Every number produced is bitwise
-  /// identical to the cold constructor's — the cache can never change
+  /// Warm-starting form (the api::Engine path): the lowerings, anchors and
+  /// memos are shared through the session `cache` under (key, p), so
+  /// repeated and nearby requests replay or look up instead of
+  /// re-solving.  `g` MUST be the graph cached under `key`, and `cache`
+  /// must outlive the analyzer.  Every number produced is bitwise
+  /// identical to the standalone form's — the cache can never change
   /// bytes, only time.
   LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
                   SolverCache& cache, const GraphKey& key);
@@ -62,9 +64,14 @@ class LatencyAnalyzer {
   /// Same tolerance expressed as an injection ΔL over the base latency.
   TimeNs tolerance_delta(double percent) const;
 
-  /// Critical latencies (Algorithm 2): absolute L values in [lo, hi] where
-  /// λ_L changes.
+  /// Critical latencies: absolute L values in [lo, hi] where λ_L changes,
+  /// read off the exact piecewise curve.
   std::vector<TimeNs> critical_latencies(TimeNs lo, TimeNs hi) const;
+
+  /// The paper's Algorithm 2 scan (Appendix D) over absolute L in [lo, hi]
+  /// at resolution `step`, served through the cache entry's memo.
+  std::vector<TimeNs> critical_latencies_algorithm2(TimeNs lo, TimeNs hi,
+                                                    double step) const;
 
   /// Exact piecewise-linear runtime curve over absolute L in [lo, hi].
   std::vector<lp::ParametricSolver::Segment> runtime_curve(TimeNs lo,
@@ -97,16 +104,21 @@ class LatencyAnalyzer {
   const lp::ParametricSolver& solver() const { return solver_; }
 
  private:
+  LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
+                  std::unique_ptr<SolverCache> own_cache, SolverCache* cache,
+                  GraphKey key);
+  /// T and λ at absolute latency x, through the entry.
+  lp::LoweredProblem::SweepEval eval(double x) const;
+
   const graph::Graph& g_;
   loggops::Params params_;
-  /// Engaged by the warm constructor: the session cache serving this
-  /// analyzer's point evaluations, and the entry holding the shared
-  /// lowering + anchors.  Declared before space_/solver_ — the warm
-  /// constructor initializes those from warm_.
+  /// The standalone form's private cache; null for the warm form.
+  std::unique_ptr<SolverCache> own_cache_;
+  /// The cache serving every evaluation: own_cache_ or the session's.
   SolverCache* cache_ = nullptr;
   GraphKey key_;
-  std::shared_ptr<SolverCache::Entry> warm_;
-  std::shared_ptr<const lp::ParamSpace> space_;
+  /// The latency entry (lowering, anchors, memos) under (key_, params_).
+  std::shared_ptr<SolverCache::Entry> entry_;
   lp::ParametricSolver solver_;
   TimeNs base_runtime_ = 0.0;
 };

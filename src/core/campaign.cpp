@@ -242,10 +242,15 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     }
   }
 
+  // Cached scenarios read their bands through the entry's tolerance memo;
+  // the budget expression matches LatencyAnalyzer::tolerance bit for bit,
+  // so campaigns and analyze requests share hits.
   res.bands.reserve(s.band_percents.size());
   for (const double pct : s.band_percents) {
     const double budget = res.base_runtime * (1.0 + pct / 100.0);
-    const double tol = solver.max_param_for_budget(0, budget, ws);
+    const double tol =
+        entry ? entry->max_param_for_budget_from(0, base, budget, ws)
+              : solver.max_param_for_budget(0, budget, ws);
     res.bands.push_back({pct, std::isfinite(tol) ? tol - base : tol});
   }
 

@@ -131,8 +131,8 @@ ToleranceReport make_report(const LatencyAnalyzer& an,
   // with Algorithm 2's step knob at the resolution a report can display.
   const double step =
       opts.sweep_max / (4.0 * static_cast<double>(opts.max_critical));
-  rep.critical_latencies = an.solver().critical_values_algorithm2(
-      0, p.L, p.L + opts.sweep_max, step);
+  rep.critical_latencies =
+      an.critical_latencies_algorithm2(p.L, p.L + opts.sweep_max, step);
   if (rep.critical_latencies.size() > opts.max_critical) {
     rep.critical_latencies.resize(opts.max_critical);
   }

@@ -1,6 +1,8 @@
 #include "core/solver_cache.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "lp/param_space.hpp"
@@ -34,29 +36,79 @@ std::shared_ptr<const lp::ParamSpace> make_latency_bandwidth_space(
   return std::make_shared<lp::LatencyBandwidthParamSpace>(p);
 }
 
+/// Payload bytes of one stored memo result, by element size (not
+/// capacity), mirroring the anchor accounting.
+std::size_t payload_bytes(const std::vector<double>& v) {
+  return sizeof(v) + v.size() * sizeof(double);
+}
+template <typename V>
+std::size_t payload_bytes(const V&) {
+  return sizeof(V);
+}
+
 }  // namespace
+
+SolverCache::Entry::MemoKey SolverCache::Entry::memo_key(
+    int k, std::initializer_list<double> xs) {
+  MemoKey key{static_cast<std::uint64_t>(static_cast<std::uint32_t>(k))};
+  std::size_t slot = 1;
+  for (const double x : xs) key[slot++] = std::bit_cast<std::uint64_t>(x);
+  return key;
+}
+
+template <typename V, typename Compute>
+V SolverCache::Entry::memoized(Memo<V>& memo, const MemoKey& key,
+                               Compute&& compute) {
+  {
+    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    const auto it = memo.find(key);
+    if (it != memo.end()) {
+      owner_->memo_hits_.fetch_add(1, std::memory_order_relaxed);
+      return it->second;
+    }
+  }
+  owner_->memo_misses_.fetch_add(1, std::memory_order_relaxed);
+  // Computed outside the lock: a throw propagates from here, before
+  // anything is stored.  Two threads racing one key both compute the same
+  // bits; the first insert wins and the other is a no-op.
+  V value = compute();
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  if (memo.size() < kMaxMemo && memo.try_emplace(key, value).second) {
+    owner_->memo_bytes_.fetch_add(sizeof(MemoKey) + payload_bytes(value),
+                                  std::memory_order_relaxed);
+  }
+  return value;
+}
 
 lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
     int k, double x, lp::LoweredProblem::Cursor& cur) {
+  if (!prob_->flat()) {
+    // CSR lowerings cannot replay an anchor; serve repeats from the memo.
+    return memoized(eval_memo_, memo_key(k, {x}), [&] {
+      const auto& sol = prob_->solve(k, x, cur);
+      owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
+      return lp::LoweredProblem::SweepEval{
+          x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
+    });
+  }
+
   // Warm path: any published anchor whose stability zone covers x replays
   // bitwise identically to a dense solve (see the class contract), so the
   // first covering anchor found is as good as any other — overlapping
   // zones cannot make the served bytes depend on scan order.
-  if (prob_->flat()) {
-    std::shared_ptr<const lp::LoweredProblem::AnchorState> hit;
-    {
-      const std::lock_guard<std::mutex> lock(anchor_mutex_);
-      for (const auto& a : anchors_) {
-        if (a->covers(k, x)) {
-          hit = a;
-          break;
-        }
+  std::shared_ptr<const lp::LoweredProblem::AnchorState> hit;
+  {
+    const std::lock_guard<std::mutex> lock(anchor_mutex_);
+    for (const auto& a : anchors_) {
+      if (a->covers(k, x)) {
+        hit = a;
+        break;
       }
     }
-    if (hit) {
-      owner_->replays_.fetch_add(1, std::memory_order_relaxed);
-      return prob_->replay_anchor(*hit, k, x);
-    }
+  }
+  if (hit) {
+    owner_->replays_.fetch_add(1, std::memory_order_relaxed);
+    return prob_->replay_anchor(*hit, k, x);
   }
 
   // Cold path: dense solve, then publish the anchor so later queries in
@@ -65,35 +117,47 @@ lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
   const lp::LoweredProblem::SweepEval out{
       x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
   owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
-  if (prob_->flat()) {
-    auto fresh = std::make_shared<lp::LoweredProblem::AnchorState>();
-    prob_->save_anchor(cur, *fresh);
-    const std::lock_guard<std::mutex> lock(anchor_mutex_);
-    if (anchors_.size() < kMaxAnchors) {
-      const auto pos = std::lower_bound(
-          anchors_.begin(), anchors_.end(), fresh,
-          [](const auto& a, const auto& b) {
-            if (a->solution.active != b->solution.active) {
-              return a->solution.active < b->solution.active;
-            }
-            return a->solution.at < b->solution.at;
-          });
-      if (pos == anchors_.end() ||
-          (*pos)->solution.active != fresh->solution.active ||
-          (*pos)->solution.at != fresh->solution.at) {
-        // Payload accounting by element size, not vector capacity —
-        // capacities depend on the allocator's growth history, sizes only
-        // on the published anchor set (deterministic per request sequence).
-        owner_->anchor_bytes_.fetch_add(
-            sizeof(lp::LoweredProblem::AnchorState) +
-                fresh->chain.size() * sizeof(std::uint32_t) +
-                fresh->solution.gradient.size() * sizeof(double),
-            std::memory_order_relaxed);
-        anchors_.insert(pos, std::move(fresh));
-      }
+  auto fresh = std::make_shared<lp::LoweredProblem::AnchorState>();
+  prob_->save_anchor(cur, *fresh);
+  const std::lock_guard<std::mutex> lock(anchor_mutex_);
+  if (anchors_.size() < kMaxAnchors) {
+    const auto pos = std::lower_bound(
+        anchors_.begin(), anchors_.end(), fresh,
+        [](const auto& a, const auto& b) {
+          if (a->solution.active != b->solution.active) {
+            return a->solution.active < b->solution.active;
+          }
+          return a->solution.at < b->solution.at;
+        });
+    if (pos == anchors_.end() ||
+        (*pos)->solution.active != fresh->solution.active ||
+        (*pos)->solution.at != fresh->solution.at) {
+      // Payload accounting by element size, not vector capacity —
+      // capacities depend on the allocator's growth history, sizes only
+      // on the published anchor set (deterministic per request sequence).
+      owner_->anchor_bytes_.fetch_add(
+          sizeof(lp::LoweredProblem::AnchorState) +
+              fresh->chain.size() * sizeof(std::uint32_t) +
+              fresh->solution.gradient.size() * sizeof(double),
+          std::memory_order_relaxed);
+      anchors_.insert(pos, std::move(fresh));
     }
   }
   return out;
+}
+
+std::vector<double> SolverCache::Entry::critical_values_algorithm2(
+    int k, double lo, double hi, double step, double eps) {
+  return memoized(algorithm2_memo_, memo_key(k, {lo, hi, step, eps}), [&] {
+    return prob_->critical_values_algorithm2(k, lo, hi, step, eps);
+  });
+}
+
+double SolverCache::Entry::max_param_for_budget_from(
+    int k, double from, double budget, lp::LoweredProblem::Cursor& cur) {
+  return memoized(budget_memo_, memo_key(k, {from, budget}), [&] {
+    return prob_->max_param_for_budget_from(k, from, budget, cur);
+  });
 }
 
 std::size_t SolverCache::Entry::anchor_count() const {
@@ -146,7 +210,10 @@ SolverCache::Stats SolverCache::stats() const {
           hits_.load(std::memory_order_relaxed),
           anchor_solves_.load(std::memory_order_relaxed),
           replays_.load(std::memory_order_relaxed),
-          anchor_bytes_.load(std::memory_order_relaxed)};
+          anchor_bytes_.load(std::memory_order_relaxed),
+          memo_hits_.load(std::memory_order_relaxed),
+          memo_misses_.load(std::memory_order_relaxed),
+          memo_bytes_.load(std::memory_order_relaxed)};
 }
 
 std::string SolverCache::stats_string() const {
@@ -155,7 +222,10 @@ std::string SolverCache::stats_string() const {
                                      {"hits", s.hits},
                                      {"anchor_solves", s.anchor_solves},
                                      {"replays", s.replays},
-                                     {"anchor_bytes", s.anchor_bytes}});
+                                     {"anchor_bytes", s.anchor_bytes},
+                                     {"memo_hits", s.memo_hits},
+                                     {"memo_misses", s.memo_misses},
+                                     {"memo_bytes", s.memo_bytes}});
 }
 
 }  // namespace llamp::core

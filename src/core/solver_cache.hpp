@@ -1,6 +1,9 @@
 #pragma once
 
+#include <array>
 #include <atomic>
+#include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -35,7 +38,7 @@ struct SolverKey {
 
 /// Thread-safe build-once cache of lowered parametric LPs plus their
 /// reusable anchor state, living beside GraphCache in an api::Engine
-/// session (DESIGN.md §4e).  Two levels of reuse:
+/// session (DESIGN.md §4e).  Three levels of reuse:
 ///
 ///  * the **lowering** — the immutable lp::LoweredProblem (CSR/SoA cost
 ///    arrays, topo permutation) is built once per key and shared by every
@@ -43,14 +46,19 @@ struct SolverKey {
 ///  * the **anchor state** — each entry keeps a bounded set of
 ///    AnchorState snapshots published by past dense solves, so a point
 ///    query landing inside a known stability zone is served by
-///    critical-path replay (microseconds) instead of a full forward pass.
+///    critical-path replay (microseconds) instead of a full forward pass;
+///  * the **memos** — exact-input results of the calls replay cannot
+///    serve: Algorithm 2, the tolerance search, and point evaluations of
+///    CSR-lowered entries (λ_G), so a repeated report costs lookups only.
 ///
 /// Determinism contract: replay from *any* covering anchor is bitwise
 /// identical to a dense solve at that point (the PR 3 segment-walk
-/// equivalence, pinned by the hot-path test wall), so an eval()'s bytes
-/// can never depend on the cache being cold, warm, shared across threads,
-/// or on which of several overlapping anchors serves the query.  Response
-/// bytes must never include the cache's counters.
+/// equivalence, pinned by the hot-path test wall), and a memo hit returns
+/// the stored result of the very same computation (keys are the inputs'
+/// bit patterns), so an entry's answers can never depend on the cache
+/// being cold, warm, shared across threads, or on which of several
+/// overlapping anchors serves the query.  Response bytes must never
+/// include the cache's counters.
 ///
 /// Invalidation: there is none, by construction.  Graphs are immutable and
 /// never evicted from GraphCache, and the fingerprint pins every input of
@@ -65,7 +73,7 @@ class SolverCache {
   SolverCache(const SolverCache&) = delete;
   SolverCache& operator=(const SolverCache&) = delete;
 
-  /// One cached lowering plus its published anchors.  Handles are shared
+  /// One cached lowering plus its anchors and memos.  Handles are shared
   /// pointers so a request can hold its entry across the whole analysis
   /// without touching the cache map again.
   class Entry {
@@ -78,21 +86,57 @@ class SolverCache {
       return prob_;
     }
 
-    /// T and λ at `x` for parameter `k`: served by anchor replay when a
-    /// published stability zone covers `x` (no forward pass, read-only on
-    /// the problem), otherwise by a dense solve through `cur` whose anchor
-    /// is then published for later queries.  Bitwise identical to
-    /// problem()->solve(k, x) either way.  Safe to call concurrently from
-    /// any number of threads, each with its own cursor.
+    /// T and λ at `x` for parameter `k`.  Flat lowerings are served by
+    /// anchor replay when a published stability zone covers `x` (no
+    /// forward pass, read-only on the problem), otherwise by a dense solve
+    /// through `cur` whose anchor is then published for later queries.
+    /// CSR lowerings cannot replay; their evals go through an exact-(k, x)
+    /// memo instead.  Bitwise identical to problem()->solve(k, x) either
+    /// way.  Safe to call concurrently from any number of threads, each
+    /// with its own cursor.
     lp::LoweredProblem::SweepEval eval(int k, double x,
                                        lp::LoweredProblem::Cursor& cur);
+
+    /// problem()->critical_values_algorithm2(k, lo, hi, step, eps) through
+    /// the entry's exact-input memo.  A hit allocates only the returned
+    /// vector.
+    std::vector<double> critical_values_algorithm2(int k, double lo,
+                                                   double hi, double step,
+                                                   double eps = 1e-6);
+
+    /// problem()->max_param_for_budget_from(k, from, budget, cur) through
+    /// the entry's exact-input memo.  A hit never touches `cur` and
+    /// allocates nothing.
+    double max_param_for_budget_from(int k, double from, double budget,
+                                     lp::LoweredProblem::Cursor& cur);
 
     /// Published anchors (observability/tests).
     std::size_t anchor_count() const;
 
+    /// Bound on each memo's entries, with the anchor policy: the first
+    /// kMaxMemo distinct inputs are kept, later ones are computed and
+    /// returned but not stored.
+    static constexpr std::size_t kMaxMemo = 64;
+
    private:
     friend class SolverCache;
     Entry() = default;
+
+    /// Memo key: the parameter index followed by the bit patterns of the
+    /// call's double inputs (unused slots zero).  Bits, not ==, so a hit is
+    /// the same computation by construction (-0.0 and 0.0 stay distinct,
+    /// and NaN cannot break the map's ordering).
+    using MemoKey = std::array<std::uint64_t, 5>;
+    static MemoKey memo_key(int k, std::initializer_list<double> xs);
+    template <typename V>
+    using Memo = std::map<MemoKey, V>;
+
+    /// The memo protocol shared by all three memos: serve a hit, or run
+    /// `compute` outside the lock and store its result while the memo has
+    /// room.  A call that throws stores nothing and throws again on the
+    /// next identical call.
+    template <typename V, typename Compute>
+    V memoized(Memo<V>& memo, const MemoKey& key, Compute&& compute);
 
     /// Bound on published anchors per entry: enough to blanket every CLI
     /// grid's basis pieces, small enough that the linear covering scan
@@ -108,6 +152,10 @@ class SolverCache {
     /// Sorted by (active, at), deduplicated on exact (active, at).
     std::vector<std::shared_ptr<const lp::LoweredProblem::AnchorState>>
         anchors_;
+    std::mutex memo_mutex_;  ///< guards the three memos below
+    Memo<lp::LoweredProblem::SweepEval> eval_memo_;  ///< CSR lowerings only
+    Memo<std::vector<double>> algorithm2_memo_;
+    Memo<double> budget_memo_;
     SolverCache* owner_ = nullptr;
   };
 
@@ -119,8 +167,9 @@ class SolverCache {
                                  const loggops::Params& p);
 
   /// Same for the two-parameter LatencyBandwidthParamSpace (λ_G reads).
-  /// Its edges carry two terms, so it lowers to the CSR fallback — eval()
-  /// always dense-solves — but the lowering itself is still shared.
+  /// Its edges carry two terms, so it lowers to the CSR fallback: eval()
+  /// cannot replay and is served by the entry's exact-(k, x) memo instead,
+  /// so a repeated λ_G read costs one lookup.
   std::shared_ptr<Entry> latency_bandwidth(const GraphKey& key,
                                            const graph::Graph& g,
                                            const loggops::Params& p);
@@ -131,14 +180,18 @@ class SolverCache {
     std::size_t anchor_solves = 0;  ///< eval() dense forward passes
     std::size_t replays = 0;        ///< eval() served by anchor replay
     std::size_t anchor_bytes = 0;   ///< payload bytes of published anchors
+    std::size_t memo_hits = 0;      ///< memoized calls served from a memo
+    std::size_t memo_misses = 0;    ///< memoized calls that computed
+    std::size_t memo_bytes = 0;     ///< payload bytes of stored memo results
   };
   /// Cumulative statistics, GraphCache-style relaxed atomics: monotonic
   /// tallies, not an instantaneous cut across counters.  `anchor_bytes`
-  /// counts payload sizes (not vector capacities) so the tally is
-  /// deterministic for a fixed request sequence.
+  /// and `memo_bytes` count payload sizes (not vector or node capacities)
+  /// so the tallies are deterministic for a fixed request sequence.
   Stats stats() const;
   /// One-line human form via the shared obs::stats_line formatter, e.g.
-  /// "solvers: built=2 hits=9 anchor_solves=14 replays=180 anchor_bytes=...".
+  /// "solvers: built=2 hits=9 anchor_solves=14 replays=180 anchor_bytes=...
+  /// memo_hits=... memo_misses=... memo_bytes=...".
   std::string stats_string() const;
 
  private:
@@ -155,6 +208,9 @@ class SolverCache {
   std::atomic<std::size_t> anchor_solves_{0};
   std::atomic<std::size_t> replays_{0};
   std::atomic<std::size_t> anchor_bytes_{0};
+  std::atomic<std::size_t> memo_hits_{0};
+  std::atomic<std::size_t> memo_misses_{0};
+  std::atomic<std::size_t> memo_bytes_{0};
 };
 
 }  // namespace llamp::core

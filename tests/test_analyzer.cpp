@@ -72,6 +72,57 @@ TEST(Tolerance, OrderedByPercentage) {
   EXPECT_THROW((void)an.tolerance(-1.0), Error);
 }
 
+TEST(Tolerance, RejectsNonFinitePercentagesBeforeTheMemo) {
+  // NaN slips past a plain `< 0` check; it must be rejected up front like
+  // infinities and negatives, never reach the solver, never be memoized.
+  const auto g = app_graph("lulesh", 8, 0.05);
+  SolverCache cache;
+  const LatencyAnalyzer an(g, testbed(), cache, GraphKey{"lulesh", 8, 0.05, 0});
+  const auto before = cache.stats();
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           -std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), -1.0,
+                           -1e-300}) {
+    EXPECT_THROW((void)an.tolerance(bad), Error) << bad;
+    EXPECT_THROW((void)an.tolerance_delta(bad), Error) << bad;
+  }
+  try {
+    (void)an.tolerance(std::numeric_limits<double>::quiet_NaN());
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("finite"), std::string::npos);
+  }
+  const auto after = cache.stats();
+  EXPECT_EQ(after.memo_hits, before.memo_hits);
+  EXPECT_EQ(after.memo_misses, before.memo_misses);
+  EXPECT_EQ(after.memo_bytes, before.memo_bytes);
+  // Zero is a valid percentage (the base runtime itself is the budget).
+  EXPECT_GE(an.tolerance(0.0), testbed().L);
+}
+
+TEST(Tolerance, StandaloneAndWarmAnalyzersAgreeBitwise) {
+  // The standalone constructor is the warm path over a private cache; a
+  // session cache warmed by another analyzer must serve the same bits.
+  const auto g = app_graph("milc", 8, 0.05);
+  const GraphKey key{"milc", 8, 0.05, 0};
+  SolverCache cache;
+  const LatencyAnalyzer first(g, testbed(), cache, key);
+  for (const double pct : {1.0, 2.0, 5.0}) (void)first.tolerance(pct);
+  const LatencyAnalyzer warm(g, testbed(), cache, key);
+  const LatencyAnalyzer alone(g, testbed());
+  EXPECT_EQ(warm.base_runtime(), alone.base_runtime());
+  EXPECT_EQ(warm.lambda_G(), alone.lambda_G());
+  for (const double pct : {1.0, 2.0, 5.0}) {
+    EXPECT_EQ(warm.tolerance_delta(pct), alone.tolerance_delta(pct)) << pct;
+  }
+  const double L = testbed().L;
+  EXPECT_EQ(warm.critical_latencies_algorithm2(L, L + us(20.0), 100.0),
+            alone.solver().critical_values_algorithm2(0, L, L + us(20.0),
+                                                      100.0));
+  EXPECT_GT(cache.stats().memo_hits, 0u);
+}
+
 TEST(Tolerance, MilcLessTolerantThanIcon) {
   // The headline qualitative result of Fig. 1.
   const auto g_milc = app_graph("milc", 16, 0.15);
@@ -188,8 +239,9 @@ TEST(Sweep, ValidatesGridBeforeWorkerThreadsStart) {
 }
 
 TEST(Sweep, UnsortedGridMatchesSortedPointwise) {
-  // Out-of-order grids take the dense per-point path; every point must
-  // still be bitwise identical to its segment-walked twin.
+  // Grid order decides which points solve densely and which replay an
+  // anchor; every point must still be bitwise identical to a lone query
+  // and to a dense solve.
   const auto g = app_graph("hpcg", 8, 0.1);
   LatencyAnalyzer an(g, testbed());
   const std::vector<TimeNs> unsorted = {us(40.0), us(5.0), us(20.0), 0.0,
@@ -200,6 +252,9 @@ TEST(Sweep, UnsortedGridMatchesSortedPointwise) {
     EXPECT_EQ(shuffled[i].runtime, one[0].runtime);
     EXPECT_EQ(shuffled[i].lambda_L, one[0].lambda_L);
     EXPECT_EQ(shuffled[i].rho_L, one[0].rho_L);
+    const auto dense = an.solver().solve(0, testbed().L + unsorted[i]);
+    EXPECT_EQ(shuffled[i].runtime, dense.value);
+    EXPECT_EQ(shuffled[i].lambda_L, dense.gradient[0]);
   }
 }
 

@@ -417,9 +417,18 @@ TEST(ApiSolverCache, RepeatedAndNearbyRequestsMatchColdBytes) {
     req.grid = {dl, 3};
     sweeps.push_back(req);
   }
-  api::AnalyzeRequest analyze;
-  analyze.app = small_app("hpcg");
-  analyze.grid = {20.0, 3};
+  // Analyze at repeated and nearby ranges: every report quantity (curve,
+  // bands, λ_G, Algorithm 2) must match a cold engine whether it was
+  // replayed, looked up in a memo, or computed.
+  std::vector<api::AnalyzeRequest> analyzes;
+  for (const double dl : {20.0, 20.0, 21.0, 20.5}) {
+    for (const int points : {3, 5}) {
+      api::AnalyzeRequest req;
+      req.app = small_app("hpcg");
+      req.grid = {dl, points};
+      analyzes.push_back(req);
+    }
+  }
 
   api::Engine warm;
   for (int round = 0; round < 2; ++round) {
@@ -432,14 +441,28 @@ TEST(ApiSolverCache, RepeatedAndNearbyRequestsMatchColdBytes) {
       }
       EXPECT_EQ(cold_res.to_json_line(), warm_res.to_json_line());
     }
-    const auto warm_rep = warm.analyze(analyze);
-    api::Engine cold;
-    const auto cold_rep = cold.analyze(analyze);
-    for (const auto format : kAllFormats) {
-      EXPECT_EQ(rendered(cold_rep, format), rendered(warm_rep, format));
+    for (const auto& req : analyzes) {
+      const auto warm_rep = warm.analyze(req);
+      api::Engine cold;
+      const auto cold_rep = cold.analyze(req);
+      for (const auto format : kAllFormats) {
+        EXPECT_EQ(rendered(cold_rep, format), rendered(warm_rep, format))
+            << "dl_max_us=" << req.grid.dl_max_us
+            << " points=" << req.grid.points;
+      }
+      EXPECT_EQ(cold_rep.to_json_line(), warm_rep.to_json_line());
     }
-    EXPECT_EQ(cold_rep.to_json_line(), warm_rep.to_json_line());
   }
+
+  // A repeated analyze is all replays and memo hits: no forward pass, no
+  // memoized computation.
+  const auto before = warm.solver_cache_stats();
+  (void)warm.analyze(analyzes.front());
+  const auto after = warm.solver_cache_stats();
+  EXPECT_EQ(after.anchor_solves, before.anchor_solves);
+  EXPECT_EQ(after.memo_misses, before.memo_misses);
+  EXPECT_GT(after.memo_hits, before.memo_hits);
+  EXPECT_GT(after.memo_bytes, 0u);
 
   // One scenario, one latency lowering (analyze adds the bandwidth space);
   // every repeat and nearby grid reused them.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -464,6 +466,200 @@ TEST(SolverCacheEntry, ConcurrentEvalsAreBitwiseDense) {
           << "thread=" << t << " x=" << xs[j];
     }
   }
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+std::vector<std::uint64_t> bits(const std::vector<double>& vs) {
+  std::vector<std::uint64_t> out;
+  for (const double v : vs) out.push_back(bits(v));
+  return out;
+}
+
+TEST(SolverCacheEntry, MemoizedCallsAreBitwiseDirectOnAllRegisteredApps) {
+  // Algorithm 2, the tolerance search, and λ_G served through an entry
+  // must equal direct LoweredProblem calls bit for bit: on the computing
+  // (cold) call and on the memo hit (warm) that repeats it.
+  for (const std::string& app : apps::app_names()) {
+    SCOPED_TRACE(app);
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto p = loggops::NetworkConfig::cscs_testbed();
+    core::SolverCache cache;
+    const core::GraphKey key{app, ranks, 0.02, p.S};
+    const auto entry = cache.latency(key, g, p);
+    const auto bw = cache.latency_bandwidth(key, g, p);
+    const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
+    const LoweredProblem direct_bw(
+        g, std::make_shared<LatencyBandwidthParamSpace>(p));
+    LoweredProblem::Cursor cur;
+    LoweredProblem::Cursor dcur;
+
+    const double base = direct.solve(0, p.L).value;
+    const double hi = p.L + 20'000.0;
+    const double step = 20'000.0 / 64.0;
+    const auto ref_crit = bits(direct.critical_values_algorithm2(0, p.L, hi, step));
+    const auto ref_bw = direct_bw.solve(1, p.G);
+    std::vector<std::uint64_t> ref_tols;
+    for (const double pct : {0.0, 1.0, 2.0, 5.0}) {
+      ref_tols.push_back(bits(direct.max_param_for_budget_from(
+          0, p.L, base * (1.0 + pct / 100.0), dcur)));
+    }
+
+    for (int round = 0; round < 2; ++round) {
+      const auto before = cache.stats();
+      EXPECT_EQ(bits(entry->critical_values_algorithm2(0, p.L, hi, step)),
+                ref_crit);
+      const auto ev = bw->eval(1, p.G, cur);
+      EXPECT_EQ(bits(ev.value), bits(ref_bw.value));
+      EXPECT_EQ(bits(ev.slope), bits(ref_bw.gradient[1]));
+      std::size_t i = 0;
+      for (const double pct : {0.0, 1.0, 2.0, 5.0}) {
+        EXPECT_EQ(bits(entry->max_param_for_budget_from(
+                      0, p.L, base * (1.0 + pct / 100.0), cur)),
+                  ref_tols[i++])
+            << "round=" << round << " pct=" << pct;
+      }
+      const auto after = cache.stats();
+      if (round == 0) {
+        EXPECT_EQ(after.memo_misses - before.memo_misses, 6u);
+        EXPECT_EQ(after.memo_hits, before.memo_hits);
+      } else {
+        EXPECT_EQ(after.memo_misses, before.memo_misses);
+        EXPECT_EQ(after.memo_hits - before.memo_hits, 6u);
+        EXPECT_EQ(after.memo_bytes, before.memo_bytes);
+        EXPECT_EQ(after.anchor_solves, before.anchor_solves);
+      }
+    }
+  }
+}
+
+TEST(SolverCacheEntry, MemoCapKeepsFirstEntriesAndPastCapCallsStayBitwise) {
+  const auto g = testing::running_example_graph();
+  const auto p = testing::running_example_params();
+  core::SolverCache cache;
+  const auto entry =
+      cache.latency(core::GraphKey{"running-example", 1, 1.0, p.S}, g, p);
+  const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor cur;
+  LoweredProblem::Cursor dcur;
+  constexpr std::size_t kCap = core::SolverCache::Entry::kMaxMemo;
+
+  // T(500) = 1615: budgets above it all succeed, one per distinct key.
+  const auto budget = [](std::size_t i) {
+    return 1'615.0 + 7.0 * static_cast<double>(i);
+  };
+  for (std::size_t i = 0; i < kCap + 8; ++i) {
+    EXPECT_EQ(bits(entry->max_param_for_budget_from(0, 500.0, budget(i), cur)),
+              bits(direct.max_param_for_budget_from(0, 500.0, budget(i), dcur)))
+        << "i=" << i;
+  }
+  const auto full = cache.stats();
+  EXPECT_EQ(full.memo_misses, kCap + 8);
+  EXPECT_GT(full.memo_bytes, 0u);
+
+  // The first kCap keys are stored: repeats hit.  Keys past the cap were
+  // computed but dropped: repeats compute again, still bitwise direct, and
+  // the stored bytes do not grow.
+  (void)entry->max_param_for_budget_from(0, 500.0, budget(0), cur);
+  (void)entry->max_param_for_budget_from(0, 500.0, budget(kCap - 1), cur);
+  EXPECT_EQ(cache.stats().memo_hits, 2u);
+  const double past = entry->max_param_for_budget_from(0, 500.0, budget(kCap), cur);
+  EXPECT_EQ(bits(past),
+            bits(direct.max_param_for_budget_from(0, 500.0, budget(kCap), dcur)));
+  const auto after = cache.stats();
+  EXPECT_EQ(after.memo_misses, kCap + 9);
+  EXPECT_EQ(after.memo_bytes, full.memo_bytes);
+
+  // Bit-pattern keys: -0.0 is a different key from 0.0 (a miss, not a
+  // hit), even though the two compare equal.
+  (void)entry->critical_values_algorithm2(0, 0.0, 1'000.0, 0.0);
+  const auto z = cache.stats();
+  (void)entry->critical_values_algorithm2(0, 0.0, 1'000.0, -0.0);
+  EXPECT_EQ(cache.stats().memo_misses, z.memo_misses + 1);
+}
+
+TEST(SolverCacheEntry, ThrowingCallsAreNeverMemoized) {
+  const auto g = testing::running_example_graph();
+  const auto p = testing::running_example_params();
+  core::SolverCache cache;
+  const auto entry =
+      cache.latency(core::GraphKey{"running-example", 1, 1.0, p.S}, g, p);
+  LoweredProblem::Cursor cur;
+  // T(500) = 1615 already exceeds a 1000 budget: LpError, every time.
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_THROW((void)entry->max_param_for_budget_from(0, 500.0, 1'000.0, cur),
+                 LpError);
+    EXPECT_THROW((void)entry->critical_values_algorithm2(0, 10.0, 1.0, 0.0),
+                 LpError);
+  }
+  const auto s = cache.stats();
+  EXPECT_EQ(s.memo_misses, 6u) << "each throwing call recomputes";
+  EXPECT_EQ(s.memo_hits, 0u);
+  EXPECT_EQ(s.memo_bytes, 0u);
+  // The entry still serves the same key's neighbours normally.
+  EXPECT_EQ(entry->max_param_for_budget_from(0, 500.0, 1'615.0, cur), 500.0);
+}
+
+TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
+  // 8 threads race first touches and hits of all three memos on one
+  // entry pair; every answer must equal the direct call.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  core::SolverCache cache;
+  const core::GraphKey key{"lulesh", 8, 0.02, p.S};
+  const auto entry = cache.latency(key, g, p);
+  const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
+  const LoweredProblem direct_bw(
+      g, std::make_shared<LatencyBandwidthParamSpace>(p));
+  const double base = direct.solve(0, p.L).value;
+
+  constexpr int kKeys = 12;
+  std::vector<std::uint64_t> ref_tol;
+  std::vector<std::vector<std::uint64_t>> ref_crit;
+  std::vector<std::uint64_t> ref_bw;
+  LoweredProblem::Cursor dcur;
+  for (int i = 0; i < kKeys; ++i) {
+    ref_tol.push_back(bits(direct.max_param_for_budget_from(
+        0, p.L, base * (1.0 + 0.5 * i / 100.0), dcur)));
+    ref_crit.push_back(bits(direct.critical_values_algorithm2(
+        0, p.L, p.L + 1'000.0 * (i + 1), 250.0)));
+    ref_bw.push_back(bits(direct_bw.solve(1, p.G * (1.0 + i)).gradient[1]));
+  }
+
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      LoweredProblem::Cursor cur;
+      const auto bw = cache.latency_bandwidth(key, g, p);
+      for (int r = 0; r < 3 * kKeys; ++r) {
+        const int i = (r + 5 * t) % kKeys;
+        if (bits(entry->max_param_for_budget_from(
+                0, p.L, base * (1.0 + 0.5 * i / 100.0), cur)) != ref_tol[i]) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+        if (bits(entry->critical_values_algorithm2(
+                0, p.L, p.L + 1'000.0 * (i + 1), 250.0)) != ref_crit[i]) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+        if (bits(bw->eval(1, p.G * (1.0 + i), cur).slope) != ref_bw[i]) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread=" << t;
+  }
+  const auto s = cache.stats();
+  EXPECT_EQ(s.memo_hits + s.memo_misses,
+            static_cast<std::size_t>(kThreads * 3 * kKeys * 3));
+  EXPECT_GE(s.memo_misses, static_cast<std::size_t>(3 * kKeys));
 }
 
 // ---------------------------------------------------------------------------
