@@ -5,7 +5,9 @@
 #include <cmath>
 #include <memory>
 #include <ostream>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "apps/registry.hpp"
 #include "core/analyzer.hpp"
@@ -31,6 +33,20 @@ std::string app_meta_json(const ResolvedApp& app) {
 }
 
 std::string tolerance_or_null(double v) { return json_double(v); }
+
+/// The kOpNames slot of `T`, an alternative of `V` (Request or Response).
+template <typename T, typename V = Request, std::size_t I = 0>
+constexpr std::size_t op_index_of() {
+  if constexpr (std::is_same_v<T, std::variant_alternative_t<I, V>>) return I;
+  else return op_index_of<T, V, I + 1>();
+}
+
+/// `{"op": "<name>", ` — the head of every result line.
+template <typename Result>
+std::string op_head() {
+  return "{\"op\": \"" +
+         std::string(kOpNames[op_index_of<Result, Response>()]) + "\", ";
+}
 
 }  // namespace
 
@@ -60,7 +76,7 @@ void AnalyzeResult::render(core::OutputFormat format,
 }
 
 std::string AnalyzeResult::to_json_line() const {
-  return "{\"op\": \"analyze\", " + app_meta_json(app) + ", \"graph\": \"" +
+  return op_head<AnalyzeResult>() + app_meta_json(app) + ", \"graph\": \"" +
          json_escape_string(graph_stats) + "\", \"report\": " +
          report.to_json_line() + '}';
 }
@@ -77,7 +93,7 @@ void SweepResult::render(core::OutputFormat format, std::ostream& out) const {
 }
 
 std::string SweepResult::to_json_line() const {
-  return "{\"op\": \"sweep\", " + app_meta_json(app) +
+  return op_head<SweepResult>() + app_meta_json(app) +
          ", \"base_runtime_ns\": " + json_double(base_runtime) +
          ", \"points\": " +
          core::render_json_line(
@@ -101,9 +117,10 @@ void CampaignResult::render(core::OutputFormat format,
 
 std::string CampaignResult::to_json_line() const {
   return strformat(
-      "{\"op\": \"campaign\", \"scenarios\": %zu, \"delta_points\": %zu, "
+      "%s\"scenarios\": %zu, \"delta_points\": %zu, "
       "\"distinct_graphs\": %zu, \"rows\": %s}",
-      scenarios, delta_points, distinct_graphs,
+      op_head<CampaignResult>().c_str(), scenarios, delta_points,
+      distinct_graphs,
       core::render_json_line(core::campaign_points_table(
                                  results, false,
                                  has_probe ? "measured_ns" : ""))
@@ -143,11 +160,11 @@ void McResult::render(core::OutputFormat format, std::ostream& out) const {
 
 std::string McResult::to_json_line() const {
   return strformat(
-      "{\"op\": \"mc\", %s, \"samples\": %d, \"seed\": %llu, "
+      "%s%s, \"samples\": %d, \"seed\": %llu, "
       "\"batched\": %s, \"batch_width\": %d, "
       "\"dist_L\": \"%s\", \"dist_o\": \"%s\", \"dist_G\": \"%s\", "
       "\"edge_sigma\": %s, \"edge_bias\": %s, \"summary\": %s}",
-      app_meta_json(app).c_str(), spec.samples,
+      op_head<McResult>().c_str(), app_meta_json(app).c_str(), spec.samples,
       static_cast<unsigned long long>(spec.seed),
       result.batched ? "true" : "false", result.batch_width,
       json_escape_string(spec.L.to_string()).c_str(),
@@ -196,7 +213,7 @@ void TopoResult::render(core::OutputFormat format, std::ostream& out) const {
 }
 
 std::string TopoResult::to_json_line() const {
-  std::string out = "{\"op\": \"topo\", " + app_meta_json(app) +
+  std::string out = op_head<TopoResult>() + app_meta_json(app) +
                     ", \"topologies\": [";
   for (std::size_t i = 0; i < topologies.size(); ++i) {
     const Sensitivity& s = topologies[i];
@@ -250,7 +267,7 @@ void PlaceResult::render(core::OutputFormat format, std::ostream& out) const {
 }
 
 std::string PlaceResult::to_json_line() const {
-  std::string out = "{\"op\": \"place\", " + app_meta_json(app) +
+  std::string out = op_head<PlaceResult>() + app_meta_json(app) +
                     ", \"topology\": \"" + json_escape_string(topology) +
                     "\", \"strategies\": [";
   for (std::size_t i = 0; i < strategies.size(); ++i) {
@@ -264,15 +281,7 @@ std::string PlaceResult::to_json_line() const {
 }
 
 const char* op_name(const Response& res) {
-  struct Visitor {
-    const char* operator()(const AnalyzeResult&) const { return "analyze"; }
-    const char* operator()(const SweepResult&) const { return "sweep"; }
-    const char* operator()(const CampaignResult&) const { return "campaign"; }
-    const char* operator()(const McResult&) const { return "mc"; }
-    const char* operator()(const TopoResult&) const { return "topo"; }
-    const char* operator()(const PlaceResult&) const { return "place"; }
-  };
-  return std::visit(Visitor{}, res);
+  return kOpNames[res.index()].data();
 }
 
 void render(const Response& res, core::OutputFormat format,
@@ -298,12 +307,10 @@ Engine::Engine(Options opts)
   // rule rejects string lookups inside declared hot-path regions).
   handles_.requests = metrics_.counter("engine.requests");
   handles_.errors = metrics_.counter("engine.errors");
-  handles_.op_analyze = metrics_.counter("engine.op.analyze");
-  handles_.op_sweep = metrics_.counter("engine.op.sweep");
-  handles_.op_campaign = metrics_.counter("engine.op.campaign");
-  handles_.op_mc = metrics_.counter("engine.op.mc");
-  handles_.op_topo = metrics_.counter("engine.op.topo");
-  handles_.op_place = metrics_.counter("engine.op.place");
+  for (std::size_t op = 0; op < kOpNames.size(); ++op) {
+    handles_.ops[op] =
+        metrics_.counter("engine.op." + std::string(kOpNames[op]));
+  }
   handles_.request_ns = metrics_.histogram("engine.request_ns");
   handles_.batches = metrics_.counter("batch.batches");
   handles_.batch_requests = metrics_.counter("batch.requests");
@@ -323,15 +330,15 @@ std::uint64_t Engine::uptime_ns() const {
                            : 0u;
 }
 
-template <typename Fn>
-auto Engine::timed(const char* op, obs::Counter& op_counter, Fn&& fn)
-    -> decltype(fn()) {
-  const obs::SpanScope span(tracer_, op);
+template <typename R>
+auto Engine::timed(int worker, const R& req) {
+  constexpr std::size_t op = op_index_of<R>();
+  const obs::SpanScope span(tracer_, kOpNames[op].data());
   const TimeNs t0 = monotonic_now();
   handles_.requests.inc();
-  op_counter.inc();
+  handles_.ops[op].inc();
   try {
-    auto out = fn();
+    auto out = execute(worker, req);
     handles_.request_ns.record(monotonic_now() - t0);
     return out;
   } catch (...) {
@@ -388,28 +395,24 @@ const graph::Graph& Engine::graph_for(const ResolvedApp& app) {
 }
 
 AnalyzeResult Engine::analyze(const AnalyzeRequest& req) {
-  return timed("analyze", handles_.op_analyze,
-               [&] { return analyze_impl(req); });
+  return timed(0, req);
 }
-
-SweepResult Engine::sweep(const SweepRequest& req) {
-  return timed("sweep", handles_.op_sweep, [&] { return sweep_impl(req); });
-}
-
+SweepResult Engine::sweep(const SweepRequest& req) { return timed(0, req); }
 CampaignResult Engine::campaign(const CampaignRequest& req) {
-  return timed("campaign", handles_.op_campaign,
-               [&] { return campaign_impl(req); });
+  return timed(0, req);
+}
+McResult Engine::mc(const McRequest& req) { return timed(0, req); }
+TopoResult Engine::topo(const TopoRequest& req) { return timed(0, req); }
+PlaceResult Engine::place(const PlaceRequest& req) { return timed(0, req); }
+
+Response Engine::run(const Request& req) { return run_on(0, req); }
+
+Response Engine::run_on(int worker, const Request& req) {
+  return std::visit([&](const auto& r) -> Response { return timed(worker, r); },
+                    req);
 }
 
-McResult Engine::mc(const McRequest& req) {
-  return timed("mc", handles_.op_mc, [&] { return mc_impl(req); });
-}
-
-PlaceResult Engine::place(const PlaceRequest& req) {
-  return timed("place", handles_.op_place, [&] { return place_impl(req); });
-}
-
-AnalyzeResult Engine::analyze_impl(const AnalyzeRequest& req) {
+AnalyzeResult Engine::execute(int /*worker*/, const AnalyzeRequest& req) {
   const ResolvedApp app = resolve(req.app);
   // Degenerate grids must fail before any graph is built or cached.
   (void)core::linear_grid(us(req.grid.dl_max_us), req.grid.points);
@@ -428,7 +431,7 @@ AnalyzeResult Engine::analyze_impl(const AnalyzeRequest& req) {
   return res;
 }
 
-SweepResult Engine::sweep_impl(const SweepRequest& req) {
+SweepResult Engine::execute(int /*worker*/, const SweepRequest& req) {
   const ResolvedApp app = resolve(req.app);
   const auto grid = core::linear_grid(us(req.grid.dl_max_us), req.grid.points);
   const graph::Graph& g = graph_for(app);
@@ -455,7 +458,7 @@ stoch::Distribution mc_distribution(const std::string& dist, double sigma,
 
 }  // namespace
 
-McResult Engine::mc_impl(const McRequest& req) {
+McResult Engine::execute(int /*worker*/, const McRequest& req) {
   const ResolvedApp app = resolve(req.app);
   const auto grid = core::linear_grid(us(req.grid.dl_max_us), req.grid.points);
   stoch::McSpec spec;
@@ -592,7 +595,8 @@ std::vector<core::ConfigVariant> campaign_configs(const CampaignRequest& req) {
 
 }  // namespace
 
-CampaignResult Engine::campaign_impl(const CampaignRequest& req) {
+CampaignResult Engine::execute(int /*worker*/,
+                               const CampaignRequest& req) {
   core::CampaignSpec spec;
   spec.apps = req.apps;
   spec.ranks = req.ranks;
@@ -650,14 +654,7 @@ CampaignResult Engine::campaign_impl(const CampaignRequest& req) {
   return res;
 }
 
-TopoResult Engine::topo(const TopoRequest& req) { return topo_on(0, req); }
-
-TopoResult Engine::topo_on(int worker, const TopoRequest& req) {
-  return timed("topo", handles_.op_topo,
-               [&] { return topo_impl(worker, req); });
-}
-
-TopoResult Engine::topo_impl(int worker, const TopoRequest& req) {
+TopoResult Engine::execute(int worker, const TopoRequest& req) {
   const ResolvedApp app = resolve(req.app);
   const graph::Graph& g = graph_for(app);
   const topo::FatTree fat_tree(req.ft_radix);
@@ -711,7 +708,7 @@ TopoResult Engine::topo_impl(int worker, const TopoRequest& req) {
   return res;
 }
 
-PlaceResult Engine::place_impl(const PlaceRequest& req) {
+PlaceResult Engine::execute(int /*worker*/, const PlaceRequest& req) {
   const ResolvedApp app = resolve(req.app);
   const graph::Graph& g = graph_for(app);
   const topo::FatTree ft(req.ft_radix);
@@ -737,26 +734,6 @@ PlaceResult Engine::place_impl(const PlaceRequest& req) {
                                       opt.swaps),
                             opt.predicted_runtime});
   return res;
-}
-
-Response Engine::run(const Request& req) { return run_on(0, req); }
-
-Response Engine::run_on(int worker, const Request& req) {
-  struct Visitor {
-    Engine& engine;
-    int worker;
-    Response operator()(const AnalyzeRequest& r) { return engine.analyze(r); }
-    Response operator()(const SweepRequest& r) { return engine.sweep(r); }
-    Response operator()(const CampaignRequest& r) {
-      return engine.campaign(r);
-    }
-    Response operator()(const McRequest& r) { return engine.mc(r); }
-    Response operator()(const TopoRequest& r) {
-      return engine.topo_on(worker, r);
-    }
-    Response operator()(const PlaceRequest& r) { return engine.place(r); }
-  };
-  return std::visit(Visitor{*this, worker}, req);
 }
 
 namespace {

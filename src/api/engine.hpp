@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -229,24 +230,23 @@ class Engine {
   static core::GraphKey key_for(const ResolvedApp& app);
   const graph::Graph& graph_for(const ResolvedApp& app);
   Response run_on(int worker, const Request& req);
-  TopoResult topo_on(int worker, const TopoRequest& req);
 
-  /// Uninstrumented request bodies (the public methods wrap these in
-  /// timed(), so each request is counted and traced exactly once —
-  /// including requests dispatched through run_on on batch workers).
-  AnalyzeResult analyze_impl(const AnalyzeRequest& req);
-  SweepResult sweep_impl(const SweepRequest& req);
-  CampaignResult campaign_impl(const CampaignRequest& req);
-  McResult mc_impl(const McRequest& req);
-  TopoResult topo_impl(int worker, const TopoRequest& req);
-  PlaceResult place_impl(const PlaceRequest& req);
+  /// Uninstrumented request bodies on pool worker `worker` (the public
+  /// methods wrap these in timed(), so each request is counted and traced
+  /// exactly once — including requests dispatched through run_on on batch
+  /// workers).
+  AnalyzeResult execute(int worker, const AnalyzeRequest& req);
+  SweepResult execute(int worker, const SweepRequest& req);
+  CampaignResult execute(int worker, const CampaignRequest& req);
+  McResult execute(int worker, const McRequest& req);
+  TopoResult execute(int worker, const TopoRequest& req);
+  PlaceResult execute(int worker, const PlaceRequest& req);
 
-  /// The shared request wrapper: span + latency histogram + request/error
-  /// counters around one impl call.  Defined in engine.cpp (every use
-  /// lives there).
-  template <typename Fn>
-  auto timed(const char* op, obs::Counter& op_counter, Fn&& fn)
-      -> decltype(fn());
+  /// The shared request wrapper: span + latency histogram + request/error/
+  /// per-op counters around one execute() call.  Defined in engine.cpp
+  /// (every use lives there).
+  template <typename R>
+  auto timed(int worker, const R& req);
 
   /// Registry + imported cache/pool statistics, merged name-sorted.
   obs::Snapshot metrics_snapshot() const;
@@ -256,12 +256,8 @@ class Engine {
   struct MetricHandles {
     obs::Counter requests;          ///< engine.requests
     obs::Counter errors;            ///< engine.errors
-    obs::Counter op_analyze;        ///< engine.op.analyze ... (one per op)
-    obs::Counter op_sweep;
-    obs::Counter op_campaign;
-    obs::Counter op_mc;
-    obs::Counter op_topo;
-    obs::Counter op_place;
+    /// engine.op.<name>, indexed like kOpNames
+    std::array<obs::Counter, kOpNames.size()> ops;
     obs::Histogram request_ns;      ///< engine.request_ns
     obs::Counter batches;           ///< batch.batches (run_batch calls)
     obs::Counter batch_requests;    ///< batch.requests

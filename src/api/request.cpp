@@ -1,10 +1,10 @@
 #include "api/request.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <initializer_list>
 #include <limits>
+#include <utility>
 
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -13,502 +13,531 @@ namespace llamp::api {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Serialization.  One canonical field order per type; `", "` / `": "`
-// separators matching the core/report emitters.
+// The request schema: one row per field, in canonical JSON order.  A row
+// names the JSON key, the CLI flag, the member and its emission mode; the
+// member's type picks the value codec and the struct's own initializer is
+// the default.  Adding a request field means adding one row here.
 // ---------------------------------------------------------------------------
 
-std::string quoted(const std::string& s) {
-  return '"' + json_escape_string(s) + '"';
-}
+enum class Mode : std::uint8_t {
+  kPlain,     ///< always emitted
+  kOptional,  ///< a std::optional, or a string whose "" means absent:
+              ///< emitted only when set; an explicit "" is a UsageError
+  kSpelled,   ///< a number list kept as spelled (JSON numbers take their
+              ///< shortest form); emitted only when non-empty
+};
 
-void append_app(std::string& out, const AppSpec& a) {
-  out += "\"app\": {\"name\": " + quoted(a.app) +
-         ", \"ranks\": " + std::to_string(a.ranks) +
-         ", \"scale\": " + json_double(a.scale) +
-         ", \"net\": " + quoted(a.net);
-  if (a.L) out += ", \"L_ns\": " + json_double(*a.L);
-  if (a.o) out += ", \"o_ns\": " + json_double(*a.o);
-  if (a.G) out += ", \"G_ns_per_byte\": " + json_double(*a.G);
-  if (a.S) out += ", \"S_bytes\": " + std::to_string(*a.S);
-  out += '}';
-}
+template <typename S>
+using Member =
+    std::variant<int S::*, double S::*, std::uint64_t S::*, std::string S::*,
+                 std::optional<double> S::*, std::optional<std::uint64_t> S::*,
+                 std::vector<int> S::*, std::vector<double> S::*,
+                 std::vector<std::string> S::*, AppSpec S::*, GridSpec S::*,
+                 core::TopologyOptions S::*>;
 
-void append_grid(std::string& out, const GridSpec& g) {
-  out += "\"grid\": {\"dl_max_us\": " + json_double(g.dl_max_us) +
-         ", \"points\": " + std::to_string(g.points) + '}';
-}
+template <typename S>
+struct Row {
+  std::string_view key;   ///< JSON key
+  std::string_view flag;  ///< CLI flag; empty for a nested object, whose
+                          ///< own rows carry the (flat) flags
+  Member<S> member;
+  Mode mode = Mode::kPlain;
+  std::string_view gate = {};  ///< key of the row this one requires
+};
 
-void append_num_array(std::string& out, const char* key,
-                      const std::vector<double>& values) {
-  out += '"';
-  out += key;
-  out += "\": [";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out += json_double(values[i]);
-    if (i + 1 < values.size()) out += ", ";
+/// `Schema<S>::rows` is the table of S; structs without one are values.
+template <typename S>
+struct Schema {};
+
+template <typename T>
+concept Object = requires { Schema<T>::rows; };
+
+template <>
+struct Schema<AppSpec> {
+  static constexpr Row<AppSpec> rows[] = {
+      {"name", "app", &AppSpec::app},
+      {"ranks", "ranks", &AppSpec::ranks},
+      {"scale", "scale", &AppSpec::scale},
+      {"net", "net", &AppSpec::net},
+      {"L_ns", "L", &AppSpec::L, Mode::kOptional},
+      {"o_ns", "o", &AppSpec::o, Mode::kOptional},
+      {"G_ns_per_byte", "G", &AppSpec::G, Mode::kOptional},
+      {"S_bytes", "S", &AppSpec::S, Mode::kOptional},
+  };
+};
+
+template <>
+struct Schema<GridSpec> {
+  static constexpr Row<GridSpec> rows[] = {
+      {"dl_max_us", "dl-max-us", &GridSpec::dl_max_us},
+      {"points", "points", &GridSpec::points},
+  };
+};
+
+template <>
+struct Schema<core::TopologyOptions> {
+  using T = core::TopologyOptions;
+  static constexpr Row<T> rows[] = {
+      {"l_wire_ns", "l-wire", &T::l_wire},
+      {"d_switch_ns", "d-switch", &T::d_switch},
+      {"ft_radix", "ft-radix", &T::ft_radix},
+      {"df_groups", "df-groups", &T::df_groups},
+      {"df_routers", "df-routers", &T::df_routers},
+      {"df_hosts", "df-hosts", &T::df_hosts},
+  };
+};
+
+/// analyze and sweep share one shape; only the op tag differs.
+template <typename R>
+struct AnalyzeLikeSchema {
+  static constexpr Row<R> rows[] = {
+      {"app", "", &R::app},
+      {"grid", "", &R::grid},
+      {"threads", "threads", &R::threads},
+  };
+};
+template <>
+struct Schema<AnalyzeRequest> : AnalyzeLikeSchema<AnalyzeRequest> {};
+template <>
+struct Schema<SweepRequest> : AnalyzeLikeSchema<SweepRequest> {};
+
+template <>
+struct Schema<CampaignRequest> {
+  using R = CampaignRequest;
+  static constexpr Row<R> rows[] = {
+      {"apps", "apps", &R::apps},
+      {"ranks", "ranks", &R::ranks},
+      {"scales", "scales", &R::scales},
+      {"topologies", "topos", &R::topologies},
+      {"nets", "nets", &R::nets},
+      {"L_list", "L-list", &R::L_list, Mode::kSpelled},
+      {"o_list", "o-list", &R::o_list, Mode::kSpelled},
+      {"G_list", "G-list", &R::G_list, Mode::kSpelled},
+      {"S_bytes", "S", &R::S, Mode::kOptional},
+      {"grid", "", &R::grid},
+      {"topo", "", &R::topo},
+      {"mc_samples", "mc-samples", &R::mc_samples},
+      {"seed", "seed", &R::seed},
+      {"mc_sigma_L", "mc-sigma-L", &R::mc_sigma_L},
+      {"mc_sigma_o", "mc-sigma-o", &R::mc_sigma_o},
+      {"mc_sigma_G", "mc-sigma-G", &R::mc_sigma_G},
+      {"mc_edge_sigma", "mc-edge-sigma", &R::mc_edge_sigma},
+      {"mc_edge_bias", "mc-edge-bias", &R::mc_edge_bias},
+      {"probe", "probe", &R::probe, Mode::kOptional},
+      {"probe_runs", "probe-runs", &R::probe_runs, Mode::kPlain, "probe"},
+      {"noise_sigma", "noise-sigma", &R::noise_sigma, Mode::kPlain, "probe"},
+      {"threads", "threads", &R::threads},
+  };
+};
+
+template <>
+struct Schema<McRequest> {
+  using R = McRequest;
+  static constexpr Row<R> rows[] = {
+      {"app", "", &R::app},
+      {"grid", "", &R::grid},
+      {"samples", "samples", &R::samples},
+      {"seed", "seed", &R::seed},
+      {"dist_L", "dist-L", &R::dist_L, Mode::kOptional},
+      {"dist_o", "dist-o", &R::dist_o, Mode::kOptional},
+      {"dist_G", "dist-G", &R::dist_G, Mode::kOptional},
+      {"sigma_L", "sigma-L", &R::sigma_L},
+      {"sigma_o", "sigma-o", &R::sigma_o},
+      {"sigma_G", "sigma-G", &R::sigma_G},
+      {"edge_sigma", "edge-sigma", &R::edge_sigma},
+      {"edge_bias", "edge-bias", &R::edge_bias},
+      {"bands", "bands", &R::bands},
+      {"threads", "threads", &R::threads},
+  };
+};
+
+template <>
+struct Schema<TopoRequest> {
+  using R = TopoRequest;
+  static constexpr Row<R> rows[] = {
+      {"app", "", &R::app},
+      {"l_wire_ns", "l-wire", &R::l_wire},
+      {"d_switch_ns", "d-switch", &R::d_switch},
+      {"ft_radix", "ft-radix", &R::ft_radix},
+      {"df_groups", "df-groups", &R::df_groups},
+      {"df_routers", "df-routers", &R::df_routers},
+      {"df_hosts", "df-hosts", &R::df_hosts},
+  };
+};
+
+template <>
+struct Schema<PlaceRequest> {
+  using R = PlaceRequest;
+  static constexpr Row<R> rows[] = {
+      {"app", "", &R::app},
+      {"l_wire_ns", "l-wire", &R::l_wire},
+      {"d_switch_ns", "d-switch", &R::d_switch},
+      {"ft_radix", "ft-radix", &R::ft_radix},
+      {"max_rounds", "max-rounds", &R::max_rounds},
+  };
+};
+
+template <typename S>
+const Row<S>* find_row(std::string_view key) {
+  for (const Row<S>& row : Schema<S>::rows) {
+    if (row.key == key) return &row;
   }
-  out += ']';
+  return nullptr;
 }
 
-void append_int_array(std::string& out, const char* key,
-                      const std::vector<int>& values) {
-  out += '"';
-  out += key;
-  out += "\": [";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out += std::to_string(values[i]);
-    if (i + 1 < values.size()) out += ", ";
+/// The row `row` requires (its gate); only called on gated rows.
+template <typename S>
+const Row<S>& gate_of(const Row<S>& row) {
+  return *find_row<S>(row.gate);
+}
+
+template <typename T>
+constexpr bool kIsOptional = false;
+template <typename T>
+constexpr bool kIsOptional<std::optional<T>> = true;
+template <typename T>
+constexpr bool kIsVector = false;
+template <typename T>
+constexpr bool kIsVector<std::vector<T>> = true;
+
+/// Whether a member holds a value, as opposed to "absent".
+template <typename S>
+bool row_set(const S& s, const Row<S>& row) {
+  return std::visit(
+      [&](auto m) {
+        const auto& v = s.*m;
+        if constexpr (kIsOptional<std::remove_cvref_t<decltype(v)>>) {
+          return v.has_value();
+        } else if constexpr (requires { v.empty(); }) {
+          return row.mode == Mode::kPlain || !v.empty();
+        }
+        return true;
+      },
+      row.member);
+}
+
+/// Request `op` with every field at its default.
+template <std::size_t... I>
+Request blank_request(std::size_t op, std::index_sequence<I...>) {
+  static const Request kBlank[] = {Request(std::in_place_index<I>)...};
+  if (op >= std::size(kBlank)) {
+    throw UsageError(strformat("unknown op index %zu", op));
   }
-  out += ']';
+  return kBlank[op];
 }
-
-void append_str_array(std::string& out, const char* key,
-                      const std::vector<std::string>& values) {
-  out += '"';
-  out += key;
-  out += "\": [";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out += quoted(values[i]);
-    if (i + 1 < values.size()) out += ", ";
-  }
-  out += ']';
-}
-
-std::string json_of(const AnalyzeRequest& r, const char* op) {
-  std::string out = "{\"op\": \"";
-  out += op;
-  out += "\", ";
-  append_app(out, r.app);
-  out += ", ";
-  append_grid(out, r.grid);
-  out += ", \"threads\": " + std::to_string(r.threads) + '}';
-  return out;
-}
-
-std::string json_of(const McRequest& r) {
-  std::string out = "{\"op\": \"mc\", ";
-  append_app(out, r.app);
-  out += ", ";
-  append_grid(out, r.grid);
-  out += ", \"samples\": " + std::to_string(r.samples);
-  out += ", \"seed\": " + std::to_string(r.seed);
-  if (!r.dist_L.empty()) out += ", \"dist_L\": " + quoted(r.dist_L);
-  if (!r.dist_o.empty()) out += ", \"dist_o\": " + quoted(r.dist_o);
-  if (!r.dist_G.empty()) out += ", \"dist_G\": " + quoted(r.dist_G);
-  out += ", \"sigma_L\": " + json_double(r.sigma_L);
-  out += ", \"sigma_o\": " + json_double(r.sigma_o);
-  out += ", \"sigma_G\": " + json_double(r.sigma_G);
-  out += ", \"edge_sigma\": " + json_double(r.edge_sigma);
-  out += ", \"edge_bias\": " + json_double(r.edge_bias);
-  out += ", ";
-  append_num_array(out, "bands", r.bands);
-  out += ", \"threads\": " + std::to_string(r.threads) + '}';
-  return out;
-}
-
-std::string json_of(const CampaignRequest& r) {
-  std::string out = "{\"op\": \"campaign\", ";
-  append_str_array(out, "apps", r.apps);
-  out += ", ";
-  append_int_array(out, "ranks", r.ranks);
-  out += ", ";
-  append_num_array(out, "scales", r.scales);
-  out += ", ";
-  append_str_array(out, "topologies", r.topologies);
-  out += ", ";
-  append_str_array(out, "nets", r.nets);
-  if (!r.L_list.empty()) {
-    out += ", ";
-    append_str_array(out, "L_list", r.L_list);
-  }
-  if (!r.o_list.empty()) {
-    out += ", ";
-    append_str_array(out, "o_list", r.o_list);
-  }
-  if (!r.G_list.empty()) {
-    out += ", ";
-    append_str_array(out, "G_list", r.G_list);
-  }
-  if (r.S) out += ", \"S_bytes\": " + std::to_string(*r.S);
-  out += ", ";
-  append_grid(out, r.grid);
-  out += strformat(
-      ", \"topo\": {\"l_wire_ns\": %s, \"d_switch_ns\": %s, "
-      "\"ft_radix\": %d, \"df_groups\": %d, \"df_routers\": %d, "
-      "\"df_hosts\": %d}",
-      json_double(r.topo.l_wire).c_str(), json_double(r.topo.d_switch).c_str(),
-      r.topo.ft_radix, r.topo.df_groups, r.topo.df_routers, r.topo.df_hosts);
-  out += ", \"mc_samples\": " + std::to_string(r.mc_samples);
-  out += ", \"seed\": " + std::to_string(r.seed);
-  out += ", \"mc_sigma_L\": " + json_double(r.mc_sigma_L);
-  out += ", \"mc_sigma_o\": " + json_double(r.mc_sigma_o);
-  out += ", \"mc_sigma_G\": " + json_double(r.mc_sigma_G);
-  out += ", \"mc_edge_sigma\": " + json_double(r.mc_edge_sigma);
-  out += ", \"mc_edge_bias\": " + json_double(r.mc_edge_bias);
-  if (!r.probe.empty()) {
-    out += ", \"probe\": " + quoted(r.probe);
-    out += ", \"probe_runs\": " + std::to_string(r.probe_runs);
-    out += ", \"noise_sigma\": " + json_double(r.noise_sigma);
-  }
-  out += ", \"threads\": " + std::to_string(r.threads) + '}';
-  return out;
-}
-
-std::string json_of(const TopoRequest& r) {
-  std::string out = "{\"op\": \"topo\", ";
-  append_app(out, r.app);
-  out += strformat(
-      ", \"l_wire_ns\": %s, \"d_switch_ns\": %s, \"ft_radix\": %d, "
-      "\"df_groups\": %d, \"df_routers\": %d, \"df_hosts\": %d}",
-      json_double(r.l_wire).c_str(), json_double(r.d_switch).c_str(),
-      r.ft_radix, r.df_groups, r.df_routers, r.df_hosts);
-  return out;
-}
-
-std::string json_of(const PlaceRequest& r) {
-  std::string out = "{\"op\": \"place\", ";
-  append_app(out, r.app);
-  out += strformat(
-      ", \"l_wire_ns\": %s, \"d_switch_ns\": %s, \"ft_radix\": %d, "
-      "\"max_rounds\": %d}",
-      json_double(r.l_wire).c_str(), json_double(r.d_switch).c_str(),
-      r.ft_radix, r.max_rounds);
-  return out;
+Request blank_request(std::size_t op) {
+  return blank_request(op,
+                       std::make_index_sequence<std::variant_size_v<Request>>());
 }
 
 // ---------------------------------------------------------------------------
-// Parsing.  Every object level carries an explicit key allowlist; a field
-// outside it is a UsageError, mirroring the CLI's typo'd-flag stance.
+// Serialization: `", "` / `": "` separators matching the core/report
+// emitters.
 // ---------------------------------------------------------------------------
 
-/// Checked view over one JSON object.
-class Obj {
+template <Object S>
+void put_members(std::string& out, const S& s, bool first);
+
+template <typename T>
+void put(std::string& out, const T& v) {
+  if constexpr (kIsOptional<T>) {
+    put(out, *v);
+  } else if constexpr (kIsVector<T>) {
+    out += '[';
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) out += ", ";
+      put(out, v[i]);
+    }
+    out += ']';
+  } else if constexpr (Object<T>) {
+    out += '{';
+    put_members(out, v, /*first=*/true);
+    out += '}';
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out += '"' + json_escape_string(v) + '"';
+  } else if constexpr (std::is_same_v<T, double>) {
+    out += json_double(v);
+  } else {
+    out += std::to_string(v);
+  }
+}
+
+template <Object S>
+void put_members(std::string& out, const S& s, bool first) {
+  for (const Row<S>& row : Schema<S>::rows) {
+    if (!row_set(s, row)) continue;
+    if (!row.gate.empty() && !row_set(s, gate_of(row))) continue;
+    if (!first) out += ", ";
+    first = false;
+    out += '"';
+    out += row.key;
+    out += "\": ";
+    std::visit([&](auto m) { put(out, s.*m); }, row.member);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Parsing.  One generic decoder applies the presence rules — unknown-field
+// rejection, explicitly empty optionals, gated fields without their gate —
+// over two sources: a JSON object level (spelled by key) and the flat CLI
+// flag map (spelled by flag).
+// ---------------------------------------------------------------------------
+
+template <typename Source, Object S>
+void decode(const Source& src, S& s) {
+  const auto spelling = [](const Row<S>& r) {
+    return Source::kByFlag ? r.flag : r.key;
+  };
+  src.template check_keys<S>();
+  for (const Row<S>& row : Schema<S>::rows) {
+    std::visit(
+        [&](auto m) {
+          auto& v = s.*m;
+          using T = std::remove_reference_t<decltype(v)>;
+          const std::string_view id = spelling(row);
+          if constexpr (Object<T>) {
+            if (const auto sub = src.nested(row.key)) decode(*sub, v);
+          } else if (src.has(id)) {
+            if (!row.gate.empty() && !src.has(spelling(gate_of(row)))) {
+              src.fail(id, "given without " + src.name(spelling(gate_of(row))));
+            }
+            src.read(id, row.mode, v);
+            if constexpr (std::is_same_v<T, std::string>) {
+              if (row.mode == Mode::kOptional && v.empty()) {
+                src.fail(id, "empty value");
+              }
+            }
+          }
+        },
+        row.member);
+  }
+}
+
+/// One object level of a JSON request; errors name its path
+/// ("request.app.ranks").
+class JsonSource {
  public:
-  Obj(const JsonValue& v, std::string ctx) : v_(v), ctx_(std::move(ctx)) {
-    (void)v_.members(ctx_);  // raises if not an object
+  JsonSource(const JsonValue& obj, std::string ctx, bool top)
+      : obj_(obj), ctx_(std::move(ctx)), top_(top) {
+    (void)obj_.members(ctx_);  // raises if not an object
   }
 
-  /// Reject members outside `keys`.
-  void allow(std::initializer_list<std::string_view> keys) const {
-    for (const auto& [k, val] : v_.members(ctx_)) {
-      if (std::find(keys.begin(), keys.end(), k) == keys.end()) {
+  static constexpr bool kByFlag = false;  ///< fields are spelled by key
+  bool has(std::string_view key) const { return obj_.find(key) != nullptr; }
+  static std::string name(std::string_view key) {
+    return '"' + std::string(key) + '"';
+  }
+  [[noreturn]] void fail(std::string_view key, const std::string& msg) const {
+    throw UsageError("json: " + path(key) + ": " + msg);
+  }
+
+  template <typename S>
+  void check_keys() const {
+    for (const auto& [k, v] : obj_.members(ctx_)) {
+      if (!(top_ && k == "op") && find_row<S>(k) == nullptr) {
         throw UsageError(strformat("json: unknown field \"%s\" in %s",
                                    k.c_str(), ctx_.c_str()));
       }
     }
   }
 
-  bool has(std::string_view key) const { return v_.find(key) != nullptr; }
-  const JsonValue* find(std::string_view key) const { return v_.find(key); }
-
-  std::string field(std::string_view key) const {
-    return ctx_ + "." + std::string(key);
+  std::optional<JsonSource> nested(std::string_view key) const {
+    const JsonValue* v = obj_.find(key);
+    if (v == nullptr) return std::nullopt;
+    return JsonSource(*v, path(key), false);
   }
 
-  double number(std::string_view key, double fallback) const {
-    const JsonValue* v = v_.find(key);
-    return v ? v->as_number(field(key)) : fallback;
-  }
-
-  int integer(std::string_view key, int fallback) const {
-    const JsonValue* v = v_.find(key);
-    return v ? to_int(*v, field(key)) : fallback;
-  }
-
-  std::uint64_t unsigned64(std::string_view key, std::uint64_t fallback) const {
-    const JsonValue* v = v_.find(key);
-    return v ? v->as_unsigned(field(key)) : fallback;
-  }
-
-  std::string string(std::string_view key, const std::string& fallback) const {
-    const JsonValue* v = v_.find(key);
-    return v ? v->as_string(field(key)) : fallback;
-  }
-
-  std::vector<std::string> strings(std::string_view key,
-                                   std::vector<std::string> fallback) const {
-    const JsonValue* v = v_.find(key);
-    if (!v) return fallback;
-    std::vector<std::string> out;
-    for (const JsonValue& e : v->as_array(field(key))) {
-      out.push_back(e.as_string(field(key) + "[]"));
-    }
-    return out;
-  }
-
-  std::vector<int> integers(std::string_view key,
-                            std::vector<int> fallback) const {
-    const JsonValue* v = v_.find(key);
-    if (!v) return fallback;
-    std::vector<int> out;
-    for (const JsonValue& e : v->as_array(field(key))) {
-      out.push_back(to_int(e, field(key) + "[]"));
-    }
-    return out;
-  }
-
-  std::vector<double> numbers(std::string_view key,
-                              std::vector<double> fallback) const {
-    const JsonValue* v = v_.find(key);
-    if (!v) return fallback;
-    std::vector<double> out;
-    for (const JsonValue& e : v->as_array(field(key))) {
-      out.push_back(e.as_number(field(key) + "[]"));
-    }
-    return out;
-  }
-
-  /// A list of numbers whose *spelling* matters (the campaign override
-  /// axes name config variants after the user's text): JSON strings are
-  /// kept verbatim, JSON numbers take their shortest round-trip form.
-  std::vector<std::string> spelled_numbers(std::string_view key) const {
-    const JsonValue* v = v_.find(key);
-    if (!v) return {};
-    std::vector<std::string> out;
-    for (const JsonValue& e : v->as_array(field(key))) {
-      if (e.kind() == JsonValue::Kind::kNumber) {
-        out.push_back(json_double(e.as_number(field(key) + "[]")));
-      } else {
-        out.push_back(e.as_string(field(key) + "[]"));
-      }
-    }
-    return out;
+  template <typename T>
+  void read(std::string_view key, Mode mode, T& out) const {
+    value(*obj_.find(key), path(key), mode, out);
   }
 
  private:
-  static int to_int(const JsonValue& v, const std::string& what) {
-    const double d = v.as_number(what);
-    if (d != std::floor(d) || d < std::numeric_limits<int>::min() ||
-        d > std::numeric_limits<int>::max()) {
-      throw UsageError(
-          strformat("json: %s: expected an integer", what.c_str()));
-    }
-    return static_cast<int>(d);
+  std::string path(std::string_view key) const {
+    return ctx_ + "." + std::string(key);
   }
 
-  const JsonValue& v_;
+  template <typename T>
+  static void value(const JsonValue& v, const std::string& what, Mode mode,
+                    T& out) {
+    if constexpr (kIsOptional<T>) {
+      value(v, what, mode, out.emplace());
+    } else if constexpr (kIsVector<T>) {
+      const std::string elem = what + "[]";
+      out.clear();
+      for (const JsonValue& e : v.as_array(what)) {
+        value(e, elem, mode, out.emplace_back());
+      }
+    } else if constexpr (std::is_same_v<T, int>) {
+      const double d = v.as_number(what);
+      if (d != std::floor(d) || d < std::numeric_limits<int>::min() ||
+          d > std::numeric_limits<int>::max()) {
+        throw UsageError(
+            strformat("json: %s: expected an integer", what.c_str()));
+      }
+      out = static_cast<int>(d);
+    } else if constexpr (std::is_same_v<T, double>) {
+      out = v.as_number(what);
+    } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+      out = v.as_unsigned(what);
+    } else if (mode == Mode::kSpelled &&
+               v.kind() == JsonValue::Kind::kNumber) {
+      out = json_double(v.as_number(what));  // shortest round-trip form
+    } else {
+      out = v.as_string(what);
+    }
+  }
+
+  const JsonValue& obj_;
   std::string ctx_;
+  bool top_;
 };
 
-AppSpec parse_app(const Obj& parent) {
-  AppSpec a;
-  const JsonValue* v = parent.find("app");
-  if (!v) return a;
-  const Obj obj(*v, parent.field("app"));
-  obj.allow({"name", "ranks", "scale", "net", "L_ns", "o_ns",
-             "G_ns_per_byte", "S_bytes"});
-  a.app = obj.string("name", a.app);
-  a.ranks = obj.integer("ranks", a.ranks);
-  a.scale = obj.number("scale", a.scale);
-  a.net = obj.string("net", a.net);
-  if (obj.has("L_ns")) a.L = obj.number("L_ns", 0.0);
-  if (obj.has("o_ns")) a.o = obj.number("o_ns", 0.0);
-  if (obj.has("G_ns_per_byte")) a.G = obj.number("G_ns_per_byte", 0.0);
-  if (obj.has("S_bytes")) a.S = obj.unsigned64("S_bytes", 0);
-  return a;
-}
+/// The CLI's flat `--flag=value` map: nested objects share it; lists are
+/// comma-separated with blank entries dropped.
+class FlagSource {
+ public:
+  explicit FlagSource(const Cli& cli) : cli_(cli) {}
 
-GridSpec parse_grid(const Obj& parent) {
-  GridSpec g;
-  const JsonValue* v = parent.find("grid");
-  if (!v) return g;
-  const Obj obj(*v, parent.field("grid"));
-  obj.allow({"dl_max_us", "points"});
-  g.dl_max_us = obj.number("dl_max_us", g.dl_max_us);
-  g.points = obj.integer("points", g.points);
-  return g;
-}
+  static constexpr bool kByFlag = true;
+  bool has(std::string_view flag) const { return cli_.has(std::string(flag)); }
+  static std::string name(std::string_view flag) {
+    return "--" + std::string(flag);
+  }
+  [[noreturn]] static void fail(std::string_view flag, const std::string& msg) {
+    throw UsageError(name(flag) + ": " + msg);
+  }
+  template <typename S>
+  void check_keys() const {}  // `llamp` rejects unknown flags up front
+  std::optional<FlagSource> nested(std::string_view) const { return *this; }
 
-template <typename R>
-R parse_analyze_like(const Obj& obj) {
-  obj.allow({"op", "app", "grid", "threads"});
-  R r;
-  r.app = parse_app(obj);
-  r.grid = parse_grid(obj);
-  r.threads = obj.integer("threads", 0);
-  return r;
-}
-
-McRequest parse_mc(const Obj& obj) {
-  obj.allow({"op", "app", "grid", "samples", "seed", "dist_L", "dist_o",
-             "dist_G", "sigma_L", "sigma_o", "sigma_G", "edge_sigma",
-             "edge_bias", "bands", "threads"});
-  McRequest r;
-  r.app = parse_app(obj);
-  r.grid = parse_grid(obj);
-  r.samples = obj.integer("samples", r.samples);
-  r.seed = obj.unsigned64("seed", r.seed);
-  // An explicitly empty dist field is a mistake, not a silent fall-back
-  // to the sigma path (empty means "field absent" in the value type).
-  const auto dist = [&](std::string_view key) -> std::string {
-    const std::string spec = obj.string(key, "");
-    if (obj.has(key) && spec.empty()) {
-      throw UsageError("json: " + obj.field(key) +
-                       ": empty distribution spec");
+  template <typename T>
+  void read(std::string_view flag, Mode, T& out) const {
+    const std::string text = cli_.get(std::string(flag), "");
+    if constexpr (kIsOptional<T>) {
+      out = element<typename T::value_type>(flag, text);
+    } else if constexpr (kIsVector<T>) {
+      out.clear();
+      for (const auto& field : split(text, ',')) {
+        const std::string f(trim(field));
+        if (!f.empty()) out.push_back(element<typename T::value_type>(flag, f));
+      }
+      if (out.empty()) fail(flag, "empty list");
+    } else {
+      out = element<T>(flag, text);
     }
-    return spec;
-  };
-  r.dist_L = dist("dist_L");
-  r.dist_o = dist("dist_o");
-  r.dist_G = dist("dist_G");
-  r.sigma_L = obj.number("sigma_L", 0.0);
-  r.sigma_o = obj.number("sigma_o", 0.0);
-  r.sigma_G = obj.number("sigma_G", 0.0);
-  r.edge_sigma = obj.number("edge_sigma", 0.0);
-  r.edge_bias = obj.number("edge_bias", 0.0);
-  r.bands = obj.numbers("bands", r.bands);
-  r.threads = obj.integer("threads", 0);
-  return r;
-}
-
-CampaignRequest parse_campaign(const Obj& obj) {
-  obj.allow({"op", "apps", "ranks", "scales", "topologies", "nets", "L_list",
-             "o_list", "G_list", "S_bytes", "grid", "topo", "mc_samples",
-             "seed", "mc_sigma_L", "mc_sigma_o", "mc_sigma_G",
-             "mc_edge_sigma", "mc_edge_bias", "probe", "probe_runs",
-             "noise_sigma", "threads"});
-  CampaignRequest r;
-  r.apps = obj.strings("apps", r.apps);
-  r.ranks = obj.integers("ranks", r.ranks);
-  r.scales = obj.numbers("scales", r.scales);
-  r.topologies = obj.strings("topologies", r.topologies);
-  r.nets = obj.strings("nets", r.nets);
-  r.L_list = obj.spelled_numbers("L_list");
-  r.o_list = obj.spelled_numbers("o_list");
-  r.G_list = obj.spelled_numbers("G_list");
-  if (obj.has("S_bytes")) r.S = obj.unsigned64("S_bytes", 0);
-  r.grid = parse_grid(obj);
-  if (const JsonValue* t = obj.find("topo")) {
-    const Obj topo(*t, obj.field("topo"));
-    topo.allow({"l_wire_ns", "d_switch_ns", "ft_radix", "df_groups",
-                "df_routers", "df_hosts"});
-    r.topo.l_wire = topo.number("l_wire_ns", r.topo.l_wire);
-    r.topo.d_switch = topo.number("d_switch_ns", r.topo.d_switch);
-    r.topo.ft_radix = topo.integer("ft_radix", r.topo.ft_radix);
-    r.topo.df_groups = topo.integer("df_groups", r.topo.df_groups);
-    r.topo.df_routers = topo.integer("df_routers", r.topo.df_routers);
-    r.topo.df_hosts = topo.integer("df_hosts", r.topo.df_hosts);
   }
-  r.mc_samples = obj.integer("mc_samples", 0);
-  r.seed = obj.unsigned64("seed", r.seed);
-  r.mc_sigma_L = obj.number("mc_sigma_L", 0.0);
-  r.mc_sigma_o = obj.number("mc_sigma_o", 0.0);
-  r.mc_sigma_G = obj.number("mc_sigma_G", 0.0);
-  r.mc_edge_sigma = obj.number("mc_edge_sigma", 0.0);
-  r.mc_edge_bias = obj.number("mc_edge_bias", 0.0);
-  r.probe = obj.string("probe", "");
-  if (r.probe.empty() && (obj.has("probe_runs") || obj.has("noise_sigma"))) {
-    // Same orphan rule as the CLI: probe knobs without the probe are a
-    // mistake, not a no-op.
-    throw UsageError(
-        "probe options given without \"probe\" (want \"probe\": "
-        "\"emulator\")");
+
+ private:
+  /// One scalar flag value or list entry.
+  template <typename E>
+  static E element(std::string_view flag, const std::string& text) {
+    try {
+      if constexpr (std::is_same_v<E, std::string>) {
+        return text;
+      } else if constexpr (std::is_same_v<E, int>) {
+        return parse_int(text);
+      } else if constexpr (std::is_same_v<E, double>) {
+        return parse_double(text);
+      } else if (const long long v = parse_ll(text); v >= 0) {
+        return static_cast<std::uint64_t>(v);
+      }
+    } catch (const Error&) {
+    }
+    fail(flag, "bad value '" + text + "'");
   }
-  r.probe_runs = obj.integer("probe_runs", r.probe_runs);
-  r.noise_sigma = obj.number("noise_sigma", r.noise_sigma);
-  r.threads = obj.integer("threads", 0);
-  return r;
+
+  const Cli& cli_;
+};
+
+template <Object S>
+void collect_fields(const std::string& prefix, std::vector<FieldInfo>& out) {
+  for (const Row<S>& row : Schema<S>::rows) {
+    const std::string path = prefix + std::string(row.key);
+    std::visit(
+        [&](auto m) {
+          using T = std::remove_cvref_t<decltype(std::declval<S&>().*m)>;
+          if constexpr (Object<T>) {
+            collect_fields<T>(path + ".", out);
+          } else {
+            out.push_back({path, row.flag,
+                           row.gate.empty() ? "" : gate_of(row).flag});
+          }
+        },
+        row.member);
+  }
 }
 
-TopoRequest parse_topo(const Obj& obj) {
-  obj.allow({"op", "app", "l_wire_ns", "d_switch_ns", "ft_radix",
-             "df_groups", "df_routers", "df_hosts"});
-  TopoRequest r;
-  r.app = parse_app(obj);
-  r.l_wire = obj.number("l_wire_ns", r.l_wire);
-  r.d_switch = obj.number("d_switch_ns", r.d_switch);
-  r.ft_radix = obj.integer("ft_radix", r.ft_radix);
-  r.df_groups = obj.integer("df_groups", r.df_groups);
-  r.df_routers = obj.integer("df_routers", r.df_routers);
-  r.df_hosts = obj.integer("df_hosts", r.df_hosts);
-  return r;
-}
-
-PlaceRequest parse_place(const Obj& obj) {
-  obj.allow({"op", "app", "l_wire_ns", "d_switch_ns", "ft_radix",
-             "max_rounds"});
-  PlaceRequest r;
-  r.app = parse_app(obj);
-  r.l_wire = obj.number("l_wire_ns", r.l_wire);
-  r.d_switch = obj.number("d_switch_ns", r.d_switch);
-  r.ft_radix = obj.integer("ft_radix", r.ft_radix);
-  r.max_rounds = obj.integer("max_rounds", r.max_rounds);
-  return r;
+/// Parse a JSON request; `route` (may be empty) is the op an HTTP path
+/// names, which a present "op" tag must match.
+Request parse_json(std::string_view json, std::string_view route) {
+  const JsonValue doc = JsonValue::parse(json);
+  const JsonSource src(doc, "request", /*top=*/true);
+  const JsonValue* tag = doc.find("op");
+  if (!tag && route.empty()) {
+    throw UsageError("json: request is missing \"op\"");
+  }
+  const std::string_view op = tag ? tag->as_string("request.op") : route;
+  if (!route.empty() && op != route) {
+    throw UsageError("json: request \"op\" is \"" + std::string(op) +
+                     "\" but this endpoint is \"" + std::string(route) + "\"");
+  }
+  const std::optional<std::size_t> index = op_index(op);
+  if (!index) {
+    std::string want;
+    for (const std::string_view name : kOpNames) {
+      if (!want.empty()) want += ", ";
+      want += name;
+    }
+    throw UsageError("json: unknown op \"" + std::string(op) +
+                     "\" (want one of " + want + ")");
+  }
+  Request req = blank_request(*index);
+  std::visit([&](auto& r) { decode(src, r); }, req);
+  return req;
 }
 
 }  // namespace
 
-const char* op_name(const Request& req) {
-  struct Visitor {
-    const char* operator()(const AnalyzeRequest&) const { return "analyze"; }
-    const char* operator()(const SweepRequest&) const { return "sweep"; }
-    const char* operator()(const CampaignRequest&) const { return "campaign"; }
-    const char* operator()(const McRequest&) const { return "mc"; }
-    const char* operator()(const TopoRequest&) const { return "topo"; }
-    const char* operator()(const PlaceRequest&) const { return "place"; }
-  };
-  return std::visit(Visitor{}, req);
+std::optional<std::size_t> op_index(std::string_view name) {
+  for (std::size_t i = 0; i < kOpNames.size(); ++i) {
+    if (kOpNames[i] == name) return i;
+  }
+  return std::nullopt;
 }
+
+const char* op_name(const Request& req) { return kOpNames[req.index()].data(); }
 
 std::string to_json(const Request& req) {
-  struct Visitor {
-    std::string operator()(const AnalyzeRequest& r) const {
-      return json_of(r, "analyze");
-    }
-    std::string operator()(const SweepRequest& r) const {
-      // Sweep shares analyze's shape; only the op tag differs.
-      const AnalyzeRequest alias{r.app, r.grid, r.threads};
-      return json_of(alias, "sweep");
-    }
-    std::string operator()(const CampaignRequest& r) const {
-      return json_of(r);
-    }
-    std::string operator()(const McRequest& r) const { return json_of(r); }
-    std::string operator()(const TopoRequest& r) const {
-      return json_of(r);
-    }
-    std::string operator()(const PlaceRequest& r) const {
-      return json_of(r);
-    }
-  };
-  return std::visit(Visitor{}, req);
+  std::string out = "{\"op\": \"";
+  out += kOpNames[req.index()];
+  out += '"';
+  std::visit([&](const auto& r) { put_members(out, r, /*first=*/false); },
+             req);
+  out += '}';
+  return out;
 }
 
-namespace {
-
-Request dispatch_op(const std::string& name, const Obj& obj) {
-  if (name == "analyze") return parse_analyze_like<AnalyzeRequest>(obj);
-  if (name == "sweep") return parse_analyze_like<SweepRequest>(obj);
-  if (name == "campaign") return parse_campaign(obj);
-  if (name == "mc") return parse_mc(obj);
-  if (name == "topo") return parse_topo(obj);
-  if (name == "place") return parse_place(obj);
-  throw UsageError("json: unknown op \"" + name +
-                   "\" (want analyze, sweep, campaign, mc, topo, or place)");
-}
-
-}  // namespace
-
-Request parse_request(std::string_view json) {
-  const JsonValue doc = JsonValue::parse(json);
-  const Obj obj(doc, "request");
-  const JsonValue* op = doc.find("op");
-  if (!op) throw UsageError("json: request is missing \"op\"");
-  return dispatch_op(op->as_string("request.op"), obj);
-}
+Request parse_request(std::string_view json) { return parse_json(json, ""); }
 
 Request parse_request_for_op(std::string_view op, std::string_view json) {
-  const JsonValue doc = JsonValue::parse(json);
-  const Obj obj(doc, "request");
-  const std::string name(op);
-  if (const JsonValue* tag = doc.find("op")) {
-    const std::string spelled = tag->as_string("request.op");
-    if (spelled != name) {
-      throw UsageError("json: request \"op\" is \"" + spelled +
-                       "\" but this endpoint is \"" + name + "\"");
-    }
-  }
-  return dispatch_op(name, obj);
+  return parse_json(json, op);
+}
+
+Request request_from_flags(std::size_t op, const Cli& cli) {
+  Request req = blank_request(op);
+  std::visit([&](auto& r) { decode(FlagSource(cli), r); }, req);
+  return req;
+}
+
+std::vector<FieldInfo> request_fields(std::size_t op) {
+  std::vector<FieldInfo> out;
+  std::visit(
+      [&](const auto& r) {
+        collect_fields<std::remove_cvref_t<decltype(r)>>("", out);
+      },
+      blank_request(op));
+  return out;
 }
 
 }  // namespace llamp::api

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -8,6 +10,10 @@
 #include <vector>
 
 #include "core/campaign.hpp"
+
+namespace llamp {
+class Cli;
+}
 
 namespace llamp::api {
 
@@ -23,6 +29,10 @@ namespace llamp::api {
 /// units (`L_ns`, `dl_max_us`), sizes in `_bytes`.  Unknown fields are
 /// rejected at parse time — the JSON surface takes the CLI's stance that a
 /// typo must be an error, never a silently defaulted knob.
+///
+/// Each field's JSON key and CLI flag are spelled once, in the per-struct
+/// schema table of request.cpp; a member's initializer is its default on
+/// every surface.
 
 /// The proxy-application/LogGPS block shared by every single-scenario
 /// request (the CLI's common options).
@@ -129,6 +139,16 @@ struct PlaceRequest {
 using Request = std::variant<AnalyzeRequest, SweepRequest, CampaignRequest,
                              McRequest, TopoRequest, PlaceRequest>;
 
+/// The op names, indexed by Request::index() (and Response::index(): the
+/// two variants share their order).  The only place an op is spelled: the
+/// JSON "op" tag, the CLI subcommands, the /v1/* routes and the engine's
+/// per-op counters all derive from it.
+inline constexpr std::array<std::string_view, std::variant_size_v<Request>>
+    kOpNames = {"analyze", "sweep", "campaign", "mc", "topo", "place"};
+
+/// kOpNames lookup; nullopt for an unknown name.
+std::optional<std::size_t> op_index(std::string_view name);
+
 /// The request's "op" tag: analyze, sweep, campaign, mc, topo, place.
 const char* op_name(const Request& req);
 
@@ -139,13 +159,30 @@ std::string to_json(const Request& req);
 
 /// Parse one JSON request object: `{"op": "analyze", ...}`.  Field order
 /// is free; missing fields take the request type's defaults; unknown
-/// fields, type mismatches, and non-integral integer fields throw
-/// UsageError.
+/// fields, type mismatches, non-integral integer fields, explicitly empty
+/// optional strings and gated fields without their gate throw UsageError.
 Request parse_request(std::string_view json);
 
 /// Parse a request whose op is fixed by the caller (an HTTP route: the
 /// path names the op, so the body's "op" field is optional).  A present
 /// "op" must match `op`; everything else is `parse_request` semantics.
 Request parse_request_for_op(std::string_view op, std::string_view json);
+
+/// Build request `op` (a kOpNames index) from CLI flags: each field's flag
+/// (`--ranks=8`, comma-separated lists `--apps=lulesh,hpcg`) under the
+/// same presence rules as the JSON form.  Flags outside the request's
+/// fields are ignored; `llamp` rejects them before calling this.
+Request request_from_flags(std::size_t op, const Cli& cli);
+
+/// One request field as the schema spells it.
+struct FieldInfo {
+  std::string json_path;       ///< dotted JSON path: "app.ranks", "seed"
+  std::string_view flag;       ///< CLI flag without dashes: "ranks"
+  std::string_view gate_flag;  ///< flag this field requires, or empty
+};
+
+/// The fields of request `op` in canonical order, nested objects
+/// flattened — the CLI's accepted-flag sets are built from this.
+std::vector<FieldInfo> request_fields(std::size_t op);
 
 }  // namespace llamp::api

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "api/request.hpp"
@@ -16,7 +17,7 @@ namespace {
 /// path, run it on the engine, serve the canonical result line.  Runs on
 /// the server's executor thread — the engine's single-request surface is
 /// one-caller-at-a-time, and the executor is that one caller.
-HttpResponse run_op(api::Engine& engine, const char* op,
+HttpResponse run_op(api::Engine& engine, std::string_view op,
                     const HttpRequest& req) {
   HttpResponse res;
   try {
@@ -61,11 +62,10 @@ std::string healthz_body(const api::Engine& engine) {
 
 std::vector<Server::Route> engine_routes(api::Engine& engine) {
   std::vector<Server::Route> routes;
-  for (const char* op :
-       {"analyze", "sweep", "campaign", "mc", "topo", "place"}) {
+  for (const std::string_view op : api::kOpNames) {
     Server::Route r;
     r.method = "POST";
-    r.path = std::string("/v1/") + op;
+    r.path = "/v1/" + std::string(op);
     r.dispatch = Server::Dispatch::kQueued;
     r.handler = [&engine, op](const HttpRequest& req) {
       return run_op(engine, op, req);

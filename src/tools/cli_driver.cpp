@@ -5,12 +5,13 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <limits>
+#include <iterator>
 #include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/batch.hpp"
@@ -160,254 +161,44 @@ topo/place options:
   --max-rounds=N              (place) Algorithm-3 round cap (default 64)
 )";
 
-/// Integer flag values outside int range must be usage errors, not silent
-/// truncation through static_cast (a mistyped --ranks=2^32+8 would
-/// otherwise analyze ranks=8 with exit 0).
-int int_flag(const Cli& cli, const std::string& key, long long fallback) {
-  const long long v = cli.get_int(key, fallback);
-  if (v < std::numeric_limits<int>::min() ||
-      v > std::numeric_limits<int>::max()) {
-    throw UsageError(
-        strformat("--%s value %lld out of range", key.c_str(), v));
-  }
-  return static_cast<int>(v);
-}
-
-/// S is graph-shaping (it selects eager vs rendezvous per message), so a
-/// negative value must be a usage error — not wrap through the uint64
-/// conversion into an "everything eager" threshold that silently analyzes a
-/// different execution graph.
-std::optional<std::uint64_t> rendezvous_threshold_flag(const Cli& cli) {
-  if (!cli.has("S")) return std::nullopt;
-  const long long S = cli.get_int("S", 0);
-  if (S < 1) throw UsageError(strformat("need --S >= 1 (got %lld)", S));
-  return static_cast<std::uint64_t>(S);
-}
-
-// ---------------------------------------------------------------------------
-// The one flag → request parsing block (satellite of ISSUE 5): every
-// subcommand assembles its api request from these shared helpers, so a
-// common option is parsed in exactly one place.
-// ---------------------------------------------------------------------------
-
-/// The shared app/params option block of every single-scenario subcommand.
-/// Clamping, preset resolution, and semantic validation happen in the
-/// engine — the CLI only transcribes flags.
-api::AppSpec app_spec(const Cli& cli) {
-  api::AppSpec spec;
-  spec.app = cli.get("app", spec.app);
-  spec.ranks = int_flag(cli, "ranks", spec.ranks);
-  spec.scale = cli.get_double("scale", spec.scale);
-  spec.net = cli.get("net", spec.net);
-  if (cli.has("L")) spec.L = cli.get_double("L", 0.0);
-  if (cli.has("o")) spec.o = cli.get_double("o", 0.0);
-  if (cli.has("G")) spec.G = cli.get_double("G", 0.0);
-  spec.S = rendezvous_threshold_flag(cli);
-  return spec;
-}
-
-/// The shared ΔL-grid option block of analyze/sweep/mc/campaign.
-api::GridSpec grid_spec(const Cli& cli) {
-  api::GridSpec grid;
-  grid.dl_max_us = cli.get_double("dl-max-us", grid.dl_max_us);
-  grid.points = int_flag(cli, "points", grid.points);
-  return grid;
-}
-
-/// The shared output-format option block (--format, and --csv where the
-/// subcommand keeps the historical shorthand).
-core::OutputFormat output_format(const Cli& cli, bool allow_csv_flag) {
+/// The output-format option block: --format, or the --csv shorthand where
+/// the subcommand accepts it (unaccepted flags never get this far).
+core::OutputFormat output_format(const Cli& cli) {
   if (cli.has("format")) {
     return core::parse_output_format(cli.get("format", "table"));
   }
-  if (allow_csv_flag && cli.get_bool("csv", false)) {
-    return core::OutputFormat::kCsv;
-  }
+  if (cli.get_bool("csv", false)) return core::OutputFormat::kCsv;
   return core::OutputFormat::kTable;
 }
 
-/// The uniform seed flag of every stochastic path (mc, the campaign mc
-/// axis, the campaign emulator probe): one spelling, one default, and the
-/// documented contract that identical seeds reproduce identical bytes.
-std::uint64_t seed_flag(const Cli& cli) {
-  const long long v = cli.get_int("seed", 42);
-  if (v < 0) {
-    throw UsageError(strformat("need --seed >= 0 (got %lld)", v));
-  }
-  return static_cast<std::uint64_t>(v);
-}
-
-/// Comma-separated list flags for the campaign grid axes.  Blank fields are
-/// dropped; an effectively empty axis is a usage error.
-std::vector<std::string> name_list(const Cli& cli, const std::string& key,
-                                   const std::string& fallback) {
-  std::vector<std::string> out;
-  for (const auto& field : split(cli.get(key, fallback), ',')) {
-    const auto f = trim(field);
-    if (!f.empty()) out.emplace_back(f);
-  }
-  if (out.empty()) throw UsageError("empty --" + key + " list");
-  return out;
-}
-
-std::vector<double> double_list(const Cli& cli, const std::string& key,
-                                const std::string& fallback) {
-  std::vector<double> out;
-  for (const auto& field : name_list(cli, key, fallback)) {
-    try {
-      out.push_back(parse_double(field));
-    } catch (const Error&) {
-      throw UsageError("bad --" + key + " value '" + field + "'");
-    }
-  }
-  return out;
-}
-
-std::vector<int> int_list(const Cli& cli, const std::string& key,
-                          const std::string& fallback) {
-  std::vector<int> out;
-  for (const auto& field : name_list(cli, key, fallback)) {
-    long long v = 0;
-    try {
-      v = parse_ll(field);
-    } catch (const Error&) {
-      throw UsageError("bad --" + key + " value '" + field + "'");
-    }
-    if (v < std::numeric_limits<int>::min() ||
-        v > std::numeric_limits<int>::max()) {
-      throw UsageError(
-          strformat("--%s value %lld out of range", key.c_str(), v));
-    }
-    out.push_back(static_cast<int>(v));
-  }
-  return out;
-}
+/// CLI-only flags — output shape, tracing, batch/daemon plumbing — on top of
+/// an op subcommand's request fields.  Ops are indexed like api::kOpNames.
+constexpr std::string_view kOpSurface[] = {
+    "format trace-out",      // analyze
+    "format csv trace-out",  // sweep (--csv: the historical shorthand)
+    "format trace-out",      // campaign
+    "format trace-out",      // mc
+    "trace-out",             // topo
+    "trace-out",             // place
+};
+static_assert(std::size(kOpSurface) == api::kOpNames.size());
+constexpr std::pair<std::string_view, std::string_view> kToolSurface[] = {
+    {"batch", "file threads metrics trace-out"},
+    {"stats", "file threads format trace-out"},
+    {"serve", "port threads max-inflight trace-out"},
+    {"apps", ""},
+};
 
 // ---------------------------------------------------------------------------
-// Subcommands: parse flags into a typed request, execute it on the shared
-// engine, render the typed result.  All analysis logic lives behind
-// api::Engine; these adapters own nothing but flag spelling.
+// Subcommands.  The op subcommands share one adapter: the api schema turns
+// the flags into a typed request, the engine executes it, the typed result
+// renders itself.  All analysis logic lives behind api::Engine.
 // ---------------------------------------------------------------------------
 
-int cmd_analyze(const Cli& cli, api::Engine& engine, std::ostream& out) {
-  api::AnalyzeRequest req;
-  req.app = app_spec(cli);
-  req.grid = grid_spec(cli);
-  req.threads = int_flag(cli, "threads", 0);
-  engine.analyze(req).render(output_format(cli, /*allow_csv_flag=*/false),
-                             out);
-  return 0;
-}
-
-int cmd_sweep(const Cli& cli, api::Engine& engine, std::ostream& out) {
-  api::SweepRequest req;
-  req.app = app_spec(cli);
-  req.grid = grid_spec(cli);
-  req.threads = int_flag(cli, "threads", 0);
-  engine.sweep(req).render(output_format(cli, /*allow_csv_flag=*/true), out);
-  return 0;
-}
-
-int cmd_mc(const Cli& cli, api::Engine& engine, std::ostream& out) {
-  api::McRequest req;
-  req.app = app_spec(cli);
-  req.grid = grid_spec(cli);
-  req.samples = int_flag(cli, "samples", req.samples);
-  req.seed = seed_flag(cli);
-  // A present-but-empty --dist-X= must stay an error (an unset shell
-  // variable interpolated into the flag), never a silent fall-back to the
-  // sigma path: an empty request field means "flag absent".
-  const auto dist = [&](const char* key) -> std::string {
-    if (!cli.has(key)) return {};
-    const std::string spec = cli.get(key, "base");
-    if (spec.empty()) {
-      throw UsageError(std::string("empty --") + key + " spec (want base, "
-                       "const:V, normal:MEAN,SD, relnormal:SIGMA, or "
-                       "uniform:LO,HI)");
-    }
-    return spec;
-  };
-  req.dist_L = dist("dist-L");
-  req.dist_o = dist("dist-o");
-  req.dist_G = dist("dist-G");
-  req.sigma_L = cli.get_double("sigma-L", 0.0);
-  req.sigma_o = cli.get_double("sigma-o", 0.0);
-  req.sigma_G = cli.get_double("sigma-G", 0.0);
-  req.edge_sigma = cli.get_double("edge-sigma", 0.0);
-  req.edge_bias = cli.get_double("edge-bias", 0.0);
-  req.bands = double_list(cli, "bands", "1,2,5");
-  req.threads = int_flag(cli, "threads", 0);
-  engine.mc(req).render(output_format(cli, /*allow_csv_flag=*/false), out);
-  return 0;
-}
-
-int cmd_campaign(const Cli& cli, api::Engine& engine, std::ostream& out) {
-  api::CampaignRequest req;
-  req.apps = name_list(cli, "apps", "lulesh");
-  req.ranks = int_list(cli, "ranks", "8");
-  req.scales = double_list(cli, "scales", "0.25");
-  req.topologies = name_list(cli, "topos", "none");
-  req.nets = name_list(cli, "nets", "cscs");
-  if (cli.has("L-list")) req.L_list = name_list(cli, "L-list", "");
-  if (cli.has("o-list")) req.o_list = name_list(cli, "o-list", "");
-  if (cli.has("G-list")) req.G_list = name_list(cli, "G-list", "");
-  req.S = rendezvous_threshold_flag(cli);
-  req.grid = grid_spec(cli);
-  req.topo.l_wire = cli.get_double("l-wire", req.topo.l_wire);
-  req.topo.d_switch = cli.get_double("d-switch", req.topo.d_switch);
-  req.topo.ft_radix = int_flag(cli, "ft-radix", req.topo.ft_radix);
-  req.topo.df_groups = int_flag(cli, "df-groups", req.topo.df_groups);
-  req.topo.df_routers = int_flag(cli, "df-routers", req.topo.df_routers);
-  req.topo.df_hosts = int_flag(cli, "df-hosts", req.topo.df_hosts);
-  req.mc_samples = int_flag(cli, "mc-samples", 0);
-  req.seed = seed_flag(cli);
-  req.mc_sigma_L = cli.get_double("mc-sigma-L", 0.0);
-  req.mc_sigma_o = cli.get_double("mc-sigma-o", 0.0);
-  req.mc_sigma_G = cli.get_double("mc-sigma-G", 0.0);
-  req.mc_edge_sigma = cli.get_double("mc-edge-sigma", 0.0);
-  req.mc_edge_bias = cli.get_double("mc-edge-bias", 0.0);
-  // Probe knobs without the probe are a mistake, not a no-op (the engine
-  // cannot see flag presence, so the orphan rule lives here).
-  if (!cli.has("probe") &&
-      (cli.has("probe-runs") || cli.has("noise-sigma"))) {
-    throw UsageError(
-        "probe options given without --probe (want --probe=emulator)");
-  }
-  if (cli.has("probe")) {
-    req.probe = cli.get("probe", "");
-    if (req.probe.empty()) {
-      throw UsageError("unknown --probe '' (want emulator)");
-    }
-  }
-  req.probe_runs = int_flag(cli, "probe-runs", req.probe_runs);
-  req.noise_sigma = cli.get_double("noise-sigma", req.noise_sigma);
-  req.threads = int_flag(cli, "threads", 0);
-  engine.campaign(req).render(output_format(cli, /*allow_csv_flag=*/false),
-                              out);
-  return 0;
-}
-
-int cmd_topo(const Cli& cli, api::Engine& engine, std::ostream& out) {
-  api::TopoRequest req;
-  req.app = app_spec(cli);
-  req.l_wire = cli.get_double("l-wire", req.l_wire);
-  req.d_switch = cli.get_double("d-switch", req.d_switch);
-  req.ft_radix = int_flag(cli, "ft-radix", req.ft_radix);
-  req.df_groups = int_flag(cli, "df-groups", req.df_groups);
-  req.df_routers = int_flag(cli, "df-routers", req.df_routers);
-  req.df_hosts = int_flag(cli, "df-hosts", req.df_hosts);
-  engine.topo(req).render(core::OutputFormat::kTable, out);
-  return 0;
-}
-
-int cmd_place(const Cli& cli, api::Engine& engine, std::ostream& out) {
-  api::PlaceRequest req;
-  req.app = app_spec(cli);
-  req.l_wire = cli.get_double("l-wire", req.l_wire);
-  req.d_switch = cli.get_double("d-switch", req.d_switch);
-  req.ft_radix = int_flag(cli, "ft-radix", req.ft_radix);
-  req.max_rounds = int_flag(cli, "max-rounds", req.max_rounds);
-  engine.place(req).render(core::OutputFormat::kTable, out);
+int cmd_op(std::size_t op, const Cli& cli, api::Engine& engine,
+           std::ostream& out) {
+  const api::Response res = engine.run(api::request_from_flags(op, cli));
+  api::render(res, output_format(cli), out);
   return 0;
 }
 
@@ -416,18 +207,20 @@ int cmd_apps(std::ostream& out) {
   return 0;
 }
 
+/// Serve the --file JSONL requests ('-' = stdin) on the session.
+api::BatchOutcome serve_file(const Cli& cli, const std::string& sub,
+                             api::Engine& engine, std::ostream& out) {
+  const std::string file = cli.get("file", "-");
+  const int threads = cli.get_int32("threads", 0);
+  if (file == "-") return api::serve_jsonl(engine, std::cin, out, threads);
+  std::ifstream in(file);
+  if (!in) throw UsageError(sub + ": cannot open '" + file + "'");
+  return api::serve_jsonl(engine, in, out, threads);
+}
+
 int cmd_batch(const Cli& cli, api::Engine& engine, std::ostream& out,
               std::ostream& err) {
-  const std::string file = cli.get("file", "-");
-  const int threads = int_flag(cli, "threads", 0);
-  api::BatchOutcome outcome;
-  if (file == "-") {
-    outcome = api::serve_jsonl(engine, std::cin, out, threads);
-  } else {
-    std::ifstream in(file);
-    if (!in) throw UsageError("batch: cannot open '" + file + "'");
-    outcome = api::serve_jsonl(engine, in, out, threads);
-  }
+  const api::BatchOutcome outcome = serve_file(cli, "batch", engine, out);
   // The metrics summary goes to stderr: stdout is the JSONL response
   // stream and must stay machine-parseable line by line.
   if (cli.get_bool("metrics", false)) err << engine.metrics_string();
@@ -441,19 +234,10 @@ int cmd_stats(const Cli& cli, api::Engine& engine, std::ostream& out) {
   // responses are discarded (this subcommand reports the instrumentation,
   // `llamp batch` serves the responses).
   if (cli.has("file")) {
-    const std::string file = cli.get("file", "-");
-    const int threads = int_flag(cli, "threads", 0);
     std::ostringstream discard;
-    if (file == "-") {
-      api::serve_jsonl(engine, std::cin, discard, threads);
-    } else {
-      std::ifstream in(file);
-      if (!in) throw UsageError("stats: cannot open '" + file + "'");
-      api::serve_jsonl(engine, in, discard, threads);
-    }
+    serve_file(cli, "stats", engine, discard);
   }
-  const core::OutputFormat format =
-      output_format(cli, /*allow_csv_flag=*/false);
+  const core::OutputFormat format = output_format(cli);
   if (format == core::OutputFormat::kCsv) {
     throw UsageError("stats: csv output is not supported");
   }
@@ -483,7 +267,7 @@ int cmd_serve(const Cli& cli, api::Engine& engine, std::ostream& out) {
     throw UsageError(strformat("need --port in [0, 65535] (got %lld)", port));
   }
   opts.port = static_cast<std::uint16_t>(port);
-  opts.max_inflight = int_flag(cli, "max-inflight", opts.max_inflight);
+  opts.max_inflight = cli.get_int32("max-inflight", opts.max_inflight);
   if (opts.max_inflight < 1) {
     throw UsageError(
         strformat("need --max-inflight >= 1 (got %d)", opts.max_inflight));
@@ -553,56 +337,11 @@ std::vector<std::string> normalize_args(int argc, const char* const* argv) {
   return args;
 }
 
-constexpr std::string_view kCommonKeys[] = {"app", "ranks", "scale", "net",
-                                            "L",   "o",     "G",     "S"};
-constexpr std::string_view kGridKeys[] = {"dl-max-us", "points", "threads",
-                                          "format"};
-constexpr std::string_view kTopoKeys[] = {"l-wire",    "d-switch",
-                                          "ft-radix",  "df-groups",
-                                          "df-routers", "df-hosts"};
-constexpr std::string_view kPlaceKeys[] = {"l-wire", "d-switch", "ft-radix",
-                                           "max-rounds"};
-constexpr std::string_view kCampaignKeys[] = {
-    "apps",       "ranks",       "scales",      "topos",       "nets",
-    "L-list",     "o-list",      "G-list",      "S",           "seed",
-    "probe",      "probe-runs",  "noise-sigma", "mc-samples",  "mc-sigma-L",
-    "mc-sigma-o", "mc-sigma-G",  "mc-edge-sigma", "mc-edge-bias"};
-constexpr std::string_view kMcKeys[] = {
-    "samples",  "seed",    "sigma-L",    "sigma-o",   "sigma-G", "dist-L",
-    "dist-o",   "dist-G",  "edge-sigma", "edge-bias", "bands"};
-constexpr std::string_view kBatchKeys[] = {"file", "threads", "metrics"};
-constexpr std::string_view kStatsKeys[] = {"file", "threads", "format"};
-constexpr std::string_view kServeKeys[] = {"port", "threads", "max-inflight"};
-
 /// Reject misspelled options and stray positionals: a typo'd flag must be a
 /// usage error, not a silent fall-back to the default value.  Returns an
 /// empty string when every token is a known `--key[=value]`.
-std::string first_bad_arg(const std::string& sub,
+std::string first_bad_arg(const std::vector<std::string>& known,
                           const std::vector<std::string>& args) {
-  std::vector<std::string_view> known;
-  const auto add = [&](auto& keys) {
-    known.insert(known.end(), std::begin(keys), std::end(keys));
-  };
-  if (sub != "apps" && sub != "campaign" && sub != "batch" &&
-      sub != "stats" && sub != "serve") {
-    add(kCommonKeys);
-  }
-  if (sub == "analyze" || sub == "sweep" || sub == "mc") add(kGridKeys);
-  if (sub == "mc") add(kMcKeys);
-  if (sub == "sweep") known.push_back("csv");
-  if (sub == "topo") add(kTopoKeys);
-  if (sub == "place") add(kPlaceKeys);
-  if (sub == "batch") add(kBatchKeys);
-  if (sub == "stats") add(kStatsKeys);
-  if (sub == "serve") add(kServeKeys);
-  if (sub == "campaign") {
-    add(kCampaignKeys);
-    add(kGridKeys);
-    add(kTopoKeys);
-  }
-  // Every engine subcommand can record a trace (apps never runs one).
-  if (sub != "apps") known.push_back("trace-out");
-
   for (const std::string& arg : args) {
     if (!starts_with(arg, "--")) return arg;  // stray positional
     const auto eq = arg.find('=');
@@ -642,6 +381,26 @@ int report_error(const std::string& sub, const std::string& message,
 
 }  // namespace
 
+std::optional<std::vector<std::string>> subcommand_flags(
+    std::string_view sub) {
+  std::vector<std::string> flags;
+  std::string_view surface;
+  if (const auto op = api::op_index(sub)) {
+    for (const api::FieldInfo& f : api::request_fields(*op)) {
+      flags.emplace_back(f.flag);
+    }
+    surface = kOpSurface[*op];
+  } else {
+    const auto* tool = std::find_if(
+        std::begin(kToolSurface), std::end(kToolSurface),
+        [&](const auto& t) { return t.first == sub; });
+    if (tool == std::end(kToolSurface)) return std::nullopt;
+    surface = tool->second;
+  }
+  for (std::string& flag : split_ws(surface)) flags.push_back(std::move(flag));
+  return flags;
+}
+
 int run(int argc, const char* const* argv, std::ostream& out,
         std::ostream& err) {
   if (argc < 2) {
@@ -658,9 +417,8 @@ int run(int argc, const char* const* argv, std::ostream& out,
     out << version_line() << '\n';
     return 0;
   }
-  if (sub != "analyze" && sub != "sweep" && sub != "campaign" &&
-      sub != "mc" && sub != "batch" && sub != "topo" && sub != "place" &&
-      sub != "stats" && sub != "serve" && sub != "apps") {
+  const std::optional<std::vector<std::string>> known = subcommand_flags(sub);
+  if (!known) {
     err << "llamp: unknown subcommand '" << sub << "'\n\n" << kUsage;
     return 2;
   }
@@ -675,7 +433,7 @@ int run(int argc, const char* const* argv, std::ostream& out,
   }
   const std::vector<std::string> args = normalize_args(argc, argv);
   const bool json = wants_json(args);
-  if (const std::string bad = first_bad_arg(sub, args); !bad.empty()) {
+  if (const std::string bad = first_bad_arg(*known, args); !bad.empty()) {
     return report_error(
         sub, "unrecognized argument '" + bad + "' (see `llamp help`)",
         /*usage=*/true, json, out, err);
@@ -692,10 +450,12 @@ int run(int argc, const char* const* argv, std::ostream& out,
     // hardware concurrency); the other subcommands run on a 1-worker pool.
     // serve sizes the pool from --threads too: the daemon runs requests
     // one at a time, the pool is each request's inner parallelism.
+    const std::optional<std::size_t> op = api::op_index(sub);
+    const bool pooled =
+        !op && std::find(known->begin(), known->end(), "threads") !=
+                   known->end();
     api::Engine engine(api::Engine::Options{
-        .threads = (sub == "batch" || sub == "stats" || sub == "serve")
-                       ? int_flag(cli, "threads", 0)
-                       : 1});
+        .threads = pooled ? cli.get_int32("threads", 0) : 1});
     // --trace-out: the file opens before any work runs (a bad path must
     // fail fast, not after a long campaign), recording is enabled for the
     // whole dispatch, and the trace is written after it completes —
@@ -711,20 +471,10 @@ int run(int argc, const char* const* argv, std::ostream& out,
       engine.tracer().enable();
     }
     int rc = 0;
-    if (sub == "analyze") {
-      rc = cmd_analyze(cli, engine, out);
-    } else if (sub == "sweep") {
-      rc = cmd_sweep(cli, engine, out);
-    } else if (sub == "campaign") {
-      rc = cmd_campaign(cli, engine, out);
-    } else if (sub == "mc") {
-      rc = cmd_mc(cli, engine, out);
+    if (op) {
+      rc = cmd_op(*op, cli, engine, out);
     } else if (sub == "batch") {
       rc = cmd_batch(cli, engine, out, err);
-    } else if (sub == "topo") {
-      rc = cmd_topo(cli, engine, out);
-    } else if (sub == "place") {
-      rc = cmd_place(cli, engine, out);
     } else if (sub == "stats") {
       rc = cmd_stats(cli, engine, out);
     } else if (sub == "serve") {

@@ -1,6 +1,10 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
 
 namespace llamp::tools {
 
@@ -26,5 +30,12 @@ namespace llamp::tools {
 /// errors are also emitted on stdout as an {"error": ...} object.
 int run(int argc, const char* const* argv, std::ostream& out,
         std::ostream& err);
+
+/// The flags subcommand `sub` accepts: an op subcommand's request fields
+/// (api::request_fields) plus its CLI-only surface flags (format, csv,
+/// threads, trace-out, file, metrics, port, max-inflight).  nullopt for an
+/// unknown subcommand.
+std::optional<std::vector<std::string>> subcommand_flags(
+    std::string_view sub);
 
 }  // namespace llamp::tools

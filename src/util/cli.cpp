@@ -50,6 +50,13 @@ long long Cli::get_int(const std::string& key, long long fallback) const {
                     [](const std::string& v) { return parse_ll(v); });
 }
 
+int Cli::get_int32(const std::string& key, int fallback) const {
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return fallback;
+  return parse_flag(key, it->second,
+                    [](const std::string& v) { return parse_int(v); });
+}
+
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = kv_.find(key);
   if (it == kv_.end()) return fallback;

@@ -16,6 +16,8 @@ class Cli {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
   long long get_int(const std::string& key, long long fallback) const;
+  /// get_int narrowed to int: out-of-range values are usage errors.
+  int get_int32(const std::string& key, int fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

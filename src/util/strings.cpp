@@ -2,9 +2,10 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
-#include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -57,6 +58,16 @@ long long parse_ll(std::string_view s) {
     throw Error("parse_ll: invalid integer '" + std::string(s) + "'");
   }
   return v;
+}
+
+int parse_int(std::string_view s) {
+  const long long v = parse_ll(s);
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    throw Error("parse_int: integer out of range '" + std::string(trim(s)) +
+                "'");
+  }
+  return static_cast<int>(v);
 }
 
 double parse_double(std::string_view s) {

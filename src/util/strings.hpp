@@ -22,6 +22,8 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Parse helpers that raise llamp::Error with context on failure instead of
 /// silently returning 0 like std::atoi.
 long long parse_ll(std::string_view s);
+/// parse_ll narrowed to int; out-of-range values raise instead of wrapping.
+int parse_int(std::string_view s);
 double parse_double(std::string_view s);
 
 /// printf-style formatting into std::string.

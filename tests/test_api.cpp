@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <limits>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -12,6 +15,7 @@
 #include "api/request.hpp"
 #include "core/report.hpp"
 #include "tools/cli_driver.hpp"
+#include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -149,6 +153,7 @@ TEST(ApiRequestJson, RejectsMalformedRequests) {
       "{\"op\": \"mc\", \"dist_L\": \"\"}",
       "{\"op\": \"analyze\", \"app\": {\"ranks\": 1e300}}",
       "{\"op\": \"campaign\", \"probe_runs\": 2}",
+      "{\"op\": \"campaign\", \"probe\": \"\"}",
       "{\"op\": \"analyze\"} trailing",
       "{\"op\": \"analyze\", \"op\": \"sweep\"}",
   };
@@ -193,6 +198,100 @@ TEST(ApiRequestJson, NumberSpellingSurvivesTheOverrideAxes) {
   ASSERT_EQ(r.L_list.size(), 2u);
   EXPECT_EQ(r.L_list[0], "1e4");
   EXPECT_EQ(r.L_list[1], "5000");
+}
+
+// ---------------------------------------------------------------------------
+// Canonical request bytes: to_json of a default and a fully populated
+// request per op, pinned against tests/golden/requests.jsonl.golden.  The
+// round-trip tests above only compare the serializer with itself; this
+// catches a reordered, renamed, or newly conditional field.
+// ---------------------------------------------------------------------------
+
+/// One default and one fully populated request per op, in Request variant
+/// order: every field of the populated request differs from its default and
+/// every optional field is engaged, so each canonical field is pinned.
+std::vector<api::Request> golden_requests() {
+  api::AppSpec app;
+  app.app = "hpcg";
+  app.ranks = 27;
+  app.scale = 0.05;
+  app.net = "daint";
+  app.L = 2500.0;
+  app.o = 4321.5;
+  app.G = 0.021;
+  app.S = 1024;
+  const api::GridSpec grid{42.5, 7};
+
+  api::McRequest mc;
+  mc.app = app;
+  mc.grid = grid;
+  mc.samples = 64;
+  mc.seed = 7;
+  mc.dist_L = "uniform:2500,3500";
+  mc.dist_o = "relnormal:0.1";
+  mc.dist_G = "const:0.02";
+  mc.sigma_L = 0.01;
+  mc.sigma_o = 0.02;
+  mc.sigma_G = 0.03;
+  mc.edge_sigma = 0.003;
+  mc.edge_bias = 0.001;
+  mc.bands = {1.0, 2.5};
+  mc.threads = 2;
+
+  api::CampaignRequest camp;
+  camp.apps = {"lulesh", "hpcg"};
+  camp.ranks = {8, 27};
+  camp.scales = {0.02, 0.05};
+  camp.topologies = {"none", "fat-tree"};
+  camp.nets = {"cscs", "daint"};
+  camp.L_list = {"5000", "1e4"};
+  camp.o_list = {"4000"};
+  camp.G_list = {"0.02", "0.03"};
+  camp.S = 2048;
+  camp.grid = grid;
+  camp.topo = {300.0, 100.0, 16, 4, 2, 4};
+  camp.mc_samples = 8;
+  camp.seed = 3;
+  camp.mc_sigma_L = 0.05;
+  camp.mc_sigma_o = 0.04;
+  camp.mc_sigma_G = 0.03;
+  camp.mc_edge_sigma = 0.002;
+  camp.mc_edge_bias = 0.001;
+  camp.probe = "emulator";
+  camp.probe_runs = 2;
+  camp.noise_sigma = 0.004;
+  camp.threads = 4;
+
+  return {api::AnalyzeRequest{},
+          api::AnalyzeRequest{app, grid, 3},
+          api::SweepRequest{},
+          api::SweepRequest{app, grid, 5},
+          api::CampaignRequest{},
+          camp,
+          api::McRequest{},
+          mc,
+          api::TopoRequest{},
+          api::TopoRequest{app, 300.0, 100.0, 16, 4, 2, 4},
+          api::PlaceRequest{},
+          api::PlaceRequest{app, 300.0, 100.0, 16, 16}};
+}
+
+TEST(ApiRequestJson, CanonicalBytesMatchGolden) {
+  std::ifstream in(std::string(LLAMP_GOLDEN_DIR) + "/requests.jsonl.golden",
+                   std::ios::binary);
+  ASSERT_TRUE(in) << "missing requests.jsonl.golden";
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  std::string actual;
+  for (const api::Request& req : golden_requests()) {
+    actual += api::to_json(req) + '\n';
+    // Parsing the pinned bytes back gives the same request.
+    EXPECT_EQ(api::to_json(api::parse_request(api::to_json(req))),
+              api::to_json(req));
+  }
+  EXPECT_EQ(actual, golden.str())
+      << "request bytes drifted; if intentional, regenerate the golden from "
+         "the to_json lines of golden_requests()";
 }
 
 // ---------------------------------------------------------------------------
@@ -325,6 +424,138 @@ TEST(ApiCliEquivalence, Place) {
       run_cli({"place", "--app=icon", "--ranks=8", "--scale=0.05"});
   ASSERT_EQ(cli.code, 0) << cli.err;
   EXPECT_EQ(cli.out, rendered(res, core::OutputFormat::kTable));
+}
+
+// ---------------------------------------------------------------------------
+// CLI ↔ JSON parity wall: both surfaces decode through the one request
+// schema, so every field must land identically whichever surface set it,
+// and the CLI must accept exactly the schema's flags plus its own.
+// ---------------------------------------------------------------------------
+
+/// `"a": {"b": V}` for the dotted path "a.b".
+std::string json_member(const std::string& path, const std::string& value) {
+  const auto dot = path.find('.');
+  if (dot == std::string::npos) return "\"" + path + "\": " + value;
+  return "\"" + path.substr(0, dot) + "\": {" +
+         json_member(path.substr(dot + 1), value) + "}";
+}
+
+/// `--flag=3` (plus `--gate=3` for a gated field) must build the same
+/// request as the JSON key set to 3 in whichever spelling its type takes:
+/// number, string, number list, or string list.  3 is no field's default.
+TEST(ApiSchemaParity, FlagAndJsonKeySetTheSameField) {
+  for (std::size_t op = 0; op < api::kOpNames.size(); ++op) {
+    const std::string tag =
+        "{\"op\": \"" + std::string(api::kOpNames[op]) + "\"";
+    const std::string blank = api::to_json(api::parse_request(tag + "}"));
+    const std::vector<api::FieldInfo> fields = api::request_fields(op);
+    for (const api::FieldInfo& f : fields) {
+      std::vector<std::string> flags = {"--" + std::string(f.flag) + "=3"};
+      std::string gate_path;
+      for (const api::FieldInfo& g : fields) {
+        if (!f.gate_flag.empty() && g.flag == f.gate_flag) {
+          flags.push_back("--" + std::string(g.flag) + "=3");
+          gate_path = g.json_path;
+        }
+      }
+      std::vector<const char*> argv = {"llamp"};
+      for (const std::string& a : flags) argv.push_back(a.c_str());
+      const Cli cli(static_cast<int>(argv.size()), argv.data());
+      const std::string via_flag =
+          api::to_json(api::request_from_flags(op, cli));
+      std::string via_json;
+      for (const char* spelling : {"3", "\"3\"", "[3]", "[\"3\"]"}) {
+        std::string json = tag + ", " + json_member(f.json_path, spelling);
+        if (!gate_path.empty()) json += ", " + json_member(gate_path, "\"3\"");
+        try {
+          via_json = api::to_json(api::parse_request(json + "}"));
+          break;
+        } catch (const UsageError&) {
+        }
+      }
+      EXPECT_EQ(via_flag, via_json) << flags[0];
+      EXPECT_NE(via_flag, blank) << flags[0] << " left the request at default";
+    }
+  }
+}
+
+TEST(ApiSchemaParity, SubcommandFlagSetsAreTableFlagsPlusSurface) {
+  const std::set<std::string_view> surface = {
+      "format", "csv",     "threads", "trace-out",
+      "file",   "metrics", "port",    "max-inflight"};
+  const std::vector<std::string_view> app = {"app", "ranks", "scale", "net",
+                                             "L",   "o",     "G",     "S"};
+  const std::vector<std::string_view> grid = {"dl-max-us", "points",
+                                              "threads", "format"};
+  const std::vector<std::string_view> topo = {
+      "l-wire", "d-switch", "ft-radix", "df-groups", "df-routers", "df-hosts"};
+  const auto cat = [](std::initializer_list<std::vector<std::string_view>> parts) {
+    std::set<std::string_view> out;
+    for (const auto& p : parts) out.insert(p.begin(), p.end());
+    out.insert("trace-out");
+    return out;
+  };
+  // The accepted sets before the schema existed, flag for flag.
+  const std::map<std::string, std::set<std::string_view>> expected = {
+      {"analyze", cat({app, grid})},
+      {"sweep", cat({app, grid, {"csv"}})},
+      {"mc", cat({app, grid,
+                  {"samples", "seed", "sigma-L", "sigma-o", "sigma-G",
+                   "dist-L", "dist-o", "dist-G", "edge-sigma", "edge-bias",
+                   "bands"}})},
+      {"campaign",
+       cat({grid, topo,
+            {"apps", "ranks", "scales", "topos", "nets", "L-list", "o-list",
+             "G-list", "S", "seed", "probe", "probe-runs", "noise-sigma",
+             "mc-samples", "mc-sigma-L", "mc-sigma-o", "mc-sigma-G",
+             "mc-edge-sigma", "mc-edge-bias"}})},
+      {"topo", cat({app, topo})},
+      {"place", cat({app, {"l-wire", "d-switch", "ft-radix", "max-rounds"}})},
+      {"batch", cat({{"file", "threads", "metrics"}})},
+      {"stats", cat({{"file", "threads", "format"}})},
+      {"serve", cat({{"port", "threads", "max-inflight"}})},
+      {"apps", {}},
+  };
+  for (const auto& [sub, want] : expected) {
+    const auto flags = tools::subcommand_flags(sub);
+    ASSERT_TRUE(flags.has_value()) << sub;
+    const std::set<std::string_view> got(flags->begin(), flags->end());
+    EXPECT_EQ(got, want) << sub;
+    EXPECT_EQ(got.size(), flags->size()) << sub << " lists a flag twice";
+    // Whatever the schema does not supply is a surface flag.
+    std::set<std::string_view> table;
+    if (const auto op = api::op_index(sub)) {
+      for (const api::FieldInfo& f : api::request_fields(*op)) {
+        table.insert(f.flag);
+      }
+    }
+    for (const std::string_view flag : got) {
+      EXPECT_TRUE(table.count(flag) != 0 || surface.count(flag) != 0)
+          << sub << " --" << flag;
+    }
+    for (const std::string_view flag : table) {
+      EXPECT_TRUE(got.count(flag) != 0) << sub << " --" << flag;
+    }
+  }
+  EXPECT_FALSE(tools::subcommand_flags("frobnicate").has_value());
+}
+
+TEST(ApiSchemaParity, EveryTableFlagIsDocumentedInHelp) {
+  const auto help = run_cli({"help"});
+  ASSERT_EQ(help.code, 0);
+  for (std::size_t op = 0; op < api::kOpNames.size(); ++op) {
+    for (const api::FieldInfo& f : api::request_fields(op)) {
+      const std::string flag = "--" + std::string(f.flag);
+      bool found = false;
+      for (auto pos = help.out.find(flag); pos != std::string::npos;
+           pos = help.out.find(flag, pos + 1)) {
+        const char next = help.out[pos + flag.size()];
+        found = found || next == '=' || next == ' ' || next == ',' ||
+                next == '\n';
+      }
+      EXPECT_TRUE(found) << flag << " (" << api::kOpNames[op] << ")";
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

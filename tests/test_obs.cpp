@@ -128,7 +128,8 @@ TEST(ObsHistogram, SingleShardQuantilesAreP2Exact) {
   obs::Histogram h = reg.histogram("lat");
   const std::vector<double> xs = {10.0, 50.0, 30.0, 20.0, 40.0};
   for (const double v : xs) h.record(v);
-  const obs::HistogramSnapshot& hs = reg.snapshot().histograms[0];
+  const obs::Snapshot snap = reg.snapshot();
+  const obs::HistogramSnapshot& hs = snap.histograms[0];
   EXPECT_DOUBLE_EQ(hs.p50, percentile(xs, 50.0));
   EXPECT_DOUBLE_EQ(hs.p95, percentile(xs, 95.0));
   EXPECT_DOUBLE_EQ(hs.p99, percentile(xs, 99.0));
@@ -140,7 +141,8 @@ TEST(ObsHistogram, NonfiniteObservationsAreCountedSeparately) {
   h.record(5.0);
   h.record(std::numeric_limits<double>::infinity());
   h.record(std::numeric_limits<double>::quiet_NaN());
-  const obs::HistogramSnapshot& hs = reg.snapshot().histograms[0];
+  const obs::Snapshot snap = reg.snapshot();
+  const obs::HistogramSnapshot& hs = snap.histograms[0];
   EXPECT_EQ(hs.count, 1u);
   EXPECT_EQ(hs.nonfinite, 2u);
   EXPECT_EQ(hs.sum, 5.0);
