@@ -114,17 +114,18 @@ struct CsrLaneCost {
 
 }  // namespace
 
-void LoweredProblem::prepare_batch(BatchCursor& cur) const {
+void LoweredProblem::prepare_batch(BatchCursor& cur, std::size_t n) const {
   // Same policy as prepare(): the pass writes every row before reading it,
   // so rows are resized without clearing; buffers only grow across
   // problems, and steady state never allocates (test_alloc_free pins this).
-  const std::size_t rows = g_.num_vertices() * kBatchWidth;
+  // Rows hold the call's widest sub-block, not always kBatchWidth lanes.
+  const std::size_t width = n >= kBatchWidth ? kBatchWidth : util::last_pow2(n);
+  const std::size_t rows = g_.num_vertices() * width;
   if (cur.finish_.size() < rows) {
     cur.finish_.resize(rows);
     cur.slope_.resize(rows);
   }
-  const std::size_t cands =
-      static_cast<std::size_t>(max_in_degree_) * kBatchWidth;
+  const std::size_t cands = static_cast<std::size_t>(max_in_degree_) * width;
   if (cur.cand_val_.size() < cands) {
     cur.cand_val_.resize(cands);
     cur.cand_slope_.resize(cands);
@@ -305,7 +306,7 @@ void LoweredProblem::solve_batch_impl(int active, const double* xs,
   }
   if (n == 0) return;
   if (sink_pos_.empty()) throw LpError("graph has no sink vertex");
-  prepare_batch(cur);
+  prepare_batch(cur, n);
 
   const auto run = [&](auto wc, std::size_t i) {
     constexpr std::size_t W = decltype(wc)::value;

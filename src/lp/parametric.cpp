@@ -1,6 +1,7 @@
 #include "lp/parametric.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "graph/costs.hpp"
@@ -535,20 +536,50 @@ std::vector<double> LoweredProblem::critical_values(int k, double lo,
 
 std::vector<double> LoweredProblem::critical_values_algorithm2(
     int k, double lo, double hi, double step, double eps) const {
+  if (!std::isfinite(lo) || !std::isfinite(hi) || !std::isfinite(step) ||
+      step < 0.0) {
+    throw LpError("algorithm2: lo, hi and step must be finite, step >= 0");
+  }
   if (!(lo <= hi)) throw LpError("algorithm2: empty interval");
-  if (eps <= 0.0) throw LpError("algorithm2: eps must be positive");
-  Cursor cur;
+  if (!(eps > 0.0)) throw LpError("algorithm2: eps must be positive");
+  const auto same_bits = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  // Almost every hop lands on L - step, so each run speculates on that grid
+  // and solves its points as lanes of one ranged batch pass (per-lane λ and
+  // lo are bitwise the scalar solve's).  A hop off the grid discards the
+  // rest of the run; runs start at one lane and double only after a grid
+  // hop, so scans that keep jumping off-grid pay no wasted lanes.  Runs
+  // stop at kRunLanes: on 10k-100k-vertex graphs a 4-lane pass costs about
+  // one scalar solve, while 8- and 16-lane rows fall out of cache.
+  constexpr std::size_t kRunLanes = 4;
+  BatchCursor cur;
+  double xs[kRunLanes];
+  BatchPoint pts[kRunLanes];
+  std::size_t width = 0;  // lanes of the current run
+  std::size_t n = 0;      // lanes it solved
+  std::size_t l = 0;      // next lane to consume
   std::vector<double> lc;
   double L = hi;
   double lambda = std::numeric_limits<double>::quiet_NaN();
   double prev_lo = kInfD;
   constexpr std::size_t kMaxIters = 1u << 20;
   for (std::size_t iter = 0; iter < kMaxIters; ++iter) {
+    if (l == n || !same_bits(L, xs[l])) {
+      width = l > 0 && same_bits(L, xs[l - 1] - step)
+                  ? std::min(2 * width, kRunLanes)
+                  : 1;
+      xs[0] = L;
+      for (n = 1; n < width && xs[n - 1] - step >= lo; ++n) {
+        xs[n] = xs[n - 1] - step;
+      }
+      solve_batch_ranges(k, xs, n, cur, pts);
+      l = 0;
+    }
     // "Assign constraint l >= L; optimize" — one solve yields the objective,
     // the reduced cost λ', and SALBLow (the basis' feasibility floor).
-    const Solution& s = solve(k, L, cur);
-    const double lambda_new = s.gradient[static_cast<std::size_t>(k)];
-    const double lo_new = s.lo;
+    const double lambda_new = pts[l].slope;
+    const double lo_new = pts[l++].lo;
     if (!std::isnan(lambda) && std::fabs(lambda_new - lambda) > 1e-12) {
       // λ changed between the previous basis and this one: the boundary is
       // the previous basis' feasibility floor.
@@ -561,9 +592,9 @@ std::vector<double> LoweredProblem::critical_values_algorithm2(
     if (L < lo) {
       // One final probe at the interval's left end covers a boundary that
       // sits between lo and the current basis' floor.
-      const Solution& tail = solve(k, lo, cur);
-      const double tail_lambda = tail.gradient[static_cast<std::size_t>(k)];
-      if (std::fabs(tail_lambda - lambda) > 1e-12 && lo_new >= lo - eps &&
+      BatchPoint tail;
+      solve_batch(k, &lo, 1, cur, &tail);
+      if (std::fabs(tail.slope - lambda) > 1e-12 && lo_new >= lo - eps &&
           lo_new <= hi + eps) {
         lc.push_back(lo_new);
       }

@@ -165,10 +165,10 @@ class LoweredProblem {
 
    private:
     friend class LoweredProblem;
-    std::vector<double> finish_;  ///< num_vertices x kBatchWidth, SoA
+    std::vector<double> finish_;  ///< num_vertices x widest lanes run, SoA
     std::vector<double> slope_;
     /// Candidate rows of the vertex currently being maximized (range
-    /// variant only): max_in_degree x kBatchWidth values and slopes.
+    /// variant only): max_in_degree x widest lanes run, values and slopes.
     std::vector<double> cand_val_;
     std::vector<double> cand_slope_;
     /// Lockstep budget-search lane state (max_param_for_budget_from_batch).
@@ -248,6 +248,8 @@ class LoweredProblem {
   /// least `step`, trading completeness for bounded work exactly like the
   /// pseudocode.  With step = 0 the result matches critical_values()
   /// (ascending order); larger steps may skip closely-spaced breakpoints.
+  /// Throws LpError, before any solve, on a non-finite lo/hi/step, a
+  /// negative step, lo > hi, or eps <= 0.
   std::vector<double> critical_values_algorithm2(int k, double lo, double hi,
                                                  double step = 0.0,
                                                  double eps = 1e-6) const;
@@ -351,7 +353,8 @@ class LoweredProblem {
   template <bool Range>
   void solve_batch_impl(int active, const double* xs, std::size_t n,
                         BatchCursor& cur, BatchPoint* out) const;
-  void prepare_batch(BatchCursor& cur) const;
+  /// Grow cur's rows to the widest sub-block of an n-lane call.
+  void prepare_batch(BatchCursor& cur, std::size_t n) const;
   /// Dense solve into cur (solution, chain, stability bound).
   void solve_into(int active, double value, Cursor& cur) const;
   /// T at `x` via the cached critical path of cur's last solve.  Only valid

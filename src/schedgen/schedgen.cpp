@@ -1,8 +1,9 @@
 #include "schedgen/schedgen.hpp"
 
-#include <map>
+#include <algorithm>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 
 #include "schedgen/collectives.hpp"
 #include "util/error.hpp"
@@ -107,11 +108,103 @@ struct RequestInfo {
   std::int32_t peer = -1;
   std::uint64_t bytes = 0;
   std::int32_t tag = 0;
-  std::size_t recv_slot = 0;  // index into the recv match list (recvs only)
+  std::size_t recv_slot = 0;  // index into the recv record array (recvs only)
   bool waited = false;
 };
 
-using MatchKey = std::tuple<int, int, int>;  // (src, dst, tag)
+/// A send or posted receive awaiting matching: `vertex` is the send vertex
+/// or the receive's completion vertex (invalid until an irecv's wait lands),
+/// `post` an irecv's post vertex (invalid for sends and blocking receives).
+struct MsgRecord {
+  int src = 0;
+  int dst = 0;
+  int tag = 0;
+  graph::VertexId vertex = graph::kInvalidVertex;
+  graph::VertexId post = graph::kInvalidVertex;
+};
+
+bool key_less(const MsgRecord& a, const MsgRecord& b) {
+  return std::tie(a.src, a.dst, a.tag) < std::tie(b.src, b.dst, b.tag);
+}
+
+/// End of the run of `key` in key-sorted `records` starting at `from`,
+/// where records[from..] hold no key below `key`.
+std::size_t key_run_end(const std::vector<MsgRecord>& records,
+                        std::size_t from, const MsgRecord& key) {
+  while (from < records.size() && !key_less(key, records[from])) ++from;
+  return from;
+}
+
+/// Adds comm and rendezvous-completion edges; the k-th send of a (src, dst,
+/// tag) key pairs with the k-th receive posted for it (non-overtaking).  The
+/// stable sorts keep program order within a key and the merge visits keys in
+/// ascending order, so edge ids match a key-ordered walk.  Recv-only keys are
+/// reported once every send key has matched.  The state is taken by value so
+/// it is freed before the caller's Graph::finalize() allocates.
+void match_messages(
+    graph::Graph& g, std::vector<MsgRecord> sends,
+    std::vector<MsgRecord> recvs,
+    std::unordered_map<graph::VertexId, graph::VertexId> completion_target,
+    const Options& opts) {
+  std::stable_sort(sends.begin(), sends.end(), key_less);
+  std::stable_sort(recvs.begin(), recvs.end(), key_less);
+  const MsgRecord* orphan = nullptr;  // smallest recv-only key
+  std::size_t orphan_count = 0;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < sends.size() || j < recvs.size()) {
+    if (i == sends.size() ||
+        (j < recvs.size() && key_less(recvs[j], sends[i]))) {
+      const std::size_t j_end = key_run_end(recvs, j, recvs[j]);
+      if (orphan == nullptr) {
+        orphan = &recvs[j];
+        orphan_count = j_end - j;
+      }
+      j = j_end;
+      continue;
+    }
+    const MsgRecord& key = sends[i];
+    const std::size_t i_end = key_run_end(sends, i, key);
+    const std::size_t j_end = key_run_end(recvs, j, key);
+    if (j_end - j != i_end - i) {
+      throw SchedError(strformat("unmatched messages %d->%d tag %d: %zu "
+                                 "send(s) vs %zu recv(s)",
+                                 key.src, key.dst, key.tag, i_end - i,
+                                 j_end - j));
+    }
+    for (std::size_t k = 0; i + k < i_end; ++k) {
+      const graph::VertexId s = sends[i + k].vertex;
+      const MsgRecord& recv = recvs[j + k];
+      if (recv.vertex == graph::kInvalidVertex) {
+        throw SchedError(strformat("recv %d<-%d tag %d slot %zu never "
+                                   "completed by a wait",
+                                   key.dst, key.src, key.tag, k));
+      }
+      const bool is_rdzv = g.vertex(s).bytes >= opts.rendezvous_threshold;
+      g.add_comm_edge(s, recv.vertex, is_rdzv);
+      if (is_rdzv) {
+        const auto ct = completion_target.find(s);
+        if (ct != completion_target.end()) {
+          if (recv.post == graph::kInvalidVertex) {
+            // Blocking receiver: its recv vertex completes exactly at t_r'.
+            g.add_send_completion_edge(recv.vertex, ct->second);
+          } else {
+            // Nonblocking receiver: the handshake does not wait for the
+            // receiver's MPI_Wait, only for the posting.
+            g.add_handshake_completion_edges(s, recv.post, ct->second);
+          }
+        }
+      }
+    }
+    i = i_end;
+    j = j_end;
+  }
+  if (orphan != nullptr) {
+    throw SchedError(strformat("%zu recv(s) %d<-%d tag %d have no sender",
+                               orphan_count, orphan->dst, orphan->src,
+                               orphan->tag));
+  }
+}
 
 }  // namespace
 
@@ -125,11 +218,9 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
     return bytes >= opts.rendezvous_threshold;
   };
 
-  // Global send/recv match lists per (src, dst, tag), in program order.
-  std::map<MatchKey, std::vector<graph::VertexId>> send_slots;
-  std::map<MatchKey, std::vector<graph::VertexId>> recv_slots;
-  // Post vertex per recv slot (kInvalidVertex for blocking receives).
-  std::map<MatchKey, std::vector<graph::VertexId>> recv_posts;
+  // Every send and posted receive, in program order per rank.
+  std::vector<MsgRecord> sends;
+  std::vector<MsgRecord> recvs;
   // For rendezvous sends: where the sender-completion edge must point
   // (the wait vertex for isend, the program successor for blocking send).
   std::unordered_map<graph::VertexId, graph::VertexId> completion_target;
@@ -154,7 +245,7 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
         case MidOp::Kind::kSend: {
           const graph::VertexId v = g.add_send(r, op.peer, op.bytes, op.tag);
           chain(v);
-          send_slots[{r, op.peer, op.tag}].push_back(v);
+          sends.push_back({r, op.peer, op.tag, v});
           if (rdzv(op.bytes)) {
             // A blocking rendezvous send is an isend plus an implicit wait:
             // materialize the completion point as a zero-cost anchor so that
@@ -170,7 +261,7 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
         case MidOp::Kind::kIsend: {
           const graph::VertexId v = g.add_send(r, op.peer, op.bytes, op.tag);
           chain(v);
-          send_slots[{r, op.peer, op.tag}].push_back(v);
+          sends.push_back({r, op.peer, op.tag, v});
           RequestInfo info;
           info.is_recv = false;
           info.vertex = v;
@@ -192,8 +283,7 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
           } else {
             chain(v);
           }
-          recv_slots[{op.peer, r, op.tag}].push_back(v);
-          recv_posts[{op.peer, r, op.tag}].push_back(graph::kInvalidVertex);
+          recvs.push_back({op.peer, r, op.tag, v});
           break;
         }
         case MidOp::Kind::kIrecv: {
@@ -205,12 +295,10 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
           info.peer = op.peer;
           info.bytes = op.bytes;
           info.tag = op.tag;
-          // Reserve the match slot now: MPI matches receives in *posting*
+          // Record the receive now: MPI matches receives in *posting*
           // order, not wait order.
-          auto& slots = recv_slots[{op.peer, r, op.tag}];
-          info.recv_slot = slots.size();
-          slots.push_back(graph::kInvalidVertex);
-          recv_posts[{op.peer, r, op.tag}].push_back(post);
+          info.recv_slot = recvs.size();
+          recvs.push_back({op.peer, r, op.tag, graph::kInvalidVertex, post});
           if (!requests.emplace(op.request, info).second) {
             throw SchedError(strformat("rank %d: duplicate request %lld", r,
                                        static_cast<long long>(op.request)));
@@ -233,7 +321,7 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
             if (rdzv(info.bytes)) {
               g.add_issue_edge(info.vertex, w, /*through_post=*/true);
             }
-            recv_slots[{info.peer, r, info.tag}][info.recv_slot] = w;
+            recvs[info.recv_slot].vertex = w;
           } else {
             const graph::VertexId w = g.add_calc(r, 0.0);
             chain(w);
@@ -253,51 +341,8 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
     }
   }
 
-  // Match sends to receives (non-overtaking: k-th send from A to B with tag
-  // t pairs with the k-th posted recv at B from A with tag t).
-  for (const auto& [key, sends] : send_slots) {
-    const auto& [src, dst, tag] = key;
-    const auto it = recv_slots.find(key);
-    const std::size_t nrecvs = it == recv_slots.end() ? 0 : it->second.size();
-    if (nrecvs != sends.size()) {
-      throw SchedError(strformat("unmatched messages %d->%d tag %d: %zu "
-                                 "send(s) vs %zu recv(s)",
-                                 src, dst, tag, sends.size(), nrecvs));
-    }
-    for (std::size_t k = 0; k < sends.size(); ++k) {
-      const graph::VertexId s = sends[k];
-      const graph::VertexId rv = it->second[k];
-      if (rv == graph::kInvalidVertex) {
-        throw SchedError(strformat("recv %d<-%d tag %d slot %zu never "
-                                   "completed by a wait", dst, src, tag, k));
-      }
-      const bool is_rdzv = rdzv(g.vertex(s).bytes);
-      g.add_comm_edge(s, rv, is_rdzv);
-      if (is_rdzv) {
-        const auto ct = completion_target.find(s);
-        if (ct != completion_target.end()) {
-          const graph::VertexId post = recv_posts[key][k];
-          if (post == graph::kInvalidVertex) {
-            // Blocking receiver: its recv vertex completes exactly at t_r'.
-            g.add_send_completion_edge(rv, ct->second);
-          } else {
-            // Nonblocking receiver: the handshake does not wait for the
-            // receiver's MPI_Wait, only for the posting.
-            g.add_handshake_completion_edges(s, post, ct->second);
-          }
-        }
-      }
-    }
-  }
-  // Receives with no matching send at all.
-  for (const auto& [key, recvs] : recv_slots) {
-    if (send_slots.find(key) == send_slots.end() && !recvs.empty()) {
-      const auto& [src, dst, tag] = key;
-      throw SchedError(strformat("%zu recv(s) %d<-%d tag %d have no sender",
-                                 recvs.size(), dst, src, tag));
-    }
-  }
-
+  match_messages(g, std::move(sends), std::move(recvs),
+                 std::move(completion_target), opts);
   g.finalize();
   return g;
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Regenerate the golden emitter outputs pinned by tests/test_golden.cpp.
+# Regenerate the golden outputs pinned by tests/test_golden.cpp and CI.
 # Usage: tests/golden/regen.sh [path-to-llamp-binary]
 # Keep the invocations here in sync with the GoldenCase list in the test.
 set -eu
@@ -28,5 +28,15 @@ dir="$(dirname "$0")"
 "$llamp" campaign --apps=lulesh,hpcg,milc --ranks=8,27 --topos=none,fat-tree \
   --scales=0.02 --points=3 --dl-max-us=20 --format=json \
   > "$dir/campaign_grid.json.golden"
+
+# Batch output over one analyze per cold-distinct benchmark class; CI diffs
+# `llamp batch` at 1 and 4 threads against it.
+"$llamp" batch --file="$dir/../../examples/cold_requests.jsonl" --threads=1 \
+  > "$dir/cold_requests.jsonl.golden"
+
+# Schedgen graph digests, written by the test_golden binary built beside
+# the llamp binary (see GoldenGraphs in tests/test_golden.cpp).
+LLAMP_REGEN_GRAPHS_GOLDEN="$dir/graphs.golden" \
+  "$(dirname "$llamp")/test_golden" --gtest_filter='GoldenGraphs.*' > /dev/null
 
 echo "regenerated $(ls "$dir"/*.golden | wc -l) golden files in $dir"

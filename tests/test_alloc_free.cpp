@@ -21,24 +21,57 @@
 
 namespace {
 thread_local std::size_t g_allocations = 0;
+thread_local std::size_t g_allocated_bytes = 0;
+
+void* counted_malloc(std::size_t size) {
+  ++g_allocations;
+  g_allocated_bytes += size;
+  return std::malloc(size);
 }
+}  // namespace
 
 void* operator new(std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
 
 void* operator new[](std::size_t size) {
-  ++g_allocations;
-  if (void* p = std::malloc(size)) return p;
+  if (void* p = counted_malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// std::stable_sort takes its buffer from the nothrow forms; they are
+// replaced too, so every allocation is counted and pairs with free().
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return counted_malloc(size);
+}
+
+// Out of line, so GCC never pairs an inlined free() with an opaque
+// operator new (-Wmismatched-new-delete).
+__attribute__((noinline)) void operator delete(void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](void* p,
+                                                  std::size_t) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete(void* p,
+                                               const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+__attribute__((noinline)) void operator delete[](
+    void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace llamp::lp {
 namespace {
@@ -124,6 +157,42 @@ TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
   }
   EXPECT_EQ(g_allocations, before)
       << "steady-state batch kernel allocated on the heap";
+}
+
+TEST(AllocationFree, BatchRowsAreSizedByTheLanesACallRuns) {
+  // A narrow call sizes the lane rows for its own width, not the full
+  // block width; a cursor warmed at full width serves narrower calls
+  // without allocating.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("lulesh", 27, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  ParametricSolver solver(g, std::make_shared<LatencyParamSpace>(p));
+  std::vector<double> xs(kBatchWidth);
+  for (std::size_t l = 0; l < xs.size(); ++l) {
+    xs[l] = p.L + 250.0 * static_cast<double>(l);
+  }
+  std::vector<ParametricSolver::BatchPoint> pts(xs.size());
+  // Two rows (finish, slope) of doubles per vertex and lane.
+  const std::size_t row_bytes_per_lane = 2 * sizeof(double) * g.num_vertices();
+
+  ParametricSolver::BatchCursor narrow;
+  std::size_t before = g_allocated_bytes;
+  solver.solve_batch_ranges(0, xs.data(), 4, narrow, pts.data());
+  const std::size_t four_lanes = g_allocated_bytes - before;
+  EXPECT_GE(four_lanes, 4 * row_bytes_per_lane);
+  EXPECT_LT(four_lanes, 8 * row_bytes_per_lane)
+      << "a 4-lane call sized its rows for more than 4 lanes";
+
+  ParametricSolver::BatchCursor wide;
+  solver.solve_batch_ranges(0, xs.data(), kBatchWidth, wide, pts.data());
+  before = g_allocations;
+  for (int round = 0; round < 20; ++round) {
+    solver.solve_batch(0, xs.data(), 4, wide, pts.data());
+    solver.solve_batch_ranges(0, xs.data(), 4, wide, pts.data());
+    ASSERT_GT(pts[0].value, 0.0);
+  }
+  EXPECT_EQ(g_allocations, before)
+      << "4-lane calls on a cursor warmed at full width allocated";
 }
 
 TEST(AllocationFree, WorkspaceReuseAcrossSolversOnlyGrows) {

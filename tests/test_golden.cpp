@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "apps/registry.hpp"
+#include "loggops/params.hpp"
+#include "schedgen/schedgen.hpp"
 #include "tools/cli_driver.hpp"
+#include "util/strings.hpp"
 
 // Golden-output wall for the llamp emitters: the exact bytes of
 // `llamp analyze`, `sweep`, and `campaign` in every format are pinned
@@ -89,6 +96,85 @@ TEST(GoldenOutput, EmittersMatchCommittedBytes) {
         << gc.file << " drifted; if the change is intentional, regenerate "
         << "with tests/golden/regen.sh";
   }
+}
+
+// Graph identity wall: schedgen's output for every registered app, pinned
+// as an FNV-1a digest of its vertices, its edges in id order, its topo
+// order and memory_bytes().  Any change to vertex or edge ids, to the
+// topological order, or to the trimmed footprint shows up here.  Both
+// network presets share S = 256 KiB, so the second threshold is 1 KiB,
+// which sends most messages through the rendezvous protocol.
+
+/// 64-bit FNV-1a over the little-endian bytes of each value fed in.
+struct Fnv1a {
+  std::uint64_t h = 14695981039346656037ull;
+  void add(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 1099511628211ull;
+    }
+  }
+};
+
+std::uint64_t graph_digest(const graph::Graph& g) {
+  Fnv1a f;
+  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
+    const graph::Vertex& x = g.vertex(v);
+    f.add(static_cast<std::uint64_t>(x.kind), 1);
+    f.add(static_cast<std::uint32_t>(x.rank), 4);
+    f.add(static_cast<std::uint32_t>(x.peer), 4);
+    f.add(static_cast<std::uint32_t>(x.tag), 4);
+    f.add(x.bytes, 8);
+    f.add(std::bit_cast<std::uint64_t>(x.duration), 8);
+  }
+  for (const graph::Edge& e : g.edges()) {
+    f.add(e.from, 4);
+    f.add(e.to, 4);
+    f.add(static_cast<std::uint64_t>(e.kind), 1);
+    f.add(e.o_mult, 1);
+    f.add(e.l_mult, 1);
+    f.add(e.bytes, 8);
+  }
+  for (const graph::VertexId v : g.topo_order()) f.add(v, 4);
+  f.add(g.memory_bytes(), 8);
+  return f.h;
+}
+
+/// One line per (app, ranks, scale, S): the pinned graph digests.
+std::string graph_digest_lines() {
+  std::string out;
+  const std::uint64_t preset_s = loggops::NetworkConfig::cscs_testbed().S;
+  EXPECT_EQ(preset_s, loggops::NetworkConfig::piz_daint().S);
+  for (const std::string& app : apps::app_names()) {
+    for (const int want : {8, 64}) {
+      const int ranks = apps::supported_ranks(app, want);
+      for (const double scale : {0.02, 0.05}) {
+        for (const std::uint64_t S : {preset_s, std::uint64_t{1024}}) {
+          schedgen::Options opts;
+          opts.rendezvous_threshold = S;
+          const auto g = schedgen::build_graph(
+              apps::make_app_trace(app, ranks, scale), opts);
+          out += strformat("%s %d %.2f %llu %zu %zu %016llx\n", app.c_str(),
+                           ranks, scale, static_cast<unsigned long long>(S),
+                           g.num_vertices(), g.num_edges(),
+                           static_cast<unsigned long long>(graph_digest(g)));
+        }
+      }
+    }
+  }
+  return out;
+}
+
+TEST(GoldenGraphs, SchedgenGraphsMatchCommittedDigests) {
+  const std::string actual = graph_digest_lines();
+  // tests/golden/regen.sh sets this to rewrite the golden file.
+  if (const char* out = std::getenv("LLAMP_REGEN_GRAPHS_GOLDEN")) {
+    std::ofstream(out, std::ios::binary) << actual;
+    GTEST_SKIP() << "wrote " << out;
+  }
+  EXPECT_EQ(actual, read_golden("graphs.golden"))
+      << "schedgen output drifted; if the change is intentional, "
+      << "regenerate with tests/golden/regen.sh";
 }
 
 }  // namespace

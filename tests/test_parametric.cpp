@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 
+#include "apps/registry.hpp"
+#include "core/solver_cache.hpp"
 #include "lp/param_space.hpp"
 #include "lp/parametric.hpp"
+#include "schedgen/schedgen.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
 
@@ -86,6 +90,66 @@ TEST(Algorithm2, StepKnobSkipsFineStructure) {
       (void)solver.critical_values_algorithm2(0, 0.0, 1.0, 0.0, /*eps=*/0.0),
       LpError);
   EXPECT_THROW((void)solver.critical_values_algorithm2(0, 5.0, 1.0), LpError);
+}
+
+TEST(Algorithm2, RejectsNonFiniteBoundsAndStepBeforeSolving) {
+  // Without the input checks these returned one bogus critical latency
+  // (step NaN / +inf), an empty list (hi = +inf), or scanned for seconds
+  // (lo = -inf) on lulesh-8.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  ParametricSolver solver(g, std::make_shared<LatencyParamSpace>(p));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const double lo = p.L;
+  const double hi = p.L + 20'000.0;
+  struct Case {
+    double lo, hi, step;
+  };
+  for (const Case c : {Case{lo, hi, kNaN}, Case{lo, hi, kInf},
+                       Case{lo, hi, -kInf}, Case{lo, hi, -1.0},
+                       Case{lo, kInf, 0.0}, Case{lo, kNaN, 0.0},
+                       Case{-kInf, hi, 0.0}, Case{kNaN, hi, 0.0},
+                       Case{-kInf, kInf, 100.0}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "lo=" << c.lo << " hi=" << c.hi << " step=" << c.step);
+    try {
+      (void)solver.critical_values_algorithm2(0, c.lo, c.hi, c.step);
+      ADD_FAILURE() << "expected LpError";
+    } catch (const LpError& e) {
+      EXPECT_STREQ(e.what(),
+                   "lp: algorithm2: lo, hi and step must be finite, step >= 0");
+    }
+  }
+  // A NaN eps is not positive.
+  EXPECT_THROW((void)solver.critical_values_algorithm2(0, lo, hi, 0.0, kNaN),
+               LpError);
+  // Both signed zeros stay valid steps, and scan the same way.
+  EXPECT_EQ(solver.critical_values_algorithm2(0, lo, hi, 0.0),
+            solver.critical_values_algorithm2(0, lo, hi, -0.0));
+}
+
+TEST(Algorithm2, RejectedInputsAreNeverMemoized) {
+  const auto g = llamp::testing::running_example_graph();
+  const auto p = llamp::testing::running_example_params();
+  core::SolverCache cache;
+  const auto entry =
+      cache.latency(core::GraphKey{"running-example", 1, 1.0, p.S}, g, p);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int attempt = 0; attempt < 3; ++attempt) {
+    EXPECT_THROW((void)entry->critical_values_algorithm2(0, 0.0, 1'000.0, nan),
+                 LpError);
+  }
+  const auto s = cache.stats();
+  EXPECT_EQ(s.memo_misses, 3u) << "each rejected call recomputes";
+  EXPECT_EQ(s.memo_hits, 0u);
+  EXPECT_EQ(s.memo_bytes, 0u);
+  // A valid key on the same entry is computed and stored as usual.
+  const auto lc = entry->critical_values_algorithm2(0, 0.0, 1'000.0, 0.0);
+  ASSERT_EQ(lc.size(), 1u);
+  EXPECT_NEAR(lc[0], 385.0, 1e-3);
+  EXPECT_GT(cache.stats().memo_bytes, 0u);
 }
 
 TEST(Tolerance, ThrowsWhenBudgetBelowBase) {

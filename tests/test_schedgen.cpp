@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "schedgen/schedgen.hpp"
 #include "test_support.hpp"
 #include "trace/builder.hpp"
@@ -175,6 +178,72 @@ TEST(Matching, CountMismatchThrows) {
   streams[0].push_back(MidOp::send(1, 8, 0));
   streams[1].push_back(MidOp::recv(0, 8, 0));
   EXPECT_THROW((void)build_graph_from_streams(streams, Options{}), SchedError);
+}
+
+/// The SchedError text build_graph_from_streams throws ("" if none).
+std::string build_error(const std::vector<MidStream>& streams) {
+  try {
+    (void)build_graph_from_streams(streams, Options{});
+  } catch (const SchedError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(MatchingErrors, CountMismatchNamesKeyAndCounts) {
+  std::vector<MidStream> streams(2);
+  streams[0].push_back(MidOp::send(1, 8, 4));
+  streams[0].push_back(MidOp::send(1, 8, 4));
+  streams[1].push_back(MidOp::recv(0, 8, 4));
+  EXPECT_EQ(build_error(streams),
+            "schedgen: unmatched messages 0->1 tag 4: 2 send(s) vs 1 recv(s)");
+  // A send key with no receive at all reports zero receives.
+  std::vector<MidStream> lone(2);
+  lone[1].push_back(MidOp::send(0, 8, 2));
+  EXPECT_EQ(build_error(lone),
+            "schedgen: unmatched messages 1->0 tag 2: 1 send(s) vs 0 recv(s)");
+}
+
+TEST(MatchingErrors, SendKeysAreCheckedBeforeRecvOnlyKeys) {
+  // Key (0, 1, 0) has receives but no sends and sorts before the
+  // mismatched send key (1, 0, 0): the send-side error still wins.
+  std::vector<MidStream> streams(2);
+  streams[1].push_back(MidOp::recv(0, 8, 0));
+  streams[1].push_back(MidOp::send(0, 8, 0));
+  streams[1].push_back(MidOp::send(0, 8, 0));
+  streams[0].push_back(MidOp::recv(1, 8, 0));
+  EXPECT_EQ(build_error(streams),
+            "schedgen: unmatched messages 1->0 tag 0: 2 send(s) vs 1 recv(s)");
+}
+
+TEST(MatchingErrors, SmallestRecvOnlyKeyReportedOnceSendsMatch) {
+  // Every send key matches; of the two recv-only keys (0, 1, 3) and
+  // (1, 0, 1), the smaller is reported with its receive count.
+  std::vector<MidStream> streams(2);
+  streams[0].push_back(MidOp::send(1, 8, 5));
+  streams[1].push_back(MidOp::recv(0, 8, 5));
+  streams[1].push_back(MidOp::recv(0, 8, 3));
+  streams[1].push_back(MidOp::recv(0, 8, 3));
+  streams[0].push_back(MidOp::recv(1, 8, 1));
+  EXPECT_EQ(build_error(streams),
+            "schedgen: 2 recv(s) 1<-0 tag 3 have no sender");
+}
+
+TEST(MatchingErrors, DuplicateRequestAndUnknownWaitNameRankAndRequest) {
+  std::vector<MidStream> dup(2);
+  dup[1].push_back(MidOp::isend(0, 8, 0, 9));
+  dup[1].push_back(MidOp::irecv(0, 8, 0, 9));
+  EXPECT_EQ(build_error(dup), "schedgen: rank 1: duplicate request 9");
+  std::vector<MidStream> unknown(2);
+  unknown[0].push_back(MidOp::isend(1, 8, 0, 3));
+  unknown[0].push_back(MidOp::wait(3));
+  unknown[0].push_back(MidOp::wait(3));
+  EXPECT_EQ(build_error(unknown),
+            "schedgen: rank 0: wait on unknown or already completed request 3");
+  // Stream errors surface while streams are walked, before any matching.
+  unknown[1].push_back(MidOp::recv(0, 8, 7));
+  EXPECT_EQ(build_error(unknown),
+            "schedgen: rank 0: wait on unknown or already completed request 3");
 }
 
 TEST(Matching, NonOvertakingOrderPreserved) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -907,6 +909,117 @@ TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_DOUBLE_EQ(pts[i].value, std::max(grid[i] + 1'115.0, 1'500.0));
     EXPECT_EQ(pts[i].slope, grid[i] >= 385.0 ? 1.0 : 0.0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Algorithm 2 bit wall: the lane-batched scan (speculative grid runs served
+// by solve_batch_ranges) must return exactly what the one-dense-solve-per-hop
+// scan returned, bit for bit, for every registered app, both lowerings, and
+// step shapes that never hop on the grid (0), land the grid exactly on lo
+// (range/64), stop short of lo before the tail probe (range/7), and probe
+// the tail straight away (> range).
+// ---------------------------------------------------------------------------
+
+/// The scalar scan, built on the public solve(): the reference the batched
+/// critical_values_algorithm2 is pinned against.
+std::vector<double> scalar_algorithm2(const LoweredProblem& prob, int k,
+                                      double lo, double hi, double step,
+                                      double eps = 1e-6) {
+  LoweredProblem::Cursor cur;
+  std::vector<double> lc;
+  double L = hi;
+  double lambda = std::numeric_limits<double>::quiet_NaN();
+  double prev_lo = std::numeric_limits<double>::infinity();
+  for (std::size_t iter = 0; iter < (1u << 20); ++iter) {
+    const auto& s = prob.solve(k, L, cur);
+    const double lambda_new = s.gradient[static_cast<std::size_t>(k)];
+    const double lo_new = s.lo;
+    if (!std::isnan(lambda) && std::fabs(lambda_new - lambda) > 1e-12) {
+      if (prev_lo >= lo - eps && prev_lo <= hi + eps) lc.push_back(prev_lo);
+    }
+    lambda = lambda_new;
+    prev_lo = lo_new;
+    if (!(lo_new >= lo)) break;
+    L = std::min(L - step, lo_new - eps);
+    if (L < lo) {
+      const auto& tail = prob.solve(k, lo, cur);
+      if (std::fabs(tail.gradient[static_cast<std::size_t>(k)] - lambda) >
+              1e-12 &&
+          lo_new >= lo - eps && lo_new <= hi + eps) {
+        lc.push_back(lo_new);
+      }
+      break;
+    }
+  }
+  std::sort(lc.begin(), lc.end());
+  lc.erase(std::unique(lc.begin(), lc.end(),
+                       [](double a, double b) {
+                         return std::fabs(a - b) < 1e-9;
+                       }),
+           lc.end());
+  return lc;
+}
+
+void expect_algorithm2_matches_scalar(const LoweredProblem& prob, int k,
+                                      double lo, double hi) {
+  const double range = hi - lo;
+  for (const double step : {0.0, range / 64.0, range / 7.0, 1.5 * range}) {
+    // step = 0 hops by eps through every near-tie of a jittered app graph;
+    // a 1/64 window keeps that scan short.
+    const double top = step == 0.0 ? lo + range / 64.0 : hi;
+    EXPECT_EQ(bits(prob.critical_values_algorithm2(k, lo, top, step)),
+              bits(scalar_algorithm2(prob, k, lo, top, step)))
+        << "k=" << k << " lo=" << lo << " hi=" << top << " step=" << step;
+  }
+}
+
+TEST(Algorithm2Batched, BitwiseMatchesScalarScanOnAllRegisteredApps) {
+  for (const std::string& app : apps::app_names()) {
+    for (const double scale : {0.02, 0.05}) {
+      SCOPED_TRACE(::testing::Message() << app << " scale=" << scale);
+      const int ranks = apps::supported_ranks(app, 8);
+      const auto g =
+          schedgen::build_graph(apps::make_app_trace(app, ranks, scale));
+      const auto p = loggops::NetworkConfig::cscs_testbed();
+      const LoweredProblem flat(g, std::make_shared<LatencyParamSpace>(p));
+      ASSERT_TRUE(flat.flat());
+      expect_algorithm2_matches_scalar(flat, 0, p.L, p.L + 20'000.0);
+      const LoweredProblem csr(
+          g, std::make_shared<LatencyBandwidthParamSpace>(p));
+      ASSERT_FALSE(csr.flat());
+      expect_algorithm2_matches_scalar(csr, 1, p.G, p.G + 0.05);
+    }
+  }
+}
+
+TEST(Algorithm2Batched, GridEdgeShapesMatchScalarScan) {
+  // The running example's single breakpoint (L_c = 385) against grids
+  // whose runs reach lo mid-batch, straddle L_c, or start on it, plus
+  // random programs whose grids hop off and back on.
+  const auto g = testing::running_example_graph();
+  const LoweredProblem prob(g, std::make_shared<LatencyParamSpace>(
+                                  testing::running_example_params()));
+  for (const double lo : {0.0, 100.0, 385.0}) {
+    for (const double hi : {385.0, 500.0, 1'000.0, 7'000.0}) {
+      if (lo > hi) continue;
+      for (const double step : {1.0, 3.0, 17.0, 50.0, 384.0}) {
+        EXPECT_EQ(bits(prob.critical_values_algorithm2(0, lo, hi, step)),
+                  bits(scalar_algorithm2(prob, 0, lo, hi, step)))
+            << "lo=" << lo << " hi=" << hi << " step=" << step;
+      }
+    }
+  }
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    testing::RandomProgramConfig cfg;
+    cfg.seed = seed + 77;
+    cfg.nranks = 5;
+    cfg.steps = 100;
+    const auto rg = schedgen::build_graph(testing::random_trace(cfg));
+    const loggops::Params p = random_params(seed * 13 + 5);
+    const LoweredProblem rp(rg, std::make_shared<LatencyParamSpace>(p));
+    SCOPED_TRACE(seed);
+    expect_algorithm2_matches_scalar(rp, 0, 0.0, p.L + 100'000.0);
   }
 }
 
