@@ -45,7 +45,7 @@ int main() {
     std::vector<std::string> row{strformat("%.0f", lw)};
     std::vector<std::string> lams;
     for (const auto& c : cases) {
-      lp::ParametricSolver solver(g, c.space);
+      lp::LoweredProblem solver(g, c.space);
       const auto sol = solver.solve(0, lw);
       row.push_back(human_time_ns(sol.value));
       lams.push_back(strformat("%.0f", sol.gradient[0]));
@@ -57,7 +57,7 @@ int main() {
               "the paper)\n\n%s\n", ranks, sweep.to_string().c_str());
 
   for (const auto& c : cases) {
-    lp::ParametricSolver solver(g, c.space);
+    lp::LoweredProblem solver(g, c.space);
     const double T0 = solver.solve(0, 274.0).value;
     const double tol = solver.max_param_for_budget(0, T0 * 1.01);
     std::printf("%-28s 1%% degradation at l_wire = %s\n",

@@ -1,19 +1,20 @@
 // Throughput harness for the stoch/ Monte Carlo engine: samples/sec on a
 // representative grid (the same hpcg-64 configuration BENCH_solver.json
-// pins), for the three engine paths —
+// pins), for the two engine paths —
 //
-//   * fast path, batched: only L varies, one shared solver, lane groups of
-//     lp::kBatchWidth samples per forward pass (the PR 8 kernel);
-//   * fast path, scalar: same workload with spec.batch off — the
-//     batched-vs-scalar comparison is the headline number;
+//   * fast path: only L varies, one shared lowering, lane groups of
+//     lp::kBatchWidth samples per forward pass;
 //   * general path: o jitter + per-edge noise, one perturbed lowering per
 //     sample, chunk-claimed scheduling;
 //
-// each single-threaded and at hardware concurrency.  Writes the committed
+// each single-threaded and at hardware concurrency.  Writes the
 // perf-trajectory file BENCH_mc.json (numbers are informational in CI,
 // never gating).  Every section records the thread counts it actually ran
 // with, and parallel_speedup is null on 1-core hosts — a ~1.0 there would
-// read as "parallelism doesn't help" when it was never exercised.
+// read as "parallelism doesn't help" when it was never exercised.  (The
+// committed BENCH_mc.json predates schema 3: its scalar fast-path section
+// and batch_speedup_threads1 record a per-sample mode that no longer
+// exists.)
 //
 //   $ ./bench_mc [--samples=256] [--quick] [--out=BENCH_mc.json]
 
@@ -74,9 +75,6 @@ int main(int argc, char** argv) {
   fast.delta_Ls = core::linear_grid(us(100.0), 11);
   fast.band_percents = {1.0, 2.0, 5.0};
 
-  stoch::McSpec fast_scalar = fast;
-  fast_scalar.batch = false;
-
   stoch::McSpec general = fast;
   general.o = stoch::Distribution::rel_normal(0.02);
   general.noise = {0.003, 0.0};
@@ -88,8 +86,6 @@ int main(int argc, char** argv) {
               samples, hw, lp::kBatchWidth);
 
   const Section fast_b{run_ms(g, p, fast, 1), run_ms(g, p, fast, 0)};
-  const Section fast_s{run_ms(g, p, fast_scalar, 1),
-                       run_ms(g, p, fast_scalar, 0)};
   const Section gen{run_ms(g, p, general, 1), run_ms(g, p, general, 0)};
 
   const auto rate = [&](double ms) { return 1e3 * samples / ms; };
@@ -99,10 +95,7 @@ int main(int argc, char** argv) {
                 name, s.ms1, rate(s.ms1), hw, s.msn, rate(s.msn));
   };
   print_section("fast path, batched (L-only):       ", fast_b);
-  print_section("fast path, scalar  (L-only):       ", fast_s);
   print_section("general path (o + edge noise):     ", gen);
-  std::printf("batched vs scalar (1 thread): %.2fx\n",
-              fast_s.ms1 / fast_b.ms1);
 
   // Parallel speedup is only a statement about parallelism when there was
   // any: on a 1-core host the ratio is ~1.0 by construction, so emit null.
@@ -127,7 +120,7 @@ int main(int argc, char** argv) {
   os << strformat(
       "{\n"
       "  \"benchmark\": \"mc\",\n"
-      "  \"schema_version\": 2,\n"
+      "  \"schema_version\": 3,\n"
       "  \"config\": {\n"
       "    \"app\": \"%s\", \"ranks\": %d, \"scale\": %g,\n"
       "    \"graph_vertices\": %zu, \"graph_edges\": %zu,\n"
@@ -135,11 +128,8 @@ int main(int argc, char** argv) {
       "    \"hardware_threads\": %d, \"batch_width\": %zu\n"
       "  },\n"
       "  \"fast_path_L_only_batched\": {\n%s  },\n"
-      "  \"fast_path_L_only_scalar\": {\n%s  },\n"
       "  \"general_path_edge_noise\": {\n%s  },\n"
-      "  \"batch_speedup_threads1\": %.2f,\n"
-      "  \"parallel_speedup\": {\"fast_batched\": %s, \"fast_scalar\": %s, "
-      "\"general\": %s}\n"
+      "  \"parallel_speedup\": {\"fast_batched\": %s, \"general\": %s}\n"
       "}\n",
       app.c_str(), ranks, scale, g.num_vertices(), g.num_edges(), samples,
       hw, lp::kBatchWidth,
@@ -147,16 +137,11 @@ int main(int argc, char** argv) {
                    "forward pass; only the sampled L moves",
                    fast_b, /*batched=*/true)
           .c_str(),
-      section_json("shared solver, per-sample sweep + scalar band searches "
-                   "(spec.batch = false)",
-                   fast_s, /*batched=*/false)
-          .c_str(),
       section_json("per-sample perturbed-space lowering (o jitter + "
                    "per-edge folded-normal noise), chunk-claimed scheduling",
                    gen, /*batched=*/false)
           .c_str(),
-      fast_s.ms1 / fast_b.ms1, speedup(fast_b).c_str(),
-      speedup(fast_s).c_str(), speedup(gen).c_str());
+      speedup(fast_b).c_str(), speedup(gen).c_str());
   if (!os) {
     std::fprintf(stderr, "bench_mc: cannot write %s\n", out_path.c_str());
     return 1;

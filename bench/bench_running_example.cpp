@@ -55,7 +55,7 @@ int main() {
                                       : "inf");
 
   const auto shared = std::make_shared<lp::LatencyParamSpace>(p);
-  lp::ParametricSolver solver(g, shared);
+  lp::LoweredProblem solver(g, shared);
   std::printf("piecewise T(L) over [0, 1 us] (Fig. 4c):\n");
   for (const auto& seg : solver.piecewise(0, 0.0, 1'000.0)) {
     std::printf("  L in [%8s, %8s]: T = %s + %.0f * (L - %s)\n",

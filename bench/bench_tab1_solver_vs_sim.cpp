@@ -39,7 +39,7 @@ int main() {
     // LLAMP: 11 LP solves (each also yields λ_L and the feasibility range,
     // which the simulator cannot produce at all — the paper's point).
     const auto space = std::make_shared<lp::LatencyParamSpace>(params);
-    lp::ParametricSolver solver(g, space);
+    lp::LoweredProblem solver(g, space);
     double lp_checksum = 0.0;
     const bench::Stopwatch lp_watch;
     for (int i = 0; i <= 10; ++i) {

@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
       topo::make_dragonfly_class_space(params, dragonfly, placement,
                                        topo.l_wire, topo.l_wire, topo.l_wire,
                                        topo.d_switch));
-  lp::ParametricSolver df_solver(g, df_space);
+  lp::LoweredProblem df_solver(g, df_space);
   const double T0 = df_solver.solve(0, topo.l_wire).value;
   std::printf("Dragonfly wire classes (budget = 1%% over T = %s):\n",
               human_time_ns(T0).c_str());

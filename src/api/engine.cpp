@@ -301,7 +301,7 @@ Engine::Engine() : Engine(Options{}) {}
 
 Engine::Engine(Options opts)
     : pool_(opts.threads),
-      workspaces_(static_cast<std::size_t>(pool_.size())) {
+      cursors_(static_cast<std::size_t>(pool_.size())) {
   // Pre-register every hot-path handle once, here, so instrumentation
   // sites are a single array-indexed relaxed add (llamp-lint's hot-metric
   // rule rejects string lookups inside declared hot-path regions).
@@ -669,7 +669,7 @@ TopoResult Engine::execute(int worker, const TopoRequest& req) {
     }
   }
   const auto placement = topo::identity_placement(app.ranks);
-  auto& ws = workspaces_[static_cast<std::size_t>(worker)];
+  auto& cur = cursors_[static_cast<std::size_t>(worker)];
 
   TopoResult res;
   res.app = app;
@@ -677,12 +677,11 @@ TopoResult Engine::execute(int worker, const TopoRequest& req) {
     auto space = std::make_shared<lp::LinkClassParamSpace>(
         topo::make_wire_latency_space(app.params, *t, placement, req.l_wire,
                                       req.d_switch));
-    const lp::ParametricSolver solver(g, space);
-    const auto& sol = solver.solve(0, req.l_wire, ws);
+    const lp::LoweredProblem prob(g, std::move(space));
+    const auto& sol = prob.solve(0, req.l_wire, cur);
     const double runtime = sol.value;
     const double gradient = sol.gradient[0];
-    const double tol =
-        solver.max_param_for_budget(0, runtime * 1.01, ws);
+    const double tol = prob.max_param_for_budget(0, runtime * 1.01, cur);
     res.topologies.push_back({t->name(), runtime, gradient, tol});
   }
 
@@ -692,17 +691,17 @@ TopoResult Engine::execute(int worker, const TopoRequest& req) {
       topo::make_dragonfly_class_space(app.params, dragonfly, placement,
                                        req.l_wire, req.l_wire, req.l_wire,
                                        req.d_switch));
-  const lp::ParametricSolver df_solver(g, df_space);
-  const auto& base_sol = df_solver.solve(0, req.l_wire, ws);
+  const lp::LoweredProblem df_prob(g, df_space);
+  const auto& base_sol = df_prob.solve(0, req.l_wire, cur);
   const double T0 = base_sol.value;
   const double base_lambda = base_sol.gradient[0];
   res.df_base_runtime = T0;
   for (int k = 0; k < df_space->num_params(); ++k) {
     const double lambda =
         k == 0 ? base_lambda
-               : df_solver.solve(k, req.l_wire, ws)
+               : df_prob.solve(k, req.l_wire, cur)
                      .gradient[static_cast<std::size_t>(k)];
-    const double tol = df_solver.max_param_for_budget(k, T0 * 1.01, ws);
+    const double tol = df_prob.max_param_for_budget(k, T0 * 1.01, cur);
     res.classes.push_back({df_space->param_name(k), lambda, tol});
   }
   return res;

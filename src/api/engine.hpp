@@ -136,7 +136,7 @@ std::string to_json_line(const Response& res);
 ///    nothing, across request types (an analyze warms the graph a later
 ///    sweep or campaign of the same app reuses);
 ///  * a persistent util/parallel ThreadPool for batch execution; and
-///  * one ParametricSolver::Workspace per pool worker, reused by the
+///  * one lp::LoweredProblem::Cursor per pool worker, reused by the
 ///    engine's direct solver paths so steady-state solves stay
 ///    allocation-free.
 ///
@@ -282,9 +282,9 @@ class Engine {
   obs::Tracer tracer_;
   MetricHandles handles_;
   ThreadPool pool_;
-  std::vector<lp::ParametricSolver::Workspace> workspaces_;
+  std::vector<lp::LoweredProblem::Cursor> cursors_;
   /// Serializes run_batch callers: the pool runs one job at a time, and
-  /// the per-worker workspaces must not be shared across batches.
+  /// the per-worker cursors must not be shared across batches.
   std::mutex batch_mutex_;
   /// Construction instant (uptime_ns's zero point).
   TimeNs start_time_ = 0.0;

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <utility>
 
-#include "lp/param_space.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
@@ -27,7 +26,6 @@ LatencyAnalyzer::LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
       cache_(cache != nullptr ? cache : own_cache_.get()),
       key_(std::move(key)),
       entry_(cache_->latency(key_, g_, params_)),
-      solver_(entry_->problem()),
       base_runtime_(eval(params_.L).value) {}
 
 lp::LoweredProblem::SweepEval LatencyAnalyzer::eval(double x) const {
@@ -70,17 +68,12 @@ TimeNs LatencyAnalyzer::tolerance_delta(double percent) const {
 
 std::vector<TimeNs> LatencyAnalyzer::critical_latencies(TimeNs lo,
                                                         TimeNs hi) const {
-  return solver_.critical_values(0, lo, hi);
+  return solver().critical_values(0, lo, hi);
 }
 
 std::vector<TimeNs> LatencyAnalyzer::critical_latencies_algorithm2(
     TimeNs lo, TimeNs hi, double step) const {
   return entry_->critical_values_algorithm2(0, lo, hi, step);
-}
-
-std::vector<lp::ParametricSolver::Segment> LatencyAnalyzer::runtime_curve(
-    TimeNs lo, TimeNs hi) const {
-  return solver_.piecewise(0, lo, hi);
 }
 
 double LatencyAnalyzer::lambda_G() const {
@@ -122,28 +115,6 @@ std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(
               ev.value > 0.0 ? x * ev.slope / ev.value : 0.0};
   });
   return out;
-}
-
-std::vector<double> LatencyAnalyzer::pairwise_lambda_L() const {
-  const int n = g_.nranks();
-  const auto space =
-      std::make_shared<lp::PairwiseLatencyParamSpace>(params_, n);
-  lp::ParametricSolver s(g_, space);
-  const auto sol = s.solve(0, space->base_value(0));
-  std::vector<double> mat(static_cast<std::size_t>(n) *
-                              static_cast<std::size_t>(n),
-                          0.0);
-  for (int i = 0; i < n; ++i) {
-    for (int j = i + 1; j < n; ++j) {
-      const double v =
-          sol.gradient[static_cast<std::size_t>(space->pair_index(i, j))];
-      mat[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-          static_cast<std::size_t>(j)] = v;
-      mat[static_cast<std::size_t>(j) * static_cast<std::size_t>(n) +
-          static_cast<std::size_t>(i)] = v;
-    }
-  }
-  return mat;
 }
 
 }  // namespace llamp::core

@@ -73,18 +73,8 @@ class LatencyAnalyzer {
   std::vector<TimeNs> critical_latencies_algorithm2(TimeNs lo, TimeNs hi,
                                                     double step) const;
 
-  /// Exact piecewise-linear runtime curve over absolute L in [lo, hi].
-  std::vector<lp::ParametricSolver::Segment> runtime_curve(TimeNs lo,
-                                                           TimeNs hi) const;
-
   /// Bandwidth sensitivity λ_G = ∂T/∂G at the base configuration (§II-B1).
   double lambda_G() const;
-
-  /// Per-pair HLogGP latency sensitivities λ_L^{i,j} (Appendix I) at the
-  /// base configuration with uniform pairwise latency matrices.  Entry
-  /// (i, j) of the returned row-major nranks x nranks matrix is the number
-  /// of latency units between ranks i and j on the critical path.
-  std::vector<double> pairwise_lambda_L() const;
 
   /// One evaluated point of a latency sweep.
   struct SweepPoint {
@@ -100,8 +90,8 @@ class LatencyAnalyzer {
   std::vector<SweepPoint> sweep(const std::vector<TimeNs>& delta_Ls,
                                 int threads = 0) const;
 
-  /// Access to the underlying solver for advanced (multi-parameter) use.
-  const lp::ParametricSolver& solver() const { return solver_; }
+  /// The latency entry's lowered problem, for direct (uncached) queries.
+  const lp::LoweredProblem& solver() const { return *entry_->problem(); }
 
  private:
   LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
@@ -119,7 +109,6 @@ class LatencyAnalyzer {
   GraphKey key_;
   /// The latency entry (lowering, anchors, memos) under (key_, params_).
   std::shared_ptr<SolverCache::Entry> entry_;
-  lp::ParametricSolver solver_;
   TimeNs base_runtime_ = 0.0;
 };
 

@@ -111,25 +111,6 @@ void validate_topology(const Scenario& s, const TopologyOptions& topo) {
   }
 }
 
-/// The active-parameter space of a scenario plus its base value: flat L for
-/// "none", the shared per-wire latency for the physical topologies.
-struct ScenarioSpace {
-  std::shared_ptr<const lp::ParamSpace> space;
-  double base = 0.0;
-};
-
-ScenarioSpace make_space(const Scenario& s, const TopologyOptions& topo) {
-  if (s.topology == "none") {
-    return {std::make_shared<lp::LatencyParamSpace>(s.params), s.params.L};
-  }
-  // Shape and fit were already validated by the Campaign constructors.
-  const auto t = make_topology(s.topology, topo);
-  return {std::make_shared<lp::LinkClassParamSpace>(topo::make_wire_latency_space(
-              s.params, *t, topo::identity_placement(s.ranks), topo.l_wire,
-              topo.d_switch)),
-          topo.l_wire};
-}
-
 /// mc-axis hygiene shared by both Campaign constructors: the axis only
 /// makes sense with samples >= 0, valid noise knobs, and flat-latency
 /// scenarios (the per-sample LogGPS resampling targets L; a wire-latency
@@ -173,7 +154,7 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
                                        const McAxis& mc,
                                        const Campaign::Probe& probe,
                                        SolverCache& solvers,
-                                       lp::ParametricSolver::Workspace& ws) {
+                                       lp::LoweredProblem::Cursor& cur) {
   Campaign::ScenarioResult res;
   res.scenario = s;
   res.graph_vertices = g.num_vertices();
@@ -183,23 +164,25 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
   // cache (shared across campaigns / request types of one session) and
   // serve each grid point through Entry::eval — a replay when a cached
   // anchor covers the point, a recorded dense solve otherwise, bitwise
-  // identical either way.  Topology scenarios keep per-scenario
-  // wire-latency lowerings (not cacheable by LogGPS fingerprint).
+  // identical either way.  Topology scenarios keep per-scenario lowerings
+  // of the shared per-wire latency (not cacheable by LogGPS fingerprint).
   std::shared_ptr<SolverCache::Entry> entry;
+  std::optional<lp::LoweredProblem> wire;
   double base = 0.0;
-  std::optional<lp::ParametricSolver> local;
   if (s.topology == "none") {
     entry = solvers.latency(graph_key(s), g, s.params);
-    local.emplace(entry->problem());
     base = s.params.L;
   } else {
-    const ScenarioSpace ss = make_space(s, topo);
-    local.emplace(g, ss.space);
-    base = ss.base;
+    // Shape and fit were already validated by the Campaign constructors.
+    const auto t = make_topology(s.topology, topo);
+    wire.emplace(g, std::make_shared<lp::LinkClassParamSpace>(
+                        topo::make_wire_latency_space(
+                            s.params, *t, topo::identity_placement(s.ranks),
+                            topo.l_wire, topo.d_switch)));
+    base = topo.l_wire;
   }
-  const lp::ParametricSolver& solver = *local;
   res.base_runtime =
-      entry ? entry->eval(0, base, ws).value : solver.solve(0, base, ws).value;
+      entry ? entry->eval(0, base, cur).value : wire->solve(0, base, cur).value;
 
   const std::size_t npts = s.delta_Ls.size();
   std::vector<double> xs(npts);
@@ -221,23 +204,23 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     // points across scenarios sharing a graph + config) replay instead of
     // re-solving.  Grid order is irrelevant here.
     for (std::size_t i = 0; i < npts; ++i) {
-      const auto ev = entry->eval(0, xs[i], ws);
+      const auto ev = entry->eval(0, xs[i], cur);
       fill(i, ev.value, ev.slope);
     }
   } else if (ascending) {
     // Every CLI grid is ascending: one segment walk answers the whole grid
     // in O(#linear pieces) forward passes, bitwise identical to per-point
     // solves.
-    std::vector<lp::ParametricSolver::SweepEval> evals(npts);
-    solver.sweep(0, xs, ws, evals.data());
+    std::vector<lp::LoweredProblem::SweepEval> evals(npts);
+    wire->sweep(0, xs, cur, evals.data());
     for (std::size_t i = 0; i < npts; ++i) {
       fill(i, evals[i].value, evals[i].slope);
     }
   } else {
     // Explicit scenario lists may order their grids arbitrarily; fall back
-    // to dense per-point solves through the same workspace.
+    // to dense per-point solves through the same cursor.
     for (std::size_t i = 0; i < npts; ++i) {
-      const auto& sol = solver.solve(0, xs[i], ws);
+      const auto& sol = wire->solve(0, xs[i], cur);
       fill(i, sol.value, sol.gradient[0]);
     }
   }
@@ -249,8 +232,8 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
   for (const double pct : s.band_percents) {
     const double budget = res.base_runtime * (1.0 + pct / 100.0);
     const double tol =
-        entry ? entry->max_param_for_budget_from(0, base, budget, ws)
-              : solver.max_param_for_budget(0, budget, ws);
+        entry ? entry->max_param_for_budget_from(0, base, budget, cur)
+              : wire->max_param_for_budget(0, budget, cur);
     res.bands.push_back({pct, std::isfinite(tol) ? tol - base : tol});
   }
 
@@ -445,17 +428,17 @@ std::vector<Campaign::ScenarioResult> Campaign::run(const Probe& probe,
   // Phase 2: one solver per scenario over the cached (now read-only)
   // graphs; each job writes only its own slot, so result order is grid
   // order whatever the thread count.  Each worker thread owns one solve
-  // workspace, reused across all scenarios it serves — steady-state solves
+  // cursor, reused across all scenarios it serves — steady-state solves
   // allocate nothing.
   std::vector<ScenarioResult> results(scenarios_.size());
   const int nworkers = effective_threads(scenarios_.size(), threads_);
-  std::vector<lp::ParametricSolver::Workspace> wss(
+  std::vector<lp::LoweredProblem::Cursor> curs(
       static_cast<std::size_t>(nworkers));
   parallel_for_workers(scenarios_.size(), threads_, [&](int w, std::size_t i) {
     const Scenario& s = scenarios_[i];
     const graph::Graph& g = cache.get(graph_key(s));
     results[i] = eval_scenario(s, g, topo_, mc_, probe, solvers,
-                               wss[static_cast<std::size_t>(w)]);
+                               curs[static_cast<std::size_t>(w)]);
   });
 
   stats_.graphs_built = keys.size();

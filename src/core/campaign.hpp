@@ -19,7 +19,7 @@ namespace llamp::core {
 /// every figure sweeps applications × rank counts × latency injections ×
 /// topologies (Figs. 1, 9–12, 20) — and this subsystem is the single engine
 /// behind them.  A declarative grid spec expands into scenarios; each
-/// scenario builds (or reuses) one execution graph and one ParametricSolver
+/// scenario builds (or reuses) one execution graph and one lp::LoweredProblem
 /// and walks its ΔL grid; scenarios run on a shared thread pool; results
 /// come back in grid order regardless of thread count.
 

@@ -8,6 +8,7 @@
 #include "lp/parametric.hpp"
 #include "topo/spaces.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace llamp::core {
 
@@ -27,37 +28,31 @@ double node_latency(const topo::Topology& topo, WireCost wire, int a, int b) {
 }
 
 /// Solve the HLogGP LP for a placement; returns runtime and, optionally,
-/// the pairwise sensitivity matrices.
+/// the pairwise latency sensitivity matrix D_L.
 double solve_hloggp(const graph::Graph& g, const loggops::Params& p,
                     const topo::Topology& topo, WireCost wire,
                     const std::vector<int>& placement,
-                    std::vector<double>* dl_matrix,
-                    std::vector<double>* dg_matrix) {
+                    std::vector<double>* dl_matrix) {
   const int n = g.nranks();
   const auto mats =
       topo::make_pairwise_matrices(p, topo, placement, wire.l_wire,
                                    wire.d_switch);
-  const bool want_gap = dg_matrix != nullptr;
   const auto space = std::make_shared<lp::PairwiseLatencyParamSpace>(
-      p, n, mats.latency, mats.gap, want_gap);
-  lp::ParametricSolver solver(g, space);
-  const auto sol = solver.solve(0, space->base_value(0));
-  const auto unpack = [&](std::vector<double>* out, bool gap) {
-    if (!out) return;
-    out->assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                0.0);
+      p, n, mats.latency, mats.gap);
+  const lp::LoweredProblem prob(g, space);
+  const auto sol = prob.solve(0, space->base_value(0));
+  if (dl_matrix != nullptr) {
+    dl_matrix->assign(
+        static_cast<std::size_t>(n) * static_cast<std::size_t>(n), 0.0);
     for (int i = 0; i < n; ++i) {
       for (int j = i + 1; j < n; ++j) {
-        const int k = gap ? space->gap_param_index(i, j)
-                          : space->pair_index(i, j);
-        const double v = sol.gradient[static_cast<std::size_t>(k)];
-        (*out)[idx(i, j, n)] = v;
-        (*out)[idx(j, i, n)] = v;
+        const double v =
+            sol.gradient[static_cast<std::size_t>(space->pair_index(i, j))];
+        (*dl_matrix)[idx(i, j, n)] = v;
+        (*dl_matrix)[idx(j, i, n)] = v;
       }
     }
-  };
-  unpack(dl_matrix, false);
-  unpack(dg_matrix, true);
+  }
   return sol.value;
 }
 
@@ -81,7 +76,7 @@ std::vector<std::uint64_t> communication_volume(const graph::Graph& g) {
 double placement_runtime(const graph::Graph& g, const loggops::Params& p,
                          const topo::Topology& topo, WireCost wire,
                          const std::vector<int>& placement) {
-  return solve_hloggp(g, p, topo, wire, placement, nullptr, nullptr);
+  return solve_hloggp(g, p, topo, wire, placement, nullptr);
 }
 
 PlacementResult block_placement(const graph::Graph& g,
@@ -148,6 +143,10 @@ PlacementResult optimize_placement(const graph::Graph& g,
                                    const loggops::Params& p,
                                    const topo::Topology& topo, WireCost wire,
                                    std::vector<int> initial, int max_rounds) {
+  if (max_rounds < 1) {
+    throw UsageError(
+        strformat("need --max-rounds >= 1 (got %d)", max_rounds));
+  }
   const int n = g.nranks();
   if (topo.nnodes() < n) throw TopoError("topology too small for rank count");
   std::vector<int> pi =
@@ -162,8 +161,8 @@ PlacementResult optimize_placement(const graph::Graph& g,
 
   for (int round = 0; round < max_rounds; ++round) {
     ++res.iterations;
-    std::vector<double> dl, dg;
-    const double f = solve_hloggp(g, p, topo, wire, pi, &dl, &dg);
+    std::vector<double> dl;
+    const double f = solve_hloggp(g, p, topo, wire, pi, &dl);
     if (f < f_star) {
       f_star = f;
       res.placement = pi;
@@ -175,8 +174,9 @@ PlacementResult optimize_placement(const graph::Graph& g,
 
     // Predicted gain of swapping ranks i and j: the change in the
     // sensitivity-weighted communication cost of the critical path.  D_L
-    // counts latency units and D_G byte units between pairs on the path;
-    // the swap changes which physical route each pair uses.
+    // counts latency units between pairs on the path; the swap changes
+    // which physical route each pair uses.  The paper's D_G term drops
+    // out: G is uniform across routes here, so a swap never changes it.
     double best_gain = 0.0;
     int best_i = -1, best_j = -1;
     for (int i = 0; i < n; ++i) {
@@ -188,15 +188,8 @@ PlacementResult optimize_placement(const graph::Graph& g,
                                              pi[static_cast<std::size_t>(k)]);
           const double lat_jk = node_latency(topo, wire, pi[static_cast<std::size_t>(j)],
                                              pi[static_cast<std::size_t>(k)]);
-          const double wl_ik = dl[idx(i, k, n)];
-          const double wl_jk = dl[idx(j, k, n)];
-          const double wg_ik = dg[idx(i, k, n)] * p.G;
-          const double wg_jk = dg[idx(j, k, n)] * p.G;
-          // After the swap, pair (i,k) uses j's node and vice versa; the
-          // G-weighted term is latency-independent here (uniform G), but
-          // kept for heterogeneous-G topologies.
-          gain += (wl_ik - wl_jk) * (lat_ik - lat_jk) +
-                  (wg_ik - wg_jk) * 0.0;
+          // After the swap, pair (i,k) uses j's node and vice versa.
+          gain += (dl[idx(i, k, n)] - dl[idx(j, k, n)]) * (lat_ik - lat_jk);
         }
         if (gain > best_gain) {
           best_gain = gain;

@@ -43,10 +43,12 @@ PlacementResult volume_greedy_placement(const graph::Graph& g,
 
 /// Algorithm 3 (Appendix J): LLAMP's sensitivity-guided iterative placement.
 /// Starting from `initial` (block placement if empty), each round solves the
-/// HLogGP LP to obtain the pairwise sensitivity matrices D_L and D_G, swaps
+/// HLogGP LP to obtain the pairwise latency sensitivity matrix D_L, swaps
 /// the rank pair with the best predicted gain, and keeps the swap only if
 /// the LP-estimated runtime improves.  Terminates when no positive-gain
-/// swap exists, when the objective worsens, or after `max_rounds`.
+/// swap exists, when the objective worsens, or after `max_rounds`.  (The
+/// paper's D_G term vanishes under uniform G, so it is not computed.)
+/// Throws UsageError when max_rounds < 1.
 PlacementResult optimize_placement(const graph::Graph& g,
                                    const loggops::Params& p,
                                    const topo::Topology& topo, WireCost wire,

@@ -39,9 +39,8 @@ Affine LatencyBandwidthParamSpace::edge_cost(const graph::Graph&,
 }
 
 PairwiseLatencyParamSpace::PairwiseLatencyParamSpace(loggops::Params p,
-                                                     int nranks,
-                                                     bool include_gap_params)
-    : p_(p), nranks_(nranks), gap_params_(include_gap_params) {
+                                                     int nranks)
+    : p_(p), nranks_(nranks) {
   p_.validate();
   if (nranks < 2) throw LpError("pairwise space needs >= 2 ranks");
   const std::size_t pairs =
@@ -52,8 +51,8 @@ PairwiseLatencyParamSpace::PairwiseLatencyParamSpace(loggops::Params p,
 
 PairwiseLatencyParamSpace::PairwiseLatencyParamSpace(
     loggops::Params p, int nranks, std::vector<double> latency_matrix,
-    std::vector<double> gap_matrix, bool include_gap_params)
-    : PairwiseLatencyParamSpace(p, nranks, include_gap_params) {
+    std::vector<double> gap_matrix)
+    : PairwiseLatencyParamSpace(p, nranks) {
   const auto need = static_cast<std::size_t>(nranks) *
                     static_cast<std::size_t>(nranks);
   if (latency_matrix.size() != need || gap_matrix.size() != need) {
@@ -122,34 +121,13 @@ int PairwiseLatencyParamSpace::pair_index(int i, int j) const {
   return i * nranks_ - i * (i + 1) / 2 + (j - i - 1);
 }
 
-int PairwiseLatencyParamSpace::gap_param_index(int i, int j) const {
-  if (!gap_params_) {
-    throw LpError("pairwise space was built without gap parameters");
-  }
-  return num_pairs() + pair_index(i, j);
-}
-
-int PairwiseLatencyParamSpace::num_params() const {
-  return gap_params_ ? 2 * num_pairs() : num_pairs();
-}
-
-double PairwiseLatencyParamSpace::base_value(int k) const {
-  const int pairs = num_pairs();
-  if (k < pairs) return base_[static_cast<std::size_t>(k)];
-  return gap_[static_cast<std::size_t>(k - pairs)];
-}
-
 std::string PairwiseLatencyParamSpace::param_name(int k) const {
-  const int pairs = num_pairs();
-  const bool is_gap = k >= pairs;
-  if (is_gap) k -= pairs;
   // Invert the triangular index for readable names.
   for (int i = 0; i < nranks_; ++i) {
     const int row_start = i * nranks_ - i * (i + 1) / 2;
     const int row_len = nranks_ - i - 1;
     if (k < row_start + row_len) {
-      return strformat("%s_%d_%d", is_gap ? "G" : "l", i,
-                       i + 1 + (k - row_start));
+      return strformat("l_%d_%d", i, i + 1 + (k - row_start));
     }
   }
   throw LpError("pairwise space: bad parameter index");
@@ -170,14 +148,7 @@ Affine PairwiseLatencyParamSpace::edge_cost(const graph::Graph& g,
     if (e.l_mult != 0) {
       a.terms.push_back({static_cast<int>(k), static_cast<double>(e.l_mult)});
     }
-    if (e.bytes > 1) {
-      if (gap_params_) {
-        a.terms.push_back({num_pairs() + static_cast<int>(k),
-                           static_cast<double>(e.bytes - 1)});
-      } else {
-        a.constant += payload_cost(e.bytes, gap_[k]);
-      }
-    }
+    a.constant += payload_cost(e.bytes, gap_[k]);
   }
   return a;
 }

@@ -18,7 +18,7 @@ struct ParamTerm {
 /// An affine function constant + Σ coeff_k · x_k over the decision
 /// parameters of a ParamSpace.
 ///
-/// Lowering contract (see DESIGN.md §4b): ParametricSolver flattens these
+/// Lowering contract (see DESIGN.md §4b): LoweredProblem flattens these
 /// expressions at construction and replicates the term list's *order* in
 /// its floating-point summations, so `terms` order is part of a space's
 /// observable behavior — emit terms deterministically.  Coefficients are
@@ -97,38 +97,35 @@ class LatencyBandwidthParamSpace final : public ParamSpace {
 };
 
 /// HLogGP: one latency decision variable per unordered rank pair {i, j}
-/// (Appendix I).  With `include_gap_params` the per-pair gaps G_{i,j} become
-/// decision variables too, so one solve yields both sensitivity matrices
-/// D_L and D_G that Algorithm 3 (rank placement) consumes.
+/// (Appendix I), so one solve yields the sensitivity matrix D_L that
+/// Algorithm 3 (rank placement) consumes.  Per-pair gaps G_{i,j} are fixed
+/// and folded into each edge's constant.
 class PairwiseLatencyParamSpace final : public ParamSpace {
  public:
   /// Uniform base latencies/bandwidths from `p`.
-  PairwiseLatencyParamSpace(loggops::Params p, int nranks,
-                            bool include_gap_params = false);
+  PairwiseLatencyParamSpace(loggops::Params p, int nranks);
   /// Explicit symmetric matrices (row-major nranks x nranks); the diagonal
   /// is ignored.
   PairwiseLatencyParamSpace(loggops::Params p, int nranks,
                             std::vector<double> latency_matrix,
-                            std::vector<double> gap_matrix,
-                            bool include_gap_params = false);
+                            std::vector<double> gap_matrix);
 
   int nranks() const { return nranks_; }
   int num_pairs() const { return nranks_ * (nranks_ - 1) / 2; }
-  /// Latency-parameter index of pair {i, j}, i != j.
+  /// Parameter index of pair {i, j}, i != j.
   int pair_index(int i, int j) const;
-  /// Gap-parameter index of pair {i, j}; requires include_gap_params.
-  int gap_param_index(int i, int j) const;
 
-  int num_params() const override;
+  int num_params() const override { return num_pairs(); }
   std::string param_name(int k) const override;
-  double base_value(int k) const override;
+  double base_value(int k) const override {
+    return base_[static_cast<std::size_t>(k)];
+  }
   Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const override;
   const loggops::Params& params() const override { return p_; }
 
  private:
   loggops::Params p_;
   int nranks_;
-  bool gap_params_;
   std::vector<double> base_;  // per pair index (latency)
   std::vector<double> gap_;   // per pair index
 };
@@ -137,8 +134,8 @@ class PairwiseLatencyParamSpace final : public ParamSpace {
 /// wraps another space and scales every edge's whole affine cost — constant
 /// and parametric terms alike — by a per-edge factor.  Because a
 /// multiplicative factor keeps an affine expression affine, the full
-/// ParametricSolver feature set (solve, sweep, piecewise, tolerance search)
-/// works on a perturbed space unchanged; one solver constructed over a
+/// LoweredProblem feature set (solve, sweep, piecewise, tolerance search)
+/// works on a perturbed space unchanged; one problem lowered over a
 /// PerturbedParamSpace *is* one perturbed LP evaluation.
 ///
 /// Factors are indexed by edge id (the position of the edge in g.edges())

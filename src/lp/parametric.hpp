@@ -403,101 +403,4 @@ class LoweredProblem {
   std::vector<double> base_;
 };
 
-/// Thin value façade over a shared LoweredProblem: the historical solver
-/// type every consumer constructs.  Constructing one from (graph, space)
-/// lowers a fresh problem; constructing one from a shared LoweredProblem
-/// (the core::SolverCache path) reuses an existing lowering at zero cost.
-/// All methods forward; Workspace is the Cursor under its historical name.
-class ParametricSolver {
- public:
-  using Solution = LoweredProblem::Solution;
-  using Workspace = LoweredProblem::Cursor;
-  using Segment = LoweredProblem::Segment;
-  using SweepEval = LoweredProblem::SweepEval;
-  using SweepStats = LoweredProblem::SweepStats;
-  using AnchorState = LoweredProblem::AnchorState;
-  using BatchCursor = LoweredProblem::BatchCursor;
-  using BatchPoint = LoweredProblem::BatchPoint;
-
-  ParametricSolver(const graph::Graph& g,
-                   std::shared_ptr<const ParamSpace> space)
-      : prob_(std::make_shared<const LoweredProblem>(g, std::move(space))) {}
-  /// The solver keeps a reference; a temporary graph would dangle.
-  ParametricSolver(graph::Graph&&, std::shared_ptr<const ParamSpace>) = delete;
-  /// Adopt an already-lowered problem (shared across threads/requests).
-  explicit ParametricSolver(std::shared_ptr<const LoweredProblem> prob);
-
-  const ParamSpace& space() const { return prob_->space(); }
-  const LoweredProblem& lowered() const { return *prob_; }
-  const std::shared_ptr<const LoweredProblem>& lowered_ptr() const {
-    return prob_;
-  }
-
-  const Solution& solve(int active, double value, Workspace& ws) const {
-    return prob_->solve(active, value, ws);
-  }
-  Solution solve(int active, double value) const {
-    return prob_->solve(active, value);
-  }
-  Solution solve() const { return prob_->solve(); }
-
-  std::vector<Segment> piecewise(int k, double lo, double hi) const {
-    return prob_->piecewise(k, lo, hi);
-  }
-  std::vector<Segment> piecewise(int k, double lo, double hi,
-                                 Workspace& ws) const {
-    return prob_->piecewise(k, lo, hi, ws);
-  }
-
-  std::vector<double> critical_values(int k, double lo, double hi) const {
-    return prob_->critical_values(k, lo, hi);
-  }
-  std::vector<double> critical_values(int k, double lo, double hi,
-                                      Workspace& ws) const {
-    return prob_->critical_values(k, lo, hi, ws);
-  }
-
-  std::vector<double> critical_values_algorithm2(int k, double lo, double hi,
-                                                 double step = 0.0,
-                                                 double eps = 1e-6) const {
-    return prob_->critical_values_algorithm2(k, lo, hi, step, eps);
-  }
-
-  double max_param_for_budget(int k, double budget) const {
-    return prob_->max_param_for_budget(k, budget);
-  }
-  double max_param_for_budget(int k, double budget, Workspace& ws) const {
-    return prob_->max_param_for_budget(k, budget, ws);
-  }
-  double max_param_for_budget_from(int k, double from, double budget,
-                                   Workspace& ws) const {
-    return prob_->max_param_for_budget_from(k, from, budget, ws);
-  }
-
-  void solve_batch(int active, const double* xs, std::size_t n,
-                   BatchCursor& cur, BatchPoint* out) const {
-    prob_->solve_batch(active, xs, n, cur, out);
-  }
-  void solve_batch_ranges(int active, const double* xs, std::size_t n,
-                          BatchCursor& cur, BatchPoint* out) const {
-    prob_->solve_batch_ranges(active, xs, n, cur, out);
-  }
-  void max_param_for_budget_from_batch(int k, const double* from,
-                                       const double* budget, std::size_t n,
-                                       BatchCursor& cur, double* out) const {
-    prob_->max_param_for_budget_from_batch(k, from, budget, n, cur, out);
-  }
-
-  void sweep(int k, std::span<const double> xs, Workspace& ws,
-             SweepEval* out, SweepStats* stats = nullptr) const {
-    prob_->sweep(k, xs, ws, out, stats);
-  }
-  std::vector<SweepEval> sweep(int k, std::span<const double> xs) const {
-    return prob_->sweep(k, xs);
-  }
-
- private:
-  std::shared_ptr<const LoweredProblem> prob_;
-};
-
 }  // namespace llamp::lp

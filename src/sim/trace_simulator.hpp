@@ -19,7 +19,7 @@ namespace llamp::sim {
 /// This is an *independent* implementation of the LogGOPSim semantics: it
 /// never looks at an execution graph or its edge-cost annotations.  Its
 /// makespan agreeing exactly with the graph replay (sim::Simulator) and the
-/// LP optimum (lp::ParametricSolver) on arbitrary programs is therefore an
+/// LP optimum (lp::LoweredProblem) on arbitrary programs is therefore an
 /// end-to-end validation of Schedgen's graph construction *and* of
 /// Algorithm 1 — the strongest property test in the repository.
 class TraceSimulator {

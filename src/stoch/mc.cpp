@@ -27,13 +27,14 @@ constexpr std::size_t kBlock = 1024;
 /// Per-worker scratch reused across every sample (or sample group) a
 /// worker serves.
 struct WorkerScratch {
-  lp::ParametricSolver::Workspace ws;
+  // General path: one sample at a time.
+  lp::LoweredProblem::Cursor cur;
   std::vector<double> xs;
-  std::vector<lp::ParametricSolver::SweepEval> evals;
+  std::vector<lp::LoweredProblem::SweepEval> evals;
   std::vector<double> factors;
   // Batched fast path: one kBatchWidth-wide lane group of samples.
-  lp::ParametricSolver::BatchCursor bc;
-  std::vector<lp::ParametricSolver::BatchPoint> pts;
+  lp::LoweredProblem::BatchCursor bc;
+  std::vector<lp::LoweredProblem::BatchPoint> pts;
   std::vector<double> lane_L;       ///< the group's sampled L draws
   std::vector<double> lane_xs;      ///< lane evaluation points, one ΔL at a time
   std::vector<double> lane_from;    ///< per-lane band-search anchor (ΔL[0])
@@ -115,19 +116,18 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
 
   // Fast path: when o, G, and the edge noise are all degenerate, every
   // sample analyzes the same parametric LP and only the evaluation point
-  // (the sampled L) moves — one solver, built once, serves every worker
-  // (solve() is const; all scratch lives in the per-worker workspace).
-  // Otherwise each sample lowers its own perturbed space, which is what
-  // the paper's "re-measure the operating point and redo the analysis"
-  // amounts to.
+  // (the sampled L) moves — one problem, lowered once, serves every worker,
+  // and a whole lane group of samples rides one batched forward pass per
+  // ΔL point (and one lockstep search per band).  Otherwise each sample
+  // lowers its own perturbed space, which is what the paper's "re-measure
+  // the operating point and redo the analysis" amounts to.
   const std::optional<loggops::Params> shared_point =
       shared_operating_point(spec, base);
-  const bool shared_solver_path = shared_point.has_value();
+  const bool batched = shared_point.has_value();
 
-  loggops::Params shared_params = base;
-  std::optional<lp::ParametricSolver> shared;
-  if (shared_solver_path) {
-    shared_params = *shared_point;
+  std::shared_ptr<const lp::LoweredProblem> shared;
+  if (batched) {
+    const loggops::Params& shared_params = *shared_point;
     shared_params.validate();
     // Adopt the caller's cached lowering only if it is verifiably this
     // run's problem: same graph object and the exact shared operating
@@ -144,9 +144,9 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
     };
     if (cached_space != nullptr && &lowered->graph() == &g &&
         same_point(cached_space->params())) {
-      shared.emplace(std::move(lowered));
+      shared = std::move(lowered);
     } else {
-      shared.emplace(
+      shared = std::make_shared<const lp::LoweredProblem>(
           g, std::make_shared<lp::LatencyParamSpace>(shared_params));
     }
   }
@@ -158,21 +158,12 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
   const std::size_t block = std::min(total, kBlock);
   std::vector<double> buffer(block * stride);
 
-  // On the shared-solver path the samples differ only in their L draw, so a
-  // whole lane group rides one batched forward pass per ΔL point (and one
-  // lockstep search per band) instead of a sweep + three scalar searches
-  // per sample.  Bitwise-identical output either way: solve_batch and the
-  // lockstep search match their scalar counterparts bit for bit, and the
-  // ordered reduction below never changes.
-  const bool batched = shared_solver_path && spec.batch;
   const std::size_t ngroups =
       (block + lp::kBatchWidth - 1) / lp::kBatchWidth;
   const int nworkers =
       effective_threads(batched ? ngroups : block, spec.threads);
   std::vector<WorkerScratch> scratch(static_cast<std::size_t>(nworkers));
   for (WorkerScratch& s : scratch) {
-    s.xs.resize(npts);
-    s.evals.resize(npts);
     if (batched) {
       s.pts.resize(lp::kBatchWidth);
       s.lane_L.resize(lp::kBatchWidth);
@@ -181,6 +172,9 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       s.lane_v0.resize(lp::kBatchWidth);
       s.lane_budget.resize(lp::kBatchWidth);
       s.lane_tol.resize(lp::kBatchWidth);
+    } else {
+      s.xs.resize(npts);
+      s.evals.resize(npts);
     }
   }
 
@@ -221,8 +215,8 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
         const std::size_t g0 = gi * lp::kBatchWidth;
         const std::size_t lanes = std::min(lp::kBatchWidth, bn - g0);
         // Per-lane draws: sample i's Rng and draw order are exactly the
-        // scalar path's, and L is its first draw — o/G are degenerate here,
-        // pinned in the shared operating point.
+        // general path's, and L is its first draw — o/G are degenerate
+        // here, pinned in the shared operating point.
         for (std::size_t l = 0; l < lanes; ++l) {
           Rng rng(sample_seed(spec.seed, block_start + g0 + l));
           sc.lane_L[l] = spec.L.sample(rng, base.L);
@@ -271,12 +265,11 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       fold_block(bn);
       continue;
     }
-    // The scalar path: per-sample solves, either because batching is off
-    // (spec.batch) or because each sample lowers its own perturbed space.
-    // The general edge-noise path has imbalanced per-sample cost (the drawn
-    // operating point reshapes every solve), so samples are claimed by
-    // chunked self-scheduling rather than static striding — a worker that
-    // drew expensive samples simply claims fewer.
+    // The general path: each sample lowers its own perturbed space, so
+    // samples cannot share a batch pass.  Per-sample cost is imbalanced
+    // (the drawn operating point reshapes every solve), so samples are
+    // claimed by chunked self-scheduling rather than static striding — a
+    // worker that drew expensive samples simply claims fewer.
     parallel_for_workers_chunked(bn, spec.threads, 1, [&](int w,
                                                           std::size_t j) {
       WorkerScratch& sc = scratch[static_cast<std::size_t>(w)];
@@ -284,40 +277,33 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       Rng rng(sample_seed(spec.seed, i));
 
       // Fixed in-sample draw order: L, o, G, then edge factors by edge id.
-      loggops::Params p = shared_solver_path ? shared_params : base;
+      loggops::Params p = base;
       p.L = spec.L.sample(rng, base.L);
       p.o = spec.o.sample(rng, base.o);
       p.G = spec.G.sample(rng, base.G);
 
-      std::optional<lp::ParametricSolver> local;
-      const lp::ParametricSolver* solver;
-      if (shared_solver_path) {
-        solver = &*shared;
-      } else {
-        std::shared_ptr<const lp::ParamSpace> sp =
-            std::make_shared<lp::LatencyParamSpace>(p);
-        if (!spec.noise.degenerate()) {
-          sc.factors.resize(g.num_edges());
-          for (double& f : sc.factors) f = spec.noise.factor(rng);
-          sp = std::make_shared<lp::PerturbedParamSpace>(std::move(sp),
-                                                         sc.factors);
-        }
-        local.emplace(g, sp);
-        solver = &*local;
+      std::shared_ptr<const lp::ParamSpace> sp =
+          std::make_shared<lp::LatencyParamSpace>(p);
+      if (!spec.noise.degenerate()) {
+        sc.factors.resize(g.num_edges());
+        for (double& f : sc.factors) f = spec.noise.factor(rng);
+        sp = std::make_shared<lp::PerturbedParamSpace>(std::move(sp),
+                                                       sc.factors);
       }
+      const lp::LoweredProblem prob(g, std::move(sp));
 
       // llamp-lint: hot-path begin
       // Steady state: every per-sample evaluation below runs against
       // preallocated per-worker scratch; only the perturbed-space setup
-      // above (the general path) may allocate.
+      // above may allocate.
       for (std::size_t k = 0; k < npts; ++k) {
         sc.xs[k] = p.L + spec.delta_Ls[k];
       }
       if (ascending) {
-        solver->sweep(0, sc.xs, sc.ws, sc.evals.data());
+        prob.sweep(0, sc.xs, sc.cur, sc.evals.data());
       } else {
         for (std::size_t k = 0; k < npts; ++k) {
-          const auto& sol = solver->solve(0, sc.xs[k], sc.ws);
+          const auto& sol = prob.solve(0, sc.xs[k], sc.cur);
           sc.evals[k] = {sc.xs[k], sol.value, sol.gradient[0]};
         }
       }
@@ -332,7 +318,7 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
         const double budget =
             value0 * (1.0 + spec.band_percents[b] / 100.0);
         const double tol =
-            solver->max_param_for_budget_from(0, sc.xs[0], budget, sc.ws);
+            prob.max_param_for_budget_from(0, sc.xs[0], budget, sc.cur);
         out[npts + 2 + b] = std::isfinite(tol) ? tol - sc.xs[0] : tol;
       }
       // llamp-lint: hot-path end

@@ -43,13 +43,6 @@ struct McSpec {
   int samples = 256;
   std::uint64_t seed = 42;
   int threads = 0;  ///< sample parallelism; <= 0 = hardware concurrency
-  /// Use the batched sample-axis kernel on the shared-solver fast path
-  /// (kBatchWidth samples per forward pass).  Off switches that path back
-  /// to per-sample scalar solves; results are bitwise identical either way
-  /// (the batch kernel's contract), so this is a perf knob, never a
-  /// semantics knob.  Ignored on the general path, which lowers a distinct
-  /// problem per sample and cannot batch across samples.
-  bool batch = true;
 
   /// Injection grid: runtime is summarized at every ΔL; λ_L, ρ_L, and the
   /// tolerance bands are evaluated at the first grid point (0 in every CLI
@@ -93,8 +86,9 @@ struct McResult {
   loggops::Params base;             ///< the deterministic operating point
   int samples = 0;
   /// Provenance of the evaluation path: whether the run used the batched
-  /// sample-axis kernel, and the kernel's lane width (lp::kBatchWidth,
-  /// recorded even for scalar runs so emitted configs are self-describing).
+  /// sample-axis kernel (the L-only fast path), and the kernel's lane width
+  /// (lp::kBatchWidth, recorded even for general-path runs so emitted
+  /// configs are self-describing).
   bool batched = false;
   int batch_width = 0;
   std::vector<TimeNs> delta_Ls;

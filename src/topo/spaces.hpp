@@ -22,7 +22,7 @@ lp::LinkClassParamSpace make_wire_latency_space(
 /// Appendix H / Fig. 19: Dragonfly with separate decision variables for
 /// terminal channels (l_tc), intra-group wires (l_intra), and inter-group
 /// wires (l_inter).  Tolerance of one class is obtained by fixing the other
-/// two at their base values (the ParametricSolver's active-parameter
+/// two at their base values (the LoweredProblem's active-parameter
 /// mechanism does exactly that).
 lp::LinkClassParamSpace make_dragonfly_class_space(
     const loggops::Params& p, const Dragonfly& topo,

@@ -1,17 +1,39 @@
 #include "topo/topology.hpp"
 
+#include <climits>
+#include <cstdint>
+#include <initializer_list>
+
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace llamp::topo {
 
+namespace {
+
+/// Product of positive factors, computed in 64 bits; -1 when it exceeds
+/// INT_MAX (node ids are int).
+int node_count(std::initializer_list<int> factors) {
+  std::int64_t n = 1;
+  for (const int f : factors) {
+    n *= f;  // both operands <= INT_MAX, so the product fits in 63 bits
+    if (n > INT_MAX) return -1;
+  }
+  return static_cast<int>(n);
+}
+
+}  // namespace
+
 FatTree::FatTree(int k) : k_(k) {
   if (k < 2 || k % 2 != 0) {
     throw TopoError("fat tree radix must be an even integer >= 2");
   }
+  nnodes_ = node_count({k / 2, k / 2, k});  // k^3/4 hosts
+  if (nnodes_ < 0) {
+    throw TopoError(strformat(
+        "fat tree radix %d gives more than %d nodes", k, INT_MAX));
+  }
 }
-
-int FatTree::nnodes() const { return k_ * k_ * k_ / 4; }
 
 Path FatTree::path(int a, int b) const {
   if (a == b || a < 0 || b < 0 || a >= nnodes() || b >= nnodes()) {
@@ -47,9 +69,13 @@ Dragonfly::Dragonfly(int groups, int switches_per_group, int hosts_per_switch)
   if (groups < 2 || switches_per_group < 1 || hosts_per_switch < 1) {
     throw TopoError("dragonfly: need g >= 2, a >= 1, p >= 1");
   }
+  nnodes_ = node_count({groups, switches_per_group, hosts_per_switch});
+  if (nnodes_ < 0) {
+    throw TopoError(strformat(
+        "dragonfly(g=%d, a=%d, p=%d) gives more than %d nodes", groups,
+        switches_per_group, hosts_per_switch, INT_MAX));
+  }
 }
-
-int Dragonfly::nnodes() const { return g_ * a_ * p_; }
 
 int Dragonfly::gateway_switch(int group, int to_group) const {
   if (group == to_group) throw TopoError("dragonfly: no self gateway");

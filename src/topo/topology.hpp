@@ -38,15 +38,17 @@ class Topology {
 /// share the first edge switch, and so on (the paper's packing assumption).
 class FatTree final : public Topology {
  public:
+  /// Throws TopoError for an odd radix, k < 2, or more than INT_MAX hosts.
   explicit FatTree(int k);
 
   int radix() const { return k_; }
-  int nnodes() const override;
+  int nnodes() const override { return nnodes_; }
   Path path(int a, int b) const override;
   std::string name() const override;
 
  private:
   int k_;
+  int nnodes_ = 0;
 };
 
 /// Dragonfly (Kim et al.) with g groups, a switches per group, p hosts per
@@ -56,12 +58,13 @@ class FatTree final : public Topology {
 /// or 2..4 (cross group, depending on gateway positions) switches.
 class Dragonfly final : public Topology {
  public:
+  /// Throws TopoError for g < 2, a < 1, p < 1, or more than INT_MAX hosts.
   Dragonfly(int groups, int switches_per_group, int hosts_per_switch);
 
   int groups() const { return g_; }
   int switches_per_group() const { return a_; }
   int hosts_per_switch() const { return p_; }
-  int nnodes() const override;
+  int nnodes() const override { return nnodes_; }
   Path path(int a, int b) const override;
   std::string name() const override;
 
@@ -70,6 +73,7 @@ class Dragonfly final : public Topology {
 
  private:
   int g_, a_, p_;
+  int nnodes_ = 0;
 };
 
 }  // namespace llamp::topo

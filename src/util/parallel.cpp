@@ -195,9 +195,4 @@ void ThreadPool::for_workers(std::size_t n, int max_workers,
   }
 }
 
-void ThreadPool::for_each(std::size_t n, int max_workers,
-                          const std::function<void(std::size_t)>& fn) {
-  for_workers(n, max_workers, [&fn](int, std::size_t i) { fn(i); });
-}
-
 }  // namespace llamp

@@ -94,10 +94,6 @@ class ThreadPool {
   void for_workers(std::size_t n, int max_workers,
                    const std::function<void(int, std::size_t)>& fn);
 
-  /// Convenience form without a worker index.
-  void for_each(std::size_t n, int max_workers,
-                const std::function<void(std::size_t)>& fn);
-
   /// Cumulative pool statistics for the observability surfaces.  `jobs`
   /// and `tasks` are deterministic for a fixed call sequence (one job per
   /// for_workers call, one task per index) and so may be pinned; `slices`
@@ -105,7 +101,7 @@ class ThreadPool {
   /// feed worker-occupancy gauges, never result bytes.  Relaxed monotonic
   /// tallies, GraphCache-style: not an instantaneous cut across fields.
   struct Stats {
-    std::uint64_t jobs = 0;     ///< for_workers/for_each calls
+    std::uint64_t jobs = 0;     ///< for_workers calls, inline runs included
     std::uint64_t tasks = 0;    ///< indices executed across all jobs
     std::uint64_t slices = 0;   ///< timed per-worker job slices
     std::uint64_t busy_ns = 0;  ///< summed wall time inside job slices

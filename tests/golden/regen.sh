@@ -34,6 +34,11 @@ dir="$(dirname "$0")"
 "$llamp" batch --file="$dir/../../examples/cold_requests.jsonl" --threads=1 \
   > "$dir/cold_requests.jsonl.golden"
 
+# Batch output over topo, place and both mc paths (L-only fast path, edge
+# noise) on lulesh, hpcg and milc; CI diffs it at 1 and 4 threads too.
+"$llamp" batch --file="$dir/../../examples/solver_requests.jsonl" --threads=1 \
+  > "$dir/solver_requests.jsonl.golden"
+
 # Schedgen graph digests, written by the test_golden binary built beside
 # the llamp binary (see GoldenGraphs in tests/test_golden.cpp).
 LLAMP_REGEN_GRAPHS_GOLDEN="$dir/graphs.golden" \

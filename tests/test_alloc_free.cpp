@@ -80,8 +80,8 @@ TEST(AllocationFree, SteadyStateSolvesAllocateNothing) {
   const auto g =
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
-  ParametricSolver solver(g, std::make_shared<LatencyParamSpace>(p));
-  ParametricSolver::Workspace ws;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor ws;
 
   // Warm-up: grows every buffer to its structural maximum.
   (void)solver.solve(0, p.L, ws);
@@ -99,12 +99,12 @@ TEST(AllocationFree, SegmentWalkSweepAllocatesNothing) {
   const auto g =
       schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
-  ParametricSolver solver(g, std::make_shared<LatencyParamSpace>(p));
-  ParametricSolver::Workspace ws;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor ws;
 
   std::vector<double> xs;
   for (int i = 0; i < 200; ++i) xs.push_back(p.L + 500.0 * i);
-  std::vector<ParametricSolver::SweepEval> out(xs.size());
+  std::vector<LoweredProblem::SweepEval> out(xs.size());
 
   solver.sweep(0, xs, ws, out.data());  // warm-up
 
@@ -122,14 +122,14 @@ TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
   const auto g =
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
-  ParametricSolver solver(g, std::make_shared<LatencyParamSpace>(p));
-  ParametricSolver::BatchCursor bc;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::BatchCursor bc;
 
   std::vector<double> xs(kBatchWidth + 3);
   for (std::size_t l = 0; l < xs.size(); ++l) {
     xs[l] = p.L + 250.0 * static_cast<double>(l);
   }
-  std::vector<ParametricSolver::BatchPoint> pts(xs.size());
+  std::vector<LoweredProblem::BatchPoint> pts(xs.size());
   std::vector<double> from(xs.size(), p.L);
   std::vector<double> budgets(xs.size());
   std::vector<double> tols(xs.size());
@@ -166,16 +166,16 @@ TEST(AllocationFree, BatchRowsAreSizedByTheLanesACallRuns) {
   const auto g =
       schedgen::build_graph(apps::make_app_trace("lulesh", 27, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
-  ParametricSolver solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
   std::vector<double> xs(kBatchWidth);
   for (std::size_t l = 0; l < xs.size(); ++l) {
     xs[l] = p.L + 250.0 * static_cast<double>(l);
   }
-  std::vector<ParametricSolver::BatchPoint> pts(xs.size());
+  std::vector<LoweredProblem::BatchPoint> pts(xs.size());
   // Two rows (finish, slope) of doubles per vertex and lane.
   const std::size_t row_bytes_per_lane = 2 * sizeof(double) * g.num_vertices();
 
-  ParametricSolver::BatchCursor narrow;
+  LoweredProblem::BatchCursor narrow;
   std::size_t before = g_allocated_bytes;
   solver.solve_batch_ranges(0, xs.data(), 4, narrow, pts.data());
   const std::size_t four_lanes = g_allocated_bytes - before;
@@ -183,7 +183,7 @@ TEST(AllocationFree, BatchRowsAreSizedByTheLanesACallRuns) {
   EXPECT_LT(four_lanes, 8 * row_bytes_per_lane)
       << "a 4-lane call sized its rows for more than 4 lanes";
 
-  ParametricSolver::BatchCursor wide;
+  LoweredProblem::BatchCursor wide;
   solver.solve_batch_ranges(0, xs.data(), kBatchWidth, wide, pts.data());
   before = g_allocations;
   for (int round = 0; round < 20; ++round) {
@@ -202,11 +202,11 @@ TEST(AllocationFree, WorkspaceReuseAcrossSolversOnlyGrows) {
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.03));
   const auto small = llamp::testing::running_example_graph();
   const auto p = loggops::NetworkConfig::cscs_testbed();
-  ParametricSolver sb(big, std::make_shared<LatencyParamSpace>(p));
-  ParametricSolver ss(
+  LoweredProblem sb(big, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem ss(
       small,
       std::make_shared<LatencyParamSpace>(llamp::testing::running_example_params()));
-  ParametricSolver::Workspace ws;
+  LoweredProblem::Cursor ws;
   (void)sb.solve(0, p.L, ws);
 
   const std::size_t before = g_allocations;

@@ -2,11 +2,14 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <string>
 
 #include "apps/registry.hpp"
 #include "core/analyzer.hpp"
 #include "core/report.hpp"
+#include "lp/param_space.hpp"
+#include "lp/parametric.hpp"
 #include "schedgen/schedgen.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
@@ -136,7 +139,8 @@ TEST(Tolerance, MilcLessTolerantThanIcon) {
 TEST(RuntimeCurve, SegmentsTileTheInterval) {
   const auto g = app_graph("cloverleaf", 8, 0.2);
   LatencyAnalyzer an(g, testbed());
-  const auto segs = an.runtime_curve(testbed().L, testbed().L + us(50.0));
+  const auto segs =
+      an.solver().piecewise(0, testbed().L, testbed().L + us(50.0));
   ASSERT_FALSE(segs.empty());
   for (std::size_t i = 1; i < segs.size(); ++i) {
     EXPECT_LE(segs[i - 1].hi, segs[i].lo + 1.0);
@@ -153,15 +157,17 @@ TEST(BandwidthSensitivity, PositiveForMessageHeavyApp) {
 TEST(PairwiseSensitivity, SymmetricAndConsistentWithLambda) {
   const auto g = app_graph("milc", 8, 0.05);
   LatencyAnalyzer an(g, testbed());
-  const auto m = an.pairwise_lambda_L();
   const int n = g.nranks();
+  const auto space =
+      std::make_shared<lp::PairwiseLatencyParamSpace>(testbed(), n);
+  const lp::LoweredProblem prob(g, space);
+  const auto sol = prob.solve(0, space->base_value(0));
   double total = 0.0;
   for (int i = 0; i < n; ++i) {
-    EXPECT_DOUBLE_EQ(m[static_cast<std::size_t>(i) * n + i], 0.0);
-    for (int j = 0; j < n; ++j) {
-      EXPECT_DOUBLE_EQ(m[static_cast<std::size_t>(i) * n + j],
-                       m[static_cast<std::size_t>(j) * n + i]);
-      if (i < j) total += m[static_cast<std::size_t>(i) * n + j];
+    for (int j = i + 1; j < n; ++j) {
+      const auto k = static_cast<std::size_t>(space->pair_index(i, j));
+      EXPECT_EQ(k, static_cast<std::size_t>(space->pair_index(j, i)));
+      total += sol.gradient[k];
     }
   }
   // The pairwise λ decompose the scalar λ_L (identical uniform base point).

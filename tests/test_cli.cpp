@@ -273,6 +273,9 @@ TEST(CliGridEdgeCases, DegenerateGridsAreUsageErrors) {
            {"campaign", "--apps=lulesh", "--ranks=4294967304"},
            {"analyze", "--app=lulesh", "--dl-max-us=abc"},
            {"sweep", "--app=lulesh", "--format=yaml"},
+           // Used to skip Algorithm 3 and report it as 0.0 ns (-100%).
+           {"place", "--app=lulesh", "--scale=0.02", "--max-rounds=0"},
+           {"place", "--app=lulesh", "--scale=0.02", "--max-rounds=-3"},
        }) {
     const auto r = run_cli(args);
     EXPECT_EQ(r.code, 2) << args[0] << ' ' << args[1];

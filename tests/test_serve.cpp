@@ -479,6 +479,25 @@ TEST(ServeDaemon, ErrorClassesMapToStatusesAndDaemonSurvives) {
   EXPECT_EQ(st.rejected, 0u);
 }
 
+TEST(ServeDaemon, PlaceRejectsMaxRoundsBelowOne) {
+  // The JSON twin of the CLI's --max-rounds check: a usage error (400),
+  // never an Algorithm 3 row reporting 0.0 ns.
+  TestDaemon daemon;
+  for (const int rounds : {0, -3}) {
+    Client c = daemon.client();
+    const Client::Result r = c.post(
+        "/v1/place",
+        "{\"app\": {\"name\": \"lulesh\", \"ranks\": 8, \"scale\": 0.02}, "
+        "\"max_rounds\": " + std::to_string(rounds) + "}");
+    EXPECT_EQ(r.status, 400) << r.body;
+    EXPECT_NE(r.body.find("\"kind\": \"usage\""), std::string::npos) << r.body;
+    EXPECT_NE(r.body.find("need --max-rounds >= 1 (got " +
+                          std::to_string(rounds) + ")"),
+              std::string::npos)
+        << r.body;
+  }
+}
+
 TEST(ServeDaemon, KeepAliveCountsOneConnection) {
   TestDaemon daemon;
   Client c = daemon.client();

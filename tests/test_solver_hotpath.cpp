@@ -27,12 +27,11 @@
 namespace llamp::lp {
 namespace {
 
-using Solver = ParametricSolver;
 
 /// An ascending, irregular grid over [lo, hi] that deliberately includes
 /// every piece boundary of T (the walk's worst case: anchors, replays, and
 /// exact-breakpoint hits all occur).
-std::vector<double> stress_grid(const Solver& solver, int k, double lo,
+std::vector<double> stress_grid(const LoweredProblem& solver, int k, double lo,
                                 double hi, int points, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> xs;
@@ -48,10 +47,10 @@ std::vector<double> stress_grid(const Solver& solver, int k, double lo,
 
 /// The core property: walk results equal dense per-point solves, bit for
 /// bit, in both the value and the active slope.
-void expect_walk_matches_dense(const Solver& solver, int k,
+void expect_walk_matches_dense(const LoweredProblem& solver, int k,
                                const std::vector<double>& xs) {
-  Solver::Workspace ws;
-  std::vector<Solver::SweepEval> walk(xs.size());
+  LoweredProblem::Cursor ws;
+  std::vector<LoweredProblem::SweepEval> walk(xs.size());
   solver.sweep(k, xs, ws, walk.data());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const auto dense = solver.solve(k, xs[i]);
@@ -68,7 +67,7 @@ TEST(SegmentWalk, BitwiseMatchesDenseOnAllRegisteredApps) {
         schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
     const auto p = loggops::NetworkConfig::cscs_testbed();
     const auto space = std::make_shared<LatencyParamSpace>(p);
-    Solver solver(g, space);
+    LoweredProblem solver(g, space);
     const auto xs = stress_grid(solver, 0, 0.0, p.L + 100'000.0, 120,
                                 0x5eedu + g.num_vertices());
     SCOPED_TRACE(app);
@@ -95,7 +94,7 @@ TEST_P(RandomConfigTest, WalkBitwiseMatchesDenseOnRandomPrograms) {
   cfg.steps = 140;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 977 + 5);
-  Solver solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
   const auto xs =
       stress_grid(solver, 0, 0.0, p.L + 200'000.0, 100, GetParam());
   expect_walk_matches_dense(solver, 0, xs);
@@ -112,13 +111,13 @@ TEST_P(RandomConfigTest, CsrFallbackWalkMatchesDense) {
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 31 + 9);
 
-  Solver bw(g, std::make_shared<LatencyBandwidthParamSpace>(p));
+  LoweredProblem bw(g, std::make_shared<LatencyBandwidthParamSpace>(p));
   expect_walk_matches_dense(bw, 1,
                             stress_grid(bw, 1, 0.0, p.G + 2.0, 60, 3));
 
   const auto pair_space =
       std::make_shared<PairwiseLatencyParamSpace>(p, cfg.nranks);
-  Solver pw(g, pair_space);
+  LoweredProblem pw(g, pair_space);
   const int k = pair_space->pair_index(0, cfg.nranks - 1);
   expect_walk_matches_dense(pw, k,
                             stress_grid(pw, k, 0.0, p.L + 80'000.0, 60, 4));
@@ -131,8 +130,8 @@ TEST_P(RandomConfigTest, WorkspaceVariantsAreBitwiseIdentical) {
   cfg.steps = 110;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 131 + 3);
-  Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::Workspace ws;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor ws;
 
   const double lo = 0.0;
   const double hi = p.L + 120'000.0;
@@ -184,11 +183,11 @@ TEST(Workspace, InterleavedSolversNeverLeakState) {
   const auto p1 = testing::running_example_params();
   const loggops::Params p2 = random_params(123);
 
-  Solver a(g1, std::make_shared<LatencyParamSpace>(p1));
-  Solver b(g2, std::make_shared<LatencyParamSpace>(p2));
-  Solver c(g2, std::make_shared<LatencyBandwidthParamSpace>(p2));
+  LoweredProblem a(g1, std::make_shared<LatencyParamSpace>(p1));
+  LoweredProblem b(g2, std::make_shared<LatencyParamSpace>(p2));
+  LoweredProblem c(g2, std::make_shared<LatencyBandwidthParamSpace>(p2));
 
-  Solver::Workspace ws;
+  LoweredProblem::Cursor ws;
   for (int round = 0; round < 3; ++round) {
     for (const double x : {0.0, 385.0, 500.0, 1'000.0, 25'000.0}) {
       const auto& sa = a.solve(0, x, ws);
@@ -212,7 +211,7 @@ TEST(Workspace, InterleavedSolversNeverLeakState) {
     // A walk on one solver between solves of the others must not perturb
     // anything either.
     const std::vector<double> xs = {0.0, 200.0, 400.0, 600.0, 5'000.0};
-    std::vector<Solver::SweepEval> evals(xs.size());
+    std::vector<LoweredProblem::SweepEval> evals(xs.size());
     a.sweep(0, xs, ws, evals.data());
     for (std::size_t i = 0; i < xs.size(); ++i) {
       EXPECT_EQ(evals[i].value, a.solve(0, xs[i]).value);
@@ -222,18 +221,18 @@ TEST(Workspace, InterleavedSolversNeverLeakState) {
 
 TEST(SweepApi, RejectsDescendingValues) {
   const auto g = testing::running_example_graph();
-  Solver solver(
+  LoweredProblem solver(
       g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
-  Solver::Workspace ws;
+  LoweredProblem::Cursor ws;
   const std::vector<double> bad = {100.0, 50.0};
-  std::vector<Solver::SweepEval> out(bad.size());
+  std::vector<LoweredProblem::SweepEval> out(bad.size());
   EXPECT_THROW(solver.sweep(0, bad, ws, out.data()), LpError);
   EXPECT_THROW((void)solver.sweep(7, bad), LpError);
 }
 
 TEST(SweepApi, DuplicatesAndEmptyGridsAreFine) {
   const auto g = testing::running_example_graph();
-  Solver solver(
+  LoweredProblem solver(
       g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
   EXPECT_TRUE(solver.sweep(0, std::vector<double>{}).empty());
   const std::vector<double> xs = {500.0, 500.0, 500.0};
@@ -250,17 +249,16 @@ TEST(SweepApi, DuplicatesAndEmptyGridsAreFine) {
 // from a dense solve, whatever serves the query and however warm the cache.
 // ---------------------------------------------------------------------------
 
-TEST(LoweredProblem, OneLoweringServesManyFacades) {
+TEST(LoweredProblem, OneLoweringServesManyCursors) {
   const auto g = testing::running_example_graph();
   const auto prob = std::make_shared<const LoweredProblem>(
       g,
       std::make_shared<LatencyParamSpace>(testing::running_example_params()));
-  const Solver a(prob);
-  const Solver b(prob);
-  EXPECT_EQ(a.lowered_ptr().get(), b.lowered_ptr().get());
+  LoweredProblem::Cursor a;
+  LoweredProblem::Cursor b;
   for (const double x : {0.0, 385.0, 500.0, 5'000.0}) {
-    const auto sa = a.solve(0, x);
-    const auto sb = b.solve(0, x);
+    const LoweredProblem::Solution sa = prob->solve(0, x, a);
+    const LoweredProblem::Solution sb = prob->solve(0, x, b);
     const auto sd = prob->solve(0, x);
     EXPECT_EQ(sa.value, sb.value);
     EXPECT_EQ(sa.value, sd.value);
@@ -268,7 +266,6 @@ TEST(LoweredProblem, OneLoweringServesManyFacades) {
     EXPECT_EQ(sa.lo, sd.lo);
     EXPECT_EQ(sa.hi, sd.hi);
   }
-  EXPECT_THROW(Solver(std::shared_ptr<const LoweredProblem>()), LpError);
 }
 
 /// Solve at each anchor point through a cursor, snapshot the anchor, and
@@ -367,7 +364,7 @@ TEST(SolverCacheEntry, EvalIsBitwiseDenseColdWarmAndRepeated) {
   core::SolverCache cache;
   const core::GraphKey key{"running-example", 1, 1.0, p.S};
   const auto entry = cache.latency(key, g, p);
-  const Solver dense(g, std::make_shared<LatencyParamSpace>(p));
+  const LoweredProblem dense(g, std::make_shared<LatencyParamSpace>(p));
 
   Rng rng(7);
   std::vector<double> xs;
@@ -416,7 +413,7 @@ TEST(SolverCacheStats, KeysOnGraphKeyAndParamFingerprint) {
   EXPECT_NE(a.get(), bw.get());
   EXPECT_FALSE(bw->problem()->flat());
   LoweredProblem::Cursor cur;
-  const Solver dense(g, std::make_shared<LatencyBandwidthParamSpace>(p));
+  const LoweredProblem dense(g, std::make_shared<LatencyBandwidthParamSpace>(p));
   const auto ev = bw->eval(1, p.G, cur);
   const auto ref = dense.solve(1, p.G);
   EXPECT_EQ(ev.value, ref.value);
@@ -436,7 +433,7 @@ TEST(SolverCacheEntry, ConcurrentEvalsAreBitwiseDense) {
   core::SolverCache cache;
   const auto entry =
       cache.latency(core::GraphKey{"running-example", 1, 1.0, p.S}, g, p);
-  const Solver dense(g, std::make_shared<LatencyParamSpace>(p));
+  const LoweredProblem dense(g, std::make_shared<LatencyParamSpace>(p));
 
   std::vector<double> xs;
   Rng rng(99);
@@ -675,8 +672,8 @@ TEST(BudgetBoundary, KnotTiesEpsBandAndViolatedAnchors) {
   // and base L = 500 (T = 1615).
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
-  const Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::Workspace ws;
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor ws;
 
   // Budget exactly ties the knot value: the answer is the knot (the whole
   // flat piece meets the budget; 385 is its right end), not +inf and not
@@ -706,7 +703,7 @@ TEST(BudgetBoundary, KnotTiesEpsBandAndViolatedAnchors) {
   // and a fresh one agree bitwise at every boundary shape, knot tie
   // included.
   solver.solve(0, 4'999.0, ws);
-  Solver::Workspace fresh;
+  LoweredProblem::Cursor fresh;
   EXPECT_EQ(solver.max_param_for_budget_from(0, 0.0, 1'500.0, ws),
             solver.max_param_for_budget_from(0, 0.0, 1'500.0, fresh));
   for (const double budget : {1'615.0, 1'616.0, 2'000.0, 1e9}) {
@@ -725,13 +722,13 @@ TEST_P(RandomConfigTest, BudgetBoundaryAgreesAcrossCursorStates) {
   cfg.steps = 100;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 53 + 29);
-  const Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::Workspace warm;
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor warm;
   const double base_value = solver.solve(0, p.L, warm).value;
   for (const double factor : {1.0, 1.0 + 1e-12, 1.001, 1.05, 1.5}) {
     const double budget = base_value * factor;
     const double a = solver.max_param_for_budget_from(0, p.L, budget, warm);
-    Solver::Workspace fresh;
+    LoweredProblem::Cursor fresh;
     const double b = solver.max_param_for_budget_from(0, p.L, budget, fresh);
     EXPECT_EQ(a, b) << "factor=" << factor;
     EXPECT_GE(a, p.L);
@@ -764,11 +761,11 @@ std::vector<double> batch_grid(double lo, double hi, int points,
   return xs;
 }
 
-void expect_batch_matches_dense(const Solver& solver, int k,
+void expect_batch_matches_dense(const LoweredProblem& solver, int k,
                                 const std::vector<double>& xs,
-                                Solver::BatchCursor& bc) {
-  std::vector<Solver::BatchPoint> plain(xs.size());
-  std::vector<Solver::BatchPoint> ranged(xs.size());
+                                LoweredProblem::BatchCursor& bc) {
+  std::vector<LoweredProblem::BatchPoint> plain(xs.size());
+  std::vector<LoweredProblem::BatchPoint> ranged(xs.size());
   solver.solve_batch(k, xs.data(), xs.size(), bc, plain.data());
   solver.solve_batch_ranges(k, xs.data(), xs.size(), bc, ranged.data());
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -784,13 +781,13 @@ void expect_batch_matches_dense(const Solver& solver, int k,
 }
 
 TEST(BatchSolve, BitwiseMatchesDenseOnAllRegisteredApps) {
-  Solver::BatchCursor bc;  // shared across apps: reuse must not leak state
+  LoweredProblem::BatchCursor bc;  // shared across apps: reuse must not leak state
   for (const std::string& app : apps::app_names()) {
     const int ranks = apps::supported_ranks(app, 8);
     const auto g =
         schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
     const auto p = loggops::NetworkConfig::cscs_testbed();
-    Solver solver(g, std::make_shared<LatencyParamSpace>(p));
+    LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
     SCOPED_TRACE(app);
     expect_batch_matches_dense(
         solver, 0,
@@ -806,8 +803,8 @@ TEST_P(RandomConfigTest, BatchBitwiseMatchesDenseAtEveryBlockBoundary) {
   cfg.steps = 110;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 271 + 13);
-  Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::BatchCursor bc;
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::BatchCursor bc;
   const auto xs =
       batch_grid(0.0, p.L + 200'000.0, 31, GetParam() * 7 + 1);
   // Prefix lengths straddling every sub-block shape the tail dispatch can
@@ -833,14 +830,14 @@ TEST_P(RandomConfigTest, BatchCsrFallbackBitwiseMatchesDense) {
   cfg.steps = 100;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 631 + 7);
-  Solver::BatchCursor bc;
+  LoweredProblem::BatchCursor bc;
 
-  Solver bw(g, std::make_shared<LatencyBandwidthParamSpace>(p));
+  LoweredProblem bw(g, std::make_shared<LatencyBandwidthParamSpace>(p));
   expect_batch_matches_dense(bw, 1, batch_grid(0.0, p.G + 2.0, 13, 21), bc);
 
   const auto pair_space =
       std::make_shared<PairwiseLatencyParamSpace>(p, cfg.nranks);
-  Solver pw(g, pair_space);
+  LoweredProblem pw(g, pair_space);
   const int k = pair_space->pair_index(0, cfg.nranks - 1);
   expect_batch_matches_dense(pw, k,
                              batch_grid(0.0, p.L + 80'000.0, 13, 22), bc);
@@ -853,7 +850,7 @@ TEST_P(RandomConfigTest, BatchBudgetSearchBitwiseMatchesScalar) {
   cfg.steps = 100;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 47 + 19);
-  const Solver solver(g, std::make_shared<LatencyParamSpace>(p));
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
   const double base_value = solver.solve(0, p.L).value;
 
   // 10 lanes (not a multiple of the block width): anchors on and off the
@@ -868,11 +865,11 @@ TEST_P(RandomConfigTest, BatchBudgetSearchBitwiseMatchesScalar) {
     budget.push_back(base_value * factor);
   }
   std::vector<double> batch(from.size());
-  Solver::BatchCursor bc;
+  LoweredProblem::BatchCursor bc;
   solver.max_param_for_budget_from_batch(0, from.data(), budget.data(),
                                          from.size(), bc, batch.data());
   for (std::size_t i = 0; i < from.size(); ++i) {
-    Solver::Workspace ws;
+    LoweredProblem::Cursor ws;
     EXPECT_EQ(batch[i],
               solver.max_param_for_budget_from(0, from[i], budget[i], ws))
         << "lane=" << i << " from=" << from[i] << " budget=" << budget[i];
@@ -882,10 +879,10 @@ TEST_P(RandomConfigTest, BatchBudgetSearchBitwiseMatchesScalar) {
 TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
-  const Solver solver(g, std::make_shared<LatencyParamSpace>(p));
-  Solver::BatchCursor bc;
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::BatchCursor bc;
   std::vector<double> xs = {0.0, 500.0};
-  std::vector<Solver::BatchPoint> out(xs.size());
+  std::vector<LoweredProblem::BatchPoint> out(xs.size());
   // Out-of-range active parameter: same LpError as solve().
   EXPECT_THROW(solver.solve_batch(7, xs.data(), xs.size(), bc, out.data()),
                LpError);
@@ -904,7 +901,7 @@ TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
   // Fig. 4c at block width and off it.
   std::vector<double> grid;
   for (int i = 0; i < 11; ++i) grid.push_back(i * 100.0);
-  std::vector<Solver::BatchPoint> pts(grid.size());
+  std::vector<LoweredProblem::BatchPoint> pts(grid.size());
   solver.solve_batch(0, grid.data(), grid.size(), bc, pts.data());
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_DOUBLE_EQ(pts[i].value, std::max(grid[i] + 1'115.0, 1'500.0));
@@ -1027,7 +1024,7 @@ TEST(SegmentWalk, RunningExampleAnchorsOncePerPiece) {
   // The running example has exactly two pieces (L_c = 385 ns); a 200-point
   // walk must reproduce the paper's numbers at every grid point.
   const auto g = testing::running_example_graph();
-  Solver solver(
+  LoweredProblem solver(
       g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
   std::vector<double> xs;
   for (int i = 0; i < 200; ++i) xs.push_back(i * 5.0);

@@ -158,8 +158,8 @@ TEST(PerturbedSpace, AllOnesFactorsAreBitwiseTransparent) {
   const auto perturbed = std::make_shared<lp::PerturbedParamSpace>(
       base, std::vector<double>(g.num_edges(), 1.0));
 
-  lp::ParametricSolver plain(g, base);
-  lp::ParametricSolver hooked(g, perturbed);
+  lp::LoweredProblem plain(g, base);
+  lp::LoweredProblem hooked(g, perturbed);
   for (const double L : {0.0, 1'500.0, 3'000.0, 50'000.0}) {
     const auto a = plain.solve(0, L);
     const auto b = hooked.solve(0, L);
@@ -176,8 +176,8 @@ TEST(PerturbedSpace, UniformSlowdownRaisesRuntime) {
   const auto base = std::make_shared<lp::LatencyParamSpace>(p);
   const auto slow = std::make_shared<lp::PerturbedParamSpace>(
       base, std::vector<double>(g.num_edges(), 1.25));
-  lp::ParametricSolver plain(g, base);
-  lp::ParametricSolver hooked(g, slow);
+  lp::LoweredProblem plain(g, base);
+  lp::LoweredProblem hooked(g, slow);
   EXPECT_GT(hooked.solve(0, p.L).value, plain.solve(0, p.L).value);
 }
 
@@ -201,7 +201,7 @@ TEST(PerturbedSpace, AgreesWithSimplexUnderRandomFactors) {
   const auto s = lp::SimplexSolver{}.solve(glp.model);
   ASSERT_EQ(s.status, lp::SolveStatus::kOptimal);
 
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
   const auto sol = solver.solve(0, p.L);
   EXPECT_NEAR(s.objective, sol.value, 1e-6 * (1.0 + sol.value));
   EXPECT_NEAR(s.reduced_cost[static_cast<std::size_t>(glp.param_vars[0])],
@@ -221,7 +221,7 @@ TEST(PerturbedSpace, RejectsBadFactors) {
   const auto g = small_app_graph();
   const auto wrong = std::make_shared<lp::PerturbedParamSpace>(
       base, std::vector<double>(3, 1.0));
-  EXPECT_THROW(lp::ParametricSolver(g, wrong), LpError);
+  EXPECT_THROW(lp::LoweredProblem(g, wrong), LpError);
 }
 
 // ---------------------------------------------------------------------------
@@ -316,12 +316,14 @@ TEST(StochMc, ThreadCountNeverChangesTheResult) {
   }
 }
 
-TEST(StochMc, BatchKnobNeverChangesTheResult) {
-  // spec.batch is a performance knob, never a semantics knob: an L-only
-  // run takes the lane-batched fast path when it is on and the per-sample
-  // scalar fast path when it is off, and every summary must agree bitwise
-  // — at several thread counts, and at a sample count (43) that exercises
-  // full groups of lp::kBatchWidth plus a ragged tail of sub-blocks.
+TEST(StochMc, FastPathMatchesScalarReferenceBitwise) {
+  // An L-only run always takes the lane-batched fast path.  A scalar
+  // reference built here on the public LoweredProblem — per-sample
+  // Rng(sample_seed) draws, one sweep over the ΔL grid, one
+  // max_param_for_budget_from per band, folded in ascending sample order —
+  // must agree bitwise at several thread counts, and at a sample count (43)
+  // that exercises full groups of lp::kBatchWidth plus a ragged tail of
+  // sub-blocks.
   const auto g = small_app_graph();
   const auto p = test_params();
   stoch::McSpec spec;
@@ -331,43 +333,64 @@ TEST(StochMc, BatchKnobNeverChangesTheResult) {
   spec.delta_Ls = {0.0, 20'000.0};
   spec.band_percents = {1.0, 5.0};
 
-  spec.batch = false;
-  const auto scalar = stoch::run_mc(g, p, spec);
-  EXPECT_FALSE(scalar.batched);
-  EXPECT_EQ(scalar.batch_width, static_cast<int>(lp::kBatchWidth));
+  const auto shared = stoch::shared_operating_point(spec, p);
+  ASSERT_TRUE(shared.has_value());
+  const lp::LoweredProblem prob(
+      g, std::make_shared<lp::LatencyParamSpace>(*shared));
+  lp::LoweredProblem::Cursor cur;
+  const std::size_t npts = spec.delta_Ls.size();
+  std::vector<stoch::Summary> runtime(npts);
+  stoch::Summary lambda_L;
+  stoch::Summary rho_L;
+  std::vector<stoch::Summary> bands(spec.band_percents.size());
+  std::vector<double> xs(npts);
+  std::vector<lp::LoweredProblem::SweepEval> evals(npts);
+  for (int i = 0; i < spec.samples; ++i) {
+    Rng rng(stoch::sample_seed(spec.seed, static_cast<std::uint64_t>(i)));
+    const double L = spec.L.sample(rng, p.L);
+    for (std::size_t k = 0; k < npts; ++k) xs[k] = L + spec.delta_Ls[k];
+    prob.sweep(0, xs, cur, evals.data());
+    for (std::size_t k = 0; k < npts; ++k) runtime[k].add(evals[k].value);
+    const double v0 = evals[0].value;
+    const double lambda0 = evals[0].slope;
+    lambda_L.add(lambda0);
+    rho_L.add(v0 > 0.0 ? xs[0] * lambda0 / v0 : 0.0);
+    for (std::size_t b = 0; b < bands.size(); ++b) {
+      const double budget = v0 * (1.0 + spec.band_percents[b] / 100.0);
+      const double tol =
+          prob.max_param_for_budget_from(0, xs[0], budget, cur);
+      bands[b].add(std::isfinite(tol) ? tol - xs[0] : tol);
+    }
+  }
 
   for (const int threads : {1, 8}) {
-    spec.batch = true;
+    SCOPED_TRACE(threads);
     spec.threads = threads;
-    const auto batched = stoch::run_mc(g, p, spec);
-    EXPECT_TRUE(batched.batched);
-    EXPECT_EQ(batched.batch_width, static_cast<int>(lp::kBatchWidth));
-    ASSERT_EQ(batched.runtime.size(), scalar.runtime.size());
-    for (std::size_t i = 0; i < scalar.runtime.size(); ++i) {
-      expect_summaries_equal(batched.runtime[i], scalar.runtime[i]);
+    const auto res = stoch::run_mc(g, p, spec);
+    EXPECT_TRUE(res.batched);
+    EXPECT_EQ(res.batch_width, static_cast<int>(lp::kBatchWidth));
+    ASSERT_EQ(res.runtime.size(), npts);
+    for (std::size_t k = 0; k < npts; ++k) {
+      expect_summaries_equal(res.runtime[k], runtime[k]);
     }
-    expect_summaries_equal(batched.lambda_L, scalar.lambda_L);
-    expect_summaries_equal(batched.rho_L, scalar.rho_L);
-    ASSERT_EQ(batched.bands.size(), scalar.bands.size());
-    for (std::size_t b = 0; b < scalar.bands.size(); ++b) {
-      expect_summaries_equal(batched.bands[b].tolerance_delta,
-                             scalar.bands[b].tolerance_delta);
+    expect_summaries_equal(res.lambda_L, lambda_L);
+    expect_summaries_equal(res.rho_L, rho_L);
+    ASSERT_EQ(res.bands.size(), bands.size());
+    for (std::size_t b = 0; b < bands.size(); ++b) {
+      expect_summaries_equal(res.bands[b].tolerance_delta, bands[b]);
     }
   }
 }
 
-TEST(StochMc, GeneralPathIgnoresTheBatchKnob) {
+TEST(StochMc, GeneralPathIsNeverBatched) {
   // Per-edge noise forces a fresh perturbed lowering per sample — there is
-  // no shared operating point to batch over, so the knob is ignored and
-  // the result records that no batching happened.
+  // no shared operating point to batch over, and the result records that.
   const auto g = small_app_graph();
   const auto p = test_params();
   auto spec = noisy_spec();
   spec.samples = 8;
-  spec.batch = true;
   const auto res = stoch::run_mc(g, p, spec);
   EXPECT_FALSE(res.batched);
-  EXPECT_EQ(res.batch_width, static_cast<int>(lp::kBatchWidth));
 }
 
 TEST(StochMc, SeedSelectsTheNoise) {
@@ -444,7 +467,7 @@ TEST(StochMc, GeneralPathMatchesManualPerturbedSolve) {
   const auto space = std::make_shared<lp::PerturbedParamSpace>(
       std::make_shared<lp::LatencyParamSpace>(p),
       std::vector<double>(g.num_edges(), 1.0 + 0.01));
-  lp::ParametricSolver solver(g, space);
+  lp::LoweredProblem solver(g, space);
   EXPECT_EQ(res.runtime[0].mean(), solver.solve(0, p.L).value);
   EXPECT_EQ(res.runtime[1].mean(), solver.solve(0, p.L + 10'000.0).value);
   EXPECT_EQ(res.lambda_L.mean(), solver.solve(0, p.L).gradient[0]);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "topo/spaces.hpp"
 #include "topo/topology.hpp"
 #include "util/error.hpp"
@@ -13,6 +15,27 @@ TEST(FatTreeShape, NodeCountAndName) {
   EXPECT_THROW(FatTree(3), TopoError);
   EXPECT_THROW(FatTree(0), TopoError);
   EXPECT_NE(FatTree(4).name().find("fat-tree"), std::string::npos);
+}
+
+TEST(FatTreeShape, NodeCountBeyondIntIsAnError) {
+  // k^3/4 used to be computed in int: radix 4096 wrapped to "0 nodes".
+  EXPECT_EQ(FatTree(2046).nnodes(), 2'141'198'334);  // largest that fits
+  for (const int k : {2048, 4096, 1 << 30}) {
+    try {
+      (void)FatTree(k);
+      ADD_FAILURE() << "expected TopoError for k=" << k;
+    } catch (const TopoError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "topo: fat tree radix " + std::to_string(k) +
+                    " gives more than 2147483647 nodes");
+    }
+  }
+  try {
+    (void)FatTree(3);
+    ADD_FAILURE() << "expected TopoError";
+  } catch (const TopoError& e) {
+    EXPECT_STREQ(e.what(), "topo: fat tree radix must be an even integer >= 2");
+  }
 }
 
 TEST(FatTreeRoutes, HopTiers) {
@@ -48,6 +71,28 @@ TEST(DragonflyShape, NodeCountAndValidation) {
   EXPECT_EQ(Dragonfly(8, 4, 8).nnodes(), 256);
   EXPECT_THROW(Dragonfly(1, 4, 8), TopoError);
   EXPECT_THROW(Dragonfly(8, 0, 8), TopoError);
+}
+
+TEST(DragonflyShape, NodeCountBeyondIntIsAnError) {
+  // g*a*p used to be computed in int: 100000 x 100000 x 8 wrapped negative.
+  EXPECT_EQ(Dragonfly(2, 1, 1'073'741'823).nnodes(), 2'147'483'646);
+  try {
+    (void)Dragonfly(100'000, 100'000, 8);
+    ADD_FAILURE() << "expected TopoError";
+  } catch (const TopoError& e) {
+    EXPECT_STREQ(e.what(),
+                 "topo: dragonfly(g=100000, a=100000, p=8) gives more than "
+                 "2147483647 nodes");
+  }
+  EXPECT_THROW(Dragonfly(2'147'483'647, 2'147'483'647, 2'147'483'647),
+               TopoError);
+  EXPECT_THROW(Dragonfly(2, 1, 1'073'741'824), TopoError);
+  try {
+    (void)Dragonfly(1, 4, 8);
+    ADD_FAILURE() << "expected TopoError";
+  } catch (const TopoError& e) {
+    EXPECT_STREQ(e.what(), "topo: dragonfly: need g >= 2, a >= 1, p >= 1");
+  }
 }
 
 TEST(DragonflyRoutes, Tiers) {
