@@ -9,7 +9,7 @@
 // The whole grid runs through the core::Campaign engine: one scenario per
 // (app, ranks) configuration with its own ΔL ceiling, the emulator attached
 // as the campaign probe, graphs built once per configuration and scenarios
-// evaluated on the shared thread pool.
+// evaluated in parallel.
 
 #include <cstdio>
 #include <filesystem>

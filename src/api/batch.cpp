@@ -79,7 +79,7 @@ BatchOutcome serve_jsonl(Engine& engine, std::istream& in, std::ostream& out,
     }
   }
 
-  // Phase 2: execute the parseable requests on the engine's pool (the
+  // Phase 2: execute the parseable requests on the engine (the
   // "batch.run" span is recorded inside run_batch itself, so library
   // callers get it too).
   std::vector<std::size_t> runnable;

@@ -26,17 +26,17 @@ namespace llamp::api {
 /// produces an error object (kind "usage" for UsageError-class problems,
 /// "analysis" otherwise; "op" is echoed whenever the line was readable
 /// JSON) and the remaining lines still execute.  The output bytes depend
-/// only on the input bytes: requests run in parallel on the engine's
-/// pool — with per-request `threads` forced to 1 while the batch itself
-/// is parallel — and results are buffered and emitted by id.
+/// only on the input bytes: requests run in parallel — with per-request
+/// `threads` forced to 1 while the batch itself is parallel — and results
+/// are buffered and emitted by id.
 struct BatchOutcome {
   std::size_t requests = 0;  ///< non-blank input lines
   std::size_t failures = 0;  ///< lines that produced an error object
 };
 
 /// Read JSONL requests from `in`, execute them on `engine` with at most
-/// `threads` workers (<= 0 = the engine's whole pool), and write JSONL
-/// responses to `out`.
+/// `threads` workers (<= 0 = hardware concurrency; see Engine::run_batch),
+/// and write JSONL responses to `out`.
 BatchOutcome serve_jsonl(Engine& engine, std::istream& in, std::ostream& out,
                          int threads);
 

@@ -14,11 +14,13 @@
 #include "core/placement.hpp"
 #include "injector/cluster_emulator.hpp"
 #include "lp/param_space.hpp"
+#include "lp/parametric.hpp"
 #include "stoch/distribution.hpp"
 #include "topo/spaces.hpp"
 #include "topo/topology.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -299,9 +301,7 @@ std::string to_json_line(const Response& res) {
 
 Engine::Engine() : Engine(Options{}) {}
 
-Engine::Engine(Options opts)
-    : pool_(opts.threads),
-      cursors_(static_cast<std::size_t>(pool_.size())) {
+Engine::Engine(Options opts) : max_batch_threads_(opts.threads) {
   // Pre-register every hot-path handle once, here, so instrumentation
   // sites are a single array-indexed relaxed add (llamp-lint's hot-metric
   // rule rejects string lookups inside declared hot-path regions).
@@ -331,14 +331,14 @@ std::uint64_t Engine::uptime_ns() const {
 }
 
 template <typename R>
-auto Engine::timed(int worker, const R& req) {
+auto Engine::timed(const R& req) {
   constexpr std::size_t op = op_index_of<R>();
   const obs::SpanScope span(tracer_, kOpNames[op].data());
   const TimeNs t0 = monotonic_now();
   handles_.requests.inc();
   handles_.ops[op].inc();
   try {
-    auto out = execute(worker, req);
+    auto out = execute(req);
     handles_.request_ns.record(monotonic_now() - t0);
     return out;
   } catch (...) {
@@ -394,25 +394,20 @@ const graph::Graph& Engine::graph_for(const ResolvedApp& app) {
   return cache_.get(key_for(app));
 }
 
-AnalyzeResult Engine::analyze(const AnalyzeRequest& req) {
-  return timed(0, req);
-}
-SweepResult Engine::sweep(const SweepRequest& req) { return timed(0, req); }
+AnalyzeResult Engine::analyze(const AnalyzeRequest& req) { return timed(req); }
+SweepResult Engine::sweep(const SweepRequest& req) { return timed(req); }
 CampaignResult Engine::campaign(const CampaignRequest& req) {
-  return timed(0, req);
+  return timed(req);
 }
-McResult Engine::mc(const McRequest& req) { return timed(0, req); }
-TopoResult Engine::topo(const TopoRequest& req) { return timed(0, req); }
-PlaceResult Engine::place(const PlaceRequest& req) { return timed(0, req); }
+McResult Engine::mc(const McRequest& req) { return timed(req); }
+TopoResult Engine::topo(const TopoRequest& req) { return timed(req); }
+PlaceResult Engine::place(const PlaceRequest& req) { return timed(req); }
 
-Response Engine::run(const Request& req) { return run_on(0, req); }
-
-Response Engine::run_on(int worker, const Request& req) {
-  return std::visit([&](const auto& r) -> Response { return timed(worker, r); },
-                    req);
+Response Engine::run(const Request& req) {
+  return std::visit([&](const auto& r) -> Response { return timed(r); }, req);
 }
 
-AnalyzeResult Engine::execute(int /*worker*/, const AnalyzeRequest& req) {
+AnalyzeResult Engine::execute(const AnalyzeRequest& req) {
   const ResolvedApp app = resolve(req.app);
   // Degenerate grids must fail before any graph is built or cached.
   (void)core::linear_grid(us(req.grid.dl_max_us), req.grid.points);
@@ -431,7 +426,7 @@ AnalyzeResult Engine::execute(int /*worker*/, const AnalyzeRequest& req) {
   return res;
 }
 
-SweepResult Engine::execute(int /*worker*/, const SweepRequest& req) {
+SweepResult Engine::execute(const SweepRequest& req) {
   const ResolvedApp app = resolve(req.app);
   const auto grid = core::linear_grid(us(req.grid.dl_max_us), req.grid.points);
   const graph::Graph& g = graph_for(app);
@@ -458,7 +453,7 @@ stoch::Distribution mc_distribution(const std::string& dist, double sigma,
 
 }  // namespace
 
-McResult Engine::execute(int /*worker*/, const McRequest& req) {
+McResult Engine::execute(const McRequest& req) {
   const ResolvedApp app = resolve(req.app);
   const auto grid = core::linear_grid(us(req.grid.dl_max_us), req.grid.points);
   stoch::McSpec spec;
@@ -595,8 +590,7 @@ std::vector<core::ConfigVariant> campaign_configs(const CampaignRequest& req) {
 
 }  // namespace
 
-CampaignResult Engine::execute(int /*worker*/,
-                               const CampaignRequest& req) {
+CampaignResult Engine::execute(const CampaignRequest& req) {
   core::CampaignSpec spec;
   spec.apps = req.apps;
   spec.ranks = req.ranks;
@@ -654,7 +648,7 @@ CampaignResult Engine::execute(int /*worker*/,
   return res;
 }
 
-TopoResult Engine::execute(int worker, const TopoRequest& req) {
+TopoResult Engine::execute(const TopoRequest& req) {
   const ResolvedApp app = resolve(req.app);
   const graph::Graph& g = graph_for(app);
   const topo::FatTree fat_tree(req.ft_radix);
@@ -669,7 +663,7 @@ TopoResult Engine::execute(int worker, const TopoRequest& req) {
     }
   }
   const auto placement = topo::identity_placement(app.ranks);
-  auto& cur = cursors_[static_cast<std::size_t>(worker)];
+  lp::LoweredProblem::Cursor cur;
 
   TopoResult res;
   res.app = app;
@@ -707,7 +701,7 @@ TopoResult Engine::execute(int worker, const TopoRequest& req) {
   return res;
 }
 
-PlaceResult Engine::execute(int /*worker*/, const PlaceRequest& req) {
+PlaceResult Engine::execute(const PlaceRequest& req) {
   const ResolvedApp app = resolve(req.app);
   const graph::Graph& g = graph_for(app);
   const topo::FatTree ft(req.ft_radix);
@@ -752,27 +746,27 @@ Request single_threaded(Request req) {
 
 std::vector<Engine::Outcome> Engine::run_batch(
     const std::vector<Request>& requests, int threads) {
-  // One batch at a time: the pool's job slot and the per-worker
-  // workspaces are not shareable across concurrent batches.
-  const std::lock_guard<std::mutex> lock(batch_mutex_);
   const obs::SpanScope span(tracer_, "batch.run");
   handles_.batches.inc();
   handles_.batch_requests.inc(requests.size());
   std::vector<Outcome> outcomes(requests.size());
   // When the batch itself fans out, request-level parallelism wins: each
-  // request runs its sweeps/samples single-threaded instead of spawning a
-  // hardware-concurrency pool next to W already-busy workers.  Thread
+  // request runs its sweeps/samples single-threaded instead of starting a
+  // hardware-concurrency fan-out next to W already-busy workers.  Thread
   // counts never change result bytes (the repo-wide determinism
   // contract), so this is purely a scheduling choice.
-  const int cap = threads > 0 ? std::min(threads, pool_.size()) : pool_.size();
+  const int cap = max_batch_threads_ > 0 &&
+                          (threads <= 0 || threads > max_batch_threads_)
+                      ? max_batch_threads_
+                      : threads;
   const bool parallel_batch = effective_threads(requests.size(), cap) > 1;
-  pool_.for_workers(requests.size(), threads, [&](int worker, std::size_t i) {
+  parallel_for_workers(requests.size(), cap, [&](int, std::size_t i) {
     // One request's failure is its own outcome, never the batch's: the
     // remaining lines still execute and emit in order.
     const TimeNs t0 = monotonic_now();
     try {
-      outcomes[i].response = run_on(
-          worker, parallel_batch ? single_threaded(requests[i]) : requests[i]);
+      outcomes[i].response =
+          run(parallel_batch ? single_threaded(requests[i]) : requests[i]);
     } catch (const UsageError& e) {
       outcomes[i].error = e.what();
       outcomes[i].usage_error = true;
@@ -807,7 +801,6 @@ obs::Snapshot Engine::metrics_snapshot() const {
   // determinism contract.
   const core::GraphCache::Stats gc = cache_.stats();
   const core::SolverCache::Stats sc = solver_cache_.stats();
-  const ThreadPool::Stats ps = pool_.stats();
   snap.set_counter("graph_cache.built", gc.built);
   snap.set_counter("graph_cache.hits", gc.hits);
   snap.set_counter("solver_cache.built", sc.built);
@@ -816,8 +809,6 @@ obs::Snapshot Engine::metrics_snapshot() const {
   snap.set_counter("solver_cache.replays", sc.replays);
   snap.set_counter("solver_cache.memo_hits", sc.memo_hits);
   snap.set_counter("solver_cache.memo_misses", sc.memo_misses);
-  snap.set_counter("pool.jobs", ps.jobs);
-  snap.set_counter("pool.tasks", ps.tasks);
   // Scrape bookkeeping: the sequence number orders snapshots of one
   // session (monotonic from 1; a restart resets it), uptime stamps them.
   snap.set_counter("engine.metrics_seq",
@@ -828,9 +819,6 @@ obs::Snapshot Engine::metrics_snapshot() const {
                  static_cast<double>(sc.anchor_bytes));
   snap.set_gauge("solver_cache.memo_bytes",
                  static_cast<double>(sc.memo_bytes));
-  snap.set_gauge("pool.busy_ns", static_cast<double>(ps.busy_ns));
-  snap.set_gauge("pool.size", static_cast<double>(pool_.size()));
-  snap.set_gauge("pool.slices", static_cast<double>(ps.slices));
   return snap;
 }
 

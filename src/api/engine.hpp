@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <variant>
@@ -17,11 +16,9 @@
 #include "core/report.hpp"
 #include "core/solver_cache.hpp"
 #include "loggops/params.hpp"
-#include "lp/parametric.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "stoch/mc.hpp"
-#include "util/parallel.hpp"
 #include "util/time.hpp"
 
 namespace llamp::api {
@@ -134,25 +131,26 @@ std::string to_json_line(const Response& res);
 ///  * the execution-graph cache, keyed (app, ranks, scale, S) like the
 ///    campaign engine's — repeated requests for one scenario re-lower
 ///    nothing, across request types (an analyze warms the graph a later
-///    sweep or campaign of the same app reuses);
-///  * a persistent util/parallel ThreadPool for batch execution; and
-///  * one lp::LoweredProblem::Cursor per pool worker, reused by the
-///    engine's direct solver paths so steady-state solves stay
-///    allocation-free.
+///    sweep or campaign of the same app reuses); and
+///  * the solver cache beside it (lowered problems, anchors, memos).
 ///
 /// Execution is deterministic: a result's bytes depend only on the
-/// request, never on the cache's prior contents, the pool size, or the
-/// thread count (the campaign header's "distinct graphs" deliberately
-/// counts the grid's keys, not physical builds).
+/// request, never on the cache's prior contents or the thread count (the
+/// campaign header's "distinct graphs" deliberately counts the grid's
+/// keys, not physical builds).
 ///
-/// Thread-safety: the graph cache is safe under concurrent use, and
-/// concurrent run_batch() calls serialize on an internal lock (the pool
-/// runs one job at a time); single-request methods may be called from one
-/// thread at a time (the batch path hands each worker its own workspace).
+/// Thread-safety: both caches, the metrics registry and the tracer are
+/// safe under concurrent use, and a request keeps all other mutable state
+/// (solve cursors, scratch) local to its own execution — so requests
+/// (run(), the typed methods, run_batch()) may be issued from several
+/// threads at once.  run_batch() fans its requests out over util/parallel
+/// workers started per call.
 class Engine {
  public:
   struct Options {
-    int threads = 0;  ///< pool size; <= 0 = hardware concurrency
+    /// Caps run_batch()'s fan-out, whatever the batch asks for; <= 0
+    /// leaves it to run_batch's own `threads`.
+    int threads = 0;
   };
   Engine();
   explicit Engine(Options opts);
@@ -169,9 +167,10 @@ class Engine {
   /// Variant dispatch of the above.
   Response run(const Request& req);
 
-  /// Execute a batch on the engine's pool, `threads` workers at most
-  /// (<= 0 = the whole pool).  outcomes[i] holds request i's response or
-  /// its error; order is input order whatever the thread count.
+  /// Execute a batch on at most `threads` workers (<= 0 = hardware
+  /// concurrency; Options::threads caps either).  outcomes[i] holds request
+  /// i's response or its error; order is input order whatever the thread
+  /// count.
   struct Outcome {
     std::optional<Response> response;  ///< engaged on success
     std::string error;                 ///< non-empty on failure
@@ -207,9 +206,9 @@ class Engine {
   /// the CLI's --trace-out flag enables it before dispatch.
   obs::Tracer& tracer() { return tracer_; }
 
-  /// Merged metrics snapshot as canonical single-line JSON — the payload a
-  /// future /metrics endpoint serves.  Includes the cache and pool
-  /// statistics as imported counters/gauges.
+  /// Merged metrics snapshot as canonical single-line JSON — the payload
+  /// /metrics serves.  Includes both caches' statistics as imported
+  /// counters/gauges.
   std::string metrics_json() const;
   /// Human multi-line form of the same snapshot (`llamp stats`).
   std::string metrics_string() const;
@@ -221,34 +220,30 @@ class Engine {
   /// value, so it never appears in result bytes.
   std::uint64_t uptime_ns() const;
 
-  ThreadPool& pool() { return pool_; }
-
  private:
   /// Clamp/validate an AppSpec into a concrete scenario (the shared
   /// "common options" block of every single-scenario subcommand).
   ResolvedApp resolve(const AppSpec& spec) const;
   static core::GraphKey key_for(const ResolvedApp& app);
   const graph::Graph& graph_for(const ResolvedApp& app);
-  Response run_on(int worker, const Request& req);
 
-  /// Uninstrumented request bodies on pool worker `worker` (the public
-  /// methods wrap these in timed(), so each request is counted and traced
-  /// exactly once — including requests dispatched through run_on on batch
-  /// workers).
-  AnalyzeResult execute(int worker, const AnalyzeRequest& req);
-  SweepResult execute(int worker, const SweepRequest& req);
-  CampaignResult execute(int worker, const CampaignRequest& req);
-  McResult execute(int worker, const McRequest& req);
-  TopoResult execute(int worker, const TopoRequest& req);
-  PlaceResult execute(int worker, const PlaceRequest& req);
+  /// Uninstrumented request bodies (the public methods wrap these in
+  /// timed(), so each request is counted and traced exactly once —
+  /// including requests run_batch dispatches through run()).
+  AnalyzeResult execute(const AnalyzeRequest& req);
+  SweepResult execute(const SweepRequest& req);
+  CampaignResult execute(const CampaignRequest& req);
+  McResult execute(const McRequest& req);
+  TopoResult execute(const TopoRequest& req);
+  PlaceResult execute(const PlaceRequest& req);
 
   /// The shared request wrapper: span + latency histogram + request/error/
   /// per-op counters around one execute() call.  Defined in engine.cpp
   /// (every use lives there).
   template <typename R>
-  auto timed(int worker, const R& req);
+  auto timed(const R& req);
 
-  /// Registry + imported cache/pool statistics, merged name-sorted.
+  /// Registry + imported cache statistics, merged name-sorted.
   obs::Snapshot metrics_snapshot() const;
 
   /// Pre-registered handles (one array-indexed relaxed add per record on
@@ -275,17 +270,11 @@ class Engine {
   /// beside the graph cache.  Declared after cache_ (and therefore
   /// destroyed first): entries reference session graphs.
   core::SolverCache solver_cache_;
-  /// Observability state is declared before pool_ so the pool's workers
-  /// join before the tracer and registry are destroyed — a worker must
-  /// never record into a dead lane.
   obs::Registry metrics_;
   obs::Tracer tracer_;
   MetricHandles handles_;
-  ThreadPool pool_;
-  std::vector<lp::LoweredProblem::Cursor> cursors_;
-  /// Serializes run_batch callers: the pool runs one job at a time, and
-  /// the per-worker cursors must not be shared across batches.
-  std::mutex batch_mutex_;
+  /// Options::threads: run_batch's fan-out cap (<= 0 = none).
+  int max_batch_threads_ = 0;
   /// Construction instant (uptime_ns's zero point).
   TimeNs start_time_ = 0.0;
   /// Scrape sequence: bumped once per metrics_snapshot(), so consumers of

@@ -89,7 +89,7 @@ std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(
     const std::vector<TimeNs>& delta_Ls, int threads) const {
   // Validate the whole grid before any worker thread exists, so bad input
   // raises a clean Error on the calling thread instead of depending on
-  // exception propagation out of the pool.
+  // exception propagation out of the workers.
   for (const TimeNs d : delta_Ls) {
     if (d < 0.0) throw Error("sweep: negative latency injection");
     if (!std::isfinite(d)) {

@@ -20,7 +20,7 @@ namespace llamp::core {
 /// topologies (Figs. 1, 9–12, 20) — and this subsystem is the single engine
 /// behind them.  A declarative grid spec expands into scenarios; each
 /// scenario builds (or reuses) one execution graph and one lp::LoweredProblem
-/// and walks its ΔL grid; scenarios run on a shared thread pool; results
+/// and walks its ΔL grid; scenarios run in parallel; results
 /// come back in grid order regardless of thread count.
 
 /// One fully-resolved analysis scenario: a proxy application at a scale,

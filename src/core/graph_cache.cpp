@@ -58,7 +58,7 @@ void GraphCache::warm(const std::vector<GraphKey>& keys, int threads) {
   for (const GraphKey& key : keys) {
     if (seen.insert(key).second) todo.push_back({key, slot_for(key)});
   }
-  parallel_for(todo.size(), threads, [&](std::size_t i) {
+  parallel_for_workers(todo.size(), threads, [&](int, std::size_t i) {
     (void)build_in(*todo[i].second, todo[i].first);
   });
 }

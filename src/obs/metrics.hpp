@@ -123,7 +123,7 @@ class Counter {
   detail::CounterCell* cell_ = nullptr;
 };
 
-/// Point-in-time value handle (cache bytes, pool size, occupancy).
+/// Point-in-time value handle (cache bytes, occupancy).
 class Gauge {
  public:
   Gauge() = default;
@@ -159,7 +159,7 @@ class Histogram {
 };
 
 /// A merged, name-sorted view of a registry (plus any values the owner
-/// imports — the engine folds its cache and pool statistics in before
+/// imports — the engine folds its cache statistics in before
 /// emission, so external atomics don't need registry cells).
 struct HistogramSnapshot {
   std::string name;

@@ -12,8 +12,9 @@ std::uint64_t next_tracer_id() {
 }
 
 /// Per-thread lane cache.  Keyed by tracer id, not pointer: engines (and
-/// their tracers) are created and destroyed while pool worker threads
-/// outlive them, and a recycled allocation must never revive a stale lane.
+/// their tracers) are created and destroyed while the threads that
+/// recorded into them live on, and a recycled allocation must never
+/// revive a stale lane.
 struct LaneCache {
   std::uint64_t tracer_id = 0;
   Tracer::Lane* lane = nullptr;

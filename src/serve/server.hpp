@@ -24,12 +24,12 @@ namespace llamp::serve {
 ///    *inline* routes (/healthz, /metrics) directly, so the daemon stays
 ///    observable while a long campaign runs;
 ///  * the executor thread runs *queued* routes (the /v1/* analysis
-///    endpoints) strictly one at a time, in dispatch order.  Requests
-///    execute on the shared api::Engine, whose own thread pool provides
-///    the intra-request parallelism (`--threads`); serializing requests
-///    is what makes the wire-level determinism contract trivial to
-///    uphold — a response's bytes depend only on its request's bytes,
-///    never on connection interleaving.
+///    endpoints) strictly one at a time, in dispatch order, on the shared
+///    api::Engine.  A request's own `threads` field is its only
+///    parallelism: the engine fans a sweep's points or an mc run's
+///    samples out over threads started for that request.  A response's
+///    bytes depend only on its request's bytes, never on connection
+///    interleaving or thread counts.
 ///
 /// Admission control: at most `max_inflight` queued-route requests may be
 /// dispatched-but-unanswered at once; the next one is rejected

@@ -15,8 +15,7 @@ namespace {
 
 /// One /v1/* analysis handler: parse the body against the op named by the
 /// path, run it on the engine, serve the canonical result line.  Runs on
-/// the server's executor thread — the engine's single-request surface is
-/// one-caller-at-a-time, and the executor is that one caller.
+/// the server's executor thread, so requests run one at a time.
 HttpResponse run_op(api::Engine& engine, std::string_view op,
                     const HttpRequest& req) {
   HttpResponse res;

@@ -31,10 +31,11 @@ namespace llamp::serve {
 ///
 /// Determinism contract: for the six /v1/* routes, identical request
 /// *body bytes* produce identical response *body bytes*, whatever the
-/// connection interleaving, keep-alive reuse, engine pool size, or prior
-/// cache state — the engine's repo-wide determinism wall, extended to the
-/// wire (pinned by tests/test_serve.cpp).  /healthz and /metrics carry
-/// uptime and timing values and are exempt.
+/// connection interleaving, keep-alive reuse, or prior cache state, and
+/// bodies that differ only in `threads` get identical responses — the
+/// engine's repo-wide determinism wall, extended to the wire (pinned by
+/// tests/test_serve.cpp).  /healthz and /metrics carry uptime and timing
+/// values and are exempt.
 std::vector<Server::Route> engine_routes(api::Engine& engine);
 
 }  // namespace llamp::serve

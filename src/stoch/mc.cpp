@@ -267,11 +267,10 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
     }
     // The general path: each sample lowers its own perturbed space, so
     // samples cannot share a batch pass.  Per-sample cost is imbalanced
-    // (the drawn operating point reshapes every solve), so samples are
-    // claimed by chunked self-scheduling rather than static striding — a
-    // worker that drew expensive samples simply claims fewer.
-    parallel_for_workers_chunked(bn, spec.threads, 1, [&](int w,
-                                                          std::size_t j) {
+    // (the drawn operating point reshapes every solve); workers claim
+    // samples one at a time, so one that drew expensive samples simply
+    // claims fewer.
+    parallel_for_workers(bn, spec.threads, [&](int w, std::size_t j) {
       WorkerScratch& sc = scratch[static_cast<std::size_t>(w)];
       const std::size_t i = block_start + j;
       Rng rng(sample_seed(spec.seed, i));

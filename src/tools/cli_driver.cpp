@@ -41,7 +41,7 @@ subcommands:
             injections ΔL (LP solves run in parallel)
   campaign  batch engine for multi-scenario studies: expand
             {apps} x {ranks} x {scales} x {topologies} x {LogGPS variants}
-            x ΔL grid into analysis jobs, run them on a thread pool (one
+            x ΔL grid into analysis jobs, run them in parallel (one
             graph build and one solver per scenario), emit the whole grid
   mc        Monte Carlo uncertainty quantification: resample the LogGPS
             operating point (and optionally per-edge cost noise) N times,
@@ -58,7 +58,7 @@ subcommands:
   place     compare block, volume-greedy, and LLAMP Algorithm-3 rank
             placements on a Fat Tree
   stats     print one engine session's metrics summary — request counters,
-            cache and pool statistics, latency quantiles; optionally
+            cache statistics, latency quantiles; optionally
             execute a JSONL request file first so the summary describes a
             real workload
   serve     run the analysis engine as an HTTP/1.1 daemon on loopback:
@@ -104,9 +104,6 @@ observability options (every engine subcommand):
 serve options:
   --port=N          listen port on 127.0.0.1 (default 8080; 0 = ephemeral,
                     the bound port is printed on the listen line)
-  --threads=N       engine pool size for intra-request parallelism,
-                    <= 0 = hardware concurrency (requests themselves run
-                    one at a time — responses are deterministic whatever N)
   --max-inflight=N  queued analysis requests admitted at once; the next
                     request gets 503 + Retry-After (default 64)
 
@@ -185,7 +182,7 @@ static_assert(std::size(kOpSurface) == api::kOpNames.size());
 constexpr std::pair<std::string_view, std::string_view> kToolSurface[] = {
     {"batch", "file threads metrics trace-out"},
     {"stats", "file threads format trace-out"},
-    {"serve", "port threads max-inflight trace-out"},
+    {"serve", "port max-inflight trace-out"},
     {"apps", ""},
 };
 
@@ -444,18 +441,10 @@ int run(int argc, const char* const* argv, std::ostream& out,
   const Cli cli(static_cast<int>(cargs.size()), cargs.data());
   try {
     // One engine session per invocation: every subcommand dispatches
-    // through it, sharing the graph cache and workspace pool.  Only batch
-    // fans requests out, so its pool is sized from --threads (matching the
-    // free parallel_for semantics: the requested count wins even above the
-    // hardware concurrency); the other subcommands run on a 1-worker pool.
-    // serve sizes the pool from --threads too: the daemon runs requests
-    // one at a time, the pool is each request's inner parallelism.
+    // through it, sharing the graph and solver caches.  Parallelism is
+    // per request (its `threads` field) or per batch (--threads).
+    api::Engine engine;
     const std::optional<std::size_t> op = api::op_index(sub);
-    const bool pooled =
-        !op && std::find(known->begin(), known->end(), "threads") !=
-                   known->end();
-    api::Engine engine(api::Engine::Options{
-        .threads = pooled ? cli.get_int32("threads", 0) : 1});
     // --trace-out: the file opens before any work runs (a bad path must
     // fail fast, not after a long campaign), recording is enabled for the
     // whole dispatch, and the trace is written after it completes —

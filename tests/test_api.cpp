@@ -513,7 +513,7 @@ TEST(ApiSchemaParity, SubcommandFlagSetsAreTableFlagsPlusSurface) {
       {"place", cat({app, {"l-wire", "d-switch", "ft-radix", "max-rounds"}})},
       {"batch", cat({{"file", "threads", "metrics"}})},
       {"stats", cat({{"file", "threads", "format"}})},
-      {"serve", cat({{"port", "threads", "max-inflight"}})},
+      {"serve", cat({{"port", "max-inflight"}})},
       {"apps", {}},
   };
   for (const auto& [sub, want] : expected) {
@@ -809,8 +809,8 @@ TEST(ApiSolverCache, WarmBatchBytesAreThreadCountInvariant) {
 TEST(ApiBatch, ByteDeterministicAcrossThreadCounts) {
   const std::string input = mixed_workload_jsonl();
   auto serve = [&](int threads) {
-    // Pool sized to the requested count so the 8-thread run is genuinely
-    // parallel whatever the host's core count.
+    // Capped at the requested count; the 8-thread run starts 8 workers
+    // whatever the host's core count.
     api::Engine engine(api::Engine::Options{.threads = threads});
     std::istringstream in(input);
     std::ostringstream out;
@@ -899,29 +899,53 @@ TEST(ApiBatch, RunBatchSharesTheSessionCache) {
   EXPECT_EQ(stats.hits, 5u);
 }
 
-TEST(ApiBatch, ConcurrentRunBatchCallsSerializeSafely) {
-  // The engine doc promises concurrent run_batch callers are safe (they
-  // serialize on an internal lock); both batches must complete cleanly.
-  api::Engine engine(api::Engine::Options{.threads = 4});
-  auto batch_of = [](const char* app) {
+TEST(ApiBatch, ConcurrentRunBatchCallsMatchSerialBytes) {
+  // Two batches really run at once on one engine, racing the shared graph
+  // and solver caches over the same scenarios; each must produce the bytes
+  // of a serial run on a fresh engine.
+  auto batch_of = [](const char* first, const char* second) {
     std::vector<api::Request> reqs;
-    for (int i = 0; i < 4; ++i) {
-      api::SweepRequest req;
-      req.app = small_app(app);
-      req.grid = {20.0, 3};
-      reqs.emplace_back(req);
+    for (const char* app : {first, second}) {
+      api::SweepRequest sweep;
+      sweep.app = small_app(app);
+      sweep.grid = {20.0, 3};
+      reqs.emplace_back(sweep);
+      api::AnalyzeRequest analyze;
+      analyze.app = small_app(app);
+      analyze.grid = {20.0, 3};
+      reqs.emplace_back(analyze);
+      api::McRequest mc;
+      mc.app = small_app(app);
+      mc.grid = {20.0, 3};
+      mc.samples = 16;
+      mc.edge_sigma = 0.003;
+      reqs.emplace_back(mc);
+      api::TopoRequest topo;
+      topo.app = small_app(app);
+      reqs.emplace_back(topo);
     }
     return reqs;
   };
+  const auto lines = [](const std::vector<api::Engine::Outcome>& outcomes) {
+    std::vector<std::string> out;
+    for (const auto& o : outcomes) {
+      EXPECT_TRUE(o.response.has_value()) << o.error;
+      out.push_back(o.response ? api::to_json_line(*o.response) : o.error);
+    }
+    return out;
+  };
+  const auto a_reqs = batch_of("lulesh", "hpcg");
+  const auto b_reqs = batch_of("hpcg", "lulesh");
+  api::Engine engine(api::Engine::Options{.threads = 4});
   std::vector<api::Engine::Outcome> a, b;
-  std::thread t1([&] { a = engine.run_batch(batch_of("lulesh"), 4); });
-  std::thread t2([&] { b = engine.run_batch(batch_of("hpcg"), 4); });
+  std::thread t1([&] { a = engine.run_batch(a_reqs, 4); });
+  std::thread t2([&] { b = engine.run_batch(b_reqs, 4); });
   t1.join();
   t2.join();
-  ASSERT_EQ(a.size(), 4u);
-  ASSERT_EQ(b.size(), 4u);
-  for (const auto& o : a) EXPECT_TRUE(o.response.has_value()) << o.error;
-  for (const auto& o : b) EXPECT_TRUE(o.response.has_value()) << o.error;
+  api::Engine serial_a;
+  api::Engine serial_b;
+  EXPECT_EQ(lines(a), lines(serial_a.run_batch(a_reqs, 1)));
+  EXPECT_EQ(lines(b), lines(serial_b.run_batch(b_reqs, 1)));
 }
 
 TEST(ApiBatch, CrlfBlankLinesAndMissingTrailingNewlineAreHandled) {

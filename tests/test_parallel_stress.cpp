@@ -1,18 +1,24 @@
-// Concurrency stress for the long-lived shared structures behind the
-// api::Engine: util/parallel::ThreadPool (persistent workers reused across
-// jobs), core::GraphCache (build-once graphs behind per-key locks), and
-// the obs registry/tracer (sharded metric cells, per-thread span lanes).
-// These suites are the primary target of the ThreadSanitizer CI job — they
-// are written to maximize contention, not coverage: many tiny jobs, many
-// threads racing one key, exceptions thrown mid-job.
+// Concurrency stress for the shared structures behind the api::Engine:
+// util/parallel's parallel_for_workers (the one fan-out primitive: per-call
+// threads claiming indices from a shared counter), core::GraphCache
+// (build-once graphs behind per-key locks), and the obs registry/tracer
+// (sharded metric cells, per-thread span lanes).  These suites are the
+// primary target of the ThreadSanitizer CI job — they are written to
+// maximize contention, not coverage: many tiny calls, many threads racing
+// one key, exceptions thrown mid-call.
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/graph_cache.hpp"
@@ -27,18 +33,43 @@ namespace {
 constexpr std::uint64_t kS = 256 * 1024;  // the default rendezvous threshold
 
 // ---------------------------------------------------------------------------
-// ThreadPool under reuse pressure.
+// parallel_for_workers.  Its determinism contract — fn(i) may depend only
+// on i — is pinned under exactly the conditions that would expose a
+// violation: a strongly imbalanced per-index cost, several thread counts,
+// and TSan (this file is part of the ThreadSanitizer CI job).
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolStress, ManyTinyJobsBackToBack) {
-  // Hundreds of small jobs on one pool: every submission re-publishes job_
-  // and re-arms the generation/remaining handshake, which is where a
-  // missed-wakeup or torn-read bug would live.
-  ThreadPool pool(8);
+TEST(ParallelForWorkers, CallerRunsAsWorkerZero) {
+  // The caller is worker 0 and each call starts at most
+  // effective_threads - 1 threads of its own.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  parallel_for_workers(64, 4, [&](int w, std::size_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    EXPECT_EQ(w == 0, self == caller);
+    const std::lock_guard<std::mutex> lock(mutex);
+    ids.insert(self);
+  });
+  EXPECT_LE(ids.size(), 4u);
+  std::vector<int> workers;
+  parallel_for_workers(5, 1, [&](int w, std::size_t) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    workers.push_back(w);
+  });
+  EXPECT_EQ(workers, std::vector<int>(5, 0));
+}
+
+TEST(ParallelForWorkers, ManyTinyCallsBackToBack) {
+  // Hundreds of small calls with varying widths: every call starts and
+  // joins its own threads, and no worker id reaches past the call's width.
   for (int round = 0; round < 400; ++round) {
     std::atomic<long long> sum{0};
     const std::size_t n = 1 + static_cast<std::size_t>(round % 37);
-    pool.for_workers(n, 0, [&](int, std::size_t i) {
+    const int threads = 1 + round % 8;
+    const int width = effective_threads(n, threads);
+    parallel_for_workers(n, threads, [&](int w, std::size_t i) {
+      EXPECT_LT(w, width);
       sum.fetch_add(static_cast<long long>(i) + 1, std::memory_order_relaxed);
     });
     const long long nn = static_cast<long long>(n);
@@ -46,26 +77,54 @@ TEST(ThreadPoolStress, ManyTinyJobsBackToBack) {
   }
 }
 
+// The ThreadPool*, ThreadPoolStress and ChunkedWorkersStress suites keep
+// the names they had when the persistent pool and the chunk-claiming loop
+// were separate implementations.  Each case now runs parallel_for_workers,
+// the one scheduler that replaced both, at the widths and loads the old
+// case used.
+
+TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
+  std::vector<std::atomic<int>> seen(101);
+  parallel_for_workers(seen.size(), 4, [&](int worker, std::size_t i) {
+    EXPECT_GE(worker, 0);
+    EXPECT_LT(worker, 4);
+    seen[i].fetch_add(1);
+  });
+  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
+}
+
+TEST(ThreadPool, PropagatesExceptionsAndSurvivesThem) {
+  EXPECT_THROW(parallel_for_workers(32, 4,
+                                    [&](int, std::size_t i) {
+                                      if (i == 17) throw Error("boom");
+                                    }),
+               Error);
+  // The next call after a failed one is unaffected.
+  std::atomic<int> count{0};
+  parallel_for_workers(8, 4, [&](int, std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 8);
+}
+
 TEST(ThreadPoolStress, ExceptionStormLeavesPoolServiceable) {
-  // Alternate failing and clean jobs; a failed job must drain fully (no
-  // worker left running into the next job's state) and rethrow exactly one
-  // exception on the caller.
-  ThreadPool pool(4);
+  // Alternate failing and clean calls: a failing call joins every worker
+  // and rethrows exactly one exception on the caller; the next call is
+  // unaffected.
   for (int round = 0; round < 100; ++round) {
     std::atomic<int> ran{0};
     try {
-      pool.for_workers(64, 0, [&](int, std::size_t i) {
+      parallel_for_workers(64, 4, [&](int, std::size_t i) {
         ran.fetch_add(1, std::memory_order_relaxed);
         if (round % 2 == 0 && i % 19 == 3) throw Error("storm");
       });
       EXPECT_EQ(round % 2, 1) << "even rounds must throw";
       EXPECT_EQ(ran.load(), 64);
-    } catch (const Error&) {
+    } catch (const Error& e) {
       EXPECT_EQ(round % 2, 0) << "odd rounds must not throw";
+      EXPECT_STREQ(e.what(), "storm");
     }
   }
   std::atomic<int> count{0};
-  pool.for_workers(32, 0, [&](int, std::size_t) { count.fetch_add(1); });
+  parallel_for_workers(32, 4, [&](int, std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 32);
 }
 
@@ -73,13 +132,11 @@ TEST(ThreadPoolStress, WorkerScratchStaysPerWorker) {
   // Per-worker accumulators indexed by the worker id: if two threads ever
   // shared a worker index concurrently, TSan would flag the unsynchronized
   // writes and the totals would drift.
-  ThreadPool pool(6);
+  constexpr int kWorkers = 6;
   for (int round = 0; round < 50; ++round) {
-    std::vector<long long> per_worker(static_cast<std::size_t>(pool.size()),
-                                      0);
-    pool.for_workers(257, 0, [&](int w, std::size_t i) {
-      per_worker[static_cast<std::size_t>(w)] +=
-          static_cast<long long>(i) + 1;
+    std::vector<long long> per_worker(kWorkers, 0);
+    parallel_for_workers(257, kWorkers, [&](int w, std::size_t i) {
+      per_worker[static_cast<std::size_t>(w)] += static_cast<long long>(i) + 1;
     });
     long long total = 0;
     for (const long long v : per_worker) total += v;
@@ -87,20 +144,52 @@ TEST(ThreadPoolStress, WorkerScratchStaysPerWorker) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// parallel_for_workers_chunked: the chunk-claiming scheduler behind the MC
-// general path.  Its determinism contract is the same as the strided
-// variant — fn(i) may depend only on i — and these suites pin it under
-// exactly the conditions that would expose a violation: a strongly
-// imbalanced per-index cost, several thread counts, and TSan (this file is
-// part of the ThreadSanitizer CI job).
-// ---------------------------------------------------------------------------
+TEST(ChunkedWorkersStress, CoversEveryIndexExactlyOnce) {
+  // One index per claim maximizes contention on the shared counter; a
+  // double grant or a skipped tail would show up as a count != 1.
+  std::vector<std::atomic<int>> seen(1013);
+  parallel_for_workers(seen.size(), 8, [&](int w, std::size_t i) {
+    EXPECT_GE(w, 0);
+    EXPECT_LT(w, 8);
+    seen[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  for (const auto& s : seen) ASSERT_EQ(s.load(), 1);
+}
+
+TEST(ChunkedWorkersStress, PerWorkerScratchStaysPerWorker) {
+  // The worker id is unique per concurrent thread, so unsynchronized
+  // per-worker accumulators are safe (TSan verifies the claim).
+  constexpr int kWorkers = 6;
+  std::vector<long long> per_worker(kWorkers, 0);
+  parallel_for_workers(999, kWorkers, [&](int w, std::size_t i) {
+    per_worker[static_cast<std::size_t>(w)] += static_cast<long long>(i) + 1;
+  });
+  long long total = 0;
+  for (const long long v : per_worker) total += v;
+  EXPECT_EQ(total, 999LL * 1000 / 2);
+}
+
+TEST(ChunkedWorkersStress, PropagatesExactlyOneException) {
+  // Every call throws from several indices on several workers; the caller
+  // sees exactly one of those exceptions.
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> ran{0};
+    try {
+      parallel_for_workers(256, 8, [&](int, std::size_t i) {
+        ran.fetch_add(1, std::memory_order_relaxed);
+        if (i % 41 == 7) throw Error("chunk storm");
+      });
+      FAIL() << "must throw";
+    } catch (const Error& e) {
+      EXPECT_STREQ(e.what(), "chunk storm");
+    }
+  }
+}
 
 // A deliberately lopsided per-index computation: indices divisible by 16
-// cost ~200x the rest, so static striding would leave most workers idle
-// while chunk claiming keeps them busy.  The result for index i is a fixed
-// sequence of FP ops depending only on i — any scheduler that leaks state
-// across indices or workers changes the bytes.
+// cost ~200x the rest.  The result for index i is a fixed sequence of FP
+// ops depending only on i — any scheduler that leaks state across indices
+// or workers changes the bytes.
 double imbalanced_value(std::size_t i) {
   const int iters = (i % 16 == 0) ? 4000 : 20;
   double x = static_cast<double>(i) + 1.0;
@@ -110,72 +199,63 @@ double imbalanced_value(std::size_t i) {
   return x;
 }
 
-TEST(ChunkedWorkersStress, BitwiseIdenticalAcrossThreadCounts) {
+TEST(ParallelForWorkers, BitwiseIdenticalAcrossThreadCounts) {
   constexpr std::size_t kN = 1200;
   std::vector<double> ref(kN, 0.0);
-  parallel_for_workers_chunked(kN, 1, 4, [&](int, std::size_t i) {
+  parallel_for_workers(kN, 1, [&](int, std::size_t i) {
     ref[i] = imbalanced_value(i);
   });
   for (const int threads : {2, 8}) {
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
-                                    std::size_t{64}, kN + 1}) {
-      std::vector<double> got(kN, 0.0);
-      parallel_for_workers_chunked(kN, threads, chunk,
-                                   [&](int, std::size_t i) {
-                                     got[i] = imbalanced_value(i);
-                                   });
-      ASSERT_EQ(got, ref) << "threads=" << threads << " chunk=" << chunk;
-    }
+    std::vector<double> got(kN, 0.0);
+    parallel_for_workers(kN, threads, [&](int, std::size_t i) {
+      got[i] = imbalanced_value(i);
+    });
+    ASSERT_EQ(got, ref) << "threads=" << threads;
   }
 }
 
-TEST(ChunkedWorkersStress, CoversEveryIndexExactlyOnce) {
-  // Tiny chunks maximize claim contention on the shared atomic counter;
-  // a double-grant or a skipped tail would show up as a count != 1.
-  std::vector<std::atomic<int>> seen(1013);
-  parallel_for_workers_chunked(seen.size(), 8, 1, [&](int w, std::size_t i) {
-    EXPECT_GE(w, 0);
-    EXPECT_LT(w, 8);
-    seen[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& s : seen) ASSERT_EQ(s.load(), 1);
-}
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
 
-TEST(ChunkedWorkersStress, ZeroChunkMeansOne) {
-  std::vector<std::atomic<int>> seen(64);
-  parallel_for_workers_chunked(seen.size(), 4, 0, [&](int, std::size_t i) {
-    seen[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (const auto& s : seen) ASSERT_EQ(s.load(), 1);
-}
-
-TEST(ChunkedWorkersStress, PerWorkerScratchStaysPerWorker) {
-  // Same invariant the strided variant and ThreadPool guarantee: the worker
-  // id is unique per concurrent thread, so unsynchronized per-worker
-  // accumulators are safe (TSan verifies the claim).
-  constexpr int kWorkers = 6;
-  std::vector<long long> per_worker(kWorkers, 0);
-  parallel_for_workers_chunked(999, kWorkers, 5, [&](int w, std::size_t i) {
-    per_worker[static_cast<std::size_t>(w)] += static_cast<long long>(i) + 1;
-  });
-  long long total = 0;
-  for (const long long v : per_worker) total += v;
-  EXPECT_EQ(total, 999LL * 1000 / 2);
-}
-
-TEST(ChunkedWorkersStress, PropagatesExactlyOneException) {
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<int> ran{0};
-    try {
-      parallel_for_workers_chunked(256, 8, 3, [&](int, std::size_t i) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        if (i % 41 == 7) throw Error("chunk storm");
-      });
-      FAIL() << "must throw";
-    } catch (const Error& e) {
-      EXPECT_STREQ(e.what(), "chunk storm");
+/// This process's current virtual size in bytes (VmSize), or 0.
+std::size_t virtual_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string key;
+  while (status >> key) {
+    if (key == "VmSize:") {
+      std::size_t kb = 0;
+      status >> kb;
+      return kb * 1024;
     }
   }
+  return 0;
+}
+
+TEST(ParallelForWorkers, FailedThreadStartsOnlyMeanFewerWorkers) {
+  // Under a tight address-space limit most of 4096 thread stacks cannot be
+  // mapped.  The call must neither terminate nor lose an index: the
+  // threads that did start, and the caller, claim the rest.
+  if (kSanitized) GTEST_SKIP() << "sanitizer shadow memory needs the address space";
+  const std::size_t vm = virtual_bytes();
+  if (vm == 0) GTEST_SKIP() << "no /proc/self/status";
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_AS, &saved), 0);
+  constexpr std::size_t kN = 4096;
+  std::vector<std::atomic<int>> seen(kN);
+  rlimit tight = saved;
+  tight.rlim_cur = static_cast<rlim_t>(vm + (std::size_t{256} << 20));
+  if (saved.rlim_cur != RLIM_INFINITY && saved.rlim_cur < tight.rlim_cur) {
+    tight.rlim_cur = saved.rlim_cur;
+  }
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &tight), 0);
+  parallel_for_workers(kN, static_cast<int>(kN), [&](int, std::size_t i) {
+    seen[i].fetch_add(1, std::memory_order_relaxed);
+  });
+  ASSERT_EQ(setrlimit(RLIMIT_AS, &saved), 0);
+  for (const auto& s : seen) ASSERT_EQ(s.load(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -190,11 +270,10 @@ TEST(ObsRegistryStress, ConcurrentIncrementsMergeExactly) {
     obs::Registry reg(obs::Registry::Options{.shards = shards});
     obs::Counter hot = reg.counter("hot");
     obs::Histogram lat = reg.histogram("lat");
-    ThreadPool pool(8);
     constexpr std::size_t kTasks = 64;
     constexpr int kPerTask = 500;
     for (int round = 0; round < 4; ++round) {
-      pool.for_workers(kTasks, 0, [&](int, std::size_t i) {
+      parallel_for_workers(kTasks, 8, [&](int, std::size_t i) {
         for (int k = 0; k < kPerTask; ++k) {
           hot.inc();
           lat.record(static_cast<double>(i % 7) + 1.0);
@@ -219,8 +298,7 @@ TEST(ObsRegistryStress, RegistrationRacesRecording) {
   // the registry mutex, recording never does.
   obs::Registry reg;
   obs::Counter hot = reg.counter("hot");
-  ThreadPool pool(6);
-  pool.for_workers(600, 0, [&](int, std::size_t i) {
+  parallel_for_workers(600, 6, [&](int, std::size_t i) {
     if (i % 50 == 0) {
       obs::Counter fresh =
           reg.counter("late." + std::to_string(i / 50));
@@ -245,9 +323,8 @@ TEST(ObsRegistryStress, RegistrationRacesRecording) {
 TEST(ObsTraceStress, ConcurrentSpansLandInPerThreadLanes) {
   obs::Tracer tracer;
   tracer.enable();
-  ThreadPool pool(6);
   constexpr std::size_t kTasks = 300;
-  pool.for_workers(kTasks, 0, [&](int, std::size_t) {
+  parallel_for_workers(kTasks, 6, [&](int, std::size_t) {
     const obs::SpanScope outer(tracer, "outer");
     const obs::SpanScope inner(tracer, "inner");
   });
@@ -268,7 +345,8 @@ TEST(GraphCacheStress, ConcurrentSameKeyBuildsExactlyOnce) {
   core::GraphCache cache;
   constexpr std::size_t kCallers = 16;
   std::vector<const graph::Graph*> got(kCallers, nullptr);
-  parallel_for(kCallers, static_cast<int>(kCallers), [&](std::size_t i) {
+  const int threads = static_cast<int>(kCallers);
+  parallel_for_workers(kCallers, threads, [&](int, std::size_t i) {
     got[i] = &cache.get(small_key(0.02));
   });
   for (const graph::Graph* g : got) EXPECT_EQ(g, got[0]);
@@ -289,7 +367,7 @@ TEST(GraphCacheStress, DistinctKeysBuildInParallelThenHit) {
   // Every post-warm get, from any thread, is a pure lookup.
   constexpr std::size_t kLookups = 64;
   std::vector<const graph::Graph*> got(kLookups, nullptr);
-  parallel_for(kLookups, 8, [&](std::size_t i) {
+  parallel_for_workers(kLookups, 8, [&](int, std::size_t i) {
     got[i] = &cache.get(keys[i % keys.size()]);
   });
   EXPECT_EQ(cache.stats().built, keys.size());
@@ -301,15 +379,13 @@ TEST(GraphCacheStress, DistinctKeysBuildInParallelThenHit) {
 TEST(GraphCacheStress, HammerMixedColdAndWarmKeys) {
   // Threads race gets across a small key set while some keys are still
   // cold, exercising slot creation (map mutex), first-touch builds (slot
-  // mutex), and hit counting all at once.  ThreadPool drives it so the
-  // pool and the cache are stressed together, engine-style.
+  // mutex), and hit counting all at once, engine-style.
   core::GraphCache cache;
   const std::vector<core::GraphKey> keys = {small_key(0.02), small_key(0.025),
                                             small_key(0.03)};
-  ThreadPool pool(8);
   std::vector<const graph::Graph*> by_key(keys.size(), nullptr);
   for (int round = 0; round < 6; ++round) {
-    pool.for_workers(48, 0, [&](int, std::size_t i) {
+    parallel_for_workers(48, 8, [&](int, std::size_t i) {
       const std::size_t k = i % keys.size();
       const graph::Graph& g = cache.get(keys[k]);
       ASSERT_GT(g.num_vertices(), 0u);

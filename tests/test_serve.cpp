@@ -2,7 +2,7 @@
 // parser, the poll-loop server, and the engine route table.  The headline
 // contract is wire determinism — identical request body bytes produce
 // identical response body bytes whatever the connection interleaving,
-// keep-alive reuse, engine pool size, or prior cache state — plus the
+// keep-alive reuse, request thread count, or prior cache state — plus the
 // robustness contract that malformed input maps to precise 4xx statuses
 // and never kills the daemon.
 
@@ -308,8 +308,7 @@ const char* kMcBody =
 
 /// An engine + started server bound to an ephemeral port.
 struct TestDaemon {
-  explicit TestDaemon(int threads = 1, int max_inflight = 64) : engine(
-      api::Engine::Options{.threads = threads}) {
+  explicit TestDaemon(int max_inflight = 64) {
     Server::Options opts;
     opts.port = 0;
     opts.max_inflight = max_inflight;
@@ -383,7 +382,7 @@ TEST(ServeDaemon, WireDeterminismAcrossInterleavingAndThreads) {
   std::vector<std::string> mc_bodies;
 
   {
-    TestDaemon daemon(/*threads=*/1);
+    TestDaemon daemon;
     Client c = daemon.client();
     // Cold cache, keep-alive reuse, alternating ops on one connection.
     analyze_bodies.push_back(c.post("/v1/analyze", kAnalyzeBody).body);
@@ -395,17 +394,24 @@ TEST(ServeDaemon, WireDeterminismAcrossInterleavingAndThreads) {
     analyze_bodies.push_back(c2.post("/v1/analyze", kAnalyzeBody).body);
   }
   {
-    // Different engine pool size; concurrent clients racing dispatch.
-    TestDaemon daemon(/*threads=*/4);
+    // Different request thread counts; concurrent clients racing
+    // dispatch.
+    TestDaemon daemon;
     std::vector<std::thread> workers;
     std::vector<std::string> analyze_out(3);
     std::vector<std::string> mc_out(3);
+    const auto with_threads = [](std::string body, int threads) {
+      body.pop_back();  // the closing brace
+      return body + ", \"threads\": " + std::to_string(threads) + "}";
+    };
     for (int i = 0; i < 3; ++i) {
-      workers.emplace_back([&daemon, &analyze_out, &mc_out, i] {
+      workers.emplace_back([&, i] {
+        const int threads = 1 << i;  // 1, 2, 4
         Client c = daemon.client();
         analyze_out[static_cast<std::size_t>(i)] =
-            c.post("/v1/analyze", kAnalyzeBody).body;
-        mc_out[static_cast<std::size_t>(i)] = c.post("/v1/mc", kMcBody).body;
+            c.post("/v1/analyze", with_threads(kAnalyzeBody, threads)).body;
+        mc_out[static_cast<std::size_t>(i)] =
+            c.post("/v1/mc", with_threads(kMcBody, threads)).body;
       });
     }
     for (std::thread& t : workers) t.join();

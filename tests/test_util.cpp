@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <numeric>
 #include <vector>
@@ -8,7 +7,6 @@
 #include "util/cli.hpp"
 #include "util/error.hpp"
 #include "util/math.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -17,63 +15,6 @@
 
 namespace llamp {
 namespace {
-
-// ---------------------------------------------------------------------------
-// ThreadPool: the persistent-worker twin of parallel_for_workers, used by
-// the api::Engine batch path.
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.size(), 4);
-  std::vector<std::atomic<int>> seen(101);
-  pool.for_workers(seen.size(), 0, [&](int worker, std::size_t i) {
-    EXPECT_GE(worker, 0);
-    EXPECT_LT(worker, 4);
-    seen[i].fetch_add(1);
-  });
-  for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
-}
-
-TEST(ThreadPool, StridingMatchesParallelForWorkers) {
-  // Same worker → index assignment as the free function, the property the
-  // engine's determinism contract is stated against.
-  ThreadPool pool(3);
-  std::vector<int> pool_worker(20, -1), free_worker(20, -1);
-  pool.for_workers(pool_worker.size(), 3,
-                   [&](int w, std::size_t i) { pool_worker[i] = w; });
-  parallel_for_workers(free_worker.size(), 3,
-                       [&](int w, std::size_t i) { free_worker[i] = w; });
-  EXPECT_EQ(pool_worker, free_worker);
-}
-
-TEST(ThreadPool, ReusableAcrossJobsAndCapsWorkers) {
-  ThreadPool pool(8);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<long long> sum{0};
-    const int cap = 1 + round % 8;
-    pool.for_workers(round + 1, cap, [&](int worker, std::size_t i) {
-      EXPECT_LT(worker, cap);
-      sum.fetch_add(static_cast<long long>(i));
-    });
-    const long long n = round;  // indices 0..round
-    EXPECT_EQ(sum.load(), n * (n + 1) / 2);
-  }
-}
-
-TEST(ThreadPool, PropagatesExceptionsAndSurvivesThem) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.for_workers(32, 0,
-                       [&](int, std::size_t i) {
-                         if (i == 17) throw Error("boom");
-                       }),
-      Error);
-  // The pool must stay serviceable after a failed job.
-  std::atomic<int> count{0};
-  pool.for_workers(8, 0, [&](int, std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 8);
-}
 
 // ---------------------------------------------------------------------------
 // util/math.hpp: the branch-free power-of-two helpers behind the batch
