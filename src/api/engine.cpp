@@ -1,7 +1,6 @@
 #include "api/engine.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <memory>
 #include <ostream>
@@ -9,7 +8,6 @@
 #include <utility>
 #include <variant>
 
-#include "apps/registry.hpp"
 #include "core/analyzer.hpp"
 #include "core/placement.hpp"
 #include "injector/cluster_emulator.hpp"
@@ -35,6 +33,15 @@ std::string app_meta_json(const ResolvedApp& app) {
 }
 
 std::string tolerance_or_null(double v) { return json_double(v); }
+
+/// The scenario of a single-scenario op: one variant, one cell, through the
+/// same resolution a campaign grid point takes.
+ResolvedApp resolve(const AppSpec& spec) {
+  const core::Scenario s = core::resolve_cell(
+      spec.app, spec.ranks, spec.scale,
+      core::resolve_variant(spec.net, spec.L, spec.o, spec.G, spec.S));
+  return {s.app, s.ranks, s.scale, s.params};
+}
 
 /// The kOpNames slot of `T`, an alternative of `V` (Request or Response).
 template <typename T, typename V = Request, std::size_t I = 0>
@@ -348,43 +355,6 @@ auto Engine::timed(const R& req) {
   }
 }
 
-ResolvedApp Engine::resolve(const AppSpec& spec) const {
-  ResolvedApp r;
-  r.app = spec.app;
-  r.ranks = apps::supported_ranks(spec.app, spec.ranks);
-  r.scale = spec.scale;
-  // Same rule the campaign engine enforces: a non-finite or non-positive
-  // scale would silently analyze a clamped or nonsense trace.
-  if (!(r.scale > 0.0) || !std::isfinite(r.scale)) {
-    throw UsageError(strformat("need finite --scale > 0 (got %g)", r.scale));
-  }
-  if (spec.net == "cscs") {
-    r.params = loggops::NetworkConfig::cscs_testbed();
-  } else if (spec.net == "daint") {
-    r.params = loggops::NetworkConfig::piz_daint();
-  } else {
-    throw Error("unknown --net preset '" + spec.net +
-                "' (want cscs or daint)");
-  }
-  // Per-application overhead from Table II where the paper measured one;
-  // apps outside Table II (npb-*, namd) keep the preset's o.
-  core::apply_table2_overhead(r.params, r.app, r.ranks);
-  if (spec.L) r.params.L = *spec.L;
-  if (spec.o) r.params.o = *spec.o;
-  if (spec.G) r.params.G = *spec.G;
-  if (spec.S) {
-    // S is graph-shaping; a zero threshold would silently analyze a
-    // different execution graph (the CLI's --S >= 1 rule).
-    if (*spec.S < 1) {
-      throw UsageError(strformat("need --S >= 1 (got %llu)",
-                                 static_cast<unsigned long long>(*spec.S)));
-    }
-    r.params.S = *spec.S;
-  }
-  r.params.validate();
-  return r;
-}
-
 core::GraphKey Engine::key_for(const ResolvedApp& app) {
   return {app.app, app.ranks, app.scale, app.params.S};
 }
@@ -510,10 +480,10 @@ namespace {
 std::vector<core::ConfigVariant> campaign_configs(const CampaignRequest& req) {
   struct Override {
     std::string text;
-    double value = 0.0;
+    std::optional<double> value;
   };
-  const auto overrides = [](const std::vector<std::string>& list,
-                            const char* key) {
+  const auto axis = [](const std::vector<std::string>& list,
+                       const char* key) {
     std::vector<Override> out;
     for (const std::string& field : list) {
       const auto f = trim(field);
@@ -528,58 +498,25 @@ std::vector<core::ConfigVariant> campaign_configs(const CampaignRequest& req) {
     if (out.empty() && !list.empty()) {
       throw UsageError(strformat("empty --%s list", key));
     }
+    // An absent axis contributes one pass-through slot to the cross
+    // product.
+    if (out.empty()) out.emplace_back();
     return out;
   };
-  const auto Ls = overrides(req.L_list, "L-list");
-  const auto os_ = overrides(req.o_list, "o-list");
-  const auto Gs = overrides(req.G_list, "G-list");
-  // An absent axis contributes one pass-through (null) slot to the cross
-  // product.
-  const auto axis = [](const std::vector<Override>& list) {
-    std::vector<const Override*> ptrs;
-    for (const auto& o : list) ptrs.push_back(&o);
-    if (ptrs.empty()) ptrs.push_back(nullptr);
-    return ptrs;
-  };
+  const auto Ls = axis(req.L_list, "L-list");
+  const auto os_ = axis(req.o_list, "o-list");
+  const auto Gs = axis(req.G_list, "G-list");
   if (req.nets.empty()) throw UsageError("empty --nets list");
   std::vector<core::ConfigVariant> out;
   for (const std::string& net : req.nets) {
-    loggops::Params base;
-    if (net == "cscs") {
-      base = loggops::NetworkConfig::cscs_testbed();
-    } else if (net == "daint") {
-      base = loggops::NetworkConfig::piz_daint();
-    } else {
-      throw UsageError("unknown --nets preset '" + net +
-                       "' (want cscs or daint)");
-    }
-    for (const Override* L : axis(Ls)) {
-      for (const Override* o : axis(os_)) {
-        for (const Override* G : axis(Gs)) {
-          core::ConfigVariant v;
-          v.name = net;
-          v.params = base;
-          if (L) {
-            v.params.L = L->value;
-            v.name += "/L=" + L->text;
-          }
-          if (o) {
-            v.params.o = o->value;
-            v.o_is_default = false;
-            v.name += "/o=" + o->text;
-          }
-          if (G) {
-            v.params.G = G->value;
-            v.name += "/G=" + G->text;
-          }
-          if (req.S) {
-            if (*req.S < 1) {
-              throw UsageError(
-                  strformat("need --S >= 1 (got %llu)",
-                            static_cast<unsigned long long>(*req.S)));
-            }
-            v.params.S = *req.S;
-          }
+    for (const Override& L : Ls) {
+      for (const Override& o : os_) {
+        for (const Override& G : Gs) {
+          core::ConfigVariant v = core::resolve_variant(net, L.value, o.value,
+                                                        G.value, req.S);
+          if (L.value) v.name += "/L=" + L.text;
+          if (o.value) v.name += "/o=" + o.text;
+          if (G.value) v.name += "/G=" + G.text;
           out.push_back(std::move(v));
         }
       }
@@ -650,41 +587,32 @@ CampaignResult Engine::execute(const CampaignRequest& req) {
 
 TopoResult Engine::execute(const TopoRequest& req) {
   const ResolvedApp app = resolve(req.app);
+  const core::TopologyOptions shape{req.l_wire, req.d_switch, req.ft_radix,
+                                    req.df_groups, req.df_routers,
+                                    req.df_hosts};
+  const auto fat_tree = core::fit_topology("fat-tree", shape, app.ranks);
+  const auto dragonfly = core::fit_topology("dragonfly", shape, app.ranks);
   const graph::Graph& g = graph_for(app);
-  const topo::FatTree fat_tree(req.ft_radix);
-  const topo::Dragonfly dragonfly(req.df_groups, req.df_routers,
-                                  req.df_hosts);
-  const std::array<const topo::Topology*, 2> topologies{&fat_tree,
-                                                        &dragonfly};
-  for (const topo::Topology* t : topologies) {
-    if (t->nnodes() < app.ranks) {
-      throw Error(t->name() + " has only " + std::to_string(t->nnodes()) +
-                  " nodes for " + std::to_string(app.ranks) + " ranks");
-    }
-  }
-  const auto placement = topo::identity_placement(app.ranks);
   lp::LoweredProblem::Cursor cur;
 
   TopoResult res;
   res.app = app;
-  for (const topo::Topology* t : topologies) {
-    auto space = std::make_shared<lp::LinkClassParamSpace>(
-        topo::make_wire_latency_space(app.params, *t, placement, req.l_wire,
-                                      req.d_switch));
-    const lp::LoweredProblem prob(g, std::move(space));
-    const auto& sol = prob.solve(0, req.l_wire, cur);
+  for (const topo::Topology* t : {fat_tree.get(), dragonfly.get()}) {
+    const auto prob = core::lower_wire_latency(g, app.params, *t, shape);
+    const auto& sol = prob->solve(0, req.l_wire, cur);
     const double runtime = sol.value;
     const double gradient = sol.gradient[0];
-    const double tol = prob.max_param_for_budget(0, runtime * 1.01, cur);
+    const double tol = prob->max_param_for_budget(0, runtime * 1.01, cur);
     res.topologies.push_back({t->name(), runtime, gradient, tol});
   }
 
   // Dragonfly per-class breakdown (Fig. 19): tolerance of each wire class
   // with the other two held at their base values.
   auto df_space = std::make_shared<lp::LinkClassParamSpace>(
-      topo::make_dragonfly_class_space(app.params, dragonfly, placement,
-                                       req.l_wire, req.l_wire, req.l_wire,
-                                       req.d_switch));
+      topo::make_dragonfly_class_space(
+          app.params, dynamic_cast<const topo::Dragonfly&>(*dragonfly),
+          topo::identity_placement(app.ranks), req.l_wire, req.l_wire,
+          req.l_wire, req.d_switch));
   const lp::LoweredProblem df_prob(g, df_space);
   const auto& base_sol = df_prob.solve(0, req.l_wire, cur);
   const double T0 = base_sol.value;
@@ -703,24 +631,22 @@ TopoResult Engine::execute(const TopoRequest& req) {
 
 PlaceResult Engine::execute(const PlaceRequest& req) {
   const ResolvedApp app = resolve(req.app);
+  core::TopologyOptions shape;
+  shape.ft_radix = req.ft_radix;
+  const auto ft = core::fit_topology("fat-tree", shape, app.ranks);
   const graph::Graph& g = graph_for(app);
-  const topo::FatTree ft(req.ft_radix);
-  if (ft.nnodes() < app.ranks) {
-    throw Error(ft.name() + " has only " + std::to_string(ft.nnodes()) +
-                " nodes for " + std::to_string(app.ranks) + " ranks");
-  }
   core::WireCost wire;
   wire.l_wire = req.l_wire;
   wire.d_switch = req.d_switch;
 
-  const auto block = core::block_placement(g, app.params, ft, wire);
-  const auto volume = core::volume_greedy_placement(g, app.params, ft, wire);
-  const auto opt = core::optimize_placement(g, app.params, ft, wire, {},
+  const auto block = core::block_placement(g, app.params, *ft, wire);
+  const auto volume = core::volume_greedy_placement(g, app.params, *ft, wire);
+  const auto opt = core::optimize_placement(g, app.params, *ft, wire, {},
                                             req.max_rounds);
 
   PlaceResult res;
   res.app = app;
-  res.topology = ft.name();
+  res.topology = ft->name();
   res.strategies.push_back({"block (default)", block.predicted_runtime});
   res.strategies.push_back({"volume-greedy", volume.predicted_runtime});
   res.strategies.push_back({strformat("llamp algorithm 3 (%d swaps)",
@@ -787,10 +713,6 @@ std::vector<Engine::Outcome> Engine::run_batch(
 // ---------------------------------------------------------------------------
 // Observability surfaces.
 // ---------------------------------------------------------------------------
-
-std::string Engine::cache_stats_string() const {
-  return cache_.stats_string() + '\n' + solver_cache_.stats_string();
-}
 
 obs::Snapshot Engine::metrics_snapshot() const {
   obs::Snapshot snap = metrics_.snapshot();

@@ -190,8 +190,6 @@ class Engine {
   std::string solver_cache_stats_string() const {
     return solver_cache_.stats_string();
   }
-  /// Both caches' stats lines (shared obs::stats_line format), one per line.
-  std::string cache_stats_string() const;
 
   // -- Observability (DESIGN.md §7).  Metrics and traces are side channels:
   // they never feed result bytes (the metrics-on-vs-off byte-identity tests
@@ -221,9 +219,6 @@ class Engine {
   std::uint64_t uptime_ns() const;
 
  private:
-  /// Clamp/validate an AppSpec into a concrete scenario (the shared
-  /// "common options" block of every single-scenario subcommand).
-  ResolvedApp resolve(const AppSpec& spec) const;
   static core::GraphKey key_for(const ResolvedApp& app);
   const graph::Graph& graph_for(const ResolvedApp& app);
 

@@ -40,7 +40,7 @@ struct AppSpec {
   std::string app = "lulesh";
   int ranks = 8;        ///< requested; clamped per app at execution
   double scale = 0.25;  ///< iteration-count multiplier
-  std::string net = "cscs";  ///< LogGPS preset: "cscs" | "daint"
+  std::string net = "cscs";  ///< LogGPS preset: cscs or daint
   std::optional<double> L;   ///< network latency override [ns]
   std::optional<double> o;   ///< per-message overhead override [ns]
   std::optional<double> G;   ///< gap-per-byte override [ns/byte]

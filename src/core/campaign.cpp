@@ -1,5 +1,6 @@
 #include "core/campaign.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <optional>
@@ -19,23 +20,13 @@
 namespace llamp::core {
 namespace {
 
-bool known_topology(const std::string& name) {
-  return name == "none" || name == "fat-tree" || name == "dragonfly";
-}
-
-void validate_scenario(const Scenario& s) {
+/// An explicit scenario list is checked like an expanded grid: the cell
+/// checks run on the scenario's own values (o pinned, so Table II leaves
+/// its params alone), then topology shape and fit — all at construction
+/// time, before any graph is built.
+void validate_scenario(const Scenario& s, const TopologyOptions& topo) {
   if (s.app.empty()) throw UsageError("campaign: scenario with empty app");
-  if (s.ranks < 1) {
-    throw UsageError(strformat("campaign: need ranks >= 1 (got %d)", s.ranks));
-  }
-  if (!(s.scale > 0.0) || !std::isfinite(s.scale)) {
-    throw UsageError(
-        strformat("campaign: need finite scale > 0 (got %g)", s.scale));
-  }
-  if (!known_topology(s.topology)) {
-    throw UsageError("campaign: unknown topology '" + s.topology +
-                     "' (want none, fat-tree, or dragonfly)");
-  }
+  (void)resolve_cell(s.app, s.ranks, s.scale, {s.config, s.params, false});
   if (s.delta_Ls.empty()) throw UsageError("campaign: empty ΔL grid");
   for (const TimeNs d : s.delta_Ls) {
     if (!(d >= 0.0) || !std::isfinite(d)) {
@@ -51,20 +42,12 @@ void validate_scenario(const Scenario& s) {
                     pct));
     }
   }
-  // The LogGPS values are part of the user-supplied grid spec, so a bad
-  // variant (negative L from --L-list, ...) is a usage error like every
-  // other degenerate axis, not an analysis failure.
-  try {
-    s.params.validate();
-  } catch (const Error& e) {
-    throw UsageError(strformat("campaign: config '%s' invalid: %s",
-                               s.config.c_str(), e.what()));
-  }
+  (void)fit_topology(s.topology, topo, s.ranks);
 }
 
 /// First-occurrence-preserving dedup for a grid axis: the engine's contract
 /// is that a grid never analyzes one scenario twice, whatever the user
-/// typed (--apps=lulesh,lulesh, repeated scales, rank-clamp collisions).
+/// typed (--apps=lulesh,lulesh, repeated scales).
 template <typename T>
 std::vector<T> dedup(const std::vector<T>& values) {
   std::vector<T> out;
@@ -76,39 +59,8 @@ std::vector<T> dedup(const std::vector<T>& values) {
   return out;
 }
 
-bool same_params(const loggops::Params& a, const loggops::Params& b) {
-  return a.L == b.L && a.o == b.o && a.g == b.g && a.G == b.G && a.O == b.O &&
-         a.S == b.S;
-}
-
 GraphKey graph_key(const Scenario& s) {
   return {s.app, s.ranks, s.scale, s.params.S};
-}
-
-std::unique_ptr<topo::Topology> make_topology(const std::string& name,
-                                              const TopologyOptions& topo) {
-  try {
-    if (name == "fat-tree") {
-      return std::make_unique<topo::FatTree>(topo.ft_radix);
-    }
-    return std::make_unique<topo::Dragonfly>(topo.df_groups, topo.df_routers,
-                                             topo.df_hosts);
-  } catch (const Error& e) {
-    throw UsageError(strformat("campaign: bad %s shape: %s", name.c_str(),
-                               e.what()));
-  }
-}
-
-/// Topology shape and fit are part of the user-supplied spec, so a
-/// too-small network or an invalid radix is a usage error, raised at
-/// construction time — before any graph is built.
-void validate_topology(const Scenario& s, const TopologyOptions& topo) {
-  if (s.topology == "none") return;
-  const auto t = make_topology(s.topology, topo);
-  if (t->nnodes() < s.ranks) {
-    throw UsageError(strformat("campaign: %s has only %d nodes for %d ranks",
-                               t->name().c_str(), t->nnodes(), s.ranks));
-  }
 }
 
 /// mc-axis hygiene shared by both Campaign constructors: the axis only
@@ -167,18 +119,15 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
   // identical either way.  Topology scenarios keep per-scenario lowerings
   // of the shared per-wire latency (not cacheable by LogGPS fingerprint).
   std::shared_ptr<SolverCache::Entry> entry;
-  std::optional<lp::LoweredProblem> wire;
+  std::unique_ptr<lp::LoweredProblem> wire;
   double base = 0.0;
   if (s.topology == "none") {
     entry = solvers.latency(graph_key(s), g, s.params);
     base = s.params.L;
   } else {
     // Shape and fit were already validated by the Campaign constructors.
-    const auto t = make_topology(s.topology, topo);
-    wire.emplace(g, std::make_shared<lp::LinkClassParamSpace>(
-                        topo::make_wire_latency_space(
-                            s.params, *t, topo::identity_placement(s.ranks),
-                            topo.l_wire, topo.d_switch)));
+    wire = lower_wire_latency(g, s.params,
+                              *fit_topology(s.topology, topo, s.ranks), topo);
     base = topo.l_wire;
   }
   res.base_runtime =
@@ -311,6 +260,101 @@ void apply_table2_overhead(loggops::Params& p, const std::string& app,
   }
 }
 
+ConfigVariant resolve_variant(const std::string& net, std::optional<double> L,
+                              std::optional<double> o, std::optional<double> G,
+                              std::optional<std::uint64_t> S) {
+  ConfigVariant v;
+  v.name = net;
+  if (net == "cscs") {
+    v.params = loggops::NetworkConfig::cscs_testbed();
+  } else if (net == "daint") {
+    v.params = loggops::NetworkConfig::piz_daint();
+  } else {
+    throw UsageError("unknown network preset '" + net +
+                     "' (want cscs or daint)");
+  }
+  if (L) v.params.L = *L;
+  if (o) {
+    v.params.o = *o;
+    v.o_is_default = false;
+  }
+  if (G) v.params.G = *G;
+  if (S) {
+    // S is graph-shaping; a zero threshold would silently analyze a
+    // different execution graph.
+    if (*S < 1) {
+      throw UsageError(strformat("need --S >= 1 (got %llu)",
+                                 static_cast<unsigned long long>(*S)));
+    }
+    v.params.S = *S;
+  }
+  return v;
+}
+
+Scenario resolve_cell(const std::string& app, int ranks, double scale,
+                      const ConfigVariant& variant) {
+  if (ranks < 1) {
+    throw UsageError(strformat("need --ranks >= 1 (got %d)", ranks));
+  }
+  // A non-finite or non-positive scale would silently analyze a clamped
+  // or nonsense trace.
+  if (!(scale > 0.0) || !std::isfinite(scale)) {
+    throw UsageError(strformat("need finite --scale > 0 (got %g)", scale));
+  }
+  Scenario s;
+  s.app = app;
+  s.ranks = apps::supported_ranks(app, ranks);
+  s.scale = scale;
+  s.config = variant.name;
+  s.params = variant.params;
+  // Per-application overhead from Table II where the paper measured one;
+  // apps outside Table II (npb-*, namd) keep the preset's o.
+  if (variant.o_is_default) apply_table2_overhead(s.params, app, s.ranks);
+  // The LogGPS values come from the request (a negative --L or --L-list
+  // entry, ...), so invalid ones are a usage error like every other knob.
+  try {
+    s.params.validate();
+  } catch (const Error& e) {
+    throw UsageError(
+        strformat("config '%s' invalid: %s", s.config.c_str(), e.what()));
+  }
+  return s;
+}
+
+std::unique_ptr<topo::Topology> fit_topology(const std::string& name,
+                                             const TopologyOptions& topo,
+                                             int ranks) {
+  std::unique_ptr<topo::Topology> t;
+  if (name == "none") return t;
+  try {
+    if (name == "fat-tree") {
+      t = std::make_unique<topo::FatTree>(topo.ft_radix);
+    } else if (name == "dragonfly") {
+      t = std::make_unique<topo::Dragonfly>(topo.df_groups, topo.df_routers,
+                                            topo.df_hosts);
+    } else {
+      throw UsageError("unknown topology '" + name +
+                       "' (want none, fat-tree, or dragonfly)");
+    }
+  } catch (const TopoError& e) {
+    throw UsageError(strformat("bad %s shape: %s", name.c_str(), e.what()));
+  }
+  if (t->nnodes() < ranks) {
+    throw UsageError(strformat("%s has only %d nodes for %d ranks",
+                               t->name().c_str(), t->nnodes(), ranks));
+  }
+  return t;
+}
+
+std::unique_ptr<lp::LoweredProblem> lower_wire_latency(
+    const graph::Graph& g, const loggops::Params& p, const topo::Topology& t,
+    const TopologyOptions& topo) {
+  auto space = std::make_shared<lp::LinkClassParamSpace>(
+      topo::make_wire_latency_space(p, t, topo::identity_placement(g.nranks()),
+                                    topo.l_wire, topo.d_switch));
+  return std::make_unique<lp::LoweredProblem>(g, std::move(space));
+}
+
 Campaign::Campaign(const CampaignSpec& spec)
     : topo_(spec.topo), mc_(spec.mc), threads_(spec.threads) {
   if (spec.apps.empty()) throw UsageError("campaign: empty app list");
@@ -326,13 +370,13 @@ Campaign::Campaign(const CampaignSpec& spec)
     // scenario twice.  The first spelling names the surviving variant.
     bool seen = false;
     for (const ConfigVariant& prev : configs) {
-      seen = seen || (same_params(prev.params, cfg.params) &&
+      seen = seen || (prev.params == cfg.params &&
                       prev.o_is_default == cfg.o_is_default);
     }
     if (!seen) configs.push_back(cfg);
   }
   if (configs.empty()) {
-    configs.push_back({"cscs", loggops::NetworkConfig::cscs_testbed(), true});
+    configs.push_back(resolve_variant("cscs", {}, {}, {}, {}));
   }
   {
     // Distinct surviving variants sharing one name would make result rows
@@ -344,41 +388,33 @@ Campaign::Campaign(const CampaignSpec& spec)
           "campaign: duplicate config variant names for distinct parameters");
     }
   }
-  const auto apps_axis = dedup(spec.apps);
   const auto scales_axis = dedup(spec.scales);
   const auto topologies_axis = dedup(spec.topologies);
-  for (const std::string& app : apps_axis) {
-    // Clamp the requested rank counts to the app's supported values and
-    // drop collisions (e.g. 8 and 9 both clamp to 8 for LULESH) so the
-    // grid never runs one scenario twice.
-    std::vector<int> ranks;
+  for (const std::string& app : dedup(spec.apps)) {
+    std::vector<int> ranks_axis;
     for (const int want : spec.ranks) {
-      if (want < 1) {
-        throw UsageError(
-            strformat("campaign: need ranks >= 1 (got %d)", want));
-      }
-      ranks.push_back(apps::supported_ranks(app, want));
-    }
-    ranks = dedup(ranks);
-    for (const int r : ranks) {
+      // Each requested rank count expands into one block of cells.  A want
+      // that clamps onto an earlier one (8 and 9 both give 8 for LULESH)
+      // would repeat that block, so it is dropped.
+      const std::size_t block = scenarios_.size();
       for (const double scale : scales_axis) {
         for (const std::string& topology : topologies_axis) {
           for (const ConfigVariant& cfg : configs) {
-            Scenario s;
-            s.app = app;
-            s.ranks = r;
-            s.scale = scale;
+            Scenario s = resolve_cell(app, want, scale, cfg);
             s.topology = topology;
-            s.config = cfg.name;
-            s.params = cfg.params;
-            if (cfg.o_is_default) apply_table2_overhead(s.params, app, r);
             s.delta_Ls = spec.delta_Ls;
             s.band_percents = spec.band_percents;
-            validate_scenario(s);
-            validate_topology(s, topo_);
+            validate_scenario(s, topo_);
             scenarios_.push_back(std::move(s));
           }
         }
+      }
+      const int r = scenarios_[block].ranks;
+      if (std::find(ranks_axis.begin(), ranks_axis.end(), r) !=
+          ranks_axis.end()) {
+        scenarios_.resize(block);
+      } else {
+        ranks_axis.push_back(r);
       }
     }
   }
@@ -390,23 +426,12 @@ Campaign::Campaign(std::vector<Scenario> scenarios, TopologyOptions topo,
     : scenarios_(std::move(scenarios)), topo_(topo), mc_(mc),
       threads_(threads) {
   if (scenarios_.empty()) throw UsageError("campaign: empty scenario list");
-  for (const Scenario& s : scenarios_) {
-    validate_scenario(s);
-    validate_topology(s, topo_);
-  }
+  for (const Scenario& s : scenarios_) validate_scenario(s, topo_);
   validate_mc(mc_, scenarios_);
 }
 
 std::vector<Campaign::ScenarioResult> Campaign::run(const Probe& probe) {
-  // Without a session cache the graphs live exactly as long as the run.
   GraphCache cache;
-  return run(probe, cache);
-}
-
-std::vector<Campaign::ScenarioResult> Campaign::run(const Probe& probe,
-                                                    GraphCache& cache) {
-  // Without a session solver cache the lowerings live exactly as long as
-  // the run (still shared across this run's scenarios and grid points).
   SolverCache solvers;
   return run(probe, cache, solvers);
 }

@@ -2,6 +2,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,6 +12,7 @@
 #include "graph/graph.hpp"
 #include "loggops/params.hpp"
 #include "stoch/distribution.hpp"
+#include "topo/topology.hpp"
 #include "util/table.hpp"
 #include "util/time.hpp"
 
@@ -54,10 +57,10 @@ struct TopologyOptions {
   int df_hosts = 8;
 };
 
-/// One LogGPS variant of the campaign grid.  When `o_is_default`, the
-/// preset's per-message overhead is replaced per application with the
-/// paper's Table II measurement (exactly what `llamp analyze` does); an
-/// explicit o override pins it across all applications.
+/// One LogGPS variant (resolve_variant).  When `o_is_default`, resolve_cell
+/// replaces the preset's per-message overhead per application with the
+/// paper's Table II measurement; an explicit o override pins it across all
+/// applications.
 struct ConfigVariant {
   std::string name;  ///< e.g. "cscs" or "cscs/L=10000"
   loggops::Params params;
@@ -116,6 +119,44 @@ void apply_table2_overhead(loggops::Params& p, const std::string& app,
 /// points >= 2 and dl_max > 0.
 std::vector<TimeNs> linear_grid(TimeNs dl_max, int points);
 
+// Scenario resolution: the one path from requested knobs to a concrete
+// scenario.  A single-scenario op (api::Engine's analyze, sweep, mc, topo,
+// place) resolves one variant and one cell; a campaign resolves one cell
+// per grid point.  Every check throws UsageError, so a bad knob is a usage
+// error on every op and surface.  An unknown application is not caught
+// here: it surfaces as an analysis Error when its trace is generated.
+
+/// Network preset `net` (cscs or daint) with the given LogGPS
+/// overrides applied, named `net`.  An explicit `o` pins the overhead
+/// (o_is_default = false).  Throws UsageError for an unknown preset or
+/// S < 1.
+ConfigVariant resolve_variant(const std::string& net, std::optional<double> L,
+                              std::optional<double> o, std::optional<double> G,
+                              std::optional<std::uint64_t> S);
+
+/// One scenario of `variant` (topology "none", empty ΔL grid): `ranks`
+/// clamped to the application's supported count, Table II's o applied
+/// when `variant.o_is_default`, and the params validated.  Throws
+/// UsageError for ranks < 1, a non-finite or non-positive scale, or
+/// invalid params.
+Scenario resolve_cell(const std::string& app, int ranks, double scale,
+                      const ConfigVariant& variant);
+
+/// Topology `name` built from `topo`'s shape knobs and checked to hold
+/// `ranks` ranks, one per node; "none" (the flat-latency scenario) gives
+/// nullptr.  Throws UsageError for an unknown name, a malformed shape or a
+/// too-small network.
+std::unique_ptr<topo::Topology> fit_topology(const std::string& name,
+                                             const TopologyOptions& topo,
+                                             int ranks);
+
+/// The §IV-2 wire-latency problem of `g` on `t` under identity placement:
+/// every wire's latency is the decision parameter (base `topo.l_wire`) and
+/// every switch adds `topo.d_switch`.
+std::unique_ptr<lp::LoweredProblem> lower_wire_latency(
+    const graph::Graph& g, const loggops::Params& p, const topo::Topology& t,
+    const TopologyOptions& topo);
+
 class Campaign {
  public:
   /// Expand a grid spec.  Throws UsageError on degenerate axes (empty app
@@ -170,25 +211,18 @@ class Campaign {
   /// topology/config axes and all ΔL points — a graph is never rebuilt per
   /// point.  Results are written by scenario index, so their order (and,
   /// via the deterministic solver, their bytes) is independent of the
-  /// thread count.
+  /// thread count.  Graphs and lowerings live exactly as long as the run.
   std::vector<ScenarioResult> run(const Probe& probe = {});
 
-  /// Same, resolving graphs through an external cache (an api::Engine
-  /// session cache) so graphs persist across campaigns and are shared with
-  /// other request types.  Missing graphs are built in parallel; already
-  /// cached ones are reused.  The emitted bytes are independent of the
-  /// cache's prior contents.
-  std::vector<ScenarioResult> run(const Probe& probe, GraphCache& cache);
-
-  /// Same, additionally resolving flat-latency scenario solvers through an
-  /// external SolverCache (the api::Engine session pairing): lowered
+  /// Same, resolving graphs and flat-latency scenario solvers through
+  /// external caches (the api::Engine session pair): graphs and lowered
   /// problems persist across campaigns and are shared with analyze/sweep/mc
-  /// requests of the same scenarios, and repeated grid points replay from
-  /// cached anchor state instead of re-solving.  The emitted bytes are
-  /// independent of either cache's prior contents (replay from a covering
-  /// anchor is bitwise-equal to a dense solve).  Topology scenarios keep
-  /// their per-scenario wire-latency lowerings — those spaces are not
-  /// cacheable by LogGPS fingerprint.
+  /// requests of the same scenarios, missing graphs are built in parallel,
+  /// and repeated grid points replay from cached anchor state instead of
+  /// re-solving.  The emitted bytes are independent of either cache's prior
+  /// contents (replay from a covering anchor is bitwise-equal to a dense
+  /// solve).  Topology scenarios keep their per-scenario wire-latency
+  /// lowerings — those spaces are not cacheable by LogGPS fingerprint.
   std::vector<ScenarioResult> run(const Probe& probe, GraphCache& cache,
                                   SolverCache& solvers);
 

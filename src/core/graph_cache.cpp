@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "apps/registry.hpp"
-#include "obs/metrics.hpp"
 #include "schedgen/schedgen.hpp"
 #include "util/parallel.hpp"
 
@@ -67,12 +66,6 @@ GraphCache::Stats GraphCache::stats() const {
   return {built_.load(std::memory_order_relaxed),
           hits_.load(std::memory_order_relaxed),
           bytes_.load(std::memory_order_relaxed)};
-}
-
-std::string GraphCache::stats_string() const {
-  const Stats s = stats();
-  return obs::stats_line(
-      "graphs", {{"built", s.built}, {"hits", s.hits}, {"bytes", s.bytes}});
 }
 
 }  // namespace llamp::core

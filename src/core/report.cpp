@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "core/campaign.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 #include "util/strings.hpp"
@@ -122,11 +123,8 @@ ToleranceReport make_report(const LatencyAnalyzer& an,
   for (const double pct : opts.band_percents) {
     rep.bands.push_back({pct, an.tolerance_delta(pct)});
   }
-  std::vector<TimeNs> grid;
-  for (int i = 0; i < opts.sweep_points; ++i) {
-    grid.push_back(opts.sweep_max * i / (opts.sweep_points - 1));
-  }
-  rep.curve = an.sweep(grid, opts.threads);
+  rep.curve =
+      an.sweep(linear_grid(opts.sweep_max, opts.sweep_points), opts.threads);
   // Application graphs can have thousands of basis changes; bound the scan
   // with Algorithm 2's step knob at the resolution a report can display.
   const double step =

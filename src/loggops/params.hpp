@@ -52,6 +52,8 @@ struct Params {
   void validate() const;
 
   std::string to_string() const;
+
+  bool operator==(const Params&) const = default;
 };
 
 /// Named parameter presets matching the clusters in the paper.

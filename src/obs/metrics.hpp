@@ -228,8 +228,8 @@ class Registry {
   std::map<std::string, std::unique_ptr<detail::HistogramCell>> histograms_;
 };
 
-/// The one cache/stats line format shared by GraphCache, SolverCache, and
-/// any future stats_string(): "label: k1=v1 k2=v2 ...".  Having a single
+/// The one cache/stats line format of SolverCache::stats_string() and any
+/// future stats_string(): "label: k1=v1 k2=v2 ...".  Having a single
 /// formatter is the point — two caches can never drift apart again.
 std::string stats_line(
     const std::string& label,

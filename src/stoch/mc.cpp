@@ -137,13 +137,8 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
         lowered ? dynamic_cast<const lp::LatencyParamSpace*>(
                       &lowered->space())
                 : nullptr;
-    const auto same_point = [&](const loggops::Params& cp) {
-      return cp.L == shared_params.L && cp.o == shared_params.o &&
-             cp.g == shared_params.g && cp.G == shared_params.G &&
-             cp.O == shared_params.O && cp.S == shared_params.S;
-    };
     if (cached_space != nullptr && &lowered->graph() == &g &&
-        same_point(cached_space->params())) {
+        cached_space->params() == shared_params) {
       shared = std::move(lowered);
     } else {
       shared = std::make_shared<const lp::LoweredProblem>(

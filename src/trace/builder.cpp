@@ -106,10 +106,6 @@ void TraceBuilder::allgather_all(std::uint64_t bytes) {
   for (int r = 0; r < nranks(); ++r) collective(r, Op::kAllgather, bytes);
 }
 
-void TraceBuilder::reduce_scatter_all(std::uint64_t bytes) {
-  for (int r = 0; r < nranks(); ++r) collective(r, Op::kReduceScatter, bytes);
-}
-
 void TraceBuilder::alltoall_all(std::uint64_t bytes) {
   for (int r = 0; r < nranks(); ++r) collective(r, Op::kAlltoall, bytes);
 }

@@ -48,7 +48,6 @@ class TraceBuilder {
   void reduce_all(std::uint64_t bytes, int root = 0);
   void allreduce_all(std::uint64_t bytes);
   void allgather_all(std::uint64_t bytes);
-  void reduce_scatter_all(std::uint64_t bytes);
   void alltoall_all(std::uint64_t bytes);
 
   /// Current per-rank clock (end of the last recorded activity).

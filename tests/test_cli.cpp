@@ -258,6 +258,7 @@ TEST(CliGridEdgeCases, DegenerateGridsAreUsageErrors) {
            {"campaign", "--apps=lulesh", "--ranks="},
            {"campaign", "--apps=lulesh", "--topos=torus"},
            {"campaign", "--apps=lulesh", "--nets=slurm"},
+           {"sweep", "--app=lulesh", "--net=slurm"},
            {"campaign", "--apps=lulesh", "--ranks=abc"},
            {"campaign", "--apps=lulesh", "--L-list=-5"},
            {"campaign", "--apps=lulesh", "--scales=inf"},
@@ -612,10 +613,6 @@ TEST(CliSmoke, AnalysisErrorsReportAndFail) {
   const auto bad_app = run_cli({"analyze", "--app=not-an-app", "--ranks=8"});
   EXPECT_EQ(bad_app.code, 1);
   EXPECT_TRUE(contains(bad_app.err, "llamp analyze:"));
-
-  const auto bad_net = run_cli({"sweep", "--app=lulesh", "--net=slurm"});
-  EXPECT_EQ(bad_net.code, 1);
-  EXPECT_TRUE(contains(bad_net.err, "--net"));
 }
 
 }  // namespace

@@ -13,17 +13,21 @@
 #include <cstddef>
 #include <future>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "api/batch.hpp"
 #include "api/engine.hpp"
 #include "api/request.hpp"
 #include "serve/client.hpp"
 #include "serve/http.hpp"
 #include "serve/server.hpp"
 #include "serve/service.hpp"
+#include "tools/cli_driver.hpp"
 #include "util/build_info.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
@@ -501,6 +505,105 @@ TEST(ServeDaemon, PlaceRejectsMaxRoundsBelowOne) {
                           std::to_string(rounds) + ")"),
               std::string::npos)
         << r.body;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The error-class wall.  Every op resolves its scenario through the same
+// core functions, so a bad knob is a usage error and an unknown app an
+// analysis error on every op and on every surface: the CLI's exit code,
+// the `llamp batch` line and the /v1/<op> body.
+// ---------------------------------------------------------------------------
+
+/// One request spelled for each surface: CLI subcommand + flags, and the
+/// JSON body without its "op" tag.
+struct SurfaceCase {
+  std::vector<std::string> argv;
+  std::string body;
+};
+
+void expect_error_kind(TestDaemon& daemon, const SurfaceCase& c,
+                       const std::string& kind) {
+  const std::string& op = c.argv.front();
+  std::string label;
+  std::vector<const char*> argv = {"llamp"};
+  for (const std::string& a : c.argv) {
+    argv.push_back(a.c_str());
+    label += a + ' ';
+  }
+  const std::string needle = "\"kind\": \"" + kind + "\"";
+
+  std::ostringstream out, err;
+  EXPECT_EQ(tools::run(static_cast<int>(argv.size()), argv.data(), out, err),
+            kind == "usage" ? 2 : 1)
+      << label << err.str();
+
+  std::istringstream in("{\"op\": \"" + op + "\", " + c.body.substr(1));
+  std::ostringstream line;
+  (void)api::serve_jsonl(daemon.engine, in, line, 1);
+  EXPECT_NE(line.str().find(needle), std::string::npos) << label << line.str();
+
+  Client client = daemon.client();
+  const Client::Result r = client.post("/v1/" + op, c.body);
+  EXPECT_EQ(r.status, 400) << label;
+  EXPECT_NE(r.body.find(needle), std::string::npos) << label << r.body;
+}
+
+TEST(ErrorClassWall, BadKnobsAreUsageErrorsOnEveryOpAndSurface) {
+  std::vector<SurfaceCase> cases;
+  // The AppSpec knobs, on every single-scenario op.
+  const std::vector<std::pair<std::string, std::string>> app_knobs = {
+      {"--net=slurm", R"("net": "slurm")"},
+      {"--L=-5", R"("L_ns": -5)"},
+      {"--G=-5", R"("G_ns_per_byte": -5)"},
+      {"--ranks=0", R"("ranks": 0)"},
+      {"--S=0", R"("S_bytes": 0)"},
+      {"--scale=0", R"("scale": 0)"},
+  };
+  for (const char* op : {"analyze", "sweep", "mc", "topo", "place"}) {
+    for (const auto& [flag, json] : app_knobs) {
+      cases.push_back({{op, flag}, "{\"app\": {" + json + "}}"});
+    }
+  }
+  // Topology shape and fit, then each knob's campaign spelling.
+  const std::vector<SurfaceCase> rest = {
+      {{"topo", "--ft-radix=3"}, R"({"ft_radix": 3})"},
+      {{"place", "--ft-radix=3"}, R"({"ft_radix": 3})"},
+      {{"topo", "--df-groups=1"}, R"({"df_groups": 1})"},
+      {{"topo", "--app=hpcg", "--ranks=512"},
+       R"({"app": {"name": "hpcg", "ranks": 512}})"},
+      {{"place", "--app=hpcg", "--ranks=512"},
+       R"({"app": {"name": "hpcg", "ranks": 512}})"},
+      {{"campaign", "--nets=slurm"}, R"({"nets": ["slurm"]})"},
+      {{"campaign", "--L-list=-5"}, R"({"L_list": ["-5"]})"},
+      {{"campaign", "--G-list=-5"}, R"({"G_list": ["-5"]})"},
+      {{"campaign", "--ranks=0"}, R"({"ranks": [0]})"},
+      {{"campaign", "--S=0"}, R"({"S_bytes": 0})"},
+      {{"campaign", "--scales=0"}, R"({"scales": [0]})"},
+      {{"campaign", "--topos=fat-tree", "--ft-radix=3"},
+       R"({"topologies": ["fat-tree"], "topo": {"ft_radix": 3}})"},
+      {{"campaign", "--topos=dragonfly", "--df-groups=1"},
+       R"({"topologies": ["dragonfly"], "topo": {"df_groups": 1}})"},
+      {{"campaign", "--apps=hpcg", "--ranks=512", "--topos=fat-tree"},
+       R"({"apps": ["hpcg"], "ranks": [512], "topologies": ["fat-tree"]})"},
+  };
+  cases.insert(cases.end(), rest.begin(), rest.end());
+
+  TestDaemon daemon;
+  for (const SurfaceCase& c : cases) expect_error_kind(daemon, c, "usage");
+  // Every knob failed before a graph was built.
+  EXPECT_EQ(daemon.engine.cache_stats().built, 0u);
+}
+
+TEST(ErrorClassWall, UnknownAppIsAnAnalysisErrorOnEveryOp) {
+  TestDaemon daemon;
+  for (const std::string_view op : api::kOpNames) {
+    const bool campaign = op == "campaign";
+    expect_error_kind(
+        daemon,
+        {{std::string(op), campaign ? "--apps=nope" : "--app=nope"},
+         campaign ? R"({"apps": ["nope"]})" : R"({"app": {"name": "nope"}})"},
+        "analysis");
   }
 }
 
