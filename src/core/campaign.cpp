@@ -36,10 +36,10 @@ void validate_scenario(const Scenario& s, const TopologyOptions& topo) {
     }
   }
   for (const double pct : s.band_percents) {
-    if (!(pct >= 0.0)) {
-      throw UsageError(
-          strformat("campaign: tolerance band percent must be >= 0 (got %g)",
-                    pct));
+    if (!(pct >= 0.0) || !std::isfinite(pct)) {
+      throw UsageError(strformat(
+          "campaign: tolerance band percent must be finite and >= 0 (got %g)",
+          pct));
     }
   }
   (void)fit_topology(s.topology, topo, s.ranks);
@@ -135,11 +135,7 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
 
   const std::size_t npts = s.delta_Ls.size();
   std::vector<double> xs(npts);
-  bool ascending = true;
-  for (std::size_t i = 0; i < npts; ++i) {
-    xs[i] = base + s.delta_Ls[i];
-    if (i > 0 && s.delta_Ls[i - 1] > s.delta_Ls[i]) ascending = false;
-  }
+  for (std::size_t i = 0; i < npts; ++i) xs[i] = base + s.delta_Ls[i];
   res.points.resize(npts);
   const auto fill = [&](std::size_t i, double value, double lambda) {
     Campaign::Point& pt = res.points[i];
@@ -156,21 +152,14 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
       const auto ev = entry->eval(0, xs[i], cur);
       fill(i, ev.value, ev.slope);
     }
-  } else if (ascending) {
-    // Every CLI grid is ascending: one segment walk answers the whole grid
-    // in O(#linear pieces) forward passes, bitwise identical to per-point
-    // solves.
+  } else {
+    // One segment walk answers the whole grid, in any order, bitwise
+    // identical to per-point solves; an ascending grid (every CLI grid)
+    // costs O(#linear pieces) forward passes.
     std::vector<lp::LoweredProblem::SweepEval> evals(npts);
     wire->sweep(0, xs, cur, evals.data());
     for (std::size_t i = 0; i < npts; ++i) {
       fill(i, evals[i].value, evals[i].slope);
-    }
-  } else {
-    // Explicit scenario lists may order their grids arbitrarily; fall back
-    // to dense per-point solves through the same cursor.
-    for (std::size_t i = 0; i < npts; ++i) {
-      const auto& sol = wire->solve(0, xs[i], cur);
-      fill(i, sol.value, sol.gradient[0]);
     }
   }
 

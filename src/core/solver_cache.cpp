@@ -41,10 +41,7 @@ std::shared_ptr<const lp::ParamSpace> make_latency_bandwidth_space(
 std::size_t payload_bytes(const std::vector<double>& v) {
   return sizeof(v) + v.size() * sizeof(double);
 }
-template <typename V>
-std::size_t payload_bytes(const V&) {
-  return sizeof(V);
-}
+std::size_t payload_bytes(double) { return sizeof(double); }
 
 }  // namespace
 
@@ -82,16 +79,6 @@ V SolverCache::Entry::memoized(Memo<V>& memo, const MemoKey& key,
 
 lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
     int k, double x, lp::LoweredProblem::Cursor& cur) {
-  if (!prob_->flat()) {
-    // CSR lowerings cannot replay an anchor; serve repeats from the memo.
-    return memoized(eval_memo_, memo_key(k, {x}), [&] {
-      const auto& sol = prob_->solve(k, x, cur);
-      owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
-      return lp::LoweredProblem::SweepEval{
-          x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
-    });
-  }
-
   // Warm path: any published anchor whose stability zone covers x replays
   // bitwise identically to a dense solve (see the class contract), so the
   // first covering anchor found is as good as any other — overlapping

@@ -40,16 +40,17 @@ struct SolverKey {
 /// reusable anchor state, living beside GraphCache in an api::Engine
 /// session (DESIGN.md §4e).  Three levels of reuse:
 ///
-///  * the **lowering** — the immutable lp::LoweredProblem (CSR/SoA cost
-///    arrays, topo permutation) is built once per key and shared by every
+///  * the **lowering** — the immutable lp::LoweredProblem (slot-ordered
+///    flat or CSR cost arrays) is built once per key and shared by every
 ///    later request and every thread;
 ///  * the **anchor state** — each entry keeps a bounded set of
 ///    AnchorState snapshots published by past dense solves, so a point
-///    query landing inside a known stability zone is served by
-///    critical-path replay (microseconds) instead of a full forward pass;
+///    query landing inside a known stability zone (or repeating an anchor
+///    point, like λ_G's read at base G) is served by critical-path replay
+///    (microseconds) instead of a full forward pass, on either lowering;
 ///  * the **memos** — exact-input results of the calls replay cannot
-///    serve: Algorithm 2, the tolerance search, and point evaluations of
-///    CSR-lowered entries (λ_G), so a repeated report costs lookups only.
+///    serve: Algorithm 2 and the tolerance search, so a repeated report
+///    costs lookups only.
 ///
 /// Determinism contract: replay from *any* covering anchor is bitwise
 /// identical to a dense solve at that point (the PR 3 segment-walk
@@ -86,14 +87,13 @@ class SolverCache {
       return prob_;
     }
 
-    /// T and λ at `x` for parameter `k`.  Flat lowerings are served by
-    /// anchor replay when a published stability zone covers `x` (no
-    /// forward pass, read-only on the problem), otherwise by a dense solve
-    /// through `cur` whose anchor is then published for later queries.
-    /// CSR lowerings cannot replay; their evals go through an exact-(k, x)
-    /// memo instead.  Bitwise identical to problem()->solve(k, x) either
-    /// way.  Safe to call concurrently from any number of threads, each
-    /// with its own cursor.
+    /// T and λ at `x` for parameter `k`: served by anchor replay when a
+    /// published stability zone covers `x` (no forward pass, read-only on
+    /// the problem), otherwise by a dense solve through `cur` whose anchor
+    /// is then published for later queries.  Bitwise identical to
+    /// problem()->solve(k, x) either way, flat or CSR lowering.  Safe to
+    /// call concurrently from any number of threads, each with its own
+    /// cursor.
     lp::LoweredProblem::SweepEval eval(int k, double x,
                                        lp::LoweredProblem::Cursor& cur);
 
@@ -131,7 +131,7 @@ class SolverCache {
     template <typename V>
     using Memo = std::map<MemoKey, V>;
 
-    /// The memo protocol shared by all three memos: serve a hit, or run
+    /// The memo protocol shared by both memos: serve a hit, or run
     /// `compute` outside the lock and store its result while the memo has
     /// room.  A call that throws stores nothing and throws again on the
     /// next identical call.
@@ -152,8 +152,7 @@ class SolverCache {
     /// Sorted by (active, at), deduplicated on exact (active, at).
     std::vector<std::shared_ptr<const lp::LoweredProblem::AnchorState>>
         anchors_;
-    std::mutex memo_mutex_;  ///< guards the three memos below
-    Memo<lp::LoweredProblem::SweepEval> eval_memo_;  ///< CSR lowerings only
+    std::mutex memo_mutex_;  ///< guards the two memos below
     Memo<std::vector<double>> algorithm2_memo_;
     Memo<double> budget_memo_;
     SolverCache* owner_ = nullptr;
@@ -167,9 +166,9 @@ class SolverCache {
                                  const loggops::Params& p);
 
   /// Same for the two-parameter LatencyBandwidthParamSpace (λ_G reads).
-  /// Its edges carry two terms, so it lowers to the CSR fallback: eval()
-  /// cannot replay and is served by the entry's exact-(k, x) memo instead,
-  /// so a repeated λ_G read costs one lookup.
+  /// Its edges carry two terms, so it lowers to the CSR fallback; eval()
+  /// still publishes and replays anchors, so a repeated λ_G read costs one
+  /// anchor lookup.
   std::shared_ptr<Entry> latency_bandwidth(const GraphKey& key,
                                            const graph::Graph& g,
                                            const loggops::Params& p);

@@ -59,10 +59,10 @@ using detail::value_eps;
 /// slp[j]) — the lane loop over one slot's two contiguous loads.
 template <std::size_t W>
 struct FlatLaneCost {
-  const double* cst;  ///< slot-permuted constants of the active parameter
-  const double* slp;  ///< slot-permuted slopes of the active parameter
-  void operator()(std::uint32_t j, std::uint32_t /*edge*/, const double* xs,
-                  double* c, double* s) const {
+  const double* cst;  ///< slot-ordered constants of the active parameter
+  const double* slp;  ///< slot-ordered slopes of the active parameter
+  void operator()(std::uint32_t j, const double* xs, double* c,
+                  double* s) const {
     const double cj = cst[j];
     const double sj = slp[j];
     LLAMP_SIMD
@@ -73,8 +73,8 @@ struct FlatLaneCost {
   }
 };
 
-/// W-lane edge cost under the CSR fallback: the scalar term walk with the
-/// term loop outermost, so each lane accumulates terms in the scalar's
+/// W-lane edge cost under the CSR fallback: slot j's scalar term walk with
+/// the term loop outermost, so each lane accumulates terms in the scalar's
 /// exact order (inactive terms contribute the identical product
 /// coeff * base[p] to every lane).
 template <std::size_t W>
@@ -85,16 +85,16 @@ struct CsrLaneCost {
   const double* edge_const;
   const double* base;
   int active;
-  void operator()(std::uint32_t /*slot*/, std::uint32_t e, const double* xs,
-                  double* c, double* s) const {
-    const double c0 = edge_const[e];
+  void operator()(std::uint32_t j, const double* xs, double* c,
+                  double* s) const {
+    const double c0 = edge_const[j];
     LLAMP_SIMD
     for (std::size_t l = 0; l < W; ++l) {
       c[l] = c0;
       s[l] = 0.0;
     }
-    const std::uint32_t end = term_off[e + 1];
-    for (std::uint32_t i = term_off[e]; i < end; ++i) {
+    const std::uint32_t end = term_off[j + 1];
+    for (std::uint32_t i = term_off[j]; i < end; ++i) {
       const std::int32_t p = term_param[i];
       const double coeff = term_coeff[i];
       if (p == active) {
@@ -172,8 +172,8 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
       continue;
     }
     // First candidate selected unconditionally, exactly like the scalar
-    // pass (whose seed short-circuited on best_edge == kNoEdge).
-    cost(jlo, in_edge_[jlo], xs, ec, es);
+    // pass (the seed's first-candidate short-circuit).
+    cost(jlo, xs, ec, es);
     const double* fu = finish + static_cast<std::size_t>(in_other_[jlo]) * W;
     const double* su = slope + static_cast<std::size_t>(in_other_[jlo]) * W;
     double bv[W];
@@ -202,7 +202,7 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
       nc = 1;
     }
     for (std::uint32_t j = jlo + 1; j < jhi; ++j) {
-      cost(j, in_edge_[j], xs, ec, es);
+      cost(j, xs, ec, es);
       const double* fu2 = finish + static_cast<std::size_t>(in_other_[j]) * W;
       const double* su2 = slope + static_cast<std::size_t>(in_other_[j]) * W;
       double* const cvr = cand_val + static_cast<std::size_t>(nc) * W;

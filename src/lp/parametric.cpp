@@ -12,7 +12,6 @@ namespace llamp::lp {
 
 namespace {
 constexpr double kInfD = std::numeric_limits<double>::infinity();
-constexpr std::uint32_t kNoEdge = std::numeric_limits<std::uint32_t>::max();
 
 /// Parameter-count ceiling for the per-active-parameter flat lowering; the
 /// pairwise HLogGP space (O(ranks²) parameters) stays on the CSR fallback
@@ -25,6 +24,7 @@ constexpr int kFlatParamLimit = 8;
 /// many eps away from entering the winner's tie band.
 constexpr double kStableMarginFactor = 32.0;
 
+using detail::kNoIndex;
 using detail::value_eps;
 
 /// Upper-envelope bookkeeping: given the winning affine piece
@@ -51,34 +51,37 @@ void constrain(double win_val, double win_slope, double cand_val,
 
 /// (cost, slope) of an in-edge under the flat lowering: two contiguous
 /// loads and one multiply-add, no inner term loop, no per-edge heap
-/// vectors.  Indexed by adjacency slot `j`, so the forward pass streams the
-/// cost arrays strictly sequentially.
+/// vectors.  Indexed by slot `j`, so the forward pass streams the cost
+/// arrays strictly sequentially.
 struct LoweredProblem::FlatEdgeAt {
-  const double* cst;  ///< slot-permuted constants of the active parameter
-  const double* slp;  ///< slot-permuted slopes of the active parameter
+  const double* cst;  ///< slot-ordered constants of the active parameter
+  const double* slp;  ///< slot-ordered slopes of the active parameter
   double x;
-  std::pair<double, double> operator()(std::uint32_t j,
-                                       std::uint32_t /*edge*/) const {
+  std::pair<double, double> operator()(std::uint32_t j) const {
     return {cst[j] + slp[j] * x, slp[j]};
   }
 };
 
-/// General multi-parameter fallback: walk the CSR term list exactly like
-/// the seed walked the per-edge Affine::terms vectors (same term order,
-/// same floating-point summation order, flat contiguous storage).
+/// General multi-parameter fallback: walk slot j's CSR term range exactly
+/// like the seed walked the per-edge Affine::terms vectors (same term
+/// order, same floating-point summation order, flat contiguous storage).
+/// The active term multiplies x, every other term its base value.
 struct LoweredProblem::CsrEdgeAt {
   const LoweredProblem* s;
-  const double* point;
   int active;
-  std::pair<double, double> operator()(std::uint32_t /*slot*/,
-                                       std::uint32_t e) const {
-    double c = s->edge_const_[e];
+  double x;
+  std::pair<double, double> operator()(std::uint32_t j) const {
+    double c = s->edge_const_[j];
     double sl = 0.0;
-    const std::uint32_t end = s->term_offsets_[e + 1];
-    for (std::uint32_t i = s->term_offsets_[e]; i < end; ++i) {
+    const std::uint32_t end = s->term_offsets_[j + 1];
+    for (std::uint32_t i = s->term_offsets_[j]; i < end; ++i) {
       const std::int32_t p = s->term_param_[i];
-      c += s->term_coeff_[i] * point[static_cast<std::size_t>(p)];
-      if (p == active) sl += s->term_coeff_[i];
+      if (p == active) {
+        c += s->term_coeff_[i] * x;
+        sl += s->term_coeff_[i];
+      } else {
+        c += s->term_coeff_[i] * s->base_[static_cast<std::size_t>(p)];
+      }
     }
     return {c, sl};
   }
@@ -95,111 +98,126 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
     base_.push_back(space_->base_value(k));
   }
 
-  // Lower the per-edge Affine expressions into CSR structure-of-arrays
-  // storage; the transient Affine (and its heap-allocated term vector) dies
-  // here instead of being walked on every solve.
-  const auto edges = g_.edges();
-  const std::size_t ne = edges.size();
-  edge_const_.reserve(ne);
-  term_offsets_.reserve(ne + 1);
-  term_offsets_.push_back(0);
+  // Topo-slot adjacency: the forward pass visits vertices in topo order
+  // anyway, so lay everything out in that order and the pass becomes a
+  // sequential stream instead of a pointer chase.  Per-vertex in-edge
+  // order is preserved, so every floating-point comparison and sum happens
+  // in the seed's order.
+  const std::size_t n = g_.num_vertices();
+  const std::size_t ne = g_.num_edges();
+  const auto topo = g_.topo_order();
+  std::vector<std::uint32_t> topo_pos(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    topo_pos[topo[i]] = static_cast<std::uint32_t>(i);
+  }
+  std::vector<std::uint32_t> slot_of(ne);  ///< edge id -> slot
+  in_off_.reserve(n + 1);
+  in_off_.push_back(0);
+  in_other_.reserve(ne);
+  in_edge_.reserve(ne);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto in = g_.in_edges(topo[i]);
+    max_in_degree_ =
+        std::max(max_in_degree_, static_cast<std::uint32_t>(in.size()));
+    for (const auto& adj : in) {
+      slot_of[adj.edge] = static_cast<std::uint32_t>(in_edge_.size());
+      in_other_.push_back(topo_pos[adj.other]);
+      in_edge_.push_back(adj.edge);
+    }
+    in_off_.push_back(static_cast<std::uint32_t>(in_edge_.size()));
+  }
+  for (graph::VertexId v = 0; v < n; ++v) {
+    if (g_.out_edges(v).empty()) sink_pos_.push_back(topo_pos[v]);
+  }
+
+  // Costs are computed in vertex-id and edge-id order and stored straight
+  // into their topo position and slot: reading the graph in slot order
+  // instead stalls on a cache miss per edge (DESIGN.md §4b).  Each edge's
+  // Affine is lowered into its slot's CSR
+  // term range, preserving term order; the transient Affine (and its
+  // heap-allocated term vector) dies here instead of being walked on every
+  // solve.
+  const loggops::Params& p = space_->params();
+  vertex_cost_topo_.resize(n);
+  for (graph::VertexId v = 0; v < n; ++v) {
+    vertex_cost_topo_[topo_pos[v]] = graph::vertex_cost(g_.vertex(v), p);
+  }
+  edge_const_.resize(ne);
+  term_offsets_.assign(ne + 1, 0);
+  std::vector<ParamTerm> terms;  ///< every edge's terms, edge-id order
   bool one_term_per_edge = true;
-  for (const graph::Edge& e : edges) {
-    const Affine a = space_->edge_cost(g_, e);
-    edge_const_.push_back(a.constant);
+  for (std::size_t e = 0; e < ne; ++e) {
+    const Affine a =
+        space_->edge_cost(g_, g_.edge(static_cast<std::uint32_t>(e)));
+    edge_const_[slot_of[e]] = a.constant;
+    term_offsets_[slot_of[e] + 1] = static_cast<std::uint32_t>(a.terms.size());
     for (const ParamTerm& t : a.terms) {
       if (t.param < 0 || t.param >= num_params_) {
         throw LpError(strformat("edge cost references parameter %d outside "
                                 "the space's %d parameters",
                                 t.param, num_params_));
       }
-      term_param_.push_back(t.param);
-      term_coeff_.push_back(t.coeff);
+      terms.push_back(t);
     }
     one_term_per_edge = one_term_per_edge && a.terms.size() <= 1;
-    term_offsets_.push_back(static_cast<std::uint32_t>(term_param_.size()));
+  }
+  for (std::size_t j = 0; j < ne; ++j) {
+    term_offsets_[j + 1] += term_offsets_[j];
+  }
+  term_param_.resize(terms.size());
+  term_coeff_.resize(terms.size());
+  const ParamTerm* next = terms.data();
+  for (std::size_t e = 0; e < ne; ++e) {
+    const std::uint32_t j = slot_of[e];
+    for (std::uint32_t i = term_offsets_[j]; i < term_offsets_[j + 1]; ++i) {
+      term_param_[i] = next->param;
+      term_coeff_[i] = next->coeff;
+      ++next;
+    }
   }
 
-  // Flat lowering: per activatable parameter, a per-edge (constant, slope)
+  // Flat lowering: per activatable parameter, a per-slot (constant, slope)
   // pair with the inactive parameter (if any) folded in at its base value.
   // Folding performs the seed's own `c += coeff * point[param]` operation,
   // so evaluation stays bit-for-bit identical to the term walk.
   flat_ =
       one_term_per_edge && num_params_ > 0 && num_params_ <= kFlatParamLimit;
   if (flat_) {
-    flat_const_.resize(static_cast<std::size_t>(num_params_) * ne);
-    flat_slope_.assign(static_cast<std::size_t>(num_params_) * ne, 0.0);
+    flat_const_slot_.resize(static_cast<std::size_t>(num_params_) * ne);
+    flat_slope_slot_.assign(static_cast<std::size_t>(num_params_) * ne, 0.0);
     for (int k = 0; k < num_params_; ++k) {
-      double* fc = flat_const_.data() + static_cast<std::size_t>(k) * ne;
-      double* fs = flat_slope_.data() + static_cast<std::size_t>(k) * ne;
-      for (std::size_t e = 0; e < ne; ++e) {
-        double c = edge_const_[e];
-        if (term_offsets_[e] < term_offsets_[e + 1]) {
-          const std::uint32_t i = term_offsets_[e];
+      const std::size_t ko = static_cast<std::size_t>(k) * ne;
+      for (std::size_t j = 0; j < ne; ++j) {
+        double c = edge_const_[j];
+        if (term_offsets_[j] < term_offsets_[j + 1]) {
+          const std::uint32_t i = term_offsets_[j];
           if (term_param_[i] == k) {
-            fs[e] = term_coeff_[i];
+            flat_slope_slot_[ko + j] = term_coeff_[i];
           } else {
             c += term_coeff_[i] *
                  base_[static_cast<std::size_t>(term_param_[i])];
           }
         }
-        fc[e] = c;
-      }
-    }
-  }
-
-  const std::size_t n = g_.num_vertices();
-  vertex_cost_.reserve(n);
-  const loggops::Params& p = space_->params();
-  for (graph::VertexId v = 0; v < n; ++v) {
-    vertex_cost_.push_back(graph::vertex_cost(g_.vertex(v), p));
-    max_in_degree_ = std::max(
-        max_in_degree_, static_cast<std::uint32_t>(g_.in_edges(v).size()));
-  }
-
-  // Topo-permuted adjacency: the forward pass visits vertices in topo
-  // order anyway, so lay everything out in that order and the pass becomes
-  // a sequential stream instead of a pointer chase.  Per-vertex in-edge
-  // order is preserved, so every floating-point comparison and sum happens
-  // in the seed's order.
-  const auto topo = g_.topo_order();
-  topo_pos_.assign(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    topo_pos_[topo[i]] = static_cast<std::uint32_t>(i);
-  }
-  in_off_.reserve(n + 1);
-  in_off_.push_back(0);
-  in_other_.reserve(ne);
-  in_edge_.reserve(ne);
-  vertex_cost_topo_.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const graph::VertexId v = topo[i];
-    vertex_cost_topo_.push_back(vertex_cost_[v]);
-    for (const auto& a : g_.in_edges(v)) {
-      in_other_.push_back(topo_pos_[a.other]);
-      in_edge_.push_back(a.edge);
-    }
-    in_off_.push_back(static_cast<std::uint32_t>(in_edge_.size()));
-  }
-  for (graph::VertexId v = 0; v < n; ++v) {
-    if (g_.out_edges(v).empty()) sink_pos_.push_back(topo_pos_[v]);
-  }
-  if (flat_) {
-    const std::size_t slots = in_edge_.size();
-    flat_const_slot_.resize(static_cast<std::size_t>(num_params_) * slots);
-    flat_slope_slot_.resize(static_cast<std::size_t>(num_params_) * slots);
-    for (int k = 0; k < num_params_; ++k) {
-      const std::size_t ko = static_cast<std::size_t>(k);
-      for (std::size_t j = 0; j < slots; ++j) {
-        flat_const_slot_[ko * slots + j] = flat_const_[ko * ne + in_edge_[j]];
-        flat_slope_slot_[ko * slots + j] = flat_slope_[ko * ne + in_edge_[j]];
+        flat_const_slot_[ko + j] = c;
       }
     }
   }
 }
 
+template <typename F>
+decltype(auto) LoweredProblem::with_edge_at(int active, double x,
+                                            F&& f) const {
+  if (flat_) {
+    const std::size_t slots = in_edge_.size();
+    const std::size_t ko = static_cast<std::size_t>(active) * slots;
+    return f(FlatEdgeAt{flat_const_slot_.data() + ko,
+                        flat_slope_slot_.data() + ko, x});
+  }
+  return f(CsrEdgeAt{this, active, x});
+}
+
 void LoweredProblem::prepare(Cursor& cur) const {
-  // The pass writes finish/slope/arg_edge for every vertex before reading
+  // The pass writes finish/slope/arg_slot for every vertex before reading
   // it, so the arrays are resized without clearing; the variable-length
   // buffers are reserved to their structural maxima.  Steady state never
   // allocates.
@@ -207,9 +225,9 @@ void LoweredProblem::prepare(Cursor& cur) const {
   if (cur.finish_.size() != n) {
     cur.finish_.resize(n);
     cur.slope_.resize(n);
-    cur.arg_edge_.resize(n);
+    cur.arg_slot_.resize(n);
   }
-  if (cur.chain_.capacity() < n) cur.chain_.reserve(n);
+  if (cur.last_.chain.capacity() < n) cur.last_.chain.reserve(n);
   if (cur.cands_.capacity() < max_in_degree_) {
     cur.cands_.reserve(max_in_degree_);
   }
@@ -222,7 +240,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
   const std::size_t n = g_.num_vertices();
   double* const finish = cur.finish_.data();
   double* const slope = cur.slope_.data();
-  std::uint32_t* const arg_edge = cur.arg_edge_.data();
+  std::uint32_t* const arg_slot = cur.arg_slot_.data();
   auto& cands = cur.cands_;
 
   // Allowed movement of the active parameter relative to `value` keeping
@@ -237,22 +255,22 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
     if (jlo == jhi) {
       finish[i] = vertex_cost_topo_[i];
       slope[i] = 0.0;
-      arg_edge[i] = kNoEdge;
+      arg_slot[i] = kNoIndex;
       continue;
     }
     // The first candidate is selected unconditionally (exactly the seed's
-    // `best_edge == kNoEdge` short-circuit, which never evaluated eps).
-    const auto [c0, s0] = edge_at(jlo, in_edge_[jlo]);
+    // first-candidate short-circuit, which never evaluated eps).
+    const auto [c0, s0] = edge_at(jlo);
     const std::uint32_t u0 = in_other_[jlo];
     double best_val = finish[u0] + c0;
     double best_slope = slope[u0] + s0;
-    std::uint32_t best_edge = in_edge_[jlo];
+    std::uint32_t best_slot = jlo;
     if (jhi - jlo == 1) {
       // Single predecessor: the candidate is the winner, and the seed's
       // envelope loop skipped it as such — no eps, no constrain.
       finish[i] = best_val + vertex_cost_topo_[i];
       slope[i] = best_slope;
-      arg_edge[i] = best_edge;
+      arg_slot[i] = best_slot;
       continue;
     }
     cands.clear();
@@ -261,7 +279,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
     // test_alloc_free's counting operator new.
     cands.emplace_back(best_val, best_slope);
     for (std::uint32_t j = jlo + 1; j < jhi; ++j) {
-      const auto [c, s] = edge_at(j, in_edge_[j]);
+      const auto [c, s] = edge_at(j);
       const std::uint32_t u = in_other_[j];
       const double cv = finish[u] + c;
       const double cs = slope[u] + s;
@@ -272,7 +290,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
       if (cv > best_val + be || (cv > best_val - be && cs > best_slope)) {
         best_val = cv;
         best_slope = cs;
-        best_edge = in_edge_[j];
+        best_slot = j;
       }
     }
     for (const auto& [cv, cs] : cands) {
@@ -281,20 +299,21 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
     }
     finish[i] = best_val + vertex_cost_topo_[i];
     slope[i] = best_slope;
-    arg_edge[i] = best_edge;
+    arg_slot[i] = best_slot;
   }
 
   // T = max over sinks (visited in ascending vertex-id order, exactly like
   // the seed's 0..n scan), with the same envelope bookkeeping.
-  Solution& sol = cur.solution_;
+  AnchorState& last = cur.last_;
+  Solution& sol = last.solution;
   sol.active = active;
   sol.at = value;
   sol.messages = 0;
   double best_val = -kInfD;
   double best_slope = 0.0;
-  std::uint32_t best_sink = kNoEdge;  // topo position of the critical sink
+  std::uint32_t best_sink = kNoIndex;  // topo position of the critical sink
   for (const std::uint32_t pos : sink_pos_) {
-    if (best_sink == kNoEdge || finish[pos] > best_val + value_eps(best_val) ||
+    if (best_sink == kNoIndex || finish[pos] > best_val + value_eps(best_val) ||
         (finish[pos] > best_val - value_eps(best_val) &&
          slope[pos] > best_slope)) {
       best_val = finish[pos];
@@ -302,7 +321,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
       best_sink = pos;
     }
   }
-  if (best_sink == kNoEdge) {
+  if (best_sink == kNoIndex) {
     throw LpError("graph has no sink vertex");
   }
   for (const std::uint32_t pos : sink_pos_) {
@@ -313,65 +332,29 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
   sol.value = best_val;
   sol.lo = value + dlo;
   sol.hi = value + dhi;
-  cur.stable_hi_ = value + stable_dhi;
+  last.stable_hi = value + stable_dhi;
 
   // Gradient for *all* parameters: walk the argmax chain from the critical
-  // sink, accumulating each edge's coefficients, and cache the chain
+  // sink, accumulating each slot's coefficients, and cache the chain
   // (source -> sink order) for interior-point replay by the segment walk.
   sol.gradient.assign(static_cast<std::size_t>(num_params_), 0.0);
-  cur.chain_.clear();
+  last.chain.clear();
   std::uint32_t pos = best_sink;
-  while (arg_edge[pos] != kNoEdge) {
-    const std::uint32_t e = arg_edge[pos];
-    const std::uint32_t end = term_offsets_[e + 1];
-    for (std::uint32_t i = term_offsets_[e]; i < end; ++i) {
+  while (arg_slot[pos] != kNoIndex) {
+    const std::uint32_t j = arg_slot[pos];
+    const std::uint32_t end = term_offsets_[j + 1];
+    for (std::uint32_t i = term_offsets_[j]; i < end; ++i) {
       sol.gradient[static_cast<std::size_t>(term_param_[i])] +=
           term_coeff_[i];
     }
-    if (g_.edge(e).kind == graph::EdgeKind::kComm) ++sol.messages;
-    // llamp-lint: allow(hot-alloc): chain_ was reserved to num_vertices in
-    // prepare(), the longest possible argmax chain.
-    cur.chain_.push_back(e);
-    pos = topo_pos_[g_.edge(e).from];
+    if (g_.edge(in_edge_[j]).kind == graph::EdgeKind::kComm) ++sol.messages;
+    // llamp-lint: allow(hot-alloc): the chain was reserved to num_vertices
+    // in prepare(), the longest possible argmax chain.
+    last.chain.push_back(j);
+    pos = in_other_[j];
   }
-  cur.chain_src_ = g_.topo_order()[pos];
-  std::reverse(cur.chain_.begin(), cur.chain_.end());
-}
-
-double LoweredProblem::replay_flat(std::span<const std::uint32_t> chain,
-                                   graph::VertexId chain_src, int active,
-                                   double x) const {
-  // Re-sum the critical path with the dense pass's exact operation order:
-  // finish[src] = vc[src]; then per chain edge e=(u,w):
-  // best = finish[u] + cost(e); finish[w] = best + vc[w].
-  const std::size_t ne = g_.num_edges();
-  // Edge-id-indexed flat arrays; the chain stores edge ids.
-  const double* cst =
-      flat_const_.data() + static_cast<std::size_t>(active) * ne;
-  const double* slp =
-      flat_slope_.data() + static_cast<std::size_t>(active) * ne;
-  double acc = vertex_cost_[chain_src];
-  for (const std::uint32_t e : chain) {
-    acc += cst[e] + slp[e] * x;
-    acc += vertex_cost_[g_.edge(e).to];
-  }
-  return acc;
-}
-
-double LoweredProblem::replay(int active, double x, Cursor& cur) const {
-  if (flat_) {
-    return replay_flat(cur.chain_, cur.chain_src_, active, x);
-  }
-  // CSR fallback: evaluate each chain edge at the cursor's point vector
-  // (same term-walk operation order as the dense pass).
-  cur.point_[static_cast<std::size_t>(active)] = x;
-  const CsrEdgeAt at{this, cur.point_.data(), active};
-  double acc = vertex_cost_[cur.chain_src_];
-  for (const std::uint32_t e : cur.chain_) {
-    acc += at(0, e).first;
-    acc += vertex_cost_[g_.edge(e).to];
-  }
-  return acc;
+  last.chain_sink = best_sink;
+  std::reverse(last.chain.begin(), last.chain.end());
 }
 
 LoweredProblem::SweepEval LoweredProblem::replay_anchor(
@@ -380,9 +363,6 @@ LoweredProblem::SweepEval LoweredProblem::replay_anchor(
   // with no forward pass and no cursor.  Everything read here is immutable
   // problem state or the caller's anchor, so concurrent replays from any
   // number of threads are safe.
-  if (!flat_) {
-    throw LpError("replay_anchor: requires the flat lowering");
-  }
   if (!anchor.covers(k, x)) {
     throw LpError(strformat(
         "replay_anchor: x = %g outside the anchor's zone [%g, %g)", x,
@@ -393,7 +373,22 @@ LoweredProblem::SweepEval LoweredProblem::replay_anchor(
     // The anchor point itself: the stored dense solution is the answer.
     return {x, anchor.solution.value, slope};
   }
-  return {x, replay_flat(anchor.chain, anchor.chain_src, k, x), slope};
+  // Re-sum the critical path with the dense pass's exact operation order:
+  // finish[src] = vc[src]; then per chain slot j = (u -> w):
+  // best = finish[u] + cost(j); finish[w] = best + vc[w].  A slot's tail
+  // is in_other_[j], so its head is the next slot's tail, or the sink.
+  const auto& chain = anchor.chain;
+  const std::uint32_t sink = anchor.chain_sink;
+  const double value = with_edge_at(k, x, [&](const auto& edge_at) {
+    double acc = vertex_cost_topo_[chain.empty() ? sink : in_other_[chain[0]]];
+    for (std::size_t h = 0; h < chain.size(); ++h) {
+      acc += edge_at(chain[h]).first;
+      acc += vertex_cost_topo_[h + 1 < chain.size() ? in_other_[chain[h + 1]]
+                                                    : sink];
+    }
+    return acc;
+  });
+  return {x, value, slope};
 }
 // llamp-lint: hot-path end
 
@@ -402,42 +397,29 @@ void LoweredProblem::solve_into(int active, double value, Cursor& cur) const {
     throw LpError("parametric: active parameter out of range");
   }
   prepare(cur);
-  if (flat_) {
-    const std::size_t slots = in_edge_.size();
-    const FlatEdgeAt at{
-        flat_const_slot_.data() + static_cast<std::size_t>(active) * slots,
-        flat_slope_slot_.data() + static_cast<std::size_t>(active) * slots,
-        value};
-    forward_pass(active, value, cur, at);
-  } else {
-    cur.point_.assign(base_.begin(), base_.end());
-    cur.point_[static_cast<std::size_t>(active)] = value;
-    const CsrEdgeAt at{this, cur.point_.data(), active};
-    forward_pass(active, value, cur, at);
-  }
+  with_edge_at(active, value, [&](const auto& edge_at) {
+    forward_pass(active, value, cur, edge_at);
+  });
 }
 
 void LoweredProblem::save_anchor(const Cursor& cur, AnchorState& out) const {
-  if (cur.chain_src_ == graph::kInvalidVertex) {
+  if (cur.last_.chain_sink == kNoIndex) {
     throw LpError("save_anchor: cursor holds no solve");
   }
-  out.solution = cur.solution_;
-  out.chain.assign(cur.chain_.begin(), cur.chain_.end());
-  out.chain_src = cur.chain_src_;
-  out.stable_hi = cur.stable_hi_;
+  out = cur.last_;
 }
 
 const LoweredProblem::Solution& LoweredProblem::solve(int active, double value,
                                                       Cursor& cur) const {
   solve_into(active, value, cur);
-  return cur.solution_;
+  return cur.last_.solution;
 }
 
 LoweredProblem::Solution LoweredProblem::solve(int active,
                                                double value) const {
   Cursor cur;
   solve_into(active, value, cur);
-  return std::move(cur.solution_);
+  return std::move(cur.last_.solution);
 }
 
 LoweredProblem::Solution LoweredProblem::solve() const {
@@ -452,26 +434,19 @@ void LoweredProblem::sweep(int k, std::span<const double> xs, Cursor& cur,
   }
   SweepStats local;
   bool have = false;  // never trust state a previous caller left in cur
-  double prev = -kInfD;
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const double x = xs[i];
-    if (!(x >= prev)) {
-      throw LpError(strformat("sweep: values must be ascending "
-                              "(x[%zu] = %g after %g)", i, x, prev));
-    }
-    prev = x;
-    const Solution& sol = cur.solution_;
-    if (have && x == sol.at) {
-      out[i] = {x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
-    } else if (have && x > sol.at && x < cur.stable_hi_) {
-      ++local.replays;
-      out[i] = {x, replay(k, x, cur),
-                sol.gradient[static_cast<std::size_t>(k)]};
+    if (std::isnan(x)) throw LpError(strformat("sweep: x[%zu] is NaN", i));
+    const AnchorState& last = cur.last_;
+    if (have && last.covers(k, x)) {
+      if (x != last.solution.at) ++local.replays;
+      out[i] = replay_anchor(last, k, x);
     } else {
       ++local.anchor_solves;
       solve_into(k, x, cur);
       have = true;
-      out[i] = {x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
+      out[i] = {x, last.solution.value,
+                last.solution.gradient[static_cast<std::size_t>(k)]};
     }
   }
   if (stats) *stats = local;

@@ -18,6 +18,10 @@ namespace detail {
 /// (batch.cpp), which must break near-ties identically for the batch
 /// bitwise-equivalence contract to hold.
 inline double value_eps(double v) { return 1e-9 * (1.0 + std::fabs(v)); }
+/// "No slot / no topo position" sentinel: a source vertex's argmax, and a
+/// cursor or anchor that holds no solve.
+inline constexpr std::uint32_t kNoIndex =
+    std::numeric_limits<std::uint32_t>::max();
 }  // namespace detail
 
 /// Sample-axis block width of the batched forward pass (doubles per lane
@@ -48,7 +52,7 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// suite proves the two agree on random graphs.
 ///
 /// Ownership split (DESIGN.md §4e): a LoweredProblem is the *immutable*
-/// half of a solver — the CSR/SoA cost arrays, topo permutation, and base
+/// half of a solver — the CSR/SoA cost arrays, topo adjacency, and base
 /// point lowered once at construction.  After construction every method is
 /// const and touches only caller-owned scratch, so one LoweredProblem may
 /// be shared freely across threads and cached across requests (see
@@ -56,18 +60,23 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// bridge between queries is the AnchorState snapshot, which replays
 /// bitwise-identically to a dense solve inside its stability zone.
 ///
-/// Hot-path layout (see DESIGN.md §"Solver internals"): at construction the
-/// ParamSpace's per-edge Affine expressions are lowered into flat
-/// structure-of-arrays storage.  When every edge carries at most one
-/// parametric term and the space is small (LatencyParamSpace, the shared
-/// wire-latency space), each activatable parameter additionally gets a
-/// per-edge (constant, slope) pair with every inactive parameter folded in,
-/// so evaluating an edge is two contiguous loads and one multiply-add.  The
-/// general CSR term walk remains as the multi-parameter fallback
-/// (PairwiseLatencyParamSpace, multi-term link-class edges).  Both paths
-/// replicate the seed implementation's floating-point operation order
-/// exactly, so results are bit-for-bit identical to the original per-edge
-/// heap-vector walk.
+/// Hot-path layout (DESIGN.md §4b): everything is indexed by topo *slot*.
+/// Vertices are numbered by topo position i, the in-edges of position i
+/// occupy the contiguous slot range [in_off_[i], in_off_[i+1]) in the
+/// graph's per-vertex order, and slot j's predecessor is topo position
+/// in_other_[j].  At construction the ParamSpace's per-edge Affine
+/// expressions are lowered straight into slot order: CSR term ranges per
+/// slot and, when every edge carries at most one parametric term and the
+/// space is small (LatencyParamSpace, the shared wire-latency space), a
+/// per-activatable-parameter (constant, slope) pair per slot with every
+/// inactive parameter folded in — two contiguous loads and one
+/// multiply-add per edge.  The CSR term walk is the multi-parameter
+/// fallback (PairwiseLatencyParamSpace, multi-term edges).  The critical
+/// path is a list of slots, so the forward pass, the chain walk, and anchor
+/// replay never consult the graph (except the edge kind behind
+/// Solution::messages).  Both lowerings replicate the seed implementation's
+/// floating-point operation order exactly, so results are bit-for-bit
+/// identical to the original per-edge heap-vector walk.
 class LoweredProblem {
  public:
   LoweredProblem(const graph::Graph& g,
@@ -82,8 +91,7 @@ class LoweredProblem {
   const graph::Graph& graph() const { return g_; }
   int num_params() const { return num_params_; }
   /// True when the per-active-parameter flat lowering is in effect (every
-  /// edge has at most one term, small space).  Anchor replay without a
-  /// cursor — replay_anchor() — requires it.
+  /// edge has at most one term, small space); false on the CSR fallback.
   bool flat() const { return flat_; }
 
   struct Solution {
@@ -102,9 +110,33 @@ class LoweredProblem {
     std::size_t messages = 0;
   };
 
-  /// The mutable per-query half of a solver: the forward-pass arrays, the
-  /// cached basis (critical path + stability bounds) of its last solve, and
-  /// a Solution slot that solve(active, value, cur) reuses, so steady-state
+  /// A detached snapshot of one anchor solve: the solution, the critical
+  /// path it selected, and the stability zone on which a dense re-solve
+  /// provably re-selects that basis.  A cursor keeps its last solve as one
+  /// (sweep() replays it); it is also the unit core::SolverCache stores —
+  /// an anchor saved by one request serves later requests (and other
+  /// threads) through replay_anchor() without touching any cursor.
+  struct AnchorState {
+    Solution solution;
+    /// Critical-path slots, source -> sink; slot j's tail is topo position
+    /// in_other_[j], its head the next slot's tail (chain_sink for the
+    /// last).
+    std::vector<std::uint32_t> chain;
+    std::uint32_t chain_sink = detail::kNoIndex;  ///< critical sink's topo pos
+    /// Absolute bound below which a dense pass re-selects this basis.
+    double stable_hi = -std::numeric_limits<double>::infinity();
+
+    /// True when replay_anchor(*this, k, x) is valid: same active
+    /// parameter, and x at the anchor point or inside its stability zone.
+    bool covers(int k, double x) const {
+      return solution.active == k &&
+             (x == solution.at || (x > solution.at && x < stable_hi));
+    }
+  };
+
+  /// The mutable per-query half of a solver: the forward-pass arrays and
+  /// the anchor of its last solve (whose Solution solve(active, value, cur)
+  /// returns by reference), all reused across solves, so steady-state
   /// solves perform zero heap allocations (buffers grow to the largest
   /// graph/space seen and are then only reused).
   ///
@@ -121,21 +153,12 @@ class LoweredProblem {
 
    private:
     friend class LoweredProblem;
-    std::vector<double> finish_;
+    std::vector<double> finish_;  ///< by topo position
     std::vector<double> slope_;
-    std::vector<std::uint32_t> arg_edge_;
+    std::vector<std::uint32_t> arg_slot_;  ///< winning in-slot per position
     /// (value, slope) candidates of the vertex currently being maximized.
     std::vector<std::pair<double, double>> cands_;
-    /// Evaluation point for the CSR fallback (base values + active).
-    std::vector<double> point_;
-    /// Critical-path edges of the last solve, source -> sink order.
-    std::vector<std::uint32_t> chain_;
-    graph::VertexId chain_src_ = graph::kInvalidVertex;
-    /// Absolute active-parameter bound below which the last solve's basis
-    /// is provably re-selected by a dense pass (stability zone for the
-    /// segment walk's critical-path replay; always <= solution_.hi).
-    double stable_hi_ = -std::numeric_limits<double>::infinity();
-    Solution solution_;
+    AnchorState last_;  ///< the last solve; chain_sink is kNoIndex before
   };
 
   /// One lane of a batched forward pass: T, the active slope, and (when
@@ -289,41 +312,20 @@ class LoweredProblem {
     std::size_t replays = 0;        ///< points served by chain replay
   };
 
-  /// Evaluate T and λ at every value of `xs` (which must be ascending) for
-  /// parameter k in a single left-to-right segment walk: one full forward
-  /// pass per linear piece of the solver's basis structure, advancing from
-  /// each solve's breakpoint; points interior to a piece are evaluated by
-  /// replaying the anchor solve's critical path, which reproduces the dense
-  /// forward pass's floating-point sums operation for operation.  Results
-  /// are therefore bitwise identical to calling solve(k, x) at every
-  /// point, at a cost of O(#pieces hit) instead of O(#points) passes.
-  /// (Near-ties split the λ-segments of piecewise() into finer basis
-  /// pieces, so the pass count lies between the segment count and the point
-  /// count.)  Writes xs.size() entries to `out`.  Throws LpError on
-  /// descending xs.
+  /// Evaluate T and λ at every value of `xs`, in any order, for parameter
+  /// k as a segment walk: a point inside the current anchor's stability
+  /// zone is evaluated by replaying the anchor solve's critical path, which
+  /// reproduces the dense forward pass's floating-point sums operation for
+  /// operation; any other point (beyond the zone, or below the anchor) gets
+  /// a full forward pass and becomes the new anchor.  Results are therefore
+  /// bitwise identical to calling solve(k, x) at every point; an ascending
+  /// grid costs O(#pieces hit) instead of O(#points) passes.  (Near-ties
+  /// split the λ-segments of piecewise() into finer basis pieces, so the
+  /// pass count lies between the segment count and the point count.)
+  /// Writes xs.size() entries to `out`.  Throws LpError on a NaN x.
   void sweep(int k, std::span<const double> xs, Cursor& cur,
              SweepEval* out, SweepStats* stats = nullptr) const;
   std::vector<SweepEval> sweep(int k, std::span<const double> xs) const;
-
-  /// A detached snapshot of one anchor solve: the solution, the critical
-  /// path it selected, and the stability zone on which a dense re-solve
-  /// provably re-selects that basis.  This is the unit core::SolverCache
-  /// stores — an anchor saved by one request serves later requests (and
-  /// other threads) through replay_anchor() without touching any cursor.
-  struct AnchorState {
-    Solution solution;
-    std::vector<std::uint32_t> chain;  ///< critical path, source -> sink
-    graph::VertexId chain_src = graph::kInvalidVertex;
-    /// Absolute bound below which a dense pass re-selects this basis.
-    double stable_hi = -std::numeric_limits<double>::infinity();
-
-    /// True when replay_anchor(*this, k, x) is valid: same active
-    /// parameter, and x at the anchor point or inside its stability zone.
-    bool covers(int k, double x) const {
-      return solution.active == k &&
-             (x == solution.at || (x > solution.at && x < stable_hi));
-    }
-  };
 
   /// Snapshot the cursor's last anchor solve into `out` (reusing its
   /// buffers).  Requires a prior solve through `cur` on this problem.
@@ -333,15 +335,18 @@ class LoweredProblem {
   /// anchor, bitwise identical to solve(k, x) (the segment-walk replay
   /// equivalence, pinned by the hot-path test wall).  Read-only on both the
   /// problem and the anchor — safe to call concurrently from any number of
-  /// threads with no cursor at all.  Requires anchor.covers(k, x), an
-  /// anchor saved from *this* problem, and the flat lowering (flat());
-  /// throws LpError otherwise.
+  /// threads with no cursor at all.  Either lowering replays.  Requires
+  /// anchor.covers(k, x) and an anchor saved from *this* problem; throws
+  /// LpError when the anchor does not cover x.
   SweepEval replay_anchor(const AnchorState& anchor, int k, double x) const;
 
  private:
   struct FlatEdgeAt;
   struct CsrEdgeAt;
 
+  /// Calls f with the active lowering's edge-cost functor at x.
+  template <typename F>
+  decltype(auto) with_edge_at(int active, double x, F&& f) const;
   template <typename EdgeAt>
   void forward_pass(int active, double value, Cursor& cur,
                     const EdgeAt& edge_at) const;
@@ -357,12 +362,6 @@ class LoweredProblem {
   void prepare_batch(BatchCursor& cur, std::size_t n) const;
   /// Dense solve into cur (solution, chain, stability bound).
   void solve_into(int active, double value, Cursor& cur) const;
-  /// T at `x` via the cached critical path of cur's last solve.  Only valid
-  /// for cur.solution_.at <= x < cur.stable_hi_.
-  double replay(int active, double x, Cursor& cur) const;
-  /// Flat-lowering chain re-sum shared by replay() and replay_anchor().
-  double replay_flat(std::span<const std::uint32_t> chain,
-                     graph::VertexId chain_src, int active, double x) const;
   void prepare(Cursor& cur) const;
 
   const graph::Graph& g_;
@@ -370,36 +369,30 @@ class LoweredProblem {
   int num_params_ = 0;
   std::uint32_t max_in_degree_ = 0;
 
-  // CSR lowering of the per-edge Affine terms, preserving term order (and
-  // therefore the seed's floating-point summation order) exactly.
-  std::vector<std::uint32_t> term_offsets_;  ///< edge -> [first, last) term
-  std::vector<std::int32_t> term_param_;
-  std::vector<double> term_coeff_;
-  std::vector<double> edge_const_;
-
-  // Flat per-active-parameter lowering, built when every edge has at most
-  // one term and the space is small: flat_const_/flat_slope_[k * E + e]
-  // (edge-id indexed; used by critical-path replay).
-  bool flat_ = false;
-  std::vector<double> flat_const_;
-  std::vector<double> flat_slope_;
-
-  // Topo-permuted adjacency so the forward pass streams memory
-  // sequentially: vertices are visited by topo position i, their in-edges
-  // occupy the contiguous slot range [in_off_[i], in_off_[i+1]), and the
-  // flat cost arrays are additionally permuted into slot order
-  // (flat_const_slot_/flat_slope_slot_[k * E + j]).  Pure layout: every
-  // value and every visit order matches the seed's graph-driven walk.
+  // Topo-slot adjacency (see the class comment): the forward pass streams
+  // it sequentially, and every per-edge and per-vertex array below shares
+  // its index space.  Pure layout: every value and every visit order
+  // matches the seed's graph-driven walk.
   std::vector<std::uint32_t> in_off_;      ///< topo pos -> slot range
   std::vector<std::uint32_t> in_other_;    ///< slot -> predecessor topo pos
-  std::vector<std::uint32_t> in_edge_;     ///< slot -> edge id
+  std::vector<std::uint32_t> in_edge_;     ///< slot -> edge id (messages)
   std::vector<double> vertex_cost_topo_;   ///< topo pos -> vertex cost
-  std::vector<std::uint32_t> topo_pos_;    ///< vertex id -> topo pos
   std::vector<std::uint32_t> sink_pos_;    ///< sinks by ascending vertex id
+
+  // CSR lowering of the per-edge Affine terms by slot, preserving term
+  // order (and therefore the seed's floating-point summation order).
+  std::vector<std::uint32_t> term_offsets_;  ///< slot -> [first, last) term
+  std::vector<std::int32_t> term_param_;
+  std::vector<double> term_coeff_;
+  std::vector<double> edge_const_;           ///< by slot
+
+  // Flat per-active-parameter lowering, built when every edge has at most
+  // one term and the space is small: flat_const_slot_/flat_slope_slot_
+  // [k * E + j] for slot j.
+  bool flat_ = false;
   std::vector<double> flat_const_slot_;
   std::vector<double> flat_slope_slot_;
 
-  std::vector<double> vertex_cost_;  ///< vertex-id indexed (replay)
   std::vector<double> base_;
 };
 

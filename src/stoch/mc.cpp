@@ -109,10 +109,6 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
 
   const std::size_t npts = spec.delta_Ls.size();
   const std::size_t nbands = spec.band_percents.size();
-  bool ascending = true;
-  for (std::size_t i = 1; i < npts; ++i) {
-    if (spec.delta_Ls[i - 1] > spec.delta_Ls[i]) ascending = false;
-  }
 
   // Fast path: when o, G, and the edge noise are all degenerate, every
   // sample analyzes the same parametric LP and only the evaluation point
@@ -293,14 +289,7 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       for (std::size_t k = 0; k < npts; ++k) {
         sc.xs[k] = p.L + spec.delta_Ls[k];
       }
-      if (ascending) {
-        prob.sweep(0, sc.xs, sc.cur, sc.evals.data());
-      } else {
-        for (std::size_t k = 0; k < npts; ++k) {
-          const auto& sol = prob.solve(0, sc.xs[k], sc.cur);
-          sc.evals[k] = {sc.xs[k], sol.value, sol.gradient[0]};
-        }
-      }
+      prob.sweep(0, sc.xs, sc.cur, sc.evals.data());
 
       double* out = buffer.data() + j * stride;
       for (std::size_t k = 0; k < npts; ++k) out[k] = sc.evals[k].value;

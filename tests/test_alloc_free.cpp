@@ -255,7 +255,9 @@ TEST(AllocationFree, WarmEntryMemoHitsAllocateNothing) {
   EXPECT_EQ(g_allocations - before, 1u)
       << "an Algorithm-2 hit allocates exactly its returned vector";
   EXPECT_EQ(again, crit);
-  EXPECT_EQ(cache.stats().memo_hits, 201u);
+  // 100 tolerance hits and one Algorithm-2 hit; λ_G repeats replay its
+  // anchor instead of hitting a memo.
+  EXPECT_EQ(cache.stats().memo_hits, 101u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -120,6 +121,50 @@ TEST(CampaignExpansion, DegenerateSpecsAreUsageErrors) {
     EXPECT_THROW(Campaign{spec}, UsageError);  // negative band
   }
   EXPECT_THROW(Campaign(std::vector<Scenario>{}), UsageError);
+}
+
+TEST(CampaignExpansion, NonFiniteBandPercentIsAUsageError) {
+  // A non-finite percent would run the tolerance search on an infinite
+  // budget; analyze and mc reject it with the same wording.
+  for (const double pct : {std::numeric_limits<double>::infinity(),
+                           std::numeric_limits<double>::quiet_NaN()}) {
+    CampaignSpec spec = small_spec();
+    spec.band_percents = {1.0, pct};
+    try {
+      const Campaign c(spec);
+      ADD_FAILURE() << "band percent " << pct << " accepted";
+    } catch (const UsageError& e) {
+      EXPECT_NE(std::string(e.what()).find("must be finite and >= 0"),
+                std::string::npos)
+          << e.what();
+    }
+    std::vector<Scenario> scenarios = Campaign(small_spec()).scenarios();
+    scenarios[0].band_percents = {pct};
+    EXPECT_THROW(Campaign(std::move(scenarios)), UsageError);
+  }
+}
+
+TEST(CampaignRun, TopologyScenarioGridsMayComeInAnyOrder) {
+  // Explicit scenario lists may order their ΔL grids arbitrarily; every
+  // point must equal the same point of the ascending grid bit for bit.
+  CampaignSpec spec = small_spec();
+  spec.apps = {"lulesh"};
+  spec.topologies = {"fat-tree"};
+  spec.delta_Ls = {0.0, us(5.0), us(10.0), us(20.0)};
+  const auto ascending = Campaign(spec).run();
+  std::vector<Scenario> scenarios = Campaign(spec).scenarios();
+  scenarios[0].delta_Ls = {us(20.0), 0.0, us(10.0), us(5.0)};
+  const auto shuffled = Campaign(std::move(scenarios)).run();
+  ASSERT_EQ(ascending.size(), 1u);
+  ASSERT_EQ(shuffled.size(), 1u);
+  const std::vector<std::size_t> order = {3, 0, 2, 1};
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const auto& got = shuffled[0].points[i];
+    const auto& want = ascending[0].points[order[i]];
+    EXPECT_EQ(got.delta_L, want.delta_L);
+    EXPECT_EQ(got.runtime, want.runtime) << "i=" << i;
+    EXPECT_EQ(got.lambda, want.lambda) << "i=" << i;
+  }
 }
 
 TEST(CampaignRun, GraphsAreCachedAcrossTopologiesAndConfigs) {

@@ -219,12 +219,37 @@ TEST(Workspace, InterleavedSolversNeverLeakState) {
   }
 }
 
-TEST(SweepApi, RejectsDescendingValues) {
+TEST(SweepApi, ShuffledGridsMatchDenseAndNaNIsRejected) {
+  // Any order is a valid grid: a point below the current anchor gets a
+  // dense solve, and every point stays bitwise equal to solve(k, x).
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  for (const std::string app : {"hpcg", "lulesh", "milc"}) {
+    SCOPED_TRACE(app);
+    const auto g = schedgen::build_graph(
+        apps::make_app_trace(app, apps::supported_ranks(app, 8), 0.02));
+    const LoweredProblem flat(g, std::make_shared<LatencyParamSpace>(p));
+    const LoweredProblem csr(g,
+                             std::make_shared<LatencyBandwidthParamSpace>(p));
+    auto xs = stress_grid(flat, 0, 0.0, p.L + 100'000.0, 80, 0x51u);
+    auto gs = stress_grid(csr, 1, 0.0, p.G + 2.0, 40, 0x61u);
+    Rng rng(g.num_vertices());
+    for (auto* grid : {&xs, &gs}) {  // Fisher-Yates
+      for (std::size_t i = grid->size(); i > 1; --i) {
+        const auto j = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
+        std::swap((*grid)[i - 1], (*grid)[j]);
+      }
+    }
+    expect_walk_matches_dense(flat, 0, xs);
+    expect_walk_matches_dense(csr, 1, gs);
+  }
+
   const auto g = testing::running_example_graph();
   LoweredProblem solver(
       g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
   LoweredProblem::Cursor ws;
-  const std::vector<double> bad = {100.0, 50.0};
+  const std::vector<double> bad = {100.0,
+                                   std::numeric_limits<double>::quiet_NaN()};
   std::vector<LoweredProblem::SweepEval> out(bad.size());
   EXPECT_THROW(solver.sweep(0, bad, ws, out.data()), LpError);
   EXPECT_THROW((void)solver.sweep(7, bad), LpError);
@@ -270,17 +295,18 @@ TEST(LoweredProblem, OneLoweringServesManyCursors) {
 
 /// Solve at each anchor point through a cursor, snapshot the anchor, and
 /// require replay_anchor to reproduce dense solves bitwise across the
-/// anchor's whole stability zone.
-void expect_replay_matches_dense(const LoweredProblem& prob, int k,
-                                 const std::vector<double>& anchors) {
-  ASSERT_TRUE(prob.flat());
+/// anchor's whole stability zone.  Returns the number of interior replays
+/// checked (probes strictly past an anchor point).
+std::size_t expect_replay_matches_dense(const LoweredProblem& prob, int k,
+                                        const std::vector<double>& anchors) {
+  std::size_t interior = 0;
   LoweredProblem::Cursor cur;
   for (const double x0 : anchors) {
     const auto& sol = prob.solve(k, x0, cur);
     LoweredProblem::AnchorState anchor;
     prob.save_anchor(cur, anchor);
     EXPECT_EQ(anchor.solution.value, sol.value);
-    ASSERT_TRUE(anchor.covers(k, x0));
+    EXPECT_TRUE(anchor.covers(k, x0));
     std::vector<double> probes = {x0};
     if (std::isfinite(anchor.stable_hi)) {
       probes.push_back(x0 + 0.25 * (anchor.stable_hi - x0));
@@ -291,6 +317,7 @@ void expect_replay_matches_dense(const LoweredProblem& prob, int k,
     }
     for (const double x : probes) {
       if (!anchor.covers(k, x)) continue;
+      if (x != x0) ++interior;
       const auto ev = prob.replay_anchor(anchor, k, x);
       const auto dense = prob.solve(k, x);
       EXPECT_EQ(ev.value, dense.value) << "anchor=" << x0 << " x=" << x;
@@ -298,6 +325,7 @@ void expect_replay_matches_dense(const LoweredProblem& prob, int k,
           << "anchor=" << x0 << " x=" << x;
     }
   }
+  return interior;
 }
 
 TEST(AnchorReplay, BitwiseMatchesDenseOnAllRegisteredApps) {
@@ -308,9 +336,37 @@ TEST(AnchorReplay, BitwiseMatchesDenseOnAllRegisteredApps) {
     const auto p = loggops::NetworkConfig::cscs_testbed();
     const LoweredProblem prob(g, std::make_shared<LatencyParamSpace>(p));
     SCOPED_TRACE(app);
+    ASSERT_TRUE(prob.flat());
     expect_replay_matches_dense(prob, 0,
                                 {0.0, p.L, p.L + 7'000.0, p.L + 90'000.0});
   }
+}
+
+TEST(AnchorReplay, CsrAnchorsBitwiseMatchDenseOnAllRegisteredApps) {
+  // The CSR fallback replays through the same slot-ordered chain walk:
+  // two-term edges (latency_bandwidth, k = G) and a pairwise space with
+  // too many parameters to flatten.
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  std::size_t interior = 0;
+  for (const std::string& app : apps::app_names()) {
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    SCOPED_TRACE(app);
+    const LoweredProblem bw(g,
+                            std::make_shared<LatencyBandwidthParamSpace>(p));
+    ASSERT_FALSE(bw.flat());
+    interior += expect_replay_matches_dense(
+        bw, 1, {0.0, p.G, p.G + 0.05, 2.0 * p.G + 1.0});
+    const auto pair_space =
+        std::make_shared<PairwiseLatencyParamSpace>(p, ranks);
+    const LoweredProblem pw(g, pair_space);
+    ASSERT_FALSE(pw.flat());
+    interior += expect_replay_matches_dense(
+        pw, pair_space->pair_index(0, ranks - 1),
+        {0.0, p.L, p.L + 7'000.0, p.L + 90'000.0});
+  }
+  EXPECT_GT(interior, 0u) << "no probe exercised an interior replay";
 }
 
 TEST_P(RandomConfigTest, AnchorReplayBitwiseMatchesDenseOnRandomPrograms) {
@@ -329,7 +385,7 @@ TEST_P(RandomConfigTest, AnchorReplayBitwiseMatchesDenseOnRandomPrograms) {
   expect_replay_matches_dense(prob, 0, anchors);
 }
 
-TEST(AnchorReplay, RejectsNonCoveringAnchorsAndCsrLowerings) {
+TEST(AnchorReplay, RejectsNonCoveringAnchors) {
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
   const LoweredProblem prob(g, std::make_shared<LatencyParamSpace>(p));
@@ -346,8 +402,8 @@ TEST(AnchorReplay, RejectsNonCoveringAnchorsAndCsrLowerings) {
   // A never-solved cursor has no anchor to snapshot.
   LoweredProblem::Cursor idle;
   EXPECT_THROW(prob.save_anchor(idle, anchor), LpError);
-  // Two-term edges lower to the CSR fallback: the anchor can be saved but
-  // cursor-less replay is flat-only and must refuse.
+  // A CSR anchor refuses the same way outside its zone, and serves its own
+  // point bitwise.
   const LoweredProblem csr(g,
                            std::make_shared<LatencyBandwidthParamSpace>(p));
   EXPECT_FALSE(csr.flat());
@@ -355,7 +411,10 @@ TEST(AnchorReplay, RejectsNonCoveringAnchorsAndCsrLowerings) {
   csr.solve(1, p.G, bw);
   LoweredProblem::AnchorState csr_anchor;
   csr.save_anchor(bw, csr_anchor);
-  EXPECT_THROW((void)csr.replay_anchor(csr_anchor, 1, p.G), LpError);
+  EXPECT_EQ(csr.replay_anchor(csr_anchor, 1, p.G).value,
+            csr.solve(1, p.G).value);
+  EXPECT_THROW((void)csr.replay_anchor(csr_anchor, 0, p.G), LpError);
+  EXPECT_THROW((void)csr.replay_anchor(csr_anchor, 1, p.G - 1.0), LpError);
 }
 
 TEST(SolverCacheEntry, EvalIsBitwiseDenseColdWarmAndRepeated) {
@@ -425,21 +484,17 @@ TEST(SolverCacheStats, KeysOnGraphKeyAndParamFingerprint) {
   EXPECT_NE(cache.stats_string().find("solvers: built=3"), std::string::npos);
 }
 
-TEST(SolverCacheEntry, ConcurrentEvalsAreBitwiseDense) {
-  // 8 threads hammer one entry with overlapping repeated/nearby queries,
-  // racing anchor publication; every result must equal the dense value.
-  const auto g = testing::running_example_graph();
-  const auto p = testing::running_example_params();
-  core::SolverCache cache;
-  const auto entry =
-      cache.latency(core::GraphKey{"running-example", 1, 1.0, p.S}, g, p);
-  const LoweredProblem dense(g, std::make_shared<LatencyParamSpace>(p));
-
+/// 8 threads hammer one entry with overlapping repeated/nearby queries of
+/// parameter k over [0, hi), racing anchor publication; every result must
+/// equal the dense value.
+void hammer_entry_matches_dense(core::SolverCache::Entry& entry, int k,
+                                double hi) {
+  const LoweredProblem& dense = *entry.problem();
   std::vector<double> xs;
   Rng rng(99);
-  for (int i = 0; i < 200; ++i) xs.push_back(rng.uniform(0.0, 4'000.0));
+  for (int i = 0; i < 200; ++i) xs.push_back(rng.uniform(0.0, hi));
   std::vector<double> refs;
-  for (const double x : xs) refs.push_back(dense.solve(0, x).value);
+  for (const double x : xs) refs.push_back(dense.solve(k, x).value);
 
   constexpr int kThreads = 8;
   std::vector<std::vector<double>> got(kThreads);
@@ -452,7 +507,7 @@ TEST(SolverCacheEntry, ConcurrentEvalsAreBitwiseDense) {
         const std::size_t j = (i + static_cast<std::size_t>(t) * 25) %
                               xs.size();
         got[static_cast<std::size_t>(t)].push_back(
-            entry->eval(0, xs[j], cur).value);
+            entry.eval(k, xs[j], cur).value);
       }
     });
   }
@@ -465,6 +520,19 @@ TEST(SolverCacheEntry, ConcurrentEvalsAreBitwiseDense) {
           << "thread=" << t << " x=" << xs[j];
     }
   }
+}
+
+TEST(SolverCacheEntry, ConcurrentEvalsAreBitwiseDense) {
+  const auto g = testing::running_example_graph();
+  const auto p = testing::running_example_params();
+  core::SolverCache cache;
+  const core::GraphKey key{"running-example", 1, 1.0, p.S};
+  SCOPED_TRACE("latency");
+  hammer_entry_matches_dense(*cache.latency(key, g, p), 0, 4'000.0);
+  // The CSR-lowered λ_G entry publishes and replays anchors the same way.
+  SCOPED_TRACE("latency_bandwidth");
+  hammer_entry_matches_dense(*cache.latency_bandwidth(key, g, p), 1, 20.0);
+  EXPECT_GT(cache.stats().replays, 0u);
 }
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
@@ -520,15 +588,19 @@ TEST(SolverCacheEntry, MemoizedCallsAreBitwiseDirectOnAllRegisteredApps) {
                   ref_tols[i++])
             << "round=" << round << " pct=" << pct;
       }
+      // Algorithm 2 and the four bands are memoized; λ_G is an anchor
+      // solve, then an anchor replay.
       const auto after = cache.stats();
       if (round == 0) {
-        EXPECT_EQ(after.memo_misses - before.memo_misses, 6u);
+        EXPECT_EQ(after.memo_misses - before.memo_misses, 5u);
         EXPECT_EQ(after.memo_hits, before.memo_hits);
+        EXPECT_EQ(after.anchor_solves - before.anchor_solves, 1u);
       } else {
         EXPECT_EQ(after.memo_misses, before.memo_misses);
-        EXPECT_EQ(after.memo_hits - before.memo_hits, 6u);
+        EXPECT_EQ(after.memo_hits - before.memo_hits, 5u);
         EXPECT_EQ(after.memo_bytes, before.memo_bytes);
         EXPECT_EQ(after.anchor_solves, before.anchor_solves);
+        EXPECT_EQ(after.replays - before.replays, 1u);
       }
     }
   }
@@ -602,8 +674,8 @@ TEST(SolverCacheEntry, ThrowingCallsAreNeverMemoized) {
 }
 
 TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
-  // 8 threads race first touches and hits of all three memos on one
-  // entry pair; every answer must equal the direct call.
+  // 8 threads race first touches and hits of both memos and of λ_G's
+  // anchors on one entry pair; every answer must equal the direct call.
   const auto g =
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
@@ -657,8 +729,10 @@ TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
   }
   const auto s = cache.stats();
   EXPECT_EQ(s.memo_hits + s.memo_misses,
-            static_cast<std::size_t>(kThreads * 3 * kKeys * 3));
-  EXPECT_GE(s.memo_misses, static_cast<std::size_t>(3 * kKeys));
+            static_cast<std::size_t>(kThreads * 3 * kKeys * 2));
+  EXPECT_GE(s.memo_misses, static_cast<std::size_t>(2 * kKeys));
+  EXPECT_EQ(s.anchor_solves + s.replays,
+            static_cast<std::size_t>(kThreads * 3 * kKeys));
 }
 
 // ---------------------------------------------------------------------------
