@@ -597,13 +597,16 @@ TopoResult Engine::execute(const TopoRequest& req) {
 
   TopoResult res;
   res.app = app;
+  // Every search opens from the solve that produced its row's runtime or
+  // λ, taken at the space's base value (l_wire for every class).
   for (const topo::Topology* t : {fat_tree.get(), dragonfly.get()}) {
     const auto prob = core::lower_wire_latency(g, app.params, *t, shape);
-    const auto& sol = prob->solve(0, req.l_wire, cur);
-    const double runtime = sol.value;
-    const double gradient = sol.gradient[0];
-    const double tol = prob->max_param_for_budget(0, runtime * 1.01, cur);
-    res.topologies.push_back({t->name(), runtime, gradient, tol});
+    const double l_wire = prob->space().base_value(0);
+    const lp::LoweredProblem::BatchPoint at =
+        prob->solve(0, l_wire, cur).point();
+    const double tol =
+        prob->max_param_for_budget_from(0, l_wire, at.value * 1.01, at, cur);
+    res.topologies.push_back({t->name(), at.value, at.slope, tol});
   }
 
   // Dragonfly per-class breakdown (Fig. 19): tolerance of each wire class
@@ -614,17 +617,17 @@ TopoResult Engine::execute(const TopoRequest& req) {
           topo::identity_placement(app.ranks), req.l_wire, req.l_wire,
           req.l_wire, req.d_switch));
   const lp::LoweredProblem df_prob(g, df_space);
-  const auto& base_sol = df_prob.solve(0, req.l_wire, cur);
-  const double T0 = base_sol.value;
-  const double base_lambda = base_sol.gradient[0];
+  const lp::LoweredProblem::BatchPoint base_at =
+      df_prob.solve(0, df_space->base_value(0), cur).point();
+  const double T0 = base_at.value;
   res.df_base_runtime = T0;
   for (int k = 0; k < df_space->num_params(); ++k) {
-    const double lambda =
-        k == 0 ? base_lambda
-               : df_prob.solve(k, req.l_wire, cur)
-                     .gradient[static_cast<std::size_t>(k)];
-    const double tol = df_prob.max_param_for_budget(k, T0 * 1.01, cur);
-    res.classes.push_back({df_space->param_name(k), lambda, tol});
+    const double from = df_space->base_value(k);
+    const lp::LoweredProblem::BatchPoint at =
+        k == 0 ? base_at : df_prob.solve(k, from, cur).point();
+    const double tol =
+        df_prob.max_param_for_budget_from(k, from, T0 * 1.01, at, cur);
+    res.classes.push_back({df_space->param_name(k), at.slope, tol});
   }
   return res;
 }
@@ -639,7 +642,6 @@ PlaceResult Engine::execute(const PlaceRequest& req) {
   wire.l_wire = req.l_wire;
   wire.d_switch = req.d_switch;
 
-  const auto block = core::block_placement(g, app.params, *ft, wire);
   const auto volume = core::volume_greedy_placement(g, app.params, *ft, wire);
   const auto opt = core::optimize_placement(g, app.params, *ft, wire, {},
                                             req.max_rounds);
@@ -647,7 +649,9 @@ PlaceResult Engine::execute(const PlaceRequest& req) {
   PlaceResult res;
   res.app = app;
   res.topology = ft->name();
-  res.strategies.push_back({"block (default)", block.predicted_runtime});
+  // Algorithm 3 starts from the block placement, so its round 0 is the
+  // block row's solve.
+  res.strategies.push_back({"block (default)", opt.initial_runtime});
   res.strategies.push_back({"volume-greedy", volume.predicted_runtime});
   res.strategies.push_back({strformat("llamp algorithm 3 (%d swaps)",
                                       opt.swaps),

@@ -28,13 +28,15 @@ double node_latency(const topo::Topology& topo, WireCost wire, int a, int b) {
 }
 
 /// Solve the HLogGP LP for a placement; returns runtime and, optionally,
-/// the pairwise latency sensitivity matrix D_L.
+/// the pairwise latency sensitivity matrix D_L and the pairwise latency
+/// matrix the LP was built on (node_latency of every rank pair's nodes).
 double solve_hloggp(const graph::Graph& g, const loggops::Params& p,
                     const topo::Topology& topo, WireCost wire,
                     const std::vector<int>& placement,
-                    std::vector<double>* dl_matrix) {
+                    std::vector<double>* dl_matrix,
+                    std::vector<double>* latency_matrix) {
   const int n = g.nranks();
-  const auto mats =
+  auto mats =
       topo::make_pairwise_matrices(p, topo, placement, wire.l_wire,
                                    wire.d_switch);
   const auto space = std::make_shared<lp::PairwiseLatencyParamSpace>(
@@ -53,6 +55,7 @@ double solve_hloggp(const graph::Graph& g, const loggops::Params& p,
       }
     }
   }
+  if (latency_matrix != nullptr) *latency_matrix = std::move(mats.latency);
   return sol.value;
 }
 
@@ -76,7 +79,7 @@ std::vector<std::uint64_t> communication_volume(const graph::Graph& g) {
 double placement_runtime(const graph::Graph& g, const loggops::Params& p,
                          const topo::Topology& topo, WireCost wire,
                          const std::vector<int>& placement) {
-  return solve_hloggp(g, p, topo, wire, placement, nullptr);
+  return solve_hloggp(g, p, topo, wire, placement, nullptr, nullptr);
 }
 
 PlacementResult block_placement(const graph::Graph& g,
@@ -159,10 +162,12 @@ PlacementResult optimize_placement(const graph::Graph& g,
   res.placement = pi;
   double f_star = std::numeric_limits<double>::infinity();
 
+  std::vector<double> dl;
+  std::vector<double> lat;  ///< pairwise latency of the ranks' nodes under pi
   for (int round = 0; round < max_rounds; ++round) {
     ++res.iterations;
-    std::vector<double> dl;
-    const double f = solve_hloggp(g, p, topo, wire, pi, &dl);
+    const double f = solve_hloggp(g, p, topo, wire, pi, &dl, &lat);
+    if (round == 0) res.initial_runtime = f;
     if (f < f_star) {
       f_star = f;
       res.placement = pi;
@@ -184,12 +189,9 @@ PlacementResult optimize_placement(const graph::Graph& g,
         double gain = 0.0;
         for (int k = 0; k < n; ++k) {
           if (k == i || k == j) continue;
-          const double lat_ik = node_latency(topo, wire, pi[static_cast<std::size_t>(i)],
-                                             pi[static_cast<std::size_t>(k)]);
-          const double lat_jk = node_latency(topo, wire, pi[static_cast<std::size_t>(j)],
-                                             pi[static_cast<std::size_t>(k)]);
           // After the swap, pair (i,k) uses j's node and vice versa.
-          gain += (dl[idx(i, k, n)] - dl[idx(j, k, n)]) * (lat_ik - lat_jk);
+          gain += (dl[idx(i, k, n)] - dl[idx(j, k, n)]) *
+                  (lat[idx(i, k, n)] - lat[idx(j, k, n)]);
         }
         if (gain > best_gain) {
           best_gain = gain;

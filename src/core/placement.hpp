@@ -13,6 +13,11 @@ namespace llamp::core {
 struct PlacementResult {
   std::vector<int> placement;
   double predicted_runtime = 0.0;
+  /// optimize_placement only: the LP runtime of the starting placement
+  /// (round 0's solve).  From a block start it is bit-equal to
+  /// block_placement(...).predicted_runtime, so a caller reporting both
+  /// needs no second lowering.
+  double initial_runtime = 0.0;
   int iterations = 0;
   int swaps = 0;
 };

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <type_traits>
 
 #include "util/error.hpp"
 #include "util/math.hpp"
-#include "util/strings.hpp"
 
 // The batched sample-axis kernel (DESIGN.md §4f).  One pass over the
 // topo-permuted adjacency evaluates W parameter points at once: every
@@ -33,10 +31,13 @@
 //    reach dlo/dhi.
 //  * The reported slope is accumulated *forward* along the argmax path,
 //    while the scalar Solution.gradient[active] re-sums the critical path
-//    in reverse chain order.  Every first-party space lowers integer-valued
-//    coefficients (message counts, byte counts), so both sums are exact and
+//    in reverse chain order.  Spaces with integer-valued coefficients
+//    (message counts, byte counts) make both sums exact and
 //    order-independent — the equivalence wall pins this across all
-//    registered apps and both lowerings.
+//    registered apps and both lowerings.  PerturbedParamSpace's noisy
+//    coefficients do not: there the slope may differ in the last bits,
+//    while value, lo and hi (built from forward sums in both passes) stay
+//    bitwise.
 // GCC fully unrolls constant-trip lane loops at -O3 and then only
 // SLP-vectorizes fragments of the unrolled body; the simd pragma makes the
 // loop vectorizer handle each lane loop as a loop (compiled with
@@ -358,109 +359,69 @@ void LoweredProblem::solve_batch_ranges(int active, const double* xs,
   solve_batch_impl<true>(active, xs, n, cur, out);
 }
 
-void LoweredProblem::max_param_for_budget_from_batch(int k, const double* from,
-                                                     const double* budget,
-                                                     std::size_t n,
-                                                     BatchCursor& cur,
-                                                     double* out) const {
+void LoweredProblem::max_param_for_budget_from_batch(
+    int k, const double* from, const double* budget, std::size_t n,
+    BatchCursor& cur, double* out, const BatchPoint* at_from) const {
   if (k < 0 || k >= num_params_) {
     throw LpError("tolerance: parameter out of range");
   }
-  if (cur.search_x_.size() < kBatchWidth) {
-    cur.search_x_.resize(kBatchWidth);
-    cur.search_pts_.resize(kBatchWidth);
+  if (n == 0) return;
+  if (cur.search_live_.size() < n) {
+    cur.search_lo_.resize(n);
+    cur.search_hi_.resize(n);
+    cur.search_eps_.resize(n);
+    cur.search_live_.resize(n);
+    cur.search_x_.resize(n);
+    cur.search_pts_.resize(n);
   }
-  // Lanes run the scalar bracketed-Newton iteration of
-  // max_param_for_budget_from() in lockstep: every per-lane decision below
-  // is a line-for-line transcription of the scalar body, and each round of
-  // surviving lanes is served by ONE ranged batch pass — so a group of
-  // kBatchWidth searches costs max-lane-iterations passes instead of
-  // sum-over-lanes scalar solves.  Finished lanes keep their last x and are
-  // re-evaluated harmlessly until the group drains.
-  for (std::size_t g0 = 0; g0 < n; g0 += kBatchWidth) {
-    const std::size_t w = std::min(n - g0, kBatchWidth);
-    double* const xs = cur.search_x_.data();
-    BatchPoint* const pts = cur.search_pts_.data();
-    double blo[kBatchWidth];
-    double bhi[kBatchWidth];
-    double eps[kBatchWidth];
-    double res[kBatchWidth];
-    bool done[kBatchWidth];
-    for (std::size_t l = 0; l < w; ++l) {
-      xs[l] = from[g0 + l];
-      blo[l] = xs[l];     // T(blo) <= budget
-      bhi[l] = kInfD;     // T(bhi) > budget (once finite)
-      eps[l] = std::max(1e-6, std::fabs(budget[g0 + l]) * 1e-12);
-      done[l] = false;
-    }
-    solve_batch_ranges(k, xs, w, cur, pts);
-    for (std::size_t l = 0; l < w; ++l) {
-      if (pts[l].value > budget[g0 + l] + value_eps(budget[g0 + l])) {
-        throw LpError(
-            strformat("tolerance: T(%g) = %g already exceeds budget %g",
-                      xs[l], pts[l].value, budget[g0 + l]));
-      }
-    }
-    std::size_t remaining = w;
-    for (int iter = 0; iter < 512 && remaining > 0; ++iter) {
-      for (std::size_t l = 0; l < w; ++l) {
-        if (done[l]) continue;
-        const double slope = pts[l].slope;
-        const bool below =
-            pts[l].value <= budget[g0 + l] + value_eps(budget[g0 + l]);
-        if (below) {
-          blo[l] = std::max(blo[l], xs[l]);
-          double proposal;
-          if (slope > 1e-12) {
-            proposal = xs[l] + (budget[g0 + l] - pts[l].value) / slope;
-            if (proposal <= pts[l].hi + eps[l]) {
-              res[l] = std::max(proposal, from[g0 + l]);
-              done[l] = true;
-              --remaining;
-              continue;
-            }
-          } else {
-            if (!std::isfinite(pts[l].hi)) {
-              res[l] = kInfD;  // flat forever
-              done[l] = true;
-              --remaining;
-              continue;
-            }
-            proposal = pts[l].hi + eps[l];
-          }
-          if (std::isfinite(bhi[l]) &&
-              (proposal >= bhi[l] || proposal <= blo[l])) {
-            proposal = 0.5 * (blo[l] + bhi[l]);  // bisect fallback
-          }
-          xs[l] = proposal;
-        } else {
-          bhi[l] = std::min(bhi[l], xs[l]);
-          double proposal = slope > 1e-12
-                                ? xs[l] - (pts[l].value - budget[g0 + l]) / slope
-                                : pts[l].lo - eps[l];
-          if (slope > 1e-12 && proposal >= pts[l].lo - eps[l]) {
-            res[l] = std::max(proposal, from[g0 + l]);
-            done[l] = true;
-            --remaining;
-            continue;
-          }
-          if (proposal <= blo[l] || proposal >= bhi[l]) {
-            proposal = 0.5 * (blo[l] + bhi[l]);
-          }
-          xs[l] = proposal;
-        }
-        if (std::isfinite(bhi[l]) && bhi[l] - blo[l] <= eps[l]) {
-          res[l] = blo[l];
-          done[l] = true;
-          --remaining;
-        }
-      }
-      if (remaining == 0) break;
-      solve_batch_ranges(k, xs, w, cur, pts);
-    }
-    if (remaining > 0) throw LpError("tolerance: did not converge");
-    for (std::size_t l = 0; l < w; ++l) out[g0 + l] = res[l];
+  double* const lo = cur.search_lo_.data();
+  double* const hi = cur.search_hi_.data();
+  double* const eps = cur.search_eps_.data();
+  std::uint32_t* const live = cur.search_live_.data();
+  double* const xs = cur.search_x_.data();
+  BatchPoint* const pts = cur.search_pts_.data();
+  // Round 0 evaluates every lane at its `from` (or takes the caller's
+  // pass there); live lanes are then gathered in ascending lane order, so
+  // round r's evaluation of live[p] sits at pts[p].
+  const BatchPoint* round = at_from;
+  if (round == nullptr) {
+    solve_batch_ranges(k, from, n, cur, pts);
+    round = pts;
   }
+  for (std::size_t i = 0; i < n; ++i) {
+    check_budget(from[i], round[i].value, budget[i]);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    lo[i] = from[i];
+    hi[i] = kInfD;
+    eps[i] = detail::budget_eps(budget[i]);
+    live[i] = static_cast<std::uint32_t>(i);
+    xs[i] = from[i];
+  }
+  // Every lane runs the scalar search's budget_step on its own state, so
+  // each lane's iterate sequence is the scalar one; a lane leaves the live
+  // list the round it finishes.  Compaction writes slot q <= p after
+  // reading slot p, so it runs in place.
+  std::size_t m = n;
+  for (int iter = 0; iter < detail::kBudgetIters; ++iter) {
+    std::size_t q = 0;
+    for (std::size_t p = 0; p < m; ++p) {
+      const std::uint32_t i = live[p];
+      double x = xs[p];
+      if (budget_step(round[p], from[i], budget[i], eps[i], x, lo[i], hi[i],
+                      out[i])) {
+        continue;
+      }
+      live[q] = i;
+      xs[q] = x;
+      ++q;
+    }
+    m = q;
+    if (m == 0) return;
+    solve_batch_ranges(k, xs, m, cur, pts);
+    round = pts;
+  }
+  throw LpError("tolerance: did not converge");
 }
 
 }  // namespace llamp::lp

@@ -24,6 +24,8 @@ constexpr int kFlatParamLimit = 8;
 /// many eps away from entering the winner's tie band.
 constexpr double kStableMarginFactor = 32.0;
 
+using detail::budget_eps;
+using detail::kBudgetIters;
 using detail::kNoIndex;
 using detail::value_eps;
 
@@ -598,63 +600,89 @@ double LoweredProblem::max_param_for_budget_from(int k, double from,
   if (k < 0 || k >= num_params_) {
     throw LpError("tolerance: parameter out of range");
   }
+  return max_param_for_budget_from(k, from, budget,
+                                   solve(k, from, cur).point(), cur);
+}
+
+void LoweredProblem::check_budget(double from, double value, double budget) {
+  if (value > budget + value_eps(budget)) {
+    throw LpError(strformat("tolerance: T(%g) = %g already exceeds budget %g",
+                            from, value, budget));
+  }
+}
+
+bool LoweredProblem::budget_step(const BatchPoint& pt, double from,
+                                 double budget, double eps, double& x,
+                                 double& lo, double& hi, double& result) {
   // T(x) is convex, piecewise linear, and non-decreasing in any parameter
   // (all edge coefficients are nonnegative), so the crossing T(x) = budget
   // is found by a bracketed Newton/secant iteration: a tangent from below
   // is exact as soon as its crossing lands inside the current linear piece,
-  // and overshoots land above the budget, shrinking the bracket.  This
-  // visits O(log) pieces instead of every basis change, which matters on
-  // jittered application graphs with thousands of near-ties.
-  const double eps = std::max(1e-6, std::fabs(budget) * 1e-12);
-  double x = from;
-  const Solution* s = &solve(k, x, cur);
-  if (s->value > budget + value_eps(budget)) {
-    throw LpError(strformat("tolerance: T(%g) = %g already exceeds budget %g",
-                            x, s->value, budget));
-  }
-  double bracket_lo = x;        // T(bracket_lo) <= budget
-  double bracket_hi = kInfD;    // T(bracket_hi) > budget (once finite)
-
-  for (int iter = 0; iter < 512; ++iter) {
-    const double slope = s->gradient[static_cast<std::size_t>(k)];
-    const bool below = s->value <= budget + value_eps(budget);
-    if (below) {
-      bracket_lo = std::max(bracket_lo, x);
-      double proposal;
-      if (slope > 1e-12) {
-        proposal = x + (budget - s->value) / slope;
-        // Tangent crossing inside the current piece: exact answer.  The
-        // clamp defines the boundary case where the budget is already tied
-        // within the fuzzy band at `from` (T(from) in (budget,
-        // budget + eps]): the tangent would extrapolate below the anchor —
-        // a negative tolerance — so the result is pinned to `from` itself.
-        if (proposal <= s->hi + eps) return std::max(proposal, from);
-      } else {
-        if (!std::isfinite(s->hi)) return kInfD;  // flat forever
-        proposal = s->hi + eps;
+  // and overshoots land above the budget, shrinking the bracket
+  // [lo, hi] (T(lo) <= budget, T(hi) > budget once finite).  This visits
+  // O(log) pieces instead of every basis change, which matters on jittered
+  // application graphs with thousands of near-ties.
+  if (pt.value <= budget + value_eps(budget)) {
+    lo = std::max(lo, x);
+    double proposal;
+    if (pt.slope > 1e-12) {
+      proposal = x + (budget - pt.value) / pt.slope;
+      // Tangent crossing inside the current piece: exact answer.  The
+      // clamp defines the boundary case where the budget is already tied
+      // within the fuzzy band at `from` (T(from) in (budget,
+      // budget + eps]): the tangent would extrapolate below the anchor —
+      // a negative tolerance — so the result is pinned to `from` itself.
+      if (proposal <= pt.hi + eps) {
+        result = std::max(proposal, from);
+        return true;
       }
-      if (std::isfinite(bracket_hi) &&
-          (proposal >= bracket_hi || proposal <= bracket_lo)) {
-        proposal = 0.5 * (bracket_lo + bracket_hi);  // bisect fallback
-      }
-      x = proposal;
     } else {
-      bracket_hi = std::min(bracket_hi, x);
-      // Walk the current piece's line back down to the budget.
-      double proposal =
-          slope > 1e-12 ? x - (s->value - budget) / slope : s->lo - eps;
-      if (slope > 1e-12 && proposal >= s->lo - eps) {
-        return std::max(proposal, from);  // same boundary clamp as above
+      if (!std::isfinite(pt.hi)) {  // flat forever
+        result = kInfD;
+        return true;
       }
-      if (proposal <= bracket_lo || proposal >= bracket_hi) {
-        proposal = 0.5 * (bracket_lo + bracket_hi);
-      }
-      x = proposal;
+      proposal = pt.hi + eps;
     }
-    if (std::isfinite(bracket_hi) && bracket_hi - bracket_lo <= eps) {
-      return bracket_lo;
+    if (std::isfinite(hi) && (proposal >= hi || proposal <= lo)) {
+      proposal = 0.5 * (lo + hi);  // bisect fallback
     }
-    s = &solve(k, x, cur);
+    x = proposal;
+  } else {
+    hi = std::min(hi, x);
+    // Walk the current piece's line back down to the budget.
+    double proposal = pt.slope > 1e-12 ? x - (pt.value - budget) / pt.slope
+                                       : pt.lo - eps;
+    if (pt.slope > 1e-12 && proposal >= pt.lo - eps) {
+      result = std::max(proposal, from);  // same boundary clamp as above
+      return true;
+    }
+    if (proposal <= lo || proposal >= hi) proposal = 0.5 * (lo + hi);
+    x = proposal;
+  }
+  if (std::isfinite(hi) && hi - lo <= eps) {
+    result = lo;
+    return true;
+  }
+  return false;
+}
+
+double LoweredProblem::max_param_for_budget_from(int k, double from,
+                                                 double budget,
+                                                 const BatchPoint& at_from,
+                                                 Cursor& cur) const {
+  if (k < 0 || k >= num_params_) {
+    throw LpError("tolerance: parameter out of range");
+  }
+  check_budget(from, at_from.value, budget);
+  const double eps = budget_eps(budget);
+  double x = from;
+  double lo = from;
+  double hi = kInfD;
+  double result = 0.0;
+  BatchPoint pt = at_from;
+  for (int iter = 0; iter < kBudgetIters; ++iter) {
+    if (budget_step(pt, from, budget, eps, x, lo, hi, result)) return result;
+    pt = solve(k, x, cur).point();
   }
   throw LpError("tolerance: did not converge");
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -22,6 +23,13 @@ inline double value_eps(double v) { return 1e-9 * (1.0 + std::fabs(v)); }
 /// cursor or anchor that holds no solve.
 inline constexpr std::uint32_t kNoIndex =
     std::numeric_limits<std::uint32_t>::max();
+/// Bracket width at which a budget search settles on its lower end, and
+/// the Newton step cap after which it gives up: shared by the scalar and
+/// pooled searches, whose lanes must stop at the same iterate.
+inline double budget_eps(double budget) {
+  return std::max(1e-6, std::fabs(budget) * 1e-12);
+}
+inline constexpr int kBudgetIters = 512;
 }  // namespace detail
 
 /// Sample-axis block width of the batched forward pass (doubles per lane
@@ -94,6 +102,21 @@ class LoweredProblem {
   /// edge has at most one term, small space); false on the CSR fallback.
   bool flat() const { return flat_; }
 
+  /// One lane of a batched forward pass: T, the active slope, and (when
+  /// requested) the active parameter's feasibility range at that lane's
+  /// evaluation point.  value, lo and hi are bitwise identical to
+  /// solve(active, x)'s.  slope is gradient[active] bitwise when the space
+  /// lowers integer-valued coefficients (every first-party space but
+  /// PerturbedParamSpace); the batch pass sums it source -> sink and the
+  /// scalar chain walk sink -> source, so on a perturbed space the two may
+  /// differ in the last bits (DESIGN.md §4f).
+  struct BatchPoint {
+    double value = 0.0;
+    double slope = 0.0;
+    double lo = -std::numeric_limits<double>::infinity();
+    double hi = std::numeric_limits<double>::infinity();
+  };
+
   struct Solution {
     double value = 0.0;  ///< T: program makespan at the evaluation point
     /// λ per parameter: Σ of that parameter's coefficients along the
@@ -108,6 +131,12 @@ class LoweredProblem {
     double hi = std::numeric_limits<double>::infinity();
     /// Number of communication edges on the critical path.
     std::size_t messages = 0;
+
+    /// T, the active slope and the range as a BatchPoint: the `at_from`
+    /// input of the budget searches.
+    BatchPoint point() const {
+      return {value, gradient[static_cast<std::size_t>(active)], lo, hi};
+    }
   };
 
   /// A detached snapshot of one anchor solve: the solution, the critical
@@ -161,16 +190,6 @@ class LoweredProblem {
     AnchorState last_;  ///< the last solve; chain_sink is kNoIndex before
   };
 
-  /// One lane of a batched forward pass: T, the active slope, and (when
-  /// requested) the active parameter's feasibility range at that lane's
-  /// evaluation point.  Every field is bitwise identical to the matching
-  /// member of solve(active, x).{value, gradient[active], lo, hi}.
-  struct BatchPoint {
-    double value = 0.0;
-    double slope = 0.0;
-    double lo = -std::numeric_limits<double>::infinity();
-    double hi = std::numeric_limits<double>::infinity();
-  };
 
   /// Scratch for the batched forward pass: the per-vertex finish/slope
   /// accumulators laid out structure-of-arrays over the sample axis
@@ -194,7 +213,13 @@ class LoweredProblem {
     /// variant only): max_in_degree x widest lanes run, values and slopes.
     std::vector<double> cand_val_;
     std::vector<double> cand_slope_;
-    /// Lockstep budget-search lane state (max_param_for_budget_from_batch).
+    /// Pooled budget-search state (max_param_for_budget_from_batch), one
+    /// entry per lane of the call: bracket and eps by lane index; the live
+    /// lanes, their probe points and their evaluations in gathered order.
+    std::vector<double> search_lo_;
+    std::vector<double> search_hi_;
+    std::vector<double> search_eps_;
+    std::vector<std::uint32_t> search_live_;
     std::vector<double> search_x_;
     std::vector<BatchPoint> search_pts_;
   };
@@ -205,8 +230,9 @@ class LoweredProblem {
   /// last_pow2-sized sub-blocks), the per-edge cost accumulators run
   /// structure-of-arrays over the lane axis with a fixed block-synchronous
   /// reduction order, and every per-lane floating-point operation replays
-  /// the scalar pass exactly — so out[i].{value, slope} is bitwise
-  /// identical to solve(active, xs[i]) at every lane (the batch equivalence
+  /// the scalar pass exactly — so out[i].value is bitwise identical to
+  /// solve(active, xs[i]) at every lane, and out[i].slope too on
+  /// integer-coefficient spaces (see BatchPoint; the batch equivalence
   /// wall in test_solver_hotpath.cpp pins this across apps, spaces, and
   /// block boundaries).  This variant skips the basis-range envelope;
   /// out[i].lo/hi are left at -inf/+inf.  Steady state allocates nothing.
@@ -220,16 +246,24 @@ class LoweredProblem {
   void solve_batch_ranges(int active, const double* xs, std::size_t n,
                           BatchCursor& cur, BatchPoint* out) const;
 
-  /// Lockstep batched tolerance search: out[i] is bitwise identical to
+  /// Pooled tolerance search: on integer-coefficient spaces (see
+  /// BatchPoint) out[i] is bitwise identical to
   /// max_param_for_budget_from(k, from[i], budget[i], cur) for every lane,
   /// including the boundary clamps and the LpError conditions (an
-  /// infeasible lane throws exactly the scalar error, lowest lane first).
-  /// Lanes iterate the scalar bracketed-Newton logic in lockstep, each
-  /// iteration served by one ranged batch pass, so a block of n searches
-  /// costs max-lane-iterations passes instead of sum-over-lanes solves.
+  /// infeasible lane throws exactly the scalar error, lowest lane of the
+  /// whole call first).  All n lanes iterate the scalar bracketed-Newton
+  /// step in one lockstep: each round gathers only the still-live lanes
+  /// into one ranged batch pass (kBatchWidth blocks plus pow2 tails), so n
+  /// searches cost max-lane-iterations rounds and no finished lane rides a
+  /// later pass.  When the caller already holds the ranged pass at every
+  /// from[i] (say from a runtime sweep), `at_from` supplies it and the
+  /// search opens without re-solving; at_from[i] must equal
+  /// solve_batch_ranges at from[i].  Steady state allocates nothing.
   void max_param_for_budget_from_batch(int k, const double* from,
                                        const double* budget, std::size_t n,
-                                       BatchCursor& cur, double* out) const;
+                                       BatchCursor& cur, double* out,
+                                       const BatchPoint* at_from = nullptr)
+      const;
 
   /// Evaluate with parameter `active` set to `value` and all others at
   /// their base values, reusing `cur` for all scratch state.  The returned
@@ -297,6 +331,11 @@ class LoweredProblem {
   /// bitwise.
   double max_param_for_budget_from(int k, double from, double budget,
                                    Cursor& cur) const;
+  /// Same search opening from the caller's solve at `from`
+  /// (solve(k, from).point()) instead of solving there again.
+  double max_param_for_budget_from(int k, double from, double budget,
+                                   const BatchPoint& at_from,
+                                   Cursor& cur) const;
 
   /// One evaluated point of a segment-walk sweep.
   struct SweepEval {
@@ -358,6 +397,15 @@ class LoweredProblem {
   template <bool Range>
   void solve_batch_impl(int active, const double* xs, std::size_t n,
                         BatchCursor& cur, BatchPoint* out) const;
+  /// One bracketed-Newton iteration of the budget search, shared by the
+  /// scalar and pooled searches: consumes T's evaluation `pt` at `x` and
+  /// either finishes (returns true with `result`) or moves `x` to the next
+  /// probe, tightening the bracket [lo, hi].
+  static bool budget_step(const BatchPoint& pt, double from, double budget,
+                          double eps, double& x, double& lo, double& hi,
+                          double& result);
+  /// Throws the tolerance LpError when T(from) already exceeds `budget`.
+  static void check_budget(double from, double value, double budget);
   /// Grow cur's rows to the widest sub-block of an n-lane call.
   void prepare_batch(BatchCursor& cur, std::size_t n) const;
   /// Dense solve into cur (solution, chain, stability bound).

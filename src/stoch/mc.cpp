@@ -37,10 +37,12 @@ struct WorkerScratch {
   std::vector<lp::LoweredProblem::BatchPoint> pts;
   std::vector<double> lane_L;       ///< the group's sampled L draws
   std::vector<double> lane_xs;      ///< lane evaluation points, one ΔL at a time
-  std::vector<double> lane_from;    ///< per-lane band-search anchor (ΔL[0])
-  std::vector<double> lane_v0;      ///< per-lane T at ΔL[0]
-  std::vector<double> lane_budget;
-  std::vector<double> lane_tol;
+  // The group's pooled band searches, band-major: search b * lanes + l is
+  // band b of lane l, opening from the lane's ΔL[0] point and pass.
+  std::vector<double> band_from;
+  std::vector<lp::LoweredProblem::BatchPoint> band_at;
+  std::vector<double> band_budget;
+  std::vector<double> band_tol;
 };
 
 }  // namespace
@@ -114,9 +116,9 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
   // sample analyzes the same parametric LP and only the evaluation point
   // (the sampled L) moves — one problem, lowered once, serves every worker,
   // and a whole lane group of samples rides one batched forward pass per
-  // ΔL point (and one lockstep search per band).  Otherwise each sample
-  // lowers its own perturbed space, which is what the paper's "re-measure
-  // the operating point and redo the analysis" amounts to.
+  // ΔL point and one pooled lockstep search over all its bands.  Otherwise
+  // each sample lowers its own perturbed space, which is what the paper's
+  // "re-measure the operating point and redo the analysis" amounts to.
   const std::optional<loggops::Params> shared_point =
       shared_operating_point(spec, base);
   const bool batched = shared_point.has_value();
@@ -159,10 +161,10 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       s.pts.resize(lp::kBatchWidth);
       s.lane_L.resize(lp::kBatchWidth);
       s.lane_xs.resize(lp::kBatchWidth);
-      s.lane_from.resize(lp::kBatchWidth);
-      s.lane_v0.resize(lp::kBatchWidth);
-      s.lane_budget.resize(lp::kBatchWidth);
-      s.lane_tol.resize(lp::kBatchWidth);
+      s.band_from.resize(lp::kBatchWidth * nbands);
+      s.band_at.resize(lp::kBatchWidth * nbands);
+      s.band_budget.resize(lp::kBatchWidth * nbands);
+      s.band_tol.resize(lp::kBatchWidth * nbands);
     } else {
       s.xs.resize(npts);
       s.evals.resize(npts);
@@ -213,42 +215,50 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
           sc.lane_L[l] = spec.L.sample(rng, base.L);
         }
         // llamp-lint: hot-path begin
-        // Steady state: one batched pass per ΔL grid point, one lockstep
-        // band search per percent, all against preallocated lane scratch.
+        // Steady state: one batched pass per ΔL grid point and one pooled
+        // search over every band, all against preallocated lane scratch.
+        // ΔL[0]'s pass is the ranged one: it supplies the runtime, λ_L,
+        // ρ_L and the first iterate of every band search.
         for (std::size_t k = 0; k < npts; ++k) {
           for (std::size_t l = 0; l < lanes; ++l) {
             sc.lane_xs[l] = sc.lane_L[l] + spec.delta_Ls[k];
           }
-          shared->solve_batch(0, sc.lane_xs.data(), lanes, sc.bc,
-                              sc.pts.data());
+          if (k == 0) {
+            shared->solve_batch_ranges(0, sc.lane_xs.data(), lanes, sc.bc,
+                                       sc.pts.data());
+          } else {
+            shared->solve_batch(0, sc.lane_xs.data(), lanes, sc.bc,
+                                sc.pts.data());
+          }
           for (std::size_t l = 0; l < lanes; ++l) {
             buffer[(g0 + l) * stride + k] = sc.pts[l].value;
           }
           if (k == 0) {
             for (std::size_t l = 0; l < lanes; ++l) {
               double* out = buffer.data() + (g0 + l) * stride;
-              sc.lane_from[l] = sc.lane_xs[l];
-              sc.lane_v0[l] = sc.pts[l].value;
-              const double lambda0 = sc.pts[l].slope;
-              out[npts] = lambda0;
-              out[npts + 1] = sc.pts[l].value > 0.0
-                                  ? sc.lane_xs[l] * lambda0 / sc.pts[l].value
-                                  : 0.0;
+              const lp::LoweredProblem::BatchPoint& pt = sc.pts[l];
+              out[npts] = pt.slope;
+              out[npts + 1] =
+                  pt.value > 0.0 ? sc.lane_xs[l] * pt.slope / pt.value : 0.0;
+              for (std::size_t b = 0; b < nbands; ++b) {
+                const std::size_t slot = b * lanes + l;
+                sc.band_from[slot] = sc.lane_xs[l];
+                sc.band_at[slot] = pt;
+                sc.band_budget[slot] =
+                    pt.value * (1.0 + spec.band_percents[b] / 100.0);
+              }
             }
           }
         }
+        shared->max_param_for_budget_from_batch(
+            0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
+            sc.bc, sc.band_tol.data(), sc.band_at.data());
         for (std::size_t b = 0; b < nbands; ++b) {
           for (std::size_t l = 0; l < lanes; ++l) {
-            sc.lane_budget[l] =
-                sc.lane_v0[l] * (1.0 + spec.band_percents[b] / 100.0);
-          }
-          shared->max_param_for_budget_from_batch(
-              0, sc.lane_from.data(), sc.lane_budget.data(), lanes, sc.bc,
-              sc.lane_tol.data());
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const double tol = sc.lane_tol[l];
+            const std::size_t slot = b * lanes + l;
+            const double tol = sc.band_tol[slot];
             buffer[(g0 + l) * stride + npts + 2 + b] =
-                std::isfinite(tol) ? tol - sc.lane_from[l] : tol;
+                std::isfinite(tol) ? tol - sc.band_from[slot] : tol;
           }
         }
         // llamp-lint: hot-path end
@@ -286,22 +296,30 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       // Steady state: every per-sample evaluation below runs against
       // preallocated per-worker scratch; only the perturbed-space setup
       // above may allocate.
+      // xs[0] is solved once: its solution gives the runtime, λ_L, ρ_L and
+      // every band search's first iterate.  The searches stay scalar: on a
+      // PerturbedParamSpace the batch slope may differ from the scalar
+      // gradient in the last bits (non-integer coefficients summed in the
+      // opposite order), so a batched search could move a tolerance.
       for (std::size_t k = 0; k < npts; ++k) {
         sc.xs[k] = p.L + spec.delta_Ls[k];
       }
-      prob.sweep(0, sc.xs, sc.cur, sc.evals.data());
+      const lp::LoweredProblem::BatchPoint at0 =
+          prob.solve(0, sc.xs[0], sc.cur).point();
+      prob.sweep(0, std::span<const double>(sc.xs).subspan(1), sc.cur,
+                 sc.evals.data() + 1);
 
       double* out = buffer.data() + j * stride;
-      for (std::size_t k = 0; k < npts; ++k) out[k] = sc.evals[k].value;
-      const double value0 = sc.evals[0].value;
-      const double lambda0 = sc.evals[0].slope;
-      out[npts] = lambda0;
-      out[npts + 1] = value0 > 0.0 ? sc.xs[0] * lambda0 / value0 : 0.0;
+      out[0] = at0.value;
+      for (std::size_t k = 1; k < npts; ++k) out[k] = sc.evals[k].value;
+      out[npts] = at0.slope;
+      out[npts + 1] =
+          at0.value > 0.0 ? sc.xs[0] * at0.slope / at0.value : 0.0;
       for (std::size_t b = 0; b < nbands; ++b) {
         const double budget =
-            value0 * (1.0 + spec.band_percents[b] / 100.0);
+            at0.value * (1.0 + spec.band_percents[b] / 100.0);
         const double tol =
-            prob.max_param_for_budget_from(0, sc.xs[0], budget, sc.cur);
+            prob.max_param_for_budget_from(0, sc.xs[0], budget, at0, sc.cur);
         out[npts + 2 + b] = std::isfinite(tol) ? tol - sc.xs[0] : tol;
       }
       // llamp-lint: hot-path end

@@ -159,6 +159,49 @@ TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
       << "steady-state batch kernel allocated on the heap";
 }
 
+TEST(AllocationFree, PooledBudgetSearchAllocatesNothingAfterWarmup) {
+  // The pooled search keeps its per-lane bracket, eps and live list in
+  // grow-only cursor rows: once one 48-lane call (three bands of a full mc
+  // lane group) has grown them, calls of that size or smaller, with or
+  // without the caller's first pass, are heap-silent.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::BatchCursor bc;
+
+  constexpr std::size_t kLanes = 3 * kBatchWidth;
+  std::vector<double> from(kLanes);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    from[l] = p.L + 300.0 * static_cast<double>(l % kBatchWidth);
+  }
+  std::vector<LoweredProblem::BatchPoint> at(kLanes);
+  solver.solve_batch_ranges(0, from.data(), kLanes, bc, at.data());
+  std::vector<double> budgets(kLanes);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    budgets[l] = at[l].value * (1.0 + 0.01 * static_cast<double>(l / 8));
+  }
+  std::vector<double> tols(kLanes);
+
+  solver.max_param_for_budget_from_batch(0, from.data(), budgets.data(),
+                                         kLanes, bc, tols.data(), at.data());
+  solver.max_param_for_budget_from_batch(0, from.data(), budgets.data(),
+                                         kLanes, bc, tols.data());
+
+  const std::size_t before = g_allocations;
+  for (int round = 0; round < 10; ++round) {
+    for (const std::size_t n : {kLanes, std::size_t{37}, std::size_t{3}}) {
+      solver.max_param_for_budget_from_batch(0, from.data(), budgets.data(),
+                                             n, bc, tols.data(), at.data());
+      solver.max_param_for_budget_from_batch(0, from.data(), budgets.data(),
+                                             n, bc, tols.data());
+      ASSERT_GE(tols[0], from[0]);
+    }
+  }
+  EXPECT_EQ(g_allocations, before)
+      << "steady-state pooled budget search allocated on the heap";
+}
+
 TEST(AllocationFree, BatchRowsAreSizedByTheLanesACallRuns) {
   // A narrow call sizes the lane rows for its own width, not the full
   // block width; a cursor warmed at full width serves narrower calls

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "apps/registry.hpp"
 #include "core/placement.hpp"
@@ -105,6 +108,53 @@ TEST(OptimizePlacement, Validation) {
   EXPECT_THROW(
       (void)optimize_placement(g, params(), ft, WireCost{}, {0, 1, 2}),
       Error);
+}
+
+/// Forwards to a real topology and counts path() calls.
+class PathCountingTopology final : public topo::Topology {
+ public:
+  explicit PathCountingTopology(const topo::Topology& inner) : inner_(inner) {}
+  int nnodes() const override { return inner_.nnodes(); }
+  topo::Path path(int a, int b) const override {
+    ++calls;
+    return inner_.path(a, b);
+  }
+  std::string name() const override { return inner_.name(); }
+  mutable std::size_t calls = 0;
+
+ private:
+  const topo::Topology& inner_;
+};
+
+TEST(OptimizePlacement, SwapScanReadsTheRoundsLatencyMatrix) {
+  // Each round's pairwise matrices take n·(n-1) routes; the O(n³) swap scan
+  // reads that round's latency matrix and routes nothing itself.
+  const auto g = ring_heavy_graph(8);
+  const topo::FatTree ft(4);
+  const PathCountingTopology counting(ft);
+  std::vector<int> adversarial{0, 4, 8, 12, 1, 5, 9, 13};
+  const auto opt =
+      optimize_placement(g, params(), counting, WireCost{}, adversarial);
+  EXPECT_GT(opt.swaps, 0);
+  EXPECT_EQ(counting.calls, static_cast<std::size_t>(opt.iterations) * 8 * 7);
+  const auto ref = optimize_placement(g, params(), ft, WireCost{}, adversarial);
+  EXPECT_EQ(opt.placement, ref.placement);
+  EXPECT_EQ(opt.swaps, ref.swaps);
+}
+
+TEST(OptimizePlacement, InitialRuntimeIsTheBlockPlacementsRuntime) {
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  const topo::FatTree ft(4);
+  const WireCost wire{310.5, 97.0};
+  for (const auto& g :
+       {ring_heavy_graph(8),
+        schedgen::build_graph(apps::make_app_trace("icon", 8, 0.1))}) {
+    const auto block = block_placement(g, params(), ft, wire);
+    for (const int rounds : {1, 64}) {
+      const auto opt = optimize_placement(g, params(), ft, wire, {}, rounds);
+      EXPECT_EQ(bits(opt.initial_runtime), bits(block.predicted_runtime));
+    }
+  }
 }
 
 TEST(PlacementRuntime, SensitiveToMapping) {

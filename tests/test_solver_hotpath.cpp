@@ -4,8 +4,10 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -980,6 +982,165 @@ TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
   for (std::size_t i = 0; i < grid.size(); ++i) {
     EXPECT_DOUBLE_EQ(pts[i].value, std::max(grid[i] + 1'115.0, 1'500.0));
     EXPECT_EQ(pts[i].slope, grid[i] >= 385.0 ? 1.0 : 0.0);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Budget searches that open from the caller's pass at `from` (the scalar
+// and batch at_from forms) and the pooled lockstep over many lanes: every
+// result must be the plain per-lane scalar search's, bit for bit.
+// ---------------------------------------------------------------------------
+
+/// `n` search lanes around the base point: anchors on and off it, budgets
+/// cycling through the 0% band, tight and loose bands, and every 11th lane
+/// an unbounded budget (a +inf tolerance).
+struct BudgetLanes {
+  std::vector<double> from;
+  std::vector<double> budget;
+};
+BudgetLanes budget_lanes(const LoweredProblem& solver, double base,
+                         std::size_t n) {
+  constexpr double kPercents[] = {0.0, 1.0, 2.0, 5.0, 50.0, 0.3, 12.5};
+  BudgetLanes lanes;
+  for (std::size_t i = 0; i < n; ++i) {
+    const double from = base + 173.0 * static_cast<double>(i % 5);
+    const double pct = kPercents[i % std::size(kPercents)];
+    lanes.from.push_back(from);
+    lanes.budget.push_back(
+        i % 11 == 10 ? std::numeric_limits<double>::infinity()
+                     : solver.solve(0, from).value * (1.0 + pct / 100.0));
+  }
+  return lanes;
+}
+
+/// Plain per-lane scalar searches: the reference every other form must
+/// reproduce bitwise.
+std::vector<std::uint64_t> scalar_searches(const LoweredProblem& solver,
+                                           const BudgetLanes& lanes) {
+  std::vector<std::uint64_t> out;
+  LoweredProblem::Cursor ws;
+  for (std::size_t i = 0; i < lanes.from.size(); ++i) {
+    out.push_back(bits(solver.max_param_for_budget_from(
+        0, lanes.from[i], lanes.budget[i], ws)));
+  }
+  return out;
+}
+
+TEST(BudgetSearch, AtFromFormsMatchPlainFormsOnAllRegisteredApps) {
+  LoweredProblem::Cursor ws;
+  LoweredProblem::BatchCursor bc;
+  for (const std::string& app : apps::app_names()) {
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto p = loggops::NetworkConfig::cscs_testbed();
+    const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+    SCOPED_TRACE(app);
+    const BudgetLanes lanes = budget_lanes(solver, p.L, 9);
+    const auto ref = scalar_searches(solver, lanes);
+    const std::size_t n = lanes.from.size();
+
+    std::vector<std::uint64_t> scalar_at;
+    for (std::size_t i = 0; i < n; ++i) {
+      const LoweredProblem::BatchPoint at =
+          solver.solve(0, lanes.from[i], ws).point();
+      scalar_at.push_back(bits(solver.max_param_for_budget_from(
+          0, lanes.from[i], lanes.budget[i], at, ws)));
+    }
+    EXPECT_EQ(scalar_at, ref);
+
+    std::vector<double> plain(n);
+    std::vector<double> with_at(n);
+    std::vector<LoweredProblem::BatchPoint> at(n);
+    solver.max_param_for_budget_from_batch(0, lanes.from.data(),
+                                           lanes.budget.data(), n, bc,
+                                           plain.data());
+    solver.solve_batch_ranges(0, lanes.from.data(), n, bc, at.data());
+    solver.max_param_for_budget_from_batch(0, lanes.from.data(),
+                                           lanes.budget.data(), n, bc,
+                                           with_at.data(), at.data());
+    EXPECT_EQ(bits(plain), ref);
+    EXPECT_EQ(bits(with_at), ref);
+  }
+}
+
+TEST(BudgetSearch, PooledCallsMatchPerLaneScalarSearches) {
+  // 37 lanes = two full blocks plus a 5-lane tail, 48 = three full blocks
+  // (one mc lane group's three bands); lanes finish in different rounds,
+  // so later rounds gather ragged live sets.
+  const auto g = schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::BatchCursor bc;
+  for (const std::size_t n : {std::size_t{37}, std::size_t{48}}) {
+    SCOPED_TRACE(n);
+    const BudgetLanes lanes = budget_lanes(solver, p.L, n);
+    const auto ref = scalar_searches(solver, lanes);
+    std::vector<double> pooled(n);
+    solver.max_param_for_budget_from_batch(0, lanes.from.data(),
+                                           lanes.budget.data(), n, bc,
+                                           pooled.data());
+    EXPECT_EQ(bits(pooled), ref);
+    EXPECT_EQ(pooled[0], lanes.from[0]);  // the 0% band
+    EXPECT_EQ(pooled[10], std::numeric_limits<double>::infinity());
+  }
+}
+
+TEST(BudgetSearch, PooledInfeasibleLaneThrowsTheScalarError) {
+  // Lanes 20 and 30 (past the first block) are infeasible; the pooled call
+  // throws lane 20's scalar message whatever the other lanes do.
+  const auto g = testing::running_example_graph();
+  const auto p = testing::running_example_params();
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  std::vector<double> from(37, 500.0);
+  std::vector<double> budget(37, 2'000.0);
+  from[20] = 600.0;
+  budget[20] = 1'650.0;  // T(600) = 1715
+  budget[30] = 1'550.0;  // T(500) = 1615
+  LoweredProblem::Cursor ws;
+  std::string scalar;
+  try {
+    (void)solver.max_param_for_budget_from(0, from[20], budget[20], ws);
+  } catch (const LpError& e) {
+    scalar = e.what();
+  }
+  ASSERT_FALSE(scalar.empty());
+  LoweredProblem::BatchCursor bc;
+  std::vector<double> out(from.size());
+  try {
+    solver.max_param_for_budget_from_batch(0, from.data(), budget.data(),
+                                           from.size(), bc, out.data());
+    ADD_FAILURE() << "infeasible lane did not throw";
+  } catch (const LpError& e) {
+    EXPECT_EQ(std::string(e.what()), scalar);
+  }
+}
+
+TEST(BudgetSearch, PerturbedSpacesAgreeInValueAndRangeNotSlopeBits) {
+  // The batch pass sums the active slope source -> sink, the scalar chain
+  // walk sink -> source.  Integer coefficients make both sums exact; a
+  // PerturbedParamSpace's noisy coefficients do not, so only values and
+  // lo/hi are bitwise, and slopes agree to rounding.
+  const auto g = schedgen::build_graph(apps::make_app_trace("hpcg", 64, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  Rng rng(0x5eed);
+  std::vector<double> factors(g.num_edges());
+  for (double& f : factors) f = std::exp(0.02 * rng.normal());
+  const LoweredProblem solver(
+      g, std::make_shared<PerturbedParamSpace>(
+             std::make_shared<LatencyParamSpace>(p), factors));
+  const auto xs = batch_grid(p.L, p.L + 100'000.0, 37, 0x9e7u);
+  std::vector<LoweredProblem::BatchPoint> pts(xs.size());
+  LoweredProblem::BatchCursor bc;
+  solver.solve_batch_ranges(0, xs.data(), xs.size(), bc, pts.data());
+  LoweredProblem::Cursor ws;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const LoweredProblem::BatchPoint dense = solver.solve(0, xs[i], ws).point();
+    EXPECT_EQ(bits(pts[i].value), bits(dense.value)) << "x=" << xs[i];
+    EXPECT_EQ(bits(pts[i].lo), bits(dense.lo)) << "x=" << xs[i];
+    EXPECT_EQ(bits(pts[i].hi), bits(dense.hi)) << "x=" << xs[i];
+    EXPECT_NEAR(pts[i].slope, dense.slope, 1e-12 * std::fabs(dense.slope))
+        << "x=" << xs[i];
   }
 }
 
