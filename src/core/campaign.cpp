@@ -120,6 +120,7 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
   // of the shared per-wire latency (not cacheable by LogGPS fingerprint).
   std::shared_ptr<SolverCache::Entry> entry;
   std::unique_ptr<lp::LoweredProblem> wire;
+  lp::LoweredProblem::BatchPoint wire_at;  // base solve; bands open from it
   double base = 0.0;
   if (s.topology == "none") {
     entry = solvers.latency(graph_key(s), g, s.params);
@@ -129,9 +130,9 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     wire = lower_wire_latency(g, s.params,
                               *fit_topology(s.topology, topo, s.ranks), topo);
     base = topo.l_wire;
+    wire_at = wire->solve(0, base, cur).point();
   }
-  res.base_runtime =
-      entry ? entry->eval(0, base, cur).value : wire->solve(0, base, cur).value;
+  res.base_runtime = entry ? entry->eval(0, base, cur).value : wire_at.value;
 
   const std::size_t npts = s.delta_Ls.size();
   std::vector<double> xs(npts);
@@ -171,7 +172,8 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     const double budget = res.base_runtime * (1.0 + pct / 100.0);
     const double tol =
         entry ? entry->max_param_for_budget_from(0, base, budget, cur)
-              : wire->max_param_for_budget(0, budget, cur);
+              : wire->max_param_for_budget_from(0, base, budget, wire_at,
+                                                cur);
     res.bands.push_back({pct, std::isfinite(tol) ? tol - base : tol});
   }
 

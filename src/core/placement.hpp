@@ -53,6 +53,8 @@ PlacementResult volume_greedy_placement(const graph::Graph& g,
 /// the LP-estimated runtime improves.  Terminates when no positive-gain
 /// swap exists, when the objective worsens, or after `max_rounds`.  (The
 /// paper's D_G term vanishes under uniform G, so it is not computed.)
+/// The swap scan prices routes from the pairwise latency matrix the
+/// round's LP was built on, so it makes no Topology::path calls.
 /// Throws UsageError when max_rounds < 1.
 PlacementResult optimize_placement(const graph::Graph& g,
                                    const loggops::Params& p,

@@ -190,7 +190,6 @@ class LoweredProblem {
     AnchorState last_;  ///< the last solve; chain_sink is kNoIndex before
   };
 
-
   /// Scratch for the batched forward pass: the per-vertex finish/slope
   /// accumulators laid out structure-of-arrays over the sample axis
   /// (finish_[pos * width + lane]) plus the candidate buffer the range
