@@ -163,7 +163,7 @@ PlacementResult optimize_placement(const graph::Graph& g,
   double f_star = std::numeric_limits<double>::infinity();
 
   std::vector<double> dl;
-  std::vector<double> lat;  ///< pairwise latency of the ranks' nodes under pi
+  std::vector<double> lat;  // pairwise latency of the ranks' nodes under pi
   for (int round = 0; round < max_rounds; ++round) {
     ++res.iterations;
     const double f = solve_hloggp(g, p, topo, wire, pi, &dl, &lat);
