@@ -86,9 +86,11 @@ class LegacySolver {
     };
 
     std::vector<std::pair<double, double>> cands;
-    for (const graph::VertexId v : g_.topo_order()) {
-      const auto ins = g_.in_edges(v);
-      if (ins.empty()) {
+    const auto topo = g_.topo_order();
+    const graph::Graph::TopoSlots& ts = g_.topo_slots();
+    for (std::size_t i = 0; i < topo.size(); ++i) {
+      const graph::VertexId v = topo[i];
+      if (ts.offsets[i] == ts.offsets[i + 1]) {
         finish[v] = vertex_cost_[v];
         continue;
       }
@@ -96,16 +98,18 @@ class LegacySolver {
       double best_val = -kInfD;
       double best_slope = 0.0;
       std::uint32_t best_edge = kNoEdge;
-      for (const auto& a : ins) {
-        const auto [c, s] = edge_at(a.edge);
-        const double cv = finish[a.other] + c;
-        const double cs = slope[a.other] + s;
+      for (std::uint32_t j = ts.offsets[i]; j < ts.offsets[i + 1]; ++j) {
+        const std::uint32_t e = ts.edge[j];
+        const graph::VertexId u = topo[ts.pred[j]];
+        const auto [c, s] = edge_at(e);
+        const double cv = finish[u] + c;
+        const double cs = slope[u] + s;
         cands.emplace_back(cv, cs);
         if (best_edge == kNoEdge || cv > best_val + eps(best_val) ||
             (cv > best_val - eps(best_val) && cs > best_slope)) {
           best_val = cv;
           best_slope = cs;
-          best_edge = a.edge;
+          best_edge = e;
         }
       }
       finish[v] = best_val + vertex_cost_[v];

@@ -1,6 +1,7 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -158,16 +159,7 @@ void Graph::add_handshake_completion_edges(VertexId send, VertexId post,
 
 void Graph::add_completion_edge_raw(VertexId from, VertexId to, int o_mult,
                                     int l_mult, std::uint64_t bytes) {
-  require_building();
-  if (from >= vertices_.size() || to >= vertices_.size()) {
-    throw GraphError("completion edge endpoint out of range");
-  }
-  if (vertices_[from].kind == VertexKind::kCalc) {
-    throw GraphError("completion edge cannot originate at a calc vertex");
-  }
-  if (o_mult < 0 || o_mult > 255 || l_mult < 0 || l_mult > 255) {
-    throw GraphError("completion edge multiplier out of range");
-  }
+  // Endpoints and kinds are checked by add_handshake_completion_edges.
   edges_.push_back({from, to, EdgeKind::kSendCompletion,
                     static_cast<std::uint8_t>(o_mult),
                     static_cast<std::uint8_t>(l_mult), bytes});
@@ -182,30 +174,17 @@ void Graph::finalize() {
   vertices_.shrink_to_fit();
   edges_.shrink_to_fit();
 
-  // Build CSR adjacency (out and in); assign/resize below size every
-  // array exactly.
+  // CSR adjacency by counting sort: count into offsets[key], prefix-sum to
+  // range ends, then fill back to front so every range ascends by edge id
+  // and ends on its start.  assign/resize size every array exactly.
+  const std::uint32_t ne = static_cast<std::uint32_t>(edges_.size());
   out_offsets_.assign(n + 1, 0);
-  in_offsets_.assign(n + 1, 0);
-  for (const Edge& e : edges_) {
-    ++out_offsets_[e.from + 1];
-    ++in_offsets_[e.to + 1];
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    out_offsets_[i + 1] += out_offsets_[i];
-    in_offsets_[i + 1] += in_offsets_[i];
-  }
-  out_adj_.resize(edges_.size());
-  in_adj_.resize(edges_.size());
-  {
-    std::vector<std::uint64_t> out_pos(out_offsets_.begin(),
-                                       out_offsets_.end() - 1);
-    std::vector<std::uint64_t> in_pos(in_offsets_.begin(),
-                                      in_offsets_.end() - 1);
-    for (std::uint32_t idx = 0; idx < edges_.size(); ++idx) {
-      const Edge& e = edges_[idx];
-      out_adj_[out_pos[e.from]++] = {e.to, idx};
-      in_adj_[in_pos[e.to]++] = {e.from, idx};
-    }
+  for (const Edge& e : edges_) ++out_offsets_[e.from];
+  std::partial_sum(out_offsets_.begin(), out_offsets_.end(),
+                   out_offsets_.begin());
+  out_adj_.resize(ne);
+  for (std::uint32_t idx = ne; idx-- > 0;) {
+    out_adj_[--out_offsets_[edges_[idx].from]] = {edges_[idx].to, idx};
   }
 
   // Comm-edge pairing invariants + partner table.
@@ -256,6 +235,31 @@ void Graph::finalize() {
     throw GraphError(strformat("cycle detected (deadlock?): %zu of %zu "
                                "vertices sorted", topo_.size(), n));
   }
+
+  // Topo slots: the in-edge CSR keyed by the head's topo position.
+  TopoSlots& ts = slots_;
+  ts.pos_of.resize(n);
+  for (std::uint32_t i = 0; i < n; ++i) ts.pos_of[topo_[i]] = i;
+  ts.offsets.assign(n + 1, 0);
+  for (const Edge& e : edges_) ++ts.offsets[ts.pos_of[e.to]];
+  ts.max_in_degree = *std::max_element(ts.offsets.begin(), ts.offsets.end());
+  std::partial_sum(ts.offsets.begin(), ts.offsets.end(), ts.offsets.begin());
+  ts.pred.resize(ne);
+  ts.edge.resize(ne);
+  ts.slot_of.resize(ne);
+  for (std::uint32_t idx = ne; idx-- > 0;) {
+    const Edge& e = edges_[idx];
+    const std::uint32_t j = --ts.offsets[ts.pos_of[e.to]];
+    ts.pred[j] = ts.pos_of[e.from];
+    ts.edge[j] = idx;
+    ts.slot_of[idx] = j;
+  }
+  for (VertexId v = 0; v < n; ++v) {
+    if (out_offsets_[v] == out_offsets_[v + 1]) {
+      ts.sinks.push_back(ts.pos_of[v]);
+    }
+  }
+  ts.sinks.shrink_to_fit();
   finalized_ = true;
 }
 
@@ -265,15 +269,14 @@ std::span<const Graph::Adj> Graph::out_edges(VertexId v) const {
                                      out_offsets_[v + 1] - out_offsets_[v]);
 }
 
-std::span<const Graph::Adj> Graph::in_edges(VertexId v) const {
-  require_finalized();
-  return std::span(in_adj_).subspan(in_offsets_[v],
-                                    in_offsets_[v + 1] - in_offsets_[v]);
-}
-
 std::span<const VertexId> Graph::topo_order() const {
   require_finalized();
   return topo_;
+}
+
+const Graph::TopoSlots& Graph::topo_slots() const {
+  require_finalized();
+  return slots_;
 }
 
 std::pair<int, int> Graph::edge_wire_pair(const Edge& e) const {
@@ -304,9 +307,11 @@ std::size_t Graph::memory_bytes() const {
   const auto bytes = [](const auto& v) {
     return v.capacity() * sizeof(v[0]);
   };
+  const TopoSlots& ts = slots_;
   return bytes(vertices_) + bytes(edges_) + bytes(out_offsets_) +
-         bytes(out_adj_) + bytes(in_offsets_) + bytes(in_adj_) +
-         bytes(topo_) + bytes(comm_partner_);
+         bytes(out_adj_) + bytes(topo_) + bytes(ts.offsets) + bytes(ts.pred) +
+         bytes(ts.edge) + bytes(ts.slot_of) + bytes(ts.pos_of) +
+         bytes(ts.sinks) + bytes(comm_partner_);
 }
 
 std::string Graph::stats_string() const {

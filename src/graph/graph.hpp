@@ -58,10 +58,11 @@ struct Edge {
 };
 
 /// A directed acyclic execution graph.  Built incrementally (add_* +
-/// add_edge), then `finalize()` freezes it: adjacency becomes CSR, a
-/// topological order is computed, and structural invariants are checked.
-/// All analysis components (simulator, LP builders, parametric solver)
-/// require a finalized graph.
+/// add_edge), then `finalize()` freezes it: invariants are checked, a
+/// topological order is computed, and adjacency becomes CSR (out-edges by
+/// vertex id; in-edges by topo position, the TopoSlots every lowering
+/// reads).  Analysis components (simulator, LP builders, parametric
+/// solver) require a finalized graph.
 class Graph {
  public:
   explicit Graph(int nranks);
@@ -95,11 +96,6 @@ class Graph {
   /// send and post vertices instead of the receiver's wait.
   void add_handshake_completion_edges(VertexId send, VertexId post,
                                       VertexId waiter);
-  /// Deserialization back door: a completion edge with an explicit cost
-  /// spec (graph_io uses this to reconstruct graphs losslessly).
-  void add_completion_edge_raw(VertexId from, VertexId to, int o_mult,
-                               int l_mult, std::uint64_t bytes);
-
   /// Freezes the graph.  Throws GraphError on cycles, comm edges with
   /// mismatched endpoints, or send/recv vertices without exactly one comm
   /// edge.
@@ -112,17 +108,30 @@ class Graph {
   std::size_t num_comm_edges() const { return num_comm_edges_; }
   const Vertex& vertex(VertexId v) const { return vertices_[v]; }
 
-  /// In-edge reference: index into edges() plus the far endpoint.
+  /// Out-edge reference: index into edges() plus the far endpoint.
   struct Adj {
     VertexId other;
     std::uint32_t edge;
   };
   std::span<const Adj> out_edges(VertexId v) const;
-  std::span<const Adj> in_edges(VertexId v) const;
   const Edge& edge(std::uint32_t e) const { return edges_[e]; }
 
   /// Vertices in a topological order (every edge goes forward in it).
   std::span<const VertexId> topo_order() const;
+
+  /// The in-adjacency by topo position, the slot index space of every
+  /// LoweredProblem (DESIGN.md §4b): position i's in-edges are the slots
+  /// [offsets[i], offsets[i+1]), in ascending edge id.
+  struct TopoSlots {
+    std::vector<std::uint32_t> offsets;  ///< topo pos -> slot range (V+1)
+    std::vector<std::uint32_t> pred;     ///< slot -> predecessor topo pos
+    std::vector<std::uint32_t> edge;     ///< slot -> edge id
+    std::vector<std::uint32_t> slot_of;  ///< edge id -> slot
+    std::vector<std::uint32_t> pos_of;   ///< vertex id -> topo pos
+    std::vector<std::uint32_t> sinks;    ///< sink topo pos, by vertex id
+    std::uint32_t max_in_degree = 0;
+  };
+  const TopoSlots& topo_slots() const;
 
   /// For a recv vertex: the matching send; for a send vertex: the matching
   /// recv; kInvalidVertex otherwise.
@@ -135,9 +144,9 @@ class Graph {
   /// Raw edge list (stable order of insertion).
   std::span<const Edge> edges() const { return edges_; }
 
-  /// Heap bytes held by this graph (vertex/edge lists, CSR adjacency, topo
-  /// order, partner table).  finalize() trims construction slack, so this
-  /// is the steady-state footprint a campaign's graph cache pays per entry.
+  /// Heap bytes held by this graph (vertex/edge lists, out-CSR, topo
+  /// order and slots, partner table).  finalize() trims construction slack,
+  /// so this is the steady-state footprint a graph cache pays per entry.
   std::size_t memory_bytes() const;
 
   std::string stats_string() const;
@@ -146,6 +155,8 @@ class Graph {
   void require_finalized() const;
   void require_building() const;
   VertexId add_vertex(Vertex v);
+  void add_completion_edge_raw(VertexId from, VertexId to, int o_mult,
+                               int l_mult, std::uint64_t bytes);
 
   int nranks_;
   std::vector<Vertex> vertices_;
@@ -153,12 +164,11 @@ class Graph {
   std::size_t num_comm_edges_ = 0;
   bool finalized_ = false;
 
-  // CSR adjacency + topo order, valid after finalize().
+  // Out-CSR, topo order and topo slots, valid after finalize().
   std::vector<std::uint64_t> out_offsets_;
   std::vector<Adj> out_adj_;
-  std::vector<std::uint64_t> in_offsets_;
-  std::vector<Adj> in_adj_;
   std::vector<VertexId> topo_;
+  TopoSlots slots_;
   std::vector<VertexId> comm_partner_;
 };
 

@@ -126,7 +126,7 @@ void LoweredProblem::prepare_batch(BatchCursor& cur, std::size_t n) const {
     cur.finish_.resize(rows);
     cur.slope_.resize(rows);
   }
-  const std::size_t cands = static_cast<std::size_t>(max_in_degree_) * width;
+  const std::size_t cands = g_.topo_slots().max_in_degree * width;
   if (cur.cand_val_.size() < cands) {
     cur.cand_val_.resize(cands);
     cur.cand_slope_.resize(cands);
@@ -138,6 +138,9 @@ template <std::size_t W, bool Range, typename LaneCost>
 void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
                                 BatchCursor& cur, BatchPoint* out) const {
   const std::size_t n = g_.num_vertices();
+  const graph::Graph::TopoSlots& ts = g_.topo_slots();
+  const std::uint32_t* const in_off = ts.offsets.data();
+  const std::uint32_t* const pred = ts.pred.data();
   double* const finish = cur.finish_.data();
   double* const slope = cur.slope_.data();
   double* const cand_val = cur.cand_val_.data();
@@ -159,8 +162,8 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
   double es[W];  // lane slopes of that edge
 
   for (std::size_t i = 0; i < n; ++i) {  // topo position order
-    const std::uint32_t jlo = in_off_[i];
-    const std::uint32_t jhi = in_off_[i + 1];
+    const std::uint32_t jlo = in_off[i];
+    const std::uint32_t jhi = in_off[i + 1];
     const double vc = vertex_cost_topo_[i];
     double* const fi = finish + i * W;
     double* const si = slope + i * W;
@@ -175,8 +178,8 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     // First candidate selected unconditionally, exactly like the scalar
     // pass (the seed's first-candidate short-circuit).
     cost(jlo, xs, ec, es);
-    const double* fu = finish + static_cast<std::size_t>(in_other_[jlo]) * W;
-    const double* su = slope + static_cast<std::size_t>(in_other_[jlo]) * W;
+    const double* fu = finish + static_cast<std::size_t>(pred[jlo]) * W;
+    const double* su = slope + static_cast<std::size_t>(pred[jlo]) * W;
     double bv[W];
     double bs[W];
     LLAMP_SIMD
@@ -204,8 +207,8 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     }
     for (std::uint32_t j = jlo + 1; j < jhi; ++j) {
       cost(j, xs, ec, es);
-      const double* fu2 = finish + static_cast<std::size_t>(in_other_[j]) * W;
-      const double* su2 = slope + static_cast<std::size_t>(in_other_[j]) * W;
+      const double* fu2 = finish + static_cast<std::size_t>(pred[j]) * W;
+      const double* su2 = slope + static_cast<std::size_t>(pred[j]) * W;
       double* const cvr = cand_val + static_cast<std::size_t>(nc) * W;
       double* const csr = cand_slope + static_cast<std::size_t>(nc) * W;
       LLAMP_SIMD
@@ -254,7 +257,7 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
 
   // T = max over sinks in ascending vertex-id order; the first sink is
   // selected unconditionally (the scalar kNoEdge short-circuit).
-  const std::size_t s0 = sink_pos_[0];
+  const std::size_t s0 = ts.sinks[0];
   double bsv[W];
   double bss[W];
   LLAMP_SIMD
@@ -262,9 +265,9 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     bsv[l] = finish[s0 * W + l];
     bss[l] = slope[s0 * W + l];
   }
-  for (std::size_t k = 1; k < sink_pos_.size(); ++k) {
-    const double* fp = finish + static_cast<std::size_t>(sink_pos_[k]) * W;
-    const double* sp = slope + static_cast<std::size_t>(sink_pos_[k]) * W;
+  for (std::size_t k = 1; k < ts.sinks.size(); ++k) {
+    const double* fp = finish + static_cast<std::size_t>(ts.sinks[k]) * W;
+    const double* sp = slope + static_cast<std::size_t>(ts.sinks[k]) * W;
     LLAMP_SIMD
     for (std::size_t l = 0; l < W; ++l) {
       const double be = value_eps(bsv[l]);
@@ -275,7 +278,7 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     }
   }
   if constexpr (Range) {
-    for (const std::uint32_t pos : sink_pos_) {
+    for (const std::uint32_t pos : ts.sinks) {
       const double* fp = finish + static_cast<std::size_t>(pos) * W;
       const double* sp = slope + static_cast<std::size_t>(pos) * W;
       LLAMP_SIMD
@@ -306,13 +309,13 @@ void LoweredProblem::solve_batch_impl(int active, const double* xs,
     throw LpError("parametric: active parameter out of range");
   }
   if (n == 0) return;
-  if (sink_pos_.empty()) throw LpError("graph has no sink vertex");
+  if (g_.topo_slots().sinks.empty()) throw LpError("graph has no sink vertex");
   prepare_batch(cur, n);
 
   const auto run = [&](auto wc, std::size_t i) {
     constexpr std::size_t W = decltype(wc)::value;
     if (flat_) {
-      const std::size_t slots = in_edge_.size();
+      const std::size_t slots = g_.num_edges();
       const FlatLaneCost<W> cost{
           flat_const_slot_.data() + static_cast<std::size_t>(active) * slots,
           flat_slope_slot_.data() + static_cast<std::size_t>(active) * slots};

@@ -53,19 +53,22 @@ GraphLp build_graph_lp(const graph::Graph& g, const ParamSpace& space) {
     m.add_constraint(std::move(terms), Relation::kGe, rhs.constant);
   };
 
-  for (const graph::VertexId v : g.topo_order()) {
-    const auto ins = g.in_edges(v);
+  const auto topo = g.topo_order();
+  const graph::Graph::TopoSlots& ts = g.topo_slots();
+  for (std::size_t i = 0; i < topo.size(); ++i) {
+    const std::uint32_t jlo = ts.offsets[i];
+    const std::uint32_t jhi = ts.offsets[i + 1];
     Expr e;
-    if (ins.empty()) {
+    if (jlo == jhi) {
       // Starting vertex: anchored at time zero.
-    } else if (ins.size() == 1) {
-      const graph::Edge& in = g.edge(ins.front().edge);
+    } else if (jhi - jlo == 1) {
+      const graph::Edge& in = g.edge(ts.edge[jlo]);
       e = expr[in.from];
       e.add(space.edge_cost(g, in));
     } else {
-      const int y = m.add_var(strformat("y%u", v), -kInf, kInf, 0.0);
-      for (const auto& a : ins) {
-        const graph::Edge& in = g.edge(a.edge);
+      const int y = m.add_var(strformat("y%u", topo[i]), -kInf, kInf, 0.0);
+      for (std::uint32_t j = jlo; j < jhi; ++j) {
+        const graph::Edge& in = g.edge(ts.edge[j]);
         Expr rhs = expr[in.from];
         rhs.add(space.edge_cost(g, in));
         emit_ge(y, rhs);
@@ -73,25 +76,13 @@ GraphLp build_graph_lp(const graph::Graph& g, const ParamSpace& space) {
       e = Expr{};
       e.y = y;
     }
-    e.constant += graph::vertex_cost(g.vertex(v), p);
-    expr[v] = std::move(e);
+    e.constant += graph::vertex_cost(g.vertex(topo[i]), p);
+    expr[topo[i]] = std::move(e);
   }
 
   // t dominates every sink's completion expression.
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (g.out_edges(v).empty()) {
-      Expr rhs = expr[v];
-      std::vector<std::pair<int, double>> terms;
-      terms.emplace_back(out.makespan_var, 1.0);
-      if (rhs.y >= 0) terms.emplace_back(rhs.y, -1.0);
-      for (const auto& [param, c] : rhs.coeffs) {
-        if (c != 0.0) {
-          terms.emplace_back(out.param_vars[static_cast<std::size_t>(param)],
-                             -c);
-        }
-      }
-      m.add_constraint(std::move(terms), Relation::kGe, rhs.constant);
-    }
+  for (const std::uint32_t pos : ts.sinks) {
+    emit_ge(out.makespan_var, expr[topo[pos]]);
   }
   return out;
 }

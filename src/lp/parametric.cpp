@@ -100,45 +100,17 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
     base_.push_back(space_->base_value(k));
   }
 
-  // Topo-slot adjacency: the forward pass visits vertices in topo order
-  // anyway, so lay everything out in that order and the pass becomes a
-  // sequential stream instead of a pointer chase.  Per-vertex in-edge
-  // order is preserved, so every floating-point comparison and sum happens
-  // in the seed's order.
-  const std::size_t n = g_.num_vertices();
-  const std::size_t ne = g_.num_edges();
-  const auto topo = g_.topo_order();
-  std::vector<std::uint32_t> topo_pos(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    topo_pos[topo[i]] = static_cast<std::uint32_t>(i);
-  }
-  std::vector<std::uint32_t> slot_of(ne);  ///< edge id -> slot
-  in_off_.reserve(n + 1);
-  in_off_.push_back(0);
-  in_other_.reserve(ne);
-  in_edge_.reserve(ne);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto in = g_.in_edges(topo[i]);
-    max_in_degree_ =
-        std::max(max_in_degree_, static_cast<std::uint32_t>(in.size()));
-    for (const auto& adj : in) {
-      slot_of[adj.edge] = static_cast<std::uint32_t>(in_edge_.size());
-      in_other_.push_back(topo_pos[adj.other]);
-      in_edge_.push_back(adj.edge);
-    }
-    in_off_.push_back(static_cast<std::uint32_t>(in_edge_.size()));
-  }
-  for (graph::VertexId v = 0; v < n; ++v) {
-    if (g_.out_edges(v).empty()) sink_pos_.push_back(topo_pos[v]);
-  }
-
   // Costs are computed in vertex-id and edge-id order and stored straight
-  // into their topo position and slot: reading the graph in slot order
-  // instead stalls on a cache miss per edge (DESIGN.md §4b).  Each edge's
-  // Affine is lowered into its slot's CSR
+  // into their topo position and slot through the graph's maps: reading
+  // the graph in slot order instead stalls on a cache miss per edge
+  // (DESIGN.md §4b).  Each edge's Affine is lowered into its slot's CSR
   // term range, preserving term order; the transient Affine (and its
   // heap-allocated term vector) dies here instead of being walked on every
   // solve.
+  const std::size_t n = g_.num_vertices();
+  const std::size_t ne = g_.num_edges();
+  const std::vector<std::uint32_t>& topo_pos = g_.topo_slots().pos_of;
+  const std::vector<std::uint32_t>& slot_of = g_.topo_slots().slot_of;
   const loggops::Params& p = space_->params();
   vertex_cost_topo_.resize(n);
   for (graph::VertexId v = 0; v < n; ++v) {
@@ -210,8 +182,7 @@ template <typename F>
 decltype(auto) LoweredProblem::with_edge_at(int active, double x,
                                             F&& f) const {
   if (flat_) {
-    const std::size_t slots = in_edge_.size();
-    const std::size_t ko = static_cast<std::size_t>(active) * slots;
+    const std::size_t ko = static_cast<std::size_t>(active) * g_.num_edges();
     return f(FlatEdgeAt{flat_const_slot_.data() + ko,
                         flat_slope_slot_.data() + ko, x});
   }
@@ -230,9 +201,7 @@ void LoweredProblem::prepare(Cursor& cur) const {
     cur.arg_slot_.resize(n);
   }
   if (cur.last_.chain.capacity() < n) cur.last_.chain.reserve(n);
-  if (cur.cands_.capacity() < max_in_degree_) {
-    cur.cands_.reserve(max_in_degree_);
-  }
+  cur.cands_.reserve(g_.topo_slots().max_in_degree);
 }
 
 // llamp-lint: hot-path begin
@@ -240,6 +209,9 @@ template <typename EdgeAt>
 void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
                                   const EdgeAt& edge_at) const {
   const std::size_t n = g_.num_vertices();
+  const graph::Graph::TopoSlots& ts = g_.topo_slots();
+  const std::uint32_t* const in_off = ts.offsets.data();
+  const std::uint32_t* const pred = ts.pred.data();
   double* const finish = cur.finish_.data();
   double* const slope = cur.slope_.data();
   std::uint32_t* const arg_slot = cur.arg_slot_.data();
@@ -252,8 +224,8 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
   double stable_dhi = kInfD;
 
   for (std::size_t i = 0; i < n; ++i) {  // topo position order
-    const std::uint32_t jlo = in_off_[i];
-    const std::uint32_t jhi = in_off_[i + 1];
+    const std::uint32_t jlo = in_off[i];
+    const std::uint32_t jhi = in_off[i + 1];
     if (jlo == jhi) {
       finish[i] = vertex_cost_topo_[i];
       slope[i] = 0.0;
@@ -263,7 +235,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
     // The first candidate is selected unconditionally (exactly the seed's
     // first-candidate short-circuit, which never evaluated eps).
     const auto [c0, s0] = edge_at(jlo);
-    const std::uint32_t u0 = in_other_[jlo];
+    const std::uint32_t u0 = pred[jlo];
     double best_val = finish[u0] + c0;
     double best_slope = slope[u0] + s0;
     std::uint32_t best_slot = jlo;
@@ -277,12 +249,12 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
     }
     cands.clear();
     // llamp-lint: allow(hot-alloc): within the capacity prepare() reserved
-    // (max_in_degree_); zero steady-state allocation is pinned by
+    // (max_in_degree); zero steady-state allocation is pinned by
     // test_alloc_free's counting operator new.
     cands.emplace_back(best_val, best_slope);
     for (std::uint32_t j = jlo + 1; j < jhi; ++j) {
       const auto [c, s] = edge_at(j);
-      const std::uint32_t u = in_other_[j];
+      const std::uint32_t u = pred[j];
       const double cv = finish[u] + c;
       const double cs = slope[u] + s;
       // llamp-lint: allow(hot-alloc): same reserved-capacity argument as
@@ -314,7 +286,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
   double best_val = -kInfD;
   double best_slope = 0.0;
   std::uint32_t best_sink = kNoIndex;  // topo position of the critical sink
-  for (const std::uint32_t pos : sink_pos_) {
+  for (const std::uint32_t pos : ts.sinks) {
     if (best_sink == kNoIndex || finish[pos] > best_val + value_eps(best_val) ||
         (finish[pos] > best_val - value_eps(best_val) &&
          slope[pos] > best_slope)) {
@@ -326,7 +298,7 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
   if (best_sink == kNoIndex) {
     throw LpError("graph has no sink vertex");
   }
-  for (const std::uint32_t pos : sink_pos_) {
+  for (const std::uint32_t pos : ts.sinks) {
     if (pos == best_sink) continue;
     constrain(best_val, best_slope, finish[pos], slope[pos], dlo, dhi,
               stable_dhi);
@@ -349,11 +321,11 @@ void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
       sol.gradient[static_cast<std::size_t>(term_param_[i])] +=
           term_coeff_[i];
     }
-    if (g_.edge(in_edge_[j]).kind == graph::EdgeKind::kComm) ++sol.messages;
+    if (g_.edge(ts.edge[j]).kind == graph::EdgeKind::kComm) ++sol.messages;
     // llamp-lint: allow(hot-alloc): the chain was reserved to num_vertices
     // in prepare(), the longest possible argmax chain.
     last.chain.push_back(j);
-    pos = in_other_[j];
+    pos = pred[j];
   }
   last.chain_sink = best_sink;
   std::reverse(last.chain.begin(), last.chain.end());
@@ -378,14 +350,15 @@ LoweredProblem::SweepEval LoweredProblem::replay_anchor(
   // Re-sum the critical path with the dense pass's exact operation order:
   // finish[src] = vc[src]; then per chain slot j = (u -> w):
   // best = finish[u] + cost(j); finish[w] = best + vc[w].  A slot's tail
-  // is in_other_[j], so its head is the next slot's tail, or the sink.
+  // is pred[j], so its head is the next slot's tail, or the sink.
+  const std::uint32_t* const pred = g_.topo_slots().pred.data();
   const auto& chain = anchor.chain;
   const std::uint32_t sink = anchor.chain_sink;
   const double value = with_edge_at(k, x, [&](const auto& edge_at) {
-    double acc = vertex_cost_topo_[chain.empty() ? sink : in_other_[chain[0]]];
+    double acc = vertex_cost_topo_[chain.empty() ? sink : pred[chain[0]]];
     for (std::size_t h = 0; h < chain.size(); ++h) {
       acc += edge_at(chain[h]).first;
-      acc += vertex_cost_topo_[h + 1 < chain.size() ? in_other_[chain[h + 1]]
+      acc += vertex_cost_topo_[h + 1 < chain.size() ? pred[chain[h + 1]]
                                                     : sink];
     }
     return acc;

@@ -60,19 +60,21 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// suite proves the two agree on random graphs.
 ///
 /// Ownership split (DESIGN.md §4e): a LoweredProblem is the *immutable*
-/// half of a solver — the CSR/SoA cost arrays, topo adjacency, and base
-/// point lowered once at construction.  After construction every method is
-/// const and touches only caller-owned scratch, so one LoweredProblem may
-/// be shared freely across threads and cached across requests (see
-/// core::SolverCache).  The mutable half is the per-query Cursor below; the
-/// bridge between queries is the AnchorState snapshot, which replays
-/// bitwise-identically to a dense solve inside its stability zone.
+/// half of a solver — the CSR/SoA cost arrays and base point lowered once
+/// at construction.  After construction every method is const and touches
+/// only caller-owned scratch, so one LoweredProblem may be shared freely
+/// across threads and cached across requests (see core::SolverCache).  The
+/// mutable half is the per-query Cursor below; the bridge between queries
+/// is the AnchorState snapshot, which replays bitwise-identically to a
+/// dense solve inside its stability zone.
 ///
-/// Hot-path layout (DESIGN.md §4b): everything is indexed by topo *slot*.
-/// Vertices are numbered by topo position i, the in-edges of position i
-/// occupy the contiguous slot range [in_off_[i], in_off_[i+1]) in the
-/// graph's per-vertex order, and slot j's predecessor is topo position
-/// in_other_[j].  At construction the ParamSpace's per-edge Affine
+/// Hot-path layout (DESIGN.md §4b): everything is indexed by topo *slot*,
+/// the index space of the graph's Graph::TopoSlots, which the graph builds
+/// once in finalize() and every lowering of it shares.  Vertices are
+/// numbered by topo position i, the in-edges of position i occupy the
+/// contiguous slot range [offsets[i], offsets[i+1]) in ascending edge id,
+/// and slot j's predecessor is topo position pred[j].  A lowering owns only
+/// what depends on its ParamSpace.  At construction the per-edge Affine
 /// expressions are lowered straight into slot order: CSR term ranges per
 /// slot and, when every edge carries at most one parametric term and the
 /// space is small (LatencyParamSpace, the shared wire-latency space), a
@@ -81,7 +83,7 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// multiply-add per edge.  The CSR term walk is the multi-parameter
 /// fallback (PairwiseLatencyParamSpace, multi-term edges).  The critical
 /// path is a list of slots, so the forward pass, the chain walk, and anchor
-/// replay never consult the graph (except the edge kind behind
+/// replay read only the slot arrays (and the edge kind behind
 /// Solution::messages).  Both lowerings replicate the seed implementation's
 /// floating-point operation order exactly, so results are bit-for-bit
 /// identical to the original per-edge heap-vector walk.
@@ -148,8 +150,8 @@ class LoweredProblem {
   struct AnchorState {
     Solution solution;
     /// Critical-path slots, source -> sink; slot j's tail is topo position
-    /// in_other_[j], its head the next slot's tail (chain_sink for the
-    /// last).
+    /// TopoSlots::pred[j], its head the next slot's tail (chain_sink for
+    /// the last).
     std::vector<std::uint32_t> chain;
     std::uint32_t chain_sink = detail::kNoIndex;  ///< critical sink's topo pos
     /// Absolute bound below which a dense pass re-selects this basis.
@@ -414,17 +416,12 @@ class LoweredProblem {
   const graph::Graph& g_;
   std::shared_ptr<const ParamSpace> space_;
   int num_params_ = 0;
-  std::uint32_t max_in_degree_ = 0;
 
-  // Topo-slot adjacency (see the class comment): the forward pass streams
-  // it sequentially, and every per-edge and per-vertex array below shares
-  // its index space.  Pure layout: every value and every visit order
-  // matches the seed's graph-driven walk.
-  std::vector<std::uint32_t> in_off_;      ///< topo pos -> slot range
-  std::vector<std::uint32_t> in_other_;    ///< slot -> predecessor topo pos
-  std::vector<std::uint32_t> in_edge_;     ///< slot -> edge id (messages)
-  std::vector<double> vertex_cost_topo_;   ///< topo pos -> vertex cost
-  std::vector<std::uint32_t> sink_pos_;    ///< sinks by ascending vertex id
+  // Everything below shares the graph's topo-slot index space (see the
+  // class comment): the forward pass streams it sequentially.  Pure
+  // layout: every value and every visit order matches the seed's
+  // graph-driven walk.
+  std::vector<double> vertex_cost_topo_;  ///< topo pos -> vertex cost
 
   // CSR lowering of the per-edge Affine terms by slot, preserving term
   // order (and therefore the seed's floating-point summation order).

@@ -65,7 +65,7 @@ bool is_emitter_path(std::string_view rel) {
       "src/util/table.cpp",  "src/util/table.hpp",
   };
   if (exact.count(rel) != 0) return true;
-  // Trace/graph wire formats follow the *_io naming convention.
+  // Wire formats (trace_io) follow the *_io naming convention.
   return ends_with(rel, "_io.cpp") || ends_with(rel, "_io.hpp");
 }
 

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 
+#include "apps/registry.hpp"
 #include "graph/costs.hpp"
 #include "graph/graph.hpp"
-#include "graph/graph_io.hpp"
+#include "schedgen/schedgen.hpp"
 #include "util/error.hpp"
 
 namespace llamp::graph {
@@ -92,6 +93,7 @@ TEST(Finalize, GuardsAccessorsBeforeFinalize) {
   const auto a = g.add_calc(0, 1.0);
   EXPECT_THROW((void)g.out_edges(a), GraphError);
   EXPECT_THROW((void)g.topo_order(), GraphError);
+  EXPECT_THROW((void)g.topo_slots(), GraphError);
   g.finalize();
   EXPECT_THROW((void)g.add_calc(0, 1.0), GraphError);
 }
@@ -116,6 +118,66 @@ TEST(TopoOrder, EveryEdgeGoesForward) {
   std::vector<std::size_t> pos(g.num_vertices());
   for (std::size_t i = 0; i < topo.size(); ++i) pos[topo[i]] = i;
   for (const Edge& e : g.edges()) EXPECT_LT(pos[e.from], pos[e.to]);
+}
+
+/// The topo-slot layout every lowering reads: edge <-> slot is a bijection,
+/// each slot sits at its head's topo position after its predecessor's,
+/// slots within a position ascend by edge id, and the sinks and the max
+/// in-degree agree with the edge list.
+void expect_topo_slot_invariants(const Graph& g) {
+  const std::size_t n = g.num_vertices();
+  const std::size_t ne = g.num_edges();
+  const auto topo = g.topo_order();
+  const Graph::TopoSlots& ts = g.topo_slots();
+  ASSERT_EQ(ts.offsets.size(), n + 1);
+  ASSERT_EQ(ts.offsets.front(), 0u);
+  ASSERT_EQ(ts.offsets.back(), ne);
+  ASSERT_EQ(ts.pred.size(), ne);
+  ASSERT_EQ(ts.edge.size(), ne);
+  ASSERT_EQ(ts.slot_of.size(), ne);
+  ASSERT_EQ(ts.pos_of.size(), n);
+  for (std::uint32_t i = 0; i < n; ++i) ASSERT_EQ(ts.pos_of[topo[i]], i);
+  for (std::uint32_t e = 0; e < ne; ++e) {
+    ASSERT_LT(ts.slot_of[e], ne);
+    ASSERT_EQ(ts.edge[ts.slot_of[e]], e);
+  }
+  std::vector<std::uint32_t> indeg(n, 0);
+  for (const Edge& e : g.edges()) ++indeg[e.to];
+  std::uint32_t max_in = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const std::uint32_t jlo = ts.offsets[i];
+    const std::uint32_t jhi = ts.offsets[i + 1];
+    ASSERT_EQ(jhi - jlo, indeg[topo[i]]);
+    max_in = std::max(max_in, jhi - jlo);
+    for (std::uint32_t j = jlo; j < jhi; ++j) {
+      const std::uint32_t e = ts.edge[j];
+      ASSERT_EQ(ts.slot_of[e], j);
+      ASSERT_EQ(ts.pos_of[g.edge(e).to], i);
+      ASSERT_EQ(ts.pred[j], ts.pos_of[g.edge(e).from]);
+      ASSERT_LT(ts.pred[j], i);
+      if (j > jlo) {
+        ASSERT_LT(ts.edge[j - 1], e);
+      }
+    }
+  }
+  EXPECT_EQ(ts.max_in_degree, max_in);
+  std::vector<VertexId> want_sinks;
+  for (VertexId v = 0; v < n; ++v) {
+    if (g.out_edges(v).empty()) want_sinks.push_back(v);
+  }
+  std::vector<VertexId> sinks;
+  for (const std::uint32_t pos : ts.sinks) sinks.push_back(topo[pos]);
+  EXPECT_EQ(sinks, want_sinks);
+}
+
+TEST(TopoOrder, SlotLayoutInvariantsOnEveryApp) {
+  expect_topo_slot_invariants(two_rank_pair(true));
+  for (const std::string& app : apps::app_names()) {
+    SCOPED_TRACE(app);
+    const auto g = schedgen::build_graph(
+        apps::make_app_trace(app, apps::supported_ranks(app, 8), 0.02));
+    expect_topo_slot_invariants(g);
+  }
 }
 
 TEST(EdgeCostSpecs, EagerVsRendezvous) {
@@ -180,51 +242,6 @@ TEST(CostSemantics, EdgeCosts) {
   EXPECT_DOUBLE_EQ(edge_cost(g, g.edges()[0], p), 3 * 10.0 + 99 * 2.0);
 }
 
-TEST(GoalIo, RoundTripPreservesStructure) {
-  Graph g(2);
-  const auto c = g.add_calc(0, 12.5);
-  const auto post = g.add_post(1);
-  const auto s = g.add_send(0, 1, 300'000, 4);
-  const auto r = g.add_recv(1, 0, 300'000, 4);
-  const auto w = g.add_calc(0, 0.0);
-  g.add_local_edge(c, s);
-  g.add_local_edge(post, r);
-  g.add_issue_edge(post, r, true);
-  g.add_comm_edge(s, r, true);
-  g.add_send_completion_edge(r, w);
-  g.finalize();
-
-  const Graph parsed = goal_from_text(to_goal(g));
-  ASSERT_EQ(parsed.num_vertices(), g.num_vertices());
-  ASSERT_EQ(parsed.num_edges(), g.num_edges());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(parsed.vertex(v).kind, g.vertex(v).kind);
-    EXPECT_EQ(parsed.vertex(v).rank, g.vertex(v).rank);
-    EXPECT_EQ(parsed.vertex(v).bytes, g.vertex(v).bytes);
-  }
-  for (std::size_t e = 0; e < g.num_edges(); ++e) {
-    EXPECT_EQ(parsed.edges()[e].kind, g.edges()[e].kind);
-    EXPECT_EQ(parsed.edges()[e].l_mult, g.edges()[e].l_mult);
-    EXPECT_EQ(parsed.edges()[e].o_mult, g.edges()[e].o_mult);
-  }
-}
-
-TEST(GoalIo, RejectsMalformed) {
-  EXPECT_THROW((void)goal_from_text(""), GraphError);
-  EXPECT_THROW((void)goal_from_text("LLAMP_GOAL 1\nranks 1\nv 5 calc 0 1\n"),
-               GraphError);
-  EXPECT_THROW((void)goal_from_text("LLAMP_GOAL 1\nranks 1\nx 0\n"),
-               GraphError);
-}
-
-TEST(DotExport, MentionsEveryVertex) {
-  const Graph g = two_rank_pair(false);
-  const auto dot = to_dot(g);
-  EXPECT_NE(dot.find("v0"), std::string::npos);
-  EXPECT_NE(dot.find("v1"), std::string::npos);
-  EXPECT_NE(dot.find("digraph"), std::string::npos);
-}
-
 TEST(Stats, StringSummarizesCounts) {
   const Graph g = two_rank_pair(false);
   const auto s = g.stats_string();
@@ -237,10 +254,20 @@ TEST(Stats, StringSummarizesCounts) {
 
 TEST(Stats, MemoryBytesCoversVertexAndEdgeStorage) {
   const Graph g = two_rank_pair(false);
-  // At minimum the vertex, edge, and two CSR adjacency arrays are held.
+  const std::size_t n = g.num_vertices();
+  const std::size_t ne = g.num_edges();
+  const Graph::TopoSlots& ts = g.topo_slots();
+  const auto bytes = [](const std::vector<std::uint32_t>& v) {
+    return v.size() * sizeof(v[0]);
+  };
+  // Every array is held: vertex and edge lists, the out-CSR, topo order,
+  // partner table, and each topo-slot array.
   EXPECT_GE(g.memory_bytes(),
-            g.num_vertices() * sizeof(Vertex) + g.num_edges() * sizeof(Edge) +
-                2 * g.num_edges() * sizeof(Graph::Adj));
+            n * sizeof(Vertex) + ne * sizeof(Edge) +
+                (n + 1) * sizeof(std::uint64_t) + ne * sizeof(Graph::Adj) +
+                n * sizeof(VertexId) + n * sizeof(VertexId) +
+                bytes(ts.offsets) + bytes(ts.pred) + bytes(ts.edge) +
+                bytes(ts.slot_of) + bytes(ts.pos_of) + bytes(ts.sinks));
 }
 
 }  // namespace

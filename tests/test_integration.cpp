@@ -4,7 +4,6 @@
 
 #include "apps/registry.hpp"
 #include "core/analyzer.hpp"
-#include "graph/graph_io.hpp"
 #include "injector/cluster_emulator.hpp"
 #include "lp/parametric.hpp"
 #include "schedgen/schedgen.hpp"
@@ -21,13 +20,13 @@ loggops::Params testbed() {
 }
 
 TEST(FullPipeline, SerializationIsTransparent) {
-  // app -> trace -> text -> trace -> graph -> GOAL -> graph: every stage
-  // must preserve the analysis result bit-for-bit.
+  // app -> trace -> text -> trace -> graph: the text round trip must
+  // preserve the analysis result bit-for-bit.
   const auto t = apps::make_app_trace("cloverleaf", 8, 0.1);
   const auto t2 = trace::from_text(trace::to_text(t));
   ASSERT_EQ(t, t2);
-  const auto g = schedgen::build_graph(t2);
-  const auto g2 = graph::goal_from_text(graph::to_goal(g));
+  const auto g = schedgen::build_graph(t);
+  const auto g2 = schedgen::build_graph(t2);
   const double t_direct = sim::Simulator(g).run(testbed()).makespan;
   const double t_reloaded = sim::Simulator(g2).run(testbed()).makespan;
   EXPECT_DOUBLE_EQ(t_direct, t_reloaded);

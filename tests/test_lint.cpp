@@ -141,7 +141,7 @@ TEST(LintRules, UnorderedOnlyFlagsEmitterFiles) {
   EXPECT_TRUE(lint_file("src/schedgen/schedgen.cpp", src).empty());
   EXPECT_EQ(rules_of(lint_file("src/core/report.cpp", src)),
             std::vector<std::string>{"det-unordered"});
-  EXPECT_EQ(rules_of(lint_file("src/graph/graph_io.cpp", src)),
+  EXPECT_EQ(rules_of(lint_file("src/trace/trace_io.cpp", src)),
             std::vector<std::string>{"det-unordered"});
 }
 
