@@ -439,8 +439,8 @@ class FlagSource {
         return parse_int(text);
       } else if constexpr (std::is_same_v<E, double>) {
         return parse_double(text);
-      } else if (const long long v = parse_ll(text); v >= 0) {
-        return static_cast<std::uint64_t>(v);
+      } else if (const auto v = parse_u64(trim(text))) {
+        return *v;
       }
     } catch (const Error&) {
     }

@@ -18,76 +18,12 @@ constexpr double kInfD = std::numeric_limits<double>::infinity();
 /// rather than materializing O(ranks² · edges) doubles.
 constexpr int kFlatParamLimit = 8;
 
-/// Fuzzy-selection guard for the segment walk: the dense pass breaks
-/// near-ties within value_eps toward the larger slope, so critical-path
-/// replay is only trusted while every losing candidate is at least this
-/// many eps away from entering the winner's tie band.
-constexpr double kStableMarginFactor = 32.0;
-
 using detail::budget_eps;
 using detail::kBudgetIters;
 using detail::kNoIndex;
 using detail::value_eps;
 
-/// Upper-envelope bookkeeping: given the winning affine piece
-/// (value, slope) at δ=0 and a losing candidate, tighten the interval of δ
-/// on which the winner stays maximal: V_w + S_w·δ >= V_c + S_c·δ.  Also
-/// tightens `stable_dhi`, the sub-interval on which the winner additionally
-/// stays clear of the dense pass's fuzzy tie band (see kStableMarginFactor),
-/// i.e. on which a dense re-solve provably re-selects the same basis.
-void constrain(double win_val, double win_slope, double cand_val,
-               double cand_slope, double& dlo, double& dhi,
-               double& stable_dhi) {
-  const double dv = std::max(win_val - cand_val, 0.0);
-  const double ds = cand_slope - win_slope;
-  if (ds > 1e-12) {
-    dhi = std::min(dhi, dv / ds);
-    const double margin = kStableMarginFactor * value_eps(win_val);
-    stable_dhi = std::min(stable_dhi, std::max((dv - margin) / ds, 0.0));
-  } else if (ds < -1e-12) {
-    dlo = std::max(dlo, dv / ds);  // dv/ds <= 0
-  }
-}
-
 }  // namespace
-
-/// (cost, slope) of an in-edge under the flat lowering: two contiguous
-/// loads and one multiply-add, no inner term loop, no per-edge heap
-/// vectors.  Indexed by slot `j`, so the forward pass streams the cost
-/// arrays strictly sequentially.
-struct LoweredProblem::FlatEdgeAt {
-  const double* cst;  ///< slot-ordered constants of the active parameter
-  const double* slp;  ///< slot-ordered slopes of the active parameter
-  double x;
-  std::pair<double, double> operator()(std::uint32_t j) const {
-    return {cst[j] + slp[j] * x, slp[j]};
-  }
-};
-
-/// General multi-parameter fallback: walk slot j's CSR term range exactly
-/// like the seed walked the per-edge Affine::terms vectors (same term
-/// order, same floating-point summation order, flat contiguous storage).
-/// The active term multiplies x, every other term its base value.
-struct LoweredProblem::CsrEdgeAt {
-  const LoweredProblem* s;
-  int active;
-  double x;
-  std::pair<double, double> operator()(std::uint32_t j) const {
-    double c = s->edge_const_[j];
-    double sl = 0.0;
-    const std::uint32_t end = s->term_offsets_[j + 1];
-    for (std::uint32_t i = s->term_offsets_[j]; i < end; ++i) {
-      const std::int32_t p = s->term_param_[i];
-      if (p == active) {
-        c += s->term_coeff_[i] * x;
-        sl += s->term_coeff_[i];
-      } else {
-        c += s->term_coeff_[i] * s->base_[static_cast<std::size_t>(p)];
-      }
-    }
-    return {c, sl};
-  }
-};
 
 LoweredProblem::LoweredProblem(const graph::Graph& g,
                                std::shared_ptr<const ParamSpace> space)
@@ -175,206 +111,13 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
         flat_const_slot_[ko + j] = c;
       }
     }
+    // Every later read of a flat lowering's costs, the chain walk's
+    // coefficients included, goes through the flat arrays: free the CSR.
+    decltype(term_offsets_)().swap(term_offsets_);
+    decltype(term_param_)().swap(term_param_);
+    decltype(term_coeff_)().swap(term_coeff_);
+    decltype(edge_const_)().swap(edge_const_);
   }
-}
-
-template <typename F>
-decltype(auto) LoweredProblem::with_edge_at(int active, double x,
-                                            F&& f) const {
-  if (flat_) {
-    const std::size_t ko = static_cast<std::size_t>(active) * g_.num_edges();
-    return f(FlatEdgeAt{flat_const_slot_.data() + ko,
-                        flat_slope_slot_.data() + ko, x});
-  }
-  return f(CsrEdgeAt{this, active, x});
-}
-
-void LoweredProblem::prepare(Cursor& cur) const {
-  // The pass writes finish/slope/arg_slot for every vertex before reading
-  // it, so the arrays are resized without clearing; the variable-length
-  // buffers are reserved to their structural maxima.  Steady state never
-  // allocates.
-  const std::size_t n = g_.num_vertices();
-  if (cur.finish_.size() != n) {
-    cur.finish_.resize(n);
-    cur.slope_.resize(n);
-    cur.arg_slot_.resize(n);
-  }
-  if (cur.last_.chain.capacity() < n) cur.last_.chain.reserve(n);
-  cur.cands_.reserve(g_.topo_slots().max_in_degree);
-}
-
-// llamp-lint: hot-path begin
-template <typename EdgeAt>
-void LoweredProblem::forward_pass(int active, double value, Cursor& cur,
-                                  const EdgeAt& edge_at) const {
-  const std::size_t n = g_.num_vertices();
-  const graph::Graph::TopoSlots& ts = g_.topo_slots();
-  const std::uint32_t* const in_off = ts.offsets.data();
-  const std::uint32_t* const pred = ts.pred.data();
-  double* const finish = cur.finish_.data();
-  double* const slope = cur.slope_.data();
-  std::uint32_t* const arg_slot = cur.arg_slot_.data();
-  auto& cands = cur.cands_;
-
-  // Allowed movement of the active parameter relative to `value` keeping
-  // every max-argument selection (the LP basis) valid.
-  double dlo = -kInfD;
-  double dhi = kInfD;
-  double stable_dhi = kInfD;
-
-  for (std::size_t i = 0; i < n; ++i) {  // topo position order
-    const std::uint32_t jlo = in_off[i];
-    const std::uint32_t jhi = in_off[i + 1];
-    if (jlo == jhi) {
-      finish[i] = vertex_cost_topo_[i];
-      slope[i] = 0.0;
-      arg_slot[i] = kNoIndex;
-      continue;
-    }
-    // The first candidate is selected unconditionally (exactly the seed's
-    // first-candidate short-circuit, which never evaluated eps).
-    const auto [c0, s0] = edge_at(jlo);
-    const std::uint32_t u0 = pred[jlo];
-    double best_val = finish[u0] + c0;
-    double best_slope = slope[u0] + s0;
-    std::uint32_t best_slot = jlo;
-    if (jhi - jlo == 1) {
-      // Single predecessor: the candidate is the winner, and the seed's
-      // envelope loop skipped it as such — no eps, no constrain.
-      finish[i] = best_val + vertex_cost_topo_[i];
-      slope[i] = best_slope;
-      arg_slot[i] = best_slot;
-      continue;
-    }
-    cands.clear();
-    // llamp-lint: allow(hot-alloc): within the capacity prepare() reserved
-    // (max_in_degree); zero steady-state allocation is pinned by
-    // test_alloc_free's counting operator new.
-    cands.emplace_back(best_val, best_slope);
-    for (std::uint32_t j = jlo + 1; j < jhi; ++j) {
-      const auto [c, s] = edge_at(j);
-      const std::uint32_t u = pred[j];
-      const double cv = finish[u] + c;
-      const double cs = slope[u] + s;
-      // llamp-lint: allow(hot-alloc): same reserved-capacity argument as
-      // the first candidate above.
-      cands.emplace_back(cv, cs);
-      const double be = value_eps(best_val);
-      if (cv > best_val + be || (cv > best_val - be && cs > best_slope)) {
-        best_val = cv;
-        best_slope = cs;
-        best_slot = j;
-      }
-    }
-    for (const auto& [cv, cs] : cands) {
-      if (cv == best_val && cs == best_slope) continue;  // the winner itself
-      constrain(best_val, best_slope, cv, cs, dlo, dhi, stable_dhi);
-    }
-    finish[i] = best_val + vertex_cost_topo_[i];
-    slope[i] = best_slope;
-    arg_slot[i] = best_slot;
-  }
-
-  // T = max over sinks (visited in ascending vertex-id order, exactly like
-  // the seed's 0..n scan), with the same envelope bookkeeping.
-  AnchorState& last = cur.last_;
-  Solution& sol = last.solution;
-  sol.active = active;
-  sol.at = value;
-  sol.messages = 0;
-  double best_val = -kInfD;
-  double best_slope = 0.0;
-  std::uint32_t best_sink = kNoIndex;  // topo position of the critical sink
-  for (const std::uint32_t pos : ts.sinks) {
-    if (best_sink == kNoIndex || finish[pos] > best_val + value_eps(best_val) ||
-        (finish[pos] > best_val - value_eps(best_val) &&
-         slope[pos] > best_slope)) {
-      best_val = finish[pos];
-      best_slope = slope[pos];
-      best_sink = pos;
-    }
-  }
-  if (best_sink == kNoIndex) {
-    throw LpError("graph has no sink vertex");
-  }
-  for (const std::uint32_t pos : ts.sinks) {
-    if (pos == best_sink) continue;
-    constrain(best_val, best_slope, finish[pos], slope[pos], dlo, dhi,
-              stable_dhi);
-  }
-  sol.value = best_val;
-  sol.lo = value + dlo;
-  sol.hi = value + dhi;
-  last.stable_hi = value + stable_dhi;
-
-  // Gradient for *all* parameters: walk the argmax chain from the critical
-  // sink, accumulating each slot's coefficients, and cache the chain
-  // (source -> sink order) for interior-point replay by the segment walk.
-  sol.gradient.assign(static_cast<std::size_t>(num_params_), 0.0);
-  last.chain.clear();
-  std::uint32_t pos = best_sink;
-  while (arg_slot[pos] != kNoIndex) {
-    const std::uint32_t j = arg_slot[pos];
-    const std::uint32_t end = term_offsets_[j + 1];
-    for (std::uint32_t i = term_offsets_[j]; i < end; ++i) {
-      sol.gradient[static_cast<std::size_t>(term_param_[i])] +=
-          term_coeff_[i];
-    }
-    if (g_.edge(ts.edge[j]).kind == graph::EdgeKind::kComm) ++sol.messages;
-    // llamp-lint: allow(hot-alloc): the chain was reserved to num_vertices
-    // in prepare(), the longest possible argmax chain.
-    last.chain.push_back(j);
-    pos = pred[j];
-  }
-  last.chain_sink = best_sink;
-  std::reverse(last.chain.begin(), last.chain.end());
-}
-
-LoweredProblem::SweepEval LoweredProblem::replay_anchor(
-    const AnchorState& anchor, int k, double x) const {
-  // The cross-request warm path: a cached anchor serves a later point query
-  // with no forward pass and no cursor.  Everything read here is immutable
-  // problem state or the caller's anchor, so concurrent replays from any
-  // number of threads are safe.
-  if (!anchor.covers(k, x)) {
-    throw LpError(strformat(
-        "replay_anchor: x = %g outside the anchor's zone [%g, %g)", x,
-        anchor.solution.at, anchor.stable_hi));
-  }
-  const double slope = anchor.solution.gradient[static_cast<std::size_t>(k)];
-  if (x == anchor.solution.at) {
-    // The anchor point itself: the stored dense solution is the answer.
-    return {x, anchor.solution.value, slope};
-  }
-  // Re-sum the critical path with the dense pass's exact operation order:
-  // finish[src] = vc[src]; then per chain slot j = (u -> w):
-  // best = finish[u] + cost(j); finish[w] = best + vc[w].  A slot's tail
-  // is pred[j], so its head is the next slot's tail, or the sink.
-  const std::uint32_t* const pred = g_.topo_slots().pred.data();
-  const auto& chain = anchor.chain;
-  const std::uint32_t sink = anchor.chain_sink;
-  const double value = with_edge_at(k, x, [&](const auto& edge_at) {
-    double acc = vertex_cost_topo_[chain.empty() ? sink : pred[chain[0]]];
-    for (std::size_t h = 0; h < chain.size(); ++h) {
-      acc += edge_at(chain[h]).first;
-      acc += vertex_cost_topo_[h + 1 < chain.size() ? pred[chain[h + 1]]
-                                                    : sink];
-    }
-    return acc;
-  });
-  return {x, value, slope};
-}
-// llamp-lint: hot-path end
-
-void LoweredProblem::solve_into(int active, double value, Cursor& cur) const {
-  if (active < 0 || active >= num_params_) {
-    throw LpError("parametric: active parameter out of range");
-  }
-  prepare(cur);
-  with_edge_at(active, value, [&](const auto& edge_at) {
-    forward_pass(active, value, cur, edge_at);
-  });
 }
 
 void LoweredProblem::save_anchor(const Cursor& cur, AnchorState& out) const {
@@ -497,13 +240,13 @@ std::vector<double> LoweredProblem::critical_values_algorithm2(
   };
   // Almost every hop lands on L - step, so each run speculates on that grid
   // and solves its points as lanes of one ranged batch pass (per-lane λ and
-  // lo are bitwise the scalar solve's).  A hop off the grid discards the
+  // lo are bitwise the dense solve's).  A hop off the grid discards the
   // rest of the run; runs start at one lane and double only after a grid
   // hop, so scans that keep jumping off-grid pay no wasted lanes.  Runs
   // stop at kRunLanes: on 10k-100k-vertex graphs a 4-lane pass costs about
-  // one scalar solve, while 8- and 16-lane rows fall out of cache.
+  // one dense solve, while 8- and 16-lane rows fall out of cache.
   constexpr std::size_t kRunLanes = 4;
-  BatchCursor cur;
+  Cursor cur;
   double xs[kRunLanes];
   BatchPoint pts[kRunLanes];
   std::size_t width = 0;  // lanes of the current run

@@ -14,17 +14,16 @@
 namespace llamp::lp {
 
 namespace detail {
-/// Relative tolerance for value comparisons (times are O(1e10) ns).  Shared
-/// by the scalar forward pass (parametric.cpp) and the batched kernel
-/// (batch.cpp), which must break near-ties identically for the batch
-/// bitwise-equivalence contract to hold.
+/// Relative tolerance for value comparisons (times are O(1e10) ns): the
+/// forward pass breaks near-ties within it toward the larger slope, and the
+/// budget search uses it for its infeasibility check.
 inline double value_eps(double v) { return 1e-9 * (1.0 + std::fabs(v)); }
 /// "No slot / no topo position" sentinel: a source vertex's argmax, and a
 /// cursor or anchor that holds no solve.
 inline constexpr std::uint32_t kNoIndex =
     std::numeric_limits<std::uint32_t>::max();
 /// Bracket width at which a budget search settles on its lower end, and
-/// the Newton step cap after which it gives up: shared by the scalar and
+/// the Newton step cap after which it gives up: shared by the per-call and
 /// pooled searches, whose lanes must stop at the same iterate.
 inline double budget_eps(double budget) {
   return std::max(1e-6, std::fabs(budget) * 1e-12);
@@ -59,6 +58,13 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// class a drop-in high-capacity replacement for the simplex path; the test
 /// suite proves the two agree on random graphs.
 ///
+/// One pass (DESIGN.md §4f): a single kernel template, batch_pass<W, Pass>
+/// in src/lp/batch.cpp, runs every forward pass.  solve() is its 1-lane
+/// kDense instance followed by a sink -> source chain walk for the full
+/// gradient; solve_batch / solve_batch_ranges and both budget-search forms
+/// run it over lanes of scenarios; anchor replay re-sums a critical path
+/// through its 1-lane edge costs.
+///
 /// Ownership split (DESIGN.md §4e): a LoweredProblem is the *immutable*
 /// half of a solver — the CSR/SoA cost arrays and base point lowered once
 /// at construction.  After construction every method is const and touches
@@ -80,8 +86,9 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// space is small (LatencyParamSpace, the shared wire-latency space), a
 /// per-activatable-parameter (constant, slope) pair per slot with every
 /// inactive parameter folded in — two contiguous loads and one
-/// multiply-add per edge.  The CSR term walk is the multi-parameter
-/// fallback (PairwiseLatencyParamSpace, multi-term edges).  The critical
+/// multiply-add per edge; a flat lowering then releases its CSR terms.
+/// The CSR term walk is the multi-parameter fallback
+/// (PairwiseLatencyParamSpace, multi-term edges).  The critical
 /// path is a list of slots, so the forward pass, the chain walk, and anchor
 /// replay read only the slot arrays (and the edge kind behind
 /// Solution::messages).  Both lowerings replicate the seed implementation's
@@ -109,8 +116,8 @@ class LoweredProblem {
   /// evaluation point.  value, lo and hi are bitwise identical to
   /// solve(active, x)'s.  slope is gradient[active] bitwise when the space
   /// lowers integer-valued coefficients (every first-party space but
-  /// PerturbedParamSpace); the batch pass sums it source -> sink and the
-  /// scalar chain walk sink -> source, so on a perturbed space the two may
+  /// PerturbedParamSpace); the pass sums it source -> sink and the dense
+  /// solve's chain walk sink -> source, so on a perturbed space the two may
   /// differ in the last bits (DESIGN.md §4f).
   struct BatchPoint {
     double value = 0.0;
@@ -165,15 +172,19 @@ class LoweredProblem {
     }
   };
 
-  /// The mutable per-query half of a solver: the forward-pass arrays and
-  /// the anchor of its last solve (whose Solution solve(active, value, cur)
-  /// returns by reference), all reused across solves, so steady-state
-  /// solves perform zero heap allocations (buffers grow to the largest
-  /// graph/space seen and are then only reused).
+  /// The mutable per-query half of a solver: the forward-pass rows, the
+  /// pooled budget-search rows, and the anchor of its last dense solve
+  /// (whose Solution solve(active, value, cur) returns by reference).
+  /// Every row is laid out structure-of-arrays over the lane axis
+  /// (finish_[pos * width + lane]) and only grows: a call sizes its rows
+  /// for its own widest sub-block (one lane for a dense solve), so
+  /// steady-state solves perform zero heap allocations once the rows have
+  /// grown to the largest graph, space and width seen.
   ///
   /// Ownership rules: one cursor per thread.  A cursor may be shared
-  /// freely across LoweredProblem instances and scenarios — every solve
-  /// rewrites all state it reads — but never across concurrent callers.
+  /// freely across LoweredProblem instances, scenarios and entry points —
+  /// every pass rewrites all state it reads — but never across concurrent
+  /// callers.
   class Cursor {
    public:
     Cursor() = default;
@@ -184,34 +195,12 @@ class LoweredProblem {
 
    private:
     friend class LoweredProblem;
-    std::vector<double> finish_;  ///< by topo position
-    std::vector<double> slope_;
-    std::vector<std::uint32_t> arg_slot_;  ///< winning in-slot per position
-    /// (value, slope) candidates of the vertex currently being maximized.
-    std::vector<std::pair<double, double>> cands_;
-    AnchorState last_;  ///< the last solve; chain_sink is kNoIndex before
-  };
-
-  /// Scratch for the batched forward pass: the per-vertex finish/slope
-  /// accumulators laid out structure-of-arrays over the sample axis
-  /// (finish_[pos * width + lane]) plus the candidate buffer the range
-  /// variant replays the envelope bookkeeping from.  Same ownership rules
-  /// as Cursor: one per thread, shareable across problems, buffers only
-  /// grow — steady-state batch solves perform zero heap allocations.
-  class BatchCursor {
-   public:
-    BatchCursor() = default;
-    BatchCursor(const BatchCursor&) = delete;
-    BatchCursor& operator=(const BatchCursor&) = delete;
-    BatchCursor(BatchCursor&&) = default;
-    BatchCursor& operator=(BatchCursor&&) = default;
-
-   private:
-    friend class LoweredProblem;
     std::vector<double> finish_;  ///< num_vertices x widest lanes run, SoA
     std::vector<double> slope_;
-    /// Candidate rows of the vertex currently being maximized (range
-    /// variant only): max_in_degree x widest lanes run, values and slopes.
+    /// Winning in-slot per topo position (dense solves, one lane).
+    std::vector<std::uint32_t> arg_slot_;
+    /// Candidate rows of the vertex currently being maximized (ranged and
+    /// dense passes): max_in_degree x widest lanes run, values and slopes.
     std::vector<double> cand_val_;
     std::vector<double> cand_slope_;
     /// Pooled budget-search state (max_param_for_budget_from_batch), one
@@ -223,6 +212,8 @@ class LoweredProblem {
     std::vector<std::uint32_t> search_live_;
     std::vector<double> search_x_;
     std::vector<BatchPoint> search_pts_;
+    /// The last dense solve; chain_sink is kNoIndex before the first.
+    AnchorState last_;
   };
 
   /// Batched forward pass: evaluate parameter `active` at xs[0..n) — one
@@ -230,39 +221,39 @@ class LoweredProblem {
   /// `out`.  Lanes are processed in blocks of kBatchWidth (tails in
   /// last_pow2-sized sub-blocks), the per-edge cost accumulators run
   /// structure-of-arrays over the lane axis with a fixed block-synchronous
-  /// reduction order, and every per-lane floating-point operation replays
-  /// the scalar pass exactly — so out[i].value is bitwise identical to
-  /// solve(active, xs[i]) at every lane, and out[i].slope too on
-  /// integer-coefficient spaces (see BatchPoint; the batch equivalence
+  /// reduction order, and every lane performs the 1-lane pass's
+  /// floating-point operations exactly — so out[i].value is bitwise
+  /// identical to solve(active, xs[i]) at every lane, and out[i].slope too
+  /// on integer-coefficient spaces (see BatchPoint; the batch equivalence
   /// wall in test_solver_hotpath.cpp pins this across apps, spaces, and
   /// block boundaries).  This variant skips the basis-range envelope;
   /// out[i].lo/hi are left at -inf/+inf.  Steady state allocates nothing.
   void solve_batch(int active, const double* xs, std::size_t n,
-                   BatchCursor& cur, BatchPoint* out) const;
+                   Cursor& cur, BatchPoint* out) const;
 
   /// Same pass with the upper-envelope bookkeeping enabled: out[i].lo/hi
   /// additionally match solve(active, xs[i]).lo/hi bitwise.  Costs one
   /// extra candidate-buffer sweep per multi-predecessor vertex; use the
   /// plain variant when only values and slopes are consumed.
   void solve_batch_ranges(int active, const double* xs, std::size_t n,
-                          BatchCursor& cur, BatchPoint* out) const;
+                          Cursor& cur, BatchPoint* out) const;
 
   /// Pooled tolerance search: on integer-coefficient spaces (see
   /// BatchPoint) out[i] is bitwise identical to
   /// max_param_for_budget_from(k, from[i], budget[i], cur) for every lane,
   /// including the boundary clamps and the LpError conditions (an
-  /// infeasible lane throws exactly the scalar error, lowest lane of the
-  /// whole call first).  All n lanes iterate the scalar bracketed-Newton
-  /// step in one lockstep: each round gathers only the still-live lanes
-  /// into one ranged batch pass (kBatchWidth blocks plus pow2 tails), so n
-  /// searches cost max-lane-iterations rounds and no finished lane rides a
-  /// later pass.  When the caller already holds the ranged pass at every
-  /// from[i] (say from a runtime sweep), `at_from` supplies it and the
-  /// search opens without re-solving; at_from[i] must equal
-  /// solve_batch_ranges at from[i].  Steady state allocates nothing.
+  /// infeasible lane throws exactly the single search's error, lowest lane
+  /// of the whole call first).  All n lanes iterate the single search's
+  /// bracketed-Newton step in one lockstep: each round gathers only the
+  /// still-live lanes into one ranged batch pass (kBatchWidth blocks plus
+  /// pow2 tails), so n searches cost max-lane-iterations rounds and no
+  /// finished lane rides a later pass.  When the caller already holds the
+  /// ranged pass at every from[i] (say from a runtime sweep), `at_from`
+  /// supplies it and the search opens without re-solving; at_from[i] must
+  /// equal solve_batch_ranges at from[i].  Steady state allocates nothing.
   void max_param_for_budget_from_batch(int k, const double* from,
                                        const double* budget, std::size_t n,
-                                       BatchCursor& cur, double* out,
+                                       Cursor& cur, double* out,
                                        const BatchPoint* at_from = nullptr)
       const;
 
@@ -381,25 +372,26 @@ class LoweredProblem {
   SweepEval replay_anchor(const AnchorState& anchor, int k, double x) const;
 
  private:
-  struct FlatEdgeAt;
-  struct CsrEdgeAt;
+  /// What one forward pass computes: values and slopes only; also the
+  /// basis range; or, on one lane, the dense solve — the range, the
+  /// stability bound, each position's winning slot and the critical sink,
+  /// left in the cursor's anchor for the chain walk.
+  enum class Pass { kValues, kRanges, kDense };
 
-  /// Calls f with the active lowering's edge-cost functor at x.
-  template <typename F>
-  decltype(auto) with_edge_at(int active, double x, F&& f) const;
-  template <typename EdgeAt>
-  void forward_pass(int active, double value, Cursor& cur,
-                    const EdgeAt& edge_at) const;
-  /// The W-lane batched pass (src/lp/batch.cpp); Range selects the
-  /// envelope bookkeeping, LaneCost the flat/CSR edge-cost flavor.
-  template <std::size_t W, bool Range, typename LaneCost>
-  void batch_pass(const LaneCost& cost, const double* xs,
-                  BatchCursor& cur, BatchPoint* out) const;
-  template <bool Range>
-  void solve_batch_impl(int active, const double* xs, std::size_t n,
-                        BatchCursor& cur, BatchPoint* out) const;
+  /// Calls f with the active lowering's W-lane edge-cost functor.
+  template <std::size_t W, typename F>
+  decltype(auto) with_lane_cost(int active, F&& f) const;
+  /// The W-lane forward pass (src/lp/batch.cpp), the one kernel behind
+  /// every solve; LaneCost is the flat/CSR edge-cost flavor.
+  template <std::size_t W, Pass P, typename LaneCost>
+  void batch_pass(const LaneCost& cost, const double* xs, Cursor& cur,
+                  BatchPoint* out) const;
+  /// Runs the pass at xs[0..n) in kBatchWidth blocks and pow2 tails.
+  template <Pass P>
+  void run_pass(int active, const double* xs, std::size_t n, Cursor& cur,
+                BatchPoint* out) const;
   /// One bracketed-Newton iteration of the budget search, shared by the
-  /// scalar and pooled searches: consumes T's evaluation `pt` at `x` and
+  /// per-call and pooled searches: consumes T's evaluation `pt` at `x` and
   /// either finishes (returns true with `result`) or moves `x` to the next
   /// probe, tightening the bracket [lo, hi].
   static bool budget_step(const BatchPoint& pt, double from, double budget,
@@ -408,10 +400,10 @@ class LoweredProblem {
   /// Throws the tolerance LpError when T(from) already exceeds `budget`.
   static void check_budget(double from, double value, double budget);
   /// Grow cur's rows to the widest sub-block of an n-lane call.
-  void prepare_batch(BatchCursor& cur, std::size_t n) const;
-  /// Dense solve into cur (solution, chain, stability bound).
+  void prepare_batch(Cursor& cur, std::size_t n) const;
+  /// Dense solve into cur: the 1-lane kDense pass, then the chain walk
+  /// (gradient, messages, critical path).
   void solve_into(int active, double value, Cursor& cur) const;
-  void prepare(Cursor& cur) const;
 
   const graph::Graph& g_;
   std::shared_ptr<const ParamSpace> space_;
@@ -425,6 +417,7 @@ class LoweredProblem {
 
   // CSR lowering of the per-edge Affine terms by slot, preserving term
   // order (and therefore the seed's floating-point summation order).
+  // Released once the flat lowering below is built from it.
   std::vector<std::uint32_t> term_offsets_;  ///< slot -> [first, last) term
   std::vector<std::int32_t> term_param_;
   std::vector<double> term_coeff_;
@@ -432,7 +425,9 @@ class LoweredProblem {
 
   // Flat per-active-parameter lowering, built when every edge has at most
   // one term and the space is small: flat_const_slot_/flat_slope_slot_
-  // [k * E + j] for slot j.
+  // [k * E + j] for slot j.  Slot j's coefficient on parameter k is
+  // flat_slope_slot_[k * E + j] (0 when j has no term on k), which is all
+  // the chain walk's gradient needs.
   bool flat_ = false;
   std::vector<double> flat_const_slot_;
   std::vector<double> flat_slope_slot_;

@@ -27,13 +27,13 @@ constexpr std::size_t kBlock = 1024;
 /// Per-worker scratch reused across every sample (or sample group) a
 /// worker serves.
 struct WorkerScratch {
-  // General path: one sample at a time.
+  // Shared by both paths: every pass rewrites the rows it reads.
   lp::LoweredProblem::Cursor cur;
+  // General path: one sample at a time.
   std::vector<double> xs;
   std::vector<lp::LoweredProblem::SweepEval> evals;
   std::vector<double> factors;
   // Batched fast path: one kBatchWidth-wide lane group of samples.
-  lp::LoweredProblem::BatchCursor bc;
   std::vector<lp::LoweredProblem::BatchPoint> pts;
   std::vector<double> lane_L;       ///< the group's sampled L draws
   std::vector<double> lane_xs;      ///< lane evaluation points, one ΔL at a time
@@ -224,10 +224,10 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
             sc.lane_xs[l] = sc.lane_L[l] + spec.delta_Ls[k];
           }
           if (k == 0) {
-            shared->solve_batch_ranges(0, sc.lane_xs.data(), lanes, sc.bc,
+            shared->solve_batch_ranges(0, sc.lane_xs.data(), lanes, sc.cur,
                                        sc.pts.data());
           } else {
-            shared->solve_batch(0, sc.lane_xs.data(), lanes, sc.bc,
+            shared->solve_batch(0, sc.lane_xs.data(), lanes, sc.cur,
                                 sc.pts.data());
           }
           for (std::size_t l = 0; l < lanes; ++l) {
@@ -252,7 +252,7 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
         }
         shared->max_param_for_budget_from_batch(
             0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
-            sc.bc, sc.band_tol.data(), sc.band_at.data());
+            sc.cur, sc.band_tol.data(), sc.band_at.data());
         for (std::size_t b = 0; b < nbands; ++b) {
           for (std::size_t l = 0; l < lanes; ++l) {
             const std::size_t slot = b * lanes + l;
@@ -297,10 +297,11 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
       // preallocated per-worker scratch; only the perturbed-space setup
       // above may allocate.
       // xs[0] is solved once: its solution gives the runtime, λ_L, ρ_L and
-      // every band search's first iterate.  The searches stay scalar: on a
-      // PerturbedParamSpace the batch slope may differ from the scalar
-      // gradient in the last bits (non-integer coefficients summed in the
-      // opposite order), so a batched search could move a tolerance.
+      // every band search's first iterate.  The searches stay single-lane,
+      // opened from dense solves: on a PerturbedParamSpace a pass's forward
+      // slope may differ from the chain-walk gradient in the last bits
+      // (non-integer coefficients summed in the opposite order), so a
+      // batched search could move a tolerance.
       for (std::size_t k = 0; k < npts; ++k) {
         sc.xs[k] = p.L + spec.delta_Ls[k];
       }

@@ -1,6 +1,5 @@
 #include "util/json.hpp"
 
-#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 
@@ -277,20 +276,10 @@ std::uint64_t JsonValue::as_unsigned(const std::string& what) const {
         "json: %s: expected a nonnegative integer (got %s)", what.c_str(),
         string_.c_str()));
   };
-  const bool plain_digits =
-      !string_.empty() &&
-      string_.find_first_not_of("0123456789") == std::string::npos;
-  if (plain_digits) {
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(string_.c_str(), &end, 10);
-    if (errno == ERANGE || end != string_.c_str() + string_.size()) {
-      return bad();
-    }
-    return static_cast<std::uint64_t>(v);
-  }
+  if (const auto v = parse_u64(string_)) return *v;
   // Scientific / fractional spellings ("5e3") are accepted only while the
-  // double is exactly integral and small enough to be exact.
+  // double is exactly integral and small enough to be exact (a plain
+  // decimal past 2^64 - 1 is far beyond that).
   if (!(number_ >= 0.0) || number_ != std::floor(number_) ||
       number_ > 9007199254740992.0) {
     return bad();

@@ -60,6 +60,13 @@ long long parse_ll(std::string_view s) {
   return v;
 }
 
+std::optional<std::uint64_t> parse_u64(std::string_view s) {
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec != std::errc() || ptr != s.data() + s.size()) return std::nullopt;
+  return v;
+}
+
 int parse_int(std::string_view s) {
   const long long v = parse_ll(s);
   if (v < std::numeric_limits<int>::min() ||

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +24,10 @@ bool starts_with(std::string_view s, std::string_view prefix);
 /// Parse helpers that raise llamp::Error with context on failure instead of
 /// silently returning 0 like std::atoi.
 long long parse_ll(std::string_view s);
+/// Exact read of a plain decimal into the full u64 range: digits only (no
+/// sign, blank or exponent), at most 2^64 - 1; nullopt otherwise.  The one
+/// rule for u64 request fields, from JSON and from CLI flags alike.
+std::optional<std::uint64_t> parse_u64(std::string_view s);
 /// parse_ll narrowed to int; out-of-range values raise instead of wrapping.
 int parse_int(std::string_view s);
 double parse_double(std::string_view s);

@@ -123,7 +123,7 @@ TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
   LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
 
   std::vector<double> xs(kBatchWidth + 3);
   for (std::size_t l = 0; l < xs.size(); ++l) {
@@ -168,7 +168,7 @@ TEST(AllocationFree, PooledBudgetSearchAllocatesNothingAfterWarmup) {
       schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
   LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
 
   constexpr std::size_t kLanes = 3 * kBatchWidth;
   std::vector<double> from(kLanes);
@@ -218,7 +218,7 @@ TEST(AllocationFree, BatchRowsAreSizedByTheLanesACallRuns) {
   // Two rows (finish, slope) of doubles per vertex and lane.
   const std::size_t row_bytes_per_lane = 2 * sizeof(double) * g.num_vertices();
 
-  LoweredProblem::BatchCursor narrow;
+  LoweredProblem::Cursor narrow;
   std::size_t before = g_allocated_bytes;
   solver.solve_batch_ranges(0, xs.data(), 4, narrow, pts.data());
   const std::size_t four_lanes = g_allocated_bytes - before;
@@ -226,7 +226,7 @@ TEST(AllocationFree, BatchRowsAreSizedByTheLanesACallRuns) {
   EXPECT_LT(four_lanes, 8 * row_bytes_per_lane)
       << "a 4-lane call sized its rows for more than 4 lanes";
 
-  LoweredProblem::BatchCursor wide;
+  LoweredProblem::Cursor wide;
   solver.solve_batch_ranges(0, xs.data(), kBatchWidth, wide, pts.data());
   before = g_allocations;
   for (int round = 0; round < 20; ++round) {

@@ -479,6 +479,43 @@ TEST(ApiSchemaParity, FlagAndJsonKeySetTheSameField) {
   }
 }
 
+TEST(ApiSchemaParity, U64FieldsTakeTheFullRangeOnBothSurfaces) {
+  // Every u64 field (--seed, --S) reads the same exact decimal rule from a
+  // flag and from JSON: values past 2^63 build equal requests, and values
+  // outside [0, 2^64 - 1] are usage errors on both surfaces.
+  const auto from_flag = [](std::size_t op, const std::string& flag,
+                            const std::string& value) {
+    const std::string arg = "--" + flag + "=" + value;
+    const char* argv[] = {"llamp", arg.c_str()};
+    return api::to_json(api::request_from_flags(op, Cli(2, argv)));
+  };
+  const auto from_json = [](std::size_t op, const std::string& path,
+                            const std::string& value) {
+    return api::to_json(api::parse_request(
+        "{\"op\": \"" + std::string(api::kOpNames[op]) + "\", " +
+        json_member(path, value) + "}"));
+  };
+  int checked = 0;
+  for (std::size_t op = 0; op < api::kOpNames.size(); ++op) {
+    for (const api::FieldInfo& f : api::request_fields(op)) {
+      if (f.flag != "seed" && f.flag != "S") continue;
+      const std::string flag(f.flag);
+      SCOPED_TRACE(std::string(api::kOpNames[op]) + " --" + flag);
+      for (const char* v : {"9223372036854775808", "18446744073709551615"}) {
+        const std::string via_flag = from_flag(op, flag, v);
+        EXPECT_EQ(via_flag, from_json(op, f.json_path, v));
+        EXPECT_NE(via_flag.find(v), std::string::npos) << via_flag;
+      }
+      for (const char* v : {"18446744073709551616", "-1"}) {
+        EXPECT_THROW(from_flag(op, flag, v), UsageError) << v;
+        EXPECT_THROW(from_json(op, f.json_path, v), UsageError) << v;
+      }
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 4);  // --S on every app op, --seed on mc and campaign
+}
+
 TEST(ApiSchemaParity, SubcommandFlagSetsAreTableFlagsPlusSurface) {
   const std::set<std::string_view> surface = {
       "format", "csv",     "threads", "trace-out",

@@ -13,6 +13,7 @@
 
 #include "apps/registry.hpp"
 #include "core/solver_cache.hpp"
+#include "graph/costs.hpp"
 #include "lp/param_space.hpp"
 #include "lp/parametric.hpp"
 #include "schedgen/schedgen.hpp"
@@ -839,7 +840,7 @@ std::vector<double> batch_grid(double lo, double hi, int points,
 
 void expect_batch_matches_dense(const LoweredProblem& solver, int k,
                                 const std::vector<double>& xs,
-                                LoweredProblem::BatchCursor& bc) {
+                                LoweredProblem::Cursor& bc) {
   std::vector<LoweredProblem::BatchPoint> plain(xs.size());
   std::vector<LoweredProblem::BatchPoint> ranged(xs.size());
   solver.solve_batch(k, xs.data(), xs.size(), bc, plain.data());
@@ -857,7 +858,7 @@ void expect_batch_matches_dense(const LoweredProblem& solver, int k,
 }
 
 TEST(BatchSolve, BitwiseMatchesDenseOnAllRegisteredApps) {
-  LoweredProblem::BatchCursor bc;  // shared across apps: reuse must not leak state
+  LoweredProblem::Cursor bc;  // shared across apps: reuse must not leak state
   for (const std::string& app : apps::app_names()) {
     const int ranks = apps::supported_ranks(app, 8);
     const auto g =
@@ -872,6 +873,140 @@ TEST(BatchSolve, BitwiseMatchesDenseOnAllRegisteredApps) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// An independent reference for the kernel.  solve() is the kernel's 1-lane
+// instance, so BatchSolve.* only compares the kernel with itself at other
+// widths; this walk shares no code with it.  It is the seed's graph-driven
+// pass (bench_solver_hotpath's LegacySolver): per-edge Affine costs, an
+// in-edge list per vertex id in ascending edge id, vertices in the graph's
+// topological order, the first candidate taken unconditionally and later
+// ones by the value_eps tie rule — plus the same rule over the sinks in
+// vertex-id order and an argmax chain for the gradient.
+// ---------------------------------------------------------------------------
+
+struct SeedResult {
+  double value = 0.0;
+  double slope = 0.0;  ///< forward slope at the critical sink
+  std::vector<double> gradient;
+  std::size_t messages = 0;
+};
+
+SeedResult seed_walk(const graph::Graph& g, const ParamSpace& space,
+                     int active, double x) {
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  const auto eps = [](double v) { return 1e-9 * (1.0 + std::fabs(v)); };
+  std::vector<double> point;
+  for (int k = 0; k < space.num_params(); ++k) {
+    point.push_back(space.base_value(k));
+  }
+  point[static_cast<std::size_t>(active)] = x;
+  const std::size_t n = g.num_vertices();
+  std::vector<Affine> cost;
+  std::vector<std::vector<std::uint32_t>> in(n);
+  for (std::uint32_t e = 0; e < g.num_edges(); ++e) {
+    cost.push_back(space.edge_cost(g, g.edge(e)));
+    in[g.edge(e).to].push_back(e);
+  }
+  std::vector<double> finish(n, 0.0);
+  std::vector<double> slope(n, 0.0);
+  std::vector<std::uint32_t> arg(n, kNone);
+  // Whether candidate (cv, cs) replaces the best so far, (bv, bs).
+  const auto better = [&](bool first, double cv, double cs, double bv,
+                          double bs) {
+    return first || cv > bv + eps(bv) || (cv > bv - eps(bv) && cs > bs);
+  };
+  for (const graph::VertexId v : g.topo_order()) {
+    double bv = 0.0;
+    double bs = 0.0;
+    for (const std::uint32_t e : in[v]) {
+      double c = cost[e].constant;
+      double s = 0.0;
+      for (const ParamTerm& t : cost[e].terms) {
+        c += t.coeff * point[static_cast<std::size_t>(t.param)];
+        if (t.param == active) s += t.coeff;
+      }
+      const graph::VertexId u = g.edge(e).from;
+      const double cv = finish[u] + c;
+      const double cs = slope[u] + s;
+      if (better(arg[v] == kNone, cv, cs, bv, bs)) {
+        bv = cv;
+        bs = cs;
+        arg[v] = e;
+      }
+    }
+    finish[v] = bv + graph::vertex_cost(g.vertex(v), space.params());
+    slope[v] = bs;
+  }
+  SeedResult out;
+  graph::VertexId sink = graph::kInvalidVertex;
+  for (graph::VertexId v = 0; v < n; ++v) {
+    if (!g.out_edges(v).empty()) continue;
+    if (better(sink == graph::kInvalidVertex, finish[v], slope[v], out.value,
+               out.slope)) {
+      out.value = finish[v];
+      out.slope = slope[v];
+      sink = v;
+    }
+  }
+  out.gradient.assign(point.size(), 0.0);
+  for (graph::VertexId v = sink; arg[v] != kNone; v = g.edge(arg[v]).from) {
+    for (const ParamTerm& t : cost[arg[v]].terms) {
+      out.gradient[static_cast<std::size_t>(t.param)] += t.coeff;
+    }
+    if (g.edge(arg[v]).kind == graph::EdgeKind::kComm) ++out.messages;
+  }
+  return out;
+}
+
+/// Pins solve() and solve_batch_ranges() against the seed walk over
+/// [lo, hi]: a few random points, every breakpoint, and a point just below
+/// each one, inside the value_eps band where the slope breaks the tie.
+void expect_matches_seed_walk(const graph::Graph& g,
+                              std::shared_ptr<const ParamSpace> space, int k,
+                              double lo, double hi,
+                              LoweredProblem::Cursor& cur) {
+  const LoweredProblem solver(g, space);
+  std::vector<double> xs =
+      stress_grid(solver, k, lo, hi, 3, 0x5eedu + g.num_edges());
+  for (const double c : solver.critical_values(k, lo, hi)) {
+    xs.push_back(c - 1e-5);
+  }
+  std::vector<LoweredProblem::BatchPoint> ranged(xs.size());
+  solver.solve_batch_ranges(k, xs.data(), xs.size(), cur, ranged.data());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "k=" << k << " x=" << xs[i]);
+    const SeedResult ref = seed_walk(g, *space, k, xs[i]);
+    const auto& dense = solver.solve(k, xs[i], cur);
+    EXPECT_EQ(dense.value, ref.value);
+    EXPECT_EQ(dense.gradient, ref.gradient);
+    EXPECT_EQ(dense.messages, ref.messages);
+    EXPECT_EQ(ranged[i].value, ref.value);
+    EXPECT_EQ(ranged[i].slope, ref.slope);
+  }
+}
+
+TEST(SeedWalk, DenseAndRangedPassesMatchOnAllRegisteredApps) {
+  LoweredProblem::Cursor cur;  // shared by every app and space
+  for (const std::string& app : apps::app_names()) {
+    SCOPED_TRACE(app);
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto p = loggops::NetworkConfig::cscs_testbed();
+    const double l_hi = p.L + 60'000.0;
+    const auto lat = std::make_shared<LatencyParamSpace>(p);
+    ASSERT_TRUE(LoweredProblem(g, lat).flat());
+    expect_matches_seed_walk(g, lat, 0, 0.0, l_hi, cur);
+    const auto bw = std::make_shared<LatencyBandwidthParamSpace>(p);
+    ASSERT_FALSE(LoweredProblem(g, bw).flat());
+    expect_matches_seed_walk(g, bw, 0, 0.0, l_hi, cur);
+    expect_matches_seed_walk(g, bw, 1, 0.0, 4.0 * p.G + 1.0, cur);
+    const auto pair = std::make_shared<PairwiseLatencyParamSpace>(p, ranks);
+    expect_matches_seed_walk(g, pair, pair->pair_index(0, ranks - 1), 0.0,
+                             l_hi, cur);
+  }
+}
+
 TEST_P(RandomConfigTest, BatchBitwiseMatchesDenseAtEveryBlockBoundary) {
   testing::RandomProgramConfig cfg;
   cfg.seed = GetParam() + 4'242;
@@ -880,7 +1015,7 @@ TEST_P(RandomConfigTest, BatchBitwiseMatchesDenseAtEveryBlockBoundary) {
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 271 + 13);
   LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
   const auto xs =
       batch_grid(0.0, p.L + 200'000.0, 31, GetParam() * 7 + 1);
   // Prefix lengths straddling every sub-block shape the tail dispatch can
@@ -906,7 +1041,7 @@ TEST_P(RandomConfigTest, BatchCsrFallbackBitwiseMatchesDense) {
   cfg.steps = 100;
   const auto g = schedgen::build_graph(testing::random_trace(cfg));
   const loggops::Params p = random_params(GetParam() * 631 + 7);
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
 
   LoweredProblem bw(g, std::make_shared<LatencyBandwidthParamSpace>(p));
   expect_batch_matches_dense(bw, 1, batch_grid(0.0, p.G + 2.0, 13, 21), bc);
@@ -941,7 +1076,7 @@ TEST_P(RandomConfigTest, BatchBudgetSearchBitwiseMatchesScalar) {
     budget.push_back(base_value * factor);
   }
   std::vector<double> batch(from.size());
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
   solver.max_param_for_budget_from_batch(0, from.data(), budget.data(),
                                          from.size(), bc, batch.data());
   for (std::size_t i = 0; i < from.size(); ++i) {
@@ -956,7 +1091,7 @@ TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
   const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
   std::vector<double> xs = {0.0, 500.0};
   std::vector<LoweredProblem::BatchPoint> out(xs.size());
   // Out-of-range active parameter: same LpError as solve().
@@ -1028,7 +1163,7 @@ std::vector<std::uint64_t> scalar_searches(const LoweredProblem& solver,
 
 TEST(BudgetSearch, AtFromFormsMatchPlainFormsOnAllRegisteredApps) {
   LoweredProblem::Cursor ws;
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
   for (const std::string& app : apps::app_names()) {
     const int ranks = apps::supported_ranks(app, 8);
     const auto g =
@@ -1071,7 +1206,7 @@ TEST(BudgetSearch, PooledCallsMatchPerLaneScalarSearches) {
   const auto g = schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
   const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
   for (const std::size_t n : {std::size_t{37}, std::size_t{48}}) {
     SCOPED_TRACE(n);
     const BudgetLanes lanes = budget_lanes(solver, p.L, n);
@@ -1105,7 +1240,7 @@ TEST(BudgetSearch, PooledInfeasibleLaneThrowsTheScalarError) {
     scalar = e.what();
   }
   ASSERT_FALSE(scalar.empty());
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
   std::vector<double> out(from.size());
   try {
     solver.max_param_for_budget_from_batch(0, from.data(), budget.data(),
@@ -1131,7 +1266,7 @@ TEST(BudgetSearch, PerturbedSpacesAgreeInValueAndRangeNotSlopeBits) {
              std::make_shared<LatencyParamSpace>(p), factors));
   const auto xs = batch_grid(p.L, p.L + 100'000.0, 37, 0x9e7u);
   std::vector<LoweredProblem::BatchPoint> pts(xs.size());
-  LoweredProblem::BatchCursor bc;
+  LoweredProblem::Cursor bc;
   solver.solve_batch_ranges(0, xs.data(), xs.size(), bc, pts.data());
   LoweredProblem::Cursor ws;
   for (std::size_t i = 0; i < xs.size(); ++i) {
