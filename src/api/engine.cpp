@@ -635,12 +635,12 @@ TopoResult Engine::execute(const TopoRequest& req) {
 PlaceResult Engine::execute(const PlaceRequest& req) {
   const ResolvedApp app = resolve(req.app);
   core::TopologyOptions shape;
+  shape.l_wire = req.l_wire;
+  shape.d_switch = req.d_switch;
   shape.ft_radix = req.ft_radix;
   const auto ft = core::fit_topology("fat-tree", shape, app.ranks);
   const graph::Graph& g = graph_for(app);
-  core::WireCost wire;
-  wire.l_wire = req.l_wire;
-  wire.d_switch = req.d_switch;
+  const core::WireCost wire{req.l_wire, req.d_switch};
 
   const auto volume = core::volume_greedy_placement(g, app.params, *ft, wire);
   const auto opt = core::optimize_placement(g, app.params, *ft, wire, {},

@@ -315,6 +315,12 @@ Scenario resolve_cell(const std::string& app, int ranks, double scale,
 std::unique_ptr<topo::Topology> fit_topology(const std::string& name,
                                              const TopologyOptions& topo,
                                              int ranks) {
+  for (const auto& [knob, v] :
+       {std::pair{"l_wire", topo.l_wire}, std::pair{"d_switch", topo.d_switch}}) {
+    if (!(v >= 0.0) || !std::isfinite(v)) {
+      throw UsageError(strformat("need a finite %s >= 0 (got %g)", knob, v));
+    }
+  }
   std::unique_ptr<topo::Topology> t;
   if (name == "none") return t;
   try {

@@ -144,7 +144,8 @@ Scenario resolve_cell(const std::string& app, int ranks, double scale,
 
 /// Topology `name` built from `topo`'s shape knobs and checked to hold
 /// `ranks` ranks, one per node; "none" (the flat-latency scenario) gives
-/// nullptr.  Throws UsageError for an unknown name, a malformed shape or a
+/// nullptr.  Throws UsageError for a negative or non-finite `l_wire` or
+/// `d_switch` (whatever the name), an unknown name, a malformed shape or a
 /// too-small network.
 std::unique_ptr<topo::Topology> fit_topology(const std::string& name,
                                              const TopologyOptions& topo,

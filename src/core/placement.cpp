@@ -39,8 +39,8 @@ double solve_hloggp(const graph::Graph& g, const loggops::Params& p,
   auto mats =
       topo::make_pairwise_matrices(p, topo, placement, wire.l_wire,
                                    wire.d_switch);
-  const auto space = std::make_shared<lp::PairwiseLatencyParamSpace>(
-      p, n, mats.latency, mats.gap);
+  const auto space =
+      std::make_shared<lp::PairwiseLatencyParamSpace>(p, n, mats.latency);
   const lp::LoweredProblem prob(g, space);
   const auto sol = prob.solve(0, space->base_value(0));
   if (dl_matrix != nullptr) {
@@ -116,8 +116,10 @@ PlacementResult volume_greedy_placement(const graph::Graph& g,
   for (const int r : order) {
     double best_cost = std::numeric_limits<double>::infinity();
     int best_node = -1;
+    int first_free = -1;
     for (int node = 0; node < n; ++node) {
       if (node_used[static_cast<std::size_t>(node)]) continue;
+      if (first_free < 0) first_free = node;
       double cost = 0.0;
       for (int k = 0; k < n; ++k) {
         if (placement[static_cast<std::size_t>(k)] < 0 || vol[idx(r, k, n)] == 0) {
@@ -132,6 +134,9 @@ PlacementResult volume_greedy_placement(const graph::Graph& g,
         best_node = node;
       }
     }
+    // No free node compares below +inf (every cost overflowed): take the
+    // lowest-numbered one.
+    if (best_node < 0) best_node = first_free;
     placement[static_cast<std::size_t>(r)] = best_node;
     node_used[static_cast<std::size_t>(best_node)] = true;
   }
@@ -168,7 +173,9 @@ PlacementResult optimize_placement(const graph::Graph& g,
     ++res.iterations;
     const double f = solve_hloggp(g, p, topo, wire, pi, &dl, &lat);
     if (round == 0) res.initial_runtime = f;
-    if (f < f_star) {
+    // Round 0's mapping is the incumbent even when its runtime overflowed
+    // to +inf; otherwise the result would report no runtime at all.
+    if (round == 0 || f < f_star) {
       f_star = f;
       res.placement = pi;
       res.predicted_runtime = f;

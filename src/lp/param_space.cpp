@@ -46,16 +46,14 @@ PairwiseLatencyParamSpace::PairwiseLatencyParamSpace(loggops::Params p,
   const std::size_t pairs =
       static_cast<std::size_t>(nranks) * static_cast<std::size_t>(nranks - 1) / 2;
   base_.assign(pairs, p.L);
-  gap_.assign(pairs, p.G);
 }
 
 PairwiseLatencyParamSpace::PairwiseLatencyParamSpace(
-    loggops::Params p, int nranks, std::vector<double> latency_matrix,
-    std::vector<double> gap_matrix)
+    loggops::Params p, int nranks, std::vector<double> latency_matrix)
     : PairwiseLatencyParamSpace(p, nranks) {
   const auto need = static_cast<std::size_t>(nranks) *
                     static_cast<std::size_t>(nranks);
-  if (latency_matrix.size() != need || gap_matrix.size() != need) {
+  if (latency_matrix.size() != need) {
     throw LpError("pairwise space: matrix size mismatch");
   }
   for (int i = 0; i < nranks; ++i) {
@@ -66,14 +64,11 @@ PairwiseLatencyParamSpace::PairwiseLatencyParamSpace(
       const auto ji = static_cast<std::size_t>(j) *
                           static_cast<std::size_t>(nranks) +
                       static_cast<std::size_t>(i);
-      if (latency_matrix[ij] != latency_matrix[ji] ||
-          gap_matrix[ij] != gap_matrix[ji]) {
-        throw LpError(strformat("pairwise space: matrices must be symmetric "
+      if (latency_matrix[ij] != latency_matrix[ji]) {
+        throw LpError(strformat("pairwise space: matrix must be symmetric "
                                 "(pair %d,%d)", i, j));
       }
-      const auto k = static_cast<std::size_t>(pair_index(i, j));
-      base_[k] = latency_matrix[ij];
-      gap_[k] = gap_matrix[ij];
+      base_[static_cast<std::size_t>(pair_index(i, j))] = latency_matrix[ij];
     }
   }
 }
@@ -139,16 +134,12 @@ Affine PairwiseLatencyParamSpace::edge_cost(const graph::Graph& g,
   a.constant = static_cast<double>(e.o_mult) * p_.o;
   if (e.l_mult != 0 || e.bytes > 1) {
     const auto [src, dst] = g.edge_wire_pair(e);
-    if (src == dst) {
-      // Local edges carry no wire terms by construction, but guard anyway.
-      a.constant += payload_cost(e.bytes, p_.G);
-      return a;
+    // Local edges carry no wire terms by construction, but guard anyway.
+    if (src != dst) {
+      const int k = pair_index(src, dst);
+      if (e.l_mult != 0) a.terms.push_back({k, static_cast<double>(e.l_mult)});
     }
-    const auto k = static_cast<std::size_t>(pair_index(src, dst));
-    if (e.l_mult != 0) {
-      a.terms.push_back({static_cast<int>(k), static_cast<double>(e.l_mult)});
-    }
-    a.constant += payload_cost(e.bytes, gap_[k]);
+    a.constant += payload_cost(e.bytes, p_.G);
   }
   return a;
 }

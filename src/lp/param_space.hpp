@@ -98,17 +98,16 @@ class LatencyBandwidthParamSpace final : public ParamSpace {
 
 /// HLogGP: one latency decision variable per unordered rank pair {i, j}
 /// (Appendix I), so one solve yields the sensitivity matrix D_L that
-/// Algorithm 3 (rank placement) consumes.  Per-pair gaps G_{i,j} are fixed
-/// and folded into each edge's constant.
+/// Algorithm 3 (rank placement) consumes.  The gap is the uniform p.G,
+/// folded into each edge's constant.
 class PairwiseLatencyParamSpace final : public ParamSpace {
  public:
-  /// Uniform base latencies/bandwidths from `p`.
+  /// Uniform base latencies from `p`.
   PairwiseLatencyParamSpace(loggops::Params p, int nranks);
-  /// Explicit symmetric matrices (row-major nranks x nranks); the diagonal
-  /// is ignored.
+  /// Explicit symmetric latency matrix (row-major nranks x nranks); the
+  /// diagonal is ignored.
   PairwiseLatencyParamSpace(loggops::Params p, int nranks,
-                            std::vector<double> latency_matrix,
-                            std::vector<double> gap_matrix);
+                            std::vector<double> latency_matrix);
 
   int nranks() const { return nranks_; }
   int num_pairs() const { return nranks_ * (nranks_ - 1) / 2; }
@@ -127,7 +126,6 @@ class PairwiseLatencyParamSpace final : public ParamSpace {
   loggops::Params p_;
   int nranks_;
   std::vector<double> base_;  // per pair index (latency)
-  std::vector<double> gap_;   // per pair index
 };
 
 /// Perturbed-evaluation hook for the stochastic (Monte Carlo) analyses:

@@ -146,28 +146,24 @@ LoweredProblem::Solution LoweredProblem::solve() const {
 
 // llamp-lint: hot-path begin
 void LoweredProblem::sweep(int k, std::span<const double> xs, Cursor& cur,
-                           SweepEval* out, SweepStats* stats) const {
+                           SweepEval* out) const {
   if (k < 0 || k >= num_params_) {
     throw LpError("parametric: active parameter out of range");
   }
-  SweepStats local;
   bool have = false;  // never trust state a previous caller left in cur
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const double x = xs[i];
     if (std::isnan(x)) throw LpError(strformat("sweep: x[%zu] is NaN", i));
     const AnchorState& last = cur.last_;
     if (have && last.covers(k, x)) {
-      if (x != last.solution.at) ++local.replays;
       out[i] = replay_anchor(last, k, x);
     } else {
-      ++local.anchor_solves;
       solve_into(k, x, cur);
       have = true;
       out[i] = {x, last.solution.value,
                 last.solution.gradient[static_cast<std::size_t>(k)]};
     }
   }
-  if (stats) *stats = local;
 }
 // llamp-lint: hot-path end
 

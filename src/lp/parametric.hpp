@@ -336,13 +336,6 @@ class LoweredProblem {
     double slope = 0.0;  ///< λ = ∂T/∂x_k at that point
   };
 
-  /// Work counters of one sweep() call (perf observability: the benchmark
-  /// harness records anchor_solves per sweep in BENCH_solver.json).
-  struct SweepStats {
-    std::size_t anchor_solves = 0;  ///< full forward passes performed
-    std::size_t replays = 0;        ///< points served by chain replay
-  };
-
   /// Evaluate T and λ at every value of `xs`, in any order, for parameter
   /// k as a segment walk: a point inside the current anchor's stability
   /// zone is evaluated by replaying the anchor solve's critical path, which
@@ -355,7 +348,7 @@ class LoweredProblem {
   /// pass count lies between the segment count and the point count.)
   /// Writes xs.size() entries to `out`.  Throws LpError on a NaN x.
   void sweep(int k, std::span<const double> xs, Cursor& cur,
-             SweepEval* out, SweepStats* stats = nullptr) const;
+             SweepEval* out) const;
   std::vector<SweepEval> sweep(int k, std::span<const double> xs) const;
 
   /// Snapshot the cursor's last anchor solve into `out` (reusing its

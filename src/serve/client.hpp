@@ -8,7 +8,7 @@
 namespace llamp::serve {
 
 /// A minimal blocking HTTP/1.1 client for driving a Server from tests and
-/// the load-generator bench (bench/bench_serve.cpp).  One Client is one
+/// the repository benchmark's serve workload (perfbench/).  One Client is one
 /// TCP connection; issuing several requests on it exercises keep-alive.
 /// Not a general client: it speaks exactly the subset the server emits
 /// (Content-Length framing, no chunked encoding) and trusts the peer to

@@ -738,6 +738,47 @@ TEST(ApiSolverCache, RepeatedAndNearbyRequestsMatchColdBytes) {
   EXPECT_EQ(stats.built, 2u) << warm.solver_cache_stats_string();
   EXPECT_GE(stats.hits, 10u);
   EXPECT_GT(stats.replays, 0u) << "repeats should replay cached anchors";
+
+  // A larger graph (hpcg at 64 ranks), queried the way a long-lived
+  // session is: the same ΔL again, a hair away or far out, each on the
+  // smallest grid {0, ΔL}, plus repeated analyzes.  Warm bytes match a
+  // cold engine, and so does a parallel warm batch of the same stream.
+  api::AppSpec big = small_app("hpcg");
+  big.ranks = 64;
+  big.scale = 0.05;
+  std::vector<api::Request> stream;
+  for (const double dl : {20.0, 20.0, 20.5, 21.0, 20.0, 60.0, 60.25, 20.0,
+                          80.0, 20.125, 60.0, 80.5}) {
+    api::SweepRequest req;
+    req.app = big;
+    req.grid = {dl, 2};
+    stream.emplace_back(req);
+  }
+  api::AnalyzeRequest big_analyze;
+  big_analyze.app = big;
+  big_analyze.grid = {20.0, 3};
+  stream.insert(stream.end(), 3, api::Request(big_analyze));
+
+  const auto bytes = [](const api::Response& res) {
+    std::ostringstream all;
+    for (const auto format : kAllFormats) api::render(res, format, all);
+    return all.str() + api::to_json_line(res);
+  };
+  std::vector<std::string> cold_bytes;
+  for (const auto& req : stream) cold_bytes.push_back(bytes(api::Engine().run(req)));
+  api::Engine session;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+      EXPECT_EQ(bytes(session.run(stream[i])), cold_bytes[i])
+          << "round " << round << " request " << i;
+    }
+  }
+  const auto outcomes = session.run_batch(stream, 4);
+  ASSERT_EQ(outcomes.size(), stream.size());
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(outcomes[i].response) << outcomes[i].error;
+    EXPECT_EQ(bytes(*outcomes[i].response), cold_bytes[i]) << "batch request " << i;
+  }
 }
 
 TEST(ApiSolverCache, McWarmPathMatchesColdBytes) {

@@ -72,6 +72,20 @@ TEST(VolumeGreedy, ProducesValidPermutation) {
   EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
 }
 
+TEST(VolumeGreedy, OverflowingWireCostsStillPlaceEveryRank) {
+  // A finite but huge wire latency makes every volume-weighted cost +inf,
+  // so no free node compares below the initial best; each rank must then
+  // take the lowest-numbered free node, never node -1.
+  const auto g = ring_heavy_graph(8);
+  const topo::FatTree ft(4);
+  for (const WireCost wire : {WireCost{1e308, 108.0}, WireCost{274.0, 1e308}}) {
+    const auto res = volume_greedy_placement(g, params(), ft, wire);
+    std::vector<int> sorted = res.placement;
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(sorted, topo::identity_placement(8));
+  }
+}
+
 TEST(OptimizePlacement, NeverWorseThanItsStartingPoint) {
   const auto g = ring_heavy_graph(8);
   const topo::FatTree ft(4);

@@ -588,9 +588,30 @@ TEST(ErrorClassWall, BadKnobsAreUsageErrorsOnEveryOpAndSurface) {
        R"({"apps": ["hpcg"], "ranks": [512], "topologies": ["fat-tree"]})"},
   };
   cases.insert(cases.end(), rest.begin(), rest.end());
+  // The wire knobs: a negative value on every surface, NaN and infinity on
+  // the CLI only (JSON cannot spell them).
+  for (const std::string knob : {"l-wire", "d-switch"}) {
+    const std::string key = knob == "l-wire" ? "l_wire_ns" : "d_switch_ns";
+    cases.push_back({{"topo", "--" + knob + "=-1"}, "{\"" + key + "\": -1}"});
+    cases.push_back({{"place", "--" + knob + "=-1"}, "{\"" + key + "\": -1}"});
+    cases.push_back({{"campaign", "--topos=fat-tree", "--" + knob + "=-1"},
+                     "{\"topologies\": [\"fat-tree\"], \"topo\": {\"" + key +
+                         "\": -1}}"});
+  }
 
   TestDaemon daemon;
   for (const SurfaceCase& c : cases) expect_error_kind(daemon, c, "usage");
+  for (const char* flag : {"--l-wire=nan", "--l-wire=inf", "--d-switch=nan",
+                           "--d-switch=inf"}) {
+    for (const std::vector<const char*>& argv :
+         {std::vector<const char*>{"llamp", "topo", flag},
+          std::vector<const char*>{"llamp", "place", flag},
+          std::vector<const char*>{"llamp", "campaign", "--topos=fat-tree", flag}}) {
+      std::ostringstream out, err;
+      EXPECT_EQ(tools::run(static_cast<int>(argv.size()), argv.data(), out, err), 2)
+          << argv[1] << ' ' << flag << ": " << err.str();
+    }
+  }
   // Every knob failed before a graph was built.
   EXPECT_EQ(daemon.engine.cache_stats().built, 0u);
 }

@@ -877,7 +877,7 @@ TEST(BatchSolve, BitwiseMatchesDenseOnAllRegisteredApps) {
 // An independent reference for the kernel.  solve() is the kernel's 1-lane
 // instance, so BatchSolve.* only compares the kernel with itself at other
 // widths; this walk shares no code with it.  It is the seed's graph-driven
-// pass (bench_solver_hotpath's LegacySolver): per-edge Affine costs, an
+// pass, kept here as the only copy of it: per-edge Affine costs, an
 // in-edge list per vertex id in ascending edge id, vertices in the graph's
 // topological order, the first candidate taken unconditionally and later
 // ones by the value_eps tie rule — plus the same rule over the sinks in
