@@ -445,16 +445,17 @@ McResult Engine::execute(const McRequest& req) {
   // When the run's shared-solver fast path engages (only L sampled), its
   // operating point is known up front — lower it through the session
   // solver cache so repeated mc requests (and analyze/sweep of the same
-  // scenario when the point coincides) share one problem.  run_mc
-  // re-verifies the handle; the result bytes cannot depend on it.
-  std::shared_ptr<const lp::LoweredProblem> lowered;
+  // scenario when the point coincides) share one problem and one
+  // tolerance memo.  run_mc re-verifies the handle; the result bytes
+  // cannot depend on it.
+  std::shared_ptr<core::SolverCache::Entry> entry;
   if (const auto sp = stoch::shared_operating_point(spec, app.params)) {
-    lowered = solver_cache_.latency(key_for(app), g, *sp)->problem();
+    entry = solver_cache_.latency(key_for(app), g, *sp);
     handles_.mc_fast_path.inc();
   } else {
     handles_.mc_general_path.inc();
   }
-  res.result = stoch::run_mc(g, app.params, spec, std::move(lowered));
+  res.result = stoch::run_mc(g, app.params, spec, entry);
   // Lane-occupancy accounting, post hoc from the result's config echo so
   // the sampling loops stay untouched (the bench-drift bound): the batched
   // kernel runs ceil(samples / width) groups of `width` lanes, of which
@@ -604,6 +605,7 @@ TopoResult Engine::execute(const TopoRequest& req) {
     const double l_wire = prob->space().base_value(0);
     const lp::LoweredProblem::BatchPoint at =
         prob->solve(0, l_wire, cur).point();
+    (void)core::finite_base_runtime(at.value);
     const double tol =
         prob->max_param_for_budget_from(0, l_wire, at.value * 1.01, at, cur);
     res.topologies.push_back({t->name(), at.value, at.slope, tol});
@@ -619,7 +621,7 @@ TopoResult Engine::execute(const TopoRequest& req) {
   const lp::LoweredProblem df_prob(g, df_space);
   const lp::LoweredProblem::BatchPoint base_at =
       df_prob.solve(0, df_space->base_value(0), cur).point();
-  const double T0 = base_at.value;
+  const double T0 = core::finite_base_runtime(base_at.value);
   res.df_base_runtime = T0;
   for (int k = 0; k < df_space->num_params(); ++k) {
     const double from = df_space->base_value(k);
@@ -651,7 +653,8 @@ PlaceResult Engine::execute(const PlaceRequest& req) {
   res.topology = ft->name();
   // Algorithm 3 starts from the block placement, so its round 0 is the
   // block row's solve.
-  res.strategies.push_back({"block (default)", opt.initial_runtime});
+  res.strategies.push_back(
+      {"block (default)", core::finite_base_runtime(opt.initial_runtime)});
   res.strategies.push_back({"volume-greedy", volume.predicted_runtime});
   res.strategies.push_back({strformat("llamp algorithm 3 (%d swaps)",
                                       opt.swaps),

@@ -132,7 +132,8 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     base = topo.l_wire;
     wire_at = wire->solve(0, base, cur).point();
   }
-  res.base_runtime = entry ? entry->eval(0, base, cur).value : wire_at.value;
+  res.base_runtime = finite_base_runtime(
+      entry ? entry->eval(0, base, cur).value : wire_at.value);
 
   const std::size_t npts = s.delta_Ls.size();
   std::vector<double> xs(npts);
@@ -194,10 +195,9 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     spec.delta_Ls = s.delta_Ls;
     spec.band_percents.clear();
     // With all-degenerate jitter off-axes the mc run's shared solver is
-    // exactly this scenario's cached lowering; run_mc verifies the match
-    // and lowers afresh otherwise.
-    const stoch::McResult mres = stoch::run_mc(
-        g, s.params, spec, entry ? entry->problem() : nullptr);
+    // exactly this scenario's cached entry; run_mc verifies the match and
+    // lowers afresh otherwise.
+    const stoch::McResult mres = stoch::run_mc(g, s.params, spec, entry);
     res.mc.reserve(mres.runtime.size());
     for (const stoch::Summary& sum : mres.runtime) {
       res.mc.push_back({sum.mean(), sum.stddev(), sum.q05(), sum.q95()});
@@ -350,6 +350,15 @@ std::unique_ptr<lp::LoweredProblem> lower_wire_latency(
       topo::make_wire_latency_space(p, t, topo::identity_placement(g.nranks()),
                                     topo.l_wire, topo.d_switch));
   return std::make_unique<lp::LoweredProblem>(g, std::move(space));
+}
+
+double finite_base_runtime(double runtime) {
+  if (!std::isfinite(runtime)) {
+    throw Error(strformat(
+        "base runtime is not finite (T = %g): the scenario's costs overflow",
+        runtime));
+  }
+  return runtime;
 }
 
 Campaign::Campaign(const CampaignSpec& spec)

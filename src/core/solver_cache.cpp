@@ -70,11 +70,19 @@ V SolverCache::Entry::memoized(Memo<V>& memo, const MemoKey& key,
   // bits; the first insert wins and the other is a no-op.
   V value = compute();
   const std::lock_guard<std::mutex> lock(memo_mutex_);
-  if (memo.size() < kMaxMemo && memo.try_emplace(key, value).second) {
-    owner_->memo_bytes_.fetch_add(sizeof(MemoKey) + payload_bytes(value),
-                                  std::memory_order_relaxed);
-  }
+  store(memo, key, value);
   return value;
+}
+
+template <typename V>
+void SolverCache::Entry::store(Memo<V>& memo, const MemoKey& key,
+                               const V& value) {
+  const std::size_t bytes = sizeof(MemoKey) + payload_bytes(value);
+  if (memo_bytes_ + bytes <= kMemoBudgetBytes &&
+      memo.try_emplace(key, value).second) {
+    memo_bytes_ += bytes;
+    owner_->memo_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  }
 }
 
 lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
@@ -145,6 +153,50 @@ double SolverCache::Entry::max_param_for_budget_from(
   return memoized(budget_memo_, memo_key(k, {from, budget}), [&] {
     return prob_->max_param_for_budget_from(k, from, budget, cur);
   });
+}
+
+void SolverCache::Entry::max_param_for_budget_from_batch(
+    int k, const double* from, const double* budget, std::size_t n,
+    lp::LoweredProblem::Cursor& cur, double* out,
+    const lp::LoweredProblem::BatchPoint* at_from) {
+  lp::LoweredProblem::Cursor::LaneGather& miss = cur.gather;
+  if (miss.lane.size() < n) {
+    miss.lane.resize(n);
+    miss.from.resize(n);
+    miss.budget.resize(n);
+    miss.at.resize(n);
+    miss.out.resize(n);
+  }
+  std::size_t m = 0;
+  {
+    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto it = budget_memo_.find(memo_key(k, {from[i], budget[i]}));
+      if (it != budget_memo_.end()) {
+        out[i] = it->second;
+        continue;
+      }
+      miss.lane[m] = static_cast<std::uint32_t>(i);
+      miss.from[m] = from[i];
+      miss.budget[m] = budget[i];
+      if (at_from != nullptr) miss.at[m] = at_from[i];
+      ++m;
+    }
+  }
+  owner_->memo_hits_.fetch_add(n - m, std::memory_order_relaxed);
+  if (m == 0) return;
+  owner_->memo_misses_.fetch_add(m, std::memory_order_relaxed);
+  // Hits never throw (throws are not stored), so the pooled call's
+  // lowest-lane-first error is the whole call's.
+  prob_->max_param_for_budget_from_batch(
+      k, miss.from.data(), miss.budget.data(), m, cur, miss.out.data(),
+      at_from != nullptr ? miss.at.data() : nullptr);
+  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  for (std::size_t j = 0; j < m; ++j) {
+    out[miss.lane[j]] = miss.out[j];
+    store(budget_memo_, memo_key(k, {miss.from[j], miss.budget[j]}),
+          miss.out[j]);
+  }
 }
 
 std::size_t SolverCache::Entry::anchor_count() const {

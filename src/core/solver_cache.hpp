@@ -50,7 +50,11 @@ struct SolverKey {
 ///    (microseconds) instead of a full forward pass, on either lowering;
 ///  * the **memos** — exact-input results of the calls replay cannot
 ///    serve: Algorithm 2 and the tolerance search, so a repeated report
-///    costs lookups only.
+///    costs lookups only.  One tolerance memo serves the scalar search
+///    (analyze, campaign cells) and the pooled one (mc's band searches):
+///    both compute the same bits on an entry's integer-coefficient space,
+///    so a key stored by either is a hit for both.  Both memos of an entry
+///    share one byte budget, kMemoBudgetBytes.
 ///
 /// Determinism contract: replay from *any* covering anchor is bitwise
 /// identical to a dense solve at that point (the PR 3 segment-walk
@@ -110,13 +114,28 @@ class SolverCache {
     double max_param_for_budget_from(int k, double from, double budget,
                                      lp::LoweredProblem::Cursor& cur);
 
+    /// problem()->max_param_for_budget_from_batch(k, from, budget, n, cur,
+    /// out, at_from) through the same memo as the scalar form: all n lanes
+    /// are looked up under one lock, the misses (in lane order, with their
+    /// at_from rows) run as one pooled call over cur.gather's rows, and
+    /// their results are stored.  Bitwise identical to the direct pooled
+    /// call and to n scalar calls.  A throwing call stores nothing and
+    /// raises the lowest infeasible lane's error (hits never throw).  An
+    /// all-hit call never touches the problem and allocates nothing.
+    void max_param_for_budget_from_batch(
+        int k, const double* from, const double* budget, std::size_t n,
+        lp::LoweredProblem::Cursor& cur, double* out,
+        const lp::LoweredProblem::BatchPoint* at_from = nullptr);
+
     /// Published anchors (observability/tests).
     std::size_t anchor_count() const;
 
-    /// Bound on each memo's entries, with the anchor policy: the first
-    /// kMaxMemo distinct inputs are kept, later ones are computed and
-    /// returned but not stored.
-    static constexpr std::size_t kMaxMemo = 64;
+    /// Byte budget shared by the entry's two memos, counted as
+    /// Stats::memo_bytes counts them (key plus payload per stored result),
+    /// with the anchor policy: results are stored first come while they
+    /// fit, later ones are computed and returned but not stored, and
+    /// nothing is evicted.  1 MiB holds about 21,800 tolerance results.
+    static constexpr std::size_t kMemoBudgetBytes = std::size_t{1} << 20;
 
    private:
     friend class SolverCache;
@@ -132,11 +151,15 @@ class SolverCache {
     using Memo = std::map<MemoKey, V>;
 
     /// The memo protocol shared by both memos: serve a hit, or run
-    /// `compute` outside the lock and store its result while the memo has
-    /// room.  A call that throws stores nothing and throws again on the
-    /// next identical call.
+    /// `compute` outside the lock and store its result while the byte
+    /// budget has room.  A call that throws stores nothing and throws again
+    /// on the next identical call.
     template <typename V, typename Compute>
     V memoized(Memo<V>& memo, const MemoKey& key, Compute&& compute);
+    /// Store `value` under `key` if it is new and fits the byte budget;
+    /// memo_mutex_ must be held.
+    template <typename V>
+    void store(Memo<V>& memo, const MemoKey& key, const V& value);
 
     /// Bound on published anchors per entry: enough to blanket every CLI
     /// grid's basis pieces, small enough that the linear covering scan
@@ -152,9 +175,10 @@ class SolverCache {
     /// Sorted by (active, at), deduplicated on exact (active, at).
     std::vector<std::shared_ptr<const lp::LoweredProblem::AnchorState>>
         anchors_;
-    std::mutex memo_mutex_;  ///< guards the two memos below
+    std::mutex memo_mutex_;  ///< guards the two memos and their bytes
     Memo<std::vector<double>> algorithm2_memo_;
     Memo<double> budget_memo_;
+    std::size_t memo_bytes_ = 0;  ///< both memos, against kMemoBudgetBytes
     SolverCache* owner_ = nullptr;
   };
 

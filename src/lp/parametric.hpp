@@ -193,6 +193,18 @@ class LoweredProblem {
     Cursor(Cursor&&) = default;
     Cursor& operator=(Cursor&&) = default;
 
+    /// Grow-only rows for a caller that hands only some lanes of a pooled
+    /// search on to max_param_for_budget_from_batch (core::SolverCache's
+    /// memo gathers its misses here).  No LoweredProblem method reads them.
+    struct LaneGather {
+      std::vector<std::uint32_t> lane;
+      std::vector<double> from;
+      std::vector<double> budget;
+      std::vector<BatchPoint> at;
+      std::vector<double> out;
+    };
+    LaneGather gather;
+
    private:
     friend class LoweredProblem;
     std::vector<double> finish_;  ///< num_vertices x widest lanes run, SoA

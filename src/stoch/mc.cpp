@@ -98,14 +98,15 @@ std::optional<loggops::Params> shared_operating_point(
   return shared;
 }
 
-McResult run_mc(const graph::Graph& g, const loggops::Params& base,
-                const McSpec& spec) {
-  return run_mc(g, base, spec, nullptr);
-}
+namespace {
 
-McResult run_mc(const graph::Graph& g, const loggops::Params& base,
-                const McSpec& spec,
-                std::shared_ptr<const lp::LoweredProblem> lowered) {
+/// run_mc with an optional cached lowering and, when that lowering is a
+/// solver-cache entry's, the entry itself: the fast path's band searches
+/// then read through the entry's tolerance memo.
+McResult run(const graph::Graph& g, const loggops::Params& base,
+             const McSpec& spec,
+             std::shared_ptr<const lp::LoweredProblem> lowered,
+             core::SolverCache::Entry* entry) {
   spec.validate();
   base.validate();
 
@@ -141,6 +142,7 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
     } else {
       shared = std::make_shared<const lp::LoweredProblem>(
           g, std::make_shared<lp::LatencyParamSpace>(shared_params));
+      entry = nullptr;  // its memo keys belong to another problem
     }
   }
 
@@ -250,9 +252,17 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
             }
           }
         }
-        shared->max_param_for_budget_from_batch(
-            0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
-            sc.cur, sc.band_tol.data(), sc.band_at.data());
+        // A LatencyParamSpace has integer coefficients, so the entry's
+        // memo hits are the pooled search's own bits.
+        if (entry != nullptr) {
+          entry->max_param_for_budget_from_batch(
+              0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
+              sc.cur, sc.band_tol.data(), sc.band_at.data());
+        } else {
+          shared->max_param_for_budget_from_batch(
+              0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
+              sc.cur, sc.band_tol.data(), sc.band_at.data());
+        }
         for (std::size_t b = 0; b < nbands; ++b) {
           for (std::size_t l = 0; l < lanes; ++l) {
             const std::size_t slot = b * lanes + l;
@@ -328,6 +338,25 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
     fold_block(bn);
   }
   return res;
+}
+
+}  // namespace
+
+McResult run_mc(const graph::Graph& g, const loggops::Params& base,
+                const McSpec& spec) {
+  return run(g, base, spec, nullptr, nullptr);
+}
+
+McResult run_mc(const graph::Graph& g, const loggops::Params& base,
+                const McSpec& spec,
+                std::shared_ptr<const lp::LoweredProblem> lowered) {
+  return run(g, base, spec, std::move(lowered), nullptr);
+}
+
+McResult run_mc(const graph::Graph& g, const loggops::Params& base,
+                const McSpec& spec,
+                const std::shared_ptr<core::SolverCache::Entry>& entry) {
+  return run(g, base, spec, entry ? entry->problem() : nullptr, entry.get());
 }
 
 namespace {

@@ -6,16 +6,13 @@
 #include <string>
 #include <vector>
 
+#include "core/solver_cache.hpp"
 #include "graph/graph.hpp"
 #include "loggops/params.hpp"
 #include "stoch/distribution.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 #include "util/time.hpp"
-
-namespace llamp::lp {
-class LoweredProblem;
-}  // namespace llamp::lp
 
 namespace llamp::stoch {
 
@@ -108,8 +105,8 @@ struct McResult {
 /// pinned to their (fixed) degenerate draws, or nullopt when samples
 /// differ structurally (each lowers its own perturbed space).  This is the
 /// exact operating point run_mc's shared-solver fast path analyzes; a
-/// caller holding a solver cache can pre-lower it and pass the problem to
-/// the run_mc overload below.
+/// caller holding a solver cache can pre-lower it and pass the entry (or
+/// its problem) to the run_mc overloads below.
 std::optional<loggops::Params> shared_operating_point(
     const McSpec& spec, const loggops::Params& base);
 
@@ -127,6 +124,14 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
 McResult run_mc(const graph::Graph& g, const loggops::Params& base,
                 const McSpec& spec,
                 std::shared_ptr<const lp::LoweredProblem> lowered);
+
+/// Same, reusing a solver-cache entry: its problem is verified and adopted
+/// as above, and the fast path's band searches then read through the
+/// entry's tolerance memo, so a repeated request runs no search pass.
+/// Same bytes as every other overload, whatever the memo holds.
+McResult run_mc(const graph::Graph& g, const loggops::Params& base,
+                const McSpec& spec,
+                const std::shared_ptr<core::SolverCache::Entry>& entry);
 
 /// The distributional report as a table: one row per metric — runtime at
 /// every ΔL, λ_L, ρ_L, one tolerance band per percent — with streaming

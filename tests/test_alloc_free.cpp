@@ -303,5 +303,108 @@ TEST(AllocationFree, WarmEntryMemoHitsAllocateNothing) {
   EXPECT_EQ(cache.stats().memo_hits, 101u);
 }
 
+TEST(AllocationFree, WarmPooledBudgetMemoHitsAllocateNothing) {
+  // mc's band searches through a solver-cache entry: the misses are
+  // gathered into grow-only cursor rows, so once one 48-lane call (three
+  // bands of a full mc lane group) has grown them, an all-hit call is
+  // heap-silent and a mixed call allocates only the memo node of each
+  // result it stores — none once the entry's byte budget is spent.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  core::SolverCache cache;
+  const auto entry = cache.latency(core::GraphKey{"hpcg", 8, 0.02, p.S}, g, p);
+  LoweredProblem::Cursor cur;
+
+  constexpr std::size_t kLanes = 3 * kBatchWidth;
+  std::vector<double> from(kLanes);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    from[l] = p.L + 300.0 * static_cast<double>(l % kBatchWidth);
+  }
+  std::vector<LoweredProblem::BatchPoint> at(kLanes);
+  entry->problem()->solve_batch_ranges(0, from.data(), kLanes, cur, at.data());
+  std::vector<double> budgets(kLanes);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    budgets[l] = at[l].value * (1.0 + 0.01 * static_cast<double>(l / 8 + 1));
+  }
+  std::vector<double> tols(kLanes);
+
+  // Warm-up: one all-miss call grows the gather and search rows.
+  entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(),
+                                         kLanes, cur, tols.data(), at.data());
+  ASSERT_EQ(cache.stats().memo_misses, kLanes);
+
+  std::size_t before = g_allocations;
+  for (int round = 0; round < 10; ++round) {
+    for (const std::size_t n : {kLanes, std::size_t{37}, std::size_t{3}}) {
+      entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(),
+                                             n, cur, tols.data(), at.data());
+      entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(),
+                                             n, cur, tols.data());
+      ASSERT_GE(tols[0], from[0]);
+    }
+  }
+  EXPECT_EQ(g_allocations, before) << "all-hit pooled memo calls allocated";
+  EXPECT_EQ(cache.stats().memo_misses, kLanes);
+
+  // Mixed: every other lane a new 50% band.  The 24 misses run one pooled
+  // call on the warm rows; the only allocations are their 24 memo nodes.
+  for (std::size_t l = 1; l < kLanes; l += 2) {
+    budgets[l] = at[l].value * (1.5 + 0.01 * static_cast<double>(l));
+  }
+  before = g_allocations;
+  entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(),
+                                         kLanes, cur, tols.data(), at.data());
+  EXPECT_EQ(g_allocations - before, kLanes / 2)
+      << "a mixed call allocated beyond its stored memo nodes";
+  EXPECT_EQ(cache.stats().memo_misses, kLanes + kLanes / 2);
+
+  // Past the byte budget a mixed call stores nothing and allocates
+  // nothing.  The running example fills an entry's budget cheaply.
+  const auto rg = llamp::testing::running_example_graph();
+  const auto rp = llamp::testing::running_example_params();
+  const auto small =
+      cache.latency(core::GraphKey{"running-example", 1, 1.0, rp.S}, rg, rp);
+  std::vector<double> rfrom(kLanes, 500.0);  // T(500) = 1615
+  std::vector<double> rbudget(kLanes);
+  double next = 1'615.0;
+  const auto fill = [&] {
+    for (double& b : rbudget) b = (next += 0.25);
+  };
+  constexpr std::size_t kCallBytes =
+      kLanes * (5 * sizeof(std::uint64_t) + sizeof(double));
+  std::vector<double> stored;  // the last call whose lanes all fit
+  std::size_t bytes = cache.stats().memo_bytes;
+  bool spent = false;
+  for (std::size_t call = 0;
+       call <= core::SolverCache::Entry::kMemoBudgetBytes / kCallBytes + 1;
+       ++call) {
+    fill();
+    small->max_param_for_budget_from_batch(0, rfrom.data(), rbudget.data(),
+                                           kLanes, cur, tols.data());
+    const std::size_t now = cache.stats().memo_bytes;
+    if (now - bytes < kCallBytes) {
+      spent = true;  // some lanes no longer fit
+      break;
+    }
+    bytes = now;
+    stored = rbudget;
+  }
+  ASSERT_TRUE(spent) << "the entry stored past its byte budget";
+  ASSERT_FALSE(stored.empty());
+  // Even lanes hit stored keys, odd lanes are new.
+  rbudget = stored;
+  for (std::size_t l = 1; l < kLanes; l += 2) rbudget[l] = (next += 0.25);
+  bytes = cache.stats().memo_bytes;
+  const std::size_t misses = cache.stats().memo_misses;
+  before = g_allocations;
+  small->max_param_for_budget_from_batch(0, rfrom.data(), rbudget.data(),
+                                         kLanes, cur, tols.data());
+  EXPECT_EQ(g_allocations, before)
+      << "a mixed call past the byte budget allocated";
+  EXPECT_EQ(cache.stats().memo_misses, misses + kLanes / 2);
+  EXPECT_EQ(cache.stats().memo_bytes, bytes);
+}
+
 }  // namespace
 }  // namespace llamp::lp

@@ -810,6 +810,52 @@ TEST(ApiSolverCache, McWarmPathMatchesColdBytes) {
   EXPECT_EQ(cold_noise.to_json_line(), warm_noise.to_json_line());
 }
 
+TEST(ApiSolverCache, RepeatedFastPathMcRunsNoSearchPass) {
+  // The fast path's band searches read through the entry's tolerance
+  // memo: a repeat of the same request is all hits (samples x bands), no
+  // miss, so no pooled search runs, and its bytes match a cold engine in
+  // every format and at any thread count.
+  api::McRequest req;
+  req.app = small_app("hpcg");
+  req.grid = {20.0, 3};
+  req.samples = 37;  // two full lane groups and a ragged one
+  req.seed = 11;
+  req.sigma_L = 0.05;
+  req.threads = 1;
+  ASSERT_EQ(req.bands.size(), 3u);
+  const std::size_t searches = 37 * req.bands.size();
+
+  api::Engine cold;
+  const auto cold_res = cold.mc(req);
+  ASSERT_TRUE(cold_res.result.batched);
+
+  api::Engine warm;
+  const auto first = warm.mc(req);
+  const auto before = warm.solver_cache_stats();
+  const auto second = warm.mc(req);
+  const auto after = warm.solver_cache_stats();
+  EXPECT_EQ(after.memo_misses, before.memo_misses);
+  EXPECT_EQ(after.memo_hits - before.memo_hits, searches);
+  EXPECT_EQ(after.memo_bytes, before.memo_bytes);
+  for (const auto format : kAllFormats) {
+    EXPECT_EQ(rendered(cold_res, format), rendered(first, format));
+    EXPECT_EQ(rendered(cold_res, format), rendered(second, format));
+  }
+  EXPECT_EQ(cold_res.to_json_line(), second.to_json_line());
+
+  // Four threads on the warm engine (all hits) and on a cold one (the
+  // groups race their first stores): the same bytes as one thread.
+  req.threads = 4;
+  const auto warm4 = warm.mc(req);
+  api::Engine cold4_engine;
+  const auto cold4 = cold4_engine.mc(req);
+  EXPECT_EQ(warm.solver_cache_stats().memo_misses, before.memo_misses);
+  for (const auto format : kAllFormats) {
+    EXPECT_EQ(rendered(cold_res, format), rendered(warm4, format));
+    EXPECT_EQ(rendered(cold_res, format), rendered(cold4, format));
+  }
+}
+
 TEST(ApiSolverCache, CampaignWarmVsColdBytesIncludingMcAxis) {
   api::CampaignRequest req;
   req.apps = {"lulesh", "hpcg"};

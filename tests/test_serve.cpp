@@ -616,6 +616,41 @@ TEST(ErrorClassWall, BadKnobsAreUsageErrorsOnEveryOpAndSurface) {
   EXPECT_EQ(daemon.engine.cache_stats().built, 0u);
 }
 
+TEST(ErrorClassWall, OverflowingWireCostsAreOneAnalysisErrorOnEveryOpAndSurface) {
+  // A finite but huge l_wire or d_switch passes fit_topology, then the
+  // base runtime overflows to +inf: topo, place and a campaign topology
+  // cell all raise the same analysis error instead of printing inf/nan.
+  const std::string app = R"("app": {"name": "lulesh", "ranks": 8, "scale": 0.02})";
+  const std::string cell =
+      R"("apps": ["lulesh"], "ranks": [8], "scales": [0.02], )"
+      R"("topologies": ["fat-tree"])";
+  TestDaemon daemon;
+  for (const std::string knob : {"l-wire", "d-switch"}) {
+    const std::string key = knob == "l-wire" ? "l_wire_ns" : "d_switch_ns";
+    const std::string flag = "--" + knob + "=1e308";
+    const std::vector<SurfaceCase> cases = {
+        {{"topo", "--app=lulesh", "--ranks=8", "--scale=0.02", flag},
+         "{" + app + ", \"" + key + "\": 1e308}"},
+        {{"place", "--app=lulesh", "--ranks=8", "--scale=0.02", flag},
+         "{" + app + ", \"" + key + "\": 1e308}"},
+        {{"campaign", "--apps=lulesh", "--ranks=8", "--scales=0.02",
+          "--topos=fat-tree", flag},
+         "{" + cell + ", \"topo\": {\"" + key + "\": 1e308}}"},
+    };
+    for (const SurfaceCase& c : cases) {
+      expect_error_kind(daemon, c, "analysis");
+      std::vector<const char*> argv = {"llamp"};
+      for (const std::string& a : c.argv) argv.push_back(a.c_str());
+      std::ostringstream out, err;
+      (void)tools::run(static_cast<int>(argv.size()), argv.data(), out, err);
+      EXPECT_EQ(err.str(), "llamp " + c.argv.front() +
+                               ": base runtime is not finite (T = inf): the "
+                               "scenario's costs overflow\n")
+          << flag;
+    }
+  }
+}
+
 TEST(ErrorClassWall, UnknownAppIsAnAnalysisErrorOnEveryOp) {
   TestDaemon daemon;
   for (const std::string_view op : api::kOpNames) {

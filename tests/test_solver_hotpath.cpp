@@ -7,7 +7,9 @@
 #include <iterator>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <thread>
 #include <vector>
 
@@ -610,6 +612,9 @@ TEST(SolverCacheEntry, MemoizedCallsAreBitwiseDirectOnAllRegisteredApps) {
 }
 
 TEST(SolverCacheEntry, MemoCapKeepsFirstEntriesAndPastCapCallsStayBitwise) {
+  // Both memos of an entry share one byte budget, counted as memo_bytes
+  // counts them: a 40-byte key plus the payload.  Results are stored first
+  // come while they fit; later ones are computed and returned, not stored.
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
   core::SolverCache cache;
@@ -618,37 +623,71 @@ TEST(SolverCacheEntry, MemoCapKeepsFirstEntriesAndPastCapCallsStayBitwise) {
   const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
   LoweredProblem::Cursor cur;
   LoweredProblem::Cursor dcur;
-  constexpr std::size_t kCap = core::SolverCache::Entry::kMaxMemo;
+  constexpr std::size_t kKeyBytes = 5 * sizeof(std::uint64_t);
+  constexpr std::size_t kTolBytes = kKeyBytes + sizeof(double);
+
+  // An Algorithm-2 result first: it draws on the same budget.
+  const auto crit = entry->critical_values_algorithm2(0, 0.0, 1'000.0, 0.0);
+  const std::size_t crit_bytes = cache.stats().memo_bytes;
+  EXPECT_EQ(crit_bytes, kKeyBytes + sizeof(crit) + crit.size() * sizeof(double));
+  const std::size_t fit =
+      (core::SolverCache::Entry::kMemoBudgetBytes - crit_bytes) / kTolBytes;
 
   // T(500) = 1615: budgets above it all succeed, one per distinct key.
+  // The first few go through the scalar form, the rest through 48-lane
+  // pooled calls, past the budget by 64 keys.
   const auto budget = [](std::size_t i) {
-    return 1'615.0 + 7.0 * static_cast<double>(i);
+    return 1'615.0 + 0.25 * static_cast<double>(i);
   };
-  for (std::size_t i = 0; i < kCap + 8; ++i) {
+  const std::size_t total = fit + 64;
+  constexpr std::size_t kScalar = 16;
+  for (std::size_t i = 0; i < kScalar; ++i) {
     EXPECT_EQ(bits(entry->max_param_for_budget_from(0, 500.0, budget(i), cur)),
               bits(direct.max_param_for_budget_from(0, 500.0, budget(i), dcur)))
         << "i=" << i;
   }
+  constexpr std::size_t kLanes = 48;
+  const std::vector<double> from(kLanes, 500.0);
+  std::vector<double> budgets(kLanes);
+  std::vector<double> out(kLanes);
+  std::vector<double> ref(kLanes);
+  const auto pooled = [&](std::size_t first, std::size_t n) {
+    for (std::size_t l = 0; l < n; ++l) budgets[l] = budget(first + l);
+    entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(), n,
+                                           cur, out.data());
+    direct.max_param_for_budget_from_batch(0, from.data(), budgets.data(), n,
+                                           dcur, ref.data());
+    for (std::size_t l = 0; l < n; ++l) {
+      ASSERT_EQ(bits(out[l]), bits(ref[l])) << "key " << first + l;
+    }
+  };
+  for (std::size_t i = kScalar; i < total; i += kLanes) {
+    pooled(i, std::min(kLanes, total - i));
+  }
   const auto full = cache.stats();
-  EXPECT_EQ(full.memo_misses, kCap + 8);
-  EXPECT_GT(full.memo_bytes, 0u);
+  EXPECT_EQ(full.memo_misses, 1 + total);
+  EXPECT_EQ(full.memo_bytes, crit_bytes + fit * kTolBytes);
+  EXPECT_LE(full.memo_bytes, core::SolverCache::Entry::kMemoBudgetBytes);
 
-  // The first kCap keys are stored: repeats hit.  Keys past the cap were
-  // computed but dropped: repeats compute again, still bitwise direct, and
-  // the stored bytes do not grow.
+  // The first `fit` keys are stored: repeats hit, in either form.  Keys
+  // past the budget were computed but dropped: repeats compute again,
+  // still bitwise direct, and the stored bytes do not grow.
   (void)entry->max_param_for_budget_from(0, 500.0, budget(0), cur);
-  (void)entry->max_param_for_budget_from(0, 500.0, budget(kCap - 1), cur);
-  EXPECT_EQ(cache.stats().memo_hits, 2u);
-  const double past = entry->max_param_for_budget_from(0, 500.0, budget(kCap), cur);
+  (void)entry->max_param_for_budget_from(0, 500.0, budget(fit - 1), cur);
+  (void)entry->critical_values_algorithm2(0, 0.0, 1'000.0, 0.0);
+  EXPECT_EQ(cache.stats().memo_hits, 3u);
+  const double past =
+      entry->max_param_for_budget_from(0, 500.0, budget(fit), cur);
   EXPECT_EQ(bits(past),
-            bits(direct.max_param_for_budget_from(0, 500.0, budget(kCap), dcur)));
+            bits(direct.max_param_for_budget_from(0, 500.0, budget(fit), dcur)));
+  pooled(fit - 24, kLanes);  // 24 stored keys, 24 past the budget
   const auto after = cache.stats();
-  EXPECT_EQ(after.memo_misses, kCap + 9);
+  EXPECT_EQ(after.memo_hits, 3u + 24u);
+  EXPECT_EQ(after.memo_misses, full.memo_misses + 1 + 24);
   EXPECT_EQ(after.memo_bytes, full.memo_bytes);
 
   // Bit-pattern keys: -0.0 is a different key from 0.0 (a miss, not a
   // hit), even though the two compare equal.
-  (void)entry->critical_values_algorithm2(0, 0.0, 1'000.0, 0.0);
   const auto z = cache.stats();
   (void)entry->critical_values_algorithm2(0, 0.0, 1'000.0, -0.0);
   EXPECT_EQ(cache.stats().memo_misses, z.memo_misses + 1);
@@ -1277,6 +1316,224 @@ TEST(BudgetSearch, PerturbedSpacesAgreeInValueAndRangeNotSlopeBits) {
     EXPECT_NEAR(pts[i].slope, dense.slope, 1e-12 * std::fabs(dense.slope))
         << "x=" << xs[i];
   }
+}
+
+// ---------------------------------------------------------------------------
+// The pooled search through a solver-cache entry's memo: hits and misses in
+// any lane order, keys shared with the scalar form, throws never stored.
+// Every answer must be the direct pooled call's, bit for bit.
+// ---------------------------------------------------------------------------
+
+TEST(SolverCacheEntry, PooledMemoIsBitwiseDirectOnAllRegisteredApps) {
+  constexpr std::size_t kLanes = 37;
+  LoweredProblem::Cursor cur;
+  LoweredProblem::Cursor dcur;
+  for (const std::string& app : apps::app_names()) {
+    SCOPED_TRACE(app);
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto p = loggops::NetworkConfig::cscs_testbed();
+    const core::GraphKey key{app, ranks, 0.02, p.S};
+    const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
+    // budget_lanes' lanes in a fixed shuffled order, so the lanes the
+    // scalar form stores first land anywhere in the pooled call.  Its
+    // unbounded budgets become a 3% band: on lammps a +inf budget walks
+    // more pieces than kBudgetIters allows, in every form of the search.
+    BudgetLanes lanes = budget_lanes(direct, p.L, kLanes);
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      if (std::isinf(lanes.budget[i])) {
+        lanes.budget[i] = direct.solve(0, lanes.from[i]).value * 1.03;
+      }
+    }
+    std::vector<std::size_t> order(kLanes);
+    for (std::size_t i = 0; i < kLanes; ++i) order[i] = i;
+    Rng rng(0x1a9e5);
+    for (std::size_t i = kLanes; i > 1; --i) {
+      std::swap(order[i - 1], order[static_cast<std::size_t>(rng.uniform_int(
+                                  0, static_cast<std::int64_t>(i) - 1))]);
+    }
+    std::vector<double> from(kLanes);
+    std::vector<double> budget(kLanes);
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      from[j] = lanes.from[order[j]];
+      budget[j] = lanes.budget[order[j]];
+    }
+    std::vector<double> direct_out(kLanes);
+    direct.max_param_for_budget_from_batch(0, from.data(), budget.data(),
+                                           kLanes, dcur, direct_out.data());
+    const auto ref = bits(direct_out);
+    std::vector<LoweredProblem::BatchPoint> at(kLanes);
+    direct.solve_batch_ranges(0, from.data(), kLanes, dcur, at.data());
+
+    for (const bool with_at : {false, true}) {
+      SCOPED_TRACE(with_at ? "at_from" : "no at_from");
+      core::SolverCache cache;
+      const auto entry = cache.latency(key, g, p);
+      const LoweredProblem::BatchPoint* at_from = with_at ? at.data() : nullptr;
+      // The scalar form stores every third lane; the pooled call then
+      // hits every lane sharing one of those keys and misses the rest.
+      std::set<std::pair<std::uint64_t, std::uint64_t>> stored;
+      for (std::size_t j = 0; j < kLanes; j += 3) {
+        EXPECT_EQ(bits(entry->max_param_for_budget_from(0, from[j], budget[j],
+                                                        cur)),
+                  ref[j])
+            << "lane " << j;
+        stored.insert({bits(from[j]), bits(budget[j])});
+      }
+      std::size_t hits = 0;
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        hits += stored.count({bits(from[j]), bits(budget[j])});
+      }
+      const auto s0 = cache.stats();
+      std::vector<double> out(kLanes);
+      entry->max_param_for_budget_from_batch(0, from.data(), budget.data(),
+                                             kLanes, cur, out.data(), at_from);
+      EXPECT_EQ(bits(out), ref);
+      const auto s1 = cache.stats();
+      EXPECT_EQ(s1.memo_hits - s0.memo_hits, hits);
+      EXPECT_EQ(s1.memo_misses - s0.memo_misses, kLanes - hits);
+
+      // The reverse: every key the pooled call stored hits the scalar form.
+      for (std::size_t j = 0; j < kLanes; ++j) {
+        EXPECT_EQ(bits(entry->max_param_for_budget_from(0, from[j], budget[j],
+                                                        cur)),
+                  ref[j])
+            << "lane " << j;
+      }
+      const auto s2 = cache.stats();
+      EXPECT_EQ(s2.memo_misses, s1.memo_misses);
+      EXPECT_EQ(s2.memo_hits - s1.memo_hits, kLanes);
+
+      // A repeated pooled call is all hits: no search runs, same bits.
+      std::fill(out.begin(), out.end(), std::nan(""));
+      entry->max_param_for_budget_from_batch(0, from.data(), budget.data(),
+                                             kLanes, cur, out.data(), at_from);
+      EXPECT_EQ(bits(out), ref);
+      const auto s3 = cache.stats();
+      EXPECT_EQ(s3.memo_misses, s2.memo_misses);
+      EXPECT_EQ(s3.memo_hits - s2.memo_hits, kLanes);
+      EXPECT_EQ(s3.memo_bytes, s2.memo_bytes);
+    }
+  }
+}
+
+TEST(SolverCacheEntry, PooledMemoInfeasibleLaneThrowsTheScalarErrorAndStoresNothing) {
+  // Lanes 20 and 30 are infeasible and lanes 5 and 25 are memo hits; the
+  // pooled call raises lane 20's scalar message and stores none of the
+  // misses it computed before throwing.
+  const auto g = testing::running_example_graph();
+  const auto p = testing::running_example_params();
+  core::SolverCache cache;
+  const auto entry =
+      cache.latency(core::GraphKey{"running-example", 1, 1.0, p.S}, g, p);
+  const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
+  constexpr std::size_t kLanes = 37;
+  std::vector<double> from(kLanes, 500.0);
+  std::vector<double> budget(kLanes);
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    budget[i] = 2'000.0 + static_cast<double>(i);
+  }
+  from[20] = 600.0;
+  budget[20] = 1'650.0;  // T(600) = 1715
+  budget[30] = 1'550.0;  // T(500) = 1615
+  LoweredProblem::Cursor cur;
+  std::string scalar;
+  try {
+    (void)direct.max_param_for_budget_from(0, from[20], budget[20], cur);
+  } catch (const LpError& e) {
+    scalar = e.what();
+  }
+  ASSERT_FALSE(scalar.empty());
+
+  (void)entry->max_param_for_budget_from(0, from[5], budget[5], cur);
+  (void)entry->max_param_for_budget_from(0, from[25], budget[25], cur);
+  const auto before = cache.stats();
+  std::vector<double> out(kLanes);
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      entry->max_param_for_budget_from_batch(0, from.data(), budget.data(),
+                                             kLanes, cur, out.data());
+      ADD_FAILURE() << "infeasible lane did not throw";
+    } catch (const LpError& e) {
+      EXPECT_EQ(std::string(e.what()), scalar);
+    }
+  }
+  const auto after = cache.stats();
+  EXPECT_EQ(after.memo_bytes, before.memo_bytes);
+  EXPECT_EQ(after.memo_hits - before.memo_hits, 2u * 2u);
+  EXPECT_EQ(after.memo_misses - before.memo_misses, 2u * (kLanes - 2));
+  // Lane 0 was computed by both throwing calls but never stored.
+  (void)entry->max_param_for_budget_from(0, from[0], budget[0], cur);
+  EXPECT_EQ(cache.stats().memo_misses, after.memo_misses + 1);
+
+  // With both lanes made feasible the same call completes, bitwise direct.
+  from[20] = 500.0;
+  budget[30] = 1'615.0;
+  std::vector<double> ref(kLanes);
+  direct.max_param_for_budget_from_batch(0, from.data(), budget.data(), kLanes,
+                                         cur, ref.data());
+  entry->max_param_for_budget_from_batch(0, from.data(), budget.data(), kLanes,
+                                         cur, out.data());
+  EXPECT_EQ(bits(out), bits(ref));
+}
+
+TEST(SolverCacheEntry, ConcurrentPooledMemoCallsAreBitwiseDirect) {
+  // 8 threads race pooled calls over overlapping lane windows, with and
+  // without at_from, and scalar calls on the same keys, on one entry:
+  // first touches, duplicate stores and hits interleave, and every answer
+  // must equal the direct pooled call.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  core::SolverCache cache;
+  const auto entry = cache.latency(core::GraphKey{"lulesh", 8, 0.02, p.S}, g, p);
+  const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
+  constexpr std::size_t kLanes = 96;
+  constexpr std::size_t kWindow = 48;
+  const BudgetLanes lanes = budget_lanes(direct, p.L, kLanes);
+  std::vector<double> ref_out(kLanes);
+  std::vector<LoweredProblem::BatchPoint> at(kLanes);
+  {
+    LoweredProblem::Cursor dcur;
+    direct.max_param_for_budget_from_batch(0, lanes.from.data(),
+                                           lanes.budget.data(), kLanes, dcur,
+                                           ref_out.data());
+    direct.solve_batch_ranges(0, lanes.from.data(), kLanes, dcur, at.data());
+  }
+  const auto ref = bits(ref_out);
+
+  constexpr int kThreads = 8;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      LoweredProblem::Cursor cur;
+      std::vector<double> out(kWindow);
+      for (int r = 0; r < 12; ++r) {
+        const auto start =
+            static_cast<std::size_t>(7 * t + 13 * r) % (kLanes - kWindow);
+        const std::size_t n = 1 + static_cast<std::size_t>(5 * t + r) % kWindow;
+        entry->max_param_for_budget_from_batch(
+            0, lanes.from.data() + start, lanes.budget.data() + start, n, cur,
+            out.data(), (t + r) % 2 == 0 ? at.data() + start : nullptr);
+        for (std::size_t l = 0; l < n; ++l) {
+          if (bits(out[l]) != ref[start + l]) {
+            ++mismatches[static_cast<std::size_t>(t)];
+          }
+        }
+        if (bits(entry->max_param_for_budget_from(
+                0, lanes.from[start], lanes.budget[start], cur)) != ref[start]) {
+          ++mismatches[static_cast<std::size_t>(t)];
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[static_cast<std::size_t>(t)], 0) << "thread " << t;
+  }
+  EXPECT_GT(cache.stats().memo_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------
