@@ -1,6 +1,7 @@
 #include "core/analyzer.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "util/error.hpp"
@@ -8,6 +9,15 @@
 #include "util/strings.hpp"
 
 namespace llamp::core {
+
+double finite_base_runtime(double runtime) {
+  if (!std::isfinite(runtime)) {
+    throw Error(strformat(
+        "base runtime is not finite (T = %g): the scenario's costs overflow",
+        runtime));
+  }
+  return runtime;
+}
 
 LatencyAnalyzer::LatencyAnalyzer(const graph::Graph& g, loggops::Params p)
     : LatencyAnalyzer(g, p, std::make_unique<SolverCache>(), nullptr,
@@ -19,14 +29,11 @@ LatencyAnalyzer::LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
 
 LatencyAnalyzer::LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
                                  std::unique_ptr<SolverCache> own_cache,
-                                 SolverCache* cache, GraphKey key)
-    : g_(g),
-      params_(p),
+                                 SolverCache* cache, const GraphKey& key)
+    : params_(p),
       own_cache_(std::move(own_cache)),
-      cache_(cache != nullptr ? cache : own_cache_.get()),
-      key_(std::move(key)),
-      entry_(cache_->latency(key_, g_, params_)),
-      base_runtime_(eval(params_.L).value) {}
+      entry_((cache != nullptr ? *cache : *own_cache_).latency(key, g, p)),
+      base_runtime_(finite_base_runtime(eval(params_.L).value)) {}
 
 lp::LoweredProblem::SweepEval LatencyAnalyzer::eval(double x) const {
   lp::LoweredProblem::Cursor cur;
@@ -77,12 +84,21 @@ std::vector<TimeNs> LatencyAnalyzer::critical_latencies_algorithm2(
 }
 
 double LatencyAnalyzer::lambda_G() const {
-  // The two-parameter lowering falls back to the CSR walk; its entry
-  // memoizes the eval, so a repeated read is one lookup.
+  // LatencyParamSpace folds G·(bytes − 1) into each edge's constant, so
+  // G's coefficients are integers: summed sink -> source along the base
+  // solve's critical path, exactly like the dense solve's chain walk sums
+  // a two-parameter lowering's gradient, they give ∂T/∂G bit for bit.  A
+  // warm read is one anchor scan plus this walk.
   lp::LoweredProblem::Cursor cur;
-  return cache_->latency_bandwidth(key_, g_, params_)
-      ->eval(1, params_.G, cur)
-      .slope;
+  const auto anchor = entry_->anchor(0, params_.L, cur);
+  const graph::Graph& g = solver().graph();
+  const std::vector<std::uint32_t>& edge_of = g.topo_slots().edge;
+  double lambda = 0.0;
+  for (auto j = anchor->chain.rbegin(); j != anchor->chain.rend(); ++j) {
+    const std::uint64_t bytes = g.edge(edge_of[*j]).bytes;
+    if (bytes > 1) lambda += static_cast<double>(bytes - 1);
+  }
+  return lambda;
 }
 
 std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(

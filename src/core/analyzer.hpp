@@ -11,6 +11,11 @@
 
 namespace llamp::core {
 
+/// `runtime` if it is finite; otherwise the one analysis error (Error, exit
+/// 1) that every op raises when a scenario's base runtime overflows, say
+/// under a 1e308 latency, wire latency or switch delay.
+double finite_base_runtime(double runtime);
+
 /// LLAMP's primary user-facing interface: network latency sensitivity and
 /// tolerance analysis of one execution graph under a LogGPS configuration.
 ///
@@ -42,7 +47,8 @@ class LatencyAnalyzer {
   /// Forecast runtime at base latency + delta_L (Fig. 9 top panels).
   TimeNs predict_runtime(TimeNs delta_L = 0.0) const;
 
-  /// Runtime at the measured base latency (the 0-injection point).
+  /// Runtime at the measured base latency (the 0-injection point); the
+  /// constructors raise finite_base_runtime's error when it overflows.
   TimeNs base_runtime() const { return base_runtime_; }
 
   /// Latency sensitivity λ_L = ∂T/∂L at the given injection (Fig. 9 bottom
@@ -73,7 +79,10 @@ class LatencyAnalyzer {
   std::vector<TimeNs> critical_latencies_algorithm2(TimeNs lo, TimeNs hi,
                                                     double step) const;
 
-  /// Bandwidth sensitivity λ_G = ∂T/∂G at the base configuration (§II-B1).
+  /// Bandwidth sensitivity λ_G = ∂T/∂G at the base configuration (§II-B1),
+  /// read off the same LP as λ_L: the G coefficients (payload bytes − 1 on
+  /// edges carrying more than one byte) summed along the critical path of
+  /// the latency entry's anchor at the base L.  No second lowering.
   double lambda_G() const;
 
   /// One evaluated point of a latency sweep.
@@ -96,18 +105,14 @@ class LatencyAnalyzer {
  private:
   LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
                   std::unique_ptr<SolverCache> own_cache, SolverCache* cache,
-                  GraphKey key);
+                  const GraphKey& key);
   /// T and λ at absolute latency x, through the entry.
   lp::LoweredProblem::SweepEval eval(double x) const;
 
-  const graph::Graph& g_;
   loggops::Params params_;
   /// The standalone form's private cache; null for the warm form.
   std::unique_ptr<SolverCache> own_cache_;
-  /// The cache serving every evaluation: own_cache_ or the session's.
-  SolverCache* cache_ = nullptr;
-  GraphKey key_;
-  /// The latency entry (lowering, anchors, memos) under (key_, params_).
+  /// The latency entry (lowering, anchors, memos) under (key, params_).
   std::shared_ptr<SolverCache::Entry> entry_;
   TimeNs base_runtime_ = 0.0;
 };

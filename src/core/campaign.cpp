@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "apps/registry.hpp"
+#include "core/analyzer.hpp"
 #include "lp/param_space.hpp"
 #include "lp/parametric.hpp"
 #include "stoch/mc.hpp"
@@ -350,15 +351,6 @@ std::unique_ptr<lp::LoweredProblem> lower_wire_latency(
       topo::make_wire_latency_space(p, t, topo::identity_placement(g.nranks()),
                                     topo.l_wire, topo.d_switch));
   return std::make_unique<lp::LoweredProblem>(g, std::move(space));
-}
-
-double finite_base_runtime(double runtime) {
-  if (!std::isfinite(runtime)) {
-    throw Error(strformat(
-        "base runtime is not finite (T = %g): the scenario's costs overflow",
-        runtime));
-  }
-  return runtime;
 }
 
 Campaign::Campaign(const CampaignSpec& spec)

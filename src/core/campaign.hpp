@@ -158,11 +158,6 @@ std::unique_ptr<lp::LoweredProblem> lower_wire_latency(
     const graph::Graph& g, const loggops::Params& p, const topo::Topology& t,
     const TopologyOptions& topo);
 
-/// `runtime` if it is finite; otherwise the one analysis error (Error, exit
-/// 1) that topo, place and campaign cells raise when a scenario's base
-/// runtime overflows, say under a 1e308 wire latency or switch delay.
-double finite_base_runtime(double runtime);
-
 class Campaign {
  public:
   /// Expand a grid spec.  Throws UsageError on degenerate axes (empty app

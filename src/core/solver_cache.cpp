@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <utility>
 
 #include "lp/param_space.hpp"
 #include "obs/metrics.hpp"
@@ -12,28 +11,12 @@
 namespace llamp::core {
 namespace {
 
-/// Round-trip-exact fingerprints: %.17g reproduces any double bit for bit,
+/// Round-trip-exact fingerprint: %.17g reproduces any double bit for bit,
 /// so two fingerprints compare equal iff the lowered cost arrays would.
 std::string latency_fingerprint(const loggops::Params& p) {
   return strformat("latency;L=%.17g;o=%.17g;g=%.17g;G=%.17g;O=%.17g;S=%llu",
                    p.L, p.o, p.g, p.G, p.O,
                    static_cast<unsigned long long>(p.S));
-}
-
-std::string latency_bandwidth_fingerprint(const loggops::Params& p) {
-  return strformat(
-      "latency_bandwidth;L=%.17g;o=%.17g;g=%.17g;G=%.17g;O=%.17g;S=%llu",
-      p.L, p.o, p.g, p.G, p.O, static_cast<unsigned long long>(p.S));
-}
-
-std::shared_ptr<const lp::ParamSpace> make_latency_space(
-    const loggops::Params& p) {
-  return std::make_shared<lp::LatencyParamSpace>(p);
-}
-
-std::shared_ptr<const lp::ParamSpace> make_latency_bandwidth_space(
-    const loggops::Params& p) {
-  return std::make_shared<lp::LatencyBandwidthParamSpace>(p);
 }
 
 /// Payload bytes of one stored memo result, by element size (not
@@ -85,32 +68,26 @@ void SolverCache::Entry::store(Memo<V>& memo, const MemoKey& key,
   }
 }
 
-lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
-    int k, double x, lp::LoweredProblem::Cursor& cur) {
-  // Warm path: any published anchor whose stability zone covers x replays
-  // bitwise identically to a dense solve (see the class contract), so the
-  // first covering anchor found is as good as any other — overlapping
-  // zones cannot make the served bytes depend on scan order.
-  std::shared_ptr<const lp::LoweredProblem::AnchorState> hit;
+std::shared_ptr<const lp::LoweredProblem::AnchorState>
+SolverCache::Entry::anchor(int k, double x, lp::LoweredProblem::Cursor& cur) {
+  // Warm path: any published anchor whose stability zone covers x selects
+  // the dense solve's critical path and replays bitwise identically to it
+  // (see the class contract), so the first covering anchor found is as
+  // good as any other — overlapping zones cannot make the served bytes
+  // depend on scan order.
   {
     const std::lock_guard<std::mutex> lock(anchor_mutex_);
     for (const auto& a : anchors_) {
       if (a->covers(k, x)) {
-        hit = a;
-        break;
+        owner_->replays_.fetch_add(1, std::memory_order_relaxed);
+        return a;
       }
     }
-  }
-  if (hit) {
-    owner_->replays_.fetch_add(1, std::memory_order_relaxed);
-    return prob_->replay_anchor(*hit, k, x);
   }
 
   // Cold path: dense solve, then publish the anchor so later queries in
   // this basis piece (from any thread) replay instead.
-  const auto& sol = prob_->solve(k, x, cur);
-  const lp::LoweredProblem::SweepEval out{
-      x, sol.value, sol.gradient[static_cast<std::size_t>(k)]};
+  (void)prob_->solve(k, x, cur);
   owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
   auto fresh = std::make_shared<lp::LoweredProblem::AnchorState>();
   prob_->save_anchor(cur, *fresh);
@@ -135,10 +112,16 @@ lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
               fresh->chain.size() * sizeof(std::uint32_t) +
               fresh->solution.gradient.size() * sizeof(double),
           std::memory_order_relaxed);
-      anchors_.insert(pos, std::move(fresh));
+      anchors_.insert(pos, fresh);
     }
   }
-  return out;
+  return fresh;
+}
+
+lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
+    int k, double x, lp::LoweredProblem::Cursor& cur) {
+  // At a fresh anchor's own point the replay returns the stored solve.
+  return prob_->replay_anchor(*anchor(k, x, cur), k, x);
 }
 
 std::vector<double> SolverCache::Entry::critical_values_algorithm2(
@@ -215,11 +198,9 @@ std::shared_ptr<SolverCache::Entry> SolverCache::entry_for(
   return entry;
 }
 
-std::shared_ptr<SolverCache::Entry> SolverCache::get(const SolverKey& key,
-                                                     const graph::Graph& g,
-                                                     const loggops::Params& p,
-                                                     SpaceFactory make) {
-  const std::shared_ptr<Entry> entry = entry_for(key);
+std::shared_ptr<SolverCache::Entry> SolverCache::latency(
+    const GraphKey& key, const graph::Graph& g, const loggops::Params& p) {
+  const std::shared_ptr<Entry> entry = entry_for({key, latency_fingerprint(p)});
   // Per-key lock, GraphCache-style: concurrent first touches of one key
   // lower it once; lowerings of distinct keys proceed in parallel (the map
   // mutex is never held across a lowering).
@@ -227,21 +208,11 @@ std::shared_ptr<SolverCache::Entry> SolverCache::get(const SolverKey& key,
   if (entry->prob_) {
     hits_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    entry->prob_ = std::make_shared<const lp::LoweredProblem>(g, make(p));
+    entry->prob_ = std::make_shared<const lp::LoweredProblem>(
+        g, std::make_shared<lp::LatencyParamSpace>(p));
     built_.fetch_add(1, std::memory_order_relaxed);
   }
   return entry;
-}
-
-std::shared_ptr<SolverCache::Entry> SolverCache::latency(
-    const GraphKey& key, const graph::Graph& g, const loggops::Params& p) {
-  return get({key, latency_fingerprint(p)}, g, p, &make_latency_space);
-}
-
-std::shared_ptr<SolverCache::Entry> SolverCache::latency_bandwidth(
-    const GraphKey& key, const graph::Graph& g, const loggops::Params& p) {
-  return get({key, latency_bandwidth_fingerprint(p)}, g, p,
-             &make_latency_bandwidth_space);
 }
 
 SolverCache::Stats SolverCache::stats() const {

@@ -17,11 +17,11 @@
 namespace llamp::core {
 
 /// The key under which a lowered parametric LP is shared: the execution
-/// graph's key plus a ParamSpace fingerprint — the space kind and the exact
-/// value of every parameter that enters the lowering (L/o/g/G/O/S for the
-/// latency spaces), formatted round-trip exact.  Two requests whose
-/// resolved scenarios print the same fingerprint lower bit-identical cost
-/// arrays, so they may share one LoweredProblem.
+/// graph's key plus a fingerprint of its LatencyParamSpace — the exact
+/// value of every parameter that enters the lowering (L/o/g/G/O/S),
+/// formatted round-trip exact.  Two requests whose resolved scenarios
+/// print the same fingerprint lower bit-identical cost arrays, so they may
+/// share one LoweredProblem.
 struct SolverKey {
   GraphKey graph;
   std::string space;
@@ -40,14 +40,16 @@ struct SolverKey {
 /// reusable anchor state, living beside GraphCache in an api::Engine
 /// session (DESIGN.md §4e).  Three levels of reuse:
 ///
-///  * the **lowering** — the immutable lp::LoweredProblem (slot-ordered
-///    flat or CSR cost arrays) is built once per key and shared by every
-///    later request and every thread;
+///  * the **lowering** — the immutable lp::LoweredProblem (the flat
+///    latency lowering; one space kind, so one lowering per scenario) is
+///    built once per key and shared by every later request and every
+///    thread;
 ///  * the **anchor state** — each entry keeps a bounded set of
 ///    AnchorState snapshots published by past dense solves, so a point
 ///    query landing inside a known stability zone (or repeating an anchor
-///    point, like λ_G's read at base G) is served by critical-path replay
-///    (microseconds) instead of a full forward pass, on either lowering;
+///    point, like the base-L anchor whose critical path λ_G sums) is
+///    served by critical-path replay (microseconds) instead of a full
+///    forward pass;
 ///  * the **memos** — exact-input results of the calls replay cannot
 ///    serve: Algorithm 2 and the tolerance search, so a repeated report
 ///    costs lookups only.  One tolerance memo serves the scalar search
@@ -91,13 +93,19 @@ class SolverCache {
       return prob_;
     }
 
-    /// T and λ at `x` for parameter `k`: served by anchor replay when a
-    /// published stability zone covers `x` (no forward pass, read-only on
-    /// the problem), otherwise by a dense solve through `cur` whose anchor
-    /// is then published for later queries.  Bitwise identical to
-    /// problem()->solve(k, x) either way, flat or CSR lowering.  Safe to
-    /// call concurrently from any number of threads, each with its own
-    /// cursor.
+    /// The anchor serving parameter `k` at `x`: a published anchor whose
+    /// stability zone covers `x` (counted as a replay; no forward pass, no
+    /// allocation), otherwise a dense solve at `x` through `cur` (an anchor
+    /// solve), published for later queries while the anchor set has room.
+    /// Either way its critical path is the one problem()->solve(k, x)
+    /// selects, so a sum along its chain (λ_G's payload bytes) equals the
+    /// dense solve's.  Safe to call concurrently from any number of
+    /// threads, each with its own cursor.
+    std::shared_ptr<const lp::LoweredProblem::AnchorState> anchor(
+        int k, double x, lp::LoweredProblem::Cursor& cur);
+
+    /// T and λ at `x` for parameter `k`: anchor(k, x, cur) replayed at `x`,
+    /// bitwise identical to problem()->solve(k, x).
     lp::LoweredProblem::SweepEval eval(int k, double x,
                                        lp::LoweredProblem::Cursor& cur);
 
@@ -189,19 +197,11 @@ class SolverCache {
   std::shared_ptr<Entry> latency(const GraphKey& key, const graph::Graph& g,
                                  const loggops::Params& p);
 
-  /// Same for the two-parameter LatencyBandwidthParamSpace (λ_G reads).
-  /// Its edges carry two terms, so it lowers to the CSR fallback; eval()
-  /// still publishes and replays anchors, so a repeated λ_G read costs one
-  /// anchor lookup.
-  std::shared_ptr<Entry> latency_bandwidth(const GraphKey& key,
-                                           const graph::Graph& g,
-                                           const loggops::Params& p);
-
   struct Stats {
     std::size_t built = 0;          ///< lowerings constructed (misses)
     std::size_t hits = 0;           ///< lookups served an existing lowering
-    std::size_t anchor_solves = 0;  ///< eval() dense forward passes
-    std::size_t replays = 0;        ///< eval() served by anchor replay
+    std::size_t anchor_solves = 0;  ///< anchor()/eval() dense solves
+    std::size_t replays = 0;        ///< anchor()/eval() served by an anchor
     std::size_t anchor_bytes = 0;   ///< payload bytes of published anchors
     std::size_t memo_hits = 0;      ///< memoized calls served from a memo
     std::size_t memo_misses = 0;    ///< memoized calls that computed
@@ -219,10 +219,6 @@ class SolverCache {
 
  private:
   std::shared_ptr<Entry> entry_for(const SolverKey& key);
-  using SpaceFactory =
-      std::shared_ptr<const lp::ParamSpace> (*)(const loggops::Params&);
-  std::shared_ptr<Entry> get(const SolverKey& key, const graph::Graph& g,
-                             const loggops::Params& p, SpaceFactory make);
 
   std::mutex mutex_;  ///< guards entries_ only
   std::map<SolverKey, std::shared_ptr<Entry>> entries_;

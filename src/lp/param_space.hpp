@@ -44,7 +44,9 @@ struct Affine {
 /// function of them.  The paper's analyses map to spaces as follows:
 ///
 /// * latency sensitivity/tolerance (§II)        -> LatencyParamSpace (l)
-/// * bandwidth sensitivity (§II-B1)             -> LatencyBandwidthParamSpace
+/// * bandwidth sensitivity (§II-B1)             -> LatencyParamSpace too:
+///   λ_G sums the G coefficients (bytes − 1) along its critical path
+///   (core::LatencyAnalyzer::lambda_G)
 /// * per-pair HLogGP sensitivities (Appendix I) -> PairwiseLatencyParamSpace
 /// * topology / wire classes (§IV-2, App. H)    -> LinkClassParamSpace
 class ParamSpace {
@@ -80,6 +82,9 @@ class LatencyParamSpace final : public ParamSpace {
 };
 
 /// Two decision variables: latency L (param 0) and gap-per-byte G (param 1).
+/// Its dense solve's gradient[1] at G is λ_G by definition; the tests use it
+/// as the reference for the critical-path sum the analyzer reports, and as
+/// a multi-term (CSR-lowered) space.
 class LatencyBandwidthParamSpace final : public ParamSpace {
  public:
   explicit LatencyBandwidthParamSpace(loggops::Params p) : p_(p) {

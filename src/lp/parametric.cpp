@@ -333,7 +333,14 @@ bool LoweredProblem::budget_step(const BatchPoint& pt, double from,
   // and overshoots land above the budget, shrinking the bracket
   // [lo, hi] (T(lo) <= budget, T(hi) > budget once finite).  This visits
   // O(log) pieces instead of every basis change, which matters on jittered
-  // application graphs with thousands of near-ties.
+  // application graphs with thousands of near-ties.  An unbounded budget
+  // is met everywhere; stepping toward it would probe x = +inf (its
+  // bracket width budget_eps(+inf) is +inf too), where T is NaN, and step
+  // on until kBudgetIters ran out.
+  if (budget == kInfD) {
+    result = kInfD;
+    return true;
+  }
   if (pt.value <= budget + value_eps(budget)) {
     lo = std::max(lo, x);
     double proposal;

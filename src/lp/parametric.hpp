@@ -317,8 +317,8 @@ class LoweredProblem {
 
   /// §II-D2 tolerance: the largest value of parameter k (>= its base value)
   /// keeping T <= budget.  Returns +inf when the parameter never appears on
-  /// a critical path up to the budget; throws LpError if even the base
-  /// value exceeds the budget.
+  /// a critical path up to the budget or the budget is +inf; throws LpError
+  /// if even the base value exceeds the budget.
   double max_param_for_budget(int k, double budget) const;
   double max_param_for_budget(int k, double budget, Cursor& cur) const;
   /// Same search anchored at `from` instead of the space's base value (the

@@ -6,6 +6,7 @@
 #include <optional>
 #include <span>
 
+#include "core/analyzer.hpp"
 #include "lp/param_space.hpp"
 #include "lp/parametric.hpp"
 #include "util/error.hpp"
@@ -239,6 +240,7 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
             for (std::size_t l = 0; l < lanes; ++l) {
               double* out = buffer.data() + (g0 + l) * stride;
               const lp::LoweredProblem::BatchPoint& pt = sc.pts[l];
+              (void)core::finite_base_runtime(pt.value);
               out[npts] = pt.slope;
               out[npts + 1] =
                   pt.value > 0.0 ? sc.lane_xs[l] * pt.slope / pt.value : 0.0;
@@ -317,6 +319,7 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
       }
       const lp::LoweredProblem::BatchPoint at0 =
           prob.solve(0, sc.xs[0], sc.cur).point();
+      (void)core::finite_base_runtime(at0.value);
       prob.sweep(0, std::span<const double>(sc.xs).subspan(1), sc.cur,
                  sc.evals.data() + 1);
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "apps/registry.hpp"
+#include "core/analyzer.hpp"
 #include "core/solver_cache.hpp"
 #include "lp/param_space.hpp"
 #include "lp/parametric.hpp"
@@ -262,23 +263,24 @@ TEST(AllocationFree, WorkspaceReuseAcrossSolversOnlyGrows) {
 
 TEST(AllocationFree, WarmEntryMemoHitsAllocateNothing) {
   // The warm analyze path through a solver-cache entry: once warmed,
-  // tolerance and λ_G memo hits and anchor replays are heap-silent, and an
-  // Algorithm-2 hit allocates only the vector it returns.
+  // tolerance memo hits, λ_G reads and anchor replays are heap-silent, and
+  // an Algorithm-2 hit allocates only the vector it returns.
   const auto g =
       schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
   core::SolverCache cache;
   const core::GraphKey key{"hpcg", 8, 0.02, p.S};
   const auto entry = cache.latency(key, g, p);
-  const auto bw = cache.latency_bandwidth(key, g, p);
   LoweredProblem::Cursor cur;
 
-  // Warm-up: one computing call per memo, one anchor-publishing eval.
-  const double base = entry->eval(0, p.L, cur).value;
+  // Warm-up: one computing call per memo; the analyzer's base eval
+  // publishes the base-L anchor whose critical path λ_G sums.
+  const core::LatencyAnalyzer an(g, p, cache, key);
+  const double base = an.base_runtime();
   const double hi = p.L + 100'000.0;
   const double step = 100'000.0 / 64.0;
   (void)entry->max_param_for_budget_from(0, p.L, base * 1.02, cur);
-  (void)bw->eval(1, p.G, cur);
+  ASSERT_GT(an.lambda_G(), 0.0);
   const auto crit = entry->critical_values_algorithm2(0, p.L, hi, step);
   ASSERT_FALSE(crit.empty());
 
@@ -286,7 +288,7 @@ TEST(AllocationFree, WarmEntryMemoHitsAllocateNothing) {
   double sink = 0.0;
   for (int i = 0; i < 100; ++i) {
     sink += entry->max_param_for_budget_from(0, p.L, base * 1.02, cur);
-    sink += bw->eval(1, p.G, cur).slope;
+    sink += an.lambda_G();
     sink += entry->eval(0, p.L, cur).value;
   }
   EXPECT_EQ(g_allocations, before)
@@ -298,8 +300,8 @@ TEST(AllocationFree, WarmEntryMemoHitsAllocateNothing) {
   EXPECT_EQ(g_allocations - before, 1u)
       << "an Algorithm-2 hit allocates exactly its returned vector";
   EXPECT_EQ(again, crit);
-  // 100 tolerance hits and one Algorithm-2 hit; λ_G repeats replay its
-  // anchor instead of hitting a memo.
+  // 100 tolerance hits and one Algorithm-2 hit; λ_G repeats read the
+  // base-L anchor instead of hitting a memo.
   EXPECT_EQ(cache.stats().memo_hits, 101u);
 }
 

@@ -732,10 +732,10 @@ TEST(ApiSolverCache, RepeatedAndNearbyRequestsMatchColdBytes) {
   EXPECT_GT(after.memo_hits, before.memo_hits);
   EXPECT_GT(after.memo_bytes, 0u);
 
-  // One scenario, one latency lowering (analyze adds the bandwidth space);
-  // every repeat and nearby grid reused them.
+  // One scenario, one latency lowering (λ_G reads its critical path);
+  // every repeat and nearby grid reused it.
   const auto stats = warm.solver_cache_stats();
-  EXPECT_EQ(stats.built, 2u) << warm.solver_cache_stats_string();
+  EXPECT_EQ(stats.built, 1u) << warm.solver_cache_stats_string();
   EXPECT_GE(stats.hits, 10u);
   EXPECT_GT(stats.replays, 0u) << "repeats should replay cached anchors";
 

@@ -292,6 +292,9 @@ TEST(ObsEngine, CountersAreDeterministicAcrossSessions) {
   EXPECT_EQ(counter_of(a, "engine.op.analyze"), 2u);
   EXPECT_EQ(counter_of(a, "graph_cache.built"), 1u);
   EXPECT_EQ(counter_of(a, "graph_cache.hits"), 1u);
+  // A cold analyze lowers one problem (λ_G reads the latency lowering's
+  // critical path); the repeat hits it.
+  EXPECT_EQ(counter_of(a, "solver_cache.built"), 1u);
 }
 
 TEST(ObsEngine, SnapshotCarriesUptimeAndScrapeSequence) {

@@ -651,6 +651,49 @@ TEST(ErrorClassWall, OverflowingWireCostsAreOneAnalysisErrorOnEveryOpAndSurface)
   }
 }
 
+TEST(ErrorClassWall, OverflowingLatencyIsOneAnalysisErrorOnEveryOpAndSurface) {
+  // A finite but huge L passes validation, then the base runtime overflows
+  // to +inf: analyze, sweep and both mc paths raise the same analysis
+  // error as an overflowing wire cost, on the CLI, in batch and over HTTP,
+  // instead of failing to converge or printing inf/nan.
+  const std::string app =
+      R"({"app": {"name": "lulesh", "ranks": 8, "scale": 0.02, "L_ns": 1e308})";
+  const std::vector<std::string> flags = {"--app=lulesh", "--ranks=8",
+                                          "--scale=0.02", "--L=1e308"};
+  const std::string message =
+      "base runtime is not finite (T = inf): the scenario's costs overflow";
+  std::vector<SurfaceCase> cases;
+  for (const char* op : {"analyze", "sweep", "mc"}) {
+    std::vector<std::string> argv = {op};
+    argv.insert(argv.end(), flags.begin(), flags.end());
+    cases.push_back({argv, app + "}"});
+  }
+  // mc's general path: o jitters too, so every sample lowers its own LP.
+  std::vector<std::string> general = cases.back().argv;
+  general.push_back("--sigma-o=0.05");
+  cases.push_back({general, app + R"(, "sigma_o": 0.05})"});
+
+  TestDaemon daemon;
+  for (const SurfaceCase& c : cases) {
+    expect_error_kind(daemon, c, "analysis");
+    std::vector<const char*> argv = {"llamp"};
+    for (const std::string& a : c.argv) argv.push_back(a.c_str());
+    std::ostringstream out, err;
+    (void)tools::run(static_cast<int>(argv.size()), argv.data(), out, err);
+    EXPECT_EQ(err.str(), "llamp " + c.argv.front() + ": " + message + "\n");
+    EXPECT_EQ(out.str(), "") << c.argv.front();
+
+    std::istringstream in("{\"op\": \"" + c.argv.front() + "\", " +
+                          c.body.substr(1));
+    std::ostringstream line;
+    (void)api::serve_jsonl(daemon.engine, in, line, 1);
+    EXPECT_NE(line.str().find(message), std::string::npos) << line.str();
+    const Client::Result r =
+        daemon.client().post("/v1/" + c.argv.front(), c.body);
+    EXPECT_NE(r.body.find(message), std::string::npos) << r.body;
+  }
+}
+
 TEST(ErrorClassWall, UnknownAppIsAnAnalysisErrorOnEveryOp) {
   TestDaemon daemon;
   for (const std::string_view op : api::kOpNames) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "apps/registry.hpp"
+#include "core/analyzer.hpp"
 #include "core/solver_cache.hpp"
 #include "graph/costs.hpp"
 #include "lp/param_space.hpp"
@@ -471,21 +472,21 @@ TEST(SolverCacheStats, KeysOnGraphKeyAndParamFingerprint) {
   p2.L += 1.0;
   const auto c = cache.latency(key, g, p2);
   EXPECT_NE(a.get(), c.get());
-  // The bandwidth space is a distinct fingerprint under the same key; its
-  // CSR lowering always dense-solves but is still shared.
-  const auto bw = cache.latency_bandwidth(key, g, p);
-  EXPECT_NE(a.get(), bw.get());
-  EXPECT_FALSE(bw->problem()->flat());
-  LoweredProblem::Cursor cur;
+  // G is folded into the flat lowering's edge constants, so it is part of
+  // the fingerprint too.
+  loggops::Params p3 = p;
+  p3.G *= 2.0;
+  const auto d = cache.latency(key, g, p3);
+  EXPECT_NE(a.get(), d.get());
+  EXPECT_TRUE(d->problem()->flat());
+  // λ_G reads the latency entry under (key, p): one more hit, no lowering.
+  const core::LatencyAnalyzer an(g, p, cache, key);
   const LoweredProblem dense(g, std::make_shared<LatencyBandwidthParamSpace>(p));
-  const auto ev = bw->eval(1, p.G, cur);
-  const auto ref = dense.solve(1, p.G);
-  EXPECT_EQ(ev.value, ref.value);
-  EXPECT_EQ(ev.slope, ref.gradient[1]);
+  EXPECT_EQ(an.lambda_G(), dense.solve(1, p.G).gradient[1]);
 
   const auto stats = cache.stats();
   EXPECT_EQ(stats.built, 3u);
-  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.hits, 2u);
   EXPECT_NE(cache.stats_string().find("solvers: built=3"), std::string::npos);
 }
 
@@ -532,11 +533,18 @@ TEST(SolverCacheEntry, ConcurrentEvalsAreBitwiseDense) {
   const auto p = testing::running_example_params();
   core::SolverCache cache;
   const core::GraphKey key{"running-example", 1, 1.0, p.S};
-  SCOPED_TRACE("latency");
-  hammer_entry_matches_dense(*cache.latency(key, g, p), 0, 4'000.0);
-  // The CSR-lowered λ_G entry publishes and replays anchors the same way.
-  SCOPED_TRACE("latency_bandwidth");
-  hammer_entry_matches_dense(*cache.latency_bandwidth(key, g, p), 1, 20.0);
+  {
+    SCOPED_TRACE("running example");
+    hammer_entry_matches_dense(*cache.latency(key, g, p), 0, 4'000.0);
+  }
+  // An application graph: longer chains, many more basis pieces.
+  const auto lulesh =
+      schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
+  const auto pl = loggops::NetworkConfig::cscs_testbed();
+  SCOPED_TRACE("lulesh-8");
+  hammer_entry_matches_dense(
+      *cache.latency(core::GraphKey{"lulesh", 8, 0.02, pl.S}, lulesh, pl), 0,
+      pl.L + 40'000.0);
   EXPECT_GT(cache.stats().replays, 0u);
 }
 
@@ -549,63 +557,75 @@ std::vector<std::uint64_t> bits(const std::vector<double>& vs) {
 }
 
 TEST(SolverCacheEntry, MemoizedCallsAreBitwiseDirectOnAllRegisteredApps) {
-  // Algorithm 2, the tolerance search, and λ_G served through an entry
-  // must equal direct LoweredProblem calls bit for bit: on the computing
-  // (cold) call and on the memo hit (warm) that repeats it.
+  // Algorithm 2 and the tolerance search served through an entry must
+  // equal direct LoweredProblem calls bit for bit: on the computing (cold)
+  // call and on the memo hit (warm) that repeats it.  λ_G, summed along the
+  // latency entry's base-L critical path, must equal the gradient a dense
+  // solve of the two-parameter LatencyBandwidthParamSpace reads at G, on
+  // every app, preset and scale here.
   for (const std::string& app : apps::app_names()) {
-    SCOPED_TRACE(app);
-    const int ranks = apps::supported_ranks(app, 8);
-    const auto g =
-        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
-    const auto p = loggops::NetworkConfig::cscs_testbed();
-    core::SolverCache cache;
-    const core::GraphKey key{app, ranks, 0.02, p.S};
-    const auto entry = cache.latency(key, g, p);
-    const auto bw = cache.latency_bandwidth(key, g, p);
-    const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
-    const LoweredProblem direct_bw(
-        g, std::make_shared<LatencyBandwidthParamSpace>(p));
-    LoweredProblem::Cursor cur;
-    LoweredProblem::Cursor dcur;
+    for (const double scale : {0.02, 0.05}) {
+      for (const bool daint : {false, true}) {
+        SCOPED_TRACE(app + (daint ? " piz_daint " : " cscs ") +
+                     std::to_string(scale));
+        const int ranks = apps::supported_ranks(app, 8);
+        const auto g =
+            schedgen::build_graph(apps::make_app_trace(app, ranks, scale));
+        const auto p = daint ? loggops::NetworkConfig::piz_daint()
+                             : loggops::NetworkConfig::cscs_testbed();
+        core::SolverCache cache;
+        const core::GraphKey key{app, ranks, scale, p.S};
+        const auto entry = cache.latency(key, g, p);
+        const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
+        const LoweredProblem direct_bw(
+            g, std::make_shared<LatencyBandwidthParamSpace>(p));
+        LoweredProblem::Cursor cur;
+        LoweredProblem::Cursor dcur;
 
-    const double base = direct.solve(0, p.L).value;
-    const double hi = p.L + 20'000.0;
-    const double step = 20'000.0 / 64.0;
-    const auto ref_crit = bits(direct.critical_values_algorithm2(0, p.L, hi, step));
-    const auto ref_bw = direct_bw.solve(1, p.G);
-    std::vector<std::uint64_t> ref_tols;
-    for (const double pct : {0.0, 1.0, 2.0, 5.0}) {
-      ref_tols.push_back(bits(direct.max_param_for_budget_from(
-          0, p.L, base * (1.0 + pct / 100.0), dcur)));
-    }
+        const double base = direct.solve(0, p.L).value;
+        const double hi = p.L + 20'000.0;
+        const double step = 20'000.0 / 64.0;
+        const auto ref_crit =
+            bits(direct.critical_values_algorithm2(0, p.L, hi, step));
+        const auto ref_lambda_G = bits(direct_bw.solve(1, p.G).gradient[1]);
+        std::vector<std::uint64_t> ref_tols;
+        for (const double pct : {0.0, 1.0, 2.0, 5.0}) {
+          ref_tols.push_back(bits(direct.max_param_for_budget_from(
+              0, p.L, base * (1.0 + pct / 100.0), dcur)));
+        }
 
-    for (int round = 0; round < 2; ++round) {
-      const auto before = cache.stats();
-      EXPECT_EQ(bits(entry->critical_values_algorithm2(0, p.L, hi, step)),
-                ref_crit);
-      const auto ev = bw->eval(1, p.G, cur);
-      EXPECT_EQ(bits(ev.value), bits(ref_bw.value));
-      EXPECT_EQ(bits(ev.slope), bits(ref_bw.gradient[1]));
-      std::size_t i = 0;
-      for (const double pct : {0.0, 1.0, 2.0, 5.0}) {
-        EXPECT_EQ(bits(entry->max_param_for_budget_from(
-                      0, p.L, base * (1.0 + pct / 100.0), cur)),
-                  ref_tols[i++])
-            << "round=" << round << " pct=" << pct;
-      }
-      // Algorithm 2 and the four bands are memoized; λ_G is an anchor
-      // solve, then an anchor replay.
-      const auto after = cache.stats();
-      if (round == 0) {
-        EXPECT_EQ(after.memo_misses - before.memo_misses, 5u);
-        EXPECT_EQ(after.memo_hits, before.memo_hits);
-        EXPECT_EQ(after.anchor_solves - before.anchor_solves, 1u);
-      } else {
-        EXPECT_EQ(after.memo_misses, before.memo_misses);
-        EXPECT_EQ(after.memo_hits - before.memo_hits, 5u);
-        EXPECT_EQ(after.memo_bytes, before.memo_bytes);
-        EXPECT_EQ(after.anchor_solves, before.anchor_solves);
-        EXPECT_EQ(after.replays - before.replays, 1u);
+        for (int round = 0; round < 2; ++round) {
+          const auto before = cache.stats();
+          EXPECT_EQ(bits(entry->critical_values_algorithm2(0, p.L, hi, step)),
+                    ref_crit);
+          // The analyzer's base eval publishes (round 0) or replays the
+          // base-L anchor; λ_G then reads that anchor's critical path.
+          const core::LatencyAnalyzer an(g, p, cache, key);
+          EXPECT_EQ(bits(an.lambda_G()), ref_lambda_G) << "round=" << round;
+          std::size_t i = 0;
+          for (const double pct : {0.0, 1.0, 2.0, 5.0}) {
+            EXPECT_EQ(bits(entry->max_param_for_budget_from(
+                          0, p.L, base * (1.0 + pct / 100.0), cur)),
+                      ref_tols[i++])
+                << "round=" << round << " pct=" << pct;
+          }
+          // Algorithm 2 and the four bands are memoized; the base-L anchor
+          // is a dense solve once, and every later read of it a replay.
+          const auto after = cache.stats();
+          EXPECT_EQ(after.built, 1u);
+          if (round == 0) {
+            EXPECT_EQ(after.memo_misses - before.memo_misses, 5u);
+            EXPECT_EQ(after.memo_hits, before.memo_hits);
+            EXPECT_EQ(after.anchor_solves - before.anchor_solves, 1u);
+            EXPECT_EQ(after.replays - before.replays, 1u);
+          } else {
+            EXPECT_EQ(after.memo_misses, before.memo_misses);
+            EXPECT_EQ(after.memo_hits - before.memo_hits, 5u);
+            EXPECT_EQ(after.memo_bytes, before.memo_bytes);
+            EXPECT_EQ(after.anchor_solves, before.anchor_solves);
+            EXPECT_EQ(after.replays - before.replays, 2u);
+          }
+        }
       }
     }
   }
@@ -716,8 +736,10 @@ TEST(SolverCacheEntry, ThrowingCallsAreNeverMemoized) {
 }
 
 TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
-  // 8 threads race first touches and hits of both memos and of λ_G's
-  // anchors on one entry pair; every answer must equal the direct call.
+  // 8 threads race first touches and hits of both memos on one entry, and
+  // of λ_G reads on kKeys entries (one per G): each read lowers or hits
+  // its entry, publishes or replays the base-L anchor, and sums its
+  // critical path.  Every answer must equal the direct call.
   const auto g =
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
@@ -725,13 +747,12 @@ TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
   const core::GraphKey key{"lulesh", 8, 0.02, p.S};
   const auto entry = cache.latency(key, g, p);
   const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
-  const LoweredProblem direct_bw(
-      g, std::make_shared<LatencyBandwidthParamSpace>(p));
   const double base = direct.solve(0, p.L).value;
 
   constexpr int kKeys = 12;
   std::vector<std::uint64_t> ref_tol;
   std::vector<std::vector<std::uint64_t>> ref_crit;
+  std::vector<loggops::Params> p_G;
   std::vector<std::uint64_t> ref_bw;
   LoweredProblem::Cursor dcur;
   for (int i = 0; i < kKeys; ++i) {
@@ -739,7 +760,11 @@ TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
         0, p.L, base * (1.0 + 0.5 * i / 100.0), dcur)));
     ref_crit.push_back(bits(direct.critical_values_algorithm2(
         0, p.L, p.L + 1'000.0 * (i + 1), 250.0)));
-    ref_bw.push_back(bits(direct_bw.solve(1, p.G * (1.0 + i)).gradient[1]));
+    p_G.push_back(p);
+    p_G.back().G = p.G * (1.0 + i);
+    const LoweredProblem direct_bw(
+        g, std::make_shared<LatencyBandwidthParamSpace>(p_G.back()));
+    ref_bw.push_back(bits(direct_bw.solve(1, p_G.back().G).gradient[1]));
   }
 
   constexpr int kThreads = 8;
@@ -748,7 +773,6 @@ TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       LoweredProblem::Cursor cur;
-      const auto bw = cache.latency_bandwidth(key, g, p);
       for (int r = 0; r < 3 * kKeys; ++r) {
         const int i = (r + 5 * t) % kKeys;
         if (bits(entry->max_param_for_budget_from(
@@ -759,7 +783,9 @@ TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
                 0, p.L, p.L + 1'000.0 * (i + 1), 250.0)) != ref_crit[i]) {
           ++mismatches[static_cast<std::size_t>(t)];
         }
-        if (bits(bw->eval(1, p.G * (1.0 + i), cur).slope) != ref_bw[i]) {
+        const core::LatencyAnalyzer an(g, p_G[static_cast<std::size_t>(i)],
+                                       cache, key);
+        if (bits(an.lambda_G()) != ref_bw[i]) {
           ++mismatches[static_cast<std::size_t>(t)];
         }
       }
@@ -773,8 +799,11 @@ TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
   EXPECT_EQ(s.memo_hits + s.memo_misses,
             static_cast<std::size_t>(kThreads * 3 * kKeys * 2));
   EXPECT_GE(s.memo_misses, static_cast<std::size_t>(2 * kKeys));
+  // Each analyzer evaluates its base L, then λ_G reads the same anchor.
   EXPECT_EQ(s.anchor_solves + s.replays,
-            static_cast<std::size_t>(kThreads * 3 * kKeys));
+            static_cast<std::size_t>(kThreads * 3 * kKeys * 2));
+  EXPECT_GE(s.anchor_solves, static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(s.built, static_cast<std::size_t>(kKeys));  // G = p.G is entry's
 }
 
 // ---------------------------------------------------------------------------
@@ -1260,6 +1289,38 @@ TEST(BudgetSearch, PooledCallsMatchPerLaneScalarSearches) {
   }
 }
 
+TEST(BudgetSearch, UnboundedBudgetIsUnboundedToleranceInEveryForm) {
+  // lammps-8 sits on a flat piece at its base L (λ_L = 0) that ends at a
+  // finite bound, so a Newton step toward a +inf budget would step past it
+  // by the budget's bracket width, +inf, and probe T(+inf) = NaN.  Every
+  // form answers +inf once the budget check passes, and the finite lane
+  // beside them keeps its scalar bits.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("lammps", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LoweredProblem::Cursor ws;
+  EXPECT_EQ(solver.max_param_for_budget_from(0, p.L, kInf, ws), kInf);
+  const LoweredProblem::BatchPoint at = solver.solve(0, p.L, ws).point();
+  EXPECT_EQ(solver.max_param_for_budget_from(0, p.L, kInf, at, ws), kInf);
+
+  const std::vector<double> from = {p.L, p.L + 500.0, p.L};
+  const std::vector<double> budget = {kInf, kInf, at.value * 1.02};
+  std::vector<double> out(from.size());
+  LoweredProblem::Cursor bc;
+  solver.max_param_for_budget_from_batch(0, from.data(), budget.data(),
+                                         from.size(), bc, out.data());
+  for (std::size_t i = 0; i < from.size(); ++i) {
+    EXPECT_EQ(bits(out[i]), bits(solver.max_param_for_budget_from(
+                                0, from[i], budget[i], ws)))
+        << "lane " << i;
+  }
+  EXPECT_EQ(out[0], kInf);
+  EXPECT_EQ(out[1], kInf);
+  EXPECT_TRUE(std::isfinite(out[2]));
+}
+
 TEST(BudgetSearch, PooledInfeasibleLaneThrowsTheScalarError) {
   // Lanes 20 and 30 (past the first block) are infeasible; the pooled call
   // throws lane 20's scalar message whatever the other lanes do.
@@ -1336,16 +1397,10 @@ TEST(SolverCacheEntry, PooledMemoIsBitwiseDirectOnAllRegisteredApps) {
     const auto p = loggops::NetworkConfig::cscs_testbed();
     const core::GraphKey key{app, ranks, 0.02, p.S};
     const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
-    // budget_lanes' lanes in a fixed shuffled order, so the lanes the
-    // scalar form stores first land anywhere in the pooled call.  Its
-    // unbounded budgets become a 3% band: on lammps a +inf budget walks
-    // more pieces than kBudgetIters allows, in every form of the search.
-    BudgetLanes lanes = budget_lanes(direct, p.L, kLanes);
-    for (std::size_t i = 0; i < kLanes; ++i) {
-      if (std::isinf(lanes.budget[i])) {
-        lanes.budget[i] = direct.solve(0, lanes.from[i]).value * 1.03;
-      }
-    }
+    // budget_lanes' lanes, unbounded budgets included, in a fixed shuffled
+    // order, so the lanes the scalar form stores first land anywhere in the
+    // pooled call.
+    const BudgetLanes lanes = budget_lanes(direct, p.L, kLanes);
     std::vector<std::size_t> order(kLanes);
     for (std::size_t i = 0; i < kLanes; ++i) order[i] = i;
     Rng rng(0x1a9e5);
