@@ -513,16 +513,12 @@ void LoweredProblem::max_param_for_budget_from_batch(
   }
   if (n == 0) return;
   if (cur.search_live_.size() < n) {
-    cur.search_lo_.resize(n);
-    cur.search_hi_.resize(n);
-    cur.search_eps_.resize(n);
+    cur.search_.resize(n);
     cur.search_live_.resize(n);
     cur.search_x_.resize(n);
     cur.search_pts_.resize(n);
   }
-  double* const lo = cur.search_lo_.data();
-  double* const hi = cur.search_hi_.data();
-  double* const eps = cur.search_eps_.data();
+  BudgetBracket* const bracket = cur.search_.data();
   std::uint32_t* const live = cur.search_live_.data();
   double* const xs = cur.search_x_.data();
   BatchPoint* const pts = cur.search_pts_.data();
@@ -538,9 +534,7 @@ void LoweredProblem::max_param_for_budget_from_batch(
     check_budget(from[i], round[i].value, budget[i]);
   }
   for (std::size_t i = 0; i < n; ++i) {
-    lo[i] = from[i];
-    hi[i] = kInfD;
-    eps[i] = detail::budget_eps(budget[i]);
+    bracket[i] = {from[i], kInfD, detail::budget_eps(budget[i])};
     live[i] = static_cast<std::uint32_t>(i);
     xs[i] = from[i];
   }
@@ -554,8 +548,7 @@ void LoweredProblem::max_param_for_budget_from_batch(
     for (std::size_t p = 0; p < m; ++p) {
       const std::uint32_t i = live[p];
       double x = xs[p];
-      if (budget_step(round[p], from[i], budget[i], eps[i], x, lo[i], hi[i],
-                      out[i])) {
+      if (budget_step(round[p], from[i], budget[i], bracket[i], x, out[i])) {
         continue;
       }
       live[q] = i;

@@ -324,8 +324,8 @@ void LoweredProblem::check_budget(double from, double value, double budget) {
 }
 
 bool LoweredProblem::budget_step(const BatchPoint& pt, double from,
-                                 double budget, double eps, double& x,
-                                 double& lo, double& hi, double& result) {
+                                 double budget, BudgetBracket& b, double& x,
+                                 double& result) {
   // T(x) is convex, piecewise linear, and non-decreasing in any parameter
   // (all edge coefficients are nonnegative), so the crossing T(x) = budget
   // is found by a bracketed Newton/secant iteration: a tangent from below
@@ -341,6 +341,11 @@ bool LoweredProblem::budget_step(const BatchPoint& pt, double from,
     result = kInfD;
     return true;
   }
+  const double eps = b.eps;
+  double& lo = b.lo;
+  double& hi = b.hi;
+  const int flat = b.flat;
+  b.flat = 0;
   if (pt.value <= budget + value_eps(budget)) {
     lo = std::max(lo, x);
     double proposal;
@@ -360,7 +365,16 @@ bool LoweredProblem::budget_step(const BatchPoint& pt, double from,
         result = kInfD;
         return true;
       }
+      // Cross the flat piece.  After kFlatRun crossings in a row each jump
+      // at least doubles the last, so a stretch split into thousands of
+      // near-tie pieces costs O(log) steps; an overshoot lands above the
+      // budget and the bracket takes over.
       proposal = pt.hi + eps;
+      b.flat = flat + 1;
+      if (b.flat > detail::kFlatRun) {
+        proposal = std::max(proposal, x + 2.0 * b.jump);
+      }
+      b.jump = proposal - x;
     }
     if (std::isfinite(hi) && (proposal >= hi || proposal <= lo)) {
       proposal = 0.5 * (lo + hi);  // bisect fallback
@@ -393,14 +407,14 @@ double LoweredProblem::max_param_for_budget_from(int k, double from,
     throw LpError("tolerance: parameter out of range");
   }
   check_budget(from, at_from.value, budget);
-  const double eps = budget_eps(budget);
+  BudgetBracket b;
+  b.lo = from;
+  b.eps = budget_eps(budget);
   double x = from;
-  double lo = from;
-  double hi = kInfD;
   double result = 0.0;
   BatchPoint pt = at_from;
   for (int iter = 0; iter < kBudgetIters; ++iter) {
-    if (budget_step(pt, from, budget, eps, x, lo, hi, result)) return result;
+    if (budget_step(pt, from, budget, b, x, result)) return result;
     pt = solve(k, x, cur).point();
   }
   throw LpError("tolerance: did not converge");

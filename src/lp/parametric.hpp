@@ -28,7 +28,14 @@ inline constexpr std::uint32_t kNoIndex =
 inline double budget_eps(double budget) {
   return std::max(1e-6, std::fabs(budget) * 1e-12);
 }
-inline constexpr int kBudgetIters = 512;
+inline constexpr int kBudgetIters = 1024;
+/// Consecutive flat pieces a budget search crosses one at a time before
+/// each further crossing at least doubles the last one.  Near-ties split a
+/// flat stretch of T into many basis pieces (619 on lammps-216 at scale
+/// 0.25).  A search capped at 512 steps never crossed more than 511 in a
+/// row and converged, so every such search keeps its exact iterate
+/// sequence; the longest run measured on the goldens and corpora is 480.
+inline constexpr int kFlatRun = 511;
 }  // namespace detail
 
 /// Sample-axis block width of the batched forward pass (doubles per lane
@@ -172,6 +179,17 @@ class LoweredProblem {
     }
   };
 
+  /// One budget search's state between Newton steps: the bracket
+  /// [lo, hi] (T(lo) <= budget, T(hi) > budget once finite), its settling
+  /// width, and the run of flat pieces crossed so far.
+  struct BudgetBracket {
+    double lo = 0.0;
+    double hi = std::numeric_limits<double>::infinity();
+    double eps = 0.0;
+    int flat = 0;       ///< consecutive flat pieces crossed
+    double jump = 0.0;  ///< length of the last flat crossing
+  };
+
   /// The mutable per-query half of a solver: the forward-pass rows, the
   /// pooled budget-search rows, and the anchor of its last dense solve
   /// (whose Solution solve(active, value, cur) returns by reference).
@@ -216,11 +234,10 @@ class LoweredProblem {
     std::vector<double> cand_val_;
     std::vector<double> cand_slope_;
     /// Pooled budget-search state (max_param_for_budget_from_batch), one
-    /// entry per lane of the call: bracket and eps by lane index; the live
-    /// lanes, their probe points and their evaluations in gathered order.
-    std::vector<double> search_lo_;
-    std::vector<double> search_hi_;
-    std::vector<double> search_eps_;
+    /// entry per lane of the call: bracket, eps and flat run by lane index;
+    /// the live lanes, their probe points and their evaluations in gathered
+    /// order.
+    std::vector<BudgetBracket> search_;
     std::vector<std::uint32_t> search_live_;
     std::vector<double> search_x_;
     std::vector<BatchPoint> search_pts_;
@@ -398,10 +415,9 @@ class LoweredProblem {
   /// One bracketed-Newton iteration of the budget search, shared by the
   /// per-call and pooled searches: consumes T's evaluation `pt` at `x` and
   /// either finishes (returns true with `result`) or moves `x` to the next
-  /// probe, tightening the bracket [lo, hi].
+  /// probe, tightening the bracket.
   static bool budget_step(const BatchPoint& pt, double from, double budget,
-                          double eps, double& x, double& lo, double& hi,
-                          double& result);
+                          BudgetBracket& b, double& x, double& result);
   /// Throws the tolerance LpError when T(from) already exceeds `budget`.
   static void check_budget(double from, double value, double budget);
   /// Grow cur's rows to the widest sub-block of an n-lane call.

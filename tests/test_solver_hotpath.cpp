@@ -1289,6 +1289,106 @@ TEST(BudgetSearch, PooledCallsMatchPerLaneScalarSearches) {
   }
 }
 
+/// Uncapped piece-by-piece reference for a budget search: cross every basis
+/// piece at its upper end plus eps (the search's step before flat runs
+/// accelerate), with no step cap, and answer the tangent crossing inside
+/// the first piece that reaches the budget.  `pieces` counts the solves.
+double piecewise_tolerance(const LoweredProblem& prob, double from,
+                           double budget, LoweredProblem::Cursor& cur,
+                           std::size_t& pieces) {
+  const double eps = detail::budget_eps(budget);
+  double x = from;
+  for (pieces = 1;; ++pieces) {
+    const LoweredProblem::Solution& s = prob.solve(0, x, cur);
+    if (s.value > budget) return x;  // the crossing lies in the last step
+    const double slope = s.gradient[0];
+    if (slope > 1e-12) {
+      const double cross = x + (budget - s.value) / slope;
+      if (cross <= s.hi + eps) return std::max(cross, from);
+    } else if (!std::isfinite(s.hi)) {
+      return std::numeric_limits<double>::infinity();
+    }
+    x = s.hi + eps;
+  }
+}
+
+/// T(L) flat over `pieces` + 1 basis pieces: a 1 ms compute is the
+/// critical path, and message i's receive switches from its local
+/// predecessor (a 1000 + 4·i ns compute) to its comm edge at
+/// L = 1000 + 4·i, off the critical path.  Past L = 8 µs a last message
+/// path, L + (1 ms − 8 µs), overtakes the compute.  Under o = G = O = 0
+/// every crossover sits exactly at its L.
+graph::Graph flat_stretch_graph(int pieces) {
+  graph::Graph g(3);
+  g.add_calc(2, 1e6);
+  for (int i = 0; i < pieces; ++i) {
+    const auto s = g.add_send(0, 1, 8);
+    const auto d = g.add_calc(1, 1000.0 + 4.0 * i);
+    const auto r = g.add_recv(1, 0, 8);
+    g.add_local_edge(d, r);
+    g.add_comm_edge(s, r, /*rendezvous=*/false);
+  }
+  const auto s = g.add_send(0, 1, 8);
+  const auto r = g.add_recv(1, 0, 8);
+  const auto tail = g.add_calc(1, 1e6 - 8000.0);
+  g.add_comm_edge(s, r, /*rendezvous=*/false);
+  g.add_local_edge(r, tail);
+  g.finalize();
+  return g;
+}
+
+TEST(BudgetSearch, FlatStretchOfManyPiecesConvergesInEveryForm) {
+  // More flat pieces below the budget than a search has steps (the
+  // lammps-216 failure at scale 0.25, whose flat stretch near-ties split
+  // into 619 pieces, more than the 512 steps searches then had).  After detail::kFlatRun crossings each jump doubles:
+  // the scalar, at_from and pooled forms converge, agree bitwise, and land
+  // within the search's eps of the uncapped piece-by-piece walk.  The
+  // lanes opening at 5 µs cross fewer than kFlatRun pieces, so they keep
+  // the one-piece-per-step sequence beside the accelerated ones.
+  const auto g = flat_stretch_graph(1500);
+  loggops::Params p;
+  p.L = 500.0;
+  p.o = 0.0;
+  p.G = 0.0;
+  const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
+  LoweredProblem::Cursor cur;
+  std::vector<double> from;
+  std::vector<double> budget;
+  for (const double x : {500.0, 5000.0}) {
+    for (const double pct : {1.0, 5.0}) {
+      from.push_back(x);
+      budget.push_back(solver.solve(0, x, cur).value * (1.0 + pct / 100.0));
+    }
+  }
+  const std::size_t n = from.size();
+  std::vector<double> scalar;
+  std::vector<double> with_at;
+  for (std::size_t i = 0; i < n; ++i) {
+    scalar.push_back(
+        solver.max_param_for_budget_from(0, from[i], budget[i], cur));
+    const LoweredProblem::BatchPoint at = solver.solve(0, from[i], cur).point();
+    with_at.push_back(
+        solver.max_param_for_budget_from(0, from[i], budget[i], at, cur));
+  }
+  std::vector<double> pooled(n);
+  solver.max_param_for_budget_from_batch(0, from.data(), budget.data(), n, cur,
+                                         pooled.data());
+  EXPECT_EQ(bits(with_at), bits(scalar));
+  EXPECT_EQ(bits(pooled), bits(scalar));
+
+  for (std::size_t i = 0; i < n; ++i) {
+    SCOPED_TRACE(i);
+    std::size_t pieces = 0;
+    const double ref =
+        piecewise_tolerance(solver, from[i], budget[i], cur, pieces);
+    if (from[i] == 500.0) {
+      EXPECT_GT(pieces, static_cast<std::size_t>(detail::kBudgetIters));
+    }
+    ASSERT_TRUE(std::isfinite(ref));
+    EXPECT_NEAR(scalar[i], ref, detail::budget_eps(budget[i]));
+  }
+}
+
 TEST(BudgetSearch, UnboundedBudgetIsUnboundedToleranceInEveryForm) {
   // lammps-8 sits on a flat piece at its base L (λ_L = 0) that ends at a
   // finite bound, so a Newton step toward a +inf budget would step past it
