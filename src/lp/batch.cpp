@@ -36,10 +36,10 @@
 //    chain walk from the sink.  Spaces with integer-valued coefficients
 //    (message counts, byte counts) make both sums exact and
 //    order-independent — the equivalence wall pins this across all
-//    registered apps and both lowerings.  PerturbedParamSpace's noisy
-//    coefficients do not: there the slope may differ in the last bits,
-//    while value, lo and hi (built from the same forward sums) stay
-//    bitwise.
+//    registered apps and both lowerings.  A perturbed lowering's noisy
+//    coefficients (relower) do not: there the slope may differ in the
+//    last bits, while value, lo and hi (built from the same forward sums)
+//    stay bitwise.
 // GCC fully unrolls constant-trip lane loops at -O3 and then only
 // SLP-vectorizes fragments of the unrolled body; the simd pragma makes the
 // loop vectorizer handle each lane loop as a loop (compiled with

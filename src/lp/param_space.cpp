@@ -1,6 +1,5 @@
 #include "lp/param_space.hpp"
 
-#include <cmath>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -17,24 +16,10 @@ double payload_cost(std::uint64_t bytes, double G) {
 
 Affine LatencyParamSpace::edge_cost(const graph::Graph&,
                                     const graph::Edge& e) const {
+  const LatencyEdgeCost c = latency_edge_cost(e, p_);
   Affine a;
-  a.constant = static_cast<double>(e.o_mult) * p_.o + payload_cost(e.bytes, p_.G);
-  if (e.l_mult != 0) {
-    a.terms.push_back({0, static_cast<double>(e.l_mult)});
-  }
-  return a;
-}
-
-Affine LatencyBandwidthParamSpace::edge_cost(const graph::Graph&,
-                                             const graph::Edge& e) const {
-  Affine a;
-  a.constant = static_cast<double>(e.o_mult) * p_.o;
-  if (e.l_mult != 0) {
-    a.terms.push_back({0, static_cast<double>(e.l_mult)});
-  }
-  if (e.bytes > 1) {
-    a.terms.push_back({1, static_cast<double>(e.bytes - 1)});
-  }
+  a.constant = c.constant;
+  if (e.l_mult != 0) a.terms.push_back({0, c.l_coeff});
   return a;
 }
 
@@ -71,40 +56,6 @@ PairwiseLatencyParamSpace::PairwiseLatencyParamSpace(
       base_[static_cast<std::size_t>(pair_index(i, j))] = latency_matrix[ij];
     }
   }
-}
-
-PerturbedParamSpace::PerturbedParamSpace(
-    std::shared_ptr<const ParamSpace> base, std::vector<double> edge_factor)
-    : base_(std::move(base)), edge_factor_(std::move(edge_factor)) {
-  if (!base_) throw LpError("perturbed space: null base space");
-  for (const double f : edge_factor_) {
-    if (!std::isfinite(f) || f < 0.0) {
-      throw LpError(strformat(
-          "perturbed space: edge factors must be finite and >= 0 (got %g)",
-          f));
-    }
-  }
-}
-
-Affine PerturbedParamSpace::edge_cost(const graph::Graph& g,
-                                      const graph::Edge& e) const {
-  if (edge_factor_.size() != g.num_edges()) {
-    throw LpError(strformat(
-        "perturbed space: %zu edge factors for a graph with %zu edges",
-        edge_factor_.size(), g.num_edges()));
-  }
-  // Edges live contiguously in g.edges(); the reference's position is the
-  // edge id the factors are indexed by.
-  const auto edges = g.edges();
-  const std::size_t id = static_cast<std::size_t>(&e - edges.data());
-  if (id >= edges.size()) {
-    throw LpError("perturbed space: edge does not belong to this graph");
-  }
-  Affine a = base_->edge_cost(g, e);
-  const double f = edge_factor_[id];
-  a.constant *= f;
-  for (ParamTerm& t : a.terms) t.coeff *= f;
-  return a;
 }
 
 int PairwiseLatencyParamSpace::pair_index(int i, int j) const {
@@ -182,7 +133,7 @@ const LinkClassParamSpace::Route& LinkClassParamSpace::route(int src,
 Affine LinkClassParamSpace::edge_cost(const graph::Graph& g,
                                       const graph::Edge& e) const {
   Affine a;
-  a.constant = static_cast<double>(e.o_mult) * p_.o + payload_cost(e.bytes, p_.G);
+  a.constant = latency_edge_cost(e, p_).constant;
   if (e.l_mult != 0) {
     const auto [src, dst] = g.edge_wire_pair(e);
     const Route& r = route(src, dst);

@@ -9,6 +9,8 @@
 
 namespace llamp::lp {
 
+class LoweredProblem;
+
 /// One linear term coeff·x_param of an edge-cost expression.
 struct ParamTerm {
   int param = 0;
@@ -66,6 +68,27 @@ class ParamSpace {
   virtual const loggops::Params& params() const = 0;
 };
 
+/// The latency space's cost of edge e at operating point p: the constant
+/// o_mult·o + (bytes − 1)·G and the coefficient l_mult on L.  The one home
+/// of the formula: LatencyParamSpace::edge_cost and the in-place
+/// re-lowering (LoweredProblem::relower) both read it.
+struct LatencyEdgeCost {
+  double constant = 0.0;
+  double l_coeff = 0.0;
+};
+inline LatencyEdgeCost latency_edge_cost(const graph::Edge& e,
+                                         const loggops::Params& p) {
+  const double payload =
+      e.bytes > 1 ? static_cast<double>(e.bytes - 1) * p.G : 0.0;
+  return {static_cast<double>(e.o_mult) * p.o + payload,
+          static_cast<double>(e.l_mult)};
+}
+/// True when e costs exactly 0 at every operating point (no o, L or
+/// payload term), so no factor can change its lowered row (0·f = 0).
+inline bool carries_no_cost(const graph::Edge& e) {
+  return e.o_mult == 0 && e.l_mult == 0 && e.bytes <= 1;
+}
+
 /// Single decision variable: the network latency L.  G stays constant.
 class LatencyParamSpace final : public ParamSpace {
  public:
@@ -78,26 +101,9 @@ class LatencyParamSpace final : public ParamSpace {
   const loggops::Params& params() const override { return p_; }
 
  private:
-  loggops::Params p_;
-};
-
-/// Two decision variables: latency L (param 0) and gap-per-byte G (param 1).
-/// Its dense solve's gradient[1] at G is λ_G by definition; the tests use it
-/// as the reference for the critical-path sum the analyzer reports, and as
-/// a multi-term (CSR-lowered) space.
-class LatencyBandwidthParamSpace final : public ParamSpace {
- public:
-  explicit LatencyBandwidthParamSpace(loggops::Params p) : p_(p) {
-    p_.validate();
-  }
-
-  int num_params() const override { return 2; }
-  std::string param_name(int k) const override { return k == 0 ? "l" : "G"; }
-  double base_value(int k) const override { return k == 0 ? p_.L : p_.G; }
-  Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const override;
-  const loggops::Params& params() const override { return p_; }
-
- private:
+  // A re-lowerable problem owns its space alone and moves its operating
+  // point along with its costs (LoweredProblem::relower).
+  friend class LoweredProblem;
   loggops::Params p_;
 };
 
@@ -131,40 +137,6 @@ class PairwiseLatencyParamSpace final : public ParamSpace {
   loggops::Params p_;
   int nranks_;
   std::vector<double> base_;  // per pair index (latency)
-};
-
-/// Perturbed-evaluation hook for the stochastic (Monte Carlo) analyses:
-/// wraps another space and scales every edge's whole affine cost — constant
-/// and parametric terms alike — by a per-edge factor.  Because a
-/// multiplicative factor keeps an affine expression affine, the full
-/// LoweredProblem feature set (solve, sweep, piecewise, tolerance search)
-/// works on a perturbed space unchanged; one problem lowered over a
-/// PerturbedParamSpace *is* one perturbed LP evaluation.
-///
-/// Factors are indexed by edge id (the position of the edge in g.edges())
-/// and must be finite and >= 0 — edge costs stay monotone in every
-/// parameter, which the tolerance search relies on.  A factor of exactly
-/// 1.0 leaves the edge's lowered terms bitwise identical to the base
-/// space's (x * 1.0 == x), so an all-ones perturbation reproduces the
-/// deterministic analysis bit for bit; the Stoch tests pin this.
-class PerturbedParamSpace final : public ParamSpace {
- public:
-  /// `edge_factor.size()` must equal the edge count of every graph this
-  /// space is used with; the mismatch is caught at edge_cost time.
-  PerturbedParamSpace(std::shared_ptr<const ParamSpace> base,
-                      std::vector<double> edge_factor);
-
-  int num_params() const override { return base_->num_params(); }
-  std::string param_name(int k) const override {
-    return base_->param_name(k);
-  }
-  double base_value(int k) const override { return base_->base_value(k); }
-  Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const override;
-  const loggops::Params& params() const override { return base_->params(); }
-
- private:
-  std::shared_ptr<const ParamSpace> base_;
-  std::vector<double> edge_factor_;
 };
 
 /// Topology analysis: the end-to-end latency between two ranks decomposes

@@ -120,6 +120,62 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
   }
 }
 
+LoweredProblem::LoweredProblem(const graph::Graph& g, const loggops::Params& p)
+    : LoweredProblem(std::make_shared<LatencyParamSpace>(p), g) {}
+
+LoweredProblem::LoweredProblem(std::shared_ptr<LatencyParamSpace> space,
+                               const graph::Graph& g)
+    : LoweredProblem(g, std::shared_ptr<const ParamSpace>(space)) {
+  relowerable_ = space.get();
+}
+
+// llamp-lint: hot-path begin
+void LoweredProblem::relower(const loggops::Params& p,
+                             std::span<const double> edge_factor) {
+  if (relowerable_ == nullptr || space_.use_count() != 1) {
+    throw LpError("relower: the problem does not own its latency space");
+  }
+  // Every check a fresh lowering makes, in its order, before any write:
+  // the space's params, PerturbedParamSpace's factors, then their count.
+  p.validate();
+  const std::size_t ne = g_.num_edges();
+  for (const double f : edge_factor) {
+    if (!std::isfinite(f) || f < 0.0) {
+      throw LpError(strformat(
+          "perturbed space: edge factors must be finite and >= 0 (got %g)",
+          f));
+    }
+  }
+  if (edge_factor.size() != ne) {
+    throw LpError(strformat(
+        "perturbed space: %zu edge factors for a graph with %zu edges",
+        edge_factor.size(), ne));
+  }
+  loggops::Params& cur = relowerable_->p_;
+  if (std::bit_cast<std::uint64_t>(cur.o) != std::bit_cast<std::uint64_t>(p.o) ||
+      std::bit_cast<std::uint64_t>(cur.O) != std::bit_cast<std::uint64_t>(p.O)) {
+    const std::vector<std::uint32_t>& topo_pos = g_.topo_slots().pos_of;
+    for (graph::VertexId v = 0; v < g_.num_vertices(); ++v) {
+      vertex_cost_topo_[topo_pos[v]] = graph::vertex_cost(g_.vertex(v), p);
+    }
+  }
+  cur = p;
+  base_[0] = p.L;
+  // The latency space's one parameter is always active, so slot j's flat
+  // row is (constant, coefficient) with nothing folded in; an edge with
+  // l_mult == 0 keeps slope 0·f = 0.
+  const std::vector<std::uint32_t>& slot_of = g_.topo_slots().slot_of;
+  const std::span<const graph::Edge> edges = g_.edges();
+  for (std::size_t e = 0; e < ne; ++e) {
+    if (carries_no_cost(edges[e])) continue;
+    const LatencyEdgeCost c = latency_edge_cost(edges[e], p);
+    const double f = edge_factor[e];
+    flat_const_slot_[slot_of[e]] = c.constant * f;
+    flat_slope_slot_[slot_of[e]] = c.l_coeff * f;
+  }
+}
+// llamp-lint: hot-path end
+
 void LoweredProblem::save_anchor(const Cursor& cur, AnchorState& out) const {
   if (cur.last_.chain_sink == kNoIndex) {
     throw LpError("save_anchor: cursor holds no solve");

@@ -105,8 +105,13 @@ class LoweredProblem {
  public:
   LoweredProblem(const graph::Graph& g,
                  std::shared_ptr<const ParamSpace> space);
+  /// A latency lowering at `p` that owns its LatencyParamSpace alone and
+  /// so may be re-lowered in place (relower).  Same rows as
+  /// LoweredProblem(g, std::make_shared<LatencyParamSpace>(p)).
+  LoweredProblem(const graph::Graph& g, const loggops::Params& p);
   /// The problem keeps a reference; a temporary graph would dangle.
   LoweredProblem(graph::Graph&&, std::shared_ptr<const ParamSpace>) = delete;
+  LoweredProblem(graph::Graph&&, const loggops::Params&) = delete;
   LoweredProblem(const LoweredProblem&) = delete;
   LoweredProblem& operator=(const LoweredProblem&) = delete;
 
@@ -118,14 +123,31 @@ class LoweredProblem {
   /// edge has at most one term, small space); false on the CSR fallback.
   bool flat() const { return flat_; }
 
+  /// Re-lower in place at operating point `p` with every edge's whole
+  /// cost, constant and L coefficient, scaled by edge_factor[edge id] (the
+  /// general Monte Carlo path's one lowering per worker).  Afterwards the
+  /// rows, the base point and space().params() are those of a fresh
+  /// lowering of the latency space at `p` with each edge's Affine scaled
+  /// by its factor, so every solve agrees with that lowering bit for bit:
+  /// a costed edge's row gets the two multiplies c·f and l·f, an edge that
+  /// carries no cost keeps its zero row, and vertex costs are rewritten
+  /// only when o or O moved.  Only a problem built by the Params
+  /// constructor whose space no one else holds can move; cached problems
+  /// are shared_ptr<const LoweredProblem> and never can.  Throws, before
+  /// touching any row, on a bad p (Params::validate), a negative or
+  /// non-finite factor, or a factor count that is not the edge count.
+  /// Allocates nothing.
+  void relower(const loggops::Params& p, std::span<const double> edge_factor);
+
   /// One lane of a batched forward pass: T, the active slope, and (when
   /// requested) the active parameter's feasibility range at that lane's
   /// evaluation point.  value, lo and hi are bitwise identical to
   /// solve(active, x)'s.  slope is gradient[active] bitwise when the space
-  /// lowers integer-valued coefficients (every first-party space but
-  /// PerturbedParamSpace); the pass sums it source -> sink and the dense
-  /// solve's chain walk sink -> source, so on a perturbed space the two may
-  /// differ in the last bits (DESIGN.md §4f).
+  /// lowers integer-valued coefficients (every first-party space, but not
+  /// a lowering relowered with non-integer factors); the pass sums it
+  /// source -> sink and the dense solve's chain walk sink -> source, so on
+  /// a perturbed lowering the two may differ in the last bits (DESIGN.md
+  /// §4f).
   struct BatchPoint {
     double value = 0.0;
     double slope = 0.0;
@@ -425,9 +447,14 @@ class LoweredProblem {
   /// Dense solve into cur: the 1-lane kDense pass, then the chain walk
   /// (gradient, messages, critical path).
   void solve_into(int active, double value, Cursor& cur) const;
+  /// The Params constructor's body: keeps the mutable handle relower uses.
+  LoweredProblem(std::shared_ptr<LatencyParamSpace> space,
+                 const graph::Graph& g);
 
   const graph::Graph& g_;
   std::shared_ptr<const ParamSpace> space_;
+  /// space_ itself when this problem may be re-lowered, else null.
+  LatencyParamSpace* relowerable_ = nullptr;
   int num_params_ = 0;
 
   // Everything below shares the graph's topo-slot index space (see the

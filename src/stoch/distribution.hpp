@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <string>
 
@@ -82,6 +83,17 @@ struct EdgeNoise {
 
   bool degenerate() const { return sigma == 0.0 && bias == 0.0; }
   double factor(Rng& rng) const;
+  /// Advance `rng` exactly as factor(rng) does without computing the
+  /// factor: nothing when degenerate, else normal()'s uniforms.  For an
+  /// edge that carries no cost, whose factor multiplies zero.
+  void skip(Rng& rng) const {
+    if (!degenerate()) rng.skip_normal();
+  }
+  /// True when every factor() draw is finite: 1 + bias + sigma·|z| stays
+  /// below overflow for the largest |z| normal() returns (< 9).  Only
+  /// then may a zero-cost edge's draw be skipped, since a non-finite
+  /// factor anywhere is an error.
+  bool finite() const { return std::isfinite(1.0 + bias + sigma * 9.0); }
   /// Throws UsageError on sigma < 0 or bias <= -1 (a factor of zero or
   /// below would break edge-cost monotonicity).
   void validate() const;

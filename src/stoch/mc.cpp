@@ -30,10 +30,12 @@ constexpr std::size_t kBlock = 1024;
 struct WorkerScratch {
   // Shared by both paths: every pass rewrites the rows it reads.
   lp::LoweredProblem::Cursor cur;
-  // General path: one sample at a time.
+  // General path: one sample at a time, on the worker's own latency
+  // lowering, re-lowered in place at every sample's draws.
+  std::optional<lp::LoweredProblem> prob;
+  std::vector<double> factors;  ///< by edge id; 1.0 where never drawn
   std::vector<double> xs;
   std::vector<lp::LoweredProblem::SweepEval> evals;
-  std::vector<double> factors;
   // Batched fast path: one kBatchWidth-wide lane group of samples.
   std::vector<lp::LoweredProblem::BatchPoint> pts;
   std::vector<double> lane_L;       ///< the group's sampled L draws
@@ -119,8 +121,9 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
   // (the sampled L) moves — one problem, lowered once, serves every worker,
   // and a whole lane group of samples rides one batched forward pass per
   // ΔL point and one pooled lockstep search over all its bands.  Otherwise
-  // each sample lowers its own perturbed space, which is what the paper's
-  // "re-measure the operating point and redo the analysis" amounts to.
+  // each sample re-lowers its worker's problem at its own operating point
+  // and edge factors, which is what the paper's "re-measure the operating
+  // point and redo the analysis" amounts to.
   const std::optional<loggops::Params> shared_point =
       shared_operating_point(spec, base);
   const bool batched = shared_point.has_value();
@@ -169,10 +172,14 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
       s.band_budget.resize(lp::kBatchWidth * nbands);
       s.band_tol.resize(lp::kBatchWidth * nbands);
     } else {
+      s.factors.assign(g.num_edges(), 1.0);
       s.xs.resize(npts);
       s.evals.resize(npts);
     }
   }
+
+  const std::span<const graph::Edge> edges = g.edges();
+  const bool skip_free = spec.noise.finite();
 
   McResult res;
   res.base = base;
@@ -278,13 +285,18 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
       fold_block(bn);
       continue;
     }
-    // The general path: each sample lowers its own perturbed space, so
-    // samples cannot share a batch pass.  Per-sample cost is imbalanced
-    // (the drawn operating point reshapes every solve); workers claim
-    // samples one at a time, so one that drew expensive samples simply
-    // claims fewer.
+    // The general path: each sample re-lowers its worker's problem at its
+    // own operating point and edge factors, so samples cannot share a
+    // batch pass.  Per-sample cost is imbalanced (the drawn operating
+    // point reshapes every solve); workers claim samples one at a time, so
+    // one that drew expensive samples simply claims fewer.
     parallel_for_workers(bn, spec.threads, [&](int w, std::size_t j) {
       WorkerScratch& sc = scratch[static_cast<std::size_t>(w)];
+      if (!sc.prob) sc.prob.emplace(g, base);  // once per worker and run
+      lp::LoweredProblem& prob = *sc.prob;
+      // llamp-lint: hot-path begin
+      // Steady state: the draws, the re-lowering and every evaluation run
+      // against the worker's problem and preallocated scratch.
       const std::size_t i = block_start + j;
       Rng rng(sample_seed(spec.seed, i));
 
@@ -293,24 +305,24 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
       p.L = spec.L.sample(rng, base.L);
       p.o = spec.o.sample(rng, base.o);
       p.G = spec.G.sample(rng, base.G);
-
-      std::shared_ptr<const lp::ParamSpace> sp =
-          std::make_shared<lp::LatencyParamSpace>(p);
       if (!spec.noise.degenerate()) {
-        sc.factors.resize(g.num_edges());
-        for (double& f : sc.factors) f = spec.noise.factor(rng);
-        sp = std::make_shared<lp::PerturbedParamSpace>(std::move(sp),
-                                                       sc.factors);
+        // An edge that carries no cost keeps its zero row whatever its
+        // factor, so its draw only advances the stream; its factor stays
+        // the 1.0 set up above.  Only finite factors may be skipped: a
+        // non-finite one anywhere is the re-lowering's error.
+        for (std::size_t e = 0; e < edges.size(); ++e) {
+          if (skip_free && lp::carries_no_cost(edges[e])) {
+            spec.noise.skip(rng);
+          } else {
+            sc.factors[e] = spec.noise.factor(rng);
+          }
+        }
       }
-      const lp::LoweredProblem prob(g, std::move(sp));
+      prob.relower(p, sc.factors);
 
-      // llamp-lint: hot-path begin
-      // Steady state: every per-sample evaluation below runs against
-      // preallocated per-worker scratch; only the perturbed-space setup
-      // above may allocate.
       // xs[0] is solved once: its solution gives the runtime, λ_L, ρ_L and
       // every band search's first iterate.  The searches stay single-lane,
-      // opened from dense solves: on a PerturbedParamSpace a pass's forward
+      // opened from dense solves: on a perturbed lowering a pass's forward
       // slope may differ from the chain-walk gradient in the last bits
       // (non-integer coefficients summed in the opposite order), so a
       // batched search could move a tolerance.

@@ -26,10 +26,12 @@ namespace llamp::stoch {
 ///
 /// Determinism contract (DESIGN.md §4c): sample i draws from
 /// Rng(sample_seed(seed, i)) with a fixed in-sample draw order (L, o, G,
-/// then edge factors in edge-id order), and metrics are reduced into the
-/// summaries in ascending sample order whatever the thread count — so the
-/// result (and every emitted byte) depends only on (spec, graph), never on
-/// --threads.  With samples == 1 and all-degenerate distributions the run
+/// then edge factors in edge-id order; an edge that carries no cost
+/// advances the stream past its factor without computing it), each worker
+/// re-lowers its one problem in place to exactly the sample's own costs,
+/// and metrics are reduced into the summaries in ascending sample order
+/// whatever the thread count — so the result (and every emitted byte)
+/// depends only on (spec, graph), never on --threads.  With samples == 1 and all-degenerate distributions the run
 /// reproduces the deterministic analyzer's numbers bitwise.
 struct McSpec {
   Distribution L;  ///< absolute network latency [ns]
@@ -103,7 +105,8 @@ struct McResult {
 /// edge-noise distributions are degenerate — then only the sampled L moves
 /// and one parametric LP serves every sample.  Returns `base` with o and G
 /// pinned to their (fixed) degenerate draws, or nullopt when samples
-/// differ structurally (each lowers its own perturbed space).  This is the
+/// differ structurally (each re-lowers its worker's problem at its own
+/// draws).  This is the
 /// exact operating point run_mc's shared-solver fast path analyzes; a
 /// caller holding a solver cache can pre-lower it and pass the entry (or
 /// its problem) to the run_mc overloads below.

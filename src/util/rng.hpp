@@ -71,11 +71,18 @@ class Rng {
   /// Standard normal via Box-Muller (one value per call; the pair's second
   /// member is discarded to keep the generator state trivially seekable).
   double normal() {
-    double u1 = uniform();
-    while (u1 <= 0.0) u1 = uniform();
+    const double u1 = open_uniform();
     const double u2 = uniform();
     constexpr double kTwoPi = 6.283185307179586;
     return nonstd_sqrt(-2.0 * nonstd_log(u1)) * nonstd_cos(kTwoPi * u2);
+  }
+
+  /// Advance the state exactly as normal() does, without the
+  /// transcendentals: for a caller whose draw cannot change its result but
+  /// whose later draws must stay where they are.
+  void skip_normal() {
+    (void)open_uniform();
+    (void)uniform();
   }
 
   /// Normal with explicit mean / standard deviation.
@@ -85,6 +92,12 @@ class Rng {
   bool bernoulli(double p) { return uniform() < p; }
 
  private:
+  /// Uniform in (0, 1): normal()'s u1, redrawn while 0 (log(0) = -inf).
+  double open_uniform() {
+    double u = uniform();
+    while (u <= 0.0) u = uniform();
+    return u;
+  }
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
   }

@@ -11,6 +11,7 @@
 #include "lp/param_space.hpp"
 #include "lp/parametric.hpp"
 #include "schedgen/schedgen.hpp"
+#include "stoch/mc.hpp"
 #include "test_support.hpp"
 
 // Allocation-counter wall for the solver hot path: after a warm-up solve
@@ -406,6 +407,33 @@ TEST(AllocationFree, WarmPooledBudgetMemoHitsAllocateNothing) {
       << "a mixed call past the byte budget allocated";
   EXPECT_EQ(cache.stats().memo_misses, misses + kLanes / 2);
   EXPECT_EQ(cache.stats().memo_bytes, bytes);
+}
+
+TEST(AllocationFree, GeneralPathMcSamplesAllocateNothingInSteadyState) {
+  // A general-path mc run on one thread allocates its buffers and the
+  // worker's one lowering up front.  Every further sample (its draws, the
+  // in-place re-lowering, the solve, the sweep and the band searches) must
+  // allocate nothing, so a 40-sample run allocates exactly as often as a
+  // 4-sample one.
+  const auto g = schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  stoch::McSpec spec;
+  spec.L = stoch::Distribution::rel_normal(0.05);
+  spec.o = stoch::Distribution::rel_normal(0.02);
+  spec.G = stoch::Distribution::rel_normal(0.05);
+  spec.noise = {0.02, 0.0};
+  spec.delta_Ls = {0.0, 10'000.0, 20'000.0};
+  spec.band_percents = {1.0, 2.0, 5.0};
+  spec.threads = 1;
+  const auto allocations = [&](int samples) {
+    spec.samples = samples;
+    const std::size_t before = g_allocations;
+    const stoch::McResult res = stoch::run_mc(g, p, spec);
+    EXPECT_FALSE(res.batched);
+    return g_allocations - before;
+  };
+  (void)allocations(4);  // one-time statics
+  EXPECT_EQ(allocations(40), allocations(4));
 }
 
 }  // namespace

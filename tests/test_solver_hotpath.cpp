@@ -1479,6 +1479,91 @@ TEST(BudgetSearch, PerturbedSpacesAgreeInValueAndRangeNotSlopeBits) {
   }
 }
 
+TEST(Relower, InPlaceRelowerMatchesFreshPerturbedLoweringBitwise) {
+  // One problem re-lowered at a sequence of operating points and factor
+  // rows (o moving and not, all-ones and noisy factors) against a fresh
+  // PerturbedParamSpace lowering of each: solves, ranges, batch passes and
+  // the visible operating point all agree bit for bit.
+  for (const char* app : {"lulesh", "hpcg", "milc"}) {
+    SCOPED_TRACE(app);
+    const int ranks = apps::supported_ranks(app, 27);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto base = loggops::NetworkConfig::cscs_testbed();
+    LoweredProblem moving(g, base);
+    Rng rng(0xfeed);
+    LoweredProblem::Cursor cur;
+    LoweredProblem::Cursor ref_cur;
+    std::vector<double> factors(g.num_edges(), 1.0);
+    for (int round = 0; round < 6; ++round) {
+      SCOPED_TRACE(round);
+      loggops::Params p = base;
+      p.L = base.L * rng.uniform(0.5, 1.5);
+      p.G = base.G * rng.uniform(0.5, 1.5);
+      if (round % 2 == 1) p.o = base.o * rng.uniform(0.5, 1.5);
+      for (double& f : factors) {
+        f = round == 0 ? 1.0 : 1.0 + std::fabs(0.02 * rng.normal());
+      }
+      moving.relower(p, factors);
+      const LoweredProblem fresh(
+          g, std::make_shared<PerturbedParamSpace>(
+                 std::make_shared<LatencyParamSpace>(p), factors));
+      EXPECT_EQ(moving.space().params(), p);
+      EXPECT_EQ(bits(moving.space().base_value(0)), bits(p.L));
+      EXPECT_EQ(bits(moving.solve().value), bits(fresh.solve().value));
+      const auto xs = batch_grid(p.L, p.L + 50'000.0, 21, 0x51u + round);
+      for (const double x : xs) {
+        const LoweredProblem::Solution& a = moving.solve(0, x, cur);
+        const LoweredProblem::Solution& b = fresh.solve(0, x, ref_cur);
+        ASSERT_EQ(bits(a.value), bits(b.value)) << "x=" << x;
+        ASSERT_EQ(bits(a.gradient[0]), bits(b.gradient[0])) << "x=" << x;
+        ASSERT_EQ(bits(a.lo), bits(b.lo)) << "x=" << x;
+        ASSERT_EQ(bits(a.hi), bits(b.hi)) << "x=" << x;
+      }
+      std::vector<LoweredProblem::BatchPoint> pa(xs.size());
+      std::vector<LoweredProblem::BatchPoint> pb(xs.size());
+      moving.solve_batch_ranges(0, xs.data(), xs.size(), cur, pa.data());
+      fresh.solve_batch_ranges(0, xs.data(), xs.size(), ref_cur, pb.data());
+      for (std::size_t i = 0; i < xs.size(); ++i) {
+        ASSERT_EQ(bits(pa[i].value), bits(pb[i].value));
+        ASSERT_EQ(bits(pa[i].slope), bits(pb[i].slope));
+      }
+    }
+  }
+}
+
+TEST(Relower, OnlyAnOwnedLatencyLoweringMovesAndBadInputsTouchNothing) {
+  const auto g = schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  std::vector<double> ones(g.num_edges(), 1.0);
+
+  // A problem over a caller's space can never be re-lowered.
+  LoweredProblem shared(g, std::make_shared<LatencyParamSpace>(p));
+  EXPECT_THROW(shared.relower(p, ones), LpError);
+
+  // Nor can an owned one while someone else holds its space.
+  LoweredProblem owned(g, p);
+  {
+    const auto held = owned.space_ptr();
+    EXPECT_THROW(owned.relower(p, ones), LpError);
+  }
+  owned.relower(p, ones);
+
+  // Bad operating points and factor rows throw before any row moves.
+  const double before = owned.solve().value;
+  loggops::Params bad = p;
+  bad.o = -1.0;
+  std::vector<double> big(g.num_edges(), 3.0);
+  EXPECT_THROW(owned.relower(bad, big), Error);
+  big.back() = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(owned.relower(p, big), LpError);
+  big.back() = -0.5;
+  EXPECT_THROW(owned.relower(p, big), LpError);
+  EXPECT_THROW(owned.relower(p, std::vector<double>(3, 1.0)), LpError);
+  EXPECT_EQ(bits(owned.solve().value), bits(before));
+  EXPECT_EQ(owned.space().params(), p);
+}
+
 // ---------------------------------------------------------------------------
 // The pooled search through a solver-cache entry's memo: hits and misses in
 // any lane order, keys shared with the scalar form, throws never stored.

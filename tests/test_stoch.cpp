@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -129,6 +130,37 @@ TEST(StochDistribution, EdgeNoiseFollowsInjectorConvention) {
 
   EXPECT_THROW((stoch::EdgeNoise{-0.1, 0.0}).validate(), UsageError);
   EXPECT_THROW((stoch::EdgeNoise{0.0, -1.0}).validate(), UsageError);
+}
+
+TEST(StochDistribution, EdgeNoiseSkipAdvancesExactlyAsFactor) {
+  // The general mc path skips the factor of an edge that carries no cost:
+  // the stream must then sit where factor() leaves it, and a degenerate
+  // noise draws nothing either way.
+  for (const stoch::EdgeNoise noise :
+       {stoch::EdgeNoise{0.02, 0.0}, stoch::EdgeNoise{0.0, 0.01},
+        stoch::EdgeNoise{0.5, 0.2}}) {
+    for (std::uint64_t seed = 0; seed < 500; ++seed) {
+      Rng drawn(seed);
+      Rng skipped(seed);
+      (void)noise.factor(drawn);
+      noise.skip(skipped);
+      ASSERT_EQ(drawn.next_u64(), skipped.next_u64()) << "seed " << seed;
+    }
+  }
+  const stoch::EdgeNoise none;
+  for (std::uint64_t seed = 0; seed < 100; ++seed) {
+    Rng untouched(seed);
+    Rng drawn(seed);
+    Rng skipped(seed);
+    EXPECT_EQ(none.factor(drawn), 1.0);
+    none.skip(skipped);
+    const std::uint64_t next = untouched.next_u64();
+    EXPECT_EQ(drawn.next_u64(), next);
+    EXPECT_EQ(skipped.next_u64(), next);
+  }
+  // Skips are only taken when every factor is finite.
+  EXPECT_TRUE((stoch::EdgeNoise{0.02, 0.0}).finite());
+  EXPECT_FALSE((stoch::EdgeNoise{1e308, 0.0}).finite());
 }
 
 TEST(StochDistribution, SampleSeedsDecorrelated) {
@@ -471,6 +503,146 @@ TEST(StochMc, GeneralPathMatchesManualPerturbedSolve) {
   EXPECT_EQ(res.runtime[0].mean(), solver.solve(0, p.L).value);
   EXPECT_EQ(res.runtime[1].mean(), solver.solve(0, p.L + 10'000.0).value);
   EXPECT_EQ(res.lambda_L.mean(), solver.solve(0, p.L).gradient[0]);
+}
+
+/// The general path's metric rows (runtime per ΔL, λ_L, ρ_L, one tolerance
+/// per band) for samples [0, spec.samples), computed the way the path ran
+/// before it re-lowered in place: every edge factor drawn with
+/// EdgeNoise::factor, and a fresh lowering of a PerturbedParamSpace per
+/// sample.
+std::vector<std::vector<double>> perturbed_reference_rows(
+    const graph::Graph& g, const loggops::Params& base,
+    const stoch::McSpec& spec) {
+  std::vector<std::vector<double>> rows;
+  for (int i = 0; i < spec.samples; ++i) {
+    Rng rng(stoch::sample_seed(spec.seed, static_cast<std::uint64_t>(i)));
+    loggops::Params p = base;
+    p.L = spec.L.sample(rng, base.L);
+    p.o = spec.o.sample(rng, base.o);
+    p.G = spec.G.sample(rng, base.G);
+    std::shared_ptr<const lp::ParamSpace> space =
+        std::make_shared<lp::LatencyParamSpace>(p);
+    if (!spec.noise.degenerate()) {
+      std::vector<double> factors(g.num_edges());
+      for (double& f : factors) f = spec.noise.factor(rng);
+      space = std::make_shared<lp::PerturbedParamSpace>(space, factors);
+    }
+    const lp::LoweredProblem prob(g, space);
+    lp::LoweredProblem::Cursor cur;
+    const double x0 = p.L + spec.delta_Ls[0];
+    std::vector<double> row;
+    for (const double d : spec.delta_Ls) {
+      row.push_back(prob.solve(0, p.L + d, cur).value);
+    }
+    const lp::LoweredProblem::Solution s0 = prob.solve(0, x0);
+    row.push_back(s0.gradient[0]);
+    row.push_back(s0.value > 0.0 ? x0 * s0.gradient[0] / s0.value : 0.0);
+    for (const double pct : spec.band_percents) {
+      const double tol = prob.max_param_for_budget_from(
+          0, x0, s0.value * (1.0 + pct / 100.0), cur);
+      row.push_back(std::isfinite(tol) ? tol - x0 : tol);
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+/// The result's summaries, metric by metric in row order.
+std::vector<const stoch::Summary*> summaries(const stoch::McResult& res) {
+  std::vector<const stoch::Summary*> out;
+  for (const auto& r : res.runtime) out.push_back(&r);
+  out.push_back(&res.lambda_L);
+  out.push_back(&res.rho_L);
+  for (const auto& b : res.bands) out.push_back(&b.tolerance_delta);
+  return out;
+}
+
+/// Edge noise with o, G and L all sampled: a 2% folded normal, and the
+/// bias-only form, whose factors are all 1 + bias but whose draws still
+/// run (the noise is not degenerate).
+std::vector<stoch::McSpec> general_specs() {
+  std::vector<stoch::McSpec> specs;
+  for (const stoch::EdgeNoise noise :
+       {stoch::EdgeNoise{0.02, 0.0}, stoch::EdgeNoise{0.0, 0.03}}) {
+    stoch::McSpec spec;
+    spec.samples = 37;
+    spec.seed = 21;
+    spec.L = stoch::Distribution::rel_normal(0.05);
+    spec.o = stoch::Distribution::rel_normal(0.03);
+    spec.G = stoch::Distribution::rel_normal(0.05);
+    spec.noise = noise;
+    spec.delta_Ls = {0.0, 20'000.0};
+    spec.band_percents = {1.0, 5.0};
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+TEST(StochMc, GeneralPathMatchesPerturbedReferenceWalk) {
+  // The general path re-lowers one problem per worker in place and skips
+  // the draw arithmetic of edges that carry no cost.  Folded in sample
+  // order, the reference rows must give every summary bit for bit, at 1
+  // and 4 threads (workers reuse their problems across many samples).
+  const auto g = small_app_graph();
+  const auto p = test_params();
+  std::size_t free_edges = 0;
+  for (const graph::Edge& e : g.edges()) free_edges += lp::carries_no_cost(e);
+  ASSERT_GT(free_edges, 0u);
+  for (stoch::McSpec spec : general_specs()) {
+    SCOPED_TRACE(spec.noise.sigma);
+    const auto rows = perturbed_reference_rows(g, p, spec);
+    std::vector<stoch::Summary> ref(rows[0].size());
+    for (const auto& row : rows) {
+      for (std::size_t m = 0; m < row.size(); ++m) ref[m].add(row[m]);
+    }
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(threads);
+      spec.threads = threads;
+      const auto res = stoch::run_mc(g, p, spec);
+      EXPECT_FALSE(res.batched);
+      const auto got = summaries(res);
+      ASSERT_EQ(got.size(), ref.size());
+      for (std::size_t m = 0; m < ref.size(); ++m) {
+        SCOPED_TRACE(m);
+        expect_summaries_equal(*got[m], ref[m]);
+      }
+    }
+  }
+}
+
+TEST(StochMc, GeneralPathEverySampleMatchesPerturbedReference) {
+  // Per sample: a 3-sample run's min, median and max are its three values
+  // exactly (the sketches are exact through five observations), so each
+  // sample is pinned bitwise, and samples 1 and 2 run on a problem the
+  // previous sample re-lowered.
+  const auto g = small_app_graph();
+  const auto p = test_params();
+  for (stoch::McSpec spec : general_specs()) {
+    spec.samples = 3;
+    spec.threads = 1;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(seed);
+      spec.seed = seed;
+      const auto rows = perturbed_reference_rows(g, p, spec);
+      const auto res = stoch::run_mc(g, p, spec);
+      const auto got = summaries(res);
+      ASSERT_EQ(got.size(), rows[0].size());
+      for (std::size_t m = 0; m < got.size(); ++m) {
+        SCOPED_TRACE(m);
+        std::vector<double> finite;
+        for (const auto& row : rows) {
+          if (std::isfinite(row[m])) finite.push_back(row[m]);
+        }
+        std::sort(finite.begin(), finite.end());
+        EXPECT_EQ(got[m]->unbounded(), rows.size() - finite.size());
+        ASSERT_EQ(got[m]->count(), finite.size());
+        if (finite.empty()) continue;
+        EXPECT_EQ(got[m]->min(), finite.front());
+        EXPECT_EQ(got[m]->max(), finite.back());
+        if (finite.size() == 3) EXPECT_EQ(got[m]->median(), finite[1]);
+      }
+    }
+  }
 }
 
 TEST(StochMc, CrossBlockReductionIsSeamless) {

@@ -1,12 +1,106 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "loggops/params.hpp"
+#include "lp/param_space.hpp"
 #include "trace/builder.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/strings.hpp"
+
+// Reference parameter spaces.  The library lowers neither: they are the
+// tests' independent references for what it computes another way.
+namespace llamp::lp {
+
+/// Two decision variables: latency L (param 0) and gap-per-byte G (param 1).
+/// Its dense solve's gradient[1] at G is λ_G by definition: the reference
+/// for the critical-path sum the analyzer reports, and a multi-term
+/// (CSR-lowered) space.
+class LatencyBandwidthParamSpace final : public ParamSpace {
+ public:
+  explicit LatencyBandwidthParamSpace(loggops::Params p) : p_(p) {
+    p_.validate();
+  }
+
+  int num_params() const override { return 2; }
+  std::string param_name(int k) const override { return k == 0 ? "l" : "G"; }
+  double base_value(int k) const override { return k == 0 ? p_.L : p_.G; }
+  Affine edge_cost(const graph::Graph&, const graph::Edge& e) const override {
+    Affine a;
+    a.constant = static_cast<double>(e.o_mult) * p_.o;
+    if (e.l_mult != 0) {
+      a.terms.push_back({0, static_cast<double>(e.l_mult)});
+    }
+    if (e.bytes > 1) {
+      a.terms.push_back({1, static_cast<double>(e.bytes - 1)});
+    }
+    return a;
+  }
+  const loggops::Params& params() const override { return p_; }
+
+ private:
+  loggops::Params p_;
+};
+
+/// Wraps another space and scales every edge's whole affine cost, constant
+/// and parametric terms alike, by a per-edge factor indexed by edge id
+/// (finite, >= 0).  A multiplicative factor keeps the cost affine, so one
+/// problem lowered over it is one perturbed LP evaluation, and a factor of
+/// exactly 1.0 leaves an edge's terms bitwise unchanged.  The bitwise
+/// reference for LoweredProblem::relower, the Monte Carlo general path's
+/// in-place re-lowering.
+class PerturbedParamSpace final : public ParamSpace {
+ public:
+  PerturbedParamSpace(std::shared_ptr<const ParamSpace> base,
+                      std::vector<double> edge_factor)
+      : base_(std::move(base)), edge_factor_(std::move(edge_factor)) {
+    if (!base_) throw LpError("perturbed space: null base space");
+    for (const double f : edge_factor_) {
+      if (!std::isfinite(f) || f < 0.0) {
+        throw LpError(strformat(
+            "perturbed space: edge factors must be finite and >= 0 (got %g)",
+            f));
+      }
+    }
+  }
+
+  int num_params() const override { return base_->num_params(); }
+  std::string param_name(int k) const override {
+    return base_->param_name(k);
+  }
+  double base_value(int k) const override { return base_->base_value(k); }
+  Affine edge_cost(const graph::Graph& g,
+                   const graph::Edge& e) const override {
+    if (edge_factor_.size() != g.num_edges()) {
+      throw LpError(strformat(
+          "perturbed space: %zu edge factors for a graph with %zu edges",
+          edge_factor_.size(), g.num_edges()));
+    }
+    const auto edges = g.edges();
+    const std::size_t id = static_cast<std::size_t>(&e - edges.data());
+    if (id >= edges.size()) {
+      throw LpError("perturbed space: edge does not belong to this graph");
+    }
+    Affine a = base_->edge_cost(g, e);
+    const double f = edge_factor_[id];
+    a.constant *= f;
+    for (ParamTerm& t : a.terms) t.coeff *= f;
+    return a;
+  }
+  const loggops::Params& params() const override { return base_->params(); }
+
+ private:
+  std::shared_ptr<const ParamSpace> base_;
+  std::vector<double> edge_factor_;
+};
+
+}  // namespace llamp::lp
 
 namespace llamp::testing {
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <vector>
 
@@ -247,6 +248,21 @@ TEST(RngDistribution, NormalMoments) {
   for (int i = 0; i < 20'000; ++i) rs.add(rng.normal(10.0, 2.0));
   EXPECT_NEAR(rs.mean(), 10.0, 0.1);
   EXPECT_NEAR(rs.stddev(), 2.0, 0.1);
+}
+
+TEST(RngDistribution, SkipNormalLeavesTheStateNormalLeaves) {
+  // skip_normal() advances past one normal() draw without computing it;
+  // the streams that follow must be identical, seed after seed and across
+  // runs of consecutive draws.
+  for (std::uint64_t seed = 0; seed < 2'000; ++seed) {
+    Rng drawn(seed);
+    Rng skipped(seed);
+    for (int k = 0; k < 3; ++k) {
+      (void)drawn.normal();
+      skipped.skip_normal();
+      ASSERT_EQ(drawn.next_u64(), skipped.next_u64()) << "seed " << seed;
+    }
+  }
 }
 
 TEST(RngDistribution, UniformIntBounds) {
