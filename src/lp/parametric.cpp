@@ -135,8 +135,8 @@ void LoweredProblem::relower(const loggops::Params& p,
   if (relowerable_ == nullptr || space_.use_count() != 1) {
     throw LpError("relower: the problem does not own its latency space");
   }
-  // Every check a fresh lowering makes, in its order, before any write:
-  // the space's params, PerturbedParamSpace's factors, then their count.
+  // Every check a fresh lowering of the perturbed space makes, in its
+  // order, before any write: the params, the factors, then their count.
   p.validate();
   const std::size_t ne = g_.num_edges();
   for (const double f : edge_factor) {

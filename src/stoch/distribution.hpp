@@ -93,7 +93,9 @@ struct EdgeNoise {
   /// below overflow for the largest |z| normal() returns (< 9).  Only
   /// then may a zero-cost edge's draw be skipped, since a non-finite
   /// factor anywhere is an error.
-  bool finite() const { return std::isfinite(1.0 + bias + sigma * 9.0); }
+  bool factors_finite() const {
+    return std::isfinite(1.0 + bias + sigma * 9.0);
+  }
   /// Throws UsageError on sigma < 0 or bias <= -1 (a factor of zero or
   /// below would break edge-cost monotonicity).
   void validate() const;

@@ -179,7 +179,7 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
   }
 
   const std::span<const graph::Edge> edges = g.edges();
-  const bool skip_free = spec.noise.finite();
+  const bool skip_free = spec.noise.factors_finite();
 
   McResult res;
   res.base = base;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -159,8 +160,8 @@ TEST(StochDistribution, EdgeNoiseSkipAdvancesExactlyAsFactor) {
     EXPECT_EQ(skipped.next_u64(), next);
   }
   // Skips are only taken when every factor is finite.
-  EXPECT_TRUE((stoch::EdgeNoise{0.02, 0.0}).finite());
-  EXPECT_FALSE((stoch::EdgeNoise{1e308, 0.0}).finite());
+  EXPECT_TRUE((stoch::EdgeNoise{0.02, 0.0}).factors_finite());
+  EXPECT_FALSE((stoch::EdgeNoise{1e308, 0.0}).factors_finite());
 }
 
 TEST(StochDistribution, SampleSeedsDecorrelated) {
@@ -643,6 +644,29 @@ TEST(StochMc, GeneralPathEverySampleMatchesPerturbedReference) {
       }
     }
   }
+}
+
+TEST(StochMc, OverflowingEdgeFactorIsTheReferenceError) {
+  // Edge noise so wide that factors overflow to +inf: no draw is skipped
+  // then, and the run fails with the reference's error, word for word.
+  const auto g = small_app_graph();
+  const auto p = test_params();
+  stoch::McSpec spec = general_specs()[0];
+  spec.noise = {1e308, 0.0};
+  spec.samples = 2;
+  ASSERT_FALSE(spec.noise.factors_finite());
+  const auto message = [](const auto& run) -> std::string {
+    try {
+      run();
+    } catch (const LpError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  const std::string want =
+      message([&] { (void)perturbed_reference_rows(g, p, spec); });
+  EXPECT_NE(want, "no error");
+  EXPECT_EQ(message([&] { (void)stoch::run_mc(g, p, spec); }), want);
 }
 
 TEST(StochMc, CrossBlockReductionIsSeamless) {
