@@ -640,7 +640,9 @@ TEST(StochMc, GeneralPathEverySampleMatchesPerturbedReference) {
         if (finite.empty()) continue;
         EXPECT_EQ(got[m]->min(), finite.front());
         EXPECT_EQ(got[m]->max(), finite.back());
-        if (finite.size() == 3) EXPECT_EQ(got[m]->median(), finite[1]);
+        if (finite.size() == 3) {
+          EXPECT_EQ(got[m]->median(), finite[1]);
+        }
       }
     }
   }
