@@ -586,6 +586,11 @@ CampaignResult Engine::execute(const CampaignRequest& req) {
   return res;
 }
 
+// topo and place read whole results through their entry's row memo, keyed
+// by every request knob the entry key leaves out, so a repeat lowers
+// nothing.  A hit takes its row names from the fitted topologies and the
+// fixed class names.
+
 TopoResult Engine::execute(const TopoRequest& req) {
   const ResolvedApp app = resolve(req.app);
   const core::TopologyOptions shape{req.l_wire, req.d_switch, req.ft_radix,
@@ -594,42 +599,66 @@ TopoResult Engine::execute(const TopoRequest& req) {
   const auto fat_tree = core::fit_topology("fat-tree", shape, app.ranks);
   const auto dragonfly = core::fit_topology("dragonfly", shape, app.ranks);
   const graph::Graph& g = graph_for(app);
-  lp::LoweredProblem::Cursor cur;
+
+  // Per topology (runtime, gradient, tolerance), the Dragonfly base
+  // runtime, then per wire class (λ, tolerance).
+  const auto compute = [&] {
+    std::vector<double> rows;
+    lp::LoweredProblem::Cursor cur;
+    // Every search opens from the solve that produced its row's runtime or
+    // λ, taken at the space's base value (l_wire for every class).
+    for (const topo::Topology* t : {fat_tree.get(), dragonfly.get()}) {
+      const auto prob = core::lower_wire_latency(g, app.params, *t, shape);
+      const double l_wire = prob->space().base_value(0);
+      const lp::LoweredProblem::BatchPoint at =
+          prob->solve(0, l_wire, cur).point();
+      (void)core::finite_base_runtime(at.value);
+      const double tol =
+          prob->max_param_for_budget_from(0, l_wire, at.value * 1.01, at, cur);
+      rows.insert(rows.end(), {at.value, at.slope, tol});
+    }
+
+    // Dragonfly per-class breakdown (Fig. 19): tolerance of each wire class
+    // with the other two held at their base values.
+    auto df_space = std::make_shared<lp::LinkClassParamSpace>(
+        topo::make_dragonfly_class_space(
+            app.params, dynamic_cast<const topo::Dragonfly&>(*dragonfly),
+            topo::identity_placement(app.ranks), req.l_wire, req.l_wire,
+            req.l_wire, req.d_switch));
+    const lp::LoweredProblem df_prob(g, df_space);
+    const lp::LoweredProblem::BatchPoint base_at =
+        df_prob.solve(0, df_space->base_value(0), cur).point();
+    const double T0 = core::finite_base_runtime(base_at.value);
+    rows.push_back(T0);
+    for (int k = 0; k < df_space->num_params(); ++k) {
+      const double from = df_space->base_value(k);
+      const lp::LoweredProblem::BatchPoint at =
+          k == 0 ? base_at : df_prob.solve(k, from, cur).point();
+      const double tol =
+          df_prob.max_param_for_budget_from(k, from, T0 * 1.01, at, cur);
+      rows.insert(rows.end(), {at.slope, tol});
+    }
+    return rows;
+  };
+  const std::vector<double> rows =
+      solver_cache_.entry(key_for(app), app.params)
+          ->rows(core::SolverCache::Entry::RowOp::kTopo,
+                 {req.l_wire, req.d_switch, double(req.ft_radix),
+                  double(req.df_groups), double(req.df_routers),
+                  double(req.df_hosts)},
+                 compute);
 
   TopoResult res;
   res.app = app;
-  // Every search opens from the solve that produced its row's runtime or
-  // λ, taken at the space's base value (l_wire for every class).
+  const double* row = rows.data();
   for (const topo::Topology* t : {fat_tree.get(), dragonfly.get()}) {
-    const auto prob = core::lower_wire_latency(g, app.params, *t, shape);
-    const double l_wire = prob->space().base_value(0);
-    const lp::LoweredProblem::BatchPoint at =
-        prob->solve(0, l_wire, cur).point();
-    (void)core::finite_base_runtime(at.value);
-    const double tol =
-        prob->max_param_for_budget_from(0, l_wire, at.value * 1.01, at, cur);
-    res.topologies.push_back({t->name(), at.value, at.slope, tol});
+    res.topologies.push_back({t->name(), row[0], row[1], row[2]});
+    row += 3;
   }
-
-  // Dragonfly per-class breakdown (Fig. 19): tolerance of each wire class
-  // with the other two held at their base values.
-  auto df_space = std::make_shared<lp::LinkClassParamSpace>(
-      topo::make_dragonfly_class_space(
-          app.params, dynamic_cast<const topo::Dragonfly&>(*dragonfly),
-          topo::identity_placement(app.ranks), req.l_wire, req.l_wire,
-          req.l_wire, req.d_switch));
-  const lp::LoweredProblem df_prob(g, df_space);
-  const lp::LoweredProblem::BatchPoint base_at =
-      df_prob.solve(0, df_space->base_value(0), cur).point();
-  const double T0 = core::finite_base_runtime(base_at.value);
-  res.df_base_runtime = T0;
-  for (int k = 0; k < df_space->num_params(); ++k) {
-    const double from = df_space->base_value(k);
-    const lp::LoweredProblem::BatchPoint at =
-        k == 0 ? base_at : df_prob.solve(k, from, cur).point();
-    const double tol =
-        df_prob.max_param_for_budget_from(k, from, T0 * 1.01, at, cur);
-    res.classes.push_back({df_space->param_name(k), at.slope, tol});
+  res.df_base_runtime = *row++;
+  for (const char* name : topo::kDragonflyClasses) {
+    res.classes.push_back({name, row[0], row[1]});
+    row += 2;
   }
   return res;
 }
@@ -642,23 +671,35 @@ PlaceResult Engine::execute(const PlaceRequest& req) {
   shape.ft_radix = req.ft_radix;
   const auto ft = core::fit_topology("fat-tree", shape, app.ranks);
   const graph::Graph& g = graph_for(app);
-  const core::WireCost wire{req.l_wire, req.d_switch};
 
-  const auto volume = core::volume_greedy_placement(g, app.params, *ft, wire);
-  const auto opt = core::optimize_placement(g, app.params, *ft, wire, {},
-                                            req.max_rounds);
+  // The block, volume-greedy and Algorithm 3 runtimes, then the swap count.
+  const auto compute = [&] {
+    const core::WireCost wire{req.l_wire, req.d_switch};
+    const auto volume =
+        core::volume_greedy_placement(g, app.params, *ft, wire);
+    const auto opt = core::optimize_placement(g, app.params, *ft, wire, {},
+                                              req.max_rounds);
+    // Algorithm 3 starts from the block placement, so its round 0 is the
+    // block row's solve.
+    return std::vector<double>{core::finite_base_runtime(opt.initial_runtime),
+                               volume.predicted_runtime,
+                               opt.predicted_runtime, double(opt.swaps)};
+  };
+  const std::vector<double> rows =
+      solver_cache_.entry(key_for(app), app.params)
+          ->rows(core::SolverCache::Entry::RowOp::kPlace,
+                 {req.l_wire, req.d_switch, double(req.ft_radix),
+                  double(req.max_rounds)},
+                 compute);
 
   PlaceResult res;
   res.app = app;
   res.topology = ft->name();
-  // Algorithm 3 starts from the block placement, so its round 0 is the
-  // block row's solve.
+  res.strategies.push_back({"block (default)", rows[0]});
+  res.strategies.push_back({"volume-greedy", rows[1]});
   res.strategies.push_back(
-      {"block (default)", core::finite_base_runtime(opt.initial_runtime)});
-  res.strategies.push_back({"volume-greedy", volume.predicted_runtime});
-  res.strategies.push_back({strformat("llamp algorithm 3 (%d swaps)",
-                                      opt.swaps),
-                            opt.predicted_runtime});
+      {strformat("llamp algorithm 3 (%d swaps)", static_cast<int>(rows[3])),
+       rows[2]});
   return res;
 }
 

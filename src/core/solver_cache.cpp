@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <utility>
 
 #include "lp/param_space.hpp"
 #include "obs/metrics.hpp"
@@ -36,8 +37,8 @@ SolverCache::Entry::MemoKey SolverCache::Entry::memo_key(
   return key;
 }
 
-template <typename V, typename Compute>
-V SolverCache::Entry::memoized(Memo<V>& memo, const MemoKey& key,
+template <typename V, std::size_t N, typename Compute>
+V SolverCache::Entry::memoized(Memo<V, N>& memo, const Key<N>& key,
                                Compute&& compute) {
   {
     const std::lock_guard<std::mutex> lock(memo_mutex_);
@@ -57,10 +58,10 @@ V SolverCache::Entry::memoized(Memo<V>& memo, const MemoKey& key,
   return value;
 }
 
-template <typename V>
-void SolverCache::Entry::store(Memo<V>& memo, const MemoKey& key,
+template <typename V, std::size_t N>
+void SolverCache::Entry::store(Memo<V, N>& memo, const Key<N>& key,
                                const V& value) {
-  const std::size_t bytes = sizeof(MemoKey) + payload_bytes(value);
+  const std::size_t bytes = sizeof(key) + payload_bytes(value);
   if (memo_bytes_ + bytes <= kMemoBudgetBytes &&
       memo.try_emplace(key, value).second) {
     memo_bytes_ += bytes;
@@ -182,15 +183,25 @@ void SolverCache::Entry::max_param_for_budget_from_batch(
   }
 }
 
+std::vector<double> SolverCache::Entry::rows(
+    RowOp op, std::initializer_list<double> inputs,
+    const std::function<std::vector<double>()>& compute) {
+  RowKey key{static_cast<std::uint64_t>(op)};
+  std::size_t slot = 1;
+  for (const double x : inputs) key.at(slot++) = std::bit_cast<std::uint64_t>(x);
+  return memoized(row_memo_, key, compute);
+}
+
 std::size_t SolverCache::Entry::anchor_count() const {
   const std::lock_guard<std::mutex> lock(anchor_mutex_);
   return anchors_.size();
 }
 
-std::shared_ptr<SolverCache::Entry> SolverCache::entry_for(
-    const SolverKey& key) {
+std::shared_ptr<SolverCache::Entry> SolverCache::entry(
+    const GraphKey& key, const loggops::Params& p) {
+  SolverKey skey{key, latency_fingerprint(p)};
   const std::lock_guard<std::mutex> lock(mutex_);
-  auto& entry = entries_[key];
+  auto& entry = entries_[std::move(skey)];
   if (!entry) {
     entry = std::shared_ptr<Entry>(new Entry());
     entry->owner_ = this;
@@ -200,7 +211,7 @@ std::shared_ptr<SolverCache::Entry> SolverCache::entry_for(
 
 std::shared_ptr<SolverCache::Entry> SolverCache::latency(
     const GraphKey& key, const graph::Graph& g, const loggops::Params& p) {
-  const std::shared_ptr<Entry> entry = entry_for({key, latency_fingerprint(p)});
+  const std::shared_ptr<Entry> entry = this->entry(key, p);
   // Per-key lock, GraphCache-style: concurrent first touches of one key
   // lower it once; lowerings of distinct keys proceed in parallel (the map
   // mutex is never held across a lowering).

@@ -3,6 +3,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -55,8 +56,11 @@ struct SolverKey {
 ///    costs lookups only.  One tolerance memo serves the scalar search
 ///    (analyze, campaign cells) and the pooled one (mc's band searches):
 ///    both compute the same bits on an entry's integer-coefficient space,
-///    so a key stored by either is a hit for both.  Both memos of an entry
-///    share one byte budget, kMemoBudgetBytes.
+///    so a key stored by either is a hit for both.  A third memo holds the
+///    numeric rows of whole topo and place results, keyed by the inputs
+///    those ops read beyond the entry key; it reads no lowering, so those
+///    ops look their entry up with entry() and never build one.  The three
+///    memos of an entry share one byte budget, kMemoBudgetBytes.
 ///
 /// Determinism contract: replay from *any* covering anchor is bitwise
 /// identical to a dense solve at that point (the PR 3 segment-walk
@@ -88,7 +92,10 @@ class SolverCache {
     Entry(const Entry&) = delete;
     Entry& operator=(const Entry&) = delete;
 
-    /// The shared immutable lowering (never null once handed out).
+    /// The shared immutable lowering: never null on a handle latency()
+    /// returned.  A handle from entry() may not have one yet (another
+    /// thread's latency() may be building it), so only the row memo may be
+    /// used through such a handle.
     const std::shared_ptr<const lp::LoweredProblem>& problem() const {
       return prob_;
     }
@@ -135,10 +142,21 @@ class SolverCache {
         lp::LoweredProblem::Cursor& cur, double* out,
         const lp::LoweredProblem::BatchPoint* at_from = nullptr);
 
+    /// The op whose rows a row-memo key holds.
+    enum class RowOp : std::uint32_t { kTopo, kPlace };
+
+    /// The numeric rows of one whole `op` result through the entry's row
+    /// memo, keyed by `op` and the bit patterns of `inputs`, the op's
+    /// inputs beyond the entry key (at most six; ints pass exactly as
+    /// doubles).  `compute` runs only on a miss, outside the lock; a throw
+    /// stores nothing.  Reads no lowering, so any handle may call it.
+    std::vector<double> rows(RowOp op, std::initializer_list<double> inputs,
+                             const std::function<std::vector<double>()>& compute);
+
     /// Published anchors (observability/tests).
     std::size_t anchor_count() const;
 
-    /// Byte budget shared by the entry's two memos, counted as
+    /// Byte budget shared by the entry's three memos, counted as
     /// Stats::memo_bytes counts them (key plus payload per stored result),
     /// with the anchor policy: results are stored first come while they
     /// fit, later ones are computed and returned but not stored, and
@@ -153,21 +171,24 @@ class SolverCache {
     /// call's double inputs (unused slots zero).  Bits, not ==, so a hit is
     /// the same computation by construction (-0.0 and 0.0 stay distinct,
     /// and NaN cannot break the map's ordering).
-    using MemoKey = std::array<std::uint64_t, 5>;
+    template <std::size_t N>
+    using Key = std::array<std::uint64_t, N>;
+    using MemoKey = Key<5>;
+    using RowKey = Key<7>;  ///< the op, then up to six inputs
     static MemoKey memo_key(int k, std::initializer_list<double> xs);
-    template <typename V>
-    using Memo = std::map<MemoKey, V>;
+    template <typename V, std::size_t N = 5>
+    using Memo = std::map<Key<N>, V>;
 
-    /// The memo protocol shared by both memos: serve a hit, or run
+    /// The memo protocol shared by all three memos: serve a hit, or run
     /// `compute` outside the lock and store its result while the byte
     /// budget has room.  A call that throws stores nothing and throws again
     /// on the next identical call.
-    template <typename V, typename Compute>
-    V memoized(Memo<V>& memo, const MemoKey& key, Compute&& compute);
+    template <typename V, std::size_t N, typename Compute>
+    V memoized(Memo<V, N>& memo, const Key<N>& key, Compute&& compute);
     /// Store `value` under `key` if it is new and fits the byte budget;
     /// memo_mutex_ must be held.
-    template <typename V>
-    void store(Memo<V>& memo, const MemoKey& key, const V& value);
+    template <typename V, std::size_t N>
+    void store(Memo<V, N>& memo, const Key<N>& key, const V& value);
 
     /// Bound on published anchors per entry: enough to blanket every CLI
     /// grid's basis pieces, small enough that the linear covering scan
@@ -183,14 +204,19 @@ class SolverCache {
     /// Sorted by (active, at), deduplicated on exact (active, at).
     std::vector<std::shared_ptr<const lp::LoweredProblem::AnchorState>>
         anchors_;
-    std::mutex memo_mutex_;  ///< guards the two memos and their bytes
+    std::mutex memo_mutex_;  ///< guards the three memos and their bytes
     Memo<std::vector<double>> algorithm2_memo_;
     Memo<double> budget_memo_;
-    std::size_t memo_bytes_ = 0;  ///< both memos, against kMemoBudgetBytes
+    Memo<std::vector<double>, 7> row_memo_;
+    std::size_t memo_bytes_ = 0;  ///< all memos, against kMemoBudgetBytes
     SolverCache* owner_ = nullptr;
   };
 
-  /// The cached LatencyParamSpace lowering of (key, p) over `g` — `g` MUST
+  /// The entry of (key, p), created empty on first use, without building
+  /// its lowering.  Counts neither a build nor a hit.
+  std::shared_ptr<Entry> entry(const GraphKey& key, const loggops::Params& p);
+
+  /// entry(key, p) with its LatencyParamSpace lowering over `g` — `g` MUST
   /// be the graph cached under `key` (same object for the session).  Builds
   /// under a per-key lock on first use: concurrent first touches build one
   /// key once, distinct keys build in parallel.
@@ -199,7 +225,7 @@ class SolverCache {
 
   struct Stats {
     std::size_t built = 0;          ///< lowerings constructed (misses)
-    std::size_t hits = 0;           ///< lookups served an existing lowering
+    std::size_t hits = 0;           ///< latency() served an existing lowering
     std::size_t anchor_solves = 0;  ///< anchor()/eval() dense solves
     std::size_t replays = 0;        ///< anchor()/eval() served by an anchor
     std::size_t anchor_bytes = 0;   ///< payload bytes of published anchors
@@ -218,8 +244,6 @@ class SolverCache {
   std::string stats_string() const;
 
  private:
-  std::shared_ptr<Entry> entry_for(const SolverKey& key);
-
   std::mutex mutex_;  ///< guards entries_ only
   std::map<SolverKey, std::shared_ptr<Entry>> entries_;
   std::atomic<std::size_t> built_{0};

@@ -77,7 +77,10 @@ lp::LinkClassParamSpace make_dragonfly_class_space(
       route.constant = static_cast<double>(path.switches) * d_switch;
     }
   }
-  return lp::LinkClassParamSpace(p, {"l_tc", "l_intra", "l_inter"},
+  return lp::LinkClassParamSpace(p,
+                                 std::vector<std::string>(
+                                     kDragonflyClasses.begin(),
+                                     kDragonflyClasses.end()),
                                  {l_tc_base, l_intra_base, l_inter_base},
                                  std::move(routes), n);
 }

@@ -883,6 +883,183 @@ TEST(ApiSolverCache, CampaignWarmVsColdBytesIncludingMcAxis) {
   EXPECT_GT(warm.solver_cache_stats().replays, 0u);
 }
 
+// topo and place read whole results through their entry's row memo: a
+// repeat must be a hit with a fresh engine's bytes, any changed input a
+// miss, an error never stored, and nothing lowered for the memo.
+
+std::vector<api::Request> solver_corpus_topo_and_place() {
+  std::ifstream in(std::string(LLAMP_GOLDEN_DIR) +
+                   "/../../examples/solver_requests.jsonl");
+  std::vector<api::Request> out;
+  for (std::string line; std::getline(in, line);) {
+    const api::Request req = api::parse_request(line);
+    if (std::holds_alternative<api::TopoRequest>(req) ||
+        std::holds_alternative<api::PlaceRequest>(req)) {
+      out.push_back(req);
+    }
+  }
+  return out;
+}
+
+/// Table and json renders plus the JSON line, or the error message.
+std::string topo_place_bytes(const api::Engine::Outcome& o) {
+  if (!o.response) return "error: " + o.error;
+  std::ostringstream all;
+  for (const auto format :
+       {core::OutputFormat::kTable, core::OutputFormat::kJson}) {
+    api::render(*o.response, format, all);
+  }
+  return all.str() + api::to_json_line(*o.response);
+}
+
+TEST(ApiSolverCache, RepeatedTopoAndPlaceMatchFreshBytes) {
+  const std::vector<api::Request> reqs = solver_corpus_topo_and_place();
+  ASSERT_EQ(reqs.size(), 29u);
+  std::vector<std::string> fresh;
+  std::size_t errors = 0;
+  std::set<std::string> distinct_ok;
+  for (const auto& req : reqs) {
+    api::Engine engine;
+    fresh.push_back(topo_place_bytes(engine.run_batch({req}, 1).front()));
+    if (fresh.back().starts_with("error: ")) {
+      ++errors;
+    } else {
+      distinct_ok.insert(api::to_json(req));
+    }
+  }
+  ASSERT_EQ(errors, 2u);  // the two overflowing l_wire lines
+  ASSERT_EQ(distinct_ok.size(), 23u);
+  const std::size_t ok = reqs.size() - errors;
+
+  for (const int threads : {1, 4}) {
+    api::Engine warm;
+    for (int pass = 0; pass < 2; ++pass) {
+      const auto before = warm.solver_cache_stats();
+      const auto outcomes = warm.run_batch(reqs, threads);
+      const auto after = warm.solver_cache_stats();
+      ASSERT_EQ(outcomes.size(), reqs.size());
+      for (std::size_t i = 0; i < reqs.size(); ++i) {
+        EXPECT_EQ(topo_place_bytes(outcomes[i]), fresh[i])
+            << "threads " << threads << " pass " << pass << " line " << i;
+      }
+      // Errors always recompute.  Otherwise a pass at 1 thread misses each
+      // distinct line once; at 4 threads a repeat may race its first
+      // occurrence, so only the warm pass is exact there.
+      if (pass == 1) {
+        EXPECT_EQ(after.memo_hits - before.memo_hits, ok);
+        EXPECT_EQ(after.memo_misses - before.memo_misses, errors);
+        EXPECT_EQ(after.memo_bytes, before.memo_bytes);
+      } else if (threads == 1) {
+        EXPECT_EQ(after.memo_misses, distinct_ok.size() + errors);
+        EXPECT_EQ(after.memo_hits, ok - distinct_ok.size());
+      }
+    }
+  }
+}
+
+TEST(ApiSolverCache, TopoAndPlaceNeighborInputsMiss) {
+  api::TopoRequest topo;
+  topo.app = small_app("lulesh");
+  api::PlaceRequest place;
+  place.app = small_app("lulesh");
+  // Each variant changes one key input of the base request.
+  std::vector<api::Request> variants;
+  const auto shared_inputs = [&](const auto& base) {
+    auto r = base;
+    r.app.L = 3'000.5;
+    variants.emplace_back(r);
+    r = base;
+    r.app.net = "daint";
+    variants.emplace_back(r);
+    r = base;
+    r.l_wire = 275.0;
+    variants.emplace_back(r);
+    r = base;
+    r.d_switch = 107.0;
+    variants.emplace_back(r);
+    r = base;
+    r.ft_radix = 4;
+    variants.emplace_back(r);
+  };
+  shared_inputs(topo);
+  shared_inputs(place);
+  for (auto edit : {&api::TopoRequest::df_groups, &api::TopoRequest::df_routers,
+                    &api::TopoRequest::df_hosts}) {
+    auto r = topo;
+    r.*edit /= 2;
+    variants.emplace_back(r);
+  }
+  auto rounds = place;
+  rounds.max_rounds = 1;
+  variants.emplace_back(rounds);
+  ASSERT_EQ(variants.size(), 14u);
+
+  api::Engine warm;
+  (void)warm.topo(topo);
+  (void)warm.place(place);
+  for (const auto& req : variants) {
+    const auto before = warm.solver_cache_stats();
+    const auto res = warm.run(req);
+    const auto after = warm.solver_cache_stats();
+    EXPECT_EQ(after.memo_misses, before.memo_misses + 1) << api::to_json(req);
+    EXPECT_EQ(after.memo_hits, before.memo_hits) << api::to_json(req);
+    EXPECT_EQ(api::to_json_line(res), api::to_json_line(api::Engine().run(req)))
+        << api::to_json(req);
+  }
+  // The base requests are still hits after all their neighbours.
+  const auto before = warm.solver_cache_stats();
+  (void)warm.topo(topo);
+  (void)warm.place(place);
+  EXPECT_EQ(warm.solver_cache_stats().memo_hits, before.memo_hits + 2);
+  EXPECT_EQ(warm.solver_cache_stats().memo_misses, before.memo_misses);
+}
+
+TEST(ApiSolverCache, TopoAndPlaceOnlySessionLowersNothingExtra) {
+  api::TopoRequest topo;
+  topo.app = small_app("hpcg");
+  api::PlaceRequest place;
+  place.app = small_app("hpcg");
+  api::Engine engine;
+  for (int round = 0; round < 2; ++round) {
+    (void)engine.topo(topo);
+    (void)engine.place(place);
+  }
+  // The row memo needs the entry, never its latency lowering.
+  const auto s = engine.solver_cache_stats();
+  EXPECT_EQ(s.built, 0u) << engine.solver_cache_stats_string();
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.anchor_solves, 0u);
+  EXPECT_EQ(s.memo_misses, 2u);
+  EXPECT_EQ(s.memo_hits, 2u);
+}
+
+TEST(ApiSolverCache, ThrowingTopoAndPlaceAreNeverMemoized) {
+  api::TopoRequest topo;
+  topo.app = small_app("lulesh");
+  topo.l_wire = 1e308;
+  api::PlaceRequest place;
+  place.app = small_app("lulesh");
+  place.d_switch = 1e308;
+  api::Engine engine;
+  const std::string message =
+      "base runtime is not finite (T = inf): the scenario's costs overflow";
+  for (const auto& req : {api::Request(topo), api::Request(place)}) {
+    const auto before = engine.solver_cache_stats();
+    for (int attempt = 0; attempt < 2; ++attempt) {
+      try {
+        (void)engine.run(req);
+        ADD_FAILURE() << api::to_json(req) << " did not throw";
+      } catch (const Error& e) {
+        EXPECT_EQ(std::string(e.what()), message);
+      }
+    }
+    const auto after = engine.solver_cache_stats();
+    EXPECT_EQ(after.memo_misses, before.memo_misses + 2) << api::to_json(req);
+    EXPECT_EQ(after.memo_hits, before.memo_hits);
+    EXPECT_EQ(after.memo_bytes, 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Batch execution.
 // ---------------------------------------------------------------------------

@@ -735,6 +735,100 @@ TEST(SolverCacheEntry, ThrowingCallsAreNeverMemoized) {
   EXPECT_EQ(entry->max_param_for_budget_from(0, 500.0, 1'615.0, cur), 500.0);
 }
 
+TEST(SolverCacheEntry, LookupWithoutLoweringThenLatencyBuildsOnce) {
+  // entry() hands out the (key, p) entry without lowering it, and its row
+  // memo works on that handle; a later latency() lowers the same entry
+  // once, and the row stored before the lowering stays a hit.
+  const auto g = testing::running_example_graph();
+  const auto p = testing::running_example_params();
+  core::SolverCache cache;
+  const core::GraphKey key{"running-example", 1, 1.0, p.S};
+  const auto looked_up = cache.entry(key, p);
+  EXPECT_EQ(looked_up->problem(), nullptr);
+  EXPECT_EQ(cache.entry(key, p).get(), looked_up.get());
+  int computed = 0;
+  const auto rows = [&] {
+    ++computed;
+    return std::vector<double>{1.5, 2.5};
+  };
+  using Op = core::SolverCache::Entry::RowOp;
+  EXPECT_EQ(looked_up->rows(Op::kTopo, {274.0, 108.0}, rows),
+            (std::vector<double>{1.5, 2.5}));
+  auto s = cache.stats();
+  EXPECT_EQ(s.built, 0u);
+  EXPECT_EQ(s.hits, 0u);
+  EXPECT_EQ(s.memo_misses, 1u);
+
+  const auto a = cache.latency(key, g, p);
+  EXPECT_EQ(a.get(), looked_up.get());
+  ASSERT_NE(a->problem(), nullptr);
+  const auto b = cache.latency(key, g, p);
+  EXPECT_EQ(b->problem().get(), a->problem().get());
+  s = cache.stats();
+  EXPECT_EQ(s.built, 1u);
+  EXPECT_EQ(s.hits, 1u);
+  EXPECT_EQ(a->rows(Op::kTopo, {274.0, 108.0}, rows),
+            (std::vector<double>{1.5, 2.5}));
+  EXPECT_EQ(computed, 1);
+  EXPECT_EQ(cache.stats().memo_hits, 1u);
+}
+
+TEST(SolverCacheEntry, RowMemoKeysOnOpAndInputBitsUnderTheSharedBudget) {
+  const auto p = testing::running_example_params();
+  core::SolverCache cache;
+  const auto entry =
+      cache.entry(core::GraphKey{"running-example", 1, 1.0, p.S}, p);
+  using Op = core::SolverCache::Entry::RowOp;
+  int computed = 0;
+  const auto row = [&](double v) {
+    return [&computed, v] {
+      ++computed;
+      return std::vector<double>{v};
+    };
+  };
+  EXPECT_EQ(entry->rows(Op::kTopo, {0.0, 8.0}, row(1.0)).front(), 1.0);
+  EXPECT_EQ(entry->rows(Op::kTopo, {0.0, 8.0}, row(9.0)).front(), 1.0);
+  // The op and the bits of every input are the key: -0.0 is not 0.0.
+  EXPECT_EQ(entry->rows(Op::kPlace, {0.0, 8.0}, row(2.0)).front(), 2.0);
+  EXPECT_EQ(entry->rows(Op::kTopo, {-0.0, 8.0}, row(3.0)).front(), 3.0);
+  EXPECT_EQ(entry->rows(Op::kTopo, {0.0, 8.0, 1.0}, row(4.0)).front(), 4.0);
+  EXPECT_EQ(computed, 4);
+  const std::size_t one_row = sizeof(std::array<std::uint64_t, 7>) +
+                              sizeof(std::vector<double>) + sizeof(double);
+  EXPECT_EQ(cache.stats().memo_bytes, 4 * one_row);
+
+  // A throw stores nothing and recomputes; the key then stores normally.
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_THROW((void)entry->rows(Op::kPlace, {1.0}, [] {
+      throw LpError("row");
+      return std::vector<double>{};
+    }), LpError);
+  }
+  EXPECT_EQ(cache.stats().memo_bytes, 4 * one_row);
+  EXPECT_EQ(entry->rows(Op::kPlace, {1.0}, row(5.0)).front(), 5.0);
+  EXPECT_EQ(entry->rows(Op::kPlace, {1.0}, row(6.0)).front(), 5.0);
+
+  // Past kMemoBudgetBytes results are computed and returned, not stored.
+  const std::size_t big = core::SolverCache::Entry::kMemoBudgetBytes / 4;
+  const auto big_row = [&](double v) {
+    return [&computed, big, v] {
+      ++computed;
+      return std::vector<double>(big / sizeof(double), v);
+    };
+  };
+  for (int i = 0; i < 4; ++i) {
+    const double in = 100.0 + i;
+    EXPECT_EQ(entry->rows(Op::kTopo, {in}, big_row(in)).back(), in);
+  }
+  computed = 0;
+  EXPECT_EQ(entry->rows(Op::kTopo, {100.0}, big_row(-1.0)).back(), 100.0);
+  EXPECT_EQ(entry->rows(Op::kTopo, {102.0}, big_row(-1.0)).back(), 102.0);
+  EXPECT_EQ(entry->rows(Op::kTopo, {103.0}, big_row(-1.0)).back(), -1.0);
+  EXPECT_EQ(computed, 1) << "only the row past the budget recomputes";
+  EXPECT_LE(cache.stats().memo_bytes,
+            core::SolverCache::Entry::kMemoBudgetBytes);
+}
+
 TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
   // 8 threads race first touches and hits of both memos on one entry, and
   // of λ_G reads on kKeys entries (one per G): each read lowers or hits
