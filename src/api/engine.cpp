@@ -643,9 +643,10 @@ TopoResult Engine::execute(const TopoRequest& req) {
   const std::vector<double> rows =
       solver_cache_.entry(key_for(app), app.params)
           ->rows(core::SolverCache::Entry::RowOp::kTopo,
-                 {req.l_wire, req.d_switch, double(req.ft_radix),
-                  double(req.df_groups), double(req.df_routers),
-                  double(req.df_hosts)},
+                 {req.l_wire, req.d_switch, static_cast<double>(req.ft_radix),
+                  static_cast<double>(req.df_groups),
+                  static_cast<double>(req.df_routers),
+                  static_cast<double>(req.df_hosts)},
                  compute);
 
   TopoResult res;
@@ -683,13 +684,14 @@ PlaceResult Engine::execute(const PlaceRequest& req) {
     // block row's solve.
     return std::vector<double>{core::finite_base_runtime(opt.initial_runtime),
                                volume.predicted_runtime,
-                               opt.predicted_runtime, double(opt.swaps)};
+                               opt.predicted_runtime,
+                               static_cast<double>(opt.swaps)};
   };
   const std::vector<double> rows =
       solver_cache_.entry(key_for(app), app.params)
           ->rows(core::SolverCache::Entry::RowOp::kPlace,
-                 {req.l_wire, req.d_switch, double(req.ft_radix),
-                  double(req.max_rounds)},
+                 {req.l_wire, req.d_switch, static_cast<double>(req.ft_radix),
+                  static_cast<double>(req.max_rounds)},
                  compute);
 
   PlaceResult res;

@@ -188,7 +188,9 @@ std::vector<double> SolverCache::Entry::rows(
     const std::function<std::vector<double>()>& compute) {
   RowKey key{static_cast<std::uint64_t>(op)};
   std::size_t slot = 1;
-  for (const double x : inputs) key.at(slot++) = std::bit_cast<std::uint64_t>(x);
+  for (const double x : inputs) {
+    key.at(slot++) = std::bit_cast<std::uint64_t>(x);
+  }
   return memoized(row_memo_, key, compute);
 }
 

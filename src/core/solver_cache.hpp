@@ -150,8 +150,9 @@ class SolverCache {
     /// inputs beyond the entry key (at most six; ints pass exactly as
     /// doubles).  `compute` runs only on a miss, outside the lock; a throw
     /// stores nothing.  Reads no lowering, so any handle may call it.
-    std::vector<double> rows(RowOp op, std::initializer_list<double> inputs,
-                             const std::function<std::vector<double>()>& compute);
+    std::vector<double> rows(
+        RowOp op, std::initializer_list<double> inputs,
+        const std::function<std::vector<double>()>& compute);
 
     /// Published anchors (observability/tests).
     std::size_t anchor_count() const;

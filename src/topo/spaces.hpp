@@ -20,13 +20,14 @@ lp::LinkClassParamSpace make_wire_latency_space(
     const loggops::Params& p, const Topology& topo,
     const std::vector<int>& placement, double l_wire_base, double d_switch);
 
-/// The Dragonfly wire classes, in parameter order.
+/// The Dragonfly wire classes, in the parameter order of
+/// make_dragonfly_class_space.
 inline constexpr std::array<const char*, 3> kDragonflyClasses = {
     "l_tc", "l_intra", "l_inter"};
 
 /// Appendix H / Fig. 19: Dragonfly with separate decision variables for
 /// terminal channels (l_tc), intra-group wires (l_intra), and inter-group
-/// wires (l_inter), named by kDragonflyClasses.  Tolerance of one class is obtained by fixing the other
+/// wires (l_inter).  Tolerance of one class is obtained by fixing the other
 /// two at their base values (the LoweredProblem's active-parameter
 /// mechanism does exactly that).
 lp::LinkClassParamSpace make_dragonfly_class_space(

@@ -799,10 +799,11 @@ TEST(SolverCacheEntry, RowMemoKeysOnOpAndInputBitsUnderTheSharedBudget) {
 
   // A throw stores nothing and recomputes; the key then stores normally.
   for (int attempt = 0; attempt < 2; ++attempt) {
-    EXPECT_THROW((void)entry->rows(Op::kPlace, {1.0}, [] {
-      throw LpError("row");
-      return std::vector<double>{};
-    }), LpError);
+    EXPECT_THROW((void)entry->rows(Op::kPlace, {1.0},
+                                   []() -> std::vector<double> {
+                                     throw LpError("row");
+                                   }),
+                 LpError);
   }
   EXPECT_EQ(cache.stats().memo_bytes, 4 * one_row);
   EXPECT_EQ(entry->rows(Op::kPlace, {1.0}, row(5.0)).front(), 5.0);
