@@ -69,8 +69,8 @@ using detail::value_eps;
 /// slp[j]) — the lane loop over one slot's two contiguous loads.
 template <std::size_t W>
 struct FlatLaneCost {
-  const double* cst;  ///< slot-ordered constants of the active parameter
-  const double* slp;  ///< slot-ordered slopes of the active parameter
+  const double* cst;  ///< slot-ordered constants
+  const double* slp;  ///< slot-ordered coefficients of the one parameter
   void operator()(std::uint32_t j, const double* xs, double* c,
                   double* s) const {
     const double cj = cst[j];
@@ -127,9 +127,8 @@ struct CsrLaneCost {
 template <std::size_t W, typename F>
 decltype(auto) LoweredProblem::with_lane_cost(int active, F&& f) const {
   if (flat_) {
-    const std::size_t ko = static_cast<std::size_t>(active) * g_.num_edges();
-    return f(FlatLaneCost<W>{flat_const_slot_.data() + ko,
-                             flat_slope_slot_.data() + ko});
+    return f(FlatLaneCost<W>{flat_const_slot_.data(),
+                             flat_slope_slot_.data()});
   }
   return f(CsrLaneCost<W>{term_offsets_.data(), term_param_.data(),
                           term_coeff_.data(), edge_const_.data(),
@@ -420,13 +419,10 @@ void LoweredProblem::solve_into(int active, double value, Cursor& cur) const {
   sol.messages = 0;
 
   // Gradient for *all* parameters: walk the argmax chain from the critical
-  // sink, accumulating each slot's coefficients, and keep the chain
-  // (source -> sink order) for replay.  A flat lowering adds slot j's
-  // coefficient on every parameter, +0.0 where j has no term on it: exact,
-  // so the sums match the CSR term walk's bit for bit.
+  // sink, accumulating each slot's coefficients in term order, and keep the
+  // chain (source -> sink order) for replay.
   const graph::Graph::TopoSlots& ts = g_.topo_slots();
   const std::uint32_t* const arg = cur.arg_slot_.data();
-  const std::size_t ne = g_.num_edges();
   sol.gradient.assign(static_cast<std::size_t>(num_params_), 0.0);
   double* const grad = sol.gradient.data();
   if (last.chain.capacity() < g_.num_vertices()) {
@@ -439,9 +435,7 @@ void LoweredProblem::solve_into(int active, double value, Cursor& cur) const {
        pos = ts.pred[arg[pos]]) {
     const std::uint32_t j = arg[pos];
     if (flat_) {
-      for (std::size_t k = 0; k < sol.gradient.size(); ++k) {
-        grad[k] += flat_slope_slot_[k * ne + j];
-      }
+      grad[0] += flat_slope_slot_[j];
     } else {
       const std::uint32_t end = term_offsets_[j + 1];
       for (std::uint32_t i = term_offsets_[j]; i < end; ++i) {

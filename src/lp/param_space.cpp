@@ -98,36 +98,27 @@ Affine PairwiseLatencyParamSpace::edge_cost(const graph::Graph& g,
 LinkClassParamSpace::LinkClassParamSpace(loggops::Params p,
                                          std::vector<std::string> class_names,
                                          std::vector<double> class_base_values,
-                                         std::vector<Route> routes_by_pair,
+                                         std::vector<double> counts,
+                                         std::vector<double> constants,
                                          int nranks)
     : p_(p),
       names_(std::move(class_names)),
       base_(std::move(class_base_values)),
-      routes_(std::move(routes_by_pair)),
+      counts_(std::move(counts)),
+      constants_(std::move(constants)),
       nranks_(nranks) {
   p_.validate();
   if (names_.size() != base_.size()) {
     throw LpError("link-class space: names/base size mismatch");
   }
-  if (routes_.size() != static_cast<std::size_t>(nranks) *
-                            static_cast<std::size_t>(nranks)) {
+  const std::size_t pairs = static_cast<std::size_t>(nranks) *
+                            static_cast<std::size_t>(nranks);
+  if (constants_.size() != pairs) {
     throw LpError("link-class space: route table must be nranks^2");
   }
-  for (const Route& r : routes_) {
-    if (r.counts.size() != names_.size()) {
-      throw LpError("link-class space: route count arity mismatch");
-    }
+  if (counts_.size() != pairs * names_.size()) {
+    throw LpError("link-class space: route count arity mismatch");
   }
-}
-
-const LinkClassParamSpace::Route& LinkClassParamSpace::route(int src,
-                                                             int dst) const {
-  if (src < 0 || dst < 0 || src >= nranks_ || dst >= nranks_) {
-    throw LpError("link-class space: rank out of range");
-  }
-  return routes_[static_cast<std::size_t>(src) *
-                     static_cast<std::size_t>(nranks_) +
-                 static_cast<std::size_t>(dst)];
 }
 
 Affine LinkClassParamSpace::edge_cost(const graph::Graph& g,
@@ -136,12 +127,19 @@ Affine LinkClassParamSpace::edge_cost(const graph::Graph& g,
   a.constant = latency_edge_cost(e, p_).constant;
   if (e.l_mult != 0) {
     const auto [src, dst] = g.edge_wire_pair(e);
-    const Route& r = route(src, dst);
+    if (src < 0 || dst < 0 || src >= nranks_ || dst >= nranks_) {
+      throw LpError("link-class space: rank out of range");
+    }
+    const std::size_t pair =
+        static_cast<std::size_t>(src) * static_cast<std::size_t>(nranks_) +
+        static_cast<std::size_t>(dst);
+    const std::size_t classes = names_.size();
+    const double* count = counts_.data() + pair * classes;
     const double lm = static_cast<double>(e.l_mult);
-    a.constant += lm * r.constant;
-    for (std::size_t c = 0; c < r.counts.size(); ++c) {
-      if (r.counts[c] != 0.0) {
-        a.terms.push_back({static_cast<int>(c), lm * r.counts[c]});
+    a.constant += lm * constants_[pair];
+    for (std::size_t c = 0; c < classes; ++c) {
+      if (count[c] != 0.0) {
+        a.terms.push_back({static_cast<int>(c), lm * count[c]});
       }
     }
   }

@@ -25,9 +25,9 @@ struct ParamTerm {
 /// its floating-point summations, so `terms` order is part of a space's
 /// observable behavior — emit terms deterministically.  Coefficients are
 /// nonnegative by convention (edge costs are monotone in every parameter;
-/// tolerance search relies on it), and spaces whose edges carry at most
-/// one term each (LatencyParamSpace, the wire-latency space) get the
-/// fastest per-parameter flat lowering.
+/// tolerance search relies on it).  A one-parameter space (LatencyParamSpace,
+/// the wire-latency space) lowers flat and may emit at most one term per
+/// edge; LoweredProblem throws on a second.
 struct Affine {
   double constant = 0.0;
   std::vector<ParamTerm> terms;
@@ -143,19 +143,18 @@ class PairwiseLatencyParamSpace final : public ParamSpace {
 /// into counts of "link classes" (e.g. one class `l_wire` for Fat Tree with
 /// (h+1) wires per route, or {l_tc, l_intra, l_inter} for Dragonfly) plus a
 /// constant per-route term (switch traversals).  The classes are the
-/// decision variables.
+/// decision variables.  Routes are plain tables over ordered rank pairs,
+/// pair = src·nranks + dst: `counts` holds nranks² rows of one count per
+/// class (how many class-c links the route crosses), `constants` one fixed
+/// additive latency (switch delays etc.) per pair.
 class LinkClassParamSpace final : public ParamSpace {
  public:
-  struct Route {
-    /// count[c] = how many class-c links the route crosses.
-    std::vector<double> counts;
-    /// Fixed additive latency (switch delays etc.).
-    double constant = 0.0;
-  };
-
+  /// Throws LpError unless there is one base value per class name,
+  /// `constants` holds nranks² entries and `counts` nranks² × classes.
   LinkClassParamSpace(loggops::Params p, std::vector<std::string> class_names,
                       std::vector<double> class_base_values,
-                      std::vector<Route> routes_by_pair, int nranks);
+                      std::vector<double> counts,
+                      std::vector<double> constants, int nranks);
 
   int num_params() const override {
     return static_cast<int>(names_.size());
@@ -166,16 +165,16 @@ class LinkClassParamSpace final : public ParamSpace {
   double base_value(int k) const override {
     return base_[static_cast<std::size_t>(k)];
   }
+  /// Throws LpError when a costed edge's wire pair lies outside nranks.
   Affine edge_cost(const graph::Graph& g, const graph::Edge& e) const override;
   const loggops::Params& params() const override { return p_; }
 
  private:
-  const Route& route(int src, int dst) const;
-
   loggops::Params p_;
   std::vector<std::string> names_;
   std::vector<double> base_;
-  std::vector<Route> routes_;  // row-major nranks x nranks
+  std::vector<double> counts_;     // nranks² x classes, row-major by pair
+  std::vector<double> constants_;  // nranks², by pair
   int nranks_;
 };
 

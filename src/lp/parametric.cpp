@@ -13,11 +13,6 @@ namespace llamp::lp {
 namespace {
 constexpr double kInfD = std::numeric_limits<double>::infinity();
 
-/// Parameter-count ceiling for the per-active-parameter flat lowering; the
-/// pairwise HLogGP space (O(ranks²) parameters) stays on the CSR fallback
-/// rather than materializing O(ranks² · edges) doubles.
-constexpr int kFlatParamLimit = 8;
-
 using detail::budget_eps;
 using detail::kBudgetIters;
 using detail::kNoIndex;
@@ -39,10 +34,11 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
   // Costs are computed in vertex-id and edge-id order and stored straight
   // into their topo position and slot through the graph's maps: reading
   // the graph in slot order instead stalls on a cache miss per edge
-  // (DESIGN.md §4b).  Each edge's Affine is lowered into its slot's CSR
-  // term range, preserving term order; the transient Affine (and its
-  // heap-allocated term vector) dies here instead of being walked on every
-  // solve.
+  // (DESIGN.md §4b).  A one-parameter space writes each edge's constant
+  // and coefficient into its slot's flat row; any other space lowers each
+  // edge's Affine into its slot's CSR term range, preserving term order.
+  // Either way the transient Affine (and its heap-allocated term vector)
+  // dies here instead of being walked on every solve.
   const std::size_t n = g_.num_vertices();
   const std::size_t ne = g_.num_edges();
   const std::vector<std::uint32_t>& topo_pos = g_.topo_slots().pos_of;
@@ -52,25 +48,41 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
   for (graph::VertexId v = 0; v < n; ++v) {
     vertex_cost_topo_[topo_pos[v]] = graph::vertex_cost(g_.vertex(v), p);
   }
-  edge_const_.resize(ne);
-  term_offsets_.assign(ne + 1, 0);
+  flat_ = num_params_ == 1;
+  if (flat_) {
+    flat_const_slot_.resize(ne);
+    flat_slope_slot_.resize(ne);
+  } else {
+    edge_const_.resize(ne);
+    term_offsets_.assign(ne + 1, 0);
+  }
   std::vector<ParamTerm> terms;  ///< every edge's terms, edge-id order
-  bool one_term_per_edge = true;
   for (std::size_t e = 0; e < ne; ++e) {
     const Affine a =
         space_->edge_cost(g_, g_.edge(static_cast<std::uint32_t>(e)));
-    edge_const_[slot_of[e]] = a.constant;
-    term_offsets_[slot_of[e] + 1] = static_cast<std::uint32_t>(a.terms.size());
     for (const ParamTerm& t : a.terms) {
       if (t.param < 0 || t.param >= num_params_) {
         throw LpError(strformat("edge cost references parameter %d outside "
                                 "the space's %d parameters",
                                 t.param, num_params_));
       }
-      terms.push_back(t);
     }
-    one_term_per_edge = one_term_per_edge && a.terms.size() <= 1;
+    const std::uint32_t j = slot_of[e];
+    if (flat_) {
+      if (a.terms.size() > 1) {
+        throw LpError(strformat("one-parameter space emits %zu terms on "
+                                "edge %zu",
+                                a.terms.size(), e));
+      }
+      flat_const_slot_[j] = a.constant;
+      flat_slope_slot_[j] = a.terms.empty() ? 0.0 : a.terms[0].coeff;
+      continue;
+    }
+    edge_const_[j] = a.constant;
+    term_offsets_[j + 1] = static_cast<std::uint32_t>(a.terms.size());
+    terms.insert(terms.end(), a.terms.begin(), a.terms.end());
   }
+  if (flat_) return;
   for (std::size_t j = 0; j < ne; ++j) {
     term_offsets_[j + 1] += term_offsets_[j];
   }
@@ -84,39 +96,6 @@ LoweredProblem::LoweredProblem(const graph::Graph& g,
       term_coeff_[i] = next->coeff;
       ++next;
     }
-  }
-
-  // Flat lowering: per activatable parameter, a per-slot (constant, slope)
-  // pair with the inactive parameter (if any) folded in at its base value.
-  // Folding performs the seed's own `c += coeff * point[param]` operation,
-  // so evaluation stays bit-for-bit identical to the term walk.
-  flat_ =
-      one_term_per_edge && num_params_ > 0 && num_params_ <= kFlatParamLimit;
-  if (flat_) {
-    flat_const_slot_.resize(static_cast<std::size_t>(num_params_) * ne);
-    flat_slope_slot_.assign(static_cast<std::size_t>(num_params_) * ne, 0.0);
-    for (int k = 0; k < num_params_; ++k) {
-      const std::size_t ko = static_cast<std::size_t>(k) * ne;
-      for (std::size_t j = 0; j < ne; ++j) {
-        double c = edge_const_[j];
-        if (term_offsets_[j] < term_offsets_[j + 1]) {
-          const std::uint32_t i = term_offsets_[j];
-          if (term_param_[i] == k) {
-            flat_slope_slot_[ko + j] = term_coeff_[i];
-          } else {
-            c += term_coeff_[i] *
-                 base_[static_cast<std::size_t>(term_param_[i])];
-          }
-        }
-        flat_const_slot_[ko + j] = c;
-      }
-    }
-    // Every later read of a flat lowering's costs, the chain walk's
-    // coefficients included, goes through the flat arrays: free the CSR.
-    decltype(term_offsets_)().swap(term_offsets_);
-    decltype(term_param_)().swap(term_param_);
-    decltype(term_coeff_)().swap(term_coeff_);
-    decltype(edge_const_)().swap(edge_const_);
   }
 }
 

@@ -73,13 +73,13 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// through its 1-lane edge costs.
 ///
 /// Ownership split (DESIGN.md §4e): a LoweredProblem is the *immutable*
-/// half of a solver — the CSR/SoA cost arrays and base point lowered once
-/// at construction.  After construction every method is const and touches
-/// only caller-owned scratch, so one LoweredProblem may be shared freely
-/// across threads and cached across requests (see core::SolverCache).  The
-/// mutable half is the per-query Cursor below; the bridge between queries
-/// is the AnchorState snapshot, which replays bitwise-identically to a
-/// dense solve inside its stability zone.
+/// half of a solver — the flat or CSR cost arrays and base point lowered
+/// once at construction.  After construction every method is const and
+/// touches only caller-owned scratch, so one LoweredProblem may be shared
+/// freely across threads and cached across requests (see
+/// core::SolverCache).  The mutable half is the per-query Cursor below; the
+/// bridge between queries is the AnchorState snapshot, which replays
+/// bitwise-identically to a dense solve inside its stability zone.
 ///
 /// Hot-path layout (DESIGN.md §4b): everything is indexed by topo *slot*,
 /// the index space of the graph's Graph::TopoSlots, which the graph builds
@@ -88,14 +88,12 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// contiguous slot range [offsets[i], offsets[i+1]) in ascending edge id,
 /// and slot j's predecessor is topo position pred[j].  A lowering owns only
 /// what depends on its ParamSpace.  At construction the per-edge Affine
-/// expressions are lowered straight into slot order: CSR term ranges per
-/// slot and, when every edge carries at most one parametric term and the
-/// space is small (LatencyParamSpace, the shared wire-latency space), a
-/// per-activatable-parameter (constant, slope) pair per slot with every
-/// inactive parameter folded in — two contiguous loads and one
-/// multiply-add per edge; a flat lowering then releases its CSR terms.
-/// The CSR term walk is the multi-parameter fallback
-/// (PairwiseLatencyParamSpace, multi-term edges).  The critical
+/// expressions are lowered straight into slot order.  A one-parameter
+/// space (LatencyParamSpace, the wire-latency space) lowers flat: one
+/// (constant, coefficient) pair per slot, two contiguous loads and one
+/// multiply-add per edge, and no CSR at all.  Every other space
+/// (PairwiseLatencyParamSpace, the Dragonfly class space) lowers into CSR
+/// term ranges per slot, inactive terms priced at base.  The critical
 /// path is a list of slots, so the forward pass, the chain walk, and anchor
 /// replay read only the slot arrays (and the edge kind behind
 /// Solution::messages).  Both lowerings replicate the seed implementation's
@@ -103,6 +101,9 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// identical to the original per-edge heap-vector walk.
 class LoweredProblem {
  public:
+  /// Throws LpError on an unfinalized graph, a null space, a term on a
+  /// parameter outside the space, or an edge of a one-parameter space
+  /// with more than one term.
   LoweredProblem(const graph::Graph& g,
                  std::shared_ptr<const ParamSpace> space);
   /// A latency lowering at `p` that owns its LatencyParamSpace alone and
@@ -119,8 +120,8 @@ class LoweredProblem {
   std::shared_ptr<const ParamSpace> space_ptr() const { return space_; }
   const graph::Graph& graph() const { return g_; }
   int num_params() const { return num_params_; }
-  /// True when the per-active-parameter flat lowering is in effect (every
-  /// edge has at most one term, small space); false on the CSR fallback.
+  /// True when the space has one parameter and lowered flat; false on the
+  /// CSR lowering.
   bool flat() const { return flat_; }
 
   /// Re-lower in place at operating point `p` with every edge's whole
@@ -465,17 +466,15 @@ class LoweredProblem {
 
   // CSR lowering of the per-edge Affine terms by slot, preserving term
   // order (and therefore the seed's floating-point summation order).
-  // Released once the flat lowering below is built from it.
+  // Empty on a flat lowering.
   std::vector<std::uint32_t> term_offsets_;  ///< slot -> [first, last) term
   std::vector<std::int32_t> term_param_;
   std::vector<double> term_coeff_;
   std::vector<double> edge_const_;           ///< by slot
 
-  // Flat per-active-parameter lowering, built when every edge has at most
-  // one term and the space is small: flat_const_slot_/flat_slope_slot_
-  // [k * E + j] for slot j.  Slot j's coefficient on parameter k is
-  // flat_slope_slot_[k * E + j] (0 when j has no term on k), which is all
-  // the chain walk's gradient needs.
+  // Flat lowering of a one-parameter space, E doubles each: slot j's
+  // constant and its coefficient on the parameter (0 when j has no term),
+  // which is all the chain walk's gradient needs.  Empty on a CSR lowering.
   bool flat_ = false;
   std::vector<double> flat_const_slot_;
   std::vector<double> flat_slope_slot_;

@@ -22,6 +22,38 @@ void check_placement(const Topology& topo, const std::vector<int>& placement) {
   }
 }
 
+/// Row-major tables over ordered rank pairs, pair = i·nranks + j.
+struct RouteTable {
+  std::vector<double> counts;     ///< nranks² x width
+  std::vector<double> constants;  ///< nranks²
+  int nranks = 0;
+};
+
+/// The one route walk behind every topology-derived table: checks the
+/// placement, then for each ordered pair of distinct ranks reads the
+/// topology's route between their nodes.  read(path, row) writes the
+/// pair's `width` counts into row and returns its constant; the diagonal
+/// stays zero.
+template <typename Read>
+RouteTable walk_routes(const Topology& topo, const std::vector<int>& placement,
+                       std::size_t width, Read&& read) {
+  check_placement(topo, placement);
+  const std::size_t n = placement.size();
+  RouteTable t;
+  t.counts.assign(n * n * width, 0.0);
+  t.constants.assign(n * n, 0.0);
+  t.nranks = static_cast<int>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i == j) continue;
+      const std::size_t pair = i * n + j;
+      t.constants[pair] = read(topo.path(placement[i], placement[j]),
+                               t.counts.data() + pair * width);
+    }
+  }
+  return t;
+}
+
 }  // namespace
 
 std::vector<int> identity_placement(int nranks) {
@@ -33,79 +65,47 @@ std::vector<int> identity_placement(int nranks) {
 lp::LinkClassParamSpace make_wire_latency_space(
     const loggops::Params& p, const Topology& topo,
     const std::vector<int>& placement, double l_wire_base, double d_switch) {
-  check_placement(topo, placement);
-  const int n = static_cast<int>(placement.size());
-  std::vector<lp::LinkClassParamSpace::Route> routes(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      auto& route = routes[static_cast<std::size_t>(i) *
-                               static_cast<std::size_t>(n) +
-                           static_cast<std::size_t>(j)];
-      route.counts.assign(1, 0.0);
-      if (i == j) continue;
-      const Path path = topo.path(placement[static_cast<std::size_t>(i)],
-                                  placement[static_cast<std::size_t>(j)]);
-      route.counts[0] = static_cast<double>(path.total_wires());
-      route.constant = static_cast<double>(path.switches) * d_switch;
-    }
-  }
+  RouteTable t = walk_routes(topo, placement, 1,
+                             [&](const Path& path, double* count) {
+    count[0] = static_cast<double>(path.total_wires());
+    return static_cast<double>(path.switches) * d_switch;
+  });
   return lp::LinkClassParamSpace(p, {"l_wire"}, {l_wire_base},
-                                 std::move(routes), n);
+                                 std::move(t.counts), std::move(t.constants),
+                                 t.nranks);
 }
 
 lp::LinkClassParamSpace make_dragonfly_class_space(
     const loggops::Params& p, const Dragonfly& topo,
     const std::vector<int>& placement, double l_tc_base, double l_intra_base,
     double l_inter_base, double d_switch) {
-  check_placement(topo, placement);
-  const int n = static_cast<int>(placement.size());
-  std::vector<lp::LinkClassParamSpace::Route> routes(
-      static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      auto& route = routes[static_cast<std::size_t>(i) *
-                               static_cast<std::size_t>(n) +
-                           static_cast<std::size_t>(j)];
-      route.counts.assign(3, 0.0);
-      if (i == j) continue;
-      const Path path = topo.path(placement[static_cast<std::size_t>(i)],
-                                  placement[static_cast<std::size_t>(j)]);
-      route.counts[0] = static_cast<double>(path.tc_wires);
-      route.counts[1] = static_cast<double>(path.intra_wires);
-      route.counts[2] = static_cast<double>(path.inter_wires);
-      route.constant = static_cast<double>(path.switches) * d_switch;
-    }
-  }
+  RouteTable t = walk_routes(topo, placement, kDragonflyClasses.size(),
+                             [&](const Path& path, double* count) {
+    count[0] = static_cast<double>(path.tc_wires);
+    count[1] = static_cast<double>(path.intra_wires);
+    count[2] = static_cast<double>(path.inter_wires);
+    return static_cast<double>(path.switches) * d_switch;
+  });
   return lp::LinkClassParamSpace(p,
                                  std::vector<std::string>(
                                      kDragonflyClasses.begin(),
                                      kDragonflyClasses.end()),
                                  {l_tc_base, l_intra_base, l_inter_base},
-                                 std::move(routes), n);
+                                 std::move(t.counts), std::move(t.constants),
+                                 t.nranks);
 }
 
 PairwiseMatrices make_pairwise_matrices(const loggops::Params& p,
                                         const Topology& topo,
                                         const std::vector<int>& placement,
                                         double l_wire, double d_switch) {
-  check_placement(topo, placement);
-  const int n = static_cast<int>(placement.size());
   PairwiseMatrices out;
-  out.latency.assign(static_cast<std::size_t>(n) * static_cast<std::size_t>(n),
-                     0.0);
+  out.latency = walk_routes(topo, placement, 0,
+                            [&](const Path& path, double*) {
+    return static_cast<double>(path.total_wires()) * l_wire +
+           static_cast<double>(path.switches) * d_switch;
+  }).constants;
   out.gap.assign(out.latency.size(), p.G);
-  for (int i = 0; i < n; ++i) {
-    for (int j = 0; j < n; ++j) {
-      if (i == j) continue;
-      const Path path = topo.path(placement[static_cast<std::size_t>(i)],
-                                  placement[static_cast<std::size_t>(j)]);
-      out.latency[static_cast<std::size_t>(i) * static_cast<std::size_t>(n) +
-                  static_cast<std::size_t>(j)] =
-          static_cast<double>(path.total_wires()) * l_wire +
-          static_cast<double>(path.switches) * d_switch;
-    }
-  }
   return out;
 }
 

@@ -254,13 +254,10 @@ TEST(PairwiseSpace, GradientIdentifiesTheCriticalPair) {
 TEST(LinkClassSpace, RouteDecomposition) {
   loggops::Params p;
   p.o = 0.0;
-  // Two ranks, one class, route: 4 wires + constant 100.
-  std::vector<LinkClassParamSpace::Route> routes(4);
-  for (auto& r : routes) r.counts.assign(1, 0.0);
-  routes[1].counts[0] = 4.0;
-  routes[1].constant = 100.0;
-  routes[2] = routes[1];
-  LinkClassParamSpace space(p, {"l_wire"}, {250.0}, routes, 2);
+  // Two ranks, one class, route: 4 wires + constant 100 both ways.
+  std::vector<double> counts = {0.0, 4.0, 4.0, 0.0};
+  std::vector<double> constants = {0.0, 100.0, 100.0, 0.0};
+  LinkClassParamSpace space(p, {"l_wire"}, {250.0}, counts, constants, 2);
 
   graph::Graph g(2);
   const auto s = g.add_send(0, 1, 1);
@@ -275,9 +272,56 @@ TEST(LinkClassSpace, RouteDecomposition) {
 
 TEST(LinkClassSpace, Validation) {
   loggops::Params p;
-  EXPECT_THROW(LinkClassParamSpace(p, {"a"}, {1.0, 2.0}, {}, 0), LpError);
-  std::vector<LinkClassParamSpace::Route> routes(4);
-  EXPECT_THROW(LinkClassParamSpace(p, {"a"}, {1.0}, routes, 2), LpError);
+  EXPECT_THROW(LinkClassParamSpace(p, {"a"}, {1.0, 2.0}, {}, {}, 0), LpError);
+  // Route tables: nranks² constants, nranks² x classes counts.
+  EXPECT_THROW(LinkClassParamSpace(p, {"a"}, {1.0}, std::vector<double>(4),
+                                   std::vector<double>(3), 2),
+               LpError);
+  EXPECT_THROW(LinkClassParamSpace(p, {"a", "b"}, {1.0, 1.0},
+                                   std::vector<double>(4),
+                                   std::vector<double>(4), 2),
+               LpError);
+  // A costed edge whose wire pair lies outside the space's ranks.
+  const LinkClassParamSpace one_rank(p, {"a"}, {1.0}, {0.0}, {0.0}, 1);
+  graph::Graph g(2);
+  const auto s = g.add_send(0, 1, 1);
+  const auto r = g.add_recv(1, 0, 1);
+  g.add_comm_edge(s, r, false);
+  g.finalize();
+  EXPECT_THROW((void)one_rank.edge_cost(g, g.edges()[0]), LpError);
+  EXPECT_THROW(
+      LoweredProblem(g, std::make_shared<LinkClassParamSpace>(one_rank)),
+      LpError);
+}
+
+/// A one-parameter space whose every edge costs the latency space's
+/// constant plus the given terms.
+class FixedTermsSpace final : public ParamSpace {
+ public:
+  FixedTermsSpace(loggops::Params p, std::vector<ParamTerm> terms)
+      : p_(p), terms_(std::move(terms)) {}
+  int num_params() const override { return 1; }
+  std::string param_name(int) const override { return "x"; }
+  double base_value(int) const override { return p_.L; }
+  Affine edge_cost(const graph::Graph&, const graph::Edge& e) const override {
+    return {latency_edge_cost(e, p_).constant, terms_};
+  }
+  const loggops::Params& params() const override { return p_; }
+
+ private:
+  loggops::Params p_;
+  std::vector<ParamTerm> terms_;
+};
+
+TEST(Errors, OneParameterSpaceEmitsAtMostOneTermPerEdge) {
+  const auto g = llamp::testing::running_example_graph();
+  const auto p = llamp::testing::running_example_params();
+  const auto space = [&](std::vector<ParamTerm> terms) {
+    return std::make_shared<FixedTermsSpace>(p, std::move(terms));
+  };
+  EXPECT_TRUE(LoweredProblem(g, space({{0, 1.0}})).flat());
+  EXPECT_THROW(LoweredProblem(g, space({{0, 1.0}, {0, 2.0}})), LpError);
+  EXPECT_THROW(LoweredProblem(g, space({{1, 1.0}})), LpError);
 }
 
 TEST(Errors, InvalidArguments) {

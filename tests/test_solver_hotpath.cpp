@@ -21,6 +21,7 @@
 #include "lp/parametric.hpp"
 #include "schedgen/schedgen.hpp"
 #include "test_support.hpp"
+#include "topo/spaces.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -107,9 +108,9 @@ TEST_P(RandomConfigTest, WalkBitwiseMatchesDenseOnRandomPrograms) {
 }
 
 TEST_P(RandomConfigTest, CsrFallbackWalkMatchesDense) {
-  // LatencyBandwidthParamSpace has two-term edges and the pairwise HLogGP
-  // space has too many parameters to flatten: both exercise the CSR
-  // fallback rather than the flat per-parameter lowering.
+  // LatencyBandwidthParamSpace and the pairwise HLogGP space both have
+  // more than one parameter: both exercise the CSR lowering rather than
+  // the flat one.
   testing::RandomProgramConfig cfg;
   cfg.seed = GetParam() + 77;
   cfg.nranks = 5;
@@ -349,9 +350,9 @@ TEST(AnchorReplay, BitwiseMatchesDenseOnAllRegisteredApps) {
 }
 
 TEST(AnchorReplay, CsrAnchorsBitwiseMatchDenseOnAllRegisteredApps) {
-  // The CSR fallback replays through the same slot-ordered chain walk:
-  // two-term edges (latency_bandwidth, k = G) and a pairwise space with
-  // too many parameters to flatten.
+  // The CSR lowering replays through the same slot-ordered chain walk:
+  // two-term edges (latency_bandwidth, k = G) and a pairwise space (one
+  // parameter per rank pair).
   const auto p = loggops::NetworkConfig::cscs_testbed();
   std::size_t interior = 0;
   for (const std::string& app : apps::app_names()) {
@@ -1167,6 +1168,26 @@ TEST(SeedWalk, DenseAndRangedPassesMatchOnAllRegisteredApps) {
     const auto pair = std::make_shared<PairwiseLatencyParamSpace>(p, ranks);
     expect_matches_seed_walk(g, pair, pair->pair_index(0, ranks - 1), 0.0,
                              l_hi, cur);
+    // Topology spaces: the fat-tree wire space (one parameter, flat), the
+    // Dragonfly class space with every rank on one switch (one term per
+    // edge) and with two hosts per switch (routes carry two and three
+    // classes).
+    const auto placement = topo::identity_placement(ranks);
+    const auto wire = std::make_shared<LinkClassParamSpace>(
+        topo::make_wire_latency_space(p, topo::FatTree(4), placement, 274.0,
+                                      108.0));
+    ASSERT_TRUE(LoweredProblem(g, wire).flat());
+    expect_matches_seed_walk(g, wire, 0, 0.0, 10'000.0, cur);
+    for (const auto& df : {topo::Dragonfly(8, 4, 8), topo::Dragonfly(4, 2, 2)}) {
+      SCOPED_TRACE(df.name());
+      const auto cls = std::make_shared<LinkClassParamSpace>(
+          topo::make_dragonfly_class_space(p, df, placement, 100.0, 200.0,
+                                           300.0, 108.0));
+      ASSERT_FALSE(LoweredProblem(g, cls).flat());
+      for (int k = 0; k < cls->num_params(); ++k) {
+        expect_matches_seed_walk(g, cls, k, 0.0, 10'000.0, cur);
+      }
+    }
   }
 }
 
