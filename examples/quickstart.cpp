@@ -50,7 +50,7 @@ int main() {
                 analyzer.lambda_L(L));
   }
 
-  const auto crit = analyzer.critical_latencies(0.0, 1'000.0);
+  const auto crit = analyzer.solver().critical_values(0, 0.0, 1'000.0);
   std::printf("\ncritical latencies in [0, 1 us]:");
   for (const double c : crit) std::printf(" %s", human_time_ns(c).c_str());
   std::printf("   (paper: 385 ns)\n");

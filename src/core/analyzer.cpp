@@ -73,11 +73,6 @@ TimeNs LatencyAnalyzer::tolerance_delta(double percent) const {
   return tol - params_.L;
 }
 
-std::vector<TimeNs> LatencyAnalyzer::critical_latencies(TimeNs lo,
-                                                        TimeNs hi) const {
-  return solver().critical_values(0, lo, hi);
-}
-
 std::vector<TimeNs> LatencyAnalyzer::critical_latencies_algorithm2(
     TimeNs lo, TimeNs hi, double step) const {
   return entry_->critical_values_algorithm2(0, lo, hi, step);

@@ -70,10 +70,6 @@ class LatencyAnalyzer {
   /// Same tolerance expressed as an injection ΔL over the base latency.
   TimeNs tolerance_delta(double percent) const;
 
-  /// Critical latencies: absolute L values in [lo, hi] where λ_L changes,
-  /// read off the exact piecewise curve.
-  std::vector<TimeNs> critical_latencies(TimeNs lo, TimeNs hi) const;
-
   /// The paper's Algorithm 2 scan (Appendix D) over absolute L in [lo, hi]
   /// at resolution `step`, served through the cache entry's memo.
   std::vector<TimeNs> critical_latencies_algorithm2(TimeNs lo, TimeNs hi,

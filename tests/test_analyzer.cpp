@@ -36,7 +36,7 @@ TEST(RunningExample, AnalyzerWrapsSolver) {
   EXPECT_DOUBLE_EQ(an.lambda_L(100.0), 0.0);
   // 2 us budget is +33.33% over the 1.5 us base.
   EXPECT_NEAR(an.tolerance(100.0 / 3.0), 885.0, 0.5);
-  const auto crit = an.critical_latencies(0.0, 1'000.0);
+  const auto crit = an.solver().critical_values(0, 0.0, 1'000.0);
   ASSERT_EQ(crit.size(), 1u);
   EXPECT_NEAR(crit[0], 385.0, 1e-3);
 }
