@@ -781,6 +781,7 @@ obs::Snapshot Engine::metrics_snapshot() const {
   snap.set_counter("solver_cache.replays", sc.replays);
   snap.set_counter("solver_cache.memo_hits", sc.memo_hits);
   snap.set_counter("solver_cache.memo_misses", sc.memo_misses);
+  snap.set_counter("solver_cache.budget_refused", sc.budget_refused);
   // Scrape bookkeeping: the sequence number orders snapshots of one
   // session (monotonic from 1; a restart resets it), uptime stamps them.
   snap.set_counter("engine.metrics_seq",

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <utility>
 
 #include "lp/param_space.hpp"
@@ -41,7 +43,7 @@ template <typename V, std::size_t N, typename Compute>
 V SolverCache::Entry::memoized(Memo<V, N>& memo, const Key<N>& key,
                                Compute&& compute) {
   {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = memo.find(key);
     if (it != memo.end()) {
       owner_->memo_hits_.fetch_add(1, std::memory_order_relaxed);
@@ -53,36 +55,84 @@ V SolverCache::Entry::memoized(Memo<V, N>& memo, const Key<N>& key,
   // anything is stored.  Two threads racing one key both compute the same
   // bits; the first insert wins and the other is a no-op.
   V value = compute();
-  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   store(memo, key, value);
   return value;
+}
+
+bool SolverCache::Entry::charge(std::size_t bytes) {
+  if (bytes_ + bytes > kMemoBudgetBytes) {
+    owner_->budget_refused_.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+  bytes_ += bytes;
+  return true;
 }
 
 template <typename V, std::size_t N>
 void SolverCache::Entry::store(Memo<V, N>& memo, const Key<N>& key,
                                const V& value) {
   const std::size_t bytes = sizeof(key) + payload_bytes(value);
-  if (memo_bytes_ + bytes <= kMemoBudgetBytes &&
-      memo.try_emplace(key, value).second) {
-    memo_bytes_ += bytes;
+  if (memo.find(key) == memo.end() && charge(bytes)) {
+    memo.emplace(key, value);
     owner_->memo_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   }
 }
 
+namespace {
+/// (active, at) order of the entry's anchor vector.
+bool anchor_before(int ka, double xa, int kb, double xb) {
+  return ka != kb ? ka < kb : xa < xb;
+}
+}  // namespace
+
+const SolverCache::Entry::AnchorPtr* SolverCache::Entry::covering(
+    int k, double x) const {
+  const auto it = std::upper_bound(
+      anchors_.begin(), anchors_.end(), x, [k](double v, const AnchorPtr& a) {
+        return anchor_before(k, v, a->solution.active, a->solution.at);
+      });
+  if (it == anchors_.begin()) return nullptr;
+  const AnchorPtr& a = *std::prev(it);
+  return a->covers(k, x) ? &a : nullptr;
+}
+
+bool SolverCache::Entry::publish(const AnchorPtr& a) {
+  const lp::LoweredProblem::Solution& s = a->solution;
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto pos = std::lower_bound(
+      anchors_.begin(), anchors_.end(), a, [](const AnchorPtr& l,
+                                              const AnchorPtr& r) {
+        return anchor_before(l->solution.active, l->solution.at,
+                             r->solution.active, r->solution.at);
+      });
+  if (pos != anchors_.end() && (*pos)->solution.active == s.active &&
+      (*pos)->solution.at == s.at) {
+    return true;  // another thread published this point first
+  }
+  // Payload accounting by element size, not vector capacity — capacities
+  // depend on the allocator's growth history, sizes only on the published
+  // anchor set (deterministic per request sequence).
+  const std::size_t bytes = sizeof(lp::LoweredProblem::AnchorState) +
+                            a->chain.size() * sizeof(std::uint32_t) +
+                            s.gradient.size() * sizeof(double);
+  if (!charge(bytes)) return false;
+  owner_->anchor_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  anchors_.insert(pos, a);
+  return true;
+}
+
 std::shared_ptr<const lp::LoweredProblem::AnchorState>
 SolverCache::Entry::anchor(int k, double x, lp::LoweredProblem::Cursor& cur) {
-  // Warm path: any published anchor whose stability zone covers x selects
+  // Warm path: a published anchor whose stability zone covers x selects
   // the dense solve's critical path and replays bitwise identically to it
-  // (see the class contract), so the first covering anchor found is as
-  // good as any other — overlapping zones cannot make the served bytes
-  // depend on scan order.
+  // (see the class contract), so which of several overlapping anchors
+  // serves x cannot change the served bytes.
   {
-    const std::lock_guard<std::mutex> lock(anchor_mutex_);
-    for (const auto& a : anchors_) {
-      if (a->covers(k, x)) {
-        owner_->replays_.fetch_add(1, std::memory_order_relaxed);
-        return a;
-      }
+    const std::lock_guard<std::mutex> lock(mutex_);
+    if (const AnchorPtr* a = covering(k, x)) {
+      owner_->replays_.fetch_add(1, std::memory_order_relaxed);
+      return *a;
     }
   }
 
@@ -92,30 +142,7 @@ SolverCache::Entry::anchor(int k, double x, lp::LoweredProblem::Cursor& cur) {
   owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
   auto fresh = std::make_shared<lp::LoweredProblem::AnchorState>();
   prob_->save_anchor(cur, *fresh);
-  const std::lock_guard<std::mutex> lock(anchor_mutex_);
-  if (anchors_.size() < kMaxAnchors) {
-    const auto pos = std::lower_bound(
-        anchors_.begin(), anchors_.end(), fresh,
-        [](const auto& a, const auto& b) {
-          if (a->solution.active != b->solution.active) {
-            return a->solution.active < b->solution.active;
-          }
-          return a->solution.at < b->solution.at;
-        });
-    if (pos == anchors_.end() ||
-        (*pos)->solution.active != fresh->solution.active ||
-        (*pos)->solution.at != fresh->solution.at) {
-      // Payload accounting by element size, not vector capacity —
-      // capacities depend on the allocator's growth history, sizes only
-      // on the published anchor set (deterministic per request sequence).
-      owner_->anchor_bytes_.fetch_add(
-          sizeof(lp::LoweredProblem::AnchorState) +
-              fresh->chain.size() * sizeof(std::uint32_t) +
-              fresh->solution.gradient.size() * sizeof(double),
-          std::memory_order_relaxed);
-      anchors_.insert(pos, fresh);
-    }
-  }
+  if (std::isfinite(fresh->solution.value)) (void)publish(fresh);
   return fresh;
 }
 
@@ -123,6 +150,72 @@ lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
     int k, double x, lp::LoweredProblem::Cursor& cur) {
   // At a fresh anchor's own point the replay returns the stored solve.
   return prob_->replay_anchor(*anchor(k, x, cur), k, x);
+}
+
+void SolverCache::Entry::eval_batch(int k, const double* xs, std::size_t n,
+                                    lp::LoweredProblem::Cursor& cur,
+                                    lp::LoweredProblem::BatchPoint* out) {
+  using State = lp::LoweredProblem::AnchorState;
+  lp::LoweredProblem::Cursor::LaneGather& gather = cur.gather;
+  gather.grow(n);
+  const auto replay = [&](const State& a, double x) {
+    const lp::LoweredProblem::SweepEval ev = prob_->replay_anchor(a, k, x);
+    return lp::LoweredProblem::BatchPoint{ev.value, ev.slope};
+  };
+  // Covered lanes keep a raw pointer past the lock: anchors are never
+  // dropped, so the published state outlives the call.
+  std::size_t m = 0;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    for (std::size_t i = 0; i < n; ++i) {
+      const AnchorPtr* a = covering(k, xs[i]);
+      gather.anchor[i] = a != nullptr ? a->get() : nullptr;
+      if (a == nullptr) gather.lane[m++] = static_cast<std::uint32_t>(i);
+    }
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (gather.anchor[i] != nullptr) out[i] = replay(*gather.anchor[i], xs[i]);
+  }
+  std::size_t replays = n - m;
+
+  // Uncovered lanes in ascending x (NaN last, keeping the order strict),
+  // so each dense solve's zone serves the lanes above it.  A solve whose
+  // value is not finite, or a publish the budget refuses, ends the walk:
+  // from there on the lanes are solve_batch's own.
+  std::uint32_t* const lane = gather.lane.data();
+  std::sort(lane, lane + m, [&](std::uint32_t a, std::uint32_t b) {
+    return xs[a] < xs[b] || (std::isnan(xs[b]) && !std::isnan(xs[a]));
+  });
+  std::shared_ptr<const State> fresh;
+  std::size_t j = 0;
+  for (; j < m; ++j) {
+    const double x = xs[lane[j]];
+    if (fresh && fresh->covers(k, x)) {
+      out[lane[j]] = replay(*fresh, x);
+      ++replays;
+      continue;
+    }
+    const double value = prob_->solve(k, x, cur).value;
+    owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
+    if (!std::isfinite(value)) break;
+    auto state = std::make_shared<State>();
+    prob_->save_anchor(cur, *state);
+    out[lane[j]] = replay(*state, x);  // its own point: the stored solve
+    fresh = std::move(state);
+    if (!publish(fresh)) {
+      ++j;
+      break;
+    }
+  }
+  owner_->replays_.fetch_add(replays, std::memory_order_relaxed);
+  std::size_t rest = 0;
+  for (; j < m; ++j, ++rest) {
+    lane[rest] = lane[j];
+    gather.from[rest] = xs[lane[j]];
+  }
+  if (rest == 0) return;
+  prob_->solve_batch(k, gather.from.data(), rest, cur, gather.at.data());
+  for (std::size_t r = 0; r < rest; ++r) out[lane[r]] = gather.at[r];
 }
 
 std::vector<double> SolverCache::Entry::critical_values_algorithm2(
@@ -144,16 +237,10 @@ void SolverCache::Entry::max_param_for_budget_from_batch(
     lp::LoweredProblem::Cursor& cur, double* out,
     const lp::LoweredProblem::BatchPoint* at_from) {
   lp::LoweredProblem::Cursor::LaneGather& miss = cur.gather;
-  if (miss.lane.size() < n) {
-    miss.lane.resize(n);
-    miss.from.resize(n);
-    miss.budget.resize(n);
-    miss.at.resize(n);
-    miss.out.resize(n);
-  }
+  miss.grow(n);
   std::size_t m = 0;
   {
-    const std::lock_guard<std::mutex> lock(memo_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t i = 0; i < n; ++i) {
       const auto it = budget_memo_.find(memo_key(k, {from[i], budget[i]}));
       if (it != budget_memo_.end()) {
@@ -170,12 +257,31 @@ void SolverCache::Entry::max_param_for_budget_from_batch(
   owner_->memo_hits_.fetch_add(n - m, std::memory_order_relaxed);
   if (m == 0) return;
   owner_->memo_misses_.fetch_add(m, std::memory_order_relaxed);
+  if (at_from == nullptr) {
+    // Adjacent misses sharing a `from` (mc's bands of one sample) share one
+    // ranged pass there: the opening the search would run per lane.  Run
+    // u's pass lands in at[u], then is copied down its run from the back,
+    // where run u never reads a slot a later run has overwritten.
+    const auto run_start = [&](std::size_t j) {
+      return j == 0 || std::bit_cast<std::uint64_t>(miss.from[j]) !=
+                           std::bit_cast<std::uint64_t>(miss.from[j - 1]);
+    };
+    std::size_t u = 0;
+    for (std::size_t j = 0; j < m; ++j) {
+      if (run_start(j)) miss.out[u++] = miss.from[j];
+    }
+    prob_->solve_batch_ranges(k, miss.out.data(), u, cur, miss.at.data());
+    for (std::size_t j = m; j-- > 0;) {
+      miss.at[j] = miss.at[u - 1];
+      if (run_start(j)) --u;
+    }
+  }
   // Hits never throw (throws are not stored), so the pooled call's
   // lowest-lane-first error is the whole call's.
-  prob_->max_param_for_budget_from_batch(
-      k, miss.from.data(), miss.budget.data(), m, cur, miss.out.data(),
-      at_from != nullptr ? miss.at.data() : nullptr);
-  const std::lock_guard<std::mutex> lock(memo_mutex_);
+  prob_->max_param_for_budget_from_batch(k, miss.from.data(),
+                                         miss.budget.data(), m, cur,
+                                         miss.out.data(), miss.at.data());
+  const std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t j = 0; j < m; ++j) {
     out[miss.lane[j]] = miss.out[j];
     store(budget_memo_, memo_key(k, {miss.from[j], miss.budget[j]}),
@@ -195,7 +301,7 @@ std::vector<double> SolverCache::Entry::rows(
 }
 
 std::size_t SolverCache::Entry::anchor_count() const {
-  const std::lock_guard<std::mutex> lock(anchor_mutex_);
+  const std::lock_guard<std::mutex> lock(mutex_);
   return anchors_.size();
 }
 
@@ -236,7 +342,8 @@ SolverCache::Stats SolverCache::stats() const {
           anchor_bytes_.load(std::memory_order_relaxed),
           memo_hits_.load(std::memory_order_relaxed),
           memo_misses_.load(std::memory_order_relaxed),
-          memo_bytes_.load(std::memory_order_relaxed)};
+          memo_bytes_.load(std::memory_order_relaxed),
+          budget_refused_.load(std::memory_order_relaxed)};
 }
 
 std::string SolverCache::stats_string() const {
@@ -248,7 +355,8 @@ std::string SolverCache::stats_string() const {
                                      {"anchor_bytes", s.anchor_bytes},
                                      {"memo_hits", s.memo_hits},
                                      {"memo_misses", s.memo_misses},
-                                     {"memo_bytes", s.memo_bytes}});
+                                     {"memo_bytes", s.memo_bytes},
+                                     {"budget_refused", s.budget_refused}});
 }
 
 }  // namespace llamp::core

@@ -45,12 +45,11 @@ struct SolverKey {
 ///    latency lowering; one space kind, so one lowering per scenario) is
 ///    built once per key and shared by every later request and every
 ///    thread;
-///  * the **anchor state** — each entry keeps a bounded set of
-///    AnchorState snapshots published by past dense solves, so a point
-///    query landing inside a known stability zone (or repeating an anchor
-///    point, like the base-L anchor whose critical path λ_G sums) is
-///    served by critical-path replay (microseconds) instead of a full
-///    forward pass;
+///  * the **anchor state** — each entry keeps the AnchorState snapshots
+///    published by past dense solves, so a point query landing inside a
+///    known stability zone (or repeating an anchor point, like the base-L
+///    anchor whose critical path λ_G sums) is served by critical-path
+///    replay (microseconds) instead of a full forward pass;
 ///  * the **memos** — exact-input results of the calls replay cannot
 ///    serve: Algorithm 2 and the tolerance search, so a repeated report
 ///    costs lookups only.  One tolerance memo serves the scalar search
@@ -59,8 +58,10 @@ struct SolverKey {
 ///    so a key stored by either is a hit for both.  A third memo holds the
 ///    numeric rows of whole topo and place results, keyed by the inputs
 ///    those ops read beyond the entry key; it reads no lowering, so those
-///    ops look their entry up with entry() and never build one.  The three
-///    memos of an entry share one byte budget, kMemoBudgetBytes.
+///    ops look their entry up with entry() and never build one.
+///
+/// An entry's anchors and its three memos share one byte budget,
+/// kMemoBudgetBytes.
 ///
 /// Determinism contract: replay from *any* covering anchor is bitwise
 /// identical to a dense solve at that point (the PR 3 segment-walk
@@ -103,7 +104,7 @@ class SolverCache {
     /// The anchor serving parameter `k` at `x`: a published anchor whose
     /// stability zone covers `x` (counted as a replay; no forward pass, no
     /// allocation), otherwise a dense solve at `x` through `cur` (an anchor
-    /// solve), published for later queries while the anchor set has room.
+    /// solve), published for later queries while the byte budget has room.
     /// Either way its critical path is the one problem()->solve(k, x)
     /// selects, so a sum along its chain (λ_G's payload bytes) equals the
     /// dense solve's.  Safe to call concurrently from any number of
@@ -115,6 +116,19 @@ class SolverCache {
     /// bitwise identical to problem()->solve(k, x).
     lp::LoweredProblem::SweepEval eval(int k, double x,
                                        lp::LoweredProblem::Cursor& cur);
+
+    /// problem()->solve_batch(k, xs, n, cur, out) through the entry's
+    /// anchors: value and slope of every lane are bitwise solve_batch's
+    /// (lo/hi are left at -inf/+inf).  A lane inside a published anchor's
+    /// zone is replayed from it.  The other lanes are walked in ascending
+    /// x: each dense solve publishes an anchor, which also serves the lanes
+    /// above it in its zone.  Once the budget refuses a publish (or a solve
+    /// is not finite, which is never published), the remaining lanes run as
+    /// one solve_batch.  An all-replay call allocates nothing once
+    /// cur.gather has grown to n.
+    void eval_batch(int k, const double* xs, std::size_t n,
+                    lp::LoweredProblem::Cursor& cur,
+                    lp::LoweredProblem::BatchPoint* out);
 
     /// problem()->critical_values_algorithm2(k, lo, hi, step, eps) through
     /// the entry's exact-input memo.  A hit allocates only the returned
@@ -133,7 +147,8 @@ class SolverCache {
     /// out, at_from) through the same memo as the scalar form: all n lanes
     /// are looked up under one lock, the misses (in lane order, with their
     /// at_from rows) run as one pooled call over cur.gather's rows, and
-    /// their results are stored.  Bitwise identical to the direct pooled
+    /// their results are stored.  Without at_from, adjacent misses that
+    /// share a `from` share one opening pass.  Bitwise identical to the direct pooled
     /// call and to n scalar calls.  A throwing call stores nothing and
     /// raises the lowest infeasible lane's error (hits never throw).  An
     /// all-hit call never touches the problem and allocates nothing.
@@ -157,11 +172,15 @@ class SolverCache {
     /// Published anchors (observability/tests).
     std::size_t anchor_count() const;
 
-    /// Byte budget shared by the entry's three memos, counted as
-    /// Stats::memo_bytes counts them (key plus payload per stored result),
-    /// with the anchor policy: results are stored first come while they
-    /// fit, later ones are computed and returned but not stored, and
-    /// nothing is evicted.  1 MiB holds about 21,800 tolerance results.
+    /// Byte budget shared by the entry's anchors and three memos, each
+    /// counted as Stats::anchor_bytes or Stats::memo_bytes counts it
+    /// (payload per anchor; key plus payload per stored result).  Anchors
+    /// and results are stored first come while they fit; later ones are
+    /// computed and returned but not stored (Stats::budget_refused), and
+    /// nothing is evicted — eviction order could vary across runs, and
+    /// although replay-vs-dense bytes are identical by contract, a fixed
+    /// set keeps the served path itself reproducible.  1 MiB holds about
+    /// 21,800 tolerance results, or about 820 hpcg-64 anchors.
     static constexpr std::size_t kMemoBudgetBytes = std::size_t{1} << 20;
 
    private:
@@ -187,29 +206,33 @@ class SolverCache {
     template <typename V, std::size_t N, typename Compute>
     V memoized(Memo<V, N>& memo, const Key<N>& key, Compute&& compute);
     /// Store `value` under `key` if it is new and fits the byte budget;
-    /// memo_mutex_ must be held.
+    /// mutex_ must be held.
     template <typename V, std::size_t N>
     void store(Memo<V, N>& memo, const Key<N>& key, const V& value);
+    /// Charge `bytes` to the budget if they fit; mutex_ must be held.
+    /// Counts a refusal otherwise.
+    bool charge(std::size_t bytes);
 
-    /// Bound on published anchors per entry: enough to blanket every CLI
-    /// grid's basis pieces, small enough that the linear covering scan
-    /// stays trivially cheap.  Once full, new anchors are dropped (never
-    /// evicted — eviction order could vary across runs, and although
-    /// replay-vs-dense bytes are identical by contract, a fixed set keeps
-    /// the served path itself reproducible).
-    static constexpr std::size_t kMaxAnchors = 64;
+    using AnchorPtr = std::shared_ptr<const lp::LoweredProblem::AnchorState>;
+    /// The anchor covering (k, x) found by binary search: the last one at
+    /// or below (k, x) in (active, at) order, if it covers x.  An earlier
+    /// anchor whose zone reaches x is not searched for: any covering anchor
+    /// replays the same bits, so a miss costs one dense solve, never a
+    /// byte.  Null when none covers.  mutex_ must be held.
+    const AnchorPtr* covering(int k, double x) const;
+    /// Publish `a` (a finite solve) unless an anchor at its exact point is
+    /// already published.  Returns false when the budget refused it.
+    bool publish(const AnchorPtr& a);
 
     std::mutex build_mutex_;
     std::shared_ptr<const lp::LoweredProblem> prob_;
-    mutable std::mutex anchor_mutex_;
+    mutable std::mutex mutex_;  ///< guards anchors_, the memos and bytes_
     /// Sorted by (active, at), deduplicated on exact (active, at).
-    std::vector<std::shared_ptr<const lp::LoweredProblem::AnchorState>>
-        anchors_;
-    std::mutex memo_mutex_;  ///< guards the three memos and their bytes
+    std::vector<AnchorPtr> anchors_;
     Memo<std::vector<double>> algorithm2_memo_;
     Memo<double> budget_memo_;
     Memo<std::vector<double>, 7> row_memo_;
-    std::size_t memo_bytes_ = 0;  ///< all memos, against kMemoBudgetBytes
+    std::size_t bytes_ = 0;  ///< anchors and memos, against kMemoBudgetBytes
     SolverCache* owner_ = nullptr;
   };
 
@@ -227,12 +250,16 @@ class SolverCache {
   struct Stats {
     std::size_t built = 0;          ///< lowerings constructed (misses)
     std::size_t hits = 0;           ///< latency() served an existing lowering
-    std::size_t anchor_solves = 0;  ///< anchor()/eval() dense solves
-    std::size_t replays = 0;        ///< anchor()/eval() served by an anchor
+    /// Dense solves and anchor replays of anchor(), eval() and eval_batch()
+    /// (eval_batch's batched remainder counts as neither).
+    std::size_t anchor_solves = 0;
+    std::size_t replays = 0;
     std::size_t anchor_bytes = 0;   ///< payload bytes of published anchors
     std::size_t memo_hits = 0;      ///< memoized calls served from a memo
     std::size_t memo_misses = 0;    ///< memoized calls that computed
     std::size_t memo_bytes = 0;     ///< payload bytes of stored memo results
+    /// Anchor publishes and memo stores a full entry budget turned away.
+    std::size_t budget_refused = 0;
   };
   /// Cumulative statistics, GraphCache-style relaxed atomics: monotonic
   /// tallies, not an instantaneous cut across counters.  `anchor_bytes`
@@ -241,7 +268,7 @@ class SolverCache {
   Stats stats() const;
   /// One-line human form via the shared obs::stats_line formatter, e.g.
   /// "solvers: built=2 hits=9 anchor_solves=14 replays=180 anchor_bytes=...
-  /// memo_hits=... memo_misses=... memo_bytes=...".
+  /// memo_hits=... memo_misses=... memo_bytes=... budget_refused=...".
   std::string stats_string() const;
 
  private:
@@ -255,6 +282,7 @@ class SolverCache {
   std::atomic<std::size_t> memo_hits_{0};
   std::atomic<std::size_t> memo_misses_{0};
   std::atomic<std::size_t> memo_bytes_{0};
+  std::atomic<std::size_t> budget_refused_{0};
 };
 
 }  // namespace llamp::core

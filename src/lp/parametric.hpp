@@ -234,15 +234,28 @@ class LoweredProblem {
     Cursor(Cursor&&) = default;
     Cursor& operator=(Cursor&&) = default;
 
-    /// Grow-only rows for a caller that hands only some lanes of a pooled
-    /// search on to max_param_for_budget_from_batch (core::SolverCache's
-    /// memo gathers its misses here).  No LoweredProblem method reads them.
+    /// Grow-only rows for a caller that hands only some lanes of a call
+    /// on to a LoweredProblem method: core::SolverCache gathers its memo
+    /// misses here for max_param_for_budget_from_batch, and the lanes no
+    /// anchor covers for solve_batch.  No LoweredProblem method reads them.
     struct LaneGather {
       std::vector<std::uint32_t> lane;
       std::vector<double> from;
       std::vector<double> budget;
       std::vector<BatchPoint> at;
       std::vector<double> out;
+      std::vector<const AnchorState*> anchor;  ///< by lane; null: uncovered
+
+      /// Grow every row to at least n lanes.
+      void grow(std::size_t n) {
+        if (lane.size() >= n) return;
+        lane.resize(n);
+        from.resize(n);
+        budget.resize(n);
+        at.resize(n);
+        out.resize(n);
+        anchor.resize(n);
+      }
     };
     LaneGather gather;
 

@@ -50,9 +50,10 @@ std::string healthz_body(const api::Engine& engine) {
   out += strformat(
       ", \"solver_cache\": {\"built\": %zu, \"hits\": %zu, "
       "\"anchor_solves\": %zu, \"replays\": %zu, \"anchor_bytes\": %zu, "
-      "\"memo_hits\": %zu, \"memo_misses\": %zu, \"memo_bytes\": %zu}",
+      "\"memo_hits\": %zu, \"memo_misses\": %zu, \"memo_bytes\": %zu, "
+      "\"budget_refused\": %zu}",
       sc.built, sc.hits, sc.anchor_solves, sc.replays, sc.anchor_bytes,
-      sc.memo_hits, sc.memo_misses, sc.memo_bytes);
+      sc.memo_hits, sc.memo_misses, sc.memo_bytes, sc.budget_refused);
   out += "}\n";
   return out;
 }

@@ -36,12 +36,14 @@ struct WorkerScratch {
   std::vector<double> factors;  ///< by edge id; 1.0 where never drawn
   std::vector<double> xs;
   std::vector<lp::LoweredProblem::SweepEval> evals;
-  // Batched fast path: one kBatchWidth-wide lane group of samples.
+  // Batched fast path: one kBatchWidth-wide lane group of samples, its
+  // points ΔL-major (point k * lanes + l is lane l at ΔL[k]).
   std::vector<lp::LoweredProblem::BatchPoint> pts;
   std::vector<double> lane_L;       ///< the group's sampled L draws
-  std::vector<double> lane_xs;      ///< lane evaluation points, one ΔL at a time
-  // The group's pooled band searches, band-major: search b * lanes + l is
-  // band b of lane l, opening from the lane's ΔL[0] point and pass.
+  std::vector<double> lane_xs;      ///< the group's evaluation points
+  // The group's pooled band searches, lane-major: search l * nbands + b is
+  // band b of lane l, opening from the lane's ΔL[0] point and pass (so a
+  // lane's searches sit side by side and share one opening pass).
   std::vector<double> band_from;
   std::vector<lp::LoweredProblem::BatchPoint> band_at;
   std::vector<double> band_budget;
@@ -104,8 +106,8 @@ std::optional<loggops::Params> shared_operating_point(
 namespace {
 
 /// run_mc with an optional cached lowering and, when that lowering is a
-/// solver-cache entry's, the entry itself: the fast path's band searches
-/// then read through the entry's tolerance memo.
+/// solver-cache entry's, the entry itself: the fast path's points then go
+/// through the entry's anchors and its band searches through its memo.
 McResult run(const graph::Graph& g, const loggops::Params& base,
              const McSpec& spec,
              std::shared_ptr<const lp::LoweredProblem> lowered,
@@ -120,7 +122,8 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
   // sample analyzes the same parametric LP and only the evaluation point
   // (the sampled L) moves — one problem, lowered once, serves every worker,
   // and a whole lane group of samples rides one batched forward pass per
-  // ΔL point and one pooled lockstep search over all its bands.  Otherwise
+  // ΔL point (or the entry's anchor replays) and one pooled lockstep search
+  // over all its bands.  Otherwise
   // each sample re-lowers its worker's problem at its own operating point
   // and edge factors, which is what the paper's "re-measure the operating
   // point and redo the analysis" amounts to.
@@ -164,9 +167,9 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
   std::vector<WorkerScratch> scratch(static_cast<std::size_t>(nworkers));
   for (WorkerScratch& s : scratch) {
     if (batched) {
-      s.pts.resize(lp::kBatchWidth);
+      s.pts.resize(lp::kBatchWidth * npts);
       s.lane_L.resize(lp::kBatchWidth);
-      s.lane_xs.resize(lp::kBatchWidth);
+      s.lane_xs.resize(lp::kBatchWidth * npts);
       s.band_from.resize(lp::kBatchWidth * nbands);
       s.band_at.resize(lp::kBatchWidth * nbands);
       s.band_budget.resize(lp::kBatchWidth * nbands);
@@ -225,60 +228,68 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
           sc.lane_L[l] = spec.L.sample(rng, base.L);
         }
         // llamp-lint: hot-path begin
-        // Steady state: one batched pass per ΔL grid point and one pooled
-        // search over every band, all against preallocated lane scratch.
-        // ΔL[0]'s pass is the ranged one: it supplies the runtime, λ_L,
-        // ρ_L and the first iterate of every band search.
+        // Steady state: every (lane, ΔL) point and one pooled search over
+        // every band, all against preallocated lane scratch.  ΔL[0]'s
+        // points supply the runtime, λ_L, ρ_L and the first iterate of
+        // every band search.
         for (std::size_t k = 0; k < npts; ++k) {
           for (std::size_t l = 0; l < lanes; ++l) {
-            sc.lane_xs[l] = sc.lane_L[l] + spec.delta_Ls[k];
+            sc.lane_xs[k * lanes + l] = sc.lane_L[l] + spec.delta_Ls[k];
           }
-          if (k == 0) {
-            shared->solve_batch_ranges(0, sc.lane_xs.data(), lanes, sc.cur,
-                                       sc.pts.data());
-          } else {
-            shared->solve_batch(0, sc.lane_xs.data(), lanes, sc.cur,
-                                sc.pts.data());
-          }
-          for (std::size_t l = 0; l < lanes; ++l) {
-            buffer[(g0 + l) * stride + k] = sc.pts[l].value;
-          }
-          if (k == 0) {
-            for (std::size_t l = 0; l < lanes; ++l) {
-              double* out = buffer.data() + (g0 + l) * stride;
-              const lp::LoweredProblem::BatchPoint& pt = sc.pts[l];
-              (void)core::finite_base_runtime(pt.value);
-              out[npts] = pt.slope;
-              out[npts + 1] =
-                  pt.value > 0.0 ? sc.lane_xs[l] * pt.slope / pt.value : 0.0;
-              for (std::size_t b = 0; b < nbands; ++b) {
-                const std::size_t slot = b * lanes + l;
-                sc.band_from[slot] = sc.lane_xs[l];
-                sc.band_at[slot] = pt;
-                sc.band_budget[slot] =
-                    pt.value * (1.0 + spec.band_percents[b] / 100.0);
-              }
+        }
+        if (entry != nullptr) {
+          // Replayed where the entry's anchors cover, batched past its
+          // budget: solve_batch's bits either way.
+          entry->eval_batch(0, sc.lane_xs.data(), npts * lanes, sc.cur,
+                            sc.pts.data());
+        } else {
+          // One batched pass per ΔL point; ΔL[0]'s is the ranged one, which
+          // opens the band searches without re-solving.
+          for (std::size_t k = 0; k < npts; ++k) {
+            const double* xs = sc.lane_xs.data() + k * lanes;
+            lp::LoweredProblem::BatchPoint* pts = sc.pts.data() + k * lanes;
+            if (k == 0) {
+              shared->solve_batch_ranges(0, xs, lanes, sc.cur, pts);
+            } else {
+              shared->solve_batch(0, xs, lanes, sc.cur, pts);
             }
           }
         }
+        for (std::size_t l = 0; l < lanes; ++l) {
+          double* out = buffer.data() + (g0 + l) * stride;
+          for (std::size_t k = 0; k < npts; ++k) {
+            out[k] = sc.pts[k * lanes + l].value;
+          }
+          const lp::LoweredProblem::BatchPoint& pt = sc.pts[l];
+          (void)core::finite_base_runtime(pt.value);
+          out[npts] = pt.slope;
+          out[npts + 1] =
+              pt.value > 0.0 ? sc.lane_xs[l] * pt.slope / pt.value : 0.0;
+          for (std::size_t b = 0; b < nbands; ++b) {
+            const std::size_t slot = l * nbands + b;
+            sc.band_from[slot] = sc.lane_xs[l];
+            sc.band_at[slot] = pt;
+            sc.band_budget[slot] =
+                pt.value * (1.0 + spec.band_percents[b] / 100.0);
+          }
+        }
         // A LatencyParamSpace has integer coefficients, so the entry's
-        // memo hits are the pooled search's own bits.
+        // memo hits are the pooled search's own bits.  The entry's points
+        // carry no range, so its misses open with their own ranged pass,
+        // which gives the bits at_from would.
         if (entry != nullptr) {
           entry->max_param_for_budget_from_batch(
               0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
-              sc.cur, sc.band_tol.data(), sc.band_at.data());
+              sc.cur, sc.band_tol.data());
         } else {
           shared->max_param_for_budget_from_batch(
               0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
               sc.cur, sc.band_tol.data(), sc.band_at.data());
         }
-        for (std::size_t b = 0; b < nbands; ++b) {
-          for (std::size_t l = 0; l < lanes; ++l) {
-            const std::size_t slot = b * lanes + l;
-            const double tol = sc.band_tol[slot];
-            buffer[(g0 + l) * stride + npts + 2 + b] =
-                std::isfinite(tol) ? tol - sc.band_from[slot] : tol;
-          }
+        for (std::size_t slot = 0; slot < nbands * lanes; ++slot) {
+          const double tol = sc.band_tol[slot];
+          buffer[(g0 + slot / nbands) * stride + npts + 2 + slot % nbands] =
+              std::isfinite(tol) ? tol - sc.band_from[slot] : tol;
         }
         // llamp-lint: hot-path end
       });

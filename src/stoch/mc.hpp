@@ -129,9 +129,10 @@ McResult run_mc(const graph::Graph& g, const loggops::Params& base,
                 std::shared_ptr<const lp::LoweredProblem> lowered);
 
 /// Same, reusing a solver-cache entry: its problem is verified and adopted
-/// as above, and the fast path's band searches then read through the
-/// entry's tolerance memo, so a repeated request runs no search pass.
-/// Same bytes as every other overload, whatever the memo holds.
+/// as above, the fast path's runtime points are then replayed from the
+/// entry's anchors (Entry::eval_batch) and its band searches read through
+/// the entry's tolerance memo, so a repeated request runs no forward pass.
+/// Same bytes as every other overload, whatever the entry holds.
 McResult run_mc(const graph::Graph& g, const loggops::Params& base,
                 const McSpec& spec,
                 const std::shared_ptr<core::SolverCache::Entry>& entry);

@@ -409,6 +409,39 @@ TEST(AllocationFree, WarmPooledBudgetMemoHitsAllocateNothing) {
   EXPECT_EQ(cache.stats().memo_bytes, bytes);
 }
 
+TEST(AllocationFree, WarmEvalBatchReplaysAllocateNothing) {
+  // mc's runtime points through a solver-cache entry: once one call has
+  // published the anchors covering its lanes and grown the cursor's gather
+  // rows, a call whose lanes all replay is heap-silent at any n.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  core::SolverCache cache;
+  const auto entry = cache.latency(core::GraphKey{"hpcg", 8, 0.02, p.S}, g, p);
+  LoweredProblem::Cursor cur;
+
+  constexpr std::size_t kLanes = 3 * kBatchWidth;
+  std::vector<double> xs(kLanes);
+  for (std::size_t l = 0; l < kLanes; ++l) {
+    xs[l] = p.L + 411.0 * static_cast<double>((l * 7) % kLanes);
+  }
+  std::vector<LoweredProblem::BatchPoint> out(kLanes);
+  entry->eval_batch(0, xs.data(), kLanes, cur, out.data());  // warm-up
+  const auto warm = cache.stats();
+  ASSERT_GT(warm.anchor_solves, 0u);
+
+  const std::size_t before = g_allocations;
+  for (int round = 0; round < 10; ++round) {
+    for (const std::size_t n : {kLanes, std::size_t{37}, std::size_t{3}}) {
+      entry->eval_batch(0, xs.data(), n, cur, out.data());
+      ASSERT_GT(out[0].value, 0.0);
+    }
+  }
+  EXPECT_EQ(g_allocations, before) << "all-replay eval_batch calls allocated";
+  EXPECT_EQ(cache.stats().anchor_solves, warm.anchor_solves);
+  EXPECT_EQ(cache.stats().replays - warm.replays, 10 * (kLanes + 37 + 3));
+}
+
 TEST(AllocationFree, GeneralPathMcSamplesAllocateNothingInSteadyState) {
   // A general-path mc run on one thread allocates its buffers and the
   // worker's one lowering up front.  Every further sample (its draws, the

@@ -856,6 +856,46 @@ TEST(ApiSolverCache, RepeatedFastPathMcRunsNoSearchPass) {
   }
 }
 
+TEST(ApiSolverCache, RepeatedFastPathMcIsAllReplays) {
+  // The fast path's runtime points go through the entry's anchors: a
+  // repeat is samples x points replays, with no anchor solve, no memo miss
+  // and no new anchor.  A new seed on the warmed entry (some points
+  // replayed, some walked) prints a cold engine's bytes in every format,
+  // at one thread and at four.
+  api::McRequest req;
+  req.app = small_app("hpcg");
+  req.grid = {20.0, 3};
+  req.samples = 64;
+  req.seed = 3;
+  req.sigma_L = 0.05;
+  req.threads = 1;
+
+  api::Engine warm;
+  ASSERT_TRUE(warm.mc(req).result.batched);
+  const auto before = warm.solver_cache_stats();
+  (void)warm.mc(req);
+  const auto after = warm.solver_cache_stats();
+  EXPECT_EQ(after.anchor_solves, before.anchor_solves);
+  EXPECT_EQ(after.replays - before.replays, 64u * 3u);
+  EXPECT_EQ(after.memo_misses, before.memo_misses);
+  EXPECT_EQ(after.anchor_bytes, before.anchor_bytes);
+
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    req.threads = threads;
+    req.seed = 100 + static_cast<std::uint64_t>(threads);
+    const auto s0 = warm.solver_cache_stats();
+    const auto warm_res = warm.mc(req);
+    const auto s1 = warm.solver_cache_stats();
+    EXPECT_GT(s1.replays, s0.replays);
+    api::Engine cold;
+    const auto cold_res = cold.mc(req);
+    for (const auto format : kAllFormats) {
+      EXPECT_EQ(rendered(cold_res, format), rendered(warm_res, format));
+    }
+  }
+}
+
 TEST(ApiSolverCache, CampaignWarmVsColdBytesIncludingMcAxis) {
   api::CampaignRequest req;
   req.apps = {"lulesh", "hpcg"};

@@ -295,6 +295,8 @@ TEST(ObsEngine, CountersAreDeterministicAcrossSessions) {
   // A cold analyze lowers one problem (λ_G reads the latency lowering's
   // critical path); the repeat hits it.
   EXPECT_EQ(counter_of(a, "solver_cache.built"), 1u);
+  // Nothing came near an entry's byte budget.
+  EXPECT_EQ(counter_of(a, "solver_cache.budget_refused"), 0u);
 }
 
 TEST(ObsEngine, SnapshotCarriesUptimeAndScrapeSequence) {

@@ -345,6 +345,7 @@ TEST(ServeDaemon, HealthzReusesVersionLineFieldsVerbatim) {
   ASSERT_NE(doc.find("uptime_ns"), nullptr);
   ASSERT_NE(doc.find("graph_cache"), nullptr);
   ASSERT_NE(doc.find("solver_cache"), nullptr);
+  ASSERT_NE(doc.find("solver_cache")->find("budget_refused"), nullptr);
 }
 
 TEST(ServeDaemon, MetricsServesEngineSnapshotWithSequence) {
@@ -692,6 +693,9 @@ TEST(ErrorClassWall, OverflowingLatencyIsOneAnalysisErrorOnEveryOpAndSurface) {
         daemon.client().post("/v1/" + c.argv.front(), c.body);
     EXPECT_NE(r.body.find(message), std::string::npos) << r.body;
   }
+  // An overflowing solve is never published, so no later lane or point
+  // can be replayed from it.
+  EXPECT_EQ(daemon.engine.solver_cache_stats().anchor_bytes, 0u);
 }
 
 TEST(ErrorClassWall, UnknownAppIsAnAnalysisErrorOnEveryOp) {

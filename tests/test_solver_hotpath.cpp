@@ -449,7 +449,7 @@ TEST(SolverCacheEntry, EvalIsBitwiseDenseColdWarmAndRepeated) {
   }
   const auto cold = cache.stats();
   EXPECT_GT(cold.anchor_solves, 0u);
-  EXPECT_LE(entry->anchor_count(), 64u);
+  EXPECT_LE(cold.anchor_bytes, core::SolverCache::Entry::kMemoBudgetBytes);
 
   // Warm second pass: same bytes, now served by anchor replay.
   for (std::size_t i = 0; i < xs.size(); ++i) {
@@ -458,6 +458,110 @@ TEST(SolverCacheEntry, EvalIsBitwiseDenseColdWarmAndRepeated) {
   const auto warm = cache.stats();
   EXPECT_GT(warm.replays, cold.replays);
   EXPECT_EQ(warm.built, cold.built);
+}
+
+/// eval_batch on `entry` at xs, against the problem's own solve_batch:
+/// value and slope bitwise at every lane.
+void expect_eval_batch_matches(core::SolverCache::Entry& entry,
+                               const std::vector<double>& xs,
+                               LoweredProblem::Cursor& cur) {
+  std::vector<LoweredProblem::BatchPoint> got(xs.size());
+  std::vector<LoweredProblem::BatchPoint> ref(xs.size());
+  entry.eval_batch(0, xs.data(), xs.size(), cur, got.data());
+  LoweredProblem::Cursor rc;
+  entry.problem()->solve_batch(0, xs.data(), xs.size(), rc, ref.data());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].value),
+              std::bit_cast<std::uint64_t>(ref[i].value))
+        << "lane " << i << " x=" << xs[i];
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(got[i].slope),
+              std::bit_cast<std::uint64_t>(ref[i].slope))
+        << "lane " << i << " x=" << xs[i];
+  }
+}
+
+TEST(SolverCacheEntry, EvalBatchMatchesSolveBatchBitwise) {
+  // Every registered app; lanes ascending, descending and shuffled; n = 1,
+  // 16 and 37.  Each call mixes lanes earlier calls' anchors cover (and
+  // repeats) with new ones that walk and publish.
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  for (const std::string& app : apps::app_names()) {
+    SCOPED_TRACE(app);
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g = schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    core::SolverCache cache;
+    const auto entry =
+        cache.latency(core::GraphKey{app, ranks, 0.02, p.S}, g, p);
+    LoweredProblem::Cursor cur;
+    Rng rng(31);
+    std::vector<double> seen;  // earlier lanes, some of them replayed
+    for (const int order : {0, 1, 2}) {
+      for (const std::size_t n : {1u, 16u, 37u}) {
+        SCOPED_TRACE("order=" + std::to_string(order) +
+                     " n=" + std::to_string(n));
+        std::vector<double> xs;
+        for (std::size_t i = 0; i < n; ++i) {
+          xs.push_back(i % 4 == 3 && !seen.empty()
+                           ? seen[static_cast<std::size_t>(rng.uniform_int(
+                                 0, static_cast<std::int64_t>(seen.size()) -
+                                        1))]
+                           : p.L + rng.uniform(0.0, 40'000.0));
+        }
+        if (order == 0) std::sort(xs.begin(), xs.end());
+        if (order == 1) std::sort(xs.rbegin(), xs.rend());
+        expect_eval_batch_matches(*entry, xs, cur);
+        seen.insert(seen.end(), xs.begin(), xs.end());
+      }
+    }
+    const auto s = cache.stats();
+    EXPECT_GT(s.anchor_solves, 0u);
+    EXPECT_EQ(s.anchor_solves + s.replays, seen.size()) << "nothing batched";
+    EXPECT_EQ(s.budget_refused, 0u);
+  }
+
+  // Past the byte budget: fill lulesh-8's budget through the tolerance
+  // memo, then a call whose lanes no anchor covers publishes nothing and
+  // runs its remainder as one solve_batch, still bitwise.
+  const auto g = schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
+  core::SolverCache cache;
+  const auto entry =
+      cache.latency(core::GraphKey{"lulesh", 8, 0.02, p.S}, g, p);
+  LoweredProblem::Cursor cur;
+  // A solve whose value is not finite (L = 1e308 overflows T) is never
+  // published: it and the lanes above it run in the batched remainder, and
+  // the next call at that point solves again.
+  expect_eval_batch_matches(
+      *entry,
+      {p.L, 1e308, std::numeric_limits<double>::quiet_NaN(),
+       std::numeric_limits<double>::infinity(), p.L + 5.0},
+      cur);
+  const auto overflow = cache.stats();
+  expect_eval_batch_matches(*entry, {1e308}, cur);
+  EXPECT_EQ(cache.stats().anchor_solves, overflow.anchor_solves + 1);
+  const std::size_t finite_anchors = entry->anchor_count();
+
+  const double base = entry->problem()->solve(0, p.L).value;
+  constexpr std::size_t kLanes = 4096;
+  std::vector<double> from(kLanes, p.L);
+  std::vector<double> budgets(kLanes);
+  std::vector<double> tols(kLanes);
+  double next = base;
+  while (cache.stats().budget_refused == 0) {
+    for (double& b : budgets) b = (next += 1.0);
+    entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(),
+                                           kLanes, cur, tols.data());
+  }
+  const auto full = cache.stats();
+  std::vector<double> xs;  // below every published anchor: none covers
+  for (int i = 0; i < 37; ++i) xs.push_back(p.L * i / 40.0);
+  expect_eval_batch_matches(*entry, xs, cur);
+  const auto after = cache.stats();
+  EXPECT_EQ(entry->anchor_count(), finite_anchors);
+  EXPECT_EQ(after.anchor_bytes, full.anchor_bytes);
+  EXPECT_EQ(after.budget_refused, full.budget_refused + 1);
+  EXPECT_EQ(after.anchor_solves - full.anchor_solves, 1u)
+      << "one refused publish, then the batched remainder";
+  EXPECT_EQ(after.replays, full.replays);
 }
 
 TEST(SolverCacheStats, KeysOnGraphKeyAndParamFingerprint) {
@@ -689,6 +793,7 @@ TEST(SolverCacheEntry, MemoCapKeepsFirstEntriesAndPastCapCallsStayBitwise) {
   EXPECT_EQ(full.memo_misses, 1 + total);
   EXPECT_EQ(full.memo_bytes, crit_bytes + fit * kTolBytes);
   EXPECT_LE(full.memo_bytes, core::SolverCache::Entry::kMemoBudgetBytes);
+  EXPECT_EQ(full.budget_refused, 64u) << "one refusal per key past the budget";
 
   // The first `fit` keys are stored: repeats hit, in either form.  Keys
   // past the budget were computed but dropped: repeats compute again,
@@ -706,6 +811,7 @@ TEST(SolverCacheEntry, MemoCapKeepsFirstEntriesAndPastCapCallsStayBitwise) {
   EXPECT_EQ(after.memo_hits, 3u + 24u);
   EXPECT_EQ(after.memo_misses, full.memo_misses + 1 + 24);
   EXPECT_EQ(after.memo_bytes, full.memo_bytes);
+  EXPECT_EQ(after.budget_refused, full.budget_refused + 1 + 24);
 
   // Bit-pattern keys: -0.0 is a different key from 0.0 (a miss, not a
   // hit), even though the two compare equal.
