@@ -1,5 +1,10 @@
 #include "serve/service.hpp"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -13,11 +18,41 @@
 namespace llamp::serve {
 namespace {
 
+/// Hands the heap that cold work freed back to the OS once the daemon is
+/// warm again.  Cold requests free large scratch (16-lane cursor rows,
+/// transient topo and place lowerings) that glibc keeps resident once its
+/// mmap threshold has grown past them.  Trimming after every cold request
+/// would make the next one fault those pages in again, so the trim waits
+/// for the first request that computed nothing.  Only the executor thread
+/// calls it, one request at a time.
+class HeapTrim {
+ public:
+  void after_request(const api::Engine& engine) {
+    const core::SolverCache::Stats sc = engine.solver_cache_stats();
+    const std::size_t misses = engine.cache_stats().built + sc.built +
+                               sc.anchor_solves + sc.memo_misses;
+    if (misses != misses_) {
+      misses_ = misses;
+      pending_ = true;
+      return;
+    }
+    if (!pending_) return;
+    pending_ = false;
+#if defined(__GLIBC__)
+    (void)malloc_trim(0);
+#endif
+  }
+
+ private:
+  std::size_t misses_ = 0;
+  bool pending_ = false;
+};
+
 /// One /v1/* analysis handler: parse the body against the op named by the
 /// path, run it on the engine, serve the canonical result line.  Runs on
 /// the server's executor thread, so requests run one at a time.
 HttpResponse run_op(api::Engine& engine, std::string_view op,
-                    const HttpRequest& req) {
+                    const HttpRequest& req, HeapTrim& trim) {
   HttpResponse res;
   try {
     const api::Request parsed = api::parse_request_for_op(op, req.body);
@@ -31,6 +66,7 @@ HttpResponse run_op(api::Engine& engine, std::string_view op,
     res.status = 400;
     res.body = error_body("analysis", e.what());
   }
+  trim.after_request(engine);
   return res;
 }
 
@@ -62,13 +98,14 @@ std::string healthz_body(const api::Engine& engine) {
 
 std::vector<Server::Route> engine_routes(api::Engine& engine) {
   std::vector<Server::Route> routes;
+  const auto trim = std::make_shared<HeapTrim>();
   for (const std::string_view op : api::kOpNames) {
     Server::Route r;
     r.method = "POST";
     r.path = "/v1/" + std::string(op);
     r.dispatch = Server::Dispatch::kQueued;
-    r.handler = [&engine, op](const HttpRequest& req) {
-      return run_op(engine, op, req);
+    r.handler = [&engine, op, trim](const HttpRequest& req) {
+      return run_op(engine, op, req, *trim);
     };
     routes.push_back(std::move(r));
   }
