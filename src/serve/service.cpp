@@ -21,10 +21,11 @@ namespace {
 /// Hands the heap that cold work freed back to the OS once the daemon is
 /// warm again.  Cold requests free large scratch (16-lane cursor rows,
 /// transient topo and place lowerings) that glibc keeps resident once its
-/// mmap threshold has grown past them.  Trimming after every cold request
-/// would make the next one fault those pages in again, so the trim waits
-/// for the first request that computed nothing.  Only the executor thread
-/// calls it, one request at a time.
+/// mmap threshold has grown past them.  A trim inside a cold burst would
+/// make the next cold request fault those pages in again, so it waits for
+/// kWarmRun requests in a row that computed nothing; warming
+/// serve-warm-mix's working set never serves more than five.  Only the
+/// executor thread calls it, one request at a time.
 class HeapTrim {
  public:
   void after_request(const api::Engine& engine) {
@@ -33,10 +34,11 @@ class HeapTrim {
                                sc.anchor_solves + sc.memo_misses;
     if (misses != misses_) {
       misses_ = misses;
+      warm_ = 0;
       pending_ = true;
       return;
     }
-    if (!pending_) return;
+    if (!pending_ || ++warm_ < kWarmRun) return;
     pending_ = false;
 #if defined(__GLIBC__)
     (void)malloc_trim(0);
@@ -44,7 +46,9 @@ class HeapTrim {
   }
 
  private:
+  static constexpr int kWarmRun = 16;
   std::size_t misses_ = 0;
+  int warm_ = 0;
   bool pending_ = false;
 };
 
