@@ -148,10 +148,11 @@ class SolverCache {
     /// are looked up under one lock, the misses (in lane order, with their
     /// at_from rows) run as one pooled call over cur.gather's rows, and
     /// their results are stored.  Without at_from, adjacent misses that
-    /// share a `from` share one opening pass.  Bitwise identical to the direct pooled
-    /// call and to n scalar calls.  A throwing call stores nothing and
-    /// raises the lowest infeasible lane's error (hits never throw).  An
-    /// all-hit call never touches the problem and allocates nothing.
+    /// share a `from` share one opening pass.  Bitwise identical to the
+    /// direct pooled call and to n scalar calls.  A throwing call stores
+    /// nothing and raises the lowest infeasible lane's error (hits never
+    /// throw).  An all-hit call never touches the problem and allocates
+    /// nothing.
     void max_param_for_budget_from_batch(
         int k, const double* from, const double* budget, std::size_t n,
         lp::LoweredProblem::Cursor& cur, double* out,

@@ -123,10 +123,10 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
   // (the sampled L) moves — one problem, lowered once, serves every worker,
   // and a whole lane group of samples rides one batched forward pass per
   // ΔL point (or the entry's anchor replays) and one pooled lockstep search
-  // over all its bands.  Otherwise
-  // each sample re-lowers its worker's problem at its own operating point
-  // and edge factors, which is what the paper's "re-measure the operating
-  // point and redo the analysis" amounts to.
+  // over all its bands.  Otherwise each sample re-lowers its worker's
+  // problem at its own operating point and edge factors, which is what the
+  // paper's "re-measure the operating point and redo the analysis" amounts
+  // to.
   const std::optional<loggops::Params> shared_point =
       shared_operating_point(spec, base);
   const bool batched = shared_point.has_value();

@@ -488,7 +488,8 @@ TEST(SolverCacheEntry, EvalBatchMatchesSolveBatchBitwise) {
   for (const std::string& app : apps::app_names()) {
     SCOPED_TRACE(app);
     const int ranks = apps::supported_ranks(app, 8);
-    const auto g = schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
     core::SolverCache cache;
     const auto entry =
         cache.latency(core::GraphKey{app, ranks, 0.02, p.S}, g, p);
