@@ -32,8 +32,6 @@ std::string app_meta_json(const ResolvedApp& app) {
                    json_double(app.scale).c_str());
 }
 
-std::string tolerance_or_null(double v) { return json_double(v); }
-
 /// The scenario of a single-scenario op: one variant, one cell, through the
 /// same resolution a campaign grid point takes.
 ResolvedApp resolve(const AppSpec& spec) {
@@ -230,8 +228,7 @@ std::string TopoResult::to_json_line() const {
         "{\"topology\": \"%s\", \"runtime_ns\": %s, \"gradient\": %s, "
         "\"tolerance_l_wire_ns\": %s}",
         json_escape_string(s.name).c_str(), json_double(s.runtime).c_str(),
-        json_double(s.gradient).c_str(),
-        tolerance_or_null(s.tolerance).c_str());
+        json_double(s.gradient).c_str(), json_double(s.tolerance).c_str());
     if (i + 1 < topologies.size()) out += ", ";
   }
   out += strformat("], \"dragonfly_base_runtime_ns\": %s, "
@@ -242,7 +239,7 @@ std::string TopoResult::to_json_line() const {
     out += strformat(
         "{\"class\": \"%s\", \"lambda\": %s, \"tolerance_l_wire_ns\": %s}",
         json_escape_string(c.name).c_str(), json_double(c.lambda).c_str(),
-        tolerance_or_null(c.tolerance).c_str());
+        json_double(c.tolerance).c_str());
     if (i + 1 < classes.size()) out += ", ";
   }
   out += "]}";

@@ -98,6 +98,9 @@ class LatencyAnalyzer {
   /// The latency entry's lowered problem, for direct (uncached) queries.
   const lp::LoweredProblem& solver() const { return *entry_->problem(); }
 
+  /// The latency entry itself, for runs that share it (a campaign's mc).
+  const std::shared_ptr<SolverCache::Entry>& entry() const { return entry_; }
+
  private:
   LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
                   std::unique_ptr<SolverCache> own_cache, SolverCache* cache,

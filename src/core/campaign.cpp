@@ -113,70 +113,49 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
   res.graph_vertices = g.num_vertices();
   res.graph_edges = g.num_edges();
 
-  // Flat-latency scenarios resolve their lowering through the solver
-  // cache (shared across campaigns / request types of one session) and
-  // serve each grid point through Entry::eval — a replay when a cached
-  // anchor covers the point, a recorded dense solve otherwise, bitwise
-  // identical either way.  Topology scenarios keep per-scenario lowerings
-  // of the shared per-wire latency (not cacheable by LogGPS fingerprint).
-  std::shared_ptr<SolverCache::Entry> entry;
-  std::unique_ptr<lp::LoweredProblem> wire;
-  lp::LoweredProblem::BatchPoint wire_at;  // base solve; bands open from it
-  double base = 0.0;
+  // Flat-latency scenarios are one LatencyAnalyzer over the session's
+  // solver cache (shared across campaigns and request types), so a cell
+  // replays or looks up whatever an earlier analyze, sweep or cell solved,
+  // bitwise identical either way.  Topology scenarios keep per-scenario
+  // lowerings of the shared per-wire latency (not cacheable by LogGPS
+  // fingerprint).
+  std::optional<LatencyAnalyzer> flat;
   if (s.topology == "none") {
-    entry = solvers.latency(graph_key(s), g, s.params);
-    base = s.params.L;
-  } else {
-    // Shape and fit were already validated by the Campaign constructors.
-    wire = lower_wire_latency(g, s.params,
-                              *fit_topology(s.topology, topo, s.ranks), topo);
-    base = topo.l_wire;
-    wire_at = wire->solve(0, base, cur).point();
-  }
-  res.base_runtime = finite_base_runtime(
-      entry ? entry->eval(0, base, cur).value : wire_at.value);
-
-  const std::size_t npts = s.delta_Ls.size();
-  std::vector<double> xs(npts);
-  for (std::size_t i = 0; i < npts; ++i) xs[i] = base + s.delta_Ls[i];
-  res.points.resize(npts);
-  const auto fill = [&](std::size_t i, double value, double lambda) {
-    Campaign::Point& pt = res.points[i];
-    pt.delta_L = s.delta_Ls[i];
-    pt.runtime = value;
-    pt.lambda = lambda;
-    pt.rho = value > 0.0 ? xs[i] * lambda / value : 0.0;
-  };
-  if (entry) {
-    // Per-point through the cache: repeated campaigns (and repeated grid
-    // points across scenarios sharing a graph + config) replay instead of
-    // re-solving.  Grid order is irrelevant here.
-    for (std::size_t i = 0; i < npts; ++i) {
-      const auto ev = entry->eval(0, xs[i], cur);
-      fill(i, ev.value, ev.slope);
+    flat.emplace(g, s.params, solvers, graph_key(s));
+    res.base_runtime = flat->base_runtime();
+    for (const auto& pt : flat->sweep(s.delta_Ls, 1)) {
+      res.points.push_back({pt.delta_L, pt.runtime, pt.lambda_L, pt.rho_L});
+    }
+    for (const double pct : s.band_percents) {
+      res.bands.push_back({pct, flat->tolerance_delta(pct)});
     }
   } else {
+    // Shape and fit were already validated by the Campaign constructors.
+    const auto wire = lower_wire_latency(
+        g, s.params, *fit_topology(s.topology, topo, s.ranks), topo);
+    const double base = topo.l_wire;
+    const lp::LoweredProblem::BatchPoint at = wire->solve(0, base, cur).point();
+    res.base_runtime = finite_base_runtime(at.value);
     // One segment walk answers the whole grid, in any order, bitwise
     // identical to per-point solves; an ascending grid (every CLI grid)
     // costs O(#linear pieces) forward passes.
+    const std::size_t npts = s.delta_Ls.size();
+    std::vector<double> xs(npts);
+    for (std::size_t i = 0; i < npts; ++i) xs[i] = base + s.delta_Ls[i];
     std::vector<lp::LoweredProblem::SweepEval> evals(npts);
     wire->sweep(0, xs, cur, evals.data());
     for (std::size_t i = 0; i < npts; ++i) {
-      fill(i, evals[i].value, evals[i].slope);
+      const auto& ev = evals[i];
+      res.points.push_back(
+          {s.delta_Ls[i], ev.value, ev.slope,
+           ev.value > 0.0 ? xs[i] * ev.slope / ev.value : 0.0});
     }
-  }
-
-  // Cached scenarios read their bands through the entry's tolerance memo;
-  // the budget expression matches LatencyAnalyzer::tolerance bit for bit,
-  // so campaigns and analyze requests share hits.
-  res.bands.reserve(s.band_percents.size());
-  for (const double pct : s.band_percents) {
-    const double budget = res.base_runtime * (1.0 + pct / 100.0);
-    const double tol =
-        entry ? entry->max_param_for_budget_from(0, base, budget, cur)
-              : wire->max_param_for_budget_from(0, base, budget, wire_at,
-                                                cur);
-    res.bands.push_back({pct, std::isfinite(tol) ? tol - base : tol});
+    for (const double pct : s.band_percents) {
+      const double budget = res.base_runtime * (1.0 + pct / 100.0);
+      const double tol =
+          wire->max_param_for_budget_from(0, base, budget, at, cur);
+      res.bands.push_back({pct, std::isfinite(tol) ? tol - base : tol});
+    }
   }
 
   if (mc.samples > 0) {
@@ -195,10 +174,11 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     spec.threads = 1;
     spec.delta_Ls = s.delta_Ls;
     spec.band_percents.clear();
-    // With all-degenerate jitter off-axes the mc run's shared solver is
-    // exactly this scenario's cached entry; run_mc verifies the match and
-    // lowers afresh otherwise.
-    const stoch::McResult mres = stoch::run_mc(g, s.params, spec, entry);
+    // The mc axis requires topology 'none' (validate_mc), so `flat` is
+    // set.  With all-degenerate jitter off-axes the run's fast path is
+    // exactly this scenario's entry; run_mc verifies the match.
+    const stoch::McResult mres =
+        stoch::run_mc(g, s.params, spec, flat->entry());
     res.mc.reserve(mres.runtime.size());
     for (const stoch::Summary& sum : mres.runtime) {
       res.mc.push_back({sum.mean(), sum.stddev(), sum.q05(), sum.q95()});

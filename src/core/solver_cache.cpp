@@ -234,8 +234,7 @@ double SolverCache::Entry::max_param_for_budget_from(
 
 void SolverCache::Entry::max_param_for_budget_from_batch(
     int k, const double* from, const double* budget, std::size_t n,
-    lp::LoweredProblem::Cursor& cur, double* out,
-    const lp::LoweredProblem::BatchPoint* at_from) {
+    lp::LoweredProblem::Cursor& cur, double* out) {
   lp::LoweredProblem::Cursor::LaneGather& miss = cur.gather;
   miss.grow(n);
   std::size_t m = 0;
@@ -250,31 +249,28 @@ void SolverCache::Entry::max_param_for_budget_from_batch(
       miss.lane[m] = static_cast<std::uint32_t>(i);
       miss.from[m] = from[i];
       miss.budget[m] = budget[i];
-      if (at_from != nullptr) miss.at[m] = at_from[i];
       ++m;
     }
   }
   owner_->memo_hits_.fetch_add(n - m, std::memory_order_relaxed);
   if (m == 0) return;
   owner_->memo_misses_.fetch_add(m, std::memory_order_relaxed);
-  if (at_from == nullptr) {
-    // Adjacent misses sharing a `from` (mc's bands of one sample) share one
-    // ranged pass there: the opening the search would run per lane.  Run
-    // u's pass lands in at[u], then is copied down its run from the back,
-    // where run u never reads a slot a later run has overwritten.
-    const auto run_start = [&](std::size_t j) {
-      return j == 0 || std::bit_cast<std::uint64_t>(miss.from[j]) !=
-                           std::bit_cast<std::uint64_t>(miss.from[j - 1]);
-    };
-    std::size_t u = 0;
-    for (std::size_t j = 0; j < m; ++j) {
-      if (run_start(j)) miss.out[u++] = miss.from[j];
-    }
-    prob_->solve_batch_ranges(k, miss.out.data(), u, cur, miss.at.data());
-    for (std::size_t j = m; j-- > 0;) {
-      miss.at[j] = miss.at[u - 1];
-      if (run_start(j)) --u;
-    }
+  // Adjacent misses sharing a `from` (mc's bands of one sample) share one
+  // ranged pass there: the opening the search would run per lane.  Run u's
+  // pass lands in at[u], then is copied down its run from the back, where
+  // run u never reads a slot a later run has overwritten.
+  const auto run_start = [&](std::size_t j) {
+    return j == 0 || std::bit_cast<std::uint64_t>(miss.from[j]) !=
+                         std::bit_cast<std::uint64_t>(miss.from[j - 1]);
+  };
+  std::size_t u = 0;
+  for (std::size_t j = 0; j < m; ++j) {
+    if (run_start(j)) miss.out[u++] = miss.from[j];
+  }
+  prob_->solve_batch_ranges(k, miss.out.data(), u, cur, miss.at.data());
+  for (std::size_t j = m; j-- > 0;) {
+    miss.at[j] = miss.at[u - 1];
+    if (run_start(j)) --u;
   }
   // Hits never throw (throws are not stored), so the pooled call's
   // lowest-lane-first error is the whole call's.

@@ -45,7 +45,6 @@ struct WorkerScratch {
   // band b of lane l, opening from the lane's ΔL[0] point and pass (so a
   // lane's searches sit side by side and share one opening pass).
   std::vector<double> band_from;
-  std::vector<lp::LoweredProblem::BatchPoint> band_at;
   std::vector<double> band_budget;
   std::vector<double> band_tol;
 };
@@ -105,13 +104,12 @@ std::optional<loggops::Params> shared_operating_point(
 
 namespace {
 
-/// run_mc with an optional cached lowering and, when that lowering is a
-/// solver-cache entry's, the entry itself: the fast path's points then go
-/// through the entry's anchors and its band searches through its memo.
+/// run_mc through `entry` when it is this run's solver-cache entry: the
+/// fast path's points then go through its anchors and its band searches
+/// through its memo.  Any other entry (or none) is replaced by a run-local
+/// cache's entry, so a stale handle can cost time, never bytes.
 McResult run(const graph::Graph& g, const loggops::Params& base,
-             const McSpec& spec,
-             std::shared_ptr<const lp::LoweredProblem> lowered,
-             core::SolverCache::Entry* entry) {
+             const McSpec& spec, core::SolverCache::Entry* entry) {
   spec.validate();
   base.validate();
 
@@ -120,36 +118,27 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
 
   // Fast path: when o, G, and the edge noise are all degenerate, every
   // sample analyzes the same parametric LP and only the evaluation point
-  // (the sampled L) moves — one problem, lowered once, serves every worker,
-  // and a whole lane group of samples rides one batched forward pass per
-  // ΔL point (or the entry's anchor replays) and one pooled lockstep search
-  // over all its bands.  Otherwise each sample re-lowers its worker's
-  // problem at its own operating point and edge factors, which is what the
-  // paper's "re-measure the operating point and redo the analysis" amounts
-  // to.
+  // (the sampled L) moves — one entry serves every worker, and a whole
+  // lane group of samples rides one eval_batch over every ΔL point and one
+  // pooled lockstep search over all its bands.  Otherwise each sample
+  // re-lowers its worker's problem at its own operating point and edge
+  // factors, which is what the paper's "re-measure the operating point and
+  // redo the analysis" amounts to.
   const std::optional<loggops::Params> shared_point =
       shared_operating_point(spec, base);
   const bool batched = shared_point.has_value();
 
-  std::shared_ptr<const lp::LoweredProblem> shared;
+  std::optional<core::SolverCache> own;
   if (batched) {
-    const loggops::Params& shared_params = *shared_point;
-    shared_params.validate();
-    // Adopt the caller's cached lowering only if it is verifiably this
-    // run's problem: same graph object and the exact shared operating
-    // point.  A mismatched handle falls through to a fresh lowering, so a
-    // stale cache entry can never change a byte of the result.
-    const lp::LatencyParamSpace* cached_space =
-        lowered ? dynamic_cast<const lp::LatencyParamSpace*>(
-                      &lowered->space())
-                : nullptr;
-    if (cached_space != nullptr && &lowered->graph() == &g &&
-        cached_space->params() == shared_params) {
-      shared = std::move(lowered);
-    } else {
-      shared = std::make_shared<const lp::LoweredProblem>(
-          g, std::make_shared<lp::LatencyParamSpace>(shared_params));
-      entry = nullptr;  // its memo keys belong to another problem
+    shared_point->validate();
+    // Adopt the caller's entry only if it is verifiably this run's
+    // problem: lowered, over the same graph object, at the exact shared
+    // operating point.  Otherwise the run lowers into a cache of its own.
+    const lp::LoweredProblem* prob =
+        entry != nullptr ? entry->problem().get() : nullptr;
+    if (prob == nullptr || &prob->graph() != &g ||
+        prob->space().params() != *shared_point) {
+      entry = own.emplace().latency(core::GraphKey{}, g, *shared_point).get();
     }
   }
 
@@ -171,7 +160,6 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
       s.lane_L.resize(lp::kBatchWidth);
       s.lane_xs.resize(lp::kBatchWidth * npts);
       s.band_from.resize(lp::kBatchWidth * nbands);
-      s.band_at.resize(lp::kBatchWidth * nbands);
       s.band_budget.resize(lp::kBatchWidth * nbands);
       s.band_tol.resize(lp::kBatchWidth * nbands);
     } else {
@@ -237,24 +225,10 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
             sc.lane_xs[k * lanes + l] = sc.lane_L[l] + spec.delta_Ls[k];
           }
         }
-        if (entry != nullptr) {
-          // Replayed where the entry's anchors cover, batched past its
-          // budget: solve_batch's bits either way.
-          entry->eval_batch(0, sc.lane_xs.data(), npts * lanes, sc.cur,
-                            sc.pts.data());
-        } else {
-          // One batched pass per ΔL point; ΔL[0]'s is the ranged one, which
-          // opens the band searches without re-solving.
-          for (std::size_t k = 0; k < npts; ++k) {
-            const double* xs = sc.lane_xs.data() + k * lanes;
-            lp::LoweredProblem::BatchPoint* pts = sc.pts.data() + k * lanes;
-            if (k == 0) {
-              shared->solve_batch_ranges(0, xs, lanes, sc.cur, pts);
-            } else {
-              shared->solve_batch(0, xs, lanes, sc.cur, pts);
-            }
-          }
-        }
+        // Replayed where the entry's anchors cover, batched past its
+        // budget: the batched pass's bits either way (Entry::eval_batch).
+        entry->eval_batch(0, sc.lane_xs.data(), npts * lanes, sc.cur,
+                          sc.pts.data());
         for (std::size_t l = 0; l < lanes; ++l) {
           double* out = buffer.data() + (g0 + l) * stride;
           for (std::size_t k = 0; k < npts; ++k) {
@@ -268,24 +242,16 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
           for (std::size_t b = 0; b < nbands; ++b) {
             const std::size_t slot = l * nbands + b;
             sc.band_from[slot] = sc.lane_xs[l];
-            sc.band_at[slot] = pt;
             sc.band_budget[slot] =
                 pt.value * (1.0 + spec.band_percents[b] / 100.0);
           }
         }
         // A LatencyParamSpace has integer coefficients, so the entry's
-        // memo hits are the pooled search's own bits.  The entry's points
-        // carry no range, so its misses open with their own ranged pass,
-        // which gives the bits at_from would.
-        if (entry != nullptr) {
-          entry->max_param_for_budget_from_batch(
-              0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
-              sc.cur, sc.band_tol.data());
-        } else {
-          shared->max_param_for_budget_from_batch(
-              0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
-              sc.cur, sc.band_tol.data(), sc.band_at.data());
-        }
+        // memo hits are the pooled search's own bits, and its misses open
+        // with one ranged pass per lane (the lane's bands share a `from`).
+        entry->max_param_for_budget_from_batch(
+            0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
+            sc.cur, sc.band_tol.data());
         for (std::size_t slot = 0; slot < nbands * lanes; ++slot) {
           const double tol = sc.band_tol[slot];
           buffer[(g0 + slot / nbands) * stride + npts + 2 + slot % nbands] =
@@ -370,19 +336,19 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
 
 McResult run_mc(const graph::Graph& g, const loggops::Params& base,
                 const McSpec& spec) {
-  return run(g, base, spec, nullptr, nullptr);
+  return run(g, base, spec, nullptr);
 }
 
 McResult run_mc(const graph::Graph& g, const loggops::Params& base,
                 const McSpec& spec,
-                std::shared_ptr<const lp::LoweredProblem> lowered) {
-  return run(g, base, spec, std::move(lowered), nullptr);
+                std::shared_ptr<const lp::LoweredProblem> /*lowered*/) {
+  return run(g, base, spec, nullptr);
 }
 
 McResult run_mc(const graph::Graph& g, const loggops::Params& base,
                 const McSpec& spec,
                 const std::shared_ptr<core::SolverCache::Entry>& entry) {
-  return run(g, base, spec, entry ? entry->problem() : nullptr, entry.get());
+  return run(g, base, spec, entry.get());
 }
 
 namespace {

@@ -84,10 +84,10 @@ class Summary {
 struct McResult {
   loggops::Params base;             ///< the deterministic operating point
   int samples = 0;
-  /// Provenance of the evaluation path: whether the run used the batched
-  /// sample-axis kernel (the L-only fast path), and the kernel's lane width
-  /// (lp::kBatchWidth, recorded even for general-path runs so emitted
-  /// configs are self-describing).
+  /// Provenance of the evaluation path: whether the run took the L-only
+  /// fast path, and the batched kernel's lane width (lp::kBatchWidth,
+  /// recorded even for general-path runs so emitted configs are
+  /// self-describing).
   bool batched = false;
   int batch_width = 0;
   std::vector<TimeNs> delta_Ls;
@@ -106,36 +106,35 @@ struct McResult {
 /// and one parametric LP serves every sample.  Returns `base` with o and G
 /// pinned to their (fixed) degenerate draws, or nullopt when samples
 /// differ structurally (each re-lowers its worker's problem at its own
-/// draws).  This is the
-/// exact operating point run_mc's shared-solver fast path analyzes; a
-/// caller holding a solver cache can pre-lower it and pass the entry (or
-/// its problem) to the run_mc overloads below.
+/// draws).  This is the exact operating point run_mc's fast path
+/// analyzes; a caller holding a solver cache can pre-lower it and pass the
+/// entry to run_mc below.
 std::optional<loggops::Params> shared_operating_point(
     const McSpec& spec, const loggops::Params& base);
 
 /// Run the Monte Carlo analysis of `g` around the operating point `base`.
 /// `base` supplies every value the spec's distributions pin to it (kBase /
 /// kRelNormal) and the non-sampled LogGPS components (g, O, S).
+///
+/// The L-only fast path always runs through a solver-cache entry: its
+/// runtime points are replayed from the entry's anchors (Entry::eval_batch)
+/// and its band searches read through the entry's tolerance memo
+/// (Entry::max_param_for_budget_from_batch), so a repeated request runs no
+/// forward pass.  The entry is `entry` when it checks out — lowered (a
+/// latency() handle), over this very `g`, at *shared_operating_point(spec,
+/// base) — and otherwise a run-local cache's, which starts empty and dies
+/// with the run.  Every overload gives the same bytes whatever the entry
+/// holds: a wrong handle can cost time, never change bytes.
 McResult run_mc(const graph::Graph& g, const loggops::Params& base,
                 const McSpec& spec);
-
-/// Same, reusing `lowered` (a cached LatencyParamSpace lowering over `g`
-/// at *shared_operating_point(spec, base)) for the shared-solver fast
-/// path instead of lowering afresh.  The problem is verified against the
-/// run's graph and operating point and silently ignored on mismatch — a
-/// wrong cache handle can cost time, never change bytes.
-McResult run_mc(const graph::Graph& g, const loggops::Params& base,
-                const McSpec& spec,
-                std::shared_ptr<const lp::LoweredProblem> lowered);
-
-/// Same, reusing a solver-cache entry: its problem is verified and adopted
-/// as above, the fast path's runtime points are then replayed from the
-/// entry's anchors (Entry::eval_batch) and its band searches read through
-/// the entry's tolerance memo, so a repeated request runs no forward pass.
-/// Same bytes as every other overload, whatever the entry holds.
 McResult run_mc(const graph::Graph& g, const loggops::Params& base,
                 const McSpec& spec,
                 const std::shared_ptr<core::SolverCache::Entry>& entry);
+/// Same as the no-entry form: `lowered` is not read.  Kept only for
+/// perfbench's layer walk until it passes the entry (ROADMAP item 15).
+McResult run_mc(const graph::Graph& g, const loggops::Params& base,
+                const McSpec& spec,
+                std::shared_ptr<const lp::LoweredProblem> lowered);
 
 /// The distributional report as a table: one row per metric — runtime at
 /// every ΔL, λ_L, ρ_L, one tolerance band per percent — with streaming

@@ -334,14 +334,12 @@ TEST(AllocationFree, WarmPooledBudgetMemoHitsAllocateNothing) {
 
   // Warm-up: one all-miss call grows the gather and search rows.
   entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(),
-                                         kLanes, cur, tols.data(), at.data());
+                                         kLanes, cur, tols.data());
   ASSERT_EQ(cache.stats().memo_misses, kLanes);
 
   std::size_t before = g_allocations;
   for (int round = 0; round < 10; ++round) {
     for (const std::size_t n : {kLanes, std::size_t{37}, std::size_t{3}}) {
-      entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(),
-                                             n, cur, tols.data(), at.data());
       entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(),
                                              n, cur, tols.data());
       ASSERT_GE(tols[0], from[0]);
@@ -357,7 +355,7 @@ TEST(AllocationFree, WarmPooledBudgetMemoHitsAllocateNothing) {
   }
   before = g_allocations;
   entry->max_param_for_budget_from_batch(0, from.data(), budgets.data(),
-                                         kLanes, cur, tols.data(), at.data());
+                                         kLanes, cur, tols.data());
   EXPECT_EQ(g_allocations - before, kLanes / 2)
       << "a mixed call allocated beyond its stored memo nodes";
   EXPECT_EQ(cache.stats().memo_misses, kLanes + kLanes / 2);

@@ -1826,58 +1826,51 @@ TEST(SolverCacheEntry, PooledMemoIsBitwiseDirectOnAllRegisteredApps) {
     direct.max_param_for_budget_from_batch(0, from.data(), budget.data(),
                                            kLanes, dcur, direct_out.data());
     const auto ref = bits(direct_out);
-    std::vector<LoweredProblem::BatchPoint> at(kLanes);
-    direct.solve_batch_ranges(0, from.data(), kLanes, dcur, at.data());
-
-    for (const bool with_at : {false, true}) {
-      SCOPED_TRACE(with_at ? "at_from" : "no at_from");
-      core::SolverCache cache;
-      const auto entry = cache.latency(key, g, p);
-      const LoweredProblem::BatchPoint* at_from = with_at ? at.data() : nullptr;
-      // The scalar form stores every third lane; the pooled call then
-      // hits every lane sharing one of those keys and misses the rest.
-      std::set<std::pair<std::uint64_t, std::uint64_t>> stored;
-      for (std::size_t j = 0; j < kLanes; j += 3) {
-        EXPECT_EQ(bits(entry->max_param_for_budget_from(0, from[j], budget[j],
-                                                        cur)),
-                  ref[j])
-            << "lane " << j;
-        stored.insert({bits(from[j]), bits(budget[j])});
-      }
-      std::size_t hits = 0;
-      for (std::size_t j = 0; j < kLanes; ++j) {
-        hits += stored.count({bits(from[j]), bits(budget[j])});
-      }
-      const auto s0 = cache.stats();
-      std::vector<double> out(kLanes);
-      entry->max_param_for_budget_from_batch(0, from.data(), budget.data(),
-                                             kLanes, cur, out.data(), at_from);
-      EXPECT_EQ(bits(out), ref);
-      const auto s1 = cache.stats();
-      EXPECT_EQ(s1.memo_hits - s0.memo_hits, hits);
-      EXPECT_EQ(s1.memo_misses - s0.memo_misses, kLanes - hits);
-
-      // The reverse: every key the pooled call stored hits the scalar form.
-      for (std::size_t j = 0; j < kLanes; ++j) {
-        EXPECT_EQ(bits(entry->max_param_for_budget_from(0, from[j], budget[j],
-                                                        cur)),
-                  ref[j])
-            << "lane " << j;
-      }
-      const auto s2 = cache.stats();
-      EXPECT_EQ(s2.memo_misses, s1.memo_misses);
-      EXPECT_EQ(s2.memo_hits - s1.memo_hits, kLanes);
-
-      // A repeated pooled call is all hits: no search runs, same bits.
-      std::fill(out.begin(), out.end(), std::nan(""));
-      entry->max_param_for_budget_from_batch(0, from.data(), budget.data(),
-                                             kLanes, cur, out.data(), at_from);
-      EXPECT_EQ(bits(out), ref);
-      const auto s3 = cache.stats();
-      EXPECT_EQ(s3.memo_misses, s2.memo_misses);
-      EXPECT_EQ(s3.memo_hits - s2.memo_hits, kLanes);
-      EXPECT_EQ(s3.memo_bytes, s2.memo_bytes);
+    core::SolverCache cache;
+    const auto entry = cache.latency(key, g, p);
+    // The scalar form stores every third lane; the pooled call then
+    // hits every lane sharing one of those keys and misses the rest.
+    std::set<std::pair<std::uint64_t, std::uint64_t>> stored;
+    for (std::size_t j = 0; j < kLanes; j += 3) {
+      EXPECT_EQ(bits(entry->max_param_for_budget_from(0, from[j], budget[j],
+                                                      cur)),
+                ref[j])
+          << "lane " << j;
+      stored.insert({bits(from[j]), bits(budget[j])});
     }
+    std::size_t hits = 0;
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      hits += stored.count({bits(from[j]), bits(budget[j])});
+    }
+    const auto s0 = cache.stats();
+    std::vector<double> out(kLanes);
+    entry->max_param_for_budget_from_batch(0, from.data(), budget.data(),
+                                           kLanes, cur, out.data());
+    EXPECT_EQ(bits(out), ref);
+    const auto s1 = cache.stats();
+    EXPECT_EQ(s1.memo_hits - s0.memo_hits, hits);
+    EXPECT_EQ(s1.memo_misses - s0.memo_misses, kLanes - hits);
+
+    // The reverse: every key the pooled call stored hits the scalar form.
+    for (std::size_t j = 0; j < kLanes; ++j) {
+      EXPECT_EQ(bits(entry->max_param_for_budget_from(0, from[j], budget[j],
+                                                      cur)),
+                ref[j])
+          << "lane " << j;
+    }
+    const auto s2 = cache.stats();
+    EXPECT_EQ(s2.memo_misses, s1.memo_misses);
+    EXPECT_EQ(s2.memo_hits - s1.memo_hits, kLanes);
+
+    // A repeated pooled call is all hits: no search runs, same bits.
+    std::fill(out.begin(), out.end(), std::nan(""));
+    entry->max_param_for_budget_from_batch(0, from.data(), budget.data(),
+                                           kLanes, cur, out.data());
+    EXPECT_EQ(bits(out), ref);
+    const auto s3 = cache.stats();
+    EXPECT_EQ(s3.memo_misses, s2.memo_misses);
+    EXPECT_EQ(s3.memo_hits - s2.memo_hits, kLanes);
+    EXPECT_EQ(s3.memo_bytes, s2.memo_bytes);
   }
 }
 
@@ -1942,10 +1935,10 @@ TEST(SolverCacheEntry, PooledMemoInfeasibleLaneThrowsTheScalarErrorAndStoresNoth
 }
 
 TEST(SolverCacheEntry, ConcurrentPooledMemoCallsAreBitwiseDirect) {
-  // 8 threads race pooled calls over overlapping lane windows, with and
-  // without at_from, and scalar calls on the same keys, on one entry:
-  // first touches, duplicate stores and hits interleave, and every answer
-  // must equal the direct pooled call.
+  // 8 threads race pooled calls over overlapping lane windows and scalar
+  // calls on the same keys, on one entry: first touches, duplicate stores
+  // and hits interleave, and every answer must equal the direct pooled
+  // call.
   const auto g =
       schedgen::build_graph(apps::make_app_trace("lulesh", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
@@ -1956,13 +1949,11 @@ TEST(SolverCacheEntry, ConcurrentPooledMemoCallsAreBitwiseDirect) {
   constexpr std::size_t kWindow = 48;
   const BudgetLanes lanes = budget_lanes(direct, p.L, kLanes);
   std::vector<double> ref_out(kLanes);
-  std::vector<LoweredProblem::BatchPoint> at(kLanes);
   {
     LoweredProblem::Cursor dcur;
     direct.max_param_for_budget_from_batch(0, lanes.from.data(),
                                            lanes.budget.data(), kLanes, dcur,
                                            ref_out.data());
-    direct.solve_batch_ranges(0, lanes.from.data(), kLanes, dcur, at.data());
   }
   const auto ref = bits(ref_out);
 
@@ -1979,7 +1970,7 @@ TEST(SolverCacheEntry, ConcurrentPooledMemoCallsAreBitwiseDirect) {
         const std::size_t n = 1 + static_cast<std::size_t>(5 * t + r) % kWindow;
         entry->max_param_for_budget_from_batch(
             0, lanes.from.data() + start, lanes.budget.data() + start, n, cur,
-            out.data(), (t + r) % 2 == 0 ? at.data() + start : nullptr);
+            out.data());
         for (std::size_t l = 0; l < n; ++l) {
           if (bits(out[l]) != ref[start + l]) {
             ++mismatches[static_cast<std::size_t>(t)];

@@ -328,6 +328,20 @@ void expect_summaries_equal(const stoch::Summary& a, const stoch::Summary& b) {
   EXPECT_EQ(a.q95(), b.q95());
 }
 
+void expect_results_equal(const stoch::McResult& a, const stoch::McResult& b) {
+  ASSERT_EQ(a.runtime.size(), b.runtime.size());
+  for (std::size_t i = 0; i < a.runtime.size(); ++i) {
+    expect_summaries_equal(a.runtime[i], b.runtime[i]);
+  }
+  expect_summaries_equal(a.lambda_L, b.lambda_L);
+  expect_summaries_equal(a.rho_L, b.rho_L);
+  ASSERT_EQ(a.bands.size(), b.bands.size());
+  for (std::size_t k = 0; k < a.bands.size(); ++k) {
+    expect_summaries_equal(a.bands[k].tolerance_delta,
+                           b.bands[k].tolerance_delta);
+  }
+}
+
 TEST(StochMc, ThreadCountNeverChangesTheResult) {
   const auto g = small_app_graph();
   const auto p = test_params();
@@ -335,18 +349,7 @@ TEST(StochMc, ThreadCountNeverChangesTheResult) {
   spec.threads = 1;
   const auto serial = stoch::run_mc(g, p, spec);
   spec.threads = 8;
-  const auto parallel = stoch::run_mc(g, p, spec);
-
-  ASSERT_EQ(serial.runtime.size(), parallel.runtime.size());
-  for (std::size_t i = 0; i < serial.runtime.size(); ++i) {
-    expect_summaries_equal(serial.runtime[i], parallel.runtime[i]);
-  }
-  expect_summaries_equal(serial.lambda_L, parallel.lambda_L);
-  expect_summaries_equal(serial.rho_L, parallel.rho_L);
-  for (std::size_t b = 0; b < serial.bands.size(); ++b) {
-    expect_summaries_equal(serial.bands[b].tolerance_delta,
-                           parallel.bands[b].tolerance_delta);
-  }
+  expect_results_equal(serial, stoch::run_mc(g, p, spec));
 }
 
 TEST(StochMc, FastPathMatchesScalarReferenceBitwise) {
@@ -413,6 +416,53 @@ TEST(StochMc, FastPathMatchesScalarReferenceBitwise) {
       expect_summaries_equal(res.bands[b].tolerance_delta, bands[b]);
     }
   }
+}
+
+TEST(StochMc, MismatchedEntryNeverChangesBytes) {
+  // run_mc adopts a caller's entry only when it is lowered, over this very
+  // graph object, at the run's shared operating point.  Any other handle
+  // is left untouched (the run lowers into a cache of its own) and the
+  // bytes are the no-entry run's; a matching entry gains the run's anchors.
+  const auto g = small_app_graph();
+  const auto twin = small_app_graph();  // equal contents, another object
+  const auto p = test_params();
+  stoch::McSpec spec;
+  spec.samples = 43;
+  spec.seed = 11;
+  spec.threads = 8;
+  spec.L = stoch::Distribution::rel_normal(0.05);
+  spec.delta_Ls = {0.0, 20'000.0};
+  spec.band_percents = {1.0, 5.0};
+  const auto shared = stoch::shared_operating_point(spec, p);
+  ASSERT_TRUE(shared.has_value());
+  loggops::Params other_o = *shared;
+  other_o.o += 100.0;
+  const core::GraphKey key{"lulesh", 8, 0.05, p.S};
+  const auto ref = stoch::run_mc(g, p, spec);
+
+  core::SolverCache unlowered_cache;
+  core::SolverCache twin_cache;
+  core::SolverCache other_o_cache;
+  const struct {
+    const char* name;
+    std::shared_ptr<core::SolverCache::Entry> entry;
+  } mismatched[] = {
+      {"entry() handle, no lowering", unlowered_cache.entry(key, *shared)},
+      {"another graph object", twin_cache.latency(key, twin, *shared)},
+      {"another o", other_o_cache.latency(key, g, other_o)},
+  };
+  for (const auto& m : mismatched) {
+    SCOPED_TRACE(m.name);
+    const std::size_t anchors = m.entry->anchor_count();
+    expect_results_equal(stoch::run_mc(g, p, spec, m.entry), ref);
+    EXPECT_EQ(m.entry->anchor_count(), anchors);
+  }
+
+  core::SolverCache cache;
+  const auto match = cache.latency(key, g, *shared);
+  ASSERT_EQ(match->anchor_count(), 0u);
+  expect_results_equal(stoch::run_mc(g, p, spec, match), ref);
+  EXPECT_GT(match->anchor_count(), 0u);
 }
 
 TEST(StochMc, GeneralPathIsNeverBatched) {
