@@ -42,7 +42,7 @@ int main() {
   Table sweep({"l_wire [ns]", "T fat-tree", "T dragonfly", "lam ft",
                "lam df"});
   for (double lw = 274.0; lw <= 424.0 + 1e-9; lw += 30.0) {
-    std::vector<std::string> row{strformat("%.0f", lw)};
+    std::vector<Table::Cell> row{strformat("%.0f", lw)};
     std::vector<std::string> lams;
     for (const auto& c : cases) {
       lp::LoweredProblem solver(g, c.space);

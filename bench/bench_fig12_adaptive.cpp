@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   for (const auto& g : graphs) analyzers.emplace_back(g, params);
 
   for (const double dl_us : {0.0, 100.0, 250.0, 500.0, 1000.0, 2000.0}) {
-    std::vector<std::string> row{human_time_ns(us(dl_us))};
+    std::vector<Table::Cell> row{human_time_ns(us(dl_us))};
     for (const auto& an : analyzers) {
       row.push_back(human_time_ns(an.predict_runtime(us(dl_us))));
     }

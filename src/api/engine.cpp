@@ -123,15 +123,13 @@ void CampaignResult::render(core::OutputFormat format,
 }
 
 std::string CampaignResult::to_json_line() const {
-  return strformat(
-      "%s\"scenarios\": %zu, \"delta_points\": %zu, "
-      "\"distinct_graphs\": %zu, \"rows\": %s}",
-      op_head<CampaignResult>().c_str(), scenarios, delta_points,
-      distinct_graphs,
-      core::render_json_line(core::campaign_points_table(
-                                 results, false,
-                                 has_probe ? "measured_ns" : ""))
-          .c_str());
+  return strformat("%s\"scenarios\": %zu, \"delta_points\": %zu, "
+                   "\"distinct_graphs\": %zu, \"rows\": ",
+                   op_head<CampaignResult>().c_str(), scenarios,
+                   delta_points, distinct_graphs) +
+         core::render_json_line(core::campaign_points_table(
+             results, false, has_probe ? "measured_ns" : "")) +
+         '}';
 }
 
 void McResult::render(core::OutputFormat format, std::ostream& out) const {
@@ -167,19 +165,20 @@ void McResult::render(core::OutputFormat format, std::ostream& out) const {
 
 std::string McResult::to_json_line() const {
   return strformat(
-      "%s%s, \"samples\": %d, \"seed\": %llu, "
-      "\"batched\": %s, \"batch_width\": %d, "
-      "\"dist_L\": \"%s\", \"dist_o\": \"%s\", \"dist_G\": \"%s\", "
-      "\"edge_sigma\": %s, \"edge_bias\": %s, \"summary\": %s}",
-      op_head<McResult>().c_str(), app_meta_json(app).c_str(), spec.samples,
-      static_cast<unsigned long long>(spec.seed),
-      result.batched ? "true" : "false", result.batch_width,
-      json_escape_string(spec.L.to_string()).c_str(),
-      json_escape_string(spec.o.to_string()).c_str(),
-      json_escape_string(spec.G.to_string()).c_str(),
-      json_double(spec.noise.sigma).c_str(),
-      json_double(spec.noise.bias).c_str(),
-      core::render_json_line(stoch::mc_summary_table(result, false)).c_str());
+             "%s%s, \"samples\": %d, \"seed\": %llu, "
+             "\"batched\": %s, \"batch_width\": %d, "
+             "\"dist_L\": \"%s\", \"dist_o\": \"%s\", \"dist_G\": \"%s\", "
+             "\"edge_sigma\": %s, \"edge_bias\": %s, \"summary\": ",
+             op_head<McResult>().c_str(), app_meta_json(app).c_str(),
+             spec.samples, static_cast<unsigned long long>(spec.seed),
+             result.batched ? "true" : "false", result.batch_width,
+             json_escape_string(spec.L.to_string()).c_str(),
+             json_escape_string(spec.o.to_string()).c_str(),
+             json_escape_string(spec.G.to_string()).c_str(),
+             json_double(spec.noise.sigma).c_str(),
+             json_double(spec.noise.bias).c_str()) +
+         core::render_json_line(stoch::mc_summary_table(result, false)) +
+         '}';
 }
 
 void TopoResult::render(core::OutputFormat format, std::ostream& out) const {

@@ -117,8 +117,8 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
   // solver cache (shared across campaigns and request types), so a cell
   // replays or looks up whatever an earlier analyze, sweep or cell solved,
   // bitwise identical either way.  Topology scenarios keep per-scenario
-  // lowerings of the shared per-wire latency (not cacheable by LogGPS
-  // fingerprint).
+  // lowerings of the shared per-wire latency (not cacheable by a LogGPS
+  // key).
   std::optional<LatencyAnalyzer> flat;
   if (s.topology == "none") {
     flat.emplace(g, s.params, solvers, graph_key(s));
@@ -473,7 +473,7 @@ Table campaign_points_table(const std::vector<Campaign::ScenarioResult>& results
     const Scenario& s = res.scenario;
     for (std::size_t i = 0; i < res.points.size(); ++i) {
       const auto& pt = res.points[i];
-      std::vector<std::string> row;
+      std::vector<Table::Cell> row;
       if (human) {
         row = {s.app,
                strformat("%d", s.ranks),
@@ -497,23 +497,22 @@ Table campaign_points_table(const std::vector<Campaign::ScenarioResult>& results
         if (!probe_name.empty()) row.push_back(human_time_ns(pt.probe));
       } else {
         row = {s.app,
-               strformat("%d", s.ranks),
-               strformat("%g", s.scale),
+               Table::Cell::integer(s.ranks),
+               Table::Cell::general(s.scale, 6),
                s.topology,
                s.config,
-               strformat("%.1f", pt.delta_L),
-               strformat("%.1f", pt.runtime),
-               strformat("%.6g", pt.lambda),
-               strformat("%.6g", pt.rho)};
+               Table::Cell::fixed(pt.delta_L, 1),
+               Table::Cell::fixed(pt.runtime, 1),
+               Table::Cell::general(pt.lambda, 6),
+               Table::Cell::general(pt.rho, 6)};
         if (has_mc) {
           const Campaign::McPoint mp =
               i < res.mc.size() ? res.mc[i] : Campaign::McPoint{};
-          row.push_back(strformat("%.1f", mp.mean));
-          row.push_back(strformat("%.1f", mp.stddev));
-          row.push_back(strformat("%.1f", mp.q05));
-          row.push_back(strformat("%.1f", mp.q95));
+          for (const double v : {mp.mean, mp.stddev, mp.q05, mp.q95}) {
+            row.push_back(Table::Cell::fixed(v, 1));
+          }
         }
-        if (!probe_name.empty()) row.push_back(strformat("%.1f", pt.probe));
+        if (!probe_name.empty()) row.push_back(Table::Cell::fixed(pt.probe, 1));
       }
       t.add_row(std::move(row));
     }

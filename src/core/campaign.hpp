@@ -223,7 +223,7 @@ class Campaign {
   /// re-solving.  The emitted bytes are independent of either cache's prior
   /// contents (replay from a covering anchor is bitwise-equal to a dense
   /// solve).  Topology scenarios keep their per-scenario wire-latency
-  /// lowerings — those spaces are not cacheable by LogGPS fingerprint.
+  /// lowerings — those spaces are not cacheable by a LogGPS key.
   std::vector<ScenarioResult> run(const Probe& probe, GraphCache& cache,
                                   SolverCache& solvers);
 

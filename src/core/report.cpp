@@ -1,7 +1,6 @@
 #include "core/report.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/campaign.hpp"
@@ -20,45 +19,39 @@ OutputFormat parse_output_format(const std::string& name) {
                    "' (want table, csv, or json)");
 }
 
-std::string json_escape(const std::string& s) { return json_escape_string(s); }
-
 namespace {
 
-/// A cell is emitted as a bare JSON number iff strtod consumes it entirely
-/// and the value is finite ("inf" and "unbounded" stay strings).
-bool is_json_number(const std::string& cell) {
-  if (cell.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(cell.c_str(), &end);
-  return end == cell.c_str() + cell.size() && std::isfinite(v);
-}
-
-void row_to_json(std::ostringstream& os, const Table& t,
-                 const std::vector<std::string>& row) {
-  os << '{';
-  for (std::size_t c = 0; c < row.size(); ++c) {
-    os << '"' << json_escape(t.headers()[c]) << "\": ";
-    if (is_json_number(row[c])) {
-      os << row[c];
-    } else {
-      os << '"' << json_escape(row[c]) << '"';
-    }
-    if (c + 1 < row.size()) os << ", ";
+/// One serializer behind both JSON table layouts: `pretty` puts each row on
+/// its own line (the CLI's bytes), compact packs them onto one line.  A
+/// number-writer cell is written bare, every other cell as a string.
+std::string rows_json(const Table& t, bool pretty) {
+  std::vector<std::string> keys;  // every row repeats them
+  for (const std::string& h : t.headers()) {
+    keys.push_back('"' + json_escape_string(h) + "\": ");
   }
-  os << '}';
-}
-
-std::string to_json_rows(const Table& t) {
-  std::ostringstream os;
-  os << "[\n";
+  std::string out = pretty ? "[\n" : "[";
   const auto& rows = t.data();
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    os << "  ";
-    row_to_json(os, t, rows[r]);
-    os << (r + 1 < rows.size() ? ",\n" : "\n");
+    if (pretty) out += "  ";
+    out += '{';
+    for (std::size_t c = 0; c < rows[r].size(); ++c) {
+      const Table::Cell& cell = rows[r][c];
+      out += keys[c];
+      if (cell.number) {
+        out += cell.text;
+      } else {
+        out += '"';
+        out += json_escape_string(cell.text);
+        out += '"';
+      }
+      if (c + 1 < rows[r].size()) out += ", ";
+    }
+    out += '}';
+    if (r + 1 < rows.size()) out += pretty ? ",\n" : ", ";
+    else if (pretty) out += '\n';
   }
-  os << "]\n";
-  return os.str();
+  out += pretty ? "]\n" : "]";
+  return out;
 }
 
 }  // namespace
@@ -67,21 +60,13 @@ std::string render(const Table& table, OutputFormat format) {
   switch (format) {
     case OutputFormat::kTable: return table.to_string();
     case OutputFormat::kCsv: return table.to_csv();
-    case OutputFormat::kJson: return to_json_rows(table);
+    case OutputFormat::kJson: return rows_json(table, /*pretty=*/true);
   }
   throw Error("render: bad format");
 }
 
 std::string render_json_line(const Table& table) {
-  std::ostringstream os;
-  os << '[';
-  const auto& rows = table.data();
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    row_to_json(os, table, rows[r]);
-    if (r + 1 < rows.size()) os << ", ";
-  }
-  os << ']';
-  return os.str();
+  return rows_json(table, /*pretty=*/false);
 }
 
 Table sweep_curve_table(const std::vector<LatencyAnalyzer::SweepPoint>& curve,
@@ -97,9 +82,10 @@ Table sweep_curve_table(const std::vector<LatencyAnalyzer::SweepPoint>& curve,
                  strformat("%.0f", pt.lambda_L),
                  strformat("%.1f%%", 100.0 * pt.rho_L)});
     } else {
-      t.add_row({strformat("%.1f", pt.delta_L), strformat("%.1f", pt.runtime),
-                 strformat("%.6g", pt.lambda_L),
-                 strformat("%.6g", pt.rho_L)});
+      t.add_row({Table::Cell::fixed(pt.delta_L, 1),
+                 Table::Cell::fixed(pt.runtime, 1),
+                 Table::Cell::general(pt.lambda_L, 6),
+                 Table::Cell::general(pt.rho_L, 6)});
     }
   }
   return t;
@@ -170,53 +156,60 @@ namespace {
 /// golden-pinned); compact packs the identical members onto one line for
 /// JSONL payloads.
 std::string report_json(const ToleranceReport& rep, bool pretty) {
+  std::string out = pretty ? "{\n  " : "{";
   // Non-finite values must never leak as bare "inf"/"nan" tokens — those
   // are not JSON.  Finite values keep the historical %.10g bytes.
-  const auto num = [](double v) {
-    return std::isfinite(v) ? strformat("%.10g", v) : std::string("null");
+  const auto num = [&out](const char* key, double v) {
+    out += key;
+    if (std::isfinite(v)) {
+      append_general(out, v, 10);
+    } else {
+      out += "null";
+    }
   };
-  const char* open = pretty ? "{\n  " : "{";
   const char* sep = pretty ? ",\n  " : ", ";
-  const char* close = pretty ? "\n}\n" : "}";
-  std::ostringstream os;
-  os << open;
-  os << strformat(
-      "\"params\": {\"L_ns\": %s, \"o_ns\": %s, \"g_ns\": %s, "
-      "\"G_ns_per_byte\": %s, \"O_ns_per_byte\": %s, \"S_bytes\": %llu}",
-      num(rep.params.L).c_str(), num(rep.params.o).c_str(),
-      num(rep.params.g).c_str(), num(rep.params.G).c_str(),
-      num(rep.params.O).c_str(),
-      static_cast<unsigned long long>(rep.params.S));
-  os << sep << "\"base_runtime_ns\": " << num(rep.base_runtime);
-  os << sep << "\"lambda_l\": " << num(rep.lambda_L_base);
-  os << sep << "\"lambda_g\": " << num(rep.lambda_G);
-  os << sep << "\"bands\": [";
+  num("\"params\": {\"L_ns\": ", rep.params.L);
+  num(", \"o_ns\": ", rep.params.o);
+  num(", \"g_ns\": ", rep.params.g);
+  num(", \"G_ns_per_byte\": ", rep.params.G);
+  num(", \"O_ns_per_byte\": ", rep.params.O);
+  out += ", \"S_bytes\": ";
+  append_int(out, rep.params.S);
+  out += '}';
+  out += sep;
+  num("\"base_runtime_ns\": ", rep.base_runtime);
+  out += sep;
+  num("\"lambda_l\": ", rep.lambda_L_base);
+  out += sep;
+  num("\"lambda_g\": ", rep.lambda_G);
+  out += sep;
+  out += "\"bands\": [";
   for (std::size_t i = 0; i < rep.bands.size(); ++i) {
-    os << strformat("{\"percent\": %s, \"tolerance_delta_ns\": %s}",
-                    num(rep.bands[i].percent).c_str(),
-                    std::isfinite(rep.bands[i].tolerance_delta)
-                        ? num(rep.bands[i].tolerance_delta).c_str()
-                        : "null");
-    if (i + 1 < rep.bands.size()) os << ", ";
+    num(i == 0 ? "{\"percent\": " : ", {\"percent\": ",
+        rep.bands[i].percent);
+    num(", \"tolerance_delta_ns\": ", rep.bands[i].tolerance_delta);
+    out += '}';
   }
-  os << ']';
-  os << sep << "\"curve\": [";
+  out += ']';
+  out += sep;
+  out += "\"curve\": [";
   for (std::size_t i = 0; i < rep.curve.size(); ++i) {
-    os << strformat(
-        "{\"delta_l_ns\": %s, \"runtime_ns\": %s, \"lambda_l\": %s, "
-        "\"rho_l\": %s}",
-        num(rep.curve[i].delta_L).c_str(), num(rep.curve[i].runtime).c_str(),
-        num(rep.curve[i].lambda_L).c_str(), num(rep.curve[i].rho_L).c_str());
-    if (i + 1 < rep.curve.size()) os << ", ";
+    const LatencyAnalyzer::SweepPoint& pt = rep.curve[i];
+    num(i == 0 ? "{\"delta_l_ns\": " : ", {\"delta_l_ns\": ", pt.delta_L);
+    num(", \"runtime_ns\": ", pt.runtime);
+    num(", \"lambda_l\": ", pt.lambda_L);
+    num(", \"rho_l\": ", pt.rho_L);
+    out += '}';
   }
-  os << ']';
-  os << sep << "\"critical_latencies_ns\": [";
+  out += ']';
+  out += sep;
+  out += "\"critical_latencies_ns\": [";
   for (std::size_t i = 0; i < rep.critical_latencies.size(); ++i) {
-    os << num(rep.critical_latencies[i]);
-    if (i + 1 < rep.critical_latencies.size()) os << ", ";
+    num(i == 0 ? "" : ", ", rep.critical_latencies[i]);
   }
-  os << ']' << close;
-  return os.str();
+  out += ']';
+  out += pretty ? "\n}\n" : "}";
+  return out;
 }
 
 }  // namespace

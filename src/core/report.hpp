@@ -25,8 +25,9 @@ enum class OutputFormat {
 OutputFormat parse_output_format(const std::string& name);
 
 /// Render a table in the requested format.  The JSON renderer emits one
-/// object per row keyed by header name; cells that parse completely as
-/// finite numbers are emitted unquoted, everything else as a JSON string.
+/// object per row keyed by header name; cells the number writer produced
+/// from finite values are emitted unquoted, everything else as a JSON
+/// string.
 std::string render(const Table& table, OutputFormat format);
 
 /// The JSON rendering of a table as one physical line (no trailing
@@ -34,9 +35,6 @@ std::string render(const Table& table, OutputFormat format);
 /// render(kJson).  This is the row payload of the api layer's JSONL batch
 /// responses, where one result must occupy exactly one line.
 std::string render_json_line(const Table& table);
-
-/// JSON string escaping (quotes, backslashes, control characters).
-std::string json_escape(const std::string& s);
 
 /// The ΔL-sweep curve as a table, shared by `llamp sweep`, the analyze
 /// report, and the campaign emitters.  `human` selects report formatting

@@ -9,18 +9,9 @@
 
 #include "lp/param_space.hpp"
 #include "obs/metrics.hpp"
-#include "util/strings.hpp"
 
 namespace llamp::core {
 namespace {
-
-/// Round-trip-exact fingerprint: %.17g reproduces any double bit for bit,
-/// so two fingerprints compare equal iff the lowered cost arrays would.
-std::string latency_fingerprint(const loggops::Params& p) {
-  return strformat("latency;L=%.17g;o=%.17g;g=%.17g;G=%.17g;O=%.17g;S=%llu",
-                   p.L, p.o, p.g, p.G, p.O,
-                   static_cast<unsigned long long>(p.S));
-}
 
 /// Payload bytes of one stored memo result, by element size (not
 /// capacity), mirroring the anchor accounting.
@@ -303,7 +294,12 @@ std::size_t SolverCache::Entry::anchor_count() const {
 
 std::shared_ptr<SolverCache::Entry> SolverCache::entry(
     const GraphKey& key, const loggops::Params& p) {
-  SolverKey skey{key, latency_fingerprint(p)};
+  SolverKey skey{key,
+                 {std::bit_cast<std::uint64_t>(p.L),
+                  std::bit_cast<std::uint64_t>(p.o),
+                  std::bit_cast<std::uint64_t>(p.g),
+                  std::bit_cast<std::uint64_t>(p.G),
+                  std::bit_cast<std::uint64_t>(p.O), p.S}};
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& entry = entries_[std::move(skey)];
   if (!entry) {

@@ -18,14 +18,13 @@
 namespace llamp::core {
 
 /// The key under which a lowered parametric LP is shared: the execution
-/// graph's key plus a fingerprint of its LatencyParamSpace — the exact
-/// value of every parameter that enters the lowering (L/o/g/G/O/S),
-/// formatted round-trip exact.  Two requests whose resolved scenarios
-/// print the same fingerprint lower bit-identical cost arrays, so they may
-/// share one LoweredProblem.
+/// graph's key plus the bit patterns of every parameter that enters its
+/// LatencyParamSpace's lowering (L/o/g/G/O, then S), as the memo keys
+/// hold theirs.  Two requests whose resolved scenarios carry the same bits
+/// lower bit-identical cost arrays, so they may share one LoweredProblem.
 struct SolverKey {
   GraphKey graph;
-  std::string space;
+  std::array<std::uint64_t, 6> space;
 
   friend bool operator<(const SolverKey& a, const SolverKey& b) {
     if (a.graph < b.graph) return true;
@@ -73,7 +72,7 @@ struct SolverKey {
 /// include the cache's counters.
 ///
 /// Invalidation: there is none, by construction.  Graphs are immutable and
-/// never evicted from GraphCache, and the fingerprint pins every input of
+/// never evicted from GraphCache, and the key's bits pin every input of
 /// the lowering, so a key fully determines its problem forever.  Entries
 /// hold no back-reference to the graph beyond the one the caller passed;
 /// the caller must pass the graph cached under `key.graph` (the GraphCache

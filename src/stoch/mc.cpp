@@ -359,15 +359,15 @@ namespace {
 void add_summary_row(Table& t, const std::string& metric, const Summary& s,
                      bool human, bool time_valued) {
   const bool all_unbounded = s.count() == 0 && s.unbounded() > 0;
-  const auto fmt = [&](double v) -> std::string {
+  const auto fmt = [&](double v) -> Table::Cell {
     if (all_unbounded) return "unbounded";
     if (human) {
       return time_valued ? human_time_ns(v) : strformat("%.3g", v);
     }
-    return strformat("%.10g", v);
+    return Table::Cell::general(v, 10);
   };
-  t.add_row({metric, strformat("%zu", s.count()),
-             strformat("%zu", s.unbounded()), fmt(s.mean()),
+  t.add_row({metric, Table::Cell::integer(s.count()),
+             Table::Cell::integer(s.unbounded()), fmt(s.mean()),
              fmt(s.stddev()), fmt(s.min()), fmt(s.q05()), fmt(s.median()),
              fmt(s.q95()), fmt(s.max())});
 }

@@ -1,5 +1,7 @@
 #include "util/json.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 
@@ -20,6 +22,21 @@ std::string kind_name(JsonValue::Kind k) {
     case JsonValue::Kind::kObject: return "object";
   }
   return "?";
+}
+
+/// Significant digits of the shortest decimal that reads back as `v`,
+/// counted in the scientific form: above 2^53 the plain shortest form is
+/// fixed notation with every integer digit, which overcounts.
+int shortest_digits(double v) {
+  char buf[32];
+  const char* end =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific)
+          .ptr;
+  int digits = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    digits += *c >= '0' && *c <= '9';
+  }
+  return digits;
 }
 
 [[noreturn]] void kind_error(const std::string& what, const char* want,
@@ -335,11 +352,19 @@ std::string json_escape_string(const std::string& s) {
 
 std::string json_double(double v) {
   if (!std::isfinite(v)) return "null";
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::string s = strformat("%.*g", prec, v);
-    if (std::strtod(s.c_str(), nullptr) == v) return s;
+  // No precision below the shortest round-trip digit count can read back
+  // as `v`, so starting there finds the same first precision as a scan
+  // from 6.  The read-back check stays: a correctly rounded form at that
+  // precision can still miss where the rounding gaps are uneven (powers
+  // of two).
+  std::string out;
+  for (int prec = std::max(6, shortest_digits(v)); prec < 17; ++prec) {
+    append_general(out, v, prec);
+    if (std::strtod(out.c_str(), nullptr) == v) return out;
+    out.clear();
   }
-  return strformat("%.17g", v);
+  append_general(out, v, 17);
+  return out;
 }
 
 }  // namespace llamp

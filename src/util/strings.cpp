@@ -79,8 +79,9 @@ int parse_int(std::string_view s) {
 
 double parse_double(std::string_view s) {
   s = trim(s);
-  // std::from_chars<double> is not available on every libstdc++ this targets;
-  // strtod on a bounded copy is portable and still validates the full token.
+  // strtod on purpose, not std::from_chars: from_chars rejects a leading
+  // '+' and reports underflow as an error where strtod rounds to zero or a
+  // subnormal, and both spellings reach here from CLI flags and JSON.
   const std::string copy(s);
   char* end = nullptr;
   const double v = std::strtod(copy.c_str(), &end);
@@ -91,16 +92,48 @@ double parse_double(std::string_view s) {
 }
 
 std::string strformat(const char* fmt, ...) {
+  // One pass into a stack buffer; only longer output formats again into
+  // the heap string.
+  char buf[256];
   va_list args;
   va_start(args, fmt);
   va_list args2;
   va_copy(args2, args);
-  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  const auto len =
+      static_cast<std::size_t>(std::vsnprintf(buf, sizeof buf, fmt, args));
   va_end(args);
-  std::string out(static_cast<std::size_t>(n), '\0');
-  std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
+  std::string out;
+  if (len < sizeof buf) {
+    out.assign(buf, len);
+  } else {
+    out.resize(len);
+    std::vsnprintf(out.data(), len + 1, fmt, args2);
+  }
   va_end(args2);
   return out;
+}
+
+namespace {
+
+void append_to_chars(std::string& out, double v, std::chars_format format,
+                     int precision) {
+  // Room for any "%.Nf" with N <= 17 (sign, 309 integer digits, point,
+  // fraction) and for every general form.
+  char buf[336];
+  const auto [end, ec] =
+      std::to_chars(buf, buf + sizeof buf, v, format, precision);
+  if (ec != std::errc()) throw Error("number writer: buffer too small");
+  out.append(buf, end);
+}
+
+}  // namespace
+
+void append_general(std::string& out, double v, int precision) {
+  append_to_chars(out, v, std::chars_format::general, precision);
+}
+
+void append_fixed(std::string& out, double v, int precision) {
+  append_to_chars(out, v, std::chars_format::fixed, precision);
 }
 
 std::string human_count(double v) {

@@ -1,5 +1,7 @@
 #pragma once
 
+#include <charconv>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -34,6 +36,20 @@ double parse_double(std::string_view s);
 
 /// printf-style formatting into std::string.
 std::string strformat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
+
+/// The number writer: every number a response prints goes through these.
+/// Each appends to `out` exactly the bytes of its printf spelling (the
+/// standard defines std::to_chars with a precision as printf's form), with
+/// no format-string parsing and no intermediate string:
+/// append_general is "%.<precision>g", append_fixed "%.<precision>f", and
+/// append_int "%d" / "%zu" / "%llu".
+void append_general(std::string& out, double v, int precision);
+void append_fixed(std::string& out, double v, int precision);
+template <std::integral I>
+void append_int(std::string& out, I v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
 
 /// Human-readable quantities for report output, e.g. "48.3 M", "1.2 k".
 std::string human_count(double v);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -13,7 +15,10 @@
 #include "api/batch.hpp"
 #include "api/engine.hpp"
 #include "api/request.hpp"
+#include "apps/registry.hpp"
+#include "core/campaign.hpp"
 #include "core/report.hpp"
+#include "stoch/mc.hpp"
 #include "tools/cli_driver.hpp"
 #include "util/cli.hpp"
 #include "util/error.hpp"
@@ -1440,6 +1445,155 @@ TEST(ApiJsonValue, JsonDoubleRoundTrips) {
   }
   EXPECT_EQ(json_double(0.25), "0.25");
   EXPECT_EQ(json_double(std::numeric_limits<double>::infinity()), "null");
+}
+
+
+// ---------------------------------------------------------------------------
+// Typed table cells: the JSON emitters write a number-writer cell bare and
+// quote every other one.  The strtod classifier they replaced stays here as
+// the reference, and the text columns must never look numeric to it.
+// ---------------------------------------------------------------------------
+
+/// The old rule: a cell is a bare JSON number iff strtod consumes it
+/// entirely and the value is finite ("inf" and "unbounded" stay strings).
+bool old_is_json_number(const std::string& cell) {
+  if (cell.empty()) return false;
+  char* end = nullptr;
+  const double v = std::strtod(cell.c_str(), &end);
+  return end == cell.c_str() + cell.size() && std::isfinite(v);
+}
+
+/// The old row emitter over the cells' text: render(kJson) when `pretty`,
+/// render_json_line otherwise.
+std::string old_rows_json(const Table& t, bool pretty) {
+  std::ostringstream os;
+  os << (pretty ? "[\n" : "[");
+  const auto& rows = t.data();
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    if (pretty) os << "  ";
+    os << '{';
+    for (std::size_t c = 0; c < rows[r].size(); ++c) {
+      const std::string& cell = rows[r][c].text;
+      os << '"' << json_escape_string(t.headers()[c]) << "\": ";
+      if (old_is_json_number(cell)) {
+        os << cell;
+      } else {
+        os << '"' << json_escape_string(cell) << '"';
+      }
+      if (c + 1 < rows[r].size()) os << ", ";
+    }
+    os << '}';
+    if (pretty) os << (r + 1 < rows.size() ? ",\n" : "\n");
+    else if (r + 1 < rows.size()) os << ", ";
+  }
+  os << (pretty ? "]\n" : "]");
+  return os.str();
+}
+
+/// Both JSON layouts of `t` equal the old classifier's, and `t` holds a
+/// cell spelled each of `words` (the cases the types decide).
+void expect_old_json_bytes(const Table& t,
+                           std::initializer_list<const char*> words) {
+  std::set<std::string> texts;
+  for (const auto& row : t.data()) {
+    for (const auto& cell : row) texts.insert(cell.text);
+  }
+  for (const char* word : words) EXPECT_EQ(texts.count(word), 1u) << word;
+  EXPECT_EQ(core::render_json_line(t), old_rows_json(t, false));
+  EXPECT_EQ(core::render(t, core::OutputFormat::kJson),
+            old_rows_json(t, true));
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+const double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(TypedCells, SweepTableJsonMatchesOldClassifier) {
+  const std::vector<core::LatencyAnalyzer::SweepPoint> curve = {
+      {0.0, 1.5, 0.25, 0.5},       {kInf, kNaN, -kInf, 1e300},
+      {-0.0, 5e-324, kNaN, kInf},  {1e21, 123456789.123, 1e-7, -kNaN},
+      {2.5e-3, 1e16, 7.0, 0.125}};
+  expect_old_json_bytes(core::sweep_curve_table(curve, 1.0, false),
+                        {"inf", "-inf", "nan", "-nan"});
+}
+
+stoch::McResult mc_with_edge_cells() {
+  stoch::McResult res;
+  res.delta_Ls = {0.0, 1000.5, kInf};
+  res.runtime.resize(3);
+  for (const double x : {5.0, 7.25, 1e9}) res.runtime[0].add(x);
+  // Welford over opposite huge values overflows: a -inf mean, -nan stddev.
+  for (const double x : {1.7e308, 1.7e308, -1.7e308}) res.runtime[1].add(x);
+  res.runtime[2].add(kNaN);  // one unbounded sample, no finite ones
+  for (const double x : {1.0, 2.0}) res.lambda_L.add(x);
+  for (const double x : {0.5, -0.0}) res.rho_L.add(x);
+  res.bands.resize(2);
+  res.bands[0].percent = 1.0;
+  res.bands[0].tolerance_delta.add(kInf);
+  res.bands[1].percent = 2.5;
+  for (const double x : {kInf, 3.0, 4.0}) res.bands[1].tolerance_delta.add(x);
+  return res;
+}
+
+TEST(TypedCells, McTableJsonMatchesOldClassifier) {
+  expect_old_json_bytes(stoch::mc_summary_table(mc_with_edge_cells(), false),
+                        {"-inf", "-nan", "unbounded"});
+}
+
+TEST(TypedCells, CampaignTableJsonMatchesOldClassifier) {
+  core::Campaign::ScenarioResult res;
+  res.scenario.app = "hpcg";
+  res.scenario.ranks = 8;
+  res.scenario.scale = 0.05;
+  res.scenario.topology = "fat-tree";
+  res.scenario.config = "cscs/L=1e3";
+  res.base_runtime = 1e6;
+  res.points = {{0.0, 1e6, 6.0, 0.01, 1e6},
+                {kInf, kNaN, -kInf, 1e-300, kNaN},
+                {1e4, 1.25e6, kNaN, kInf, -kInf}};
+  res.mc = {{1e6, 0.0, 1e6, 1e6}, {kNaN, kInf, -kInf, 0.5}};
+  expect_old_json_bytes(core::campaign_points_table({res}, false,
+                                                    "measured_ns"),
+                        {"inf", "-inf", "nan"});
+}
+
+// The cells the types now quote unconditionally (app, topology, config and
+// the mc metric) never parsed as numbers, so quoting them changes no byte.
+TEST(TypedCells, TextColumnsAreNeverNumericLooking) {
+  for (const std::string& app : apps::app_names()) {
+    EXPECT_FALSE(old_is_json_number(app)) << app;
+  }
+  for (const char* topo : {"none", "fat-tree", "dragonfly"}) {
+    EXPECT_FALSE(old_is_json_number(topo)) << topo;
+  }
+  // No other topology or preset name gets into a row.
+  EXPECT_THROW((void)core::fit_topology("1e3", {}, 8), UsageError);
+  EXPECT_THROW((void)core::resolve_variant("2", {}, {}, {}, {}), UsageError);
+
+  const Table mc = stoch::mc_summary_table(mc_with_edge_cells(), false);
+  for (const auto& row : mc.data()) {
+    EXPECT_FALSE(row[0].number);
+    EXPECT_FALSE(old_is_json_number(row[0].text)) << row[0].text;
+  }
+
+  // Config names as the engine spells them: a preset, then each override
+  // axis as "/K=<the flag's text>", numeric-looking texts included.
+  api::CampaignRequest req;
+  req.apps = {"hpcg"};
+  req.scales = {0.02};
+  req.nets = {"cscs", "daint"};
+  req.L_list = {"1e3", "2000"};
+  req.o_list = {"5e3"};  // the presets still differ in G
+  req.grid = {20.0, 2};
+  api::Engine engine;
+  const auto res = engine.campaign(req);
+  const Table t = core::campaign_points_table(res.results, false);
+  ASSERT_EQ(t.rows(), 8u);
+  for (const auto& row : t.data()) {
+    for (const std::size_t c : {0, 3, 4}) {  // app, topology, config
+      EXPECT_FALSE(row[c].number) << t.headers()[c];
+      EXPECT_FALSE(old_is_json_number(row[c].text)) << row[c].text;
+    }
+  }
 }
 
 }  // namespace

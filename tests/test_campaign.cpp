@@ -296,7 +296,7 @@ TEST(CampaignRun, ProbeValuesLandOnTheMatchingPoints) {
   const Table with_probe =
       campaign_points_table(results, /*human=*/false, "measured_ns");
   EXPECT_EQ(with_probe.headers().back(), "measured_ns");
-  EXPECT_EQ(with_probe.data().at(1).back(), "100.0");
+  EXPECT_EQ(with_probe.data().at(1).back().text, "100.0");
   const Table without_probe = campaign_points_table(results, false);
   EXPECT_EQ(without_probe.headers().back(), "rho_l");
   // A probe returning the wrong arity is an analysis error.

@@ -794,8 +794,8 @@ TEST(StochMc, SummaryTableMarksAllUnboundedMetrics) {
   const auto t = stoch::mc_summary_table(res, /*human=*/false);
   const auto& rows = t.data();
   ASSERT_EQ(rows.size(), 4u);
-  EXPECT_EQ(rows[3][3], "unbounded");  // mean column of the band row
-  EXPECT_EQ(rows[3][2], "2");          // unbounded count column
+  EXPECT_EQ(rows[3][3].text, "unbounded");  // mean column of the band row
+  EXPECT_EQ(rows[3][2].text, "2");  // unbounded count column
 }
 
 }  // namespace

@@ -1,12 +1,20 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdarg>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "util/cli.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/math.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -303,6 +311,195 @@ TEST(RngDistribution, UniformIntUnbiased) {
   }
   EXPECT_GT(upper_half, 19'400);  // ~6 sigma around the unbiased 20'000;
   EXPECT_LT(upper_half, 20'600);  // the biased draw sits near 17'500
+}
+
+
+// ---------------------------------------------------------------------------
+// The number writer (util/strings.hpp, json_double): byte-for-byte the
+// printf forms it replaced.  The old two-pass strformat and the old
+// json_double precision scan stay here as the reference.
+// ---------------------------------------------------------------------------
+
+std::string old_strformat(const char* fmt, ...)
+    __attribute__((format(printf, 1, 2)));
+std::string old_strformat(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list args2;
+  va_copy(args2, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, args);
+  va_end(args);
+  std::string out(static_cast<std::size_t>(n), '\0');
+  std::vsnprintf(out.data(), out.size() + 1, fmt, args2);
+  va_end(args2);
+  return out;
+}
+
+/// printf's bytes for one number, on a stack buffer (the same bytes as
+/// old_strformat, at half the cost: 2^20 values go through these).
+std::string printf_number(const char* fmt, int prec, double v) {
+  char buf[512];
+  std::snprintf(buf, sizeof buf, fmt, prec, v);
+  return buf;
+}
+
+/// The old json_double: scan %.6g .. %.17g for the first form strtod reads
+/// back exactly.
+std::string old_json_double(double v) {
+  if (!std::isfinite(v)) return "null";
+  for (int prec = 6; prec <= 17; ++prec) {
+    std::string s = printf_number("%.*g", prec, v);
+    if (std::strtod(s.c_str(), nullptr) == v) return s;
+  }
+  return printf_number("%.*g", 17, v);
+}
+
+/// Compares every writer against its reference over `values`; returns the
+/// number of mismatches and describes the first few in `why`.  "%.1f" is
+/// compared below 1e21 only (every time a cell holds): printing the 300
+/// digits of a huge double is slow, and PowersOfTwo covers that range.
+std::size_t writer_mismatches(const std::vector<double>& values,
+                              std::string& why) {
+  std::size_t bad = 0;
+  const auto check = [&](double v, const std::string& want,
+                         const std::string& got, const char* form) {
+    if (want == got) return;
+    if (++bad <= 5) {
+      why += old_strformat("%s of bits %016llx: want '%s', got '%s'\n", form,
+                           static_cast<unsigned long long>(
+                               std::bit_cast<std::uint64_t>(v)),
+                           want.c_str(), got.c_str());
+    }
+  };
+  for (const double v : values) {
+    check(v, old_json_double(v), json_double(v), "json_double");
+    for (const int prec : {1, 6, 10, 17}) {
+      std::string got;
+      append_general(got, v, prec);
+      check(v, printf_number("%.*g", prec, v), got, "%.Ng");
+    }
+    if (std::fabs(v) >= 1e21 && !std::isinf(v)) continue;
+    std::string got;
+    append_fixed(got, v, 1);
+    check(v, printf_number("%.*f", 1, v), got, "%.1f");
+  }
+  return bad;
+}
+
+/// One of 16 shards of 2^20 fixed-seed random bit patterns (every class:
+/// normals, subnormals, ±0, ±inf, NaNs), split so ctest runs them side by
+/// side.
+class NumberWriterRandomBits : public ::testing::TestWithParam<int> {};
+
+TEST_P(NumberWriterRandomBits, MatchesOldFormatters) {
+  constexpr std::size_t kShard = (std::size_t{1} << 20) / 16;
+  Rng rng(0x6e756d62657273ULL + static_cast<std::uint64_t>(GetParam()));
+  std::vector<double> values(kShard);
+  for (double& v : values) v = std::bit_cast<double>(rng.next_u64());
+  std::string why;
+  EXPECT_EQ(writer_mismatches(values, why), 0u) << why;
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, NumberWriterRandomBits,
+                         ::testing::Range(0, 16));
+
+TEST(NumberWriter, PowersOfTwoAndNeighboursIncludingSubnormals) {
+  std::vector<double> values;
+  for (int e = -1074; e <= 1023; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (const double v : {p, std::nextafter(p, 0.0),
+                           std::nextafter(p, HUGE_VAL)}) {
+      values.push_back(v);
+      values.push_back(-v);
+    }
+  }
+  std::string why;
+  EXPECT_EQ(writer_mismatches(values, why), 0u) << why;
+  // "%.1f" across the whole range, huge values included.
+  std::size_t bad = 0;
+  for (const double v : values) {
+    std::string got;
+    append_fixed(got, v, 1);
+    bad += got != old_strformat("%.1f", v);
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+TEST(NumberWriter, PowersOfTen) {
+  std::vector<double> values;
+  for (int e = -320; e <= 308; ++e) {
+    values.push_back(std::strtod(old_strformat("1e%d", e).c_str(), nullptr));
+  }
+  std::string why;
+  EXPECT_EQ(writer_mismatches(values, why), 0u) << why;
+}
+
+TEST(NumberWriter, IntegersAndDecimalGrids) {
+  std::vector<double> values;
+  for (int i = -1000; i <= 50000; ++i) {
+    values.push_back(static_cast<double>(i));
+    values.push_back(i * 1e-3);
+    values.push_back(i * 1e7);
+  }
+  std::string why;
+  EXPECT_EQ(writer_mismatches(values, why), 0u) << why;
+}
+
+// Above 2^53 the plain shortest to_chars form is fixed notation with every
+// integer digit; json_double must count digits in the scientific form.
+TEST(NumberWriter, IntegersFromTwoToThe53) {
+  std::vector<double> values;
+  Rng rng(53);
+  for (int e = 53; e <= 127; ++e) {
+    const double p = std::ldexp(1.0, e);
+    for (int k = 0; k < 64; ++k) {
+      values.push_back(p + std::ldexp(static_cast<double>(k), e - 52));
+      values.push_back(std::ldexp(static_cast<double>(rng.next_u64() >> 11), e - 52));
+    }
+  }
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(static_cast<double>(rng.next_u64()));
+  }
+  std::string why;
+  EXPECT_EQ(writer_mismatches(values, why), 0u) << why;
+}
+
+TEST(NumberWriter, SignedZerosInfinitiesAndNaNs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::string why;
+  EXPECT_EQ(writer_mismatches({0.0, -0.0, inf, -inf, nan, -nan}, why), 0u)
+      << why;
+  EXPECT_EQ(json_double(-0.0), "-0");
+  EXPECT_EQ(json_double(nan), "null");
+  std::string out = "x=";
+  append_general(out, -nan, 10);
+  EXPECT_EQ(out, "x=-nan");
+}
+
+TEST(NumberWriter, StrformatAroundTheStackBuffer) {
+  for (const int width : {0, 1, 254, 255, 256, 257, 1000}) {
+    const std::string got = strformat("%0*d", width, 7);
+    EXPECT_EQ(got, old_strformat("%0*d", width, 7));
+    EXPECT_EQ(got.size(), static_cast<std::size_t>(std::max(width, 1)));
+  }
+  const std::string s255(255, 'x');
+  for (const char* tail : {"", "y", "yz"}) {
+    EXPECT_EQ(strformat("%s%s", s255.c_str(), tail),
+              old_strformat("%s%s", s255.c_str(), tail));
+  }
+}
+
+TEST(NumberWriter, TableCellsKnowTheirType) {
+  EXPECT_TRUE(Table::Cell::general(1.5, 10).number);
+  EXPECT_EQ(Table::Cell::general(1.5, 10).text, "1.5");
+  EXPECT_EQ(Table::Cell::fixed(2.25, 1).text, "2.2");
+  EXPECT_EQ(Table::Cell::integer(std::size_t{42}).text, "42");
+  EXPECT_TRUE(Table::Cell::integer(-3).number);
+  EXPECT_FALSE(
+      Table::Cell::general(std::numeric_limits<double>::infinity(), 10).number);
+  EXPECT_FALSE(Table::Cell::fixed(std::nan(""), 1).number);
+  EXPECT_FALSE(Table::Cell("12").number);
 }
 
 }  // namespace
