@@ -771,23 +771,19 @@ obs::Snapshot Engine::metrics_snapshot() const {
   const core::SolverCache::Stats sc = solver_cache_.stats();
   snap.set_counter("graph_cache.built", gc.built);
   snap.set_counter("graph_cache.hits", gc.hits);
-  snap.set_counter("solver_cache.built", sc.built);
-  snap.set_counter("solver_cache.hits", sc.hits);
-  snap.set_counter("solver_cache.anchor_solves", sc.anchor_solves);
-  snap.set_counter("solver_cache.replays", sc.replays);
-  snap.set_counter("solver_cache.memo_hits", sc.memo_hits);
-  snap.set_counter("solver_cache.memo_misses", sc.memo_misses);
-  snap.set_counter("solver_cache.budget_refused", sc.budget_refused);
   // Scrape bookkeeping: the sequence number orders snapshots of one
   // session (monotonic from 1; a restart resets it), uptime stamps them.
   snap.set_counter("engine.metrics_seq",
                    metrics_seq_.fetch_add(1, std::memory_order_relaxed) + 1);
   snap.set_gauge("engine.uptime_ns", static_cast<double>(uptime_ns()));
   snap.set_gauge("graph_cache.bytes", static_cast<double>(gc.bytes));
-  snap.set_gauge("solver_cache.anchor_bytes",
-                 static_cast<double>(sc.anchor_bytes));
-  snap.set_gauge("solver_cache.memo_bytes",
-                 static_cast<double>(sc.memo_bytes));
+  for (const auto& [name, v] : sc.fields()) {
+    if (name.ends_with("_bytes")) {
+      snap.set_gauge("solver_cache." + name, static_cast<double>(v));
+    } else {
+      snap.set_counter("solver_cache." + name, v);
+    }
+  }
   return snap;
 }
 

@@ -338,17 +338,21 @@ SolverCache::Stats SolverCache::stats() const {
           budget_refused_.load(std::memory_order_relaxed)};
 }
 
+std::vector<std::pair<std::string, std::uint64_t>>
+SolverCache::Stats::fields() const {
+  return {{"built", built},
+          {"hits", hits},
+          {"anchor_solves", anchor_solves},
+          {"replays", replays},
+          {"anchor_bytes", anchor_bytes},
+          {"memo_hits", memo_hits},
+          {"memo_misses", memo_misses},
+          {"memo_bytes", memo_bytes},
+          {"budget_refused", budget_refused}};
+}
+
 std::string SolverCache::stats_string() const {
-  const Stats s = stats();
-  return obs::stats_line("solvers", {{"built", s.built},
-                                     {"hits", s.hits},
-                                     {"anchor_solves", s.anchor_solves},
-                                     {"replays", s.replays},
-                                     {"anchor_bytes", s.anchor_bytes},
-                                     {"memo_hits", s.memo_hits},
-                                     {"memo_misses", s.memo_misses},
-                                     {"memo_bytes", s.memo_bytes},
-                                     {"budget_refused", s.budget_refused}});
+  return obs::stats_line("solvers", stats().fields());
 }
 
 }  // namespace llamp::core

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/graph_cache.hpp"
@@ -260,6 +261,10 @@ class SolverCache {
     std::size_t memo_bytes = 0;     ///< payload bytes of stored memo results
     /// Anchor publishes and memo stores a full entry budget turned away.
     std::size_t budget_refused = 0;
+
+    /// The fields above as (name, value), in their one published order:
+    /// stats_string(), /healthz and the solver_cache.* metrics read it.
+    std::vector<std::pair<std::string, std::uint64_t>> fields() const;
   };
   /// Cumulative statistics, GraphCache-style relaxed atomics: monotonic
   /// tallies, not an instantaneous cut across counters.  `anchor_bytes`

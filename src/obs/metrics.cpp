@@ -9,11 +9,6 @@
 namespace llamp::obs {
 namespace detail {
 
-std::size_t next_shard_slot() {
-  static std::atomic<std::size_t> next{0};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::size_t histogram_bucket(double v) {
   // Bucket 0 holds v <= 1 (and any negative); bucket b >= 1 holds
   // [2^(b-1), 2^b); the last bucket overflows.  frexp is exact at the
@@ -25,162 +20,59 @@ std::size_t histogram_bucket(double v) {
   return std::min(static_cast<std::size_t>(exp), kHistogramBuckets - 1);
 }
 
-namespace {
-
-void atomic_add(std::atomic<double>& a, double d) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + d, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_min(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v < cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-void atomic_max(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
-
 void HistogramCell::record(double v) {
-  HistogramShard& s = shards[thread_shard_slot() % shards.size()];
+  const std::lock_guard<std::mutex> lock(mutex);
   if (!std::isfinite(v)) {
-    s.nonfinite.fetch_add(1, std::memory_order_relaxed);
+    ++nonfinite;
     return;
   }
-  s.buckets[histogram_bucket(v)].fetch_add(1, std::memory_order_relaxed);
-  s.count.fetch_add(1, std::memory_order_relaxed);
-  atomic_add(s.sum, v);
-  atomic_min(s.min_v, v);
-  atomic_max(s.max_v, v);
-  {
-    const std::lock_guard<std::mutex> lock(s.p2_mutex);
-    s.p50.add(v);
-    s.p95.add(v);
-    s.p99.add(v);
-  }
+  ++buckets[histogram_bucket(v)];
+  ++count;
+  sum += v;
+  min = std::min(min, v);
+  max = std::max(max, v);
+  p50.add(v);
+  p95.add(v);
+  p99.add(v);
 }
 
 }  // namespace detail
 
-void Gauge::add(double d) {
-  if (cell_ == nullptr) return;
-  detail::atomic_add(cell_->value, d);
-}
-
-Registry::Registry(Options opts)
-    : shards_(opts.shards > 0 ? static_cast<std::size_t>(opts.shards) : 8) {}
-
 Counter Registry::counter(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& cell = counters_[name];
-  if (!cell) cell = std::make_unique<detail::CounterCell>(shards_);
+  if (!cell) cell = std::make_unique<std::atomic<std::uint64_t>>(0);
   return Counter(cell.get());
-}
-
-Gauge Registry::gauge(const std::string& name) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  auto& cell = gauges_[name];
-  if (!cell) cell = std::make_unique<detail::GaugeCell>();
-  return Gauge(cell.get());
 }
 
 Histogram Registry::histogram(const std::string& name) {
   const std::lock_guard<std::mutex> lock(mutex_);
   auto& cell = histograms_[name];
-  if (!cell) cell = std::make_unique<detail::HistogramCell>(shards_);
+  if (!cell) cell = std::make_unique<detail::HistogramCell>();
   return Histogram(cell.get());
 }
-
-namespace {
-
-/// Quantile estimate from merged log₂ bucket counts: linear interpolation
-/// on rank inside the covering bucket.  Deterministic given the merged
-/// counts (which are themselves shard- and thread-count independent).
-double bucket_quantile(const std::vector<std::uint64_t>& buckets,
-                       std::uint64_t n, double q) {
-  if (n == 0) return 0.0;
-  const double target = q * static_cast<double>(n);
-  double cum = 0.0;
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    const double c = static_cast<double>(buckets[b]);
-    if (c == 0.0) continue;
-    if (cum + c >= target) {
-      if (b == 0) return 1.0;  // the "<= 1" bucket: report its upper edge
-      const double lo = std::ldexp(1.0, static_cast<int>(b) - 1);
-      if (b == detail::kHistogramBuckets - 1) return lo;  // overflow
-      const double hi = std::ldexp(1.0, static_cast<int>(b));
-      return lo + (hi - lo) * ((target - cum) / c);
-    }
-    cum += c;
-  }
-  return 0.0;  // unreachable: the loop covers rank n
-}
-
-}  // namespace
 
 Snapshot Registry::snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   Snapshot snap;
   for (const auto& [name, cell] : counters_) {
-    std::uint64_t total = 0;
-    for (const auto& shard : cell->shards) {
-      total += shard.v.load(std::memory_order_relaxed);
-    }
-    snap.counters.emplace_back(name, total);
-  }
-  for (const auto& [name, cell] : gauges_) {
-    snap.gauges.emplace_back(name,
-                             cell->value.load(std::memory_order_relaxed));
+    snap.counters.emplace_back(name, cell->load(std::memory_order_relaxed));
   }
   for (const auto& [name, cell] : histograms_) {
+    const std::lock_guard<std::mutex> cell_lock(cell->mutex);
     HistogramSnapshot h;
     h.name = name;
-    h.buckets.assign(detail::kHistogramBuckets, 0);
-    double min_v = std::numeric_limits<double>::infinity();
-    double max_v = -std::numeric_limits<double>::infinity();
-    const detail::HistogramShard* populated = nullptr;
-    std::size_t populated_shards = 0;
-    for (const auto& shard : cell->shards) {
-      const std::uint64_t c = shard.count.load(std::memory_order_relaxed);
-      h.count += c;
-      h.nonfinite += shard.nonfinite.load(std::memory_order_relaxed);
-      if (c == 0) continue;
-      ++populated_shards;
-      populated = &shard;
-      h.sum += shard.sum.load(std::memory_order_relaxed);
-      min_v = std::min(min_v, shard.min_v.load(std::memory_order_relaxed));
-      max_v = std::max(max_v, shard.max_v.load(std::memory_order_relaxed));
-      for (std::size_t b = 0; b < detail::kHistogramBuckets; ++b) {
-        h.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-      }
+    h.count = cell->count;
+    h.nonfinite = cell->nonfinite;
+    h.sum = cell->sum;
+    if (cell->count > 0) {
+      h.min = cell->min;
+      h.max = cell->max;
     }
-    if (h.count > 0) {
-      h.min = min_v;
-      h.max = max_v;
-    }
-    if (populated_shards == 1) {
-      // One populated shard means one deterministic feed order: report the
-      // precise P² estimates (exact up to five observations, the
-      // util/stats contract).
-      const std::lock_guard<std::mutex> p2(populated->p2_mutex);
-      h.p50 = populated->p50.value();
-      h.p95 = populated->p95.value();
-      h.p99 = populated->p99.value();
-    } else if (populated_shards > 1) {
-      // Concurrent feeds merge at bucket resolution: the estimates depend
-      // only on the merged counts, never on which thread fed which shard.
-      h.p50 = bucket_quantile(h.buckets, h.count, 0.50);
-      h.p95 = bucket_quantile(h.buckets, h.count, 0.95);
-      h.p99 = bucket_quantile(h.buckets, h.count, 0.99);
-    }
+    h.p50 = cell->p50.value();
+    h.p95 = cell->p95.value();
+    h.p99 = cell->p99.value();
+    h.buckets.assign(cell->buckets.begin(), cell->buckets.end());
     snap.histograms.push_back(std::move(h));
   }
   return snap;

@@ -16,8 +16,8 @@
 
 namespace llamp::obs {
 
-/// The session metrics registry (DESIGN.md §7): named counters, gauges, and
-/// latency histograms behind pre-registered handles.
+/// The session metrics registry (DESIGN.md §7): named counters and latency
+/// histograms behind pre-registered handles.
 ///
 /// Contract split:
 ///
@@ -26,46 +26,19 @@ namespace llamp::obs {
 ///    at a surface's entry point, never inside a hot path (the llamp-lint
 ///    `hot-metric` rule rejects string lookups inside declared hot-path
 ///    regions).
-///  * **Recording** through a handle is wait-free on the common path: a
-///    counter increment is one relaxed atomic add into a per-thread shard
-///    cell, no lock, no lookup, no allocation.
+///  * **Recording** through a handle never looks up or allocates: a counter
+///    increment is one relaxed atomic add, a histogram observation takes
+///    its cell's mutex.  Every recording site runs once per request.
 ///
-/// Determinism: counter cells are sharded to keep concurrent increments
-/// cheap, and a snapshot merges shards by exact integer summation in
-/// deterministic name order — so merged counter values are independent of
-/// the shard count, the thread count, and which thread bumped which shard
-/// (pinned by the Obs.MergeDeterminism tests).  Histogram bucket counts
-/// merge the same way; only the timing-*valued* fields (sum, min/max,
-/// quantile estimates) are allowed to vary run to run, because the recorded
-/// durations themselves do.  Nothing in this file may ever feed result
-/// bytes: metrics are a side channel beside the golden-pinned outputs.
+/// Determinism: each metric has one cell, so counter values and histogram
+/// counts are exact sums, independent of the thread count (pinned by the
+/// ObsRegistry tests).  Only the timing-*valued* fields (sum, min/max,
+/// quantile estimates) vary run to run, because the recorded durations
+/// themselves do.  Nothing in this file may ever feed result bytes: metrics
+/// are a side channel beside the golden-pinned outputs.
 class Registry;
 
 namespace detail {
-
-struct alignas(64) PaddedCount {
-  std::atomic<std::uint64_t> v{0};
-};
-
-/// Round-robin slot allocator backing thread_shard_slot (one atomic bump
-/// per thread lifetime).
-std::size_t next_shard_slot();
-
-/// This thread's stable shard slot, assigned round-robin on first use (the
-/// slot is taken modulo each cell's shard count, so any shard count works).
-inline std::size_t thread_shard_slot() {
-  thread_local const std::size_t slot = next_shard_slot();
-  return slot;
-}
-
-struct CounterCell {
-  explicit CounterCell(std::size_t nshards) : shards(nshards) {}
-  std::vector<PaddedCount> shards;
-};
-
-struct GaugeCell {
-  std::atomic<double> value{0.0};
-};
 
 /// Log₂-spaced histogram buckets: bucket 0 holds values <= 1, bucket b in
 /// [1, kBuckets-2] holds [2^(b-1), 2^b), and the last bucket overflows.
@@ -76,28 +49,21 @@ inline constexpr std::size_t kHistogramBuckets = 48;
 /// power-of-two edges, unlike a std::log2 round trip).
 std::size_t histogram_bucket(double v);
 
-struct alignas(64) HistogramShard {
-  std::array<std::atomic<std::uint64_t>, kHistogramBuckets> buckets{};
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> nonfinite{0};
-  /// sum/min/max via CAS: a shard is normally touched by one thread, so
-  /// the loops almost never retry.
-  std::atomic<double> sum{0.0};
-  std::atomic<double> min_v{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_v{-std::numeric_limits<double>::infinity()};
-  /// P² sketches (util/stats) for precise quantiles when one thread feeds
-  /// the histogram (the registry reports them when exactly one shard is
-  /// populated; concurrent feeds fall back to bucket interpolation).
-  mutable std::mutex p2_mutex;
+/// One histogram: every field under one mutex.
+struct HistogramCell {
+  void record(double v);
+
+  std::mutex mutex;
+  std::array<std::uint64_t, kHistogramBuckets> buckets{};
+  std::uint64_t count = 0;
+  std::uint64_t nonfinite = 0;
+  double sum = 0.0;
+  double min = std::numeric_limits<double>::infinity();
+  double max = -std::numeric_limits<double>::infinity();
+  /// P² sketches (util/stats): exact up to five observations.
   P2Quantile p50{0.50};
   P2Quantile p95{0.95};
   P2Quantile p99{0.99};
-};
-
-struct HistogramCell {
-  explicit HistogramCell(std::size_t nshards) : shards(nshards) {}
-  std::vector<HistogramShard> shards;
-  void record(double v);
 };
 
 }  // namespace detail
@@ -109,45 +75,25 @@ class Counter {
  public:
   Counter() = default;
 
-  /// One relaxed array-indexed add; safe from any thread, never allocates.
+  /// One relaxed add; safe from any thread, never allocates.
   void inc(std::uint64_t n = 1) {
-    if (cell_ == nullptr) return;
-    auto& shards = cell_->shards;
-    shards[detail::thread_shard_slot() % shards.size()].v.fetch_add(
-        n, std::memory_order_relaxed);
+    if (cell_ != nullptr) cell_->fetch_add(n, std::memory_order_relaxed);
   }
 
  private:
   friend class Registry;
-  explicit Counter(detail::CounterCell* cell) : cell_(cell) {}
-  detail::CounterCell* cell_ = nullptr;
+  explicit Counter(std::atomic<std::uint64_t>* cell) : cell_(cell) {}
+  std::atomic<std::uint64_t>* cell_ = nullptr;
 };
 
-/// Point-in-time value handle (cache bytes, occupancy).
-class Gauge {
- public:
-  Gauge() = default;
-
-  void set(double v) {
-    if (cell_ != nullptr) cell_->value.store(v, std::memory_order_relaxed);
-  }
-  void add(double d);
-
- private:
-  friend class Registry;
-  explicit Gauge(detail::GaugeCell* cell) : cell_(cell) {}
-  detail::GaugeCell* cell_ = nullptr;
-};
-
-/// Latency histogram handle: fixed log₂ buckets plus per-shard P² quantile
-/// sketches.  Values are nanoseconds by convention (TimeNs durations).
+/// Latency histogram handle: fixed log₂ buckets plus P² quantile sketches.
+/// Values are nanoseconds by convention (TimeNs durations).
 class Histogram {
  public:
   Histogram() = default;
 
   /// Record one observation.  Non-finite values are counted separately
-  /// (they would corrupt the P² markers); lock-free except the per-shard
-  /// P² mutex, which is uncontended when each thread keeps its shard.
+  /// (they would corrupt the P² markers).
   void record(double v) {
     if (cell_ != nullptr) cell_->record(v);
   }
@@ -158,7 +104,7 @@ class Histogram {
   detail::HistogramCell* cell_ = nullptr;
 };
 
-/// A merged, name-sorted view of a registry (plus any values the owner
+/// A name-sorted view of a registry (plus any values the owner
 /// imports — the engine folds its cache statistics in before
 /// emission, so external atomics don't need registry cells).
 struct HistogramSnapshot {
@@ -168,10 +114,10 @@ struct HistogramSnapshot {
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  double p50 = 0.0;  ///< P² when single-shard, bucket estimate otherwise
+  double p50 = 0.0;  ///< P² estimates
   double p95 = 0.0;
   double p99 = 0.0;
-  std::vector<std::uint64_t> buckets;  ///< merged log₂ bucket counts
+  std::vector<std::uint64_t> buckets;  ///< log₂ bucket counts
 };
 
 struct Snapshot {
@@ -185,7 +131,7 @@ struct Snapshot {
 
   /// Canonical single-line JSON: {"schema_version": 1, "counters": {...},
   /// "gauges": {...}, "histograms": {...}} with every object name-sorted.
-  /// This is the payload a future `llamp serve` /metrics endpoint returns.
+  /// This is the payload `llamp serve`'s /metrics endpoint returns.
   /// Structure and counter values are deterministic for a fixed request
   /// sequence; gauge/histogram *values* may carry timings.
   std::string to_json() const;
@@ -197,14 +143,7 @@ struct Snapshot {
 
 class Registry {
  public:
-  struct Options {
-    /// Counter/histogram shard count; <= 0 picks a fixed default.  Merged
-    /// snapshots are shard-count independent, so this is purely a
-    /// contention knob (1 is fine single-threaded, tests sweep it).
-    int shards = 0;
-  };
-  Registry() : Registry(Options{}) {}
-  explicit Registry(Options opts);
+  Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
@@ -212,19 +151,15 @@ class Registry {
   /// lifetime (cells are never removed).  Takes the registry mutex — call
   /// at setup time, never in hot paths (llamp-lint: hot-metric).
   Counter counter(const std::string& name);
-  Gauge gauge(const std::string& name);
   Histogram histogram(const std::string& name);
 
-  /// Merge every cell into a name-sorted snapshot (see Snapshot).
+  /// Read every cell into a name-sorted snapshot (see Snapshot).
   Snapshot snapshot() const;
 
-  std::size_t shard_count() const { return shards_; }
-
  private:
-  std::size_t shards_;
   mutable std::mutex mutex_;
-  std::map<std::string, std::unique_ptr<detail::CounterCell>> counters_;
-  std::map<std::string, std::unique_ptr<detail::GaugeCell>> gauges_;
+  std::map<std::string, std::unique_ptr<std::atomic<std::uint64_t>>>
+      counters_;
   std::map<std::string, std::unique_ptr<detail::HistogramCell>> histograms_;
 };
 

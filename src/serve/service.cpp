@@ -87,14 +87,14 @@ std::string healthz_body(const api::Engine& engine) {
   out += strformat(
       ", \"graph_cache\": {\"built\": %zu, \"hits\": %zu, \"bytes\": %zu}",
       gc.built, gc.hits, gc.bytes);
-  out += strformat(
-      ", \"solver_cache\": {\"built\": %zu, \"hits\": %zu, "
-      "\"anchor_solves\": %zu, \"replays\": %zu, \"anchor_bytes\": %zu, "
-      "\"memo_hits\": %zu, \"memo_misses\": %zu, \"memo_bytes\": %zu, "
-      "\"budget_refused\": %zu}",
-      sc.built, sc.hits, sc.anchor_solves, sc.replays, sc.anchor_bytes,
-      sc.memo_hits, sc.memo_misses, sc.memo_bytes, sc.budget_refused);
-  out += "}\n";
+  out += ", \"solver_cache\": {";
+  const char* sep = "";
+  for (const auto& [name, v] : sc.fields()) {
+    out += strformat("%s\"%s\": %llu", sep, name.c_str(),
+                     static_cast<unsigned long long>(v));
+    sep = ", ";
+  }
+  out += "}}\n";
   return out;
 }
 

@@ -1,5 +1,5 @@
-// Tests for the observability layer (src/obs/): registry merge
-// determinism across shard counts, histogram bucket edges and quantile
+// Tests for the observability layer (src/obs/): exact registry sums
+// across thread counts, histogram bucket edges and quantile
 // sketches, the shared stats_line format, Chrome trace emission, and the
 // engine-level guarantees — deterministic counters for a fixed request
 // sequence, and byte-identical results with metrics/tracing on or off.
@@ -29,36 +29,37 @@ namespace llamp {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Registry: merged snapshots are shard-count and thread-count independent.
+// Registry: snapshots are exact sums, independent of the thread count.
 // ---------------------------------------------------------------------------
 
-TEST(ObsRegistry, MergeDeterminismAcrossShardCounts) {
-  for (const int shards : {1, 3, 8}) {
-    obs::Registry reg(obs::Registry::Options{.shards = shards});
+TEST(ObsRegistry, MergeDeterminismAcrossThreadCounts) {
+  for (const int nthreads : {1, 3, 8}) {
+    obs::Registry reg;
     obs::Counter c = reg.counter("work.items");
     std::vector<std::thread> threads;
-    threads.reserve(8);
-    for (int t = 0; t < 8; ++t) {
+    threads.reserve(nthreads);
+    for (int t = 0; t < nthreads; ++t) {
       threads.emplace_back([&c] {
         for (int i = 0; i < 1000; ++i) c.inc();
       });
     }
     for (std::thread& t : threads) t.join();
-    c.inc(42);  // bulk add folds into the same merged total
+    c.inc(42);  // bulk add folds into the same total
     const obs::Snapshot snap = reg.snapshot();
-    ASSERT_EQ(snap.counters.size(), 1u) << "shards=" << shards;
+    ASSERT_EQ(snap.counters.size(), 1u) << "threads=" << nthreads;
     EXPECT_EQ(snap.counters[0].first, "work.items");
-    EXPECT_EQ(snap.counters[0].second, 8u * 1000u + 42u)
-        << "shards=" << shards;
+    EXPECT_EQ(snap.counters[0].second,
+              static_cast<std::uint64_t>(nthreads) * 1000u + 42u)
+        << "threads=" << nthreads;
   }
 }
 
 TEST(ObsRegistry, HistogramCountMergesExactlyAcrossThreads) {
-  for (const int shards : {1, 4}) {
-    obs::Registry reg(obs::Registry::Options{.shards = shards});
+  for (const int nthreads : {1, 4}) {
+    obs::Registry reg;
     obs::Histogram h = reg.histogram("latency");
     std::vector<std::thread> threads;
-    for (int t = 0; t < 4; ++t) {
+    for (int t = 0; t < nthreads; ++t) {
       threads.emplace_back([&h, t] {
         for (int i = 0; i < 500; ++i) h.record(static_cast<double>(t + 1));
       });
@@ -67,10 +68,11 @@ TEST(ObsRegistry, HistogramCountMergesExactlyAcrossThreads) {
     const obs::Snapshot snap = reg.snapshot();
     ASSERT_EQ(snap.histograms.size(), 1u);
     const obs::HistogramSnapshot& hs = snap.histograms[0];
-    EXPECT_EQ(hs.count, 4u * 500u) << "shards=" << shards;
+    EXPECT_EQ(hs.count, static_cast<std::uint64_t>(nthreads) * 500u)
+        << "threads=" << nthreads;
     EXPECT_EQ(hs.min, 1.0);
-    EXPECT_EQ(hs.max, 4.0);
-    EXPECT_EQ(hs.sum, 500.0 * (1 + 2 + 3 + 4));
+    EXPECT_EQ(hs.max, static_cast<double>(nthreads));
+    EXPECT_EQ(hs.sum, 500.0 * nthreads * (nthreads + 1) / 2);
     std::uint64_t bucket_total = 0;
     for (const std::uint64_t b : hs.buckets) bucket_total += b;
     EXPECT_EQ(bucket_total, hs.count);
@@ -90,11 +92,8 @@ TEST(ObsRegistry, SameNameReturnsSameCell) {
 
 TEST(ObsRegistry, DefaultConstructedHandlesAreSafeNoOps) {
   obs::Counter c;
-  obs::Gauge g;
   obs::Histogram h;
   c.inc();
-  g.set(1.0);
-  g.add(2.0);
   h.record(3.0);  // must not crash
 }
 
@@ -122,14 +121,36 @@ TEST(ObsHistogram, BucketEdges) {
 }
 
 TEST(ObsHistogram, SingleShardQuantilesAreP2Exact) {
-  // With one populated shard the snapshot reports the P² sketches, which
-  // are exact R-7 percentiles while the stream holds <= 5 observations.
-  obs::Registry reg(obs::Registry::Options{.shards = 4});
+  // The snapshot reports the P² sketches, which are exact R-7 percentiles
+  // while the stream holds <= 5 observations.
+  obs::Registry reg;
   obs::Histogram h = reg.histogram("lat");
   const std::vector<double> xs = {10.0, 50.0, 30.0, 20.0, 40.0};
   for (const double v : xs) h.record(v);
   const obs::Snapshot snap = reg.snapshot();
   const obs::HistogramSnapshot& hs = snap.histograms[0];
+  EXPECT_DOUBLE_EQ(hs.p50, percentile(xs, 50.0));
+  EXPECT_DOUBLE_EQ(hs.p95, percentile(xs, 95.0));
+  EXPECT_DOUBLE_EQ(hs.p99, percentile(xs, 99.0));
+}
+
+TEST(ObsHistogram, ConcurrentFeedsReportP2Quantiles) {
+  // Two threads share one cell, so the snapshot still reports P²: exact
+  // R-7 percentiles of the five observations, whichever thread fed which.
+  obs::Registry reg;
+  obs::Histogram h = reg.histogram("lat");
+  const std::vector<double> xs = {10.0, 50.0, 30.0, 20.0, 40.0};
+  std::thread a([&h, &xs] {
+    for (std::size_t i = 0; i < 2; ++i) h.record(xs[i]);
+  });
+  std::thread b([&h, &xs] {
+    for (std::size_t i = 2; i < xs.size(); ++i) h.record(xs[i]);
+  });
+  a.join();
+  b.join();
+  const obs::Snapshot snap = reg.snapshot();
+  const obs::HistogramSnapshot& hs = snap.histograms[0];
+  EXPECT_EQ(hs.count, xs.size());
   EXPECT_DOUBLE_EQ(hs.p50, percentile(xs, 50.0));
   EXPECT_DOUBLE_EQ(hs.p95, percentile(xs, 95.0));
   EXPECT_DOUBLE_EQ(hs.p99, percentile(xs, 99.0));
@@ -172,7 +193,6 @@ TEST(ObsSnapshot, SetCounterKeepsNameOrderAndAssigns) {
 TEST(ObsSnapshot, JsonParsesAndCarriesSchemaVersion) {
   obs::Registry reg;
   reg.counter("c").inc(7);
-  reg.gauge("g").set(2.5);
   reg.histogram("h").record(100.0);
   const std::string json = reg.snapshot().to_json();
   EXPECT_EQ(json.find('\n'), std::string::npos) << "single line";

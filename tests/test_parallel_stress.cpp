@@ -2,7 +2,7 @@
 // util/parallel's parallel_for_workers (the one fan-out primitive: per-call
 // threads claiming indices from a shared counter), core::GraphCache
 // (build-once graphs behind per-key locks), and the obs registry/tracer
-// (sharded metric cells, per-thread span lanes).  These suites are the
+// (one metric cell per name, per-thread span lanes).  These suites are the
 // primary target of the ThreadSanitizer CI job — they are written to
 // maximize contention, not coverage: many tiny calls, many threads racing
 // one key, exceptions thrown mid-call.
@@ -259,21 +259,21 @@ TEST(ParallelForWorkers, FailedThreadStartsOnlyMeanFewerWorkers) {
 }
 
 // ---------------------------------------------------------------------------
-// obs::Registry under contention: sharded counter cells and histogram
-// shards are the engine's only metrics synchronization, so TSan gets the
-// worst case — every thread hammering one handle — and the merged snapshot
-// must still sum exactly.
+// obs::Registry under contention: one atomic per counter and one mutex per
+// histogram are the engine's only metrics synchronization, so TSan gets the
+// worst case — every thread hammering one handle — and the snapshot must
+// still sum exactly.
 // ---------------------------------------------------------------------------
 
 TEST(ObsRegistryStress, ConcurrentIncrementsMergeExactly) {
-  for (const int shards : {1, 4}) {
-    obs::Registry reg(obs::Registry::Options{.shards = shards});
+  for (const int nthreads : {1, 8}) {
+    obs::Registry reg;
     obs::Counter hot = reg.counter("hot");
     obs::Histogram lat = reg.histogram("lat");
     constexpr std::size_t kTasks = 64;
     constexpr int kPerTask = 500;
     for (int round = 0; round < 4; ++round) {
-      parallel_for_workers(kTasks, 8, [&](int, std::size_t i) {
+      parallel_for_workers(kTasks, nthreads, [&](int, std::size_t i) {
         for (int k = 0; k < kPerTask; ++k) {
           hot.inc();
           lat.record(static_cast<double>(i % 7) + 1.0);
@@ -283,9 +283,10 @@ TEST(ObsRegistryStress, ConcurrentIncrementsMergeExactly) {
     const obs::Snapshot snap = reg.snapshot();
     constexpr std::uint64_t kExpected = 4ull * kTasks * kPerTask;
     ASSERT_EQ(snap.counters.size(), 1u);
-    EXPECT_EQ(snap.counters[0].second, kExpected) << "shards=" << shards;
+    EXPECT_EQ(snap.counters[0].second, kExpected) << "threads=" << nthreads;
     ASSERT_EQ(snap.histograms.size(), 1u);
-    EXPECT_EQ(snap.histograms[0].count, kExpected) << "shards=" << shards;
+    EXPECT_EQ(snap.histograms[0].count, kExpected)
+        << "threads=" << nthreads;
     std::uint64_t bucket_total = 0;
     for (const std::uint64_t b : snap.histograms[0].buckets) bucket_total += b;
     EXPECT_EQ(bucket_total, kExpected);

@@ -346,6 +346,14 @@ TEST(ServeDaemon, HealthzReusesVersionLineFieldsVerbatim) {
   ASSERT_NE(doc.find("graph_cache"), nullptr);
   ASSERT_NE(doc.find("solver_cache"), nullptr);
   ASSERT_NE(doc.find("solver_cache")->find("budget_refused"), nullptr);
+  // The solver-cache object keeps SolverCache::Stats' field order.
+  EXPECT_NE(r.body.find(
+                "\"solver_cache\": {\"built\": 0, \"hits\": 0, "
+                "\"anchor_solves\": 0, \"replays\": 0, \"anchor_bytes\": 0, "
+                "\"memo_hits\": 0, \"memo_misses\": 0, \"memo_bytes\": 0, "
+                "\"budget_refused\": 0}}\n"),
+            std::string::npos)
+      << r.body;
 }
 
 TEST(ServeDaemon, MetricsServesEngineSnapshotWithSequence) {

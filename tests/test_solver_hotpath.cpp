@@ -594,6 +594,10 @@ TEST(SolverCacheStats, KeysOnGraphKeyAndParamFingerprint) {
   EXPECT_EQ(stats.built, 3u);
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_NE(cache.stats_string().find("solvers: built=3"), std::string::npos);
+  EXPECT_EQ(core::SolverCache().stats_string(),
+            "solvers: built=0 hits=0 anchor_solves=0 replays=0 "
+            "anchor_bytes=0 memo_hits=0 memo_misses=0 memo_bytes=0 "
+            "budget_refused=0");
 }
 
 /// 8 threads hammer one entry with overlapping repeated/nearby queries of
