@@ -247,8 +247,8 @@ void SolverCache::Entry::max_param_for_budget_from_batch(
   if (m == 0) return;
   owner_->memo_misses_.fetch_add(m, std::memory_order_relaxed);
   // Adjacent misses sharing a `from` (mc's bands of one sample) share one
-  // ranged pass there: the opening the search would run per lane.  Run u's
-  // pass lands in at[u], then is copied down its run from the back, where
+  // point there: the opening the search would run per lane.  Run u's
+  // point lands in at[u], then is copied down its run from the back, where
   // run u never reads a slot a later run has overwritten.
   const auto run_start = [&](std::size_t j) {
     return j == 0 || std::bit_cast<std::uint64_t>(miss.from[j]) !=
@@ -258,7 +258,7 @@ void SolverCache::Entry::max_param_for_budget_from_batch(
   for (std::size_t j = 0; j < m; ++j) {
     if (run_start(j)) miss.out[u++] = miss.from[j];
   }
-  prob_->solve_batch_ranges(k, miss.out.data(), u, cur, miss.at.data());
+  prob_->solve_batch_points(k, miss.out.data(), u, cur, miss.at.data());
   for (std::size_t j = m; j-- > 0;) {
     miss.at[j] = miss.at[u - 1];
     if (run_start(j)) --u;

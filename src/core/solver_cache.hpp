@@ -147,12 +147,12 @@ class SolverCache {
     /// out) through the same memo as the scalar form: all n lanes are
     /// looked up under one lock, the misses (in lane order) run as one
     /// pooled call over cur.gather's rows, and their results are stored.
-    /// Adjacent misses that share a `from` share one ranged opening pass,
-    /// which the pooled call takes as its at_from.  Bitwise identical to
-    /// the direct pooled call and to n scalar calls.  A throwing call
-    /// stores nothing and raises the lowest infeasible lane's error (hits
-    /// never throw).  An all-hit call never touches the problem and
-    /// allocates nothing.
+    /// Adjacent misses that share a `from` share one opening point
+    /// (solve_batch_points), which the pooled call takes as its at_from.
+    /// Bitwise identical to the direct pooled call and to n scalar calls.
+    /// A throwing call stores nothing and raises the lowest infeasible
+    /// lane's error (hits never throw).  An all-hit call never touches the
+    /// problem and allocates nothing.
     void max_param_for_budget_from_batch(int k, const double* from,
                                          const double* budget, std::size_t n,
                                          lp::LoweredProblem::Cursor& cur,

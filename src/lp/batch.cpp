@@ -31,15 +31,16 @@
 //    copied from the same doubles), so constraining it tightens nothing;
 //    a ds == 0 division yields inf/NaN which the blend discards before it
 //    can reach dlo/dhi.
-//  * The reported slope is accumulated *forward* along the argmax path,
+//  * The kernel's slope is accumulated *forward* along the argmax path,
 //    while the dense Solution.gradient re-sums the critical path in a
 //    chain walk from the sink.  Spaces with integer-valued coefficients
 //    (message counts, byte counts) make both sums exact and
 //    order-independent — the equivalence wall pins this across all
 //    registered apps and both lowerings.  A perturbed lowering's noisy
-//    coefficients (relower) do not: there the slope may differ in the
-//    last bits, while value, lo and hi (built from the same forward sums)
-//    stay bitwise.
+//    coefficients (relower) do not: there the forward slope may differ in
+//    the last bits, while value, lo and hi (built from the same forward
+//    sums) stay bitwise.  solve_batch_points re-walks each lane's chain
+//    from the pass's rows, so its slopes are the chain walk's sums.
 // GCC fully unrolls constant-trip lane loops at -O3 and then only
 // SLP-vectorizes fragments of the unrolled body; the simd pragma makes the
 // loop vectorizer handle each lane loop as a loop (compiled with
@@ -62,8 +63,25 @@ constexpr double kInfD = std::numeric_limits<double>::infinity();
 /// away from entering the winner's tie band.
 constexpr double kStableMarginFactor = 32.0;
 
-using detail::kNoIndex;
 using detail::value_eps;
+
+/// The kernel's selection rule: candidate (cv, cs) replaces the best
+/// (bv, bs) when it is clearly larger, or within the eps band with a
+/// larger slope.  Bitwise | / & instead of short-circuit || / && : both
+/// arms are pure comparisons, and the branchless form lets a lane loop
+/// compile to vector compare + blend.
+inline bool takes(double cv, double cs, double bv, double bs) {
+  const double be = value_eps(bv);
+  return (cv > bv + be) | ((cv > bv - be) & (cs > bs));
+}
+
+/// Lanes of the sub-block that serves a remainder of `rem` lanes: full
+/// blocks, a 3-lane tail as one padded 4-lane pass (cheaper than 2 + 1),
+/// else the largest power of two that fits.
+std::size_t block_width(std::size_t rem) {
+  if (rem >= kBatchWidth) return kBatchWidth;
+  return rem == 3 ? 4 : static_cast<std::size_t>(util::last_pow2(rem));
+}
 
 /// W-lane edge cost under the flat lowering: (cst[j] + slp[j] * x_lane,
 /// slp[j]) — the lane loop over one slot's two contiguous loads.
@@ -140,7 +158,7 @@ void LoweredProblem::prepare_batch(Cursor& cur, std::size_t n) const {
   // without clearing; buffers only grow across problems, and steady state
   // never allocates (test_alloc_free pins this).  Rows hold the call's
   // widest sub-block, not always kBatchWidth lanes.
-  const std::size_t width = n >= kBatchWidth ? kBatchWidth : util::last_pow2(n);
+  const std::size_t width = block_width(n);
   const std::size_t rows = g_.num_vertices() * width;
   if (cur.finish_.size() < rows) {
     cur.finish_.resize(rows);
@@ -159,7 +177,7 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
                                 Cursor& cur, BatchPoint* out) const {
   constexpr bool kRange = P != Pass::kValues;
   constexpr bool kDense = P == Pass::kDense;
-  static_assert(!kDense || W == 1, "the chain walk reads a single lane");
+  static_assert(!kDense || W == 1, "the stability bound is one lane's");
   const std::size_t n = g_.num_vertices();
   const graph::Graph::TopoSlots& ts = g_.topo_slots();
   const std::uint32_t* const in_off = ts.offsets.data();
@@ -168,7 +186,6 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
   double* const slope = cur.slope_.data();
   double* const cand_val = cur.cand_val_.data();
   double* const cand_slope = cur.cand_slope_.data();
-  std::uint32_t* const arg = kDense ? cur.arg_slot_.data() : nullptr;
 
   // Per-lane movement bounds of the active parameter keeping every
   // max-argument selection valid (ranged and dense passes), and the
@@ -200,7 +217,6 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
         fi[l] = vc;
         si[l] = 0.0;
       }
-      if constexpr (kDense) arg[i] = kNoIndex;
       continue;
     }
     // The first candidate is selected unconditionally (exactly the seed's
@@ -210,12 +226,10 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     const double* su = slope + static_cast<std::size_t>(pred[jlo]) * W;
     double bv[W];
     double bs[W];
-    std::uint32_t bj[W];  // winning slot (dense pass only)
     LLAMP_SIMD
     for (std::size_t l = 0; l < W; ++l) {
       bv[l] = fu[l] + ec[l];
       bs[l] = su[l] + es[l];
-      bj[l] = jlo;
     }
     if (jhi - jlo == 1) {
       // Single predecessor: winner by construction, no eps, no envelope.
@@ -224,7 +238,6 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
         fi[l] = bv[l] + vc;
         si[l] = bs[l];
       }
-      if constexpr (kDense) arg[i] = jlo;
       continue;
     }
     std::uint32_t nc = 0;
@@ -250,15 +263,9 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
           cvr[l] = cv;
           csr[l] = cs;
         }
-        const double be = value_eps(bv[l]);
-        // Bitwise | / & instead of short-circuit || / && : both arms are
-        // pure comparisons, and the branchless form lets the lane loop
-        // compile to vector compare + blend.
-        const bool take =
-            (cv > bv[l] + be) | ((cv > bv[l] - be) & (cs > bs[l]));
+        const bool take = takes(cv, cs, bv[l], bs[l]);
         bv[l] = take ? cv : bv[l];
         bs[l] = take ? cs : bs[l];
-        if constexpr (kDense) bj[l] = take ? j : bj[l];
       }
       if constexpr (kRange) ++nc;
     }
@@ -296,7 +303,6 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
       fi[l] = bv[l] + vc;
       si[l] = bs[l];
     }
-    if constexpr (kDense) arg[i] = bj[0];
   }
 
   // T = max over sinks in ascending vertex-id order (the seed's 0..n
@@ -304,12 +310,10 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
   const std::uint32_t s0 = ts.sinks[0];
   double bsv[W];
   double bss[W];
-  std::uint32_t bsink[W];  // critical sink's topo position (dense only)
   LLAMP_SIMD
   for (std::size_t l = 0; l < W; ++l) {
     bsv[l] = finish[s0 * W + l];
     bss[l] = slope[s0 * W + l];
-    bsink[l] = s0;
   }
   for (std::size_t k = 1; k < ts.sinks.size(); ++k) {
     const std::uint32_t pos = ts.sinks[k];
@@ -317,12 +321,9 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     const double* sp = slope + static_cast<std::size_t>(pos) * W;
     LLAMP_SIMD
     for (std::size_t l = 0; l < W; ++l) {
-      const double be = value_eps(bsv[l]);
-      const bool take =
-          (fp[l] > bsv[l] + be) | ((fp[l] > bsv[l] - be) & (sp[l] > bss[l]));
+      const bool take = takes(fp[l], sp[l], bsv[l], bss[l]);
       bsv[l] = take ? fp[l] : bsv[l];
       bss[l] = take ? sp[l] : bss[l];
-      if constexpr (kDense) bsink[l] = take ? pos : bsink[l];
     }
   }
   if constexpr (kRange) {
@@ -352,9 +353,72 @@ void LoweredProblem::batch_pass(const LaneCost& cost, const double* xs,
     out[l].lo = kRange ? xs[l] + dlo[l] : -kInfD;
     out[l].hi = kRange ? xs[l] + dhi[l] : kInfD;
   }
-  if constexpr (kDense) {
-    cur.last_.stable_hi = xs[0] + sdhi[0];
-    cur.last_.chain_sink = bsink[0];
+  if constexpr (kDense) cur.last_.stable_hi = xs[0] + sdhi[0];
+}
+
+template <std::size_t W, typename Visit>
+std::uint32_t LoweredProblem::walk_chain(int active, const double* xs,
+                                         std::size_t l, const Cursor& cur,
+                                         Visit&& visit) const {
+  // The pass keeps no argmax rows (tracking them in a W-lane pass costs
+  // the kernel its vectorization), so every choice is made again from the
+  // pass's rows: lane l's candidates through the 1-lane lane cost (lane
+  // l's bits), merged by the kernel's rule in ascending order.
+  const graph::Graph::TopoSlots& ts = g_.topo_slots();
+  const std::uint32_t* const in_off = ts.offsets.data();
+  const std::uint32_t* const pred = ts.pred.data();
+  const auto fin = [&](std::uint32_t p) { return cur.finish_[p * W + l]; };
+  const auto slp = [&](std::uint32_t p) { return cur.slope_[p * W + l]; };
+  std::uint32_t sink = ts.sinks[0];
+  for (std::size_t k = 1; k < ts.sinks.size(); ++k) {
+    const std::uint32_t s = ts.sinks[k];
+    if (takes(fin(s), slp(s), fin(sink), slp(sink))) sink = s;
+  }
+  with_lane_cost<1>(active, [&](const auto& cost) {
+    for (std::uint32_t pos = sink; in_off[pos] != in_off[pos + 1];) {
+      const std::uint32_t jlo = in_off[pos];
+      std::uint32_t bj = jlo;
+      if (in_off[pos + 1] - jlo > 1) {
+        double c;
+        double s;
+        cost(jlo, xs + l, &c, &s);
+        double bv = fin(pred[jlo]) + c;
+        double bs = slp(pred[jlo]) + s;
+        for (std::uint32_t j = jlo + 1; j < in_off[pos + 1]; ++j) {
+          cost(j, xs + l, &c, &s);
+          const double cv = fin(pred[j]) + c;
+          const double cs = slp(pred[j]) + s;
+          if (takes(cv, cs, bv, bs)) {
+            bv = cv;
+            bs = cs;
+            bj = j;
+          }
+        }
+      }
+      visit(bj);
+      pos = pred[bj];
+    }
+  });
+  return sink;
+}
+
+template <std::size_t W>
+void LoweredProblem::rewalk_slopes(int active, const double* xs,
+                                   const Cursor& cur, BatchPoint* out) const {
+  // gradient[active] as solve_into sums it: the chain's active
+  // coefficients, sink -> source, in term order.
+  for (std::size_t l = 0; l < W; ++l) {
+    double grad = 0.0;
+    walk_chain<W>(active, xs, l, cur, [&](std::uint32_t j) {
+      if (flat_) {
+        grad += flat_slope_slot_[j];
+        return;
+      }
+      for (std::uint32_t t = term_offsets_[j]; t < term_offsets_[j + 1]; ++t) {
+        if (term_param_[t] == active) grad += term_coeff_[t];
+      }
+    });
+    out[l].slope = grad;
   }
 }
 // llamp-lint: hot-path end
@@ -369,36 +433,40 @@ void LoweredProblem::run_pass(int active, const double* xs, std::size_t n,
   if (g_.topo_slots().sinks.empty()) throw LpError("graph has no sink vertex");
   prepare_batch(cur, n);
 
-  const auto run = [&](auto wc, std::size_t i) {
+  constexpr Pass kKernel = P == Pass::kPoints ? Pass::kRanges : P;
+  const auto run = [&](auto wc, const double* x, BatchPoint* o) {
     constexpr std::size_t W = decltype(wc)::value;
     with_lane_cost<W>(active, [&](const auto& cost) {
-      batch_pass<W, P>(cost, xs + i, cur, out + i);
+      batch_pass<W, kKernel>(cost, x, cur, o);
     });
+    if constexpr (P == Pass::kPoints) rewalk_slopes<W>(active, x, cur, o);
   };
 
   if constexpr (P == Pass::kDense) {
-    const std::size_t nv = g_.num_vertices();
-    if (cur.arg_slot_.size() < nv) cur.arg_slot_.resize(nv);
-    run(std::integral_constant<std::size_t, 1>{}, 0);
+    run(std::integral_constant<std::size_t, 1>{}, xs, out);
   } else {
     static_assert(kBatchWidth == 16,
                   "tail dispatch below enumerates pow2 widths <= kBatchWidth");
     std::size_t i = 0;
     while (i < n) {
-      const std::size_t rem = n - i;
-      const std::size_t w =
-          rem >= kBatchWidth ? kBatchWidth
-                             : static_cast<std::size_t>(util::last_pow2(rem));
+      const std::size_t w = block_width(n - i);
       if (w == kBatchWidth) {
-        run(std::integral_constant<std::size_t, kBatchWidth>{}, i);
+        run(std::integral_constant<std::size_t, kBatchWidth>{}, xs + i,
+            out + i);
       } else if (w == 8) {
-        run(std::integral_constant<std::size_t, 8>{}, i);
+        run(std::integral_constant<std::size_t, 8>{}, xs + i, out + i);
+      } else if (w == 4 && n - i == 3) {
+        // The padded tail: lane 3 repeats lane 2 and is dropped.
+        const double x4[4] = {xs[i], xs[i + 1], xs[i + 2], xs[i + 2]};
+        BatchPoint o4[4];
+        run(std::integral_constant<std::size_t, 4>{}, x4, o4);
+        std::copy(o4, o4 + 3, out + i);
       } else if (w == 4) {
-        run(std::integral_constant<std::size_t, 4>{}, i);
+        run(std::integral_constant<std::size_t, 4>{}, xs + i, out + i);
       } else if (w == 2) {
-        run(std::integral_constant<std::size_t, 2>{}, i);
+        run(std::integral_constant<std::size_t, 2>{}, xs + i, out + i);
       } else {
-        run(std::integral_constant<std::size_t, 1>{}, i);
+        run(std::integral_constant<std::size_t, 1>{}, xs + i, out + i);
       }
       i += w;
     }
@@ -422,7 +490,6 @@ void LoweredProblem::solve_into(int active, double value, Cursor& cur) const {
   // sink, accumulating each slot's coefficients in term order, and keep the
   // chain (source -> sink order) for replay.
   const graph::Graph::TopoSlots& ts = g_.topo_slots();
-  const std::uint32_t* const arg = cur.arg_slot_.data();
   sol.gradient.assign(static_cast<std::size_t>(num_params_), 0.0);
   double* const grad = sol.gradient.data();
   if (last.chain.capacity() < g_.num_vertices()) {
@@ -431,9 +498,7 @@ void LoweredProblem::solve_into(int active, double value, Cursor& cur) const {
     last.chain.reserve(g_.num_vertices());
   }
   last.chain.clear();
-  for (std::uint32_t pos = last.chain_sink; arg[pos] != kNoIndex;
-       pos = ts.pred[arg[pos]]) {
-    const std::uint32_t j = arg[pos];
+  last.chain_sink = walk_chain<1>(active, &value, 0, cur, [&](std::uint32_t j) {
     if (flat_) {
       grad[0] += flat_slope_slot_[j];
     } else {
@@ -445,7 +510,7 @@ void LoweredProblem::solve_into(int active, double value, Cursor& cur) const {
     if (g_.edge(ts.edge[j]).kind == graph::EdgeKind::kComm) ++sol.messages;
     // llamp-lint: allow(hot-alloc): within the capacity reserved above.
     last.chain.push_back(j);
-  }
+  });
   std::reverse(last.chain.begin(), last.chain.end());
 }
 
@@ -499,6 +564,12 @@ void LoweredProblem::solve_batch_ranges(int active, const double* xs,
   run_pass<Pass::kRanges>(active, xs, n, cur, out);
 }
 
+void LoweredProblem::solve_batch_points(int active, const double* xs,
+                                        std::size_t n, Cursor& cur,
+                                        BatchPoint* out) const {
+  run_pass<Pass::kPoints>(active, xs, n, cur, out);
+}
+
 void LoweredProblem::max_param_for_budget_from_batch(
     int k, const double* from, const double* budget, std::size_t n,
     Cursor& cur, double* out, const BatchPoint* at_from) const {
@@ -521,7 +592,7 @@ void LoweredProblem::max_param_for_budget_from_batch(
   // round r's evaluation of live[p] sits at pts[p].
   const BatchPoint* round = at_from;
   if (round == nullptr) {
-    solve_batch_ranges(k, from, n, cur, pts);
+    solve_batch_points(k, from, n, cur, pts);
     round = pts;
   }
   for (std::size_t i = 0; i < n; ++i) {
@@ -551,7 +622,7 @@ void LoweredProblem::max_param_for_budget_from_batch(
     }
     m = q;
     if (m == 0) return;
-    solve_batch_ranges(k, xs, m, cur, pts);
+    solve_batch_points(k, xs, m, cur, pts);
     round = pts;
   }
   throw LpError("tolerance: did not converge");

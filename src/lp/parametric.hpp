@@ -18,8 +18,7 @@ namespace detail {
 /// forward pass breaks near-ties within it toward the larger slope, and the
 /// budget search uses it for its infeasibility check.
 inline double value_eps(double v) { return 1e-9 * (1.0 + std::fabs(v)); }
-/// "No slot / no topo position" sentinel: a source vertex's argmax, and a
-/// cursor or anchor that holds no solve.
+/// "No topo position" sentinel: a cursor or anchor that holds no solve.
 inline constexpr std::uint32_t kNoIndex =
     std::numeric_limits<std::uint32_t>::max();
 /// Bracket width at which a budget search settles on its lower end, and
@@ -45,8 +44,8 @@ inline constexpr int kFlatRun = 511;
 /// AVX-512 registers, four AVX2 registers) so the per-edge scalar work —
 /// index loads, pointer arithmetic, the cost broadcast — amortizes over
 /// more lanes than one register would give.  Tail groups shorter than
-/// this run through last_pow2-sized sub-blocks, so any n is served
-/// exactly.
+/// this run through last_pow2-sized sub-blocks, a 3-lane tail as one
+/// 4-lane pass with a padded lane, so any n is served exactly.
 inline constexpr std::size_t kBatchWidth = 16;
 
 /// Exact solver state for the LP class produced by Algorithm 1.  Those LPs
@@ -68,9 +67,9 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// One pass (DESIGN.md §4f): a single kernel template, batch_pass<W, Pass>
 /// in src/lp/batch.cpp, runs every forward pass.  solve() is its 1-lane
 /// kDense instance followed by a sink -> source chain walk for the full
-/// gradient; solve_batch / solve_batch_ranges and both budget-search forms
-/// run it over lanes of scenarios; anchor replay re-sums a critical path
-/// through its 1-lane edge costs.
+/// gradient; solve_batch / solve_batch_ranges / solve_batch_points and
+/// both budget-search forms run it over lanes of scenarios; anchor replay
+/// re-sums a critical path through its 1-lane edge costs.
 ///
 /// Ownership split (DESIGN.md §4e): a LoweredProblem is the *immutable*
 /// half of a solver — the flat or CSR cost arrays and base point lowered
@@ -143,12 +142,13 @@ class LoweredProblem {
   /// One lane of a batched forward pass: T, the active slope, and (when
   /// requested) the active parameter's feasibility range at that lane's
   /// evaluation point.  value, lo and hi are bitwise identical to
-  /// solve(active, x)'s.  slope is gradient[active] bitwise when the space
-  /// lowers integer-valued coefficients (every first-party space, but not
-  /// a lowering relowered with non-integer factors); the pass sums it
-  /// source -> sink and the dense solve's chain walk sink -> source, so on
-  /// a perturbed lowering the two may differ in the last bits (DESIGN.md
-  /// §4f).
+  /// solve(active, x)'s.  solve_batch_points re-sums slope over the lane's
+  /// argmax chain, so it is gradient[active] bitwise on every lowering.
+  /// The other passes report the forward slope, summed source -> sink
+  /// while the dense chain walk sums sink -> source: the same bits when
+  /// the space lowers integer-valued coefficients (every first-party
+  /// space), possibly not in the last bits on a lowering relowered with
+  /// non-integer factors (DESIGN.md §4f).
   struct BatchPoint {
     double value = 0.0;
     double slope = 0.0;
@@ -263,8 +263,6 @@ class LoweredProblem {
     friend class LoweredProblem;
     std::vector<double> finish_;  ///< num_vertices x widest lanes run, SoA
     std::vector<double> slope_;
-    /// Winning in-slot per topo position (dense solves, one lane).
-    std::vector<std::uint32_t> arg_slot_;
     /// Candidate rows of the vertex currently being maximized (ranged and
     /// dense passes): max_in_degree x widest lanes run, values and slopes.
     std::vector<double> cand_val_;
@@ -283,8 +281,8 @@ class LoweredProblem {
 
   /// Batched forward pass: evaluate parameter `active` at xs[0..n) — one
   /// independent scenario per lane, any order, any n — writing n entries to
-  /// `out`.  Lanes are processed in blocks of kBatchWidth (tails in
-  /// last_pow2-sized sub-blocks), the per-edge cost accumulators run
+  /// `out`.  Lanes are processed in blocks of kBatchWidth (tails as
+  /// kBatchWidth describes), the per-edge cost accumulators run
   /// structure-of-arrays over the lane axis with a fixed block-synchronous
   /// reduction order, and every lane performs the 1-lane pass's
   /// floating-point operations exactly — so out[i].value is bitwise
@@ -303,19 +301,25 @@ class LoweredProblem {
   void solve_batch_ranges(int active, const double* xs, std::size_t n,
                           Cursor& cur, BatchPoint* out) const;
 
-  /// Pooled tolerance search: on integer-coefficient spaces (see
-  /// BatchPoint) out[i] is bitwise identical to
-  /// max_param_for_budget_from(k, from[i], budget[i], cur) for every lane,
-  /// including the boundary clamps and the LpError conditions (an
-  /// infeasible lane throws exactly the single search's error, lowest lane
-  /// of the whole call first).  All n lanes iterate the single search's
-  /// bracketed-Newton step in one lockstep: each round gathers only the
-  /// still-live lanes into one ranged batch pass (kBatchWidth blocks plus
-  /// pow2 tails), so n searches cost max-lane-iterations rounds and no
-  /// finished lane rides a later pass.  When the caller already holds the
-  /// ranged pass at every from[i] (say from a runtime sweep), `at_from`
-  /// supplies it and the search opens without re-solving; at_from[i] must
-  /// equal solve_batch_ranges at from[i].  Steady state allocates nothing.
+  /// The ranged pass with each lane's slope re-summed along its argmax
+  /// chain as the dense solve sums it: out[i] is
+  /// solve(active, xs[i]).point() bitwise on every lowering, relowered
+  /// ones included.  Steady state allocates nothing.
+  void solve_batch_points(int active, const double* xs, std::size_t n,
+                          Cursor& cur, BatchPoint* out) const;
+
+  /// Pooled tolerance search: out[i] is bitwise identical to
+  /// max_param_for_budget_from(k, from[i], budget[i], cur) for every lane
+  /// on every lowering, including the boundary clamps and the LpError
+  /// conditions (an infeasible lane throws exactly the single search's
+  /// error, lowest lane of the whole call first).  All n lanes iterate the
+  /// single search's bracketed-Newton step in one lockstep: each round
+  /// gathers only the still-live lanes into one solve_batch_points call,
+  /// so n searches cost max-lane-iterations rounds and no finished lane
+  /// rides a later pass.  When the caller already holds every from[i]'s
+  /// point (say from a runtime pass), `at_from` supplies it and the search
+  /// opens without re-solving; at_from[i] must equal
+  /// solve(k, from[i]).point().  Steady state allocates nothing.
   void max_param_for_budget_from_batch(int k, const double* from,
                                        const double* budget, std::size_t n,
                                        Cursor& cur, double* out,
@@ -431,10 +435,10 @@ class LoweredProblem {
 
  private:
   /// What one forward pass computes: values and slopes only; also the
-  /// basis range; or, on one lane, the dense solve — the range, the
-  /// stability bound, each position's winning slot and the critical sink,
-  /// left in the cursor's anchor for the chain walk.
-  enum class Pass { kValues, kRanges, kDense };
+  /// basis range; the range with re-walked slopes (run_pass only: a
+  /// kRanges kernel, then rewalk_slopes); or, on one lane, the range and
+  /// the stability bound, left in the cursor's anchor for the dense solve.
+  enum class Pass { kValues, kRanges, kPoints, kDense };
 
   /// Calls f with the active lowering's W-lane edge-cost functor.
   template <std::size_t W, typename F>
@@ -444,7 +448,20 @@ class LoweredProblem {
   template <std::size_t W, Pass P, typename LaneCost>
   void batch_pass(const LaneCost& cost, const double* xs, Cursor& cur,
                   BatchPoint* out) const;
-  /// Runs the pass at xs[0..n) in kBatchWidth blocks and pow2 tails.
+  /// Walks lane l's argmax chain of the W-lane pass just run through cur
+  /// at xs, sink -> source, calling visit(slot) on each chain slot;
+  /// returns the critical sink's topo position.  Each winner is
+  /// re-selected from the pass's rows with the kernel's candidates, rule
+  /// and ascending slot order.
+  template <std::size_t W, typename Visit>
+  std::uint32_t walk_chain(int active, const double* xs, std::size_t l,
+                           const Cursor& cur, Visit&& visit) const;
+  /// Re-sums each lane's slope of the W-lane pass just run through cur.
+  template <std::size_t W>
+  void rewalk_slopes(int active, const double* xs, const Cursor& cur,
+                     BatchPoint* out) const;
+  /// Runs the pass at xs[0..n) in kBatchWidth blocks and pow2 tails (a
+  /// 3-lane tail as one padded 4-lane pass).
   template <Pass P>
   void run_pass(int active, const double* xs, std::size_t n, Cursor& cur,
                 BatchPoint* out) const;

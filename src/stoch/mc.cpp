@@ -34,16 +34,16 @@ struct WorkerScratch {
   // lowering, re-lowered in place at every sample's draws.
   std::optional<lp::LoweredProblem> prob;
   std::vector<double> factors;  ///< by edge id; 1.0 where never drawn
-  std::vector<double> xs;
-  std::vector<lp::LoweredProblem::SweepEval> evals;
-  // Batched fast path: one kBatchWidth-wide lane group of samples, its
-  // points ΔL-major (point k * lanes + l is lane l at ΔL[k]).
+  std::vector<lp::LoweredProblem::BatchPoint> band_at;  ///< ΔL[0] per band
+  // Both paths: the evaluation points and their evaluations, ΔL-major
+  // (point k * lanes + l is lane l at ΔL[k]; the general path has one
+  // lane, the fast path one kBatchWidth-wide lane group of samples).
+  std::vector<double> lane_xs;
   std::vector<lp::LoweredProblem::BatchPoint> pts;
-  std::vector<double> lane_L;       ///< the group's sampled L draws
-  std::vector<double> lane_xs;      ///< the group's evaluation points
-  // The group's pooled band searches, lane-major: search l * nbands + b is
-  // band b of lane l, opening from the lane's ΔL[0] point and pass (so a
-  // lane's searches sit side by side and share one opening pass).
+  std::vector<double> lane_L;  ///< fast path: the group's sampled L draws
+  // The pooled band searches, lane-major: search l * nbands + b is band b
+  // of lane l, opening from the lane's ΔL[0] point (so a lane's searches
+  // sit side by side and share one opening point).
   std::vector<double> band_from;
   std::vector<double> band_budget;
   std::vector<double> band_tol;
@@ -123,7 +123,8 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
   // pooled lockstep search over all its bands.  Otherwise each sample
   // re-lowers its worker's problem at its own operating point and edge
   // factors, which is what the paper's "re-measure the operating point and
-  // redo the analysis" amounts to.
+  // redo the analysis" amounts to; its ΔL points share one lockstep pass,
+  // its bands one pooled search.
   const std::optional<loggops::Params> shared_point =
       shared_operating_point(spec, base);
   const bool batched = shared_point.has_value();
@@ -154,18 +155,18 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
   const int nworkers =
       effective_threads(batched ? ngroups : block, spec.threads);
   std::vector<WorkerScratch> scratch(static_cast<std::size_t>(nworkers));
+  const std::size_t width = batched ? lp::kBatchWidth : 1;
   for (WorkerScratch& s : scratch) {
+    s.pts.resize(width * npts);
+    s.lane_xs.resize(width * npts);
+    s.band_from.resize(width * nbands);
+    s.band_budget.resize(width * nbands);
+    s.band_tol.resize(width * nbands);
     if (batched) {
-      s.pts.resize(lp::kBatchWidth * npts);
       s.lane_L.resize(lp::kBatchWidth);
-      s.lane_xs.resize(lp::kBatchWidth * npts);
-      s.band_from.resize(lp::kBatchWidth * nbands);
-      s.band_budget.resize(lp::kBatchWidth * nbands);
-      s.band_tol.resize(lp::kBatchWidth * nbands);
     } else {
       s.factors.assign(g.num_edges(), 1.0);
-      s.xs.resize(npts);
-      s.evals.resize(npts);
+      s.band_at.resize(nbands);
     }
   }
 
@@ -246,9 +247,9 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
                 pt.value * (1.0 + spec.band_percents[b] / 100.0);
           }
         }
-        // A LatencyParamSpace has integer coefficients, so the entry's
-        // memo hits are the pooled search's own bits, and its misses open
-        // with one ranged pass per lane (the lane's bands share a `from`).
+        // The entry's memo hits are the pooled search's own bits, and its
+        // misses open with one point per lane (the lane's bands share a
+        // `from`).
         entry->max_param_for_budget_from_batch(
             0, sc.band_from.data(), sc.band_budget.data(), nbands * lanes,
             sc.cur, sc.band_tol.data());
@@ -297,33 +298,36 @@ McResult run(const graph::Graph& g, const loggops::Params& base,
       }
       prob.relower(p, sc.factors);
 
-      // xs[0] is solved once: its solution gives the runtime, λ_L, ρ_L and
-      // every band search's first iterate.  The searches stay single-lane,
-      // opened from dense solves: on a perturbed lowering a pass's forward
-      // slope may differ from the chain-walk gradient in the last bits
-      // (non-integer coefficients summed in the opposite order), so a
-      // batched search could move a tolerance.
+      // One pass over the ΔL grid gives every runtime, and its ΔL[0] lane
+      // the runtime, λ_L, ρ_L and every band search's opening point; the
+      // bands then run as one pooled lockstep search.  Both take slopes
+      // re-walked along each lane's argmax chain, so on this perturbed
+      // lowering every number is still the dense solve's and the
+      // single-lane search's, bit for bit.
       for (std::size_t k = 0; k < npts; ++k) {
-        sc.xs[k] = p.L + spec.delta_Ls[k];
+        sc.lane_xs[k] = p.L + spec.delta_Ls[k];
       }
-      const lp::LoweredProblem::BatchPoint at0 =
-          prob.solve(0, sc.xs[0], sc.cur).point();
+      prob.solve_batch_points(0, sc.lane_xs.data(), npts, sc.cur,
+                              sc.pts.data());
+      const lp::LoweredProblem::BatchPoint& at0 = sc.pts[0];
+      const double x0 = sc.lane_xs[0];
       (void)core::finite_base_runtime(at0.value);
-      prob.sweep(0, std::span<const double>(sc.xs).subspan(1), sc.cur,
-                 sc.evals.data() + 1);
 
       double* out = buffer.data() + j * stride;
-      out[0] = at0.value;
-      for (std::size_t k = 1; k < npts; ++k) out[k] = sc.evals[k].value;
+      for (std::size_t k = 0; k < npts; ++k) out[k] = sc.pts[k].value;
       out[npts] = at0.slope;
-      out[npts + 1] =
-          at0.value > 0.0 ? sc.xs[0] * at0.slope / at0.value : 0.0;
+      out[npts + 1] = at0.value > 0.0 ? x0 * at0.slope / at0.value : 0.0;
       for (std::size_t b = 0; b < nbands; ++b) {
-        const double budget =
-            at0.value * (1.0 + spec.band_percents[b] / 100.0);
-        const double tol =
-            prob.max_param_for_budget_from(0, sc.xs[0], budget, at0, sc.cur);
-        out[npts + 2 + b] = std::isfinite(tol) ? tol - sc.xs[0] : tol;
+        sc.band_from[b] = x0;
+        sc.band_budget[b] = at0.value * (1.0 + spec.band_percents[b] / 100.0);
+        sc.band_at[b] = at0;
+      }
+      prob.max_param_for_budget_from_batch(
+          0, sc.band_from.data(), sc.band_budget.data(), nbands, sc.cur,
+          sc.band_tol.data(), sc.band_at.data());
+      for (std::size_t b = 0; b < nbands; ++b) {
+        const double tol = sc.band_tol[b];
+        out[npts + 2 + b] = std::isfinite(tol) ? tol - x0 : tol;
       }
       // llamp-lint: hot-path end
     });

@@ -204,6 +204,46 @@ TEST(AllocationFree, PooledBudgetSearchAllocatesNothingAfterWarmup) {
       << "steady-state pooled budget search allocated on the heap";
 }
 
+TEST(AllocationFree, ThreeLaneCallsOnAWarmCursorAllocateNothing) {
+  // A 3-lane call runs as one 4-lane pass whose padded lane lives in the
+  // call's own fixed scratch: once a 3-lane evaluation and a 3-lane pooled
+  // search have grown the cursor (to 4 lanes), repeating either on the
+  // general mc path's kind of lowering (relowered with edge noise) is
+  // heap-silent.
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
+  const auto p = loggops::NetworkConfig::cscs_testbed();
+  LoweredProblem solver(g, p);
+  std::vector<double> factors(g.num_edges());
+  for (std::size_t e = 0; e < factors.size(); ++e) {
+    factors[e] = 1.0 + 0.001 * static_cast<double>(e % 7);
+  }
+  solver.relower(p, factors);
+  LoweredProblem::Cursor cur;
+
+  const std::vector<double> xs = {p.L, p.L + 10'000.0, p.L + 20'000.0};
+  std::vector<LoweredProblem::BatchPoint> pts(3);
+  solver.solve_batch_points(0, xs.data(), 3, cur, pts.data());
+  const std::vector<double> from(3, p.L);
+  const std::vector<double> budgets = {pts[0].value * 1.01,
+                                       pts[0].value * 1.02,
+                                       pts[0].value * 1.05};
+  const std::vector<LoweredProblem::BatchPoint> at(3, pts[0]);
+  std::vector<double> tols(3);
+  solver.max_param_for_budget_from_batch(0, from.data(), budgets.data(), 3,
+                                         cur, tols.data(), at.data());
+
+  const std::size_t before = g_allocations;
+  for (int round = 0; round < 20; ++round) {
+    solver.solve_batch_points(0, xs.data(), 3, cur, pts.data());
+    solver.max_param_for_budget_from_batch(0, from.data(), budgets.data(), 3,
+                                           cur, tols.data(), at.data());
+    ASSERT_GE(tols[0], p.L);
+  }
+  EXPECT_EQ(g_allocations, before)
+      << "3-lane calls on a warm cursor allocated on the heap";
+}
+
 TEST(AllocationFree, BatchRowsAreSizedByTheLanesACallRuns) {
   // A narrow call sizes the lane rows for its own width, not the full
   // block width; a cursor warmed at full width serves narrower calls

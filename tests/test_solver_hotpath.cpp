@@ -1118,8 +1118,10 @@ void expect_batch_matches_dense(const LoweredProblem& solver, int k,
                                 LoweredProblem::Cursor& bc) {
   std::vector<LoweredProblem::BatchPoint> plain(xs.size());
   std::vector<LoweredProblem::BatchPoint> ranged(xs.size());
+  std::vector<LoweredProblem::BatchPoint> points(xs.size());
   solver.solve_batch(k, xs.data(), xs.size(), bc, plain.data());
   solver.solve_batch_ranges(k, xs.data(), xs.size(), bc, ranged.data());
+  solver.solve_batch_points(k, xs.data(), xs.size(), bc, points.data());
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const auto dense = solver.solve(k, xs[i]);
     const double dslope = dense.gradient[static_cast<std::size_t>(k)];
@@ -1129,6 +1131,10 @@ void expect_batch_matches_dense(const LoweredProblem& solver, int k,
     EXPECT_EQ(ranged[i].slope, dslope) << "k=" << k << " x=" << xs[i];
     EXPECT_EQ(ranged[i].lo, dense.lo) << "k=" << k << " x=" << xs[i];
     EXPECT_EQ(ranged[i].hi, dense.hi) << "k=" << k << " x=" << xs[i];
+    EXPECT_EQ(points[i].value, dense.value) << "k=" << k << " x=" << xs[i];
+    EXPECT_EQ(points[i].slope, dslope) << "k=" << k << " x=" << xs[i];
+    EXPECT_EQ(points[i].lo, dense.lo) << "k=" << k << " x=" << xs[i];
+    EXPECT_EQ(points[i].hi, dense.hi) << "k=" << k << " x=" << xs[i];
   }
 }
 
@@ -1704,6 +1710,123 @@ TEST(BudgetSearch, PerturbedSpacesAgreeInValueAndRangeNotSlopeBits) {
     EXPECT_NEAR(pts[i].slope, dense.slope, 1e-12 * std::fabs(dense.slope))
         << "x=" << xs[i];
   }
+}
+
+// ---------------------------------------------------------------------------
+// Lanes on relowered problems (the general mc path's lowerings): noisy
+// non-integer coefficients make the kernel's forward slope differ from the
+// chain-walk gradient in the last bits, so only re-walked slopes give the
+// dense solve's and the single-lane search's bits.
+// ---------------------------------------------------------------------------
+
+/// Calls fn(prob, p) on every registered app's latency lowering, re-lowered
+/// in place with fixed-seed edge noise at an operating point with o and G
+/// moved off the preset.
+template <typename F>
+void for_each_relowered_app(F&& fn) {
+  for (const std::string& app : apps::app_names()) {
+    SCOPED_TRACE(app);
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto base = loggops::NetworkConfig::cscs_testbed();
+    LoweredProblem prob(g, base);
+    loggops::Params p = base;
+    p.o = base.o * 1.15;
+    p.G = base.G * 0.9;
+    Rng rng(0x5eedu + g.num_edges());
+    std::vector<double> factors(g.num_edges());
+    for (double& f : factors) f = 1.0 + std::fabs(0.02 * rng.normal());
+    prob.relower(p, factors);
+    fn(static_cast<const LoweredProblem&>(prob), p);
+  }
+}
+
+TEST(BatchPoints, RelowerLanesAreDensePointsAtEveryWidthAndLane) {
+  // Every prefix width 1..17 (full block, pow2 tails, the padded 3-lane
+  // tail), so every point sits at every lane position some call runs.
+  std::size_t ranged_differs = 0;
+  LoweredProblem::Cursor bc;
+  for_each_relowered_app([&](const LoweredProblem& prob,
+                             const loggops::Params& p) {
+    const auto xs = batch_grid(p.L, p.L + 100'000.0, 17, 0x9e7u);
+    std::vector<LoweredProblem::BatchPoint> dense;
+    LoweredProblem::Cursor ws;
+    for (const double x : xs) dense.push_back(prob.solve(0, x, ws).point());
+    std::vector<LoweredProblem::BatchPoint> pts(xs.size());
+    for (std::size_t n = 1; n <= 17; ++n) {
+      prob.solve_batch_points(0, xs.data(), n, bc, pts.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(bits(pts[i].value), bits(dense[i].value)) << n << "/" << i;
+        ASSERT_EQ(bits(pts[i].slope), bits(dense[i].slope)) << n << "/" << i;
+        ASSERT_EQ(bits(pts[i].lo), bits(dense[i].lo)) << n << "/" << i;
+        ASSERT_EQ(bits(pts[i].hi), bits(dense[i].hi)) << n << "/" << i;
+      }
+    }
+    prob.solve_batch_ranges(0, xs.data(), xs.size(), bc, pts.data());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      ranged_differs += bits(pts[i].slope) != bits(dense[i].slope);
+    }
+  });
+  // The forward slope does differ on these lowerings, so a pass that
+  // reported it would fail the wall above.
+  EXPECT_GT(ranged_differs, 0u);
+}
+
+TEST(BatchPoints, PooledSearchOnRelowerMatchesScalarSearches) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  LoweredProblem::Cursor bc;
+  for_each_relowered_app([&](const LoweredProblem& prob,
+                             const loggops::Params& p) {
+    const BudgetLanes lanes = budget_lanes(prob, p.L, 37);
+    const auto ref = scalar_searches(prob, lanes);
+    // All 37 lanes, with and without the caller's opening points; then
+    // 3-lane calls (the padded tail), one of them holding a +inf budget.
+    std::vector<double> out(37);
+    prob.max_param_for_budget_from_batch(0, lanes.from.data(),
+                                         lanes.budget.data(), 37, bc,
+                                         out.data());
+    EXPECT_EQ(bits(out), ref);
+    std::vector<LoweredProblem::BatchPoint> at(37);
+    prob.solve_batch_points(0, lanes.from.data(), 37, bc, at.data());
+    prob.max_param_for_budget_from_batch(0, lanes.from.data(),
+                                         lanes.budget.data(), 37, bc,
+                                         out.data(), at.data());
+    EXPECT_EQ(bits(out), ref);
+    for (const std::size_t first : {std::size_t{0}, std::size_t{8}}) {
+      SCOPED_TRACE(first);
+      prob.max_param_for_budget_from_batch(0, lanes.from.data() + first,
+                                           lanes.budget.data() + first, 3,
+                                           bc, out.data());
+      EXPECT_EQ(bits(std::vector<double>(out.begin(), out.begin() + 3)),
+                std::vector<std::uint64_t>(ref.begin() + first,
+                                           ref.begin() + first + 3));
+    }
+    EXPECT_EQ(lanes.budget[10], kInf);
+    EXPECT_EQ(out[2], kInf);
+
+    // Lanes 1 and 2 of a 3-lane call are infeasible: lane 1's scalar
+    // error is the call's.
+    std::vector<double> budget(lanes.budget.begin(), lanes.budget.begin() + 3);
+    std::string scalar;
+    LoweredProblem::Cursor ws;
+    for (const std::size_t i : {std::size_t{2}, std::size_t{1}}) {
+      budget[i] = prob.solve(0, lanes.from[i], ws).value * 0.9;
+      try {
+        (void)prob.max_param_for_budget_from(0, lanes.from[i], budget[i], ws);
+      } catch (const LpError& e) {
+        scalar = e.what();
+      }
+    }
+    ASSERT_FALSE(scalar.empty());
+    try {
+      prob.max_param_for_budget_from_batch(0, lanes.from.data(),
+                                           budget.data(), 3, bc, out.data());
+      ADD_FAILURE() << "infeasible lane did not throw";
+    } catch (const LpError& e) {
+      EXPECT_EQ(std::string(e.what()), scalar);
+    }
+  });
 }
 
 TEST(Relower, InPlaceRelowerMatchesFreshPerturbedLoweringBitwise) {

@@ -28,7 +28,8 @@ namespace {
 // ---------------------------------------------------------------------------
 // util/math.hpp: the branch-free power-of-two helpers behind the batch
 // kernel's tail dispatch (solve_batch splits a remainder of r lanes into
-// last_pow2(r)-wide sub-blocks).
+// last_pow2(r)-wide sub-blocks, except that r = 3 runs as one padded
+// 4-lane block).
 // ---------------------------------------------------------------------------
 
 TEST(PowerOfTwo, LastPow2) {
