@@ -35,9 +35,11 @@ LatencyAnalyzer::LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
       entry_((cache != nullptr ? *cache : *own_cache_).latency(key, g, p)),
       base_runtime_(finite_base_runtime(eval(params_.L).value)) {}
 
-lp::LoweredProblem::SweepEval LatencyAnalyzer::eval(double x) const {
+lp::LoweredProblem::BatchPoint LatencyAnalyzer::eval(double x) const {
   lp::LoweredProblem::Cursor cur;
-  return entry_->eval(0, x, cur);
+  lp::LoweredProblem::BatchPoint pt;
+  entry_->eval_batch(0, &x, 1, cur, &pt);
+  return pt;
 }
 
 TimeNs LatencyAnalyzer::predict_runtime(TimeNs delta_L) const {
@@ -64,7 +66,10 @@ TimeNs LatencyAnalyzer::tolerance(double percent) const {
   }
   const double budget = base_runtime_ * (1.0 + percent / 100.0);
   lp::LoweredProblem::Cursor cur;
-  return entry_->max_param_for_budget_from(0, params_.L, budget, cur);
+  double tol = 0.0;
+  entry_->max_param_for_budget_from_batch(0, &params_.L, &budget, 1, cur,
+                                          &tol);
+  return tol;
 }
 
 TimeNs LatencyAnalyzer::tolerance_delta(double percent) const {
@@ -121,7 +126,8 @@ std::vector<LatencyAnalyzer::SweepPoint> LatencyAnalyzer::sweep(
       static_cast<std::size_t>(nworkers));
   parallel_for_workers(n, threads, [&](int w, std::size_t i) {
     const double x = params_.L + delta_Ls[i];
-    const auto ev = entry_->eval(0, x, curs[static_cast<std::size_t>(w)]);
+    lp::LoweredProblem::BatchPoint ev;
+    entry_->eval_batch(0, &x, 1, curs[static_cast<std::size_t>(w)], &ev);
     out[i] = {delta_Ls[i], ev.value, ev.slope,
               ev.value > 0.0 ? x * ev.slope / ev.value : 0.0};
   });

@@ -105,8 +105,8 @@ class LatencyAnalyzer {
   LatencyAnalyzer(const graph::Graph& g, loggops::Params p,
                   std::unique_ptr<SolverCache> own_cache, SolverCache* cache,
                   const GraphKey& key);
-  /// T and λ at absolute latency x, through the entry.
-  lp::LoweredProblem::SweepEval eval(double x) const;
+  /// T and λ at absolute latency x: a one-lane read of the entry.
+  lp::LoweredProblem::BatchPoint eval(double x) const;
 
   loggops::Params params_;
   /// The standalone form's private cache; null for the warm form.

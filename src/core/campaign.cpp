@@ -134,27 +134,34 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     const auto wire = lower_wire_latency(
         g, s.params, *fit_topology(s.topology, topo, s.ranks), topo);
     const double base = topo.l_wire;
-    const lp::LoweredProblem::BatchPoint at = wire->solve(0, base, cur).point();
-    res.base_runtime = finite_base_runtime(at.value);
-    // One segment walk answers the whole grid, in any order, bitwise
-    // identical to per-point solves; an ascending grid (every CLI grid)
-    // costs O(#linear pieces) forward passes.
+    // Lane 0 is the base point, lane i + 1 the grid's ΔL[i], in any order:
+    // one lockstep pass, every lane bitwise solve(0, x).point().  The bands
+    // then run as one pooled search opened from the base lane.
     const std::size_t npts = s.delta_Ls.size();
-    std::vector<double> xs(npts);
-    for (std::size_t i = 0; i < npts; ++i) xs[i] = base + s.delta_Ls[i];
-    std::vector<lp::LoweredProblem::SweepEval> evals(npts);
-    wire->sweep(0, xs, cur, evals.data());
+    std::vector<double> xs(npts + 1, base);
+    for (std::size_t i = 0; i < npts; ++i) xs[i + 1] = base + s.delta_Ls[i];
+    std::vector<lp::LoweredProblem::BatchPoint> pts(npts + 1);
+    wire->solve_batch_points(0, xs.data(), xs.size(), cur, pts.data());
+    res.base_runtime = finite_base_runtime(pts[0].value);
     for (std::size_t i = 0; i < npts; ++i) {
-      const auto& ev = evals[i];
+      const lp::LoweredProblem::BatchPoint& pt = pts[i + 1];
       res.points.push_back(
-          {s.delta_Ls[i], ev.value, ev.slope,
-           ev.value > 0.0 ? xs[i] * ev.slope / ev.value : 0.0});
+          {s.delta_Ls[i], pt.value, pt.slope,
+           pt.value > 0.0 ? xs[i + 1] * pt.slope / pt.value : 0.0});
     }
-    for (const double pct : s.band_percents) {
-      const double budget = res.base_runtime * (1.0 + pct / 100.0);
-      const double tol =
-          wire->max_param_for_budget_from(0, base, budget, at, cur);
-      res.bands.push_back({pct, std::isfinite(tol) ? tol - base : tol});
+    const std::size_t nbands = s.band_percents.size();
+    const std::vector<double> from(nbands, base);
+    const std::vector<lp::LoweredProblem::BatchPoint> at(nbands, pts[0]);
+    std::vector<double> budget(nbands);
+    std::vector<double> tol(nbands);
+    for (std::size_t b = 0; b < nbands; ++b) {
+      budget[b] = res.base_runtime * (1.0 + s.band_percents[b] / 100.0);
+    }
+    wire->max_param_for_budget_from_batch(0, from.data(), budget.data(),
+                                          nbands, cur, tol.data(), at.data());
+    for (std::size_t b = 0; b < nbands; ++b) {
+      res.bands.push_back({s.band_percents[b],
+                           std::isfinite(tol[b]) ? tol[b] - base : tol[b]});
     }
   }
 

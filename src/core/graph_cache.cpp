@@ -23,29 +23,22 @@ std::shared_ptr<GraphCache::Slot> GraphCache::slot_for(const GraphKey& key) {
   return slot;
 }
 
-const graph::Graph& GraphCache::build_in(Slot& slot, const GraphKey& key) {
+bool GraphCache::build_in(Slot& slot, const GraphKey& key) {
   // Per-key lock: concurrent first touches of one key build it once;
   // builds of distinct keys proceed in parallel (the map mutex is never
   // held across a build, and the atomic tallies never re-enter it).
   const std::lock_guard<std::mutex> lock(slot.build_mutex);
-  if (!slot.graph) {
-    slot.graph = build(key);
-    built_.fetch_add(1, std::memory_order_relaxed);
-    bytes_.fetch_add(slot.graph->memory_bytes(), std::memory_order_relaxed);
-  }
-  return *slot.graph;
+  if (slot.graph) return false;
+  slot.graph = build(key);
+  built_.fetch_add(1, std::memory_order_relaxed);
+  bytes_.fetch_add(slot.graph->memory_bytes(), std::memory_order_relaxed);
+  return true;
 }
 
 const graph::Graph& GraphCache::get(const GraphKey& key) {
   const std::shared_ptr<Slot> slot = slot_for(key);
-  const std::lock_guard<std::mutex> lock(slot->build_mutex);
-  if (slot->graph) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return *slot->graph;
-  }
-  slot->graph = build(key);
-  built_.fetch_add(1, std::memory_order_relaxed);
-  bytes_.fetch_add(slot->graph->memory_bytes(), std::memory_order_relaxed);
+  if (!build_in(*slot, key)) hits_.fetch_add(1, std::memory_order_relaxed);
+  // Set once under the build lock build_in just took, never reset.
   return *slot->graph;
 }
 

@@ -81,8 +81,9 @@ class GraphCache {
   };
 
   std::shared_ptr<Slot> slot_for(const GraphKey& key);
-  /// Build the slot's graph if still absent (per-key lock); returns it.
-  const graph::Graph& build_in(Slot& slot, const GraphKey& key);
+  /// Build the slot's graph if still absent (per-key lock); returns
+  /// whether this call built it.  slot.graph is set once it returns.
+  bool build_in(Slot& slot, const GraphKey& key);
   static std::unique_ptr<graph::Graph> build(const GraphKey& key);
 
   std::mutex mutex_;  ///< guards graphs_ only

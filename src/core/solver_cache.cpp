@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <tuple>
 #include <utility>
 
 #include "lp/param_space.hpp"
@@ -113,6 +114,19 @@ bool SolverCache::Entry::publish(const AnchorPtr& a) {
   return true;
 }
 
+std::pair<SolverCache::Entry::AnchorPtr, bool>
+SolverCache::Entry::solve_anchor(int k, double x,
+                                 lp::LoweredProblem::Cursor& cur) {
+  // Dense solve, then publish the anchor so later queries in this basis
+  // piece (from any thread) replay instead.
+  (void)prob_->solve(k, x, cur);
+  owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
+  auto fresh = std::make_shared<lp::LoweredProblem::AnchorState>();
+  prob_->save_anchor(cur, *fresh);
+  const bool stored = std::isfinite(fresh->solution.value) && publish(fresh);
+  return {std::move(fresh), stored};
+}
+
 std::shared_ptr<const lp::LoweredProblem::AnchorState>
 SolverCache::Entry::anchor(int k, double x, lp::LoweredProblem::Cursor& cur) {
   // Warm path: a published anchor whose stability zone covers x selects
@@ -126,33 +140,14 @@ SolverCache::Entry::anchor(int k, double x, lp::LoweredProblem::Cursor& cur) {
       return *a;
     }
   }
-
-  // Cold path: dense solve, then publish the anchor so later queries in
-  // this basis piece (from any thread) replay instead.
-  (void)prob_->solve(k, x, cur);
-  owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
-  auto fresh = std::make_shared<lp::LoweredProblem::AnchorState>();
-  prob_->save_anchor(cur, *fresh);
-  if (std::isfinite(fresh->solution.value)) (void)publish(fresh);
-  return fresh;
-}
-
-lp::LoweredProblem::SweepEval SolverCache::Entry::eval(
-    int k, double x, lp::LoweredProblem::Cursor& cur) {
-  // At a fresh anchor's own point the replay returns the stored solve.
-  return prob_->replay_anchor(*anchor(k, x, cur), k, x);
+  return solve_anchor(k, x, cur).first;
 }
 
 void SolverCache::Entry::eval_batch(int k, const double* xs, std::size_t n,
                                     lp::LoweredProblem::Cursor& cur,
                                     lp::LoweredProblem::BatchPoint* out) {
-  using State = lp::LoweredProblem::AnchorState;
   lp::LoweredProblem::Cursor::LaneGather& gather = cur.gather;
   gather.grow(n);
-  const auto replay = [&](const State& a, double x) {
-    const lp::LoweredProblem::SweepEval ev = prob_->replay_anchor(a, k, x);
-    return lp::LoweredProblem::BatchPoint{ev.value, ev.slope};
-  };
   // Covered lanes keep a raw pointer past the lock: anchors are never
   // dropped, so the published state outlives the call.
   std::size_t m = 0;
@@ -165,38 +160,33 @@ void SolverCache::Entry::eval_batch(int k, const double* xs, std::size_t n,
     }
   }
   for (std::size_t i = 0; i < n; ++i) {
-    if (gather.anchor[i] != nullptr) out[i] = replay(*gather.anchor[i], xs[i]);
+    if (gather.anchor[i] != nullptr) {
+      out[i] = prob_->replay_anchor(*gather.anchor[i], k, xs[i]);
+    }
   }
   std::size_t replays = n - m;
 
   // Uncovered lanes in ascending x (NaN last, keeping the order strict),
-  // so each dense solve's zone serves the lanes above it.  A solve whose
-  // value is not finite, or a publish the budget refuses, ends the walk:
-  // from there on the lanes are solve_batch's own.
+  // so each dense solve's zone serves the lanes above it.  Once an anchor
+  // is not stored, the rest of the lanes are solve_batch's own.
   std::uint32_t* const lane = gather.lane.data();
   std::sort(lane, lane + m, [&](std::uint32_t a, std::uint32_t b) {
     return xs[a] < xs[b] || (std::isnan(xs[b]) && !std::isnan(xs[a]));
   });
-  std::shared_ptr<const State> fresh;
+  AnchorPtr fresh;
   std::size_t j = 0;
-  for (; j < m; ++j) {
+  while (j < m) {
     const double x = xs[lane[j]];
     if (fresh && fresh->covers(k, x)) {
-      out[lane[j]] = replay(*fresh, x);
+      out[lane[j++]] = prob_->replay_anchor(*fresh, k, x);
       ++replays;
       continue;
     }
-    const double value = prob_->solve(k, x, cur).value;
-    owner_->anchor_solves_.fetch_add(1, std::memory_order_relaxed);
-    if (!std::isfinite(value)) break;
-    auto state = std::make_shared<State>();
-    prob_->save_anchor(cur, *state);
-    out[lane[j]] = replay(*state, x);  // its own point: the stored solve
-    fresh = std::move(state);
-    if (!publish(fresh)) {
-      ++j;
-      break;
-    }
+    bool stored = false;
+    std::tie(fresh, stored) = solve_anchor(k, x, cur);
+    const lp::LoweredProblem::Solution& s = fresh->solution;
+    out[lane[j++]] = {s.value, s.gradient[static_cast<std::size_t>(k)]};
+    if (!stored) break;
   }
   owner_->replays_.fetch_add(replays, std::memory_order_relaxed);
   std::size_t rest = 0;
@@ -213,13 +203,6 @@ std::vector<double> SolverCache::Entry::critical_values_algorithm2(
     int k, double lo, double hi, double step, double eps) {
   return memoized(algorithm2_memo_, memo_key(k, {lo, hi, step, eps}), [&] {
     return prob_->critical_values_algorithm2(k, lo, hi, step, eps);
-  });
-}
-
-double SolverCache::Entry::max_param_for_budget_from(
-    int k, double from, double budget, lp::LoweredProblem::Cursor& cur) {
-  return memoized(budget_memo_, memo_key(k, {from, budget}), [&] {
-    return prob_->max_param_for_budget_from(k, from, budget, cur);
   });
 }
 

@@ -52,20 +52,20 @@ struct SolverKey {
 ///    replay (microseconds) instead of a full forward pass;
 ///  * the **memos** — exact-input results of the calls replay cannot
 ///    serve: Algorithm 2 and the tolerance search, so a repeated report
-///    costs lookups only.  One tolerance memo serves the scalar search
-///    (analyze, campaign cells) and the pooled one (mc's band searches):
-///    both compute the same bits on an entry's integer-coefficient space,
-///    so a key stored by either is a hit for both.  A third memo holds the
-///    numeric rows of whole topo and place results, keyed by the inputs
-///    those ops read beyond the entry key; it reads no lowering, so those
-///    ops look their entry up with entry() and never build one.
+///    costs lookups only.  The tolerance memo is keyed per lane of the
+///    pooled search, so a band stored by one caller (analyze's one-lane
+///    reads, campaign cells, mc's band searches) is a hit for all of
+///    them.  A third memo holds the numeric rows of whole topo and place
+///    results, keyed by the inputs those ops read beyond the entry key; it
+///    reads no lowering, so those ops look their entry up with entry() and
+///    never build one.
 ///
 /// An entry's anchors and its three memos share one byte budget,
 /// kMemoBudgetBytes.
 ///
 /// Determinism contract: replay from *any* covering anchor is bitwise
-/// identical to a dense solve at that point (the PR 3 segment-walk
-/// equivalence, pinned by the hot-path test wall), and a memo hit returns
+/// identical to a dense solve at that point (the replay equivalence,
+/// pinned by the hot-path test wall), and a memo hit returns
 /// the stored result of the very same computation (keys are the inputs'
 /// bit patterns), so an entry's answers can never depend on the cache
 /// being cold, warm, shared across threads, or on which of several
@@ -112,20 +112,17 @@ class SolverCache {
     std::shared_ptr<const lp::LoweredProblem::AnchorState> anchor(
         int k, double x, lp::LoweredProblem::Cursor& cur);
 
-    /// T and λ at `x` for parameter `k`: anchor(k, x, cur) replayed at `x`,
-    /// bitwise identical to problem()->solve(k, x).
-    lp::LoweredProblem::SweepEval eval(int k, double x,
-                                       lp::LoweredProblem::Cursor& cur);
-
     /// problem()->solve_batch(k, xs, n, cur, out) through the entry's
-    /// anchors: value and slope of every lane are bitwise solve_batch's
-    /// (lo/hi are left at -inf/+inf).  A lane inside a published anchor's
-    /// zone is replayed from it.  The other lanes are walked in ascending
-    /// x: each dense solve publishes an anchor, which also serves the lanes
-    /// above it in its zone.  Once the budget refuses a publish (or a solve
-    /// is not finite, which is never published), the remaining lanes run as
-    /// one solve_batch.  An all-replay call allocates nothing once
-    /// cur.gather has grown to n.
+    /// anchors: value and slope of every lane are bitwise solve_batch's,
+    /// which on the entry's integer-coefficient lowering are
+    /// problem()->solve(k, xs[i])'s too (lo/hi are left at -inf/+inf).  A
+    /// lane inside a published anchor's zone is replayed from it.  The
+    /// other lanes are walked in ascending x: each dense solve publishes an
+    /// anchor, which also serves the lanes above it in its zone.  Once an
+    /// anchor is not stored (the budget refused it, or its value is not
+    /// finite), the remaining lanes run as one solve_batch.  A one-lane
+    /// call is the entry's point read: one replay or one anchor solve.  An
+    /// all-replay call allocates nothing once cur.gather has grown to n.
     void eval_batch(int k, const double* xs, std::size_t n,
                     lp::LoweredProblem::Cursor& cur,
                     lp::LoweredProblem::BatchPoint* out);
@@ -137,22 +134,17 @@ class SolverCache {
                                                    double hi, double step,
                                                    double eps = 1e-6);
 
-    /// problem()->max_param_for_budget_from(k, from, budget, cur) through
-    /// the entry's exact-input memo.  A hit never touches `cur` and
-    /// allocates nothing.
-    double max_param_for_budget_from(int k, double from, double budget,
-                                     lp::LoweredProblem::Cursor& cur);
-
     /// problem()->max_param_for_budget_from_batch(k, from, budget, n, cur,
-    /// out) through the same memo as the scalar form: all n lanes are
-    /// looked up under one lock, the misses (in lane order) run as one
-    /// pooled call over cur.gather's rows, and their results are stored.
-    /// Adjacent misses that share a `from` share one opening point
-    /// (solve_batch_points), which the pooled call takes as its at_from.
-    /// Bitwise identical to the direct pooled call and to n scalar calls.
+    /// out) through the entry's exact-input tolerance memo: all n lanes are
+    /// looked up under one lock, each counted as one memo hit or miss; the
+    /// misses (in lane order) run as one pooled call over cur.gather's
+    /// rows, and their results are stored.  Adjacent misses that share a
+    /// `from` share one opening point (solve_batch_points), which the
+    /// pooled call takes as its at_from.  Bitwise identical to the direct
+    /// pooled call and to n calls of problem()->max_param_for_budget_from.
     /// A throwing call stores nothing and raises the lowest infeasible
     /// lane's error (hits never throw).  An all-hit call never touches the
-    /// problem and allocates nothing.
+    /// problem and allocates nothing once cur.gather has grown to n.
     void max_param_for_budget_from_batch(int k, const double* from,
                                          const double* budget, std::size_t n,
                                          lp::LoweredProblem::Cursor& cur,
@@ -224,6 +216,12 @@ class SolverCache {
     /// Publish `a` (a finite solve) unless an anchor at its exact point is
     /// already published.  Returns false when the budget refused it.
     bool publish(const AnchorPtr& a);
+    /// The cold path of anchor() and eval_batch(): a dense solve of `k` at
+    /// `x` through `cur` (counted as an anchor solve), snapshotted and
+    /// published when its value is finite.  Returns the snapshot and
+    /// whether the entry now holds an anchor at that point.
+    std::pair<AnchorPtr, bool> solve_anchor(int k, double x,
+                                            lp::LoweredProblem::Cursor& cur);
 
     std::mutex build_mutex_;
     std::shared_ptr<const lp::LoweredProblem> prob_;
@@ -251,7 +249,7 @@ class SolverCache {
   struct Stats {
     std::size_t built = 0;          ///< lowerings constructed (misses)
     std::size_t hits = 0;           ///< latency() served an existing lowering
-    /// Dense solves and anchor replays of anchor(), eval() and eval_batch()
+    /// Dense solves and anchor replays of anchor() and eval_batch()
     /// (eval_batch's batched remainder counts as neither).
     std::size_t anchor_solves = 0;
     std::size_t replays = 0;

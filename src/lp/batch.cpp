@@ -57,7 +57,7 @@ namespace llamp::lp {
 namespace {
 constexpr double kInfD = std::numeric_limits<double>::infinity();
 
-/// Fuzzy-selection guard for the segment walk: the pass breaks near-ties
+/// Fuzzy-selection guard for anchor replay: the pass breaks near-ties
 /// within value_eps toward the larger slope, so critical-path replay is
 /// only trusted while every losing candidate is at least this many eps
 /// away from entering the winner's tie band.
@@ -514,7 +514,7 @@ void LoweredProblem::solve_into(int active, double value, Cursor& cur) const {
   std::reverse(last.chain.begin(), last.chain.end());
 }
 
-LoweredProblem::SweepEval LoweredProblem::replay_anchor(
+LoweredProblem::BatchPoint LoweredProblem::replay_anchor(
     const AnchorState& anchor, int k, double x) const {
   // The cross-request warm path: a cached anchor serves a later point query
   // with no forward pass and no cursor.  Everything read here is immutable
@@ -528,7 +528,7 @@ LoweredProblem::SweepEval LoweredProblem::replay_anchor(
   const double slope = anchor.solution.gradient[static_cast<std::size_t>(k)];
   if (x == anchor.solution.at) {
     // The anchor point itself: the stored dense solution is the answer.
-    return {x, anchor.solution.value, slope};
+    return {anchor.solution.value, slope};
   }
   // Re-sum the critical path with the 1-lane pass's exact operation order:
   // finish[src] = vc[src]; then per chain slot j = (u -> w):
@@ -549,7 +549,7 @@ LoweredProblem::SweepEval LoweredProblem::replay_anchor(
     }
     return acc;
   });
-  return {x, value, slope};
+  return {value, slope};
 }
 // llamp-lint: hot-path end
 

@@ -179,37 +179,6 @@ LoweredProblem::Solution LoweredProblem::solve() const {
   return solve(0, base_.empty() ? 0.0 : base_[0]);
 }
 
-// llamp-lint: hot-path begin
-void LoweredProblem::sweep(int k, std::span<const double> xs, Cursor& cur,
-                           SweepEval* out) const {
-  if (k < 0 || k >= num_params_) {
-    throw LpError("parametric: active parameter out of range");
-  }
-  bool have = false;  // never trust state a previous caller left in cur
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    const double x = xs[i];
-    if (std::isnan(x)) throw LpError(strformat("sweep: x[%zu] is NaN", i));
-    const AnchorState& last = cur.last_;
-    if (have && last.covers(k, x)) {
-      out[i] = replay_anchor(last, k, x);
-    } else {
-      solve_into(k, x, cur);
-      have = true;
-      out[i] = {x, last.solution.value,
-                last.solution.gradient[static_cast<std::size_t>(k)]};
-    }
-  }
-}
-// llamp-lint: hot-path end
-
-std::vector<LoweredProblem::SweepEval> LoweredProblem::sweep(
-    int k, std::span<const double> xs) const {
-  Cursor cur;
-  std::vector<SweepEval> out(xs.size());
-  sweep(k, xs, cur, out.data());
-  return out;
-}
-
 std::vector<LoweredProblem::Segment> LoweredProblem::piecewise(
     int k, double lo, double hi, Cursor& cur) const {
   if (!(lo <= hi)) throw LpError("piecewise: empty interval");

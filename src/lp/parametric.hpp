@@ -139,12 +139,14 @@ class LoweredProblem {
   /// Allocates nothing.
   void relower(const loggops::Params& p, std::span<const double> edge_factor);
 
-  /// One lane of a batched forward pass: T, the active slope, and (when
-  /// requested) the active parameter's feasibility range at that lane's
-  /// evaluation point.  value, lo and hi are bitwise identical to
-  /// solve(active, x)'s.  solve_batch_points re-sums slope over the lane's
-  /// argmax chain, so it is gradient[active] bitwise on every lowering.
-  /// The other passes report the forward slope, summed source -> sink
+  /// One lane of a batched forward pass, or one anchor replay: T, the
+  /// active slope, and (when requested; never by a replay) the active
+  /// parameter's feasibility range at that lane's evaluation point.
+  /// value, lo and hi are bitwise identical to solve(active, x)'s.  A
+  /// replay's slope is the anchor's gradient[active], and
+  /// solve_batch_points re-sums slope over the lane's argmax chain, so
+  /// both are gradient[active] bitwise on every lowering.  The other
+  /// passes report the forward slope, summed source -> sink
   /// while the dense chain walk sums sink -> source: the same bits when
   /// the space lowers integer-valued coefficients (every first-party
   /// space), possibly not in the last bits on a lowering relowered with
@@ -181,9 +183,9 @@ class LoweredProblem {
   /// A detached snapshot of one anchor solve: the solution, the critical
   /// path it selected, and the stability zone on which a dense re-solve
   /// provably re-selects that basis.  A cursor keeps its last solve as one
-  /// (sweep() replays it); it is also the unit core::SolverCache stores —
-  /// an anchor saved by one request serves later requests (and other
-  /// threads) through replay_anchor() without touching any cursor.
+  /// (save_anchor() copies it out); it is the unit core::SolverCache
+  /// stores — an anchor saved by one request serves later requests (and
+  /// other threads) through replay_anchor() without touching any cursor.
   struct AnchorState {
     Solution solution;
     /// Critical-path slots, source -> sink; slot j's tail is topo position
@@ -398,40 +400,19 @@ class LoweredProblem {
                                    const BatchPoint& at_from,
                                    Cursor& cur) const;
 
-  /// One evaluated point of a segment-walk sweep.
-  struct SweepEval {
-    double at = 0.0;     ///< evaluated value of the active parameter
-    double value = 0.0;  ///< T at that point
-    double slope = 0.0;  ///< λ = ∂T/∂x_k at that point
-  };
-
-  /// Evaluate T and λ at every value of `xs`, in any order, for parameter
-  /// k as a segment walk: a point inside the current anchor's stability
-  /// zone is evaluated by replaying the anchor solve's critical path, which
-  /// reproduces the dense forward pass's floating-point sums operation for
-  /// operation; any other point (beyond the zone, or below the anchor) gets
-  /// a full forward pass and becomes the new anchor.  Results are therefore
-  /// bitwise identical to calling solve(k, x) at every point; an ascending
-  /// grid costs O(#pieces hit) instead of O(#points) passes.  (Near-ties
-  /// split the λ-segments of piecewise() into finer basis pieces, so the
-  /// pass count lies between the segment count and the point count.)
-  /// Writes xs.size() entries to `out`.  Throws LpError on a NaN x.
-  void sweep(int k, std::span<const double> xs, Cursor& cur,
-             SweepEval* out) const;
-  std::vector<SweepEval> sweep(int k, std::span<const double> xs) const;
-
   /// Snapshot the cursor's last anchor solve into `out` (reusing its
   /// buffers).  Requires a prior solve through `cur` on this problem.
   void save_anchor(const Cursor& cur, AnchorState& out) const;
 
   /// Warm entry point: T and λ at `x` for parameter k served from a saved
-  /// anchor, bitwise identical to solve(k, x) (the segment-walk replay
-  /// equivalence, pinned by the hot-path test wall).  Read-only on both the
-  /// problem and the anchor — safe to call concurrently from any number of
-  /// threads with no cursor at all.  Either lowering replays.  Requires
-  /// anchor.covers(k, x) and an anchor saved from *this* problem; throws
-  /// LpError when the anchor does not cover x.
-  SweepEval replay_anchor(const AnchorState& anchor, int k, double x) const;
+  /// anchor, value and slope bitwise identical to solve(k, x)'s (the
+  /// replay equivalence, pinned by the hot-path test wall); lo/hi are left
+  /// at -inf/+inf.  Read-only on both the problem and the anchor — safe to
+  /// call concurrently from any number of threads with no cursor at all.
+  /// Either lowering replays.  Requires anchor.covers(k, x) and an anchor
+  /// saved from *this* problem; throws LpError when the anchor does not
+  /// cover x.
+  BatchPoint replay_anchor(const AnchorState& anchor, int k, double x) const;
 
  private:
   /// What one forward pass computes: values and slopes only; also the

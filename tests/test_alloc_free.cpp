@@ -15,8 +15,9 @@
 #include "test_support.hpp"
 
 // Allocation-counter wall for the solver hot path: after a warm-up solve
-// has grown a workspace's buffers, steady-state solves and segment-walk
-// sweeps through that workspace must perform ZERO heap allocations.  The
+// has grown a workspace's buffers, steady-state solves, batch passes and
+// anchor replays through that workspace must perform ZERO heap
+// allocations.  The
 // global operator new/delete are replaced with counting versions — this
 // test lives in its own binary so the override cannot disturb any other
 // suite.
@@ -95,25 +96,6 @@ TEST(AllocationFree, SteadyStateSolvesAllocateNothing) {
   }
   EXPECT_EQ(g_allocations, before)
       << "steady-state solve() allocated on the heap";
-}
-
-TEST(AllocationFree, SegmentWalkSweepAllocatesNothing) {
-  const auto g =
-      schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));
-  const auto p = loggops::NetworkConfig::cscs_testbed();
-  LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
-  LoweredProblem::Cursor ws;
-
-  std::vector<double> xs;
-  for (int i = 0; i < 200; ++i) xs.push_back(p.L + 500.0 * i);
-  std::vector<LoweredProblem::SweepEval> out(xs.size());
-
-  solver.sweep(0, xs, ws, out.data());  // warm-up
-
-  const std::size_t before = g_allocations;
-  solver.sweep(0, xs, ws, out.data());
-  EXPECT_EQ(g_allocations, before)
-      << "steady-state sweep() allocated on the heap";
 }
 
 TEST(AllocationFree, BatchSolvesAllocateNothingAfterWarmup) {
@@ -314,13 +296,18 @@ TEST(AllocationFree, WarmEntryMemoHitsAllocateNothing) {
   const auto entry = cache.latency(key, g, p);
   LoweredProblem::Cursor cur;
 
-  // Warm-up: one computing call per memo; the analyzer's base eval
-  // publishes the base-L anchor whose critical path λ_G sums.
+  // Warm-up: one computing call per memo and one point read through `cur`
+  // (growing its lane rows); the analyzer's base eval publishes the base-L
+  // anchor whose critical path λ_G sums.  Reads are one-lane calls.
   const core::LatencyAnalyzer an(g, p, cache, key);
   const double base = an.base_runtime();
   const double hi = p.L + 100'000.0;
   const double step = 100'000.0 / 64.0;
-  (void)entry->max_param_for_budget_from(0, p.L, base * 1.02, cur);
+  const double budget = base * 1.02;
+  double tol = 0.0;
+  LoweredProblem::BatchPoint pt;
+  entry->max_param_for_budget_from_batch(0, &p.L, &budget, 1, cur, &tol);
+  entry->eval_batch(0, &p.L, 1, cur, &pt);
   ASSERT_GT(an.lambda_G(), 0.0);
   const auto crit = entry->critical_values_algorithm2(0, p.L, hi, step);
   ASSERT_FALSE(crit.empty());
@@ -328,9 +315,9 @@ TEST(AllocationFree, WarmEntryMemoHitsAllocateNothing) {
   std::size_t before = g_allocations;
   double sink = 0.0;
   for (int i = 0; i < 100; ++i) {
-    sink += entry->max_param_for_budget_from(0, p.L, base * 1.02, cur);
-    sink += an.lambda_G();
-    sink += entry->eval(0, p.L, cur).value;
+    entry->max_param_for_budget_from_batch(0, &p.L, &budget, 1, cur, &tol);
+    entry->eval_batch(0, &p.L, 1, cur, &pt);
+    sink += tol + an.lambda_G() + pt.value;
   }
   EXPECT_EQ(g_allocations, before)
       << "warm memo hits / anchor replays allocated on the heap";
@@ -483,7 +470,7 @@ TEST(AllocationFree, WarmEvalBatchReplaysAllocateNothing) {
 TEST(AllocationFree, GeneralPathMcSamplesAllocateNothingInSteadyState) {
   // A general-path mc run on one thread allocates its buffers and the
   // worker's one lowering up front.  Every further sample (its draws, the
-  // in-place re-lowering, the solve, the sweep and the band searches) must
+  // in-place re-lowering, the lockstep pass and the band searches) must
   // allocate nothing, so a 40-sample run allocates exactly as often as a
   // 4-sample one.
   const auto g = schedgen::build_graph(apps::make_app_trace("hpcg", 8, 0.02));

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -217,28 +219,65 @@ TEST(CampaignRun, FlatScenarioMatchesLatencyAnalyzer) {
 }
 
 TEST(CampaignRun, TopologyScenarioMatchesDirectWireSpaceSolve) {
+  // Every number of a topology cell is the scalar reference's, bit for
+  // bit: per-point dense solves of a hand-built wire-latency lowering, and
+  // per-band scalar searches opened from the base solve.  The grid is
+  // unordered, repeats a point and starts off ΔL = 0.
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   CampaignSpec spec = small_spec();
   spec.apps = {"icon"};
-  spec.topologies = {"dragonfly"};
-  Campaign c(spec);
-  const auto results = c.run();
-  ASSERT_EQ(results.size(), 1u);
-  const auto& res = results[0];
+  spec.topologies = {"fat-tree", "dragonfly"};
+  spec.band_percents = {1.0, 2.0, 5.0};
+  std::vector<Scenario> scenarios = Campaign(spec).scenarios();
+  ASSERT_EQ(scenarios.size(), 2u);
+  for (Scenario& s : scenarios) {
+    s.delta_Ls = {us(15.0), us(2.5), 0.0, us(40.0), us(15.0), us(5.0)};
+  }
+  const auto results = Campaign(scenarios, spec.topo).run();
+  ASSERT_EQ(results.size(), 2u);
 
-  const auto g = schedgen::build_graph(
-      apps::make_app_trace("icon", res.scenario.ranks, res.scenario.scale));
+  const Scenario& s0 = scenarios[0];
+  const auto g =
+      schedgen::build_graph(apps::make_app_trace("icon", s0.ranks, s0.scale));
+  const topo::FatTree ft(spec.topo.ft_radix);
   const topo::Dragonfly df(spec.topo.df_groups, spec.topo.df_routers,
                            spec.topo.df_hosts);
-  auto space = std::make_shared<lp::LinkClassParamSpace>(
-      topo::make_wire_latency_space(res.scenario.params, df,
-                                    topo::identity_placement(res.scenario.ranks),
-                                    spec.topo.l_wire, spec.topo.d_switch));
-  const lp::LoweredProblem solver(g, space);
-  for (std::size_t i = 0; i < res.points.size(); ++i) {
-    const auto sol =
-        solver.solve(0, spec.topo.l_wire + res.scenario.delta_Ls[i]);
-    EXPECT_DOUBLE_EQ(res.points[i].runtime, sol.value);
-    EXPECT_DOUBLE_EQ(res.points[i].lambda, sol.gradient[0]);
+  const topo::Topology* const shapes[] = {&ft, &df};
+  const double base = spec.topo.l_wire;
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    const auto& res = results[t];
+    SCOPED_TRACE(res.scenario.topology);
+    EXPECT_EQ(res.scenario.topology, spec.topologies[t]);
+    auto space = std::make_shared<lp::LinkClassParamSpace>(
+        topo::make_wire_latency_space(
+            res.scenario.params, *shapes[t],
+            topo::identity_placement(res.scenario.ranks), base,
+            spec.topo.d_switch));
+    const lp::LoweredProblem solver(g, space);
+    lp::LoweredProblem::Cursor cur;
+    const lp::LoweredProblem::BatchPoint at = solver.solve(0, base, cur).point();
+    EXPECT_EQ(bits(res.base_runtime), bits(at.value));
+    ASSERT_EQ(res.points.size(), res.scenario.delta_Ls.size());
+    for (std::size_t i = 0; i < res.points.size(); ++i) {
+      const double x = base + res.scenario.delta_Ls[i];
+      const auto& sol = solver.solve(0, x, cur);
+      const double rho =
+          sol.value > 0.0 ? x * sol.gradient[0] / sol.value : 0.0;
+      EXPECT_EQ(bits(res.points[i].runtime), bits(sol.value)) << "i=" << i;
+      EXPECT_EQ(bits(res.points[i].lambda), bits(sol.gradient[0]))
+          << "i=" << i;
+      EXPECT_EQ(bits(res.points[i].rho), bits(rho)) << "i=" << i;
+    }
+    ASSERT_EQ(res.bands.size(), spec.band_percents.size());
+    for (std::size_t b = 0; b < res.bands.size(); ++b) {
+      const double pct = spec.band_percents[b];
+      const double tol = solver.max_param_for_budget_from(
+          0, base, at.value * (1.0 + pct / 100.0), at, cur);
+      EXPECT_EQ(res.bands[b].percent, pct);
+      EXPECT_EQ(bits(res.bands[b].tolerance_delta),
+                bits(std::isfinite(tol) ? tol - base : tol))
+          << "pct=" << pct;
+    }
   }
 }
 

@@ -25,8 +25,8 @@
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
-// Equivalence wall for the zero-allocation hot path: the segment-walk
-// sweep, the workspace-reusing solve, and the flat/CSR edge-cost lowering
+// Equivalence wall for the zero-allocation hot path: anchor replay over a
+// grid, the workspace-reusing solve, and the flat/CSR edge-cost lowering
 // must all be *bitwise* indistinguishable from a dense per-point solve()
 // — across every registered application and across randomized LogGPS
 // configurations — and a workspace must carry no state between solvers.
@@ -36,8 +36,8 @@ namespace {
 
 
 /// An ascending, irregular grid over [lo, hi] that deliberately includes
-/// every piece boundary of T (the walk's worst case: anchors, replays, and
-/// exact-breakpoint hits all occur).
+/// every piece boundary of T (the replay walk's worst case: anchors,
+/// replays, and exact-breakpoint hits all occur).
 std::vector<double> stress_grid(const LoweredProblem& solver, int k, double lo,
                                 double hi, int points, std::uint64_t seed) {
   Rng rng(seed);
@@ -52,13 +52,38 @@ std::vector<double> stress_grid(const LoweredProblem& solver, int k, double lo,
   return xs;
 }
 
-/// The core property: walk results equal dense per-point solves, bit for
-/// bit, in both the value and the active slope.
+/// T and λ at every x of `xs` for parameter k by replay: a point the
+/// last anchor covers is replayed from it, any other gets a dense solve
+/// through `ws` and becomes the new anchor.  Returns the replayed count.
+std::size_t replay_walk(const LoweredProblem& solver, int k,
+                        const std::vector<double>& xs,
+                        LoweredProblem::Cursor& ws,
+                        std::vector<LoweredProblem::BatchPoint>& out) {
+  out.resize(xs.size());
+  LoweredProblem::AnchorState anchor;
+  bool have = false;
+  std::size_t replays = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    if (have && anchor.covers(k, xs[i])) {
+      ++replays;
+    } else {
+      (void)solver.solve(k, xs[i], ws);
+      solver.save_anchor(ws, anchor);
+      have = true;
+    }
+    out[i] = solver.replay_anchor(anchor, k, xs[i]);
+  }
+  return replays;
+}
+
+/// The core property: replay inside a stability zone equals dense
+/// per-point solves, bit for bit, in both the value and the active slope.
 void expect_walk_matches_dense(const LoweredProblem& solver, int k,
                                const std::vector<double>& xs) {
   LoweredProblem::Cursor ws;
-  std::vector<LoweredProblem::SweepEval> walk(xs.size());
-  solver.sweep(k, xs, ws, walk.data());
+  std::vector<LoweredProblem::BatchPoint> walk;
+  const std::size_t replays = replay_walk(solver, k, xs, ws, walk);
+  EXPECT_GT(replays, 0u) << "no grid point was replayed";
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const auto dense = solver.solve(k, xs[i]);
     EXPECT_EQ(walk[i].value, dense.value) << "k=" << k << " x=" << xs[i];
@@ -215,64 +240,15 @@ TEST(Workspace, InterleavedSolversNeverLeakState) {
       EXPECT_EQ(sc.value, rc.value);
       EXPECT_EQ(sc.gradient, rc.gradient);
     }
-    // A walk on one solver between solves of the others must not perturb
-    // anything either.
+    // A replay walk on one solver between solves of the others must not
+    // perturb anything either.
     const std::vector<double> xs = {0.0, 200.0, 400.0, 600.0, 5'000.0};
-    std::vector<LoweredProblem::SweepEval> evals(xs.size());
-    a.sweep(0, xs, ws, evals.data());
+    std::vector<LoweredProblem::BatchPoint> evals;
+    (void)replay_walk(a, 0, xs, ws, evals);
     for (std::size_t i = 0; i < xs.size(); ++i) {
       EXPECT_EQ(evals[i].value, a.solve(0, xs[i]).value);
     }
   }
-}
-
-TEST(SweepApi, ShuffledGridsMatchDenseAndNaNIsRejected) {
-  // Any order is a valid grid: a point below the current anchor gets a
-  // dense solve, and every point stays bitwise equal to solve(k, x).
-  const auto p = loggops::NetworkConfig::cscs_testbed();
-  for (const std::string app : {"hpcg", "lulesh", "milc"}) {
-    SCOPED_TRACE(app);
-    const auto g = schedgen::build_graph(
-        apps::make_app_trace(app, apps::supported_ranks(app, 8), 0.02));
-    const LoweredProblem flat(g, std::make_shared<LatencyParamSpace>(p));
-    const LoweredProblem csr(g,
-                             std::make_shared<LatencyBandwidthParamSpace>(p));
-    auto xs = stress_grid(flat, 0, 0.0, p.L + 100'000.0, 80, 0x51u);
-    auto gs = stress_grid(csr, 1, 0.0, p.G + 2.0, 40, 0x61u);
-    Rng rng(g.num_vertices());
-    for (auto* grid : {&xs, &gs}) {  // Fisher-Yates
-      for (std::size_t i = grid->size(); i > 1; --i) {
-        const auto j = static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(i) - 1));
-        std::swap((*grid)[i - 1], (*grid)[j]);
-      }
-    }
-    expect_walk_matches_dense(flat, 0, xs);
-    expect_walk_matches_dense(csr, 1, gs);
-  }
-
-  const auto g = testing::running_example_graph();
-  LoweredProblem solver(
-      g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
-  LoweredProblem::Cursor ws;
-  const std::vector<double> bad = {100.0,
-                                   std::numeric_limits<double>::quiet_NaN()};
-  std::vector<LoweredProblem::SweepEval> out(bad.size());
-  EXPECT_THROW(solver.sweep(0, bad, ws, out.data()), LpError);
-  EXPECT_THROW((void)solver.sweep(7, bad), LpError);
-}
-
-TEST(SweepApi, DuplicatesAndEmptyGridsAreFine) {
-  const auto g = testing::running_example_graph();
-  LoweredProblem solver(
-      g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
-  EXPECT_TRUE(solver.sweep(0, std::vector<double>{}).empty());
-  const std::vector<double> xs = {500.0, 500.0, 500.0};
-  const auto evals = solver.sweep(0, xs);
-  ASSERT_EQ(evals.size(), 3u);
-  EXPECT_EQ(evals[0].value, 1'615.0);
-  EXPECT_EQ(evals[1].value, 1'615.0);
-  EXPECT_EQ(evals[2].value, 1'615.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -424,6 +400,22 @@ TEST(AnchorReplay, RejectsNonCoveringAnchors) {
   EXPECT_THROW((void)csr.replay_anchor(csr_anchor, 1, p.G - 1.0), LpError);
 }
 
+/// The entry's point read: a one-lane eval_batch.
+LoweredProblem::BatchPoint entry_point(core::SolverCache::Entry& entry, int k,
+                                       double x, LoweredProblem::Cursor& cur) {
+  LoweredProblem::BatchPoint pt;
+  entry.eval_batch(k, &x, 1, cur, &pt);
+  return pt;
+}
+
+/// The entry's memoized tolerance: a one-lane pooled search.
+double entry_tolerance(core::SolverCache::Entry& entry, int k, double from,
+                       double budget, LoweredProblem::Cursor& cur) {
+  double tol = 0.0;
+  entry.max_param_for_budget_from_batch(k, &from, &budget, 1, cur, &tol);
+  return tol;
+}
+
 TEST(SolverCacheEntry, EvalIsBitwiseDenseColdWarmAndRepeated) {
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
@@ -441,22 +433,25 @@ TEST(SolverCacheEntry, EvalIsBitwiseDenseColdWarmAndRepeated) {
   LoweredProblem::Cursor cur;
   std::vector<double> first_values;
   for (const double x : xs) {
-    const auto ev = entry->eval(0, x, cur);
+    const auto ev = entry_point(*entry, 0, x, cur);
     const auto ref = dense.solve(0, x);
     EXPECT_EQ(ev.value, ref.value) << "x=" << x;
     EXPECT_EQ(ev.slope, ref.gradient[0]) << "x=" << x;
     first_values.push_back(ev.value);
   }
+  // Each one-lane read is exactly one replay or one anchor solve.
   const auto cold = cache.stats();
   EXPECT_GT(cold.anchor_solves, 0u);
+  EXPECT_EQ(cold.anchor_solves + cold.replays, xs.size());
   EXPECT_LE(cold.anchor_bytes, core::SolverCache::Entry::kMemoBudgetBytes);
 
   // Warm second pass: same bytes, now served by anchor replay.
   for (std::size_t i = 0; i < xs.size(); ++i) {
-    EXPECT_EQ(entry->eval(0, xs[i], cur).value, first_values[i]);
+    EXPECT_EQ(entry_point(*entry, 0, xs[i], cur).value, first_values[i]);
   }
   const auto warm = cache.stats();
-  EXPECT_GT(warm.replays, cold.replays);
+  EXPECT_EQ(warm.replays - cold.replays, xs.size());
+  EXPECT_EQ(warm.anchor_solves, cold.anchor_solves);
   EXPECT_EQ(warm.built, cold.built);
 }
 
@@ -623,7 +618,7 @@ void hammer_entry_matches_dense(core::SolverCache::Entry& entry, int k,
         const std::size_t j = (i + static_cast<std::size_t>(t) * 25) %
                               xs.size();
         got[static_cast<std::size_t>(t)].push_back(
-            entry.eval(k, xs[j], cur).value);
+            entry_point(entry, k, xs[j], cur).value);
       }
     });
   }
@@ -714,8 +709,8 @@ TEST(SolverCacheEntry, MemoizedCallsAreBitwiseDirectOnAllRegisteredApps) {
           EXPECT_EQ(bits(an.lambda_G()), ref_lambda_G) << "round=" << round;
           std::size_t i = 0;
           for (const double pct : {0.0, 1.0, 2.0, 5.0}) {
-            EXPECT_EQ(bits(entry->max_param_for_budget_from(
-                          0, p.L, base * (1.0 + pct / 100.0), cur)),
+            EXPECT_EQ(bits(entry_tolerance(*entry, 0, p.L,
+                                           base * (1.0 + pct / 100.0), cur)),
                       ref_tols[i++])
                 << "round=" << round << " pct=" << pct;
           }
@@ -764,15 +759,15 @@ TEST(SolverCacheEntry, MemoCapKeepsFirstEntriesAndPastCapCallsStayBitwise) {
       (core::SolverCache::Entry::kMemoBudgetBytes - crit_bytes) / kTolBytes;
 
   // T(500) = 1615: budgets above it all succeed, one per distinct key.
-  // The first few go through the scalar form, the rest through 48-lane
-  // pooled calls, past the budget by 64 keys.
+  // The first few go through one-lane calls, the rest through 48-lane
+  // calls, past the budget by 64 keys.
   const auto budget = [](std::size_t i) {
     return 1'615.0 + 0.25 * static_cast<double>(i);
   };
   const std::size_t total = fit + 64;
   constexpr std::size_t kScalar = 16;
   for (std::size_t i = 0; i < kScalar; ++i) {
-    EXPECT_EQ(bits(entry->max_param_for_budget_from(0, 500.0, budget(i), cur)),
+    EXPECT_EQ(bits(entry_tolerance(*entry, 0, 500.0, budget(i), cur)),
               bits(direct.max_param_for_budget_from(0, 500.0, budget(i), dcur)))
         << "i=" << i;
   }
@@ -800,15 +795,14 @@ TEST(SolverCacheEntry, MemoCapKeepsFirstEntriesAndPastCapCallsStayBitwise) {
   EXPECT_LE(full.memo_bytes, core::SolverCache::Entry::kMemoBudgetBytes);
   EXPECT_EQ(full.budget_refused, 64u) << "one refusal per key past the budget";
 
-  // The first `fit` keys are stored: repeats hit, in either form.  Keys
+  // The first `fit` keys are stored: repeats hit, at any lane count.  Keys
   // past the budget were computed but dropped: repeats compute again,
   // still bitwise direct, and the stored bytes do not grow.
-  (void)entry->max_param_for_budget_from(0, 500.0, budget(0), cur);
-  (void)entry->max_param_for_budget_from(0, 500.0, budget(fit - 1), cur);
+  (void)entry_tolerance(*entry, 0, 500.0, budget(0), cur);
+  (void)entry_tolerance(*entry, 0, 500.0, budget(fit - 1), cur);
   (void)entry->critical_values_algorithm2(0, 0.0, 1'000.0, 0.0);
   EXPECT_EQ(cache.stats().memo_hits, 3u);
-  const double past =
-      entry->max_param_for_budget_from(0, 500.0, budget(fit), cur);
+  const double past = entry_tolerance(*entry, 0, 500.0, budget(fit), cur);
   EXPECT_EQ(bits(past),
             bits(direct.max_param_for_budget_from(0, 500.0, budget(fit), dcur)));
   pooled(fit - 24, kLanes);  // 24 stored keys, 24 past the budget
@@ -834,7 +828,7 @@ TEST(SolverCacheEntry, ThrowingCallsAreNeverMemoized) {
   LoweredProblem::Cursor cur;
   // T(500) = 1615 already exceeds a 1000 budget: LpError, every time.
   for (int attempt = 0; attempt < 3; ++attempt) {
-    EXPECT_THROW((void)entry->max_param_for_budget_from(0, 500.0, 1'000.0, cur),
+    EXPECT_THROW((void)entry_tolerance(*entry, 0, 500.0, 1'000.0, cur),
                  LpError);
     EXPECT_THROW((void)entry->critical_values_algorithm2(0, 10.0, 1.0, 0.0),
                  LpError);
@@ -844,7 +838,7 @@ TEST(SolverCacheEntry, ThrowingCallsAreNeverMemoized) {
   EXPECT_EQ(s.memo_hits, 0u);
   EXPECT_EQ(s.memo_bytes, 0u);
   // The entry still serves the same key's neighbours normally.
-  EXPECT_EQ(entry->max_param_for_budget_from(0, 500.0, 1'615.0, cur), 500.0);
+  EXPECT_EQ(entry_tolerance(*entry, 0, 500.0, 1'615.0, cur), 500.0);
 }
 
 TEST(SolverCacheEntry, LookupWithoutLoweringThenLatencyBuildsOnce) {
@@ -982,8 +976,9 @@ TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
       LoweredProblem::Cursor cur;
       for (int r = 0; r < 3 * kKeys; ++r) {
         const int i = (r + 5 * t) % kKeys;
-        if (bits(entry->max_param_for_budget_from(
-                0, p.L, base * (1.0 + 0.5 * i / 100.0), cur)) != ref_tol[i]) {
+        if (bits(entry_tolerance(*entry, 0, p.L,
+                                 base * (1.0 + 0.5 * i / 100.0), cur)) !=
+            ref_tol[i]) {
           ++mismatches[static_cast<std::size_t>(t)];
         }
         if (bits(entry->critical_values_algorithm2(
@@ -1916,7 +1911,7 @@ TEST(Relower, OnlyAnOwnedLatencyLoweringMovesAndBadInputsTouchNothing) {
 
 // ---------------------------------------------------------------------------
 // The pooled search through a solver-cache entry's memo: hits and misses in
-// any lane order, keys shared with the scalar form, throws never stored.
+// any lane order, keys shared with one-lane calls, throws never stored.
 // Every answer must be the direct pooled call's, bit for bit.
 // ---------------------------------------------------------------------------
 
@@ -1933,7 +1928,7 @@ TEST(SolverCacheEntry, PooledMemoIsBitwiseDirectOnAllRegisteredApps) {
     const core::GraphKey key{app, ranks, 0.02, p.S};
     const LoweredProblem direct(g, std::make_shared<LatencyParamSpace>(p));
     // budget_lanes' lanes, unbounded budgets included, in a fixed shuffled
-    // order, so the lanes the scalar form stores first land anywhere in the
+    // order, so the lanes one-lane calls store first land anywhere in the
     // pooled call.
     const BudgetLanes lanes = budget_lanes(direct, p.L, kLanes);
     std::vector<std::size_t> order(kLanes);
@@ -1955,12 +1950,11 @@ TEST(SolverCacheEntry, PooledMemoIsBitwiseDirectOnAllRegisteredApps) {
     const auto ref = bits(direct_out);
     core::SolverCache cache;
     const auto entry = cache.latency(key, g, p);
-    // The scalar form stores every third lane; the pooled call then
+    // One-lane calls store every third lane; the pooled call then
     // hits every lane sharing one of those keys and misses the rest.
     std::set<std::pair<std::uint64_t, std::uint64_t>> stored;
     for (std::size_t j = 0; j < kLanes; j += 3) {
-      EXPECT_EQ(bits(entry->max_param_for_budget_from(0, from[j], budget[j],
-                                                      cur)),
+      EXPECT_EQ(bits(entry_tolerance(*entry, 0, from[j], budget[j], cur)),
                 ref[j])
           << "lane " << j;
       stored.insert({bits(from[j]), bits(budget[j])});
@@ -1978,10 +1972,9 @@ TEST(SolverCacheEntry, PooledMemoIsBitwiseDirectOnAllRegisteredApps) {
     EXPECT_EQ(s1.memo_hits - s0.memo_hits, hits);
     EXPECT_EQ(s1.memo_misses - s0.memo_misses, kLanes - hits);
 
-    // The reverse: every key the pooled call stored hits the scalar form.
+    // The reverse: every key the pooled call stored hits a one-lane call.
     for (std::size_t j = 0; j < kLanes; ++j) {
-      EXPECT_EQ(bits(entry->max_param_for_budget_from(0, from[j], budget[j],
-                                                      cur)),
+      EXPECT_EQ(bits(entry_tolerance(*entry, 0, from[j], budget[j], cur)),
                 ref[j])
           << "lane " << j;
     }
@@ -2029,8 +2022,8 @@ TEST(SolverCacheEntry, PooledMemoInfeasibleLaneThrowsTheScalarErrorAndStoresNoth
   }
   ASSERT_FALSE(scalar.empty());
 
-  (void)entry->max_param_for_budget_from(0, from[5], budget[5], cur);
-  (void)entry->max_param_for_budget_from(0, from[25], budget[25], cur);
+  (void)entry_tolerance(*entry, 0, from[5], budget[5], cur);
+  (void)entry_tolerance(*entry, 0, from[25], budget[25], cur);
   const auto before = cache.stats();
   std::vector<double> out(kLanes);
   for (int attempt = 0; attempt < 2; ++attempt) {
@@ -2047,7 +2040,7 @@ TEST(SolverCacheEntry, PooledMemoInfeasibleLaneThrowsTheScalarErrorAndStoresNoth
   EXPECT_EQ(after.memo_hits - before.memo_hits, 2u * 2u);
   EXPECT_EQ(after.memo_misses - before.memo_misses, 2u * (kLanes - 2));
   // Lane 0 was computed by both throwing calls but never stored.
-  (void)entry->max_param_for_budget_from(0, from[0], budget[0], cur);
+  (void)entry_tolerance(*entry, 0, from[0], budget[0], cur);
   EXPECT_EQ(cache.stats().memo_misses, after.memo_misses + 1);
 
   // With both lanes made feasible the same call completes, bitwise direct.
@@ -2062,7 +2055,7 @@ TEST(SolverCacheEntry, PooledMemoInfeasibleLaneThrowsTheScalarErrorAndStoresNoth
 }
 
 TEST(SolverCacheEntry, ConcurrentPooledMemoCallsAreBitwiseDirect) {
-  // 8 threads race pooled calls over overlapping lane windows and scalar
+  // 8 threads race pooled calls over overlapping lane windows and one-lane
   // calls on the same keys, on one entry: first touches, duplicate stores
   // and hits interleave, and every answer must equal the direct pooled
   // call.
@@ -2103,8 +2096,8 @@ TEST(SolverCacheEntry, ConcurrentPooledMemoCallsAreBitwiseDirect) {
             ++mismatches[static_cast<std::size_t>(t)];
           }
         }
-        if (bits(entry->max_param_for_budget_from(
-                0, lanes.from[start], lanes.budget[start], cur)) != ref[start]) {
+        if (bits(entry_tolerance(*entry, 0, lanes.from[start],
+                                 lanes.budget[start], cur)) != ref[start]) {
           ++mismatches[static_cast<std::size_t>(t)];
         }
       }
@@ -2236,7 +2229,10 @@ TEST(SegmentWalk, RunningExampleAnchorsOncePerPiece) {
       g, std::make_shared<LatencyParamSpace>(testing::running_example_params()));
   std::vector<double> xs;
   for (int i = 0; i < 200; ++i) xs.push_back(i * 5.0);
-  const auto evals = solver.sweep(0, xs);
+  LoweredProblem::Cursor ws;
+  std::vector<LoweredProblem::BatchPoint> evals;
+  const std::size_t replays = replay_walk(solver, 0, xs, ws, evals);
+  EXPECT_EQ(xs.size() - replays, 2u) << "one anchor per piece";
   for (std::size_t i = 0; i < xs.size(); ++i) {
     const double expect =
         std::max(xs[i] + 1'115.0, 1'500.0);  // T(L) of Fig. 4c

@@ -355,7 +355,7 @@ TEST(StochMc, ThreadCountNeverChangesTheResult) {
 TEST(StochMc, FastPathMatchesScalarReferenceBitwise) {
   // An L-only run always takes the lane-batched fast path.  A scalar
   // reference built here on the public LoweredProblem — per-sample
-  // Rng(sample_seed) draws, one sweep over the ΔL grid, one
+  // Rng(sample_seed) draws, one solve per ΔL point, one
   // max_param_for_budget_from per band, folded in ascending sample order —
   // must agree bitwise at several thread counts, and at a sample count (43)
   // that exercises full groups of lp::kBatchWidth plus a ragged tail of
@@ -379,23 +379,22 @@ TEST(StochMc, FastPathMatchesScalarReferenceBitwise) {
   stoch::Summary lambda_L;
   stoch::Summary rho_L;
   std::vector<stoch::Summary> bands(spec.band_percents.size());
-  std::vector<double> xs(npts);
-  std::vector<lp::LoweredProblem::SweepEval> evals(npts);
   for (int i = 0; i < spec.samples; ++i) {
     Rng rng(stoch::sample_seed(spec.seed, static_cast<std::uint64_t>(i)));
     const double L = spec.L.sample(rng, p.L);
-    for (std::size_t k = 0; k < npts; ++k) xs[k] = L + spec.delta_Ls[k];
-    prob.sweep(0, xs, cur, evals.data());
-    for (std::size_t k = 0; k < npts; ++k) runtime[k].add(evals[k].value);
-    const double v0 = evals[0].value;
-    const double lambda0 = evals[0].slope;
+    const double x0 = L + spec.delta_Ls[0];
+    for (std::size_t k = 0; k < npts; ++k) {
+      runtime[k].add(prob.solve(0, L + spec.delta_Ls[k], cur).value);
+    }
+    const lp::LoweredProblem::Solution& s0 = prob.solve(0, x0, cur);
+    const double v0 = s0.value;
+    const double lambda0 = s0.gradient[0];
     lambda_L.add(lambda0);
-    rho_L.add(v0 > 0.0 ? xs[0] * lambda0 / v0 : 0.0);
+    rho_L.add(v0 > 0.0 ? x0 * lambda0 / v0 : 0.0);
     for (std::size_t b = 0; b < bands.size(); ++b) {
       const double budget = v0 * (1.0 + spec.band_percents[b] / 100.0);
-      const double tol =
-          prob.max_param_for_budget_from(0, xs[0], budget, cur);
-      bands[b].add(std::isfinite(tol) ? tol - xs[0] : tol);
+      const double tol = prob.max_param_for_budget_from(0, x0, budget, cur);
+      bands[b].add(std::isfinite(tol) ? tol - x0 : tol);
     }
   }
 
