@@ -57,25 +57,44 @@ double LatencyAnalyzer::rho_L(TimeNs delta_L) const {
   return x * ev.slope / ev.value;
 }
 
-TimeNs LatencyAnalyzer::tolerance(double percent) const {
+std::vector<TimeNs> LatencyAnalyzer::tolerances(
+    std::span<const double> percents) const {
   // Checked before the memo is consulted: NaN would otherwise run the
   // whole bounded search before failing to converge.
-  if (!(percent >= 0.0) || !std::isfinite(percent)) {
-    throw Error(strformat(
-        "tolerance: percentage must be finite and >= 0 (got %g)", percent));
+  for (const double percent : percents) {
+    if (!(percent >= 0.0) || !std::isfinite(percent)) {
+      throw Error(strformat(
+          "tolerance: percentage must be finite and >= 0 (got %g)", percent));
+    }
   }
-  const double budget = base_runtime_ * (1.0 + percent / 100.0);
+  const std::size_t n = percents.size();
+  const std::vector<double> from(n, params_.L);
+  std::vector<double> budget(n);
+  for (std::size_t b = 0; b < n; ++b) {
+    budget[b] = base_runtime_ * (1.0 + percents[b] / 100.0);
+  }
+  std::vector<TimeNs> tol(n);
   lp::LoweredProblem::Cursor cur;
-  double tol = 0.0;
-  entry_->max_param_for_budget_from_batch(0, &params_.L, &budget, 1, cur,
-                                          &tol);
+  entry_->max_param_for_budget_from_batch(0, from.data(), budget.data(), n,
+                                          cur, tol.data());
   return tol;
 }
 
+std::vector<TimeNs> LatencyAnalyzer::tolerance_deltas(
+    std::span<const double> percents) const {
+  std::vector<TimeNs> tol = tolerances(percents);
+  for (TimeNs& t : tol) {
+    if (std::isfinite(t)) t -= params_.L;
+  }
+  return tol;
+}
+
+TimeNs LatencyAnalyzer::tolerance(double percent) const {
+  return tolerances({&percent, 1})[0];
+}
+
 TimeNs LatencyAnalyzer::tolerance_delta(double percent) const {
-  const TimeNs tol = tolerance(percent);
-  if (!std::isfinite(tol)) return tol;
-  return tol - params_.L;
+  return tolerance_deltas({&percent, 1})[0];
 }
 
 std::vector<TimeNs> LatencyAnalyzer::critical_latencies_algorithm2(

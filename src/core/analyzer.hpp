@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/solver_cache.hpp"
@@ -62,12 +63,22 @@ class LatencyAnalyzer {
   /// network latency", axis 0..50% — is this fraction.)
   double rho_L(TimeNs delta_L = 0.0) const;
 
-  /// x% L tolerance (§II-D2): the largest *absolute* network latency L such
-  /// that runtime stays within (1 + percent/100) of base_runtime().
-  /// Returns +inf when latency never limits the program.
+  /// x% L tolerance (§II-D2) of every band in `percents`: the largest
+  /// *absolute* network latency L such that runtime stays within
+  /// (1 + percent/100) of base_runtime(), +inf when latency never limits
+  /// the program.  Every percent is checked before any search runs.  The
+  /// bands then run as one pooled search from the base latency: one
+  /// opening point, Newton rounds in lockstep, each band bitwise its
+  /// one-band search and memoized under the same (from, budget) key.
+  std::vector<TimeNs> tolerances(std::span<const double> percents) const;
+
+  /// Same tolerances expressed as injections ΔL over the base latency.
+  std::vector<TimeNs> tolerance_deltas(std::span<const double> percents) const;
+
+  /// tolerances() of the one band `percent`.
   TimeNs tolerance(double percent) const;
 
-  /// Same tolerance expressed as an injection ΔL over the base latency.
+  /// tolerance_deltas() of the one band `percent`.
   TimeNs tolerance_delta(double percent) const;
 
   /// The paper's Algorithm 2 scan (Appendix D) over absolute L in [lo, hi]

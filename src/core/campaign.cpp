@@ -126,8 +126,9 @@ Campaign::ScenarioResult eval_scenario(const Scenario& s,
     for (const auto& pt : flat->sweep(s.delta_Ls, 1)) {
       res.points.push_back({pt.delta_L, pt.runtime, pt.lambda_L, pt.rho_L});
     }
-    for (const double pct : s.band_percents) {
-      res.bands.push_back({pct, flat->tolerance_delta(pct)});
+    const std::vector<TimeNs> tols = flat->tolerance_deltas(s.band_percents);
+    for (std::size_t b = 0; b < tols.size(); ++b) {
+      res.bands.push_back({s.band_percents[b], tols[b]});
     }
   } else {
     // Shape and fit were already validated by the Campaign constructors.

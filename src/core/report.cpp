@@ -106,8 +106,10 @@ ToleranceReport make_report(const LatencyAnalyzer& an,
   rep.base_runtime = an.base_runtime();
   rep.lambda_L_base = an.lambda_L();
   rep.lambda_G = an.lambda_G();
-  for (const double pct : opts.band_percents) {
-    rep.bands.push_back({pct, an.tolerance_delta(pct)});
+  // Every band in one pooled search from the base latency.
+  const std::vector<TimeNs> tols = an.tolerance_deltas(opts.band_percents);
+  for (std::size_t b = 0; b < tols.size(); ++b) {
+    rep.bands.push_back({opts.band_percents[b], tols[b]});
   }
   rep.curve =
       an.sweep(linear_grid(opts.sweep_max, opts.sweep_points), opts.threads);

@@ -20,6 +20,12 @@ void Graph::require_building() const {
   if (finalized_) throw GraphError("graph is already finalized");
 }
 
+void Graph::reserve(std::size_t vertices, std::size_t edges) {
+  require_building();
+  vertices_.reserve(vertices);
+  edges_.reserve(edges);
+}
+
 VertexId Graph::add_vertex(Vertex v) {
   require_building();
   if (v.rank < 0 || v.rank >= nranks_) {
@@ -169,8 +175,10 @@ void Graph::finalize() {
   require_building();
   const std::size_t n = vertices_.size();
 
-  // The construction vectors grew geometrically; campaigns cache finalized
-  // graphs for their whole run, so trim the slack (up to ~2x) now.
+  // Campaigns cache finalized graphs for their whole run, so trim any
+  // construction slack (up to ~2x after geometric growth) now.  A builder
+  // that reserved the final sizes (schedgen does) leaves none, and then
+  // nothing is copied.
   vertices_.shrink_to_fit();
   edges_.shrink_to_fit();
 

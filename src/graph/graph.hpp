@@ -70,6 +70,10 @@ class Graph {
   int nranks() const { return nranks_; }
 
   // --- construction --------------------------------------------------------
+  /// Room for `vertices` vertices and `edges` edges: a builder that knows
+  /// its final sizes allocates each list once, and finalize() then has no
+  /// slack to trim.
+  void reserve(std::size_t vertices, std::size_t edges);
   VertexId add_calc(int rank, TimeNs duration);
   /// `peer` is the sending rank of the message the post belongs to; it only
   /// matters for wire attribution of handshake-completion edges.

@@ -1,12 +1,13 @@
 #include "schedgen/schedgen.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <tuple>
-#include <unordered_map>
 #include <utility>
 
 #include "schedgen/collectives.hpp"
 #include "util/error.hpp"
+#include "util/id_table.hpp"
 #include "util/strings.hpp"
 
 namespace llamp::schedgen {
@@ -101,26 +102,29 @@ std::vector<MidStream> expand_trace(const trace::Trace& t,
 
 namespace {
 
-/// State tracked while materializing one rank's stream into graph vertices.
+/// A nonblocking request while its rank's stream is walked.
 struct RequestInfo {
-  bool is_recv = false;
-  graph::VertexId vertex = graph::kInvalidVertex;  // send vertex / post vertex
-  std::int32_t peer = -1;
   std::uint64_t bytes = 0;
+  graph::VertexId vertex = graph::kInvalidVertex;  // send vertex / post vertex
+  std::uint32_t record = 0;  // its index in the send or recv records
+  std::int32_t peer = -1;
   std::int32_t tag = 0;
-  std::size_t recv_slot = 0;  // index into the recv record array (recvs only)
+  bool is_recv = false;
   bool waited = false;
 };
 
 /// A send or posted receive awaiting matching: `vertex` is the send vertex
 /// or the receive's completion vertex (invalid until an irecv's wait lands),
-/// `post` an irecv's post vertex (invalid for sends and blocking receives).
+/// `post` an irecv's post vertex, and `completion` a rendezvous send's
+/// completion vertex: the anchor after a blocking send, the wait of an
+/// isend (invalid until that wait lands, and for eager sends).
 struct MsgRecord {
   int src = 0;
   int dst = 0;
   int tag = 0;
   graph::VertexId vertex = graph::kInvalidVertex;
   graph::VertexId post = graph::kInvalidVertex;
+  graph::VertexId completion = graph::kInvalidVertex;
 };
 
 bool key_less(const MsgRecord& a, const MsgRecord& b) {
@@ -135,19 +139,64 @@ std::size_t key_run_end(const std::vector<MsgRecord>& records,
   return from;
 }
 
+/// One stable counting pass: `out` gets `in` ordered by rank(record), a
+/// rank in [0, P), in input order within a rank.
+template <typename Rank>
+void counting_pass(const std::vector<MsgRecord>& in,
+                   std::vector<MsgRecord>& out,
+                   std::vector<std::size_t>& start, int P, Rank rank) {
+  start.assign(static_cast<std::size_t>(P) + 1, 0);
+  for (const MsgRecord& m : in) ++start[static_cast<std::size_t>(rank(m)) + 1];
+  for (std::size_t r = 1; r < start.size(); ++r) start[r] += start[r - 1];
+  out.resize(in.size());
+  for (const MsgRecord& m : in) out[start[static_cast<std::size_t>(rank(m))]++] = m;
+}
+
+/// Stable-sorts records already ordered by (src, dst) by tag within each
+/// (src, dst) run; a run already in tag order is left as it is.
+void order_tags(std::vector<MsgRecord>& records) {
+  for (std::size_t b = 0; b < records.size();) {
+    std::size_t e = b + 1;
+    bool ordered = true;
+    while (e < records.size() && records[e].src == records[b].src &&
+           records[e].dst == records[b].dst) {
+      ordered = ordered && records[e - 1].tag <= records[e].tag;
+      ++e;
+    }
+    if (!ordered) {
+      std::stable_sort(
+          records.begin() + static_cast<std::ptrdiff_t>(b),
+          records.begin() + static_cast<std::ptrdiff_t>(e),
+          [](const MsgRecord& x, const MsgRecord& y) { return x.tag < y.tag; });
+    }
+    b = e;
+  }
+}
+
 /// Adds comm and rendezvous-completion edges; the k-th send of a (src, dst,
-/// tag) key pairs with the k-th receive posted for it (non-overtaking).  The
-/// stable sorts keep program order within a key and the merge visits keys in
-/// ascending order, so edge ids match a key-ordered walk.  Recv-only keys are
-/// reported once every send key has matched.  The state is taken by value so
-/// it is freed before the caller's Graph::finalize() allocates.
-void match_messages(
-    graph::Graph& g, std::vector<MsgRecord> sends,
-    std::vector<MsgRecord> recvs,
-    std::unordered_map<graph::VertexId, graph::VertexId> completion_target,
-    const Options& opts) {
-  std::stable_sort(sends.begin(), sends.end(), key_less);
-  std::stable_sort(recvs.begin(), recvs.end(), key_less);
+/// tag) key pairs with the k-th receive posted for it (non-overtaking).
+/// The walk emits sends grouped by src and receives grouped by dst, each in
+/// program order, so stable counting passes (sends by dst, then both by src)
+/// and a tag sort inside the (src, dst) runs that need one give the records
+/// in key order with program order kept within a key, as a stable sort by
+/// key would.  The merge visits keys in ascending order, so edge ids match
+/// a key-ordered walk.  Recv-only keys are reported once every send key has
+/// matched.  The records are taken by value so they are freed before the
+/// caller's Graph::finalize() allocates.
+void match_messages(graph::Graph& g, std::vector<MsgRecord> sends,
+                    std::vector<MsgRecord> recvs, const Options& opts) {
+  const int P = g.nranks();
+  std::vector<MsgRecord> tmp;
+  std::vector<std::size_t> start;
+  const auto by_src = [](const MsgRecord& m) { return m.src; };
+  counting_pass(sends, tmp, start, P,
+                [](const MsgRecord& m) { return m.dst; });
+  counting_pass(tmp, sends, start, P, by_src);
+  counting_pass(recvs, tmp, start, P, by_src);
+  recvs.swap(tmp);
+  order_tags(sends);
+  order_tags(recvs);
+
   const MsgRecord* orphan = nullptr;  // smallest recv-only key
   std::size_t orphan_count = 0;
   std::size_t i = 0;
@@ -173,26 +222,25 @@ void match_messages(
                                  j_end - j));
     }
     for (std::size_t k = 0; i + k < i_end; ++k) {
-      const graph::VertexId s = sends[i + k].vertex;
+      const MsgRecord& send = sends[i + k];
       const MsgRecord& recv = recvs[j + k];
       if (recv.vertex == graph::kInvalidVertex) {
         throw SchedError(strformat("recv %d<-%d tag %d slot %zu never "
                                    "completed by a wait",
                                    key.dst, key.src, key.tag, k));
       }
-      const bool is_rdzv = g.vertex(s).bytes >= opts.rendezvous_threshold;
-      g.add_comm_edge(s, recv.vertex, is_rdzv);
-      if (is_rdzv) {
-        const auto ct = completion_target.find(s);
-        if (ct != completion_target.end()) {
-          if (recv.post == graph::kInvalidVertex) {
-            // Blocking receiver: its recv vertex completes exactly at t_r'.
-            g.add_send_completion_edge(recv.vertex, ct->second);
-          } else {
-            // Nonblocking receiver: the handshake does not wait for the
-            // receiver's MPI_Wait, only for the posting.
-            g.add_handshake_completion_edges(s, recv.post, ct->second);
-          }
+      const bool is_rdzv =
+          g.vertex(send.vertex).bytes >= opts.rendezvous_threshold;
+      g.add_comm_edge(send.vertex, recv.vertex, is_rdzv);
+      if (is_rdzv && send.completion != graph::kInvalidVertex) {
+        if (recv.post == graph::kInvalidVertex) {
+          // Blocking receiver: its recv vertex completes exactly at t_r'.
+          g.add_send_completion_edge(recv.vertex, send.completion);
+        } else {
+          // Nonblocking receiver: the handshake does not wait for the
+          // receiver's MPI_Wait, only for the posting.
+          g.add_handshake_completion_edges(send.vertex, recv.post,
+                                           send.completion);
         }
       }
     }
@@ -206,6 +254,57 @@ void match_messages(
   }
 }
 
+/// The final sizes of the graph build_graph_from_streams makes, so every
+/// array is allocated once at its final length and finalize() trims
+/// nothing.  Each op makes one vertex and one in-rank edge (program order
+/// or a rendezvous issue edge), a blocking rendezvous send one more of each
+/// (its completion anchor), and every rank two sentinels and one closing
+/// edge.  Each send adds a comm edge; a matched rendezvous receive adds one
+/// completion edge when blocking, and an issue edge at its wait plus two
+/// handshake edges when nonblocking (a send and its receive carry the same
+/// bytes once the build succeeds).
+struct BuildSizes {
+  std::size_t vertices = 0;
+  std::size_t edges = 0;
+  std::size_t sends = 0;
+  std::size_t recvs = 0;
+};
+
+BuildSizes build_sizes(const std::vector<MidStream>& streams,
+                       const Options& opts) {
+  BuildSizes n;
+  std::size_t rdzv_recvs = 0;
+  std::size_t rdzv_irecvs = 0;
+  for (const MidStream& stream : streams) {
+    n.vertices += 2 + stream.size();
+    for (const MidOp& op : stream) {
+      const bool rdzv = op.bytes >= opts.rendezvous_threshold;
+      switch (op.kind) {
+        case MidOp::Kind::kSend:
+          n.vertices += rdzv;
+          [[fallthrough]];
+        case MidOp::Kind::kIsend:
+          ++n.sends;
+          break;
+        case MidOp::Kind::kRecv:
+          rdzv_recvs += rdzv;
+          ++n.recvs;
+          break;
+        case MidOp::Kind::kIrecv:
+          rdzv_irecvs += rdzv;
+          ++n.recvs;
+          break;
+        case MidOp::Kind::kCalc:
+        case MidOp::Kind::kWait:
+          break;
+      }
+    }
+  }
+  n.edges = n.vertices - streams.size() + n.sends + rdzv_recvs +
+            3 * rdzv_irecvs;
+  return n;
+}
+
 }  // namespace
 
 graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
@@ -213,6 +312,8 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
   const int P = static_cast<int>(streams.size());
   if (P == 0) throw SchedError("no ranks");
   graph::Graph g(P);
+  const BuildSizes sizes = build_sizes(streams, opts);
+  g.reserve(sizes.vertices, sizes.edges);
 
   const auto rdzv = [&](std::uint64_t bytes) {
     return bytes >= opts.rendezvous_threshold;
@@ -221,12 +322,15 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
   // Every send and posted receive, in program order per rank.
   std::vector<MsgRecord> sends;
   std::vector<MsgRecord> recvs;
-  // For rendezvous sends: where the sender-completion edge must point
-  // (the wait vertex for isend, the program successor for blocking send).
-  std::unordered_map<graph::VertexId, graph::VertexId> completion_target;
+  sends.reserve(sizes.sends);
+  recvs.reserve(sizes.recvs);
+  // The walked rank's requests; cleared, not freed, between ranks.
+  IdTable<RequestInfo> requests;
 
   for (int r = 0; r < P; ++r) {
-    std::unordered_map<std::int64_t, RequestInfo> requests;
+    const MidStream& stream = streams[static_cast<std::size_t>(r)];
+    requests.clear();
+    std::size_t unwaited = 0;
     // Every rank starts and ends with a zero-cost calc sentinel so that all
     // chains (and rendezvous completion edges) have anchors.
     graph::VertexId prev = g.add_calc(r, 0.0);
@@ -235,8 +339,17 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
       if (add_local) g.add_local_edge(prev, v);
       prev = v;
     };
+    const auto open_request = [&](const MidOp& op, const RequestInfo& info) {
+      const auto [slot, fresh] = requests.insert(op.request);
+      if (!fresh) {
+        throw SchedError(strformat("rank %d: duplicate request %lld", r,
+                                   static_cast<long long>(op.request)));
+      }
+      *slot = info;
+      ++unwaited;
+    };
 
-    for (const MidOp& op : streams[static_cast<std::size_t>(r)]) {
+    for (const MidOp& op : stream) {
       switch (op.kind) {
         case MidOp::Kind::kCalc: {
           chain(g.add_calc(r, op.duration));
@@ -254,24 +367,17 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
             // initiation.
             const graph::VertexId anchor = g.add_calc(r, 0.0);
             chain(anchor);
-            completion_target[v] = anchor;
+            sends.back().completion = anchor;
           }
           break;
         }
         case MidOp::Kind::kIsend: {
           const graph::VertexId v = g.add_send(r, op.peer, op.bytes, op.tag);
           chain(v);
+          open_request(op, {op.bytes, v,
+                            static_cast<std::uint32_t>(sends.size()), op.peer,
+                            op.tag, /*is_recv=*/false});
           sends.push_back({r, op.peer, op.tag, v});
-          RequestInfo info;
-          info.is_recv = false;
-          info.vertex = v;
-          info.peer = op.peer;
-          info.bytes = op.bytes;
-          info.tag = op.tag;
-          if (!requests.emplace(op.request, info).second) {
-            throw SchedError(strformat("rank %d: duplicate request %lld", r,
-                                       static_cast<long long>(op.request)));
-          }
           break;
         }
         case MidOp::Kind::kRecv: {
@@ -289,43 +395,35 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
         case MidOp::Kind::kIrecv: {
           const graph::VertexId post = g.add_post(r, op.peer);
           chain(post);
-          RequestInfo info;
-          info.is_recv = true;
-          info.vertex = post;
-          info.peer = op.peer;
-          info.bytes = op.bytes;
-          info.tag = op.tag;
           // Record the receive now: MPI matches receives in *posting*
           // order, not wait order.
-          info.recv_slot = recvs.size();
+          open_request(op, {op.bytes, post,
+                            static_cast<std::uint32_t>(recvs.size()), op.peer,
+                            op.tag, /*is_recv=*/true});
           recvs.push_back({op.peer, r, op.tag, graph::kInvalidVertex, post});
-          if (!requests.emplace(op.request, info).second) {
-            throw SchedError(strformat("rank %d: duplicate request %lld", r,
-                                       static_cast<long long>(op.request)));
-          }
           break;
         }
         case MidOp::Kind::kWait: {
-          const auto it = requests.find(op.request);
-          if (it == requests.end() || it->second.waited) {
+          RequestInfo* info = requests.find(op.request);
+          if (info == nullptr || info->waited) {
             throw SchedError(strformat("rank %d: wait on unknown or already "
                                        "completed request %lld", r,
                                        static_cast<long long>(op.request)));
           }
-          RequestInfo& info = it->second;
-          info.waited = true;
-          if (info.is_recv) {
+          info->waited = true;
+          --unwaited;
+          if (info->is_recv) {
             const graph::VertexId w =
-                g.add_recv(r, info.peer, info.bytes, info.tag);
+                g.add_recv(r, info->peer, info->bytes, info->tag);
             chain(w);
-            if (rdzv(info.bytes)) {
-              g.add_issue_edge(info.vertex, w, /*through_post=*/true);
+            if (rdzv(info->bytes)) {
+              g.add_issue_edge(info->vertex, w, /*through_post=*/true);
             }
-            recvs[info.recv_slot].vertex = w;
+            recvs[info->record].vertex = w;
           } else {
             const graph::VertexId w = g.add_calc(r, 0.0);
             chain(w);
-            if (rdzv(info.bytes)) completion_target[info.vertex] = w;
+            if (rdzv(info->bytes)) sends[info->record].completion = w;
           }
           break;
         }
@@ -333,16 +431,21 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
     }
     // Closing sentinel.
     chain(g.add_calc(r, 0.0));
-    for (const auto& [req, info] : requests) {
-      if (!info.waited) {
-        throw SchedError(strformat("rank %d: request %lld never waited on", r,
-                                   static_cast<long long>(req)));
+    if (unwaited != 0) {
+      // Name the first request the rank posted and never waited on.
+      for (const MidOp& op : stream) {
+        if (op.kind != MidOp::Kind::kIsend && op.kind != MidOp::Kind::kIrecv) {
+          continue;
+        }
+        if (!requests.find(op.request)->waited) {
+          throw SchedError(strformat("rank %d: request %lld never waited on",
+                                     r, static_cast<long long>(op.request)));
+        }
       }
     }
   }
 
-  match_messages(g, std::move(sends), std::move(recvs),
-                 std::move(completion_target), opts);
+  match_messages(g, std::move(sends), std::move(recvs), opts);
   g.finalize();
   return g;
 }

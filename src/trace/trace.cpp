@@ -1,9 +1,9 @@
 #include "trace/trace.hpp"
 
 #include <map>
-#include <set>
 
 #include "util/error.hpp"
+#include "util/id_table.hpp"
 #include "util/strings.hpp"
 
 namespace llamp::trace {
@@ -86,11 +86,16 @@ void Trace::validate() const {
   if (nranks() == 0) throw TraceError("trace has zero ranks");
   // Collective sequence seen by rank 0 is the reference for all ranks.
   std::vector<Event> coll_ref;
+  std::vector<Event> coll_seq;
+  // The walked rank's requests, true while open; a waited id may be
+  // reused.  Cleared, not freed, between ranks.
+  IdTable<bool> requests;
   for (int r = 0; r < nranks(); ++r) {
     const auto& evs = rank(r);
     TimeNs prev_end = 0.0;
-    std::set<std::int64_t> open_requests;
-    std::vector<Event> coll_seq;
+    requests.clear();
+    std::size_t open = 0;
+    coll_seq.clear();
     for (std::size_t i = 0; i < evs.size(); ++i) {
       const Event& e = evs[i];
       if (e.end < e.start) {
@@ -114,17 +119,23 @@ void Trace::validate() const {
           throw TraceError(strformat("rank %d event %zu: nonblocking op without "
                                      "request id", r, i));
         }
-        if (!open_requests.insert(e.request).second) {
+        bool& is_open = *requests.insert(e.request).first;
+        if (is_open) {
           throw TraceError(strformat("rank %d event %zu: duplicate request %lld",
                                      r, i, static_cast<long long>(e.request)));
         }
+        is_open = true;
+        ++open;
       }
       if (e.op == Op::kWait) {
-        if (open_requests.erase(e.request) == 0) {
+        bool* is_open = requests.find(e.request);
+        if (is_open == nullptr || !*is_open) {
           throw TraceError(strformat("rank %d event %zu: wait on unknown request "
                                      "%lld", r, i,
                                      static_cast<long long>(e.request)));
         }
+        *is_open = false;
+        --open;
       }
       if (is_collective(e.op)) {
         Event key = e;  // normalize fields that may differ across ranks
@@ -134,12 +145,12 @@ void Trace::validate() const {
         coll_seq.push_back(key);
       }
     }
-    if (!open_requests.empty()) {
+    if (open != 0) {
       throw TraceError(strformat("rank %d: %zu request(s) never waited on", r,
-                                 open_requests.size()));
+                                 open));
     }
     if (r == 0) {
-      coll_ref = std::move(coll_seq);
+      coll_ref.swap(coll_seq);
     } else if (coll_seq != coll_ref) {
       throw TraceError(strformat("rank %d: collective sequence diverges from "
                                  "rank 0", r));

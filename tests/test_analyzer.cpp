@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "apps/registry.hpp"
 #include "core/analyzer.hpp"
@@ -13,6 +16,7 @@
 #include "schedgen/schedgen.hpp"
 #include "test_support.hpp"
 #include "util/error.hpp"
+#include "util/strings.hpp"
 
 namespace llamp::core {
 namespace {
@@ -124,6 +128,78 @@ TEST(Tolerance, StandaloneAndWarmAnalyzersAgreeBitwise) {
             alone.solver().critical_values_algorithm2(0, L, L + us(20.0),
                                                       100.0));
   EXPECT_GT(cache.stats().memo_hits, 0u);
+}
+
+TEST(Tolerance, PooledBandsAreTheOneBandSearchesOnEveryApp) {
+  // The report-band wall: one n-band call returns the bits of n one-band
+  // calls, counts one memo miss per band cold and one hit per band warm,
+  // rejects a bad percent at any position before any search runs, and a
+  // call that throws stores nothing.
+  const std::vector<double> bands = {1.0, 2.0, 5.0, 0.0, 12.5};
+  const std::size_t n = bands.size();
+  const std::uint64_t preset_s = testbed().S;
+  for (const std::string& app : apps::app_names()) {
+    const int ranks = apps::supported_ranks(app, 8);
+    for (const std::uint64_t S : {preset_s, std::uint64_t{1024}}) {
+      SCOPED_TRACE(app + " S=" + std::to_string(S));
+      schedgen::Options opts;
+      opts.rendezvous_threshold = S;
+      const auto g = schedgen::build_graph(
+          apps::make_app_trace(app, ranks, 0.02), opts);
+      loggops::Params p = testbed();
+      p.S = S;
+      const GraphKey key{app, ranks, 0.02, S};
+
+      SolverCache one_cache;
+      const LatencyAnalyzer one(g, p, one_cache, key);
+      std::vector<double> tol(n);
+      std::vector<double> delta(n);
+      for (std::size_t b = 0; b < n; ++b) {
+        tol[b] = one.tolerance(bands[b]);
+        delta[b] = one.tolerance_delta(bands[b]);
+      }
+
+      SolverCache cache;
+      const LatencyAnalyzer an(g, p, cache, key);
+      const auto fresh = cache.stats();
+      for (std::size_t bad = 0; bad < n; ++bad) {
+        for (const double pct :
+             {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+          std::vector<double> with_bad = bands;
+          with_bad[bad] = pct;
+          std::string what;
+          try {
+            (void)an.tolerance_deltas(with_bad);
+          } catch (const Error& e) {
+            what = e.what();
+          }
+          EXPECT_EQ(what, strformat("tolerance: percentage must be finite "
+                                    "and >= 0 (got %g)", pct));
+        }
+      }
+      const auto rejected = cache.stats();
+      EXPECT_EQ(rejected.memo_misses, fresh.memo_misses);
+      EXPECT_EQ(rejected.memo_hits, fresh.memo_hits);
+      EXPECT_EQ(rejected.memo_bytes, fresh.memo_bytes);
+
+      const std::vector<double> cold = an.tolerance_deltas(bands);
+      const auto after_cold = cache.stats();
+      EXPECT_EQ(after_cold.memo_misses - rejected.memo_misses, n);
+      EXPECT_EQ(after_cold.memo_hits, rejected.memo_hits);
+      const std::vector<double> warm = an.tolerances(bands);
+      const auto after_warm = cache.stats();
+      EXPECT_EQ(after_warm.memo_hits - after_cold.memo_hits, n);
+      EXPECT_EQ(after_warm.memo_misses, after_cold.memo_misses);
+      for (std::size_t b = 0; b < n; ++b) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(cold[b]),
+                  std::bit_cast<std::uint64_t>(delta[b]))
+            << bands[b];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(warm[b]),
+                  std::bit_cast<std::uint64_t>(tol[b]))
+            << bands[b];
+      }
+    }
+  }
 }
 
 TEST(Tolerance, MilcLessTolerantThanIcon) {

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "apps/registry.hpp"
@@ -140,27 +141,38 @@ std::uint64_t graph_digest(const graph::Graph& g) {
   return f.h;
 }
 
-/// One line per (app, ranks, scale, S): the pinned graph digests.
+/// One line per (app, ranks, scale, S): the pinned graph digests.  Every
+/// registered app at 8 and 64 ranks and two scales, then the many-rank
+/// classes the cold-distinct benchmark draws (up to 1024 ranks) at one.
 std::string graph_digest_lines() {
   std::string out;
   const std::uint64_t preset_s = loggops::NetworkConfig::cscs_testbed().S;
   EXPECT_EQ(preset_s, loggops::NetworkConfig::piz_daint().S);
+  const auto add = [&](const std::string& app, int ranks, double scale) {
+    for (const std::uint64_t S : {preset_s, std::uint64_t{1024}}) {
+      schedgen::Options opts;
+      opts.rendezvous_threshold = S;
+      const auto g = schedgen::build_graph(
+          apps::make_app_trace(app, ranks, scale), opts);
+      out += strformat("%s %d %.2f %llu %zu %zu %016llx\n", app.c_str(),
+                       ranks, scale, static_cast<unsigned long long>(S),
+                       g.num_vertices(), g.num_edges(),
+                       static_cast<unsigned long long>(graph_digest(g)));
+    }
+  };
   for (const std::string& app : apps::app_names()) {
     for (const int want : {8, 64}) {
       const int ranks = apps::supported_ranks(app, want);
-      for (const double scale : {0.02, 0.05}) {
-        for (const std::uint64_t S : {preset_s, std::uint64_t{1024}}) {
-          schedgen::Options opts;
-          opts.rendezvous_threshold = S;
-          const auto g = schedgen::build_graph(
-              apps::make_app_trace(app, ranks, scale), opts);
-          out += strformat("%s %d %.2f %llu %zu %zu %016llx\n", app.c_str(),
-                           ranks, scale, static_cast<unsigned long long>(S),
-                           g.num_vertices(), g.num_edges(),
-                           static_cast<unsigned long long>(graph_digest(g)));
-        }
-      }
+      for (const double scale : {0.02, 0.05}) add(app, ranks, scale);
     }
+  }
+  const std::pair<const char*, int> many_ranks[] = {
+      {"lulesh", 216}, {"lulesh", 1000}, {"icon", 256},  {"lammps", 128},
+      {"npb-cg", 1024}, {"npb-ep", 1024}, {"npb-lu", 1024}};
+  for (const auto& [app, want] : many_ranks) {
+    const int ranks = apps::supported_ranks(app, want);
+    EXPECT_EQ(ranks, want) << app;
+    add(app, ranks, 0.02);
   }
   return out;
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -244,6 +245,44 @@ TEST(MatchingErrors, DuplicateRequestAndUnknownWaitNameRankAndRequest) {
   unknown[1].push_back(MidOp::recv(0, 8, 7));
   EXPECT_EQ(build_error(unknown),
             "schedgen: rank 0: wait on unknown or already completed request 3");
+}
+
+TEST(MatchingErrors, UnwaitedRequestNamesRankAndRequest) {
+  // Rank 1 waits on the requests posted before and after request 5, so
+  // the rank's check must single out the one it never waited on.
+  std::vector<MidStream> streams(2);
+  streams[0].push_back(MidOp::isend(1, 8, 0, 4));
+  streams[0].push_back(MidOp::irecv(1, 8, 1, 2));
+  streams[0].push_back(MidOp::wait(2));
+  streams[0].push_back(MidOp::wait(4));
+  streams[1].push_back(MidOp::irecv(0, 8, 0, 4));
+  streams[1].push_back(MidOp::isend(0, 8, 1, 5));
+  streams[1].push_back(MidOp::irecv(0, 8, 3, 6));
+  streams[1].push_back(MidOp::wait(6));
+  streams[1].push_back(MidOp::wait(4));
+  EXPECT_EQ(build_error(streams),
+            "schedgen: rank 1: request 5 never waited on");
+  // Collective-range ids print in full.
+  std::vector<MidStream> big(2);
+  big[0].push_back(MidOp::isend(1, 8, 0, (std::int64_t{1} << 40) + 3));
+  big[1].push_back(MidOp::recv(0, 8, 0));
+  EXPECT_EQ(build_error(big),
+            "schedgen: rank 0: request 1099511627779 never waited on");
+}
+
+TEST(MatchingErrors, UnwaitedIrecvIsReportedAsItsRequest) {
+  // A receive posted by an irecv has no completion vertex until its wait.
+  // The rank's request check runs before any matching, so an irecv that is
+  // never waited on is named as its request, even when its send exists;
+  // matching's "recv <- never completed by a wait" guard is never reached
+  // from a stream.
+  std::vector<MidStream> streams(3);
+  streams[0].push_back(MidOp::send(2, 8, 7));
+  streams[1].push_back(MidOp::recv(2, 8, 1));
+  streams[2].push_back(MidOp::send(1, 8, 1));
+  streams[2].push_back(MidOp::irecv(0, 8, 7, 11));
+  EXPECT_EQ(build_error(streams),
+            "schedgen: rank 2: request 11 never waited on");
 }
 
 TEST(Matching, NonOvertakingOrderPreserved) {
