@@ -73,7 +73,8 @@ class LatencyAnalyzer {
   std::vector<TimeNs> tolerances(std::span<const double> percents) const;
 
   /// Same tolerances expressed as injections ΔL over the base latency.
-  std::vector<TimeNs> tolerance_deltas(std::span<const double> percents) const;
+  std::vector<TimeNs> tolerance_deltas(
+      std::span<const double> percents) const;
 
   /// tolerances() of the one band `percent`.
   TimeNs tolerance(double percent) const;

@@ -266,8 +266,14 @@ class SolverCache {
   };
   /// Cumulative statistics, GraphCache-style relaxed atomics: monotonic
   /// tallies, not an instantaneous cut across counters.  `anchor_bytes`
-  /// and `memo_bytes` count payload sizes (not vector or node capacities)
-  /// so the tallies are deterministic for a fixed request sequence.
+  /// and `memo_bytes` count payload sizes (not vector or node capacities).
+  /// The tallies repeat for a fixed request sequence only when every
+  /// request runs on one thread.  Within a multi-threaded request,
+  /// concurrent sweep workers race to publish overlapping anchors and
+  /// concurrent mc lane groups race to store the same memo keys, so
+  /// `anchor_solves`, `replays`, `memo_hits` and `memo_misses` can differ
+  /// between runs (and `anchor_bytes` with the anchors published).
+  /// Response bytes never do.
   Stats stats() const;
   /// One-line human form via the shared obs::stats_line formatter, e.g.
   /// "solvers: built=2 hits=9 anchor_solves=14 replays=180 anchor_bytes=...

@@ -146,10 +146,13 @@ void counting_pass(const std::vector<MsgRecord>& in,
                    std::vector<MsgRecord>& out,
                    std::vector<std::size_t>& start, int P, Rank rank) {
   start.assign(static_cast<std::size_t>(P) + 1, 0);
-  for (const MsgRecord& m : in) ++start[static_cast<std::size_t>(rank(m)) + 1];
+  const auto bucket = [&](const MsgRecord& m) {
+    return static_cast<std::size_t>(rank(m));
+  };
+  for (const MsgRecord& m : in) ++start[bucket(m) + 1];
   for (std::size_t r = 1; r < start.size(); ++r) start[r] += start[r - 1];
   out.resize(in.size());
-  for (const MsgRecord& m : in) out[start[static_cast<std::size_t>(rank(m))]++] = m;
+  for (const MsgRecord& m : in) out[start[bucket(m)]++] = m;
 }
 
 /// Stable-sorts records already ordered by (src, dst) by tag within each
