@@ -102,13 +102,11 @@ std::vector<MidStream> expand_trace(const trace::Trace& t,
 
 namespace {
 
-/// A nonblocking request while its rank's stream is walked.
+/// A nonblocking request while its rank's stream is walked; its peer, tag
+/// and send or post vertex are on its record.
 struct RequestInfo {
   std::uint64_t bytes = 0;
-  graph::VertexId vertex = graph::kInvalidVertex;  // send vertex / post vertex
   std::uint32_t record = 0;  // its index in the send or recv records
-  std::int32_t peer = -1;
-  std::int32_t tag = 0;
   bool is_recv = false;
   bool waited = false;
 };
@@ -377,9 +375,8 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
         case MidOp::Kind::kIsend: {
           const graph::VertexId v = g.add_send(r, op.peer, op.bytes, op.tag);
           chain(v);
-          open_request(op, {op.bytes, v,
-                            static_cast<std::uint32_t>(sends.size()), op.peer,
-                            op.tag, /*is_recv=*/false});
+          open_request(op, {op.bytes, static_cast<std::uint32_t>(sends.size()),
+                            /*is_recv=*/false});
           sends.push_back({r, op.peer, op.tag, v});
           break;
         }
@@ -400,9 +397,8 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
           chain(post);
           // Record the receive now: MPI matches receives in *posting*
           // order, not wait order.
-          open_request(op, {op.bytes, post,
-                            static_cast<std::uint32_t>(recvs.size()), op.peer,
-                            op.tag, /*is_recv=*/true});
+          open_request(op, {op.bytes, static_cast<std::uint32_t>(recvs.size()),
+                            /*is_recv=*/true});
           recvs.push_back({op.peer, r, op.tag, graph::kInvalidVertex, post});
           break;
         }
@@ -416,13 +412,14 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
           info->waited = true;
           --unwaited;
           if (info->is_recv) {
+            MsgRecord& recv = recvs[info->record];
             const graph::VertexId w =
-                g.add_recv(r, info->peer, info->bytes, info->tag);
+                g.add_recv(r, recv.src, info->bytes, recv.tag);
             chain(w);
             if (rdzv(info->bytes)) {
-              g.add_issue_edge(info->vertex, w, /*through_post=*/true);
+              g.add_issue_edge(recv.post, w, /*through_post=*/true);
             }
-            recvs[info->record].vertex = w;
+            recv.vertex = w;
           } else {
             const graph::VertexId w = g.add_calc(r, 0.0);
             chain(w);
