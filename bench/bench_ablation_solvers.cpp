@@ -84,8 +84,12 @@ void BM_ToleranceSearch(benchmark::State& state) {
   const auto space = std::make_shared<lp::LatencyParamSpace>(kParams);
   lp::LoweredProblem solver(g, space);
   const double budget = solver.solve(0, kParams.L).value * 1.05;
+  lp::LoweredProblem::Cursor cur;
+  double tol = 0.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(solver.max_param_for_budget(0, budget));
+    solver.max_param_for_budget_from_batch(0, &kParams.L, &budget, 1, cur,
+                                           &tol);
+    benchmark::DoNotOptimize(tol);
   }
   state.counters["vertices"] = static_cast<double>(g.num_vertices());
 }

@@ -56,10 +56,13 @@ int main() {
   std::printf("ICON proxy, %d ranks; wire-latency sweep (FEC interval of "
               "the paper)\n\n%s\n", ranks, sweep.to_string().c_str());
 
+  lp::LoweredProblem::Cursor cur;
   for (const auto& c : cases) {
     lp::LoweredProblem solver(g, c.space);
-    const double T0 = solver.solve(0, 274.0).value;
-    const double tol = solver.max_param_for_budget(0, T0 * 1.01);
+    const double from = c.space->base_value(0);
+    const double budget = solver.solve(0, 274.0).value * 1.01;
+    double tol = 0.0;
+    solver.max_param_for_budget_from_batch(0, &from, &budget, 1, cur, &tol);
     std::printf("%-28s 1%% degradation at l_wire = %s\n",
                 c.topo->name().c_str(),
                 std::isfinite(tol) ? human_time_ns(tol).c_str() : "unbounded");

@@ -73,7 +73,10 @@ int main() {
   std::printf("tolerance LP (max l s.t. t <= 2 us, Fig. 6): l* = %s "
               "(paper: 0.885 us)\n",
               human_time_ns(tol_sol.objective).c_str());
-  std::printf("parametric solver agrees: %s\n",
-              human_time_ns(solver.max_param_for_budget(0, 2'000.0)).c_str());
+  const double budget = 2'000.0;
+  double tol = 0.0;
+  lp::LoweredProblem::Cursor cur;
+  solver.max_param_for_budget_from_batch(0, &p.L, &budget, 1, cur, &tol);
+  std::printf("parametric solver agrees: %s\n", human_time_ns(tol).c_str());
   return 0;
 }

@@ -88,8 +88,13 @@ int main(int argc, char** argv) {
   const double T0 = df_solver.solve(0, topo.l_wire).value;
   std::printf("Dragonfly wire classes (budget = 1%% over T = %s):\n",
               human_time_ns(T0).c_str());
+  const double budget = T0 * 1.01;
+  lp::LoweredProblem::Cursor cur;
   for (int k = 0; k < df_space->num_params(); ++k) {
-    const double tol = df_solver.max_param_for_budget(k, T0 * 1.01);
+    const double from = df_space->base_value(k);
+    double tol = 0.0;
+    df_solver.max_param_for_budget_from_batch(k, &from, &budget, 1, cur,
+                                              &tol);
     std::printf("  %-8s lambda = %5.0f   tolerance = %s\n",
                 df_space->param_name(k).c_str(),
                 df_solver.solve(k, topo.l_wire).gradient[static_cast<std::size_t>(k)],

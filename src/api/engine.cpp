@@ -285,10 +285,6 @@ std::string PlaceResult::to_json_line() const {
   return out;
 }
 
-const char* op_name(const Response& res) {
-  return kOpNames[res.index()].data();
-}
-
 void render(const Response& res, core::OutputFormat format,
             std::ostream& out) {
   std::visit([&](const auto& r) { r.render(format, out); }, res);
@@ -601,16 +597,18 @@ TopoResult Engine::execute(const TopoRequest& req) {
   const auto compute = [&] {
     std::vector<double> rows;
     lp::LoweredProblem::Cursor cur;
-    // Every search opens from the solve that produced its row's runtime or
-    // λ, taken at the space's base value (l_wire for every class).
+    // Every search is a one-lane pooled search opened from the one-lane
+    // pass that produced its row's runtime or λ, taken at the space's base
+    // value (l_wire for every class).
     for (const topo::Topology* t : {fat_tree.get(), dragonfly.get()}) {
       const auto prob = core::lower_wire_latency(g, app.params, *t, shape);
       const double l_wire = prob->space().base_value(0);
-      const lp::LoweredProblem::BatchPoint at =
-          prob->solve(0, l_wire, cur).point();
-      (void)core::finite_base_runtime(at.value);
-      const double tol =
-          prob->max_param_for_budget_from(0, l_wire, at.value * 1.01, at, cur);
+      lp::LoweredProblem::BatchPoint at;
+      prob->solve_batch_points(0, &l_wire, 1, cur, &at);
+      const double budget = core::finite_base_runtime(at.value) * 1.01;
+      double tol = 0.0;
+      prob->max_param_for_budget_from_batch(0, &l_wire, &budget, 1, cur, &tol,
+                                            &at);
       rows.insert(rows.end(), {at.value, at.slope, tol});
     }
 
@@ -622,16 +620,19 @@ TopoResult Engine::execute(const TopoRequest& req) {
             topo::identity_placement(app.ranks), req.l_wire, req.l_wire,
             req.l_wire, req.d_switch));
     const lp::LoweredProblem df_prob(g, df_space);
-    const lp::LoweredProblem::BatchPoint base_at =
-        df_prob.solve(0, df_space->base_value(0), cur).point();
+    const double base0 = df_space->base_value(0);
+    lp::LoweredProblem::BatchPoint base_at;
+    df_prob.solve_batch_points(0, &base0, 1, cur, &base_at);
     const double T0 = core::finite_base_runtime(base_at.value);
+    const double budget = T0 * 1.01;
     rows.push_back(T0);
     for (int k = 0; k < df_space->num_params(); ++k) {
       const double from = df_space->base_value(k);
-      const lp::LoweredProblem::BatchPoint at =
-          k == 0 ? base_at : df_prob.solve(k, from, cur).point();
-      const double tol =
-          df_prob.max_param_for_budget_from(k, from, T0 * 1.01, at, cur);
+      lp::LoweredProblem::BatchPoint at = base_at;
+      if (k != 0) df_prob.solve_batch_points(k, &from, 1, cur, &at);
+      double tol = 0.0;
+      df_prob.max_param_for_budget_from_batch(k, &from, &budget, 1, cur, &tol,
+                                              &at);
       rows.insert(rows.end(), {at.slope, tol});
     }
     return rows;

@@ -117,8 +117,6 @@ struct PlaceResult {
 using Response = std::variant<AnalyzeResult, SweepResult, CampaignResult,
                               McResult, TopoResult, PlaceResult>;
 
-/// The response's op tag (matches the originating request's).
-const char* op_name(const Response& res);
 /// Dispatch render over the variant.
 void render(const Response& res, core::OutputFormat format, std::ostream& out);
 /// Dispatch to_json_line over the variant.

@@ -18,19 +18,6 @@ NpbKernel npb_kernel_from_name(const std::string& name) {
   throw Error("unknown NPB kernel '" + name + "'");
 }
 
-std::string to_string(NpbKernel k) {
-  switch (k) {
-    case NpbKernel::kBT: return "bt";
-    case NpbKernel::kCG: return "cg";
-    case NpbKernel::kEP: return "ep";
-    case NpbKernel::kFT: return "ft";
-    case NpbKernel::kLU: return "lu";
-    case NpbKernel::kMG: return "mg";
-    case NpbKernel::kSP: return "sp";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Pipelined ADI sweeps of BT/SP: along each grid dimension, each line of

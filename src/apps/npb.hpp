@@ -26,7 +26,6 @@ namespace llamp::apps {
 enum class NpbKernel : std::uint8_t { kBT, kCG, kEP, kFT, kLU, kMG, kSP };
 
 NpbKernel npb_kernel_from_name(const std::string& name);
-std::string to_string(NpbKernel k);
 
 struct NpbConfig {
   NpbKernel kernel = NpbKernel::kCG;

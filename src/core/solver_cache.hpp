@@ -141,7 +141,7 @@ class SolverCache {
     /// rows, and their results are stored.  Adjacent misses that share a
     /// `from` share one opening point (solve_batch_points), which the
     /// pooled call takes as its at_from.  Bitwise identical to the direct
-    /// pooled call and to n calls of problem()->max_param_for_budget_from.
+    /// pooled call and to n one-lane direct calls.
     /// A throwing call stores nothing and raises the lowest infeasible
     /// lane's error (hits never throw).  An all-hit call never touches the
     /// problem and allocates nothing once cur.gather has grown to n.

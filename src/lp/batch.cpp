@@ -9,7 +9,7 @@
 #include "util/strings.hpp"
 
 // The forward-pass kernel (DESIGN.md §4f).  Every solve runs through one
-// template, batch_pass<W, Pass>: a dense solve() is its 1-lane kDense
+// template, batch_pass<W, Pass>: a dense solve is its 1-lane kDense
 // instance, solve_batch / solve_batch_ranges and the pooled budget search
 // run it over blocks of W scenarios, and replay_anchor re-sums a critical
 // path through its 1-lane edge costs.  One pass over the topo-permuted
@@ -596,15 +596,18 @@ void LoweredProblem::max_param_for_budget_from_batch(
     round = pts;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    check_budget(from[i], round[i].value, budget[i]);
+    if (round[i].value > budget[i] + detail::value_eps(budget[i])) {
+      throw LpError(strformat("tolerance: T(%g) = %g already exceeds budget %g",
+                              from[i], round[i].value, budget[i]));
+    }
   }
   for (std::size_t i = 0; i < n; ++i) {
     bracket[i] = {from[i], kInfD, detail::budget_eps(budget[i])};
     live[i] = static_cast<std::uint32_t>(i);
     xs[i] = from[i];
   }
-  // Every lane runs the single search's budget_step on its own state, so
-  // each lane's iterate sequence is the single search's; a lane leaves the live
+  // Every lane runs budget_step on its own state, so each lane's iterate
+  // sequence is the one a one-lane call would take; a lane leaves the live
   // list the round it finishes.  Compaction writes slot q <= p after
   // reading slot p, so it runs in place.
   std::size_t m = n;

@@ -13,8 +13,6 @@ namespace llamp::lp {
 namespace {
 constexpr double kInfD = std::numeric_limits<double>::infinity();
 
-using detail::budget_eps;
-using detail::kBudgetIters;
 using detail::kNoIndex;
 using detail::value_eps;
 
@@ -175,13 +173,10 @@ LoweredProblem::Solution LoweredProblem::solve(int active,
   return std::move(cur.last_.solution);
 }
 
-LoweredProblem::Solution LoweredProblem::solve() const {
-  return solve(0, base_.empty() ? 0.0 : base_[0]);
-}
-
 std::vector<LoweredProblem::Segment> LoweredProblem::piecewise(
-    int k, double lo, double hi, Cursor& cur) const {
+    int k, double lo, double hi) const {
   if (!(lo <= hi)) throw LpError("piecewise: empty interval");
+  Cursor cur;
   std::vector<Segment> segs;
   double x = lo;
   const double eps = std::max(1e-6, (hi - lo) * 1e-12);
@@ -204,27 +199,14 @@ std::vector<LoweredProblem::Segment> LoweredProblem::piecewise(
   return segs;
 }
 
-std::vector<LoweredProblem::Segment> LoweredProblem::piecewise(
-    int k, double lo, double hi) const {
-  Cursor cur;
-  return piecewise(k, lo, hi, cur);
-}
-
 std::vector<double> LoweredProblem::critical_values(int k, double lo,
-                                                    double hi,
-                                                    Cursor& cur) const {
+                                                    double hi) const {
   std::vector<double> out;
-  const auto segs = piecewise(k, lo, hi, cur);
+  const auto segs = piecewise(k, lo, hi);
   for (std::size_t i = 1; i < segs.size(); ++i) {
     out.push_back(segs[i].lo);
   }
   return out;
-}
-
-std::vector<double> LoweredProblem::critical_values(int k, double lo,
-                                                    double hi) const {
-  Cursor cur;
-  return critical_values(k, lo, hi, cur);
 }
 
 std::vector<double> LoweredProblem::critical_values_algorithm2(
@@ -301,32 +283,6 @@ std::vector<double> LoweredProblem::critical_values_algorithm2(
   return lc;
 }
 
-double LoweredProblem::max_param_for_budget(int k, double budget,
-                                            Cursor& cur) const {
-  if (k < 0 || k >= num_params_) {
-    throw LpError("tolerance: parameter out of range");
-  }
-  return max_param_for_budget_from(k, base_[static_cast<std::size_t>(k)],
-                                   budget, cur);
-}
-
-double LoweredProblem::max_param_for_budget_from(int k, double from,
-                                                 double budget,
-                                                 Cursor& cur) const {
-  if (k < 0 || k >= num_params_) {
-    throw LpError("tolerance: parameter out of range");
-  }
-  return max_param_for_budget_from(k, from, budget,
-                                   solve(k, from, cur).point(), cur);
-}
-
-void LoweredProblem::check_budget(double from, double value, double budget) {
-  if (value > budget + value_eps(budget)) {
-    throw LpError(strformat("tolerance: T(%g) = %g already exceeds budget %g",
-                            from, value, budget));
-  }
-}
-
 bool LoweredProblem::budget_step(const BatchPoint& pt, double from,
                                  double budget, BudgetBracket& b, double& x,
                                  double& result) {
@@ -401,32 +357,6 @@ bool LoweredProblem::budget_step(const BatchPoint& pt, double from,
     return true;
   }
   return false;
-}
-
-double LoweredProblem::max_param_for_budget_from(int k, double from,
-                                                 double budget,
-                                                 const BatchPoint& at_from,
-                                                 Cursor& cur) const {
-  if (k < 0 || k >= num_params_) {
-    throw LpError("tolerance: parameter out of range");
-  }
-  check_budget(from, at_from.value, budget);
-  BudgetBracket b;
-  b.lo = from;
-  b.eps = budget_eps(budget);
-  double x = from;
-  double result = 0.0;
-  BatchPoint pt = at_from;
-  for (int iter = 0; iter < kBudgetIters; ++iter) {
-    if (budget_step(pt, from, budget, b, x, result)) return result;
-    pt = solve(k, x, cur).point();
-  }
-  throw LpError("tolerance: did not converge");
-}
-
-double LoweredProblem::max_param_for_budget(int k, double budget) const {
-  Cursor cur;
-  return max_param_for_budget(k, budget, cur);
 }
 
 }  // namespace llamp::lp

@@ -21,9 +21,9 @@ inline double value_eps(double v) { return 1e-9 * (1.0 + std::fabs(v)); }
 /// "No topo position" sentinel: a cursor or anchor that holds no solve.
 inline constexpr std::uint32_t kNoIndex =
     std::numeric_limits<std::uint32_t>::max();
-/// Bracket width at which a budget search settles on its lower end, and
-/// the Newton step cap after which it gives up: shared by the per-call and
-/// pooled searches, whose lanes must stop at the same iterate.
+/// Bracket width at which a budget-search lane settles on its lower end,
+/// and the Newton step cap after which it gives up.  The width depends on
+/// the lane's own budget alone, so a lane stops where a one-lane call would.
 inline double budget_eps(double budget) {
   return std::max(1e-6, std::fabs(budget) * 1e-12);
 }
@@ -65,10 +65,10 @@ inline constexpr std::size_t kBatchWidth = 16;
 /// suite proves the two agree on random graphs.
 ///
 /// One pass (DESIGN.md §4f): a single kernel template, batch_pass<W, Pass>
-/// in src/lp/batch.cpp, runs every forward pass.  solve() is its 1-lane
-/// kDense instance followed by a sink -> source chain walk for the full
-/// gradient; solve_batch / solve_batch_ranges / solve_batch_points and
-/// both budget-search forms run it over lanes of scenarios; anchor replay
+/// in src/lp/batch.cpp, runs every forward pass.  A dense solve is its
+/// 1-lane kDense instance followed by a sink -> source chain walk for the
+/// full gradient; solve_batch / solve_batch_ranges / solve_batch_points and
+/// the pooled budget search run it over lanes of scenarios; anchor replay
 /// re-sums a critical path through its 1-lane edge costs.
 ///
 /// Ownership split (DESIGN.md §4e): a LoweredProblem is the *immutable*
@@ -204,9 +204,9 @@ class LoweredProblem {
     }
   };
 
-  /// One budget search's state between Newton steps: the bracket
-  /// [lo, hi] (T(lo) <= budget, T(hi) > budget once finite), its settling
-  /// width, and the run of flat pieces crossed so far.
+  /// One lane's state between Newton steps of the pooled budget search:
+  /// the bracket [lo, hi] (T(lo) <= budget, T(hi) > budget once finite),
+  /// its settling width, and the run of flat pieces crossed so far.
   struct BudgetBracket {
     double lo = 0.0;
     double hi = std::numeric_limits<double>::infinity();
@@ -310,18 +310,30 @@ class LoweredProblem {
   void solve_batch_points(int active, const double* xs, std::size_t n,
                           Cursor& cur, BatchPoint* out) const;
 
-  /// Pooled tolerance search: out[i] is bitwise identical to
-  /// max_param_for_budget_from(k, from[i], budget[i], cur) for every lane
-  /// on every lowering, including the boundary clamps and the LpError
-  /// conditions (an infeasible lane throws exactly the single search's
-  /// error, lowest lane of the whole call first).  All n lanes iterate the
-  /// single search's bracketed-Newton step in one lockstep: each round
-  /// gathers only the still-live lanes into one solve_batch_points call,
-  /// so n searches cost max-lane-iterations rounds and no finished lane
-  /// rides a later pass.  When the caller already holds every from[i]'s
-  /// point (say from a runtime pass), `at_from` supplies it and the search
-  /// opens without re-solving; at_from[i] must equal
-  /// solve(k, from[i]).point().  Steady state allocates nothing.
+  /// §II-D2 tolerance, one search per lane: out[i] is the largest value of
+  /// parameter k (>= from[i], the others at their base values) keeping
+  /// T <= budget[i].  It is +inf when the parameter never appears on a
+  /// critical path up to the budget, or when the budget is +inf.
+  ///
+  /// Boundary contract (pinned by tests): throws LpError iff some lane has
+  /// T(from[i]) > budget[i] + value_eps(budget[i]), naming the lowest such
+  /// lane; otherwise out[i] >= from[i], even when the budget sits inside
+  /// the fuzzy feasibility band at from[i] itself (T(from[i]) in
+  /// (budget, budget + eps] clamps to from[i] rather than extrapolating a
+  /// negative tolerance).  When a budget exactly ties a segment knot
+  /// T(L_c) == budget, the crossing returned is the tangent solution of
+  /// the piece that reaches it, independent of the cursor's prior state.
+  ///
+  /// Each lane runs a bracketed-Newton search (budget_step) on its own
+  /// state, and the lanes iterate in one lockstep: each round gathers only
+  /// the still-live lanes into one solve_batch_points call, so n searches
+  /// cost max-lane-iterations rounds and no finished lane rides a later
+  /// pass.  A lane's iterates and result depend on its own inputs alone,
+  /// so lane i of an n-lane call is bitwise a one-lane call on lane i.
+  /// When the caller already holds every from[i]'s point (say from a
+  /// runtime pass), `at_from` supplies it and the search opens without
+  /// re-solving; at_from[i] must equal solve(k, from[i]).point().  Steady
+  /// state allocates nothing.
   void max_param_for_budget_from_batch(int k, const double* from,
                                        const double* budget, std::size_t n,
                                        Cursor& cur, double* out,
@@ -335,8 +347,6 @@ class LoweredProblem {
   const Solution& solve(int active, double value, Cursor& cur) const;
   /// Convenience form that allocates a transient cursor.
   Solution solve(int active, double value) const;
-  /// Evaluate at the base point (active parameter 0).
-  Solution solve() const;
 
   /// One linear piece of T(x_active).
   struct Segment {
@@ -351,15 +361,11 @@ class LoweredProblem {
   /// version of Algorithm 2).  Adjacent pieces with equal slope are merged,
   /// so piece boundaries are precisely the critical latencies L_c.
   std::vector<Segment> piecewise(int k, double lo, double hi) const;
-  std::vector<Segment> piecewise(int k, double lo, double hi,
-                                 Cursor& cur) const;
 
   /// Critical latencies within [lo, hi]: the parameter values where λ
   /// changes (Algorithm 2's output list), derived from the exact piecewise
   /// curve.
   std::vector<double> critical_values(int k, double lo, double hi) const;
-  std::vector<double> critical_values(int k, double lo, double hi,
-                                      Cursor& cur) const;
 
   /// Faithful port of the paper's Algorithm 2 (Appendix D): scan the
   /// interval right-to-left, hopping to SALBLow − ε after each solve and
@@ -373,32 +379,6 @@ class LoweredProblem {
   std::vector<double> critical_values_algorithm2(int k, double lo, double hi,
                                                  double step = 0.0,
                                                  double eps = 1e-6) const;
-
-  /// §II-D2 tolerance: the largest value of parameter k (>= its base value)
-  /// keeping T <= budget.  Returns +inf when the parameter never appears on
-  /// a critical path up to the budget or the budget is +inf; throws LpError
-  /// if even the base value exceeds the budget.
-  double max_param_for_budget(int k, double budget) const;
-  double max_param_for_budget(int k, double budget, Cursor& cur) const;
-  /// Same search anchored at `from` instead of the space's base value (the
-  /// Monte Carlo engine's per-sample operating points sit off-base).
-  ///
-  /// Boundary contract (pinned by tests): throws LpError iff
-  /// T(from) > budget + value_eps(budget); otherwise the result is always
-  /// >= `from`, even when the budget sits inside the fuzzy feasibility band
-  /// at `from` itself (T(from) in (budget, budget + eps] clamps to `from`
-  /// rather than extrapolating a negative tolerance).  When the budget
-  /// exactly ties a segment knot T(L_c) == budget, the crossing returned is
-  /// the tangent solution of the piece that reaches it — a fixed value
-  /// independent of the cursor's prior state, so warm and cold paths agree
-  /// bitwise.
-  double max_param_for_budget_from(int k, double from, double budget,
-                                   Cursor& cur) const;
-  /// Same search opening from the caller's solve at `from`
-  /// (solve(k, from).point()) instead of solving there again.
-  double max_param_for_budget_from(int k, double from, double budget,
-                                   const BatchPoint& at_from,
-                                   Cursor& cur) const;
 
   /// Snapshot the cursor's last anchor solve into `out` (reusing its
   /// buffers).  Requires a prior solve through `cur` on this problem.
@@ -446,14 +426,12 @@ class LoweredProblem {
   template <Pass P>
   void run_pass(int active, const double* xs, std::size_t n, Cursor& cur,
                 BatchPoint* out) const;
-  /// One bracketed-Newton iteration of the budget search, shared by the
-  /// per-call and pooled searches: consumes T's evaluation `pt` at `x` and
-  /// either finishes (returns true with `result`) or moves `x` to the next
-  /// probe, tightening the bracket.
+  /// One bracketed-Newton iteration of one lane of the pooled budget
+  /// search: consumes T's evaluation `pt` at `x` and either finishes
+  /// (returns true with `result`) or moves `x` to the next probe,
+  /// tightening the bracket.
   static bool budget_step(const BatchPoint& pt, double from, double budget,
                           BudgetBracket& b, double& x, double& result);
-  /// Throws the tolerance LpError when T(from) already exceeds `budget`.
-  static void check_budget(double from, double value, double budget);
   /// Grow cur's rows to the widest sub-block of an n-lane call.
   void prepare_batch(Cursor& cur, std::size_t n) const;
   /// Dense solve into cur: the 1-lane kDense pass, then the chain walk

@@ -340,9 +340,11 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
       if (add_local) g.add_local_edge(prev, v);
       prev = v;
     };
+    // An id is free again once its request was waited on, as in
+    // Trace::validate.
     const auto open_request = [&](const MidOp& op, const RequestInfo& info) {
       const auto [slot, fresh] = requests.insert(op.request);
-      if (!fresh) {
+      if (!fresh && !slot->waited) {
         throw SchedError(strformat("rank %d: duplicate request %lld", r,
                                    static_cast<long long>(op.request)));
       }
@@ -432,16 +434,24 @@ graph::Graph build_graph_from_streams(const std::vector<MidStream>& streams,
     // Closing sentinel.
     chain(g.add_calc(r, 0.0));
     if (unwaited != 0) {
-      // Name the first request the rank posted and never waited on.
-      for (const MidOp& op : stream) {
-        if (op.kind != MidOp::Kind::kIsend && op.kind != MidOp::Kind::kIrecv) {
+      // Name the first request the rank posted and never waited on.  Only
+      // an id's last posting can still be open (a repost needs a wait), so
+      // walk back closing each open id at its last posting: the last id
+      // closed is the one posted first.
+      std::int64_t first = -1;
+      for (auto op = stream.rbegin(); op != stream.rend(); ++op) {
+        if (op->kind != MidOp::Kind::kIsend &&
+            op->kind != MidOp::Kind::kIrecv) {
           continue;
         }
-        if (!requests.find(op.request)->waited) {
-          throw SchedError(strformat("rank %d: request %lld never waited on",
-                                     r, static_cast<long long>(op.request)));
+        RequestInfo& info = *requests.find(op->request);
+        if (!info.waited) {
+          info.waited = true;
+          first = op->request;
         }
       }
+      throw SchedError(strformat("rank %d: request %lld never waited on", r,
+                                 static_cast<long long>(first)));
     }
   }
 

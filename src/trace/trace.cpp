@@ -138,6 +138,12 @@ void Trace::validate() const {
         --open;
       }
       if (is_collective(e.op)) {
+        const bool rooted = e.op == Op::kBcast || e.op == Op::kReduce ||
+                            e.op == Op::kGather || e.op == Op::kScatter;
+        if (rooted && (e.root < 0 || e.root >= nranks())) {
+          throw TraceError(strformat("rank %d event %zu: root %d out of range",
+                                     r, i, e.root));
+        }
         Event key = e;  // normalize fields that may differ across ranks
         key.start = key.end = 0.0;
         key.request = -1;

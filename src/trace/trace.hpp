@@ -74,9 +74,10 @@ class Trace {
   std::size_t total_events() const;
 
   /// Validates structural invariants and throws TraceError on violation:
-  /// monotone non-overlapping timestamps per rank, peers in range, every
-  /// Isend/Irecv matched by exactly one Wait with the same request id, and
-  /// collective sequences identical across ranks (op, bytes, root).
+  /// monotone non-overlapping timestamps per rank, peers and the roots of
+  /// bcast/reduce/gather/scatter in range, every Isend/Irecv matched by
+  /// exactly one Wait with the same request id (a waited id may be reused),
+  /// and collective sequences identical across ranks (op, bytes, root).
   void validate() const;
 
   bool operator==(const Trace&) const = default;

@@ -14,6 +14,7 @@
 #include "lp/parametric.hpp"
 #include "schedgen/schedgen.hpp"
 #include "apps/registry.hpp"
+#include "test_support.hpp"
 #include "topo/spaces.hpp"
 #include "topo/topology.hpp"
 #include "util/error.hpp"
@@ -221,7 +222,7 @@ TEST(CampaignRun, FlatScenarioMatchesLatencyAnalyzer) {
 TEST(CampaignRun, TopologyScenarioMatchesDirectWireSpaceSolve) {
   // Every number of a topology cell is the scalar reference's, bit for
   // bit: per-point dense solves of a hand-built wire-latency lowering, and
-  // per-band scalar searches opened from the base solve.  The grid is
+  // per-band one-lane searches opened from the base solve.  The grid is
   // unordered, repeats a point and starts off ΔL = 0.
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   CampaignSpec spec = small_spec();
@@ -271,8 +272,8 @@ TEST(CampaignRun, TopologyScenarioMatchesDirectWireSpaceSolve) {
     ASSERT_EQ(res.bands.size(), spec.band_percents.size());
     for (std::size_t b = 0; b < res.bands.size(); ++b) {
       const double pct = spec.band_percents[b];
-      const double tol = solver.max_param_for_budget_from(
-          0, base, at.value * (1.0 + pct / 100.0), at, cur);
+      const double tol = llamp::testing::tolerance(
+          solver, 0, base, at.value * (1.0 + pct / 100.0), cur, &at);
       EXPECT_EQ(res.bands[b].percent, pct);
       EXPECT_EQ(bits(res.bands[b].tolerance_delta),
                 bits(std::isfinite(tol) ? tol - base : tol))

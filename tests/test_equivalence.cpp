@@ -111,7 +111,7 @@ TEST_P(EquivalenceTest, ToleranceInverseProperty) {
   const double T0 = solver.solve(0, p.L).value;
   for (const double pct : {1.0, 2.0, 5.0, 25.0}) {
     const double budget = T0 * (1.0 + pct / 100.0);
-    const double tol = solver.max_param_for_budget(0, budget);
+    const double tol = testing::tolerance(solver, 0, budget);
     if (!std::isfinite(tol)) continue;  // latency never critical
     const double t_at_tol = solver.solve(0, tol).value;
     EXPECT_NEAR(t_at_tol, budget, 1e-6 * budget) << "pct=" << pct;

@@ -44,7 +44,7 @@ TEST(RunningExample, ExactPaperNumbers) {
   EXPECT_NEAR(crit[0], 385.0, 1e-3);
 
   // Tolerance for a 2 us budget = 0.885 us (Fig. 6).
-  EXPECT_NEAR(solver.max_param_for_budget(0, 2'000.0), 885.0, 1e-6);
+  EXPECT_NEAR(llamp::testing::tolerance(solver, 0, 2'000.0), 885.0, 1e-6);
 }
 
 TEST(RunningExample, PiecewiseSegments) {
@@ -155,7 +155,7 @@ TEST(Algorithm2, RejectedInputsAreNeverMemoized) {
 TEST(Tolerance, ThrowsWhenBudgetBelowBase) {
   const auto g = llamp::testing::running_example_graph();
   LoweredProblem solver(g, running_space());
-  EXPECT_THROW((void)solver.max_param_for_budget(0, 1'000.0), LpError);
+  EXPECT_THROW((void)llamp::testing::tolerance(solver, 0, 1'000.0), LpError);
 }
 
 TEST(Tolerance, InfiniteWhenLatencyNeverCritical) {
@@ -166,7 +166,7 @@ TEST(Tolerance, InfiniteWhenLatencyNeverCritical) {
   g.add_local_edge(a, b);
   g.finalize();
   LoweredProblem solver(g, running_space());
-  EXPECT_TRUE(std::isinf(solver.max_param_for_budget(0, 1'000.0)));
+  EXPECT_TRUE(std::isinf(llamp::testing::tolerance(solver, 0, 1'000.0)));
 }
 
 TEST(Tolerance, ExactAtZeroPercentBudget) {
@@ -174,7 +174,7 @@ TEST(Tolerance, ExactAtZeroPercentBudget) {
   LoweredProblem solver(g, running_space());
   const double T0 = solver.solve(0, 0.0).value;
   // Budget exactly the base runtime: tolerance is the critical latency.
-  EXPECT_NEAR(solver.max_param_for_budget(0, T0), 385.0, 1e-3);
+  EXPECT_NEAR(llamp::testing::tolerance(solver, 0, T0), 385.0, 1e-3);
 }
 
 TEST(Convexity, SlopeMonotoneInParameter) {
@@ -329,7 +329,9 @@ TEST(Errors, InvalidArguments) {
   LoweredProblem solver(g, running_space());
   EXPECT_THROW((void)solver.solve(5, 0.0), LpError);
   EXPECT_THROW((void)solver.piecewise(0, 10.0, 0.0), LpError);
-  EXPECT_THROW((void)solver.max_param_for_budget(9, 1.0), LpError);
+  LoweredProblem::Cursor cur;
+  EXPECT_THROW((void)llamp::testing::tolerance(solver, 9, 0.0, 1.0, cur),
+               LpError);
   EXPECT_THROW(LoweredProblem(g, nullptr), LpError);
   graph::Graph unfinalized(1);
   (void)unfinalized.add_calc(0, 1.0);

@@ -270,6 +270,67 @@ TEST(MatchingErrors, UnwaitedRequestNamesRankAndRequest) {
             "schedgen: rank 0: request 1099511627779 never waited on");
 }
 
+TEST(Requests, IdIsFreeAgainAfterItsWait) {
+  // Rank 0 reuses request 5 after waiting on it, which Trace::validate
+  // accepts: the graph is the one built with distinct ids 5 and 6.
+  const auto trace_with = [](std::int64_t second) {
+    trace::Trace t(2);
+    const auto ev = [](trace::Op op, double start, std::int64_t req) {
+      trace::Event e;
+      e.op = op;
+      e.start = start;
+      e.end = start + 1.0;
+      e.peer = op == trace::Op::kWait ? -1 : op == trace::Op::kRecv ? 0 : 1;
+      e.bytes = op == trace::Op::kWait ? 0 : 8;
+      e.request = req;
+      return e;
+    };
+    t.rank(0) = {ev(trace::Op::kIsend, 0.0, 5), ev(trace::Op::kWait, 2.0, 5),
+                 ev(trace::Op::kIsend, 4.0, second),
+                 ev(trace::Op::kWait, 6.0, second)};
+    t.rank(1) = {ev(trace::Op::kRecv, 0.0, -1), ev(trace::Op::kRecv, 2.0, -1)};
+    t.validate();
+    return t;
+  };
+  const graph::Graph reused = build_graph(trace_with(5));
+  const graph::Graph distinct = build_graph(trace_with(6));
+  ASSERT_EQ(reused.num_vertices(), distinct.num_vertices());
+  for (graph::VertexId v = 0; v < reused.num_vertices(); ++v) {
+    const graph::Vertex& a = reused.vertex(v);
+    const graph::Vertex& b = distinct.vertex(v);
+    EXPECT_EQ(a.kind, b.kind) << v;
+    EXPECT_EQ(a.rank, b.rank) << v;
+    EXPECT_EQ(a.peer, b.peer) << v;
+    EXPECT_EQ(a.bytes, b.bytes) << v;
+    EXPECT_EQ(a.duration, b.duration) << v;
+  }
+  ASSERT_EQ(reused.num_edges(), distinct.num_edges());
+  for (std::uint32_t e = 0; e < reused.num_edges(); ++e) {
+    EXPECT_EQ(reused.edge(e).from, distinct.edge(e).from) << e;
+    EXPECT_EQ(reused.edge(e).to, distinct.edge(e).to) << e;
+    EXPECT_EQ(reused.edge(e).kind, distinct.edge(e).kind) << e;
+  }
+  EXPECT_EQ(count_edges(reused, EdgeKind::kComm), 2u);
+
+  // An id still open stays a duplicate, and the unwaited check names the
+  // first request posted and never waited on, not a reused id's earlier
+  // (waited) posting.
+  std::vector<MidStream> open(2);
+  open[0].push_back(MidOp::isend(1, 8, 0, 5));
+  open[0].push_back(MidOp::wait(5));
+  open[0].push_back(MidOp::isend(1, 8, 0, 5));
+  open[0].push_back(MidOp::isend(1, 8, 0, 5));
+  EXPECT_EQ(build_error(open), "schedgen: rank 0: duplicate request 5");
+  std::vector<MidStream> unwaited(2);
+  unwaited[0].push_back(MidOp::isend(1, 8, 0, 5));
+  unwaited[0].push_back(MidOp::wait(5));
+  unwaited[0].push_back(MidOp::isend(1, 8, 0, 6));
+  unwaited[0].push_back(MidOp::isend(1, 8, 0, 5));
+  for (int i = 0; i < 3; ++i) unwaited[1].push_back(MidOp::recv(0, 8, 0));
+  EXPECT_EQ(build_error(unwaited),
+            "schedgen: rank 0: request 6 never waited on");
+}
+
 TEST(MatchingErrors, UnwaitedIrecvIsReportedAsItsRequest) {
   // A receive posted by an irecv has no completion vertex until its wait.
   // The rank's request check runs before any matching, so an irecv that is

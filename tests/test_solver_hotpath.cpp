@@ -168,31 +168,25 @@ TEST_P(RandomConfigTest, WorkspaceVariantsAreBitwiseIdentical) {
   const double lo = 0.0;
   const double hi = p.L + 120'000.0;
 
+  // Segment slopes are the dense solver's own λ at interior points; the
+  // solves warm `ws` for the search below.
   const auto segs = solver.piecewise(0, lo, hi);
-  const auto segs_ws = solver.piecewise(0, lo, hi, ws);
-  ASSERT_EQ(segs.size(), segs_ws.size());
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    EXPECT_EQ(segs[i].lo, segs_ws[i].lo);
-    EXPECT_EQ(segs[i].hi, segs_ws[i].hi);
-    EXPECT_EQ(segs[i].slope, segs_ws[i].slope);
-    EXPECT_EQ(segs[i].value_at_lo, segs_ws[i].value_at_lo);
-  }
-  // Segment slopes are the dense solver's own λ at interior points.
   for (const auto& seg : segs) {
     const double mid = 0.5 * (seg.lo + std::min(seg.hi, hi));
-    EXPECT_NEAR(solver.solve(0, mid).gradient[0], seg.slope, 1e-9);
+    EXPECT_NEAR(solver.solve(0, mid, ws).gradient[0], seg.slope, 1e-9);
   }
 
+  // The critical values are the segment boundaries, bit for bit.
   const auto crit = solver.critical_values(0, lo, hi);
-  const auto crit_ws = solver.critical_values(0, lo, hi, ws);
-  ASSERT_EQ(crit.size(), crit_ws.size());
+  ASSERT_EQ(crit.size() + 1, segs.size());
   for (std::size_t i = 0; i < crit.size(); ++i) {
-    EXPECT_EQ(crit[i], crit_ws[i]);
+    EXPECT_EQ(crit[i], segs[i + 1].lo);
   }
 
+  // A search on the warm cursor returns the fresh cursor's bits.
   const double budget = solver.solve(0, p.L).value * 1.05;
-  const double tol = solver.max_param_for_budget(0, budget);
-  EXPECT_EQ(tol, solver.max_param_for_budget(0, budget, ws));
+  const double tol = testing::tolerance(solver, 0, budget);
+  EXPECT_EQ(tol, testing::tolerance(solver, 0, p.L, budget, ws));
   if (std::isfinite(tol)) {
     EXPECT_LE(solver.solve(0, tol).value,
               budget + 1e-9 * (1.0 + budget));
@@ -695,8 +689,8 @@ TEST(SolverCacheEntry, MemoizedCallsAreBitwiseDirectOnAllRegisteredApps) {
         const auto ref_lambda_G = bits(direct_bw.solve(1, p.G).gradient[1]);
         std::vector<std::uint64_t> ref_tols;
         for (const double pct : {0.0, 1.0, 2.0, 5.0}) {
-          ref_tols.push_back(bits(direct.max_param_for_budget_from(
-              0, p.L, base * (1.0 + pct / 100.0), dcur)));
+          ref_tols.push_back(bits(testing::tolerance(
+              direct, 0, p.L, base * (1.0 + pct / 100.0), dcur)));
         }
 
         for (int round = 0; round < 2; ++round) {
@@ -768,7 +762,7 @@ TEST(SolverCacheEntry, MemoCapKeepsFirstEntriesAndPastCapCallsStayBitwise) {
   constexpr std::size_t kScalar = 16;
   for (std::size_t i = 0; i < kScalar; ++i) {
     EXPECT_EQ(bits(entry_tolerance(*entry, 0, 500.0, budget(i), cur)),
-              bits(direct.max_param_for_budget_from(0, 500.0, budget(i), dcur)))
+              bits(testing::tolerance(direct, 0, 500.0, budget(i), dcur)))
         << "i=" << i;
   }
   constexpr std::size_t kLanes = 48;
@@ -804,7 +798,7 @@ TEST(SolverCacheEntry, MemoCapKeepsFirstEntriesAndPastCapCallsStayBitwise) {
   EXPECT_EQ(cache.stats().memo_hits, 3u);
   const double past = entry_tolerance(*entry, 0, 500.0, budget(fit), cur);
   EXPECT_EQ(bits(past),
-            bits(direct.max_param_for_budget_from(0, 500.0, budget(fit), dcur)));
+            bits(testing::tolerance(direct, 0, 500.0, budget(fit), dcur)));
   pooled(fit - 24, kLanes);  // 24 stored keys, 24 past the budget
   const auto after = cache.stats();
   EXPECT_EQ(after.memo_hits, 3u + 24u);
@@ -957,8 +951,8 @@ TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
   std::vector<std::uint64_t> ref_bw;
   LoweredProblem::Cursor dcur;
   for (int i = 0; i < kKeys; ++i) {
-    ref_tol.push_back(bits(direct.max_param_for_budget_from(
-        0, p.L, base * (1.0 + 0.5 * i / 100.0), dcur)));
+    ref_tol.push_back(bits(testing::tolerance(
+        direct, 0, p.L, base * (1.0 + 0.5 * i / 100.0), dcur)));
     ref_crit.push_back(bits(direct.critical_values_algorithm2(
         0, p.L, p.L + 1'000.0 * (i + 1), 250.0)));
     p_G.push_back(p);
@@ -1009,9 +1003,9 @@ TEST(SolverCacheEntry, ConcurrentMemoizedCallsAreBitwiseDirect) {
 }
 
 // ---------------------------------------------------------------------------
-// max_param_for_budget boundary contract (PR 7 bugfix): exact knot ties,
-// budgets inside the eps band, and budgets already violated at the anchor
-// all have pinned, cursor-state-independent answers.
+// Budget-search boundary contract, through one-lane pooled calls: exact
+// knot ties, budgets inside the eps band, and budgets already violated at
+// the anchor all have pinned, cursor-state-independent answers.
 // ---------------------------------------------------------------------------
 
 TEST(BudgetBoundary, KnotTiesEpsBandAndViolatedAnchors) {
@@ -1025,37 +1019,37 @@ TEST(BudgetBoundary, KnotTiesEpsBandAndViolatedAnchors) {
   // Budget exactly ties the knot value: the answer is the knot (the whole
   // flat piece meets the budget; 385 is its right end), not +inf and not
   // the anchor.
-  const double knot = solver.max_param_for_budget_from(0, 0.0, 1'500.0, ws);
+  const double knot = testing::tolerance(solver, 0, 0.0, 1'500.0, ws);
   EXPECT_NEAR(knot, 385.0, 1e-5);
   EXPECT_LE(solver.solve(0, knot).value, 1'500.0 + 1e-9 * (1.0 + 1'500.0));
 
   // Budget exactly T(from): the answer is `from` itself, never below it.
-  EXPECT_EQ(solver.max_param_for_budget_from(0, 500.0, 1'615.0, ws), 500.0);
+  EXPECT_EQ(testing::tolerance(solver, 0, 500.0, 1'615.0, ws), 500.0);
 
   // Budget inside the eps band below T(from): still clamped to `from`
   // (the pre-fix code could walk backwards past the anchor here).
   const double teps = 1e-9 * (1.0 + 1'615.0);
   const double r =
-      solver.max_param_for_budget_from(0, 500.0, 1'615.0 - 0.5 * teps, ws);
+      testing::tolerance(solver, 0, 500.0, 1'615.0 - 0.5 * teps, ws);
   EXPECT_EQ(r, 500.0);
 
   // Budget already violated beyond the eps band: a defined error, both
   // from an explicit anchor and from the space's base point (T(500) = 1615
   // exceeds both budgets).
-  EXPECT_THROW((void)solver.max_param_for_budget_from(0, 500.0, 1'550.0, ws),
+  EXPECT_THROW((void)testing::tolerance(solver, 0, 500.0, 1'550.0, ws),
                LpError);
-  EXPECT_THROW((void)solver.max_param_for_budget(0, 1'000.0), LpError);
+  EXPECT_THROW((void)testing::tolerance(solver, 0, 1'000.0), LpError);
 
   // Cursor-state independence: a cursor that just served unrelated solves
   // and a fresh one agree bitwise at every boundary shape, knot tie
   // included.
   solver.solve(0, 4'999.0, ws);
   LoweredProblem::Cursor fresh;
-  EXPECT_EQ(solver.max_param_for_budget_from(0, 0.0, 1'500.0, ws),
-            solver.max_param_for_budget_from(0, 0.0, 1'500.0, fresh));
+  EXPECT_EQ(testing::tolerance(solver, 0, 0.0, 1'500.0, ws),
+            testing::tolerance(solver, 0, 0.0, 1'500.0, fresh));
   for (const double budget : {1'615.0, 1'616.0, 2'000.0, 1e9}) {
-    EXPECT_EQ(solver.max_param_for_budget(0, budget, ws),
-              solver.max_param_for_budget(0, budget, fresh))
+    EXPECT_EQ(testing::tolerance(solver, 0, p.L, budget, ws),
+              testing::tolerance(solver, 0, p.L, budget, fresh))
         << "budget=" << budget;
   }
 }
@@ -1074,9 +1068,9 @@ TEST_P(RandomConfigTest, BudgetBoundaryAgreesAcrossCursorStates) {
   const double base_value = solver.solve(0, p.L, warm).value;
   for (const double factor : {1.0, 1.0 + 1e-12, 1.001, 1.05, 1.5}) {
     const double budget = base_value * factor;
-    const double a = solver.max_param_for_budget_from(0, p.L, budget, warm);
+    const double a = testing::tolerance(solver, 0, p.L, budget, warm);
     LoweredProblem::Cursor fresh;
-    const double b = solver.max_param_for_budget_from(0, p.L, budget, fresh);
+    const double b = testing::tolerance(solver, 0, p.L, budget, fresh);
     EXPECT_EQ(a, b) << "factor=" << factor;
     EXPECT_GE(a, p.L);
     if (std::isfinite(a)) {
@@ -1378,7 +1372,7 @@ TEST_P(RandomConfigTest, BatchBudgetSearchBitwiseMatchesScalar) {
   for (std::size_t i = 0; i < from.size(); ++i) {
     LoweredProblem::Cursor ws;
     EXPECT_EQ(batch[i],
-              solver.max_param_for_budget_from(0, from[i], budget[i], ws))
+              testing::tolerance(solver, 0, from[i], budget[i], ws))
         << "lane=" << i << " from=" << from[i] << " budget=" << budget[i];
   }
 }
@@ -1395,7 +1389,7 @@ TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
                LpError);
   // n = 0 is a no-op.
   solver.solve_batch(0, xs.data(), 0, bc, out.data());
-  // An infeasible lane throws the scalar's infeasibility error even when
+  // An infeasible lane throws the one-lane infeasibility error even when
   // other lanes are feasible (T(500) = 1615 > 1550).
   std::vector<double> from = {500.0, 500.0};
   std::vector<double> budget = {2'000.0, 1'550.0};
@@ -1417,9 +1411,9 @@ TEST(BatchSolve, ErrorsAndEdgeShapesMatchScalarContracts) {
 }
 
 // ---------------------------------------------------------------------------
-// Budget searches that open from the caller's pass at `from` (the scalar
-// and batch at_from forms) and the pooled lockstep over many lanes: every
-// result must be the plain per-lane scalar search's, bit for bit.
+// Budget searches that open from the caller's pass at `from` (at_from, on
+// one lane and on many) and the pooled lockstep over many lanes: every
+// result must be the plain one-lane search's, bit for bit.
 // ---------------------------------------------------------------------------
 
 /// `n` search lanes around the base point: anchors on and off it, budgets
@@ -1444,15 +1438,15 @@ BudgetLanes budget_lanes(const LoweredProblem& solver, double base,
   return lanes;
 }
 
-/// Plain per-lane scalar searches: the reference every other form must
+/// One plain one-lane search per lane: the reference every other form must
 /// reproduce bitwise.
-std::vector<std::uint64_t> scalar_searches(const LoweredProblem& solver,
+std::vector<std::uint64_t> one_lane_searches(const LoweredProblem& solver,
                                            const BudgetLanes& lanes) {
   std::vector<std::uint64_t> out;
   LoweredProblem::Cursor ws;
   for (std::size_t i = 0; i < lanes.from.size(); ++i) {
-    out.push_back(bits(solver.max_param_for_budget_from(
-        0, lanes.from[i], lanes.budget[i], ws)));
+    out.push_back(bits(
+        testing::tolerance(solver, 0, lanes.from[i], lanes.budget[i], ws)));
   }
   return out;
 }
@@ -1468,15 +1462,15 @@ TEST(BudgetSearch, AtFromFormsMatchPlainFormsOnAllRegisteredApps) {
     const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
     SCOPED_TRACE(app);
     const BudgetLanes lanes = budget_lanes(solver, p.L, 9);
-    const auto ref = scalar_searches(solver, lanes);
+    const auto ref = one_lane_searches(solver, lanes);
     const std::size_t n = lanes.from.size();
 
     std::vector<std::uint64_t> scalar_at;
     for (std::size_t i = 0; i < n; ++i) {
       const LoweredProblem::BatchPoint at =
           solver.solve(0, lanes.from[i], ws).point();
-      scalar_at.push_back(bits(solver.max_param_for_budget_from(
-          0, lanes.from[i], lanes.budget[i], at, ws)));
+      scalar_at.push_back(bits(testing::tolerance(
+          solver, 0, lanes.from[i], lanes.budget[i], ws, &at)));
     }
     EXPECT_EQ(scalar_at, ref);
 
@@ -1506,7 +1500,7 @@ TEST(BudgetSearch, PooledCallsMatchPerLaneScalarSearches) {
   for (const std::size_t n : {std::size_t{37}, std::size_t{48}}) {
     SCOPED_TRACE(n);
     const BudgetLanes lanes = budget_lanes(solver, p.L, n);
-    const auto ref = scalar_searches(solver, lanes);
+    const auto ref = one_lane_searches(solver, lanes);
     std::vector<double> pooled(n);
     solver.max_param_for_budget_from_batch(0, lanes.from.data(),
                                            lanes.budget.data(), n, bc,
@@ -1515,6 +1509,78 @@ TEST(BudgetSearch, PooledCallsMatchPerLaneScalarSearches) {
     EXPECT_EQ(pooled[0], lanes.from[0]);  // the 0% band
     EXPECT_EQ(pooled[10], std::numeric_limits<double>::infinity());
   }
+}
+
+TEST(BudgetSearch, TopoSpacesAreDenseInversesAndLaneIndependent) {
+  // `llamp topo`'s path: a one-lane pooled search per wire class, opened
+  // from a one-lane point pass at the class's base value.  On the fat-tree
+  // wire space (flat) and both Dragonfly class spaces of the SeedWalk wall
+  // (CSR, every class k), each 1x/1.01x/1.05x/1.5x T0 budget's tolerance
+  // meets its budget under the dense solve and is exceeded 1 ns past it,
+  // and a 4-lane call, with and without at_from, returns the one-lane bits.
+  constexpr double kFactors[] = {1.0, 1.01, 1.05, 1.5};
+  constexpr std::size_t n = std::size(kFactors);
+  LoweredProblem::Cursor cur;
+  std::size_t finite_csr_classes = 0;  // finite k != 0 tolerances on CSR
+  for (const std::string& app : apps::app_names()) {
+    SCOPED_TRACE(app);
+    const int ranks = apps::supported_ranks(app, 8);
+    const auto g =
+        schedgen::build_graph(apps::make_app_trace(app, ranks, 0.02));
+    const auto p = loggops::NetworkConfig::cscs_testbed();
+    const auto placement = topo::identity_placement(ranks);
+    std::vector<std::shared_ptr<const ParamSpace>> spaces = {
+        std::make_shared<LinkClassParamSpace>(topo::make_wire_latency_space(
+            p, topo::FatTree(4), placement, 274.0, 108.0))};
+    for (const auto& df : {topo::Dragonfly(8, 4, 8), topo::Dragonfly(4, 2, 2)}) {
+      spaces.push_back(std::make_shared<LinkClassParamSpace>(
+          topo::make_dragonfly_class_space(p, df, placement, 100.0, 200.0,
+                                           300.0, 108.0)));
+    }
+    for (std::size_t s = 0; s < spaces.size(); ++s) {
+      const LoweredProblem solver(g, spaces[s]);
+      EXPECT_EQ(solver.flat(), s == 0);
+      for (int k = 0; k < solver.num_params(); ++k) {
+        SCOPED_TRACE(::testing::Message() << "space=" << s << " k=" << k);
+        const double from = spaces[s]->base_value(k);
+        LoweredProblem::BatchPoint at;
+        solver.solve_batch_points(k, &from, 1, cur, &at);
+        std::vector<double> budget;
+        std::vector<std::uint64_t> one_lane;
+        for (const double f : kFactors) {
+          budget.push_back(at.value * f);
+          const double b = budget.back();
+          const double tol = testing::tolerance(solver, k, from, b, cur, &at);
+          EXPECT_EQ(bits(tol),
+                    bits(testing::tolerance(solver, k, from, b, cur)))
+              << "factor=" << f;
+          one_lane.push_back(bits(tol));
+          EXPECT_GE(tol, from);
+          if (!std::isfinite(tol)) {
+            EXPECT_LE(solver.solve(k, from + 1e9).value,
+                      b + detail::value_eps(b));
+            continue;
+          }
+          const double t_at = solver.solve(k, tol).value;
+          EXPECT_LE(t_at, b + detail::value_eps(b)) << "factor=" << f;
+          EXPECT_NEAR(t_at, b, 1e-6 * b) << "factor=" << f;
+          EXPECT_GT(solver.solve(k, tol + 1.0).value, b) << "factor=" << f;
+          finite_csr_classes += s > 0 && k != 0;
+        }
+        const std::vector<double> froms(n, from);
+        const std::vector<LoweredProblem::BatchPoint> ats(n, at);
+        std::vector<double> pooled(n);
+        solver.max_param_for_budget_from_batch(k, froms.data(), budget.data(),
+                                               n, cur, pooled.data());
+        EXPECT_EQ(bits(pooled), one_lane);
+        solver.max_param_for_budget_from_batch(k, froms.data(), budget.data(),
+                                               n, cur, pooled.data(),
+                                               ats.data());
+        EXPECT_EQ(bits(pooled), one_lane);
+      }
+    }
+  }
+  EXPECT_GT(finite_csr_classes, 0u);
 }
 
 /// Uncapped piece-by-piece reference for a budget search: cross every basis
@@ -1568,8 +1634,9 @@ graph::Graph flat_stretch_graph(int pieces) {
 TEST(BudgetSearch, FlatStretchOfManyPiecesConvergesInEveryForm) {
   // More flat pieces below the budget than a search has steps (the
   // lammps-216 failure at scale 0.25, whose flat stretch near-ties split
-  // into 619 pieces, more than the 512 steps searches then had).  After detail::kFlatRun crossings each jump doubles:
-  // the scalar, at_from and pooled forms converge, agree bitwise, and land
+  // into 619 pieces, more than the 512 steps searches then had).  After
+  // detail::kFlatRun crossings each jump doubles: one-lane calls with and
+  // without at_from and one pooled call converge, agree bitwise, and land
   // within the search's eps of the uncapped piece-by-piece walk.  The
   // lanes opening at 5 µs cross fewer than kFlatRun pieces, so they keep
   // the one-piece-per-step sequence beside the accelerated ones.
@@ -1592,11 +1659,10 @@ TEST(BudgetSearch, FlatStretchOfManyPiecesConvergesInEveryForm) {
   std::vector<double> scalar;
   std::vector<double> with_at;
   for (std::size_t i = 0; i < n; ++i) {
-    scalar.push_back(
-        solver.max_param_for_budget_from(0, from[i], budget[i], cur));
+    scalar.push_back(testing::tolerance(solver, 0, from[i], budget[i], cur));
     const LoweredProblem::BatchPoint at = solver.solve(0, from[i], cur).point();
     with_at.push_back(
-        solver.max_param_for_budget_from(0, from[i], budget[i], at, cur));
+        testing::tolerance(solver, 0, from[i], budget[i], cur, &at));
   }
   std::vector<double> pooled(n);
   solver.max_param_for_budget_from_batch(0, from.data(), budget.data(), n, cur,
@@ -1622,16 +1688,16 @@ TEST(BudgetSearch, UnboundedBudgetIsUnboundedToleranceInEveryForm) {
   // finite bound, so a Newton step toward a +inf budget would step past it
   // by the budget's bracket width, +inf, and probe T(+inf) = NaN.  Every
   // form answers +inf once the budget check passes, and the finite lane
-  // beside them keeps its scalar bits.
+  // beside them keeps its one-lane bits.
   const auto g =
       schedgen::build_graph(apps::make_app_trace("lammps", 8, 0.02));
   const auto p = loggops::NetworkConfig::cscs_testbed();
   const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
   constexpr double kInf = std::numeric_limits<double>::infinity();
   LoweredProblem::Cursor ws;
-  EXPECT_EQ(solver.max_param_for_budget_from(0, p.L, kInf, ws), kInf);
+  EXPECT_EQ(testing::tolerance(solver, 0, p.L, kInf, ws), kInf);
   const LoweredProblem::BatchPoint at = solver.solve(0, p.L, ws).point();
-  EXPECT_EQ(solver.max_param_for_budget_from(0, p.L, kInf, at, ws), kInf);
+  EXPECT_EQ(testing::tolerance(solver, 0, p.L, kInf, ws, &at), kInf);
 
   const std::vector<double> from = {p.L, p.L + 500.0, p.L};
   const std::vector<double> budget = {kInf, kInf, at.value * 1.02};
@@ -1640,8 +1706,8 @@ TEST(BudgetSearch, UnboundedBudgetIsUnboundedToleranceInEveryForm) {
   solver.max_param_for_budget_from_batch(0, from.data(), budget.data(),
                                          from.size(), bc, out.data());
   for (std::size_t i = 0; i < from.size(); ++i) {
-    EXPECT_EQ(bits(out[i]), bits(solver.max_param_for_budget_from(
-                                0, from[i], budget[i], ws)))
+    EXPECT_EQ(bits(out[i]),
+              bits(testing::tolerance(solver, 0, from[i], budget[i], ws)))
         << "lane " << i;
   }
   EXPECT_EQ(out[0], kInf);
@@ -1651,7 +1717,7 @@ TEST(BudgetSearch, UnboundedBudgetIsUnboundedToleranceInEveryForm) {
 
 TEST(BudgetSearch, PooledInfeasibleLaneThrowsTheScalarError) {
   // Lanes 20 and 30 (past the first block) are infeasible; the pooled call
-  // throws lane 20's scalar message whatever the other lanes do.
+  // throws lane 20's one-lane message whatever the other lanes do.
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
   const LoweredProblem solver(g, std::make_shared<LatencyParamSpace>(p));
@@ -1663,7 +1729,7 @@ TEST(BudgetSearch, PooledInfeasibleLaneThrowsTheScalarError) {
   LoweredProblem::Cursor ws;
   std::string scalar;
   try {
-    (void)solver.max_param_for_budget_from(0, from[20], budget[20], ws);
+    (void)testing::tolerance(solver, 0, from[20], budget[20], ws);
   } catch (const LpError& e) {
     scalar = e.what();
   }
@@ -1774,7 +1840,7 @@ TEST(BatchPoints, PooledSearchOnRelowerMatchesScalarSearches) {
   for_each_relowered_app([&](const LoweredProblem& prob,
                              const loggops::Params& p) {
     const BudgetLanes lanes = budget_lanes(prob, p.L, 37);
-    const auto ref = scalar_searches(prob, lanes);
+    const auto ref = one_lane_searches(prob, lanes);
     // All 37 lanes, with and without the caller's opening points; then
     // 3-lane calls (the padded tail), one of them holding a +inf budget.
     std::vector<double> out(37);
@@ -1800,7 +1866,7 @@ TEST(BatchPoints, PooledSearchOnRelowerMatchesScalarSearches) {
     EXPECT_EQ(lanes.budget[10], kInf);
     EXPECT_EQ(out[2], kInf);
 
-    // Lanes 1 and 2 of a 3-lane call are infeasible: lane 1's scalar
+    // Lanes 1 and 2 of a 3-lane call are infeasible: lane 1's one-lane
     // error is the call's.
     std::vector<double> budget(lanes.budget.begin(), lanes.budget.begin() + 3);
     std::string scalar;
@@ -1808,7 +1874,7 @@ TEST(BatchPoints, PooledSearchOnRelowerMatchesScalarSearches) {
     for (const std::size_t i : {std::size_t{2}, std::size_t{1}}) {
       budget[i] = prob.solve(0, lanes.from[i], ws).value * 0.9;
       try {
-        (void)prob.max_param_for_budget_from(0, lanes.from[i], budget[i], ws);
+        (void)testing::tolerance(prob, 0, lanes.from[i], budget[i], ws);
       } catch (const LpError& e) {
         scalar = e.what();
       }
@@ -1855,7 +1921,8 @@ TEST(Relower, InPlaceRelowerMatchesFreshPerturbedLoweringBitwise) {
                  std::make_shared<LatencyParamSpace>(p), factors));
       EXPECT_EQ(moving.space().params(), p);
       EXPECT_EQ(bits(moving.space().base_value(0)), bits(p.L));
-      EXPECT_EQ(bits(moving.solve().value), bits(fresh.solve().value));
+      EXPECT_EQ(bits(moving.solve(0, p.L).value),
+                bits(fresh.solve(0, p.L).value));
       const auto xs = batch_grid(p.L, p.L + 50'000.0, 21, 0x51u + round);
       for (const double x : xs) {
         const LoweredProblem::Solution& a = moving.solve(0, x, cur);
@@ -1895,7 +1962,7 @@ TEST(Relower, OnlyAnOwnedLatencyLoweringMovesAndBadInputsTouchNothing) {
   owned.relower(p, ones);
 
   // Bad operating points and factor rows throw before any row moves.
-  const double before = owned.solve().value;
+  const double before = owned.solve(0, p.L).value;
   loggops::Params bad = p;
   bad.o = -1.0;
   std::vector<double> big(g.num_edges(), 3.0);
@@ -1905,7 +1972,7 @@ TEST(Relower, OnlyAnOwnedLatencyLoweringMovesAndBadInputsTouchNothing) {
   big.back() = -0.5;
   EXPECT_THROW(owned.relower(p, big), LpError);
   EXPECT_THROW(owned.relower(p, std::vector<double>(3, 1.0)), LpError);
-  EXPECT_EQ(bits(owned.solve().value), bits(before));
+  EXPECT_EQ(bits(owned.solve(0, p.L).value), bits(before));
   EXPECT_EQ(owned.space().params(), p);
 }
 
@@ -1996,7 +2063,7 @@ TEST(SolverCacheEntry, PooledMemoIsBitwiseDirectOnAllRegisteredApps) {
 
 TEST(SolverCacheEntry, PooledMemoInfeasibleLaneThrowsTheScalarErrorAndStoresNothing) {
   // Lanes 20 and 30 are infeasible and lanes 5 and 25 are memo hits; the
-  // pooled call raises lane 20's scalar message and stores none of the
+  // pooled call raises lane 20's one-lane message and stores none of the
   // misses it computed before throwing.
   const auto g = testing::running_example_graph();
   const auto p = testing::running_example_params();
@@ -2016,7 +2083,7 @@ TEST(SolverCacheEntry, PooledMemoInfeasibleLaneThrowsTheScalarErrorAndStoresNoth
   LoweredProblem::Cursor cur;
   std::string scalar;
   try {
-    (void)direct.max_param_for_budget_from(0, from[20], budget[20], cur);
+    (void)testing::tolerance(direct, 0, from[20], budget[20], cur);
   } catch (const LpError& e) {
     scalar = e.what();
   }

@@ -355,8 +355,8 @@ TEST(StochMc, ThreadCountNeverChangesTheResult) {
 TEST(StochMc, FastPathMatchesScalarReferenceBitwise) {
   // An L-only run always takes the lane-batched fast path.  A scalar
   // reference built here on the public LoweredProblem — per-sample
-  // Rng(sample_seed) draws, one solve per ΔL point, one
-  // max_param_for_budget_from per band, folded in ascending sample order —
+  // Rng(sample_seed) draws, one solve per ΔL point, one one-lane pooled
+  // search per band, folded in ascending sample order —
   // must agree bitwise at several thread counts, and at a sample count (43)
   // that exercises full groups of lp::kBatchWidth plus a ragged tail of
   // sub-blocks.
@@ -393,7 +393,7 @@ TEST(StochMc, FastPathMatchesScalarReferenceBitwise) {
     rho_L.add(v0 > 0.0 ? x0 * lambda0 / v0 : 0.0);
     for (std::size_t b = 0; b < bands.size(); ++b) {
       const double budget = v0 * (1.0 + spec.band_percents[b] / 100.0);
-      const double tol = prob.max_param_for_budget_from(0, x0, budget, cur);
+      const double tol = testing::tolerance(prob, 0, x0, budget, cur);
       bands[b].add(std::isfinite(tol) ? tol - x0 : tol);
     }
   }
@@ -588,8 +588,8 @@ std::vector<std::vector<double>> perturbed_reference_rows(
     row.push_back(s0.gradient[0]);
     row.push_back(s0.value > 0.0 ? x0 * s0.gradient[0] / s0.value : 0.0);
     for (const double pct : spec.band_percents) {
-      const double tol = prob.max_param_for_budget_from(
-          0, x0, s0.value * (1.0 + pct / 100.0), cur);
+      const double tol = testing::tolerance(
+          prob, 0, x0, s0.value * (1.0 + pct / 100.0), cur);
       row.push_back(std::isfinite(tol) ? tol - x0 : tol);
     }
     rows.push_back(std::move(row));

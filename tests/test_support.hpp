@@ -9,6 +9,7 @@
 #include "graph/graph.hpp"
 #include "loggops/params.hpp"
 #include "lp/param_space.hpp"
+#include "lp/parametric.hpp"
 #include "trace/builder.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -103,6 +104,23 @@ class PerturbedParamSpace final : public ParamSpace {
 }  // namespace llamp::lp
 
 namespace llamp::testing {
+
+/// One tolerance search as a one-lane pooled call: the largest value of
+/// parameter k, from `from` up, keeping T <= budget.  `at`, when given,
+/// is solve(k, from).point() and opens the search without a re-solve.
+inline double tolerance(const lp::LoweredProblem& prob, int k, double from,
+                        double budget, lp::LoweredProblem::Cursor& cur,
+                        const lp::LoweredProblem::BatchPoint* at = nullptr) {
+  double out = 0.0;
+  prob.max_param_for_budget_from_batch(k, &from, &budget, 1, cur, &out, at);
+  return out;
+}
+
+/// The same search from parameter k's base value on a fresh cursor.
+inline double tolerance(const lp::LoweredProblem& prob, int k, double budget) {
+  lp::LoweredProblem::Cursor cur;
+  return tolerance(prob, k, prob.space().base_value(k), budget, cur);
+}
 
 /// Deterministic random MPI program generator for property tests.  Programs
 /// are generated causally (every operation depends only on operations

@@ -123,6 +123,22 @@ TEST(Validation, CatchesCollectiveDivergence) {
   EXPECT_THROW(tb.finish(), TraceError);
 }
 
+TEST(Validation, CatchesRootOutOfRange) {
+  // A rooted collective's root must name a rank: neither taken mod P nor
+  // left to fail later in schedgen.
+  for (const Op op : {Op::kBcast, Op::kReduce, Op::kGather, Op::kScatter}) {
+    for (const int root : {4, 7, -1, -6}) {
+      SCOPED_TRACE(::testing::Message() << op_name(op) << " root " << root);
+      TraceBuilder tb(4);
+      for (int r = 0; r < 4; ++r) tb.collective(r, op, 64, root);
+      EXPECT_THROW(tb.finish(), TraceError);
+    }
+    TraceBuilder tb(4);
+    for (int r = 0; r < 4; ++r) tb.collective(r, op, 64, 3);
+    EXPECT_NO_THROW(tb.finish());
+  }
+}
+
 TEST(Validation, CatchesDuplicateRequest) {
   Trace t(2);
   Event a;
